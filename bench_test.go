@@ -343,18 +343,15 @@ func BenchmarkSimHeap(b *testing.B) {
 }
 
 // BenchmarkLinkLane measures the per-packet cost of the serialized per-link
-// lane with pooling: send, serialize, propagate, deliver, recycle.
+// lane: send, serialize, propagate, deliver, recycle.
 func BenchmarkLinkLane(b *testing.B) {
 	s := NewSim(1)
 	src := NewHost(s, "src")
 	dst := NewHost(s, "dst")
-	l := Connect(s, src, 0, dst, 0, netsim.LinkConfig{
+	Connect(s, src, 0, dst, 0, netsim.LinkConfig{
 		Delay: Millisecond, RateBps: 100e9, QueueBytes: 1 << 24,
 	})
-	pool := netsim.NewPacketPool()
-	src.SetPool(pool)
-	dst.SetPool(pool)
-	l.SetPool(pool)
+	pool := src.Pool()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,7 +42,6 @@ func main() {
 		exchange  = flag.Duration("exchange", 50*time.Millisecond, "dedicated exchange interval")
 		seed      = flag.Int64("seed", 1, "random seed")
 		watch     = flag.Bool("watch", false, "stream telemetry samples during the run")
-		pool      = flag.Bool("pool", true, "recycle data packets through a pool (allocation-free datapath)")
 
 		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "probability of flipping a bit in each control message (both directions)")
 		chaosDup     = flag.Float64("chaos-dup", 0, "probability of duplicating each delivered packet")
@@ -76,10 +75,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("layout: %s\n", ml.Upstream.Layout)
-	var pktPool *fancy.PacketPool
-	if *pool {
-		pktPool = ml.UsePool()
-	}
 
 	if *watch {
 		srv := telemetry.NewServer(s, ml.Upstream, ml.MonitorPort())
@@ -143,7 +138,7 @@ func main() {
 	// Stdout is the deterministic transcript (same seed => byte-identical),
 	// so host wall-clock timing goes to stderr.
 	fmt.Printf("\nengine: %d events executed\n", s.Executed)
-	if pktPool != nil && pktPool.Gets > 0 {
+	if pktPool := ml.Src.Pool(); pktPool.Gets > 0 {
 		fmt.Printf("packet pool: %d gets, %.1f%% recycled\n",
 			pktPool.Gets, 100*float64(pktPool.Reuses)/float64(pktPool.Gets))
 	}

@@ -82,8 +82,6 @@ type (
 	EntryID = netsim.EntryID
 	// Packet is the simulated packet.
 	Packet = netsim.Packet
-	// PacketPool recycles data packets for an allocation-free datapath.
-	PacketPool = netsim.PacketPool
 	// Switch is the P4-like switch model.
 	Switch = netsim.Switch
 	// Host is an end system.
@@ -149,7 +147,6 @@ type MonitoredLink struct {
 	Out *Outputs
 
 	monitorPort int
-	pool        *netsim.PacketPool
 }
 
 // MonitoredLinkOptions tune the topology. Zero values give the paper's
@@ -212,28 +209,12 @@ func NewMonitoredLinkOpts(s *Sim, cfg Config, opts MonitoredLinkOptions) (*Monit
 // OnEvent registers the detection event callback.
 func (ml *MonitoredLink) OnEvent(fn func(Event)) { ml.Upstream.OnEvent = fn }
 
-// UsePool installs a shared packet pool on the topology: UDP sources draw
-// datagrams from it, the end hosts and the monitored link recycle them at
-// their death points, and the steady-state datapath stops allocating. Call
-// before UDP; returns the pool for Gets/Reuses inspection.
-func (ml *MonitoredLink) UsePool() *netsim.PacketPool {
-	if ml.pool == nil {
-		ml.pool = netsim.NewPacketPool()
-		sink := netsim.PacketHandlerFunc(func(pkt *Packet) { ml.pool.Put(pkt) })
-		ml.Src.Default = sink
-		ml.Dst.Default = sink
-		ml.Link.SetPool(ml.pool)
-	}
-	return ml.pool
-}
-
 // UDP starts a constant-bit-rate UDP stream for entry between start and
 // stop virtual times.
 func (ml *MonitoredLink) UDP(entry EntryID, rateBps float64, start, stop Time) {
 	ml.Sim.ScheduleAt(start, func() {
 		u := traffic.NewUDPSource(ml.Sim, ml.Src, netsim.FlowID(entry), entry,
 			netsim.EntryAddr(entry, 1), rateBps, 1000, stop)
-		u.Pool = ml.pool
 		u.Start()
 	})
 }

@@ -203,10 +203,8 @@ func fleetTrial(seed int64, dl topo.DirectedLink, duration sim.Time, verified bo
 		}
 	}
 
-	src := traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), 2e6, 1000, duration)
-	src.Pool = n.UsePool()
-	src.Start()
+	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
+		netsim.EntryAddr(entry, 1), 2e6, 1000, duration).Start()
 	const failAt = sim.Second
 	n.Direction(dl.From, dl.To).SetFailure(netsim.FailEntries(seed+1, failAt, 1.0, entry))
 	s.Run(duration)

@@ -106,7 +106,9 @@ type customReceiverAdapter struct{ cr CustomReceiver }
 
 func (a *customReceiverAdapter) resetSession([]wire.ZoomTarget) { a.cr.ResetSession() }
 func (a *customReceiverAdapter) countTag(tag wire.Tag)          { a.cr.Count(tag) }
-func (a *customReceiverAdapter) snapshot() []uint64             { return a.cr.Snapshot() }
+func (a *customReceiverAdapter) appendSnapshot(dst []uint64) []uint64 {
+	return append(dst, a.cr.Snapshot()...)
+}
 
 // SizeBuckets is the bucket count of SizeHistogramUnit (64-byte buckets up
 // to 1536 B and an overflow bucket → 25 buckets fit one tag byte).

@@ -49,6 +49,6 @@ type dedicatedReceiver struct {
 	count uint64
 }
 
-func (d *dedicatedReceiver) resetSession(_ []wire.ZoomTarget) { d.count = 0 }
-func (d *dedicatedReceiver) countTag(_ wire.Tag)              { d.count++ }
-func (d *dedicatedReceiver) snapshot() []uint64               { return []uint64{d.count} }
+func (d *dedicatedReceiver) resetSession(_ []wire.ZoomTarget)     { d.count = 0 }
+func (d *dedicatedReceiver) countTag(_ wire.Tag)                  { d.count++ }
+func (d *dedicatedReceiver) appendSnapshot(dst []uint64) []uint64 { return append(dst, d.count) }

@@ -57,6 +57,10 @@ type Detector struct {
 	// (see OnIngress); its slice capacity is recycled across messages.
 	ctlScratch wire.Message
 
+	// ctlPkts issues the control packets this detector sends; netsim brings
+	// each one back, Ctl buffer included, when the peer has consumed it.
+	ctlPkts netsim.PacketPool
+
 	customRecv map[uint32]CustomReceiver
 
 	// OnEvent receives every detection event (required for experiments;
@@ -435,20 +439,23 @@ func (d *Detector) LinkDown(port int) bool {
 	return ok && m.downUnits > 0
 }
 
-// sendControl marshals and injects a control message out of port, returning
-// its wire size. Control packets occupy at least a minimum-size Ethernet
-// frame (64 B), the figure the paper's overhead analysis uses.
+// sendControl marshals a control message into a recycled packet's Ctl buffer
+// and injects it out of port, returning its wire size. Control packets
+// occupy at least a minimum-size Ethernet frame (64 B), the figure the
+// paper's overhead analysis uses.
 func (d *Detector) sendControl(port int, m *wire.Message) int {
-	buf := m.Marshal(make([]byte, 0, m.WireSize()))
-	size := len(buf)
+	pkt := d.ctlPkts.Get()
+	if n := m.WireSize(); cap(pkt.Ctl) < n {
+		// One exact allocation, not Marshal's header-then-payload growth.
+		pkt.Ctl = make([]byte, 0, n)
+	}
+	pkt.Ctl = m.Marshal(pkt.Ctl)
+	size := len(pkt.Ctl)
 	if size < 64 {
 		size = 64
 	}
-	pkt := &netsim.Packet{
-		Proto: netsim.ProtoFancy, Entry: netsim.InvalidEntry,
-		Size: size, Ctl: buf,
-		Src: d.ownAddr, Dst: d.peerAddr[port],
-	}
+	pkt.Proto, pkt.Entry, pkt.Size = netsim.ProtoFancy, netsim.InvalidEntry, size
+	pkt.Src, pkt.Dst = d.ownAddr, d.peerAddr[port]
 	d.CtlMsgsSent++
 	d.CtlBytesSent += uint64(size)
 	d.sw.Inject(pkt, port)

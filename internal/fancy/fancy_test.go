@@ -18,7 +18,8 @@ type testbed struct {
 	s        *sim.Sim
 	src, dst *netsim.Host
 	up, down *netsim.Switch
-	link     *netsim.Link
+	link     *netsim.Link    // up — down, the monitored link
+	edges    [2]*netsim.Link // src — up, down — dst
 	det      *Detector
 	downDet  *Detector
 	out      *Outputs
@@ -33,9 +34,9 @@ func newTestbed(t *testing.T, cfg Config, seed int64) *testbed {
 	tb.dst = netsim.NewHost(s, "dst")
 	tb.up = netsim.NewSwitch(s, "up", 2)
 	tb.down = netsim.NewSwitch(s, "down", 2)
-	netsim.Connect(s, tb.src, 0, tb.up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
+	tb.edges[0] = netsim.Connect(s, tb.src, 0, tb.up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
 	tb.link = netsim.Connect(s, tb.up, 1, tb.down, 0, netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9})
-	netsim.Connect(s, tb.down, 1, tb.dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
+	tb.edges[1] = netsim.Connect(s, tb.down, 1, tb.dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
 	// Entries forward (toward dst), host-src prefix backward.
 	tb.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
 	tb.up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})

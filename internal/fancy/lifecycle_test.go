@@ -1,0 +1,191 @@
+package fancy
+
+// Packet-lifecycle tests (netsim.PacketPool): recycling is host-side memory
+// reuse and nothing else, so a run in which every packet is recycled and a
+// run in which none is must be the same run; and the counting protocol's
+// steady state must not allocate.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"testing"
+
+	"fancy/internal/netsim"
+	"fancy/internal/sim"
+	"fancy/internal/tcp"
+	"fancy/internal/traffic"
+)
+
+// lifecycleTranscript is everything a run lets an observer see.
+type lifecycleTranscript struct {
+	SrcReceived, DstReceived uint64
+	Forwarded                uint64 // FNV-1a over every packet either switch forwarded, in order
+	Links                    [6]netsim.LinkStats
+	Chaos                    [2]netsim.ChaosStats
+	TCP                      []tcp.Stats
+	UDPSent                  uint64
+	UpEvents, DownEvents     []Event
+	UpStats, DownStats       DetectorStats
+	CtlMsgs, CtlBytes        uint64
+}
+
+// lifecycleRun drives UDP, TCP and FANcY over src — up ═ down — dst with a
+// gray failure and every chaos class on the monitored link. With capture
+// set, a (no-op) capture observer sits on every link direction, which pins
+// every packet at its first hop: nothing is ever recycled. It also returns
+// how often the three kinds of pool reused a packet.
+func lifecycleRun(t *testing.T, capture bool) (lifecycleTranscript, uint64) {
+	t.Helper()
+	tb := newTestbed(t, testCfg, 11)
+	s := tb.s
+	var tr lifecycleTranscript
+	tb.downDet.OnEvent = func(ev Event) { tr.DownEvents = append(tr.DownEvents, ev) }
+
+	h := fnv.New64a()
+	tap := func(pkt *netsim.Packet, in, out int) {
+		fmt.Fprintf(h, "%d %d>%d %d/%d/%d seq%d ack%d %dB tag%v %x|",
+			s.Now(), in, out, pkt.Proto, pkt.Flow, pkt.Entry, pkt.Seq, pkt.Ack, pkt.Size, pkt.Tagged, pkt.Ctl)
+	}
+	tb.up.OnForwarded(tap)
+	tb.down.OnForwarded(tap)
+
+	var ends []*netsim.LinkEnd // [2] is up→down, the failed direction
+	for _, l := range []*netsim.Link{tb.edges[0], tb.link, tb.edges[1]} {
+		ends = append(ends, l.AB, l.BA)
+	}
+	if capture {
+		for _, e := range ends {
+			e.SetCapture(func(netsim.CaptureEvent) {})
+		}
+	}
+
+	chaos := [2]*netsim.Chaos{netsim.NewChaos(s, "ab"), netsim.NewChaos(s, "ba")}
+	for _, c := range chaos {
+		c.Start = 300 * sim.Millisecond
+		c.CorruptCtl, c.CorruptData, c.Duplicate, c.Reorder = 0.05, 0.005, 0.05, 0.1
+		c.DownFor, c.UpFor = 150*sim.Millisecond, 900*sim.Millisecond
+	}
+	tb.link.AB.SetChaos(chaos[0])
+	tb.link.BA.SetChaos(chaos[1])
+	tb.failEntries(sim.Second, 0.5, 10, 40)
+
+	const stop = 3 * sim.Second
+	var udps []*traffic.UDPSource
+	for _, e := range []netsim.EntryID{10, 11, 40, 41} {
+		u := traffic.NewUDPSource(s, tb.src, netsim.FlowID(e), e, netsim.EntryAddr(e, 1), 2e6, 1000, stop)
+		u.Start()
+		udps = append(udps, u)
+	}
+	var flows []*tcp.Sender
+	for i, e := range []netsim.EntryID{12, 42, 43} {
+		f := tcp.NewSender(s, tb.src, tb.dst, netsim.FlowID(100+i), e,
+			netsim.IPv4(172, 16, 0, 1), netsim.EntryAddr(e, 1), 8_000_000, tcp.Config{RateBps: 20e6})
+		f.Start()
+		flows = append(flows, f)
+	}
+	s.Run(stop)
+
+	tr.SrcReceived, tr.DstReceived = tb.src.Received, tb.dst.Received
+	tr.Forwarded = h.Sum64()
+	for i, e := range ends {
+		tr.Links[i] = e.Stats()
+	}
+	for i, c := range chaos {
+		tr.Chaos[i] = c.Stats
+	}
+	for _, f := range flows {
+		tr.TCP = append(tr.TCP, f.Stats)
+	}
+	for _, u := range udps {
+		tr.UDPSent += u.Sent
+	}
+	tr.UpEvents = tb.events
+	tr.UpStats, tr.DownStats = tb.det.Stats(), tb.downDet.Stats()
+	tr.CtlMsgs = tb.det.CtlMsgsSent + tb.downDet.CtlMsgsSent
+	tr.CtlBytes = tb.det.CtlBytesSent + tb.downDet.CtlBytesSent
+
+	reuses := tb.src.Pool().Reuses + tb.dst.Pool().Reuses + tb.det.ctlPkts.Reuses + tb.downDet.ctlPkts.Reuses
+	return tr, reuses
+}
+
+// TestLifecycleRecycledRunEqualsPinnedRun is the differential test of the
+// packet lifecycle, with no mode switch to flip: capture observers pin
+// every packet, so the captured run recycles nothing and the plain run
+// recycles nearly everything — and the two must be indistinguishable.
+func TestLifecycleRecycledRunEqualsPinnedRun(t *testing.T) {
+	recycled, reuses := lifecycleRun(t, false)
+	pinned, pinnedReuses := lifecycleRun(t, true)
+	if pinnedReuses != 0 {
+		t.Fatalf("captured run reused %d packets; a captured packet must be pinned", pinnedReuses)
+	}
+	sent := recycled.CtlMsgs + recycled.UDPSent
+	for _, st := range recycled.TCP {
+		sent += st.SegmentsSent
+	}
+	if reuses < sent*9/10 {
+		t.Fatalf("plain run reused %d packets of %d+ sent; the lifecycle is not recycling", reuses, sent)
+	}
+
+	// The scenario must exercise what it claims to.
+	c := recycled.Chaos[0]
+	if c.CorruptedCtl == 0 || c.CorruptedData == 0 || c.Duplicated == 0 || c.Reordered == 0 || c.FlapDrops == 0 {
+		t.Fatalf("chaos classes not all exercised: %+v", c)
+	}
+	var rtx uint64
+	for _, st := range recycled.TCP {
+		rtx += st.Retransmits
+	}
+	if recycled.Links[2].FailureDrops == 0 || len(recycled.UpEvents) == 0 || rtx == 0 {
+		t.Fatalf("scenario too tame: %d failure drops, %d events, %d retransmits",
+			recycled.Links[2].FailureDrops, len(recycled.UpEvents), rtx)
+	}
+
+	rv, pv := reflect.ValueOf(recycled), reflect.ValueOf(pinned)
+	for i := 0; i < rv.NumField(); i++ {
+		if !reflect.DeepEqual(rv.Field(i).Interface(), pv.Field(i).Interface()) {
+			t.Errorf("%s differs:\n recycled %+v\n pinned   %+v",
+				rv.Type().Field(i).Name, rv.Field(i).Interface(), pv.Field(i).Interface())
+		}
+	}
+}
+
+// TestLifecycleDedicatedSessionDoesNotAllocate pins the counting protocol's
+// steady state: a dedicated-counter session — Start, StartACK, Stop, Report,
+// each marshalled into a recycled packet's Ctl buffer, parsed from it at the
+// peer, and the packet brought home — allocates nothing.
+func TestLifecycleDedicatedSessionDoesNotAllocate(t *testing.T) {
+	s := sim.New(1)
+	up, down := netsim.NewSwitch(s, "up", 1), netsim.NewSwitch(s, "down", 1)
+	netsim.Connect(s, up, 0, down, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
+	cfg := testCfg
+	det, err := NewDetector(s, up, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downDet, err := NewDetector(s, down, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downDet.ListenPort(0)
+	det.MonitorPort(0)
+	ded := det.monitors[0].dedicated[0]
+
+	// Warm up: event pool, packet pools, Ctl buffers, report scratch.
+	s.Run(sim.Second)
+	session := func() {
+		for before := ded.SessionsCompleted; ded.SessionsCompleted == before; {
+			s.Run(s.Now() + 10*sim.Millisecond)
+		}
+	}
+	msgs := det.CtlMsgsSent + downDet.CtlMsgsSent
+	if avg := testing.AllocsPerRun(50, session); avg != 0 {
+		t.Errorf("a counting session allocates %.2f objects, want 0", avg)
+	}
+	if det.CtlMsgsSent+downDet.CtlMsgsSent-msgs < 4*50 {
+		t.Error("fewer than four control messages per session were exchanged")
+	}
+	if det.ctlPkts.Reuses == 0 || downDet.ctlPkts.Reuses == 0 {
+		t.Error("control packets were not recycled")
+	}
+}

@@ -284,8 +284,8 @@ type receiverCounters interface {
 	resetSession(targets []wire.ZoomTarget)
 	// countTag increments the counter a tagged packet maps to.
 	countTag(tag wire.Tag)
-	// snapshot returns the Report payload.
-	snapshot() []uint64
+	// appendSnapshot appends the Report payload to dst.
+	appendSnapshot(dst []uint64) []uint64
 }
 
 // receiverFSM runs at the downstream switch for one unit.
@@ -379,7 +379,7 @@ func (f *receiverFSM) sendReport() {
 		return
 	}
 	f.state = rIdle
-	f.lastReport = append(f.lastReport[:0], f.counters.snapshot()...)
+	f.lastReport = f.counters.appendSnapshot(f.lastReport[:0])
 	f.resendReport()
 }
 

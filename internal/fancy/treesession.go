@@ -454,14 +454,13 @@ func (r *treeReceiver) countTag(tag wire.Tag) {
 	}
 }
 
-func (r *treeReceiver) snapshot() []uint64 {
+func (r *treeReceiver) appendSnapshot(dst []uint64) []uint64 {
 	if !r.params.Pipelined {
-		return append([]uint64(nil), r.node...)
+		return append(dst, r.node...)
 	}
-	out := make([]uint64, 0, (1+len(r.nodes))*r.params.Width)
-	out = append(out, r.root...)
+	dst = append(dst, r.root...)
 	for _, n := range r.nodes {
-		out = append(out, n...)
+		dst = append(dst, n...)
 	}
-	return out
+	return dst
 }

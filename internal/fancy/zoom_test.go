@@ -73,7 +73,7 @@ func (h *zoomHarness) session(sent, delivered map[netsim.EntryID]int) {
 			}
 		}
 	}
-	h.snd.handleReport(h.rcv.snapshot())
+	h.snd.handleReport(h.rcv.appendSnapshot(nil))
 }
 
 func (h *zoomHarness) leafEvents() []Event {
@@ -264,7 +264,7 @@ func TestZoomReceiverAncestorCounting(t *testing.T) {
 
 	// Tag: deepest node = target 1 (path [3,5]), counter 2.
 	rcv.countTag(tagFor(2, 2))
-	snap := rcv.snapshot()
+	snap := rcv.appendSnapshot(nil)
 	// Layout: root(8) | node0(8) | node1(8).
 	if snap[3] != 1 {
 		t.Errorf("root[3] = %d, want 1", snap[3])

@@ -43,6 +43,7 @@ const (
 	factPooled   varFact = 1 << iota // holds the result of a pool Get/alloc
 	factReleased                     // pool Put/release was called on it
 	factEscaped                      // a retaining reference escaped (field/slice/map/closure)
+	factLent                         // a packet lent to a netsim callback, or a copy of that pointer
 	// borrowescape
 	factBorrowed // aliases an UnmarshalInto decode scratch
 )

@@ -8,17 +8,24 @@ import (
 )
 
 // AnalyzerPoolSafe enforces the ownership contract of the object pools
-// (netsim.PacketPool's Get/Put and sim.Sim's event alloc/release), which
-// pool.go states only in prose: Put transfers ownership back to the pool.
-// Along every execution path it flags
+// (netsim.PacketPool's Get and Packet.release, sim.Sim's event
+// alloc/release, and any Get/Put pool), which pool.go states only in
+// prose: a release transfers ownership back to the pool. Along every
+// execution path it flags
 //
 //   - a use of a variable after it was returned to its pool (the pool may
 //     already have recycled and reinitialized the object),
-//   - a second Put of the same variable without an intervening
-//     re-definition (double free), and
-//   - a Put after a retaining reference escaped into a struct field,
+//   - a second release of the same variable without an intervening
+//     re-definition (double free),
+//   - a release after a retaining reference escaped into a struct field,
 //     slice, map, array, channel, go/defer call or closure (the pool would
-//     recycle an object something still points to).
+//     recycle an object something still points to), and
+//   - the borrow rule of the packet lifecycle: netsim lends a *Packet to a
+//     PacketHandler, IngressHook, EgressHook or OnForwarded callback for
+//     the duration of the call and recycles it afterwards, so a callback
+//     that stores its packet parameter (or a copy of the pointer) into a
+//     field, slice, map, channel, go/defer call or closure keeps a pointer
+//     to memory that will carry a different packet.
 //
 // The analysis is the dataflow engine's path-sensitive forward pass: facts
 // are per-variable {pooled, released, escaped} bits, so the
@@ -29,7 +36,7 @@ import (
 // at function end, after every textually later use).
 var AnalyzerPoolSafe = &Analyzer{
 	Name: "poolsafe",
-	Doc:  "no use-after-Put, double-Put, or Put of an escaped pooled object",
+	Doc:  "no use-after-release, double release, release of an escaped pooled object, or retained borrowed packet",
 	Run:  runPoolSafe,
 }
 
@@ -40,9 +47,10 @@ const (
 )
 
 // poolCallOf classifies a call as a pool acquire or release: Get/Put on a
-// named type whose name ends in "Pool", or alloc/release on sim.Sim (the
-// event pool). The released/acquired object must be a plain identifier to
-// be tracked.
+// named type whose name ends in "Pool", alloc/release on sim.Sim (the
+// event pool), or pkt.release() on netsim.Packet (the packet goes back to
+// the pool that issued it, so the released object is the receiver). The
+// released/acquired object must be a plain identifier to be tracked.
 func poolCallOf(p *Package, call *ast.CallExpr) (op int, arg *ast.Ident) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -64,6 +72,9 @@ func poolCallOf(p *Package, call *ast.CallExpr) (op int, arg *ast.Ident) {
 	isPool := strings.HasSuffix(name, "Pool")
 	isSim := name == "Sim" && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "sim"
 	switch {
+	case isNetsimPacket(named) && sel.Sel.Name == "release" && len(call.Args) == 0:
+		id, _ := sel.X.(*ast.Ident)
+		return poolOpPut, id
 	case isPool && sel.Sel.Name == "Get" && len(call.Args) == 0:
 		return poolOpGet, nil
 	case isSim && sel.Sel.Name == "alloc":
@@ -75,21 +86,32 @@ func poolCallOf(p *Package, call *ast.CallExpr) (op int, arg *ast.Ident) {
 	return poolOpNone, nil
 }
 
+func isNetsimPacket(named *types.Named) bool {
+	obj := named.Obj()
+	return obj.Name() == "Packet" && obj.Pkg() != nil && obj.Pkg().Name() == "netsim"
+}
+
 func runPoolSafe(p *Package) []Finding {
 	var out []Finding
+	callbacks := packetCallbacks(p)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
+			var typ *ast.FuncType
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				body = fn.Body
+				body, typ = fn.Body, fn.Type
 			case *ast.FuncLit:
-				body = fn.Body
+				body, typ = fn.Body, fn.Type
 			default:
 				return true
 			}
 			if body != nil {
-				out = append(out, poolSafeFunc(p, body)...)
+				lent := flowState{}
+				if callbacks[n] {
+					lent = packetParams(p, typ)
+				}
+				out = append(out, poolSafeFunc(p, body, lent)...)
 			}
 			return true
 		})
@@ -97,9 +119,80 @@ func runPoolSafe(p *Package) []Finding {
 	return out
 }
 
-func poolSafeFunc(p *Package, body *ast.BlockStmt) []Finding {
-	// Cheap pre-filter: no pool call, nothing to analyze.
-	hasPool := false
+// packetCallbacks finds the functions netsim lends packets to: methods
+// named HandlePacket, OnIngress or OnEgress (the PacketHandler, IngressHook
+// and EgressHook interfaces), and whatever is converted to PacketHandlerFunc
+// or passed to an OnForwarded method — a function literal, or a function or
+// method of this package named there.
+func packetCallbacks(p *Package) map[ast.Node]bool {
+	callbacks := make(map[ast.Node]bool)
+	named := make(map[types.Object]bool)
+	note := func(e ast.Expr) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.FuncLit:
+			callbacks[x] = true
+		case *ast.Ident:
+			named[p.Info.Uses[x]] = true
+		case *ast.SelectorExpr:
+			named[p.Info.Uses[x.Sel]] = true
+		}
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			if tv := p.Info.Types[call.Fun]; tv.IsType() {
+				if nt, ok := tv.Type.(*types.Named); ok && nt.Obj().Name() == "PacketHandlerFunc" {
+					note(call.Args[0])
+				}
+			} else if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "OnForwarded" {
+				note(call.Args[0])
+			}
+			return true
+		})
+	}
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			switch {
+			case named[p.Info.Defs[fn.Name]]:
+				callbacks[fn] = true
+			case fn.Recv != nil && (fn.Name.Name == "HandlePacket" || fn.Name.Name == "OnIngress" || fn.Name.Name == "OnEgress"):
+				callbacks[fn] = true
+			}
+		}
+	}
+	return callbacks
+}
+
+// packetParams returns the *netsim.Packet parameters of a callback, marked
+// as lent.
+func packetParams(p *Package, typ *ast.FuncType) flowState {
+	lent := flowState{}
+	for _, field := range typ.Params.List {
+		for _, name := range field.Names {
+			obj := p.Info.Defs[name]
+			if obj == nil {
+				continue
+			}
+			if ptr, ok := obj.Type().(*types.Pointer); ok {
+				if nt, ok := ptr.Elem().(*types.Named); ok && isNetsimPacket(nt) {
+					lent[obj] = factLent
+				}
+			}
+		}
+	}
+	return lent
+}
+
+func poolSafeFunc(p *Package, body *ast.BlockStmt, lent flowState) []Finding {
+	// Cheap pre-filter: no pool call and no lent packet, nothing to analyze.
+	hasPool := len(lent) > 0
 	inspectNoFuncLit(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if op, _ := poolCallOf(p, call); op != poolOpNone {
@@ -113,7 +206,7 @@ func poolSafeFunc(p *Package, body *ast.BlockStmt) []Finding {
 	}
 	g := buildCFG(body)
 	a := &poolFlow{p: p}
-	in := g.forward(flowState{}, func(n ast.Node, s flowState) { a.step(n, s, false) })
+	in := g.forward(lent, func(n ast.Node, s flowState) { a.step(n, s, false) })
 	a.reporting = true
 	g.replay(in,
 		func(n ast.Node, s flowState) { a.step(n, s, false) },
@@ -185,7 +278,7 @@ func (a *poolFlow) step(n ast.Node, s flowState, check bool) {
 	a.scanUses(n, s, skipUse, check)
 
 	// 3. Escapes: retaining stores of identifiers.
-	a.scanEscapes(n, s)
+	a.scanEscapes(n, s, check)
 
 	// 4. Definitions: kills and Get results.
 	switch st := n.(type) {
@@ -243,8 +336,9 @@ func (a *poolFlow) scanUses(n ast.Node, s flowState, skip map[*ast.Ident]bool, c
 // scanEscapes marks identifiers whose value is stored somewhere that
 // outlives the statement: composite-literal elements, stores through
 // selectors/indexes/dereferences, appends, channel sends, go/defer call
-// arguments, and closure captures.
-func (a *poolFlow) scanEscapes(n ast.Node, s flowState) {
+// arguments, and closure captures. A lent packet that escapes is reported
+// on the spot (with check set): the borrow ends when the callback returns.
+func (a *poolFlow) scanEscapes(n ast.Node, s flowState, check bool) {
 	mark := func(e ast.Expr) {
 		if e == nil {
 			return
@@ -257,7 +351,7 @@ func (a *poolFlow) scanEscapes(n ast.Node, s flowState) {
 			return
 		}
 		if obj, isVar := a.p.Info.Uses[id].(*types.Var); isVar {
-			s[obj] |= factEscaped
+			a.escape(s, obj, id.Pos(), check)
 		}
 	}
 
@@ -319,25 +413,33 @@ func (a *poolFlow) scanEscapes(n ast.Node, s flowState) {
 				// Visit args and the body's nested literals, but the
 				// directly-invoked literal itself is synchronous.
 				for _, arg := range call.Args {
-					ast.Inspect(arg, func(k ast.Node) bool { return a.captureWalk(k, s) })
+					ast.Inspect(arg, func(k ast.Node) bool { return a.captureWalk(k, s, check) })
 				}
-				ast.Inspect(fl.Body, func(k ast.Node) bool { return a.captureWalk(k, s) })
+				ast.Inspect(fl.Body, func(k ast.Node) bool { return a.captureWalk(k, s, check) })
 				return false
 			}
 		}
-		return a.captureWalk(m, s)
+		return a.captureWalk(m, s, check)
 	})
 }
 
-func (a *poolFlow) captureWalk(m ast.Node, s flowState) bool {
+func (a *poolFlow) captureWalk(m ast.Node, s flowState, check bool) bool {
 	fl, ok := m.(*ast.FuncLit)
 	if !ok {
 		return true
 	}
 	for obj := range freeVars(a.p, fl) {
-		s[obj] |= factEscaped
+		a.escape(s, obj, fl.Pos(), check)
 	}
 	return false
+}
+
+// escape records that a retaining reference to obj was created at pos.
+func (a *poolFlow) escape(s flowState, obj types.Object, pos token.Pos, check bool) {
+	if check && s[obj]&factLent != 0 {
+		a.report(pos, obj.Name()+" is a packet borrowed for the duration of this callback, but a reference to it is stored in a field, container, goroutine or closure; netsim recycles the packet when the callback returns — copy the fields you need")
+	}
+	s[obj] |= factEscaped
 }
 
 // assign applies definition kills and Get gens for an assignment.
@@ -356,9 +458,15 @@ func (a *poolFlow) assign(lhs, rhs []ast.Expr, s flowState) {
 		}
 		delete(s, obj) // fresh definition: prior facts die
 		if len(lhs) == len(rhs) {
-			if call, ok := rhs[i].(*ast.CallExpr); ok {
-				if op, _ := poolCallOf(a.p, call); op == poolOpGet {
+			switch r := rhs[i].(type) {
+			case *ast.CallExpr:
+				if op, _ := poolCallOf(a.p, r); op == poolOpGet {
 					s[obj] = factPooled
+				}
+			case *ast.Ident:
+				// q := pkt copies the pointer, and with it the loan.
+				if s[a.p.Info.Uses[r]]&factLent != 0 {
+					s[obj] = factLent
 				}
 			}
 		}

@@ -1,5 +1,6 @@
 // Fixture for the poolsafe analyzer: ownership of objects handed out by a
-// Get/Put pool, mirroring netsim.PacketPool's contract.
+// Get/Put pool. (netsim's packets are released through pkt.release() and
+// lent to callbacks; those rules have their own fixture, ../netsim.)
 package pool
 
 // Buf is the pooled object.

@@ -35,8 +35,10 @@ func (k CaptureKind) String() string {
 	return fmt.Sprintf("capture(%d)", uint8(k))
 }
 
-// CaptureEvent is one observed packet event. The packet pointer is only
-// valid during the callback; copy fields, not the pointer, if retaining.
+// CaptureEvent is one observed packet event. A captured packet is pinned —
+// never recycled (see PacketPool) — so an observer may keep the pointer;
+// but downstream nodes still mutate the packet as it travels on (tag
+// stripping, Ctl corruption), so copy fields to record a moment.
 type CaptureEvent struct {
 	Time sim.Time
 	Kind CaptureKind

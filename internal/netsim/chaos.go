@@ -169,13 +169,11 @@ func (c *Chaos) dupDelay() sim.Time {
 // not share the Ctl buffer.
 func (p *Packet) clone() *Packet {
 	q := *p
-	if p.Ctl != nil {
-		q.Ctl = append([]byte(nil), p.Ctl...)
-	}
-	// The copy is its own object: it is in no lane and owned by no pool.
+	q.Ctl = append([]byte(nil), p.Ctl...) // nil when p carries no bytes
+	// The copy is its own object: it is in no lane and no pool issued it.
 	q.laneNext = nil
 	q.laneAt = 0
 	q.laneEgressed = false
-	q.pooled = false
+	q.home = nil
 	return &q
 }

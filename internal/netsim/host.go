@@ -6,7 +6,8 @@ import (
 	"fancy/internal/sim"
 )
 
-// PacketHandler consumes packets delivered to a host for one flow.
+// PacketHandler consumes packets delivered to a host for one flow. The
+// packet is borrowed for the duration of the call (see Packet).
 type PacketHandler interface {
 	HandlePacket(pkt *Packet)
 }
@@ -30,8 +31,8 @@ type Host struct {
 	// Default, when set, receives packets with no per-flow handler.
 	Default PacketHandler
 
-	// pool, when set, recycles packets that die here (no handler).
-	pool *PacketPool
+	// pool issues the packets of everything that sends from this host.
+	pool PacketPool
 
 	Received uint64
 	Dropped  uint64 // no handler
@@ -53,30 +54,35 @@ func (h *Host) Attach(port int, tx *LinkEnd) {
 	h.tx = tx
 }
 
-// SetPool lets the host recycle packets that reach it without any handler
-// — for sink hosts of pooled CBR workloads this closes the packet
-// lifecycle without garbage.
-func (h *Host) SetPool(p *PacketPool) { h.pool = p }
+// Pool returns the host's packet pool: transports and traffic generators
+// running on the host draw the packets they send from it.
+func (h *Host) Pool() *PacketPool { return &h.pool }
 
-// Receive implements Node.
+// SetPool does nothing: a packet returns to the pool that issued it, so a
+// host has no pool to install. It remains only because benchmark/, which a
+// performance change may not edit, still calls it.
+func (h *Host) SetPool(*PacketPool) {}
+
+// Receive implements Node. Every packet that reaches a host dies here,
+// once its handler (if any) has returned.
 func (h *Host) Receive(pkt *Packet, port int) {
 	h.Received++
 	if hd, ok := h.handlers[pkt.Flow]; ok {
 		hd.HandlePacket(pkt)
-		return
-	}
-	if h.Default != nil {
+	} else if h.Default != nil {
 		h.Default.HandlePacket(pkt)
-		return
+	} else {
+		h.Dropped++
 	}
-	h.Dropped++
-	h.pool.Put(pkt)
+	pkt.release()
 }
 
 // Send transmits a packet out of the host's uplink. It reports false if the
-// uplink queue dropped the packet or the host is not attached.
+// uplink queue dropped the packet or the host is not attached; either way
+// the packet is no longer the caller's.
 func (h *Host) Send(pkt *Packet) bool {
 	if h.tx == nil {
+		pkt.release()
 		return false
 	}
 	return h.tx.Send(pkt)

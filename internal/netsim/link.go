@@ -31,8 +31,8 @@ type LinkEnd struct {
 }
 
 // Send queues pkt for transmission. It reports false if the packet was
-// dropped at the queue (congestion); the packet then still belongs to the
-// caller.
+// dropped at the queue (congestion). Either way the packet is no longer the
+// caller's: a dropped packet has already gone back to its pool.
 func (e *LinkEnd) Send(pkt *Packet) bool { return e.dir.send(pkt) }
 
 // SetFailure installs (or clears, with nil) the gray-failure injector on
@@ -48,11 +48,6 @@ func (e *LinkEnd) SetChaos(c *Chaos) { e.dir.chaos = c }
 
 // Chaos returns the currently installed chaos injector, if any.
 func (e *LinkEnd) Chaos() *Chaos { return e.dir.chaos }
-
-// SetPool lets this direction recycle packets it terminally drops (failure
-// and chaos drops) into p. Directions with a capture observer never
-// recycle — the observer may retain the packet.
-func (e *LinkEnd) SetPool(p *PacketPool) { e.dir.pool = p }
 
 // Stats returns transmission statistics for this direction.
 func (e *LinkEnd) Stats() LinkStats { return e.dir.stats }
@@ -114,12 +109,16 @@ type direction struct {
 	failure     *Failure
 	chaos       *Chaos
 	capture     func(CaptureEvent)
-	pool        *PacketPool
 	stats       LinkStats
 }
 
+// captureEvent shows pkt to the capture observer, if any. The observer may
+// hold on to the packet (capture tests inspect packets after the run), so
+// a captured packet is pinned: it loses its home and is never recycled,
+// here or at any later death point.
 func (d *direction) captureEvent(kind CaptureKind, pkt *Packet, now sim.Time) {
 	if d.capture != nil {
+		pkt.home = nil
 		d.capture(CaptureEvent{Time: now, Kind: kind, Pkt: pkt})
 	}
 }
@@ -143,6 +142,7 @@ func (d *direction) send(pkt *Packet) bool {
 	if d.queuedBytes+pkt.Size > d.queueCap {
 		d.stats.CongestionDrops++
 		d.captureEvent(CaptureCongestionDrop, pkt, now)
+		pkt.release()
 		return false
 	}
 	d.stats.Sent++
@@ -218,6 +218,9 @@ func (d *direction) handoff(pkt *Packet, at sim.Time) {
 		// Cross-shard link: one closure per packet, but only on shard
 		// boundaries. The link's propagation delay is what makes the
 		// lookahead sound, so `at` is always at or beyond the window end.
+		// The packet's pool belongs to this shard's worker; the far
+		// shard's must not push onto it, so the packet leaves home here.
+		pkt.home = nil
 		d.s.CrossAt(d.rs, at, func() { d.arrive(pkt) })
 		return
 	}
@@ -259,15 +262,6 @@ func (d *direction) arriveLane() {
 	}
 }
 
-// free recycles a packet the link terminally dropped. Directions with a
-// capture observer never recycle: the observer may have retained the
-// packet.
-func (d *direction) free(pkt *Packet) {
-	if d.pool != nil && d.capture == nil {
-		d.pool.Put(pkt)
-	}
-}
-
 // arrive runs the receive-side injectors and hands the packet to the far
 // node. Failure (clean gray-failure drops) applies first, then Chaos
 // (corruption, duplication, reorder, flap).
@@ -276,7 +270,7 @@ func (d *direction) arrive(pkt *Packet) {
 	if d.failure.Drop(pkt, now) {
 		d.stats.FailureDrops++
 		d.captureEvent(CaptureFailureDrop, pkt, now)
-		d.free(pkt)
+		pkt.release()
 		return
 	}
 	if c := d.chaos; c != nil {
@@ -293,7 +287,7 @@ func (d *direction) arrive(pkt *Packet) {
 		switch verdict {
 		case chaosDrop:
 			d.captureEvent(CaptureChaosDrop, pkt, now)
-			d.free(pkt)
+			pkt.release()
 			return
 		case chaosDelay:
 			d.rs.After(extra, func() { d.deliver(pkt) })
@@ -313,12 +307,6 @@ func (d *direction) deliver(pkt *Packet) {
 type Link struct {
 	AB *LinkEnd // direction a → b
 	BA *LinkEnd // direction b → a
-}
-
-// SetPool installs a recycling pool on both directions (see LinkEnd.SetPool).
-func (l *Link) SetPool(p *PacketPool) {
-	l.AB.SetPool(p)
-	l.BA.SetPool(p)
 }
 
 // Connect wires port aPort of node a to port bPort of node b and attaches

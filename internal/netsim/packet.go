@@ -49,7 +49,12 @@ const (
 )
 
 // Packet is the unit of transmission. Packets are passed by pointer and are
-// owned by the receiving node once delivered.
+// borrowed for the duration of HandlePacket/OnIngress/OnEgress/OnForwarded/
+// LocalDeliv; copy to retain. netsim recycles a pool-issued packet at the
+// point where it dies (see PacketPool), so a pointer kept past the call may
+// be a different packet by the time it is read; copy the fields — or the
+// struct, and Ctl's bytes — instead. Handing a packet to Send or Inject
+// gives it away for good, whether or not the call reports success.
 type Packet struct {
 	ID    uint64
 	Flow  FlowID
@@ -91,9 +96,10 @@ type Packet struct {
 	laneAt       sim.Time
 	laneEgressed bool
 
-	// pooled marks packets obtained from a PacketPool; only those are
-	// eligible for recycling (see pool.go).
-	pooled bool
+	// home is the pool that issued the packet and takes it back when it
+	// dies; nil for literals, clones, and packets that were pinned by a
+	// capture observer or crossed a shard boundary (see pool.go).
+	home *PacketPool
 }
 
 // String summarizes the packet for debugging.

@@ -1,26 +1,32 @@
 package netsim
 
-// PacketPool recycles UDP data packets through a free list, eliminating
-// the dominant allocation of high-rate constant-bitrate workloads (the
-// fleet sweep allocates one Packet per generated datagram otherwise).
+// PacketPool is a free list of packets. Every packet source draws from one
+// (hosts own a pool for the transports and traffic generators running on
+// them, a FANcY detector owns one for its control messages), and netsim
+// returns each packet to the pool that issued it — struct and Ctl backing
+// array both — at the place where the packet dies:
 //
-// Pooling is strictly opt-in and conservative, because a recycled packet
-// that something still references would silently corrupt a later
-// transmission:
+//   - Host.Receive, after the flow or Default handler returns (or when
+//     there is none);
+//   - Switch.Receive, when an ingress hook consumes the packet or there is
+//     no route (after LocalDeliv, if set), and Switch.Inject on an
+//     unattached port;
+//   - the link's congestion-drop (Send reports false), failure-drop and
+//     chaos-drop paths.
 //
-//   - Only packets obtained from Get are ever recycled (the pooled flag);
-//     Put on a foreign or already-returned packet is a no-op.
-//   - Only plain UDP data packets are accepted back. FANcY control
-//     packets (Ctl) and TCP segments are retained by protocol machinery
-//     (retransmit queues, reorder buffers) beyond their delivery, so they
-//     are never pooled.
-//   - Packets are returned only at points of certain ownership: the host
-//     default-drop path and the link failure/chaos drop paths, and links
-//     with a capture observer never recycle (capture_test inspects
-//     packets after the run).
+// So in steady state the data path allocates nothing per packet. There is
+// nothing to install and nothing to switch on: a packet carries its way
+// home in its own header. Hooks and handlers only ever borrow a packet
+// (see Packet).
 //
-// A pool is single-threaded, like the Sim it serves: in parallel runs use
-// one pool per shard, and for trial-level parallelism one pool per trial.
+// Three kinds of packet are never recycled and are left to the garbage
+// collector: a &Packet{} literal and a chaos duplicate (neither has a
+// home); a packet a capture observer has seen (LinkEnd.SetCapture — the
+// observer may hold on to it, so the first captured event pins it for
+// good); and a packet that crossed a shard boundary, because a pool is
+// single-threaded like the Sim it serves and the far shard's worker must
+// not push onto it. Trial-level parallelism uses separate pools per trial
+// by construction.
 type PacketPool struct {
 	free []*Packet
 
@@ -32,29 +38,33 @@ type PacketPool struct {
 // NewPacketPool returns an empty pool.
 func NewPacketPool() *PacketPool { return &PacketPool{} }
 
-// Get returns a zeroed packet marked as pool-owned.
+// Get returns a zeroed packet that netsim will bring back to p when it
+// dies. A reused packet keeps the capacity of its previous Ctl buffer
+// (length 0), so control-message senders marshal into it without
+// allocating.
 func (p *PacketPool) Get() *Packet {
 	p.Gets++
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		*pkt = Packet{pooled: true}
-		p.Reuses++
-		return pkt
+	n := len(p.free)
+	if n == 0 {
+		return &Packet{home: p}
 	}
-	return &Packet{pooled: true}
+	pkt := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	*pkt = Packet{home: p, Ctl: pkt.Ctl[:0]}
+	p.Reuses++
+	return pkt
 }
 
-// Put returns a packet to the pool if it is eligible (see the type
-// comment). Ineligible packets are left to the garbage collector.
-func (p *PacketPool) Put(pkt *Packet) {
-	if p == nil || pkt == nil || !pkt.pooled {
+// release returns a dead packet to the pool that issued it. It is a no-op
+// for packets without a home — literals, clones, pinned packets, and
+// packets already released — so calling it at every death point is safe.
+// It is unexported on purpose: only netsim knows when a packet is dead.
+func (pkt *Packet) release() {
+	p := pkt.home
+	if p == nil {
 		return
 	}
-	if pkt.Proto != ProtoUDP || pkt.Ctl != nil {
-		return
-	}
-	pkt.pooled = false // a second Put is a no-op until the next Get
+	pkt.home = nil // a second release is a no-op until the next Get
 	p.free = append(p.free, pkt)
 }

@@ -6,140 +6,314 @@ import (
 	"fancy/internal/sim"
 )
 
-// TestPoolForeignPacketNotRecycled asserts Put on a packet that did not come
-// from Get is a no-op: only pool-owned packets may enter the free list, so a
-// caller-allocated packet (which something else may still reference) can
-// never be handed out again by Get.
-func TestPoolForeignPacketNotRecycled(t *testing.T) {
-	p := NewPacketPool()
-	foreign := &Packet{Proto: ProtoUDP}
-	p.Put(foreign)
-	got := p.Get()
-	if got == foreign {
-		t.Fatal("Get returned a foreign packet that was never pool-owned")
-	}
-	if p.Reuses != 0 {
-		t.Fatalf("Reuses = %d after putting only a foreign packet, want 0", p.Reuses)
+// The packet-lifecycle contract (see PacketPool): every pool-issued packet
+// — whatever its protocol — goes back to the pool that issued it at the
+// place where it dies; literals, clones and captured packets never do.
+
+// TestLifecycleEveryProtoIsReused: the old pool refused TCP and FANcY
+// control packets by rule. Now all three protocols are recycled, and a
+// reused control packet keeps its Ctl capacity and none of its bytes.
+func TestLifecycleEveryProtoIsReused(t *testing.T) {
+	for _, proto := range []Proto{ProtoUDP, ProtoTCP, ProtoFancy} {
+		p := NewPacketPool()
+		pkt := p.Get()
+		pkt.Proto, pkt.Flow, pkt.Tagged, pkt.SentAt = proto, 7, true, 42
+		pkt.Ctl = append(pkt.Ctl, 1, 2, 3, 4, 5, 6, 7, 8)
+		pkt.laneAt, pkt.laneEgressed = 9, true
+		pkt.release()
+
+		got := p.Get()
+		if got != pkt || p.Reuses != 1 {
+			t.Fatalf("proto %d: packet not reused (Reuses = %d)", proto, p.Reuses)
+		}
+		if got.Flow != 0 || got.Tagged || got.SentAt != 0 || got.laneAt != 0 || got.laneEgressed {
+			t.Errorf("proto %d: reused packet kept stale state: %+v", proto, got)
+		}
+		if len(got.Ctl) != 0 || cap(got.Ctl) < 8 {
+			t.Errorf("proto %d: reused Ctl has len %d cap %d, want len 0 cap >= 8",
+				proto, len(got.Ctl), cap(got.Ctl))
+		}
+		if got.home != p {
+			t.Errorf("proto %d: reused packet lost its way home", proto)
+		}
 	}
 }
 
-// TestPoolDoubleReturnIsNoOp asserts the second Put of the same packet does
-// not enter it into the free list twice: two subsequent Gets must hand out
-// two distinct packets, never the same pointer aliased to two owners.
-func TestPoolDoubleReturnIsNoOp(t *testing.T) {
+// TestLifecycleDoubleReleaseIsNoOp: a second release must not enter the
+// packet into the free list twice, or two Gets would alias one packet.
+func TestLifecycleDoubleReleaseIsNoOp(t *testing.T) {
 	p := NewPacketPool()
 	pkt := p.Get()
-	pkt.Proto = ProtoUDP
-	p.Put(pkt)
-	p.Put(pkt) // second return: must be ignored
+	pkt.release()
+	pkt.release()
 	a, b := p.Get(), p.Get()
 	if a != pkt {
-		t.Fatal("first Get after Put did not reuse the returned packet")
+		t.Fatal("first Get after release did not reuse the packet")
 	}
 	if b == a {
-		t.Fatal("double Put duplicated the packet in the free list: two Gets returned the same pointer")
+		t.Fatal("double release duplicated the packet in the free list")
 	}
 	if p.Reuses != 1 {
-		t.Fatalf("Reuses = %d, want 1 (one real return, one ignored)", p.Reuses)
+		t.Fatalf("Reuses = %d, want 1 (one real release, one ignored)", p.Reuses)
 	}
 }
 
-// TestPoolIneligiblePackets asserts the conservative acceptance rules:
-// non-UDP packets and packets carrying a control payload are retained by
-// protocol machinery beyond delivery, so Put must leave them alone even when
-// they are pool-owned.
-func TestPoolIneligiblePackets(t *testing.T) {
+// TestLifecycleLiteralAndCloneNeverRecycled: a literal has no home, and a
+// chaos duplicate must not inherit the original's — nor its lane linkage,
+// nor its Ctl backing array.
+func TestLifecycleLiteralAndCloneNeverRecycled(t *testing.T) {
+	p := NewPacketPool()
+	lit := &Packet{Proto: ProtoUDP}
+	lit.release()
+
+	orig := p.Get()
+	orig.Proto = ProtoFancy
+	orig.Ctl = append(orig.Ctl, 0xAA, 0xBB)
+	orig.laneAt, orig.laneEgressed, orig.laneNext = 5, true, &Packet{ID: 2}
+	c := orig.clone()
+	if c.laneNext != nil || c.laneAt != 0 || c.laneEgressed || c.home != nil {
+		t.Errorf("clone kept lane/pool state: %+v", c)
+	}
+	c.Ctl[0] = 0
+	if orig.Ctl[0] != 0xAA {
+		t.Error("clone shares the original's Ctl buffer")
+	}
+	c.release()
+
+	if len(p.free) != 0 {
+		t.Fatalf("free list holds %d packets after releasing a literal and a clone, want 0", len(p.free))
+	}
+}
+
+// TestLifecycleLinkDropsRelease: the link's three terminal drops —
+// failure, chaos and congestion — each return the packet to its pool.
+func TestLifecycleLinkDropsRelease(t *testing.T) {
 	cases := []struct {
 		name  string
-		mut   func(*Packet)
-		wantR uint64
+		size  int // the queue holds 150 bytes
+		setup func(s *sim.Sim, l *Link)
+		count func(l *Link) uint64
 	}{
-		{"tcp", func(pkt *Packet) { pkt.Proto = ProtoTCP }, 0},
-		{"fancy-ctl", func(pkt *Packet) { pkt.Proto = ProtoFancy; pkt.Ctl = []byte{1} }, 0},
-		{"udp-with-ctl", func(pkt *Packet) { pkt.Proto = ProtoUDP; pkt.Ctl = []byte{1} }, 0},
-		{"plain-udp", func(pkt *Packet) { pkt.Proto = ProtoUDP }, 1},
+		{"failure", 100, func(_ *sim.Sim, l *Link) { l.AB.SetFailure(FailEntries(1, 0, 1.0, 9)) },
+			func(l *Link) uint64 { return l.AB.Stats().FailureDrops }},
+		{"chaos", 100, func(s *sim.Sim, l *Link) {
+			c := NewChaos(s, "x")
+			c.CorruptData = 1
+			l.AB.SetChaos(c)
+		}, func(l *Link) uint64 { return l.AB.Chaos().Stats.CorruptedData }},
+		{"congestion", 200, func(*sim.Sim, *Link) {},
+			func(l *Link) uint64 { return l.AB.Stats().CongestionDrops }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			a, b := &sinkNode{name: "a", s: s}, &sinkNode{name: "b", s: s}
+			l := Connect(s, a, 0, b, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6, QueueBytes: 150})
+			tc.setup(s, l)
 			p := NewPacketPool()
 			pkt := p.Get()
-			tc.mut(pkt)
-			p.Put(pkt)
-			p.Get()
-			if p.Reuses != tc.wantR {
-				t.Fatalf("Reuses = %d, want %d", p.Reuses, tc.wantR)
+			pkt.Proto, pkt.Entry, pkt.Size = ProtoUDP, 9, tc.size
+			if sent := a.tx.Send(pkt); sent != (tc.size <= 150) {
+				t.Fatalf("Send reported %v for a %d-byte packet", sent, tc.size)
+			}
+			s.Run(0)
+			if tc.count(l) != 1 || len(b.got) != 0 {
+				t.Fatalf("the %s drop did not happen", tc.name)
+			}
+			if len(p.free) != 1 || p.free[0] != pkt {
+				t.Fatalf("%s drop did not release the packet", tc.name)
 			}
 		})
 	}
 }
 
-// TestPoolGetZeroesRecycledPacket asserts a reused packet carries no state
-// from its previous life: stale FANcY tags or lane fields on a recycled
-// packet would corrupt a later transmission undetectably.
-func TestPoolGetZeroesRecycledPacket(t *testing.T) {
+// consumeHook is an ingress hook that consumes every packet.
+type consumeHook struct{}
+
+func (consumeHook) OnIngress(*Packet, int) bool { return true }
+
+// TestLifecycleNodeDeathPoints: a host releases after its handler (or
+// without one), a switch on ingress consumption, no route, LocalDeliv and
+// an Inject on an unattached port.
+func TestLifecycleNodeDeathPoints(t *testing.T) {
+	s := sim.New(1)
 	p := NewPacketPool()
-	pkt := p.Get()
-	pkt.Proto = ProtoUDP
-	pkt.Flow = 7
-	pkt.Tagged = true
-	pkt.SentAt = 42
-	p.Put(pkt)
-	got := p.Get()
-	if got != pkt {
-		t.Fatal("expected the recycled packet back")
+	released := func(t *testing.T, pkt *Packet) {
+		t.Helper()
+		if n := len(p.free); n != 1 || p.free[0] != pkt {
+			t.Fatalf("packet not released (free list holds %d)", n)
+		}
+		p.free = p.free[:0]
 	}
-	if got.Flow != 0 || got.Tagged || got.SentAt != 0 {
-		t.Fatalf("recycled packet kept stale state: %+v", got)
+
+	t.Run("host-no-handler", func(t *testing.T) {
+		h := NewHost(s, "h")
+		pkt := p.Get()
+		h.Receive(pkt, 0)
+		released(t, pkt)
+	})
+	t.Run("host-handler", func(t *testing.T) {
+		h := NewHost(s, "h")
+		seen := 0
+		h.Default = PacketHandlerFunc(func(pkt *Packet) {
+			seen++
+			if pkt.home == nil {
+				t.Error("packet released before its handler ran")
+			}
+		})
+		pkt := p.Get()
+		h.Receive(pkt, 0)
+		if seen != 1 {
+			t.Fatal("handler did not run")
+		}
+		released(t, pkt)
+	})
+	t.Run("host-unattached-send", func(t *testing.T) {
+		pkt := p.Get()
+		if NewHost(s, "h").Send(pkt) {
+			t.Fatal("Send on an unattached host reported success")
+		}
+		released(t, pkt)
+	})
+	t.Run("switch-consumed", func(t *testing.T) {
+		sw := NewSwitch(s, "sw", 1)
+		sw.AddIngressHook(consumeHook{})
+		pkt := p.Get()
+		sw.Receive(pkt, 0)
+		released(t, pkt)
+	})
+	t.Run("switch-no-route", func(t *testing.T) {
+		sw := NewSwitch(s, "sw", 1)
+		pkt := p.Get()
+		sw.Receive(pkt, 0)
+		if sw.NoRoute != 1 {
+			t.Fatal("NoRoute not counted")
+		}
+		released(t, pkt)
+	})
+	t.Run("switch-local-deliv", func(t *testing.T) {
+		sw := NewSwitch(s, "sw", 1)
+		sw.LocalDeliv = func(pkt *Packet, _ int) {
+			if pkt.home == nil {
+				t.Error("packet released before LocalDeliv ran")
+			}
+		}
+		pkt := p.Get()
+		sw.Receive(pkt, 0)
+		released(t, pkt)
+	})
+	t.Run("switch-inject-unattached", func(t *testing.T) {
+		sw := NewSwitch(s, "sw", 1)
+		pkt := p.Get()
+		if sw.Inject(pkt, 0) {
+			t.Fatal("Inject on an unattached port reported success")
+		}
+		released(t, pkt)
+	})
+}
+
+// TestLifecycleCapturedPacketIsPinned: a capture observer may hold on to
+// the packets it is shown (capture tests inspect them after the run), so
+// the first captured event pins a packet for good — it is not recycled at
+// the captured link's drop, nor at any later death point downstream.
+func TestLifecycleCapturedPacketIsPinned(t *testing.T) {
+	run := func(withCapture, drop bool) (pool *PacketPool, sent *Packet, retained *Packet) {
+		s := sim.New(1)
+		a := &sinkNode{name: "a", s: s}
+		h := NewHost(s, "h") // no handler: delivered packets die here
+		l := Connect(s, a, 0, h, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6})
+		if drop {
+			l.AB.SetFailure(FailEntries(1, 0, 1.0, 9))
+		}
+		if withCapture {
+			l.AB.SetCapture(func(ev CaptureEvent) { retained = ev.Pkt })
+		}
+		pool = NewPacketPool()
+		sent = pool.Get()
+		sent.Proto, sent.Entry, sent.Size = ProtoUDP, 9, 100
+		a.tx.Send(sent)
+		s.Run(0)
+		return pool, sent, retained
 	}
-	if !got.pooled {
-		t.Fatal("recycled packet lost its pool ownership mark")
+	for _, drop := range []bool{true, false} {
+		if pool, sent, _ := run(false, drop); len(pool.free) != 1 || pool.free[0] != sent {
+			t.Errorf("drop=%v without capture: packet not recycled", drop)
+		}
+		pool, sent, retained := run(true, drop)
+		if retained != sent {
+			t.Fatalf("drop=%v: capture observer did not see the packet", drop)
+		}
+		if len(pool.free) != 0 {
+			t.Errorf("drop=%v with capture: a packet the observer holds was recycled", drop)
+		}
+		if pool.Get() == retained {
+			t.Errorf("drop=%v: Get handed out the packet the capture observer holds", drop)
+		}
 	}
 }
 
-// TestPoolCaptureObserverNeverRecycles asserts a link direction with a
-// capture observer leaves dropped packets alone: the observer may have
-// retained them (capture tests inspect packets after the run), so recycling
-// would hand the observer's packet to an unrelated later Get.
-func TestPoolCaptureObserverNeverRecycles(t *testing.T) {
-	run := func(withCapture bool) (reuses uint64, retained *Packet, reGot *Packet) {
-		s := sim.New(1)
-		a := &sinkNode{name: "a", s: s}
-		b := &sinkNode{name: "b", s: s}
-		l := Connect(s, a, 0, b, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6})
-		l.AB.SetFailure(FailEntries(1, 0, 1.0, 9)) // drop every entry-9 packet
-		pool := NewPacketPool()
-		l.AB.SetPool(pool)
-		if withCapture {
-			l.AB.SetCapture(func(ev CaptureEvent) {
-				if ev.Kind == CaptureFailureDrop {
-					retained = ev.Pkt
-				}
-			})
-		}
-		pkt := pool.Get()
-		pkt.Proto = ProtoUDP
-		pkt.Entry = 9
-		pkt.Size = 100
-		a.tx.Send(pkt)
-		s.Run(0)
-		reGot = pool.Get() // Reuses increments here if the drop recycled
-		return pool.Reuses, retained, reGot
+// TestLifecycleChaosDelayedPacketStaysLive: a jitter-delayed packet is held
+// by its deferred delivery; it must not be in the free list meanwhile, and
+// must come home once it is delivered.
+func TestLifecycleChaosDelayedPacketStaysLive(t *testing.T) {
+	s := sim.New(1)
+	a := &sinkNode{name: "a", s: s}
+	h := NewHost(s, "h")
+	l := Connect(s, a, 0, h, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e9})
+	c := NewChaos(s, "x")
+	c.Reorder, c.JitterMax = 1, 5*sim.Millisecond
+	l.AB.SetChaos(c)
+	p := NewPacketPool()
+	pkt := p.Get()
+	pkt.Proto, pkt.Size = ProtoUDP, 100
+	a.tx.Send(pkt)
+	s.Run(sim.Millisecond + sim.Microsecond) // arrived, verdict = delay
+	if c.Stats.Reordered != 1 || h.Received != 0 {
+		t.Fatalf("packet was not delayed (reordered %d, received %d)", c.Stats.Reordered, h.Received)
 	}
+	if len(p.free) != 0 {
+		t.Fatal("delayed packet was released while its delivery is pending")
+	}
+	s.Run(0)
+	if h.Received != 1 || len(p.free) != 1 {
+		t.Fatalf("after delivery: received %d, free %d, want 1 and 1", h.Received, len(p.free))
+	}
+}
 
-	// Without an observer the failure drop is a point of certain ownership:
-	// the packet goes back to the pool and the next Get reuses it.
-	if reuses, _, _ := run(false); reuses != 1 {
-		t.Fatalf("without capture: Reuses = %d, want 1 (drop path recycles)", reuses)
+// TestLifecycleShardCrossingLeavesHome: a pool belongs to one shard's
+// worker. A packet that crosses shards must not be pushed onto it by the
+// far shard's worker, so it leaves home at the crossing. Run under -race.
+func TestLifecycleShardCrossingLeavesHome(t *testing.T) {
+	const delay = 2 * sim.Millisecond
+	s := sim.New(7)
+	s.SetParallel(2, delay)
+	shards := s.Shards(2)
+	a, b := NewHost(shards[0], "a"), NewHost(shards[1], "b")
+	ConnectOn(shards[0], shards[1], a, 0, b, 0, LinkConfig{Delay: delay, RateBps: 1e9})
+	// Both hosts keep sending from their own pools while the other side's
+	// packets arrive and die: any cross-shard release would race with Get.
+	for i, h := range []*Host{a, b} {
+		h, sh := h, shards[i]
+		var tick func()
+		n := 0
+		tick = func() {
+			pkt := h.Pool().Get()
+			pkt.Proto, pkt.Size = ProtoUDP, 100
+			h.Send(pkt)
+			if n++; n < 200 {
+				sh.After(100*sim.Microsecond, tick)
+			}
+		}
+		sh.After(0, tick)
 	}
-	// With an observer the same drop must not recycle.
-	reuses, retained, reGot := run(true)
-	if retained == nil {
-		t.Fatal("capture observer saw no failure drop")
+	s.Run(100 * sim.Millisecond)
+	if a.Received != 200 || b.Received != 200 {
+		t.Fatalf("received %d and %d, want 200 each", a.Received, b.Received)
 	}
-	if reuses != 0 {
-		t.Fatalf("with capture: Reuses = %d, want 0 (observer may retain the packet)", reuses)
-	}
-	if reGot == retained {
-		t.Fatal("Get returned the packet the capture observer retained")
+	for _, h := range []*Host{a, b} {
+		if h.Pool().Reuses != 0 || len(h.Pool().free) != 0 {
+			t.Errorf("host %s: a packet that crossed shards came home (reuses %d, free %d)",
+				h.Name(), h.Pool().Reuses, len(h.Pool().free))
+		}
 	}
 }

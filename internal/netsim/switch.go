@@ -10,7 +10,8 @@ import (
 // traffic manager — the position where FANcY's receiver-side counting runs
 // (§3: "counted after the TM of the upstream switch and before the TM of
 // the downstream one"). Returning true consumes the packet (control
-// messages addressed to the switch).
+// messages addressed to the switch). The packet is borrowed for the
+// duration of the call either way (see Packet).
 type IngressHook interface {
 	OnIngress(pkt *Packet, port int) (consumed bool)
 }
@@ -81,14 +82,16 @@ func (sw *Switch) AddIngressHook(h IngressHook) { sw.ingressHooks = append(sw.in
 func (sw *Switch) AddEgressHook(h EgressHook) { sw.egressHooks = append(sw.egressHooks, h) }
 
 // OnForwarded installs a tap invoked for every forwarded packet, used by
-// experiment drivers for accounting.
+// experiment drivers for accounting. The tap borrows the packet.
 func (sw *Switch) OnForwarded(fn func(pkt *Packet, inPort, outPort int)) { sw.onForwarded = fn }
 
-// Receive implements Node: the ingress pipeline.
+// Receive implements Node: the ingress pipeline. A packet that an ingress
+// hook consumes, or that has no route, dies here.
 func (sw *Switch) Receive(pkt *Packet, port int) {
 	for _, h := range sw.ingressHooks {
 		if h.OnIngress(pkt, port) {
 			sw.Consumed++
+			pkt.release()
 			return
 		}
 	}
@@ -96,9 +99,10 @@ func (sw *Switch) Receive(pkt *Packet, port int) {
 	if route == nil {
 		if sw.LocalDeliv != nil {
 			sw.LocalDeliv(pkt, port)
-			return
+		} else {
+			sw.NoRoute++
 		}
-		sw.NoRoute++
+		pkt.release()
 		return
 	}
 	sw.forward(pkt, port, route.Egress())
@@ -106,7 +110,7 @@ func (sw *Switch) Receive(pkt *Packet, port int) {
 
 // Inject sends a locally generated packet (e.g. a FANcY control message)
 // out of the given port, passing through the egress pipeline like any other
-// packet.
+// packet. Like Send, it takes the packet whether or not it reports success.
 func (sw *Switch) Inject(pkt *Packet, outPort int) bool {
 	return sw.forward(pkt, -1, outPort)
 }
@@ -115,6 +119,7 @@ func (sw *Switch) forward(pkt *Packet, inPort, outPort int) bool {
 	tx := sw.Port(outPort)
 	if tx == nil {
 		sw.NoRoute++
+		pkt.release()
 		return false
 	}
 	sw.Forwarded++

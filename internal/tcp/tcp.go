@@ -78,9 +78,13 @@ type Sender struct {
 	dupAcks  int
 	recover  int64 // highest seq sent when loss was detected (NewReno-lite)
 
-	rto      sim.Time
-	rtoTimer *sim.Timer
-	payTimer *sim.Timer // pending pacing wakeup
+	// Timers are held by value and armed with the two method values bound
+	// once in NewSender, so re-arming allocates nothing.
+	rto         sim.Time
+	rtoTimer    sim.Timer
+	payTimer    sim.Timer // pending pacing wakeup
+	onTimeoutFn func()
+	trySendFn   func()
 
 	done bool
 
@@ -103,6 +107,7 @@ func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 		cwnd: cfg.InitialCwnd, ssthresh: 1 << 20, rto: cfg.RTO,
 		start: s.Now(),
 	}
+	snd.onTimeoutFn, snd.trySendFn = snd.onTimeout, snd.trySend
 	rcv := &receiver{s: s, host: dstHost, flow: flow, src: dstAddr, dst: srcAddr,
 		segs: make(map[int64]int)}
 	srcHost.Bind(flow, netsim.PacketHandlerFunc(snd.onAck))
@@ -161,18 +166,17 @@ func (t *Sender) trySend() {
 			if next <= 0 {
 				next = sim.Microsecond
 			}
-			t.payTimer = t.s.Schedule(next, t.trySend)
+			t.payTimer = t.s.ScheduleTimer(next, t.trySendFn)
 		}
 	}
 	t.armRTO()
 }
 
 func (t *Sender) emit(seq int64, segLen int, isRtx bool) {
-	pkt := &netsim.Packet{
-		Flow: t.flow, Entry: t.entry, Src: t.src, Dst: t.dst,
-		Proto: netsim.ProtoTCP, Size: segLen + t.cfg.HeaderBytes,
-		Seq: seq, Len: segLen,
-	}
+	pkt := t.host.Pool().Get()
+	pkt.Flow, pkt.Entry, pkt.Src, pkt.Dst = t.flow, t.entry, t.src, t.dst
+	pkt.Proto, pkt.Size = netsim.ProtoTCP, segLen+t.cfg.HeaderBytes
+	pkt.Seq, pkt.Len = seq, segLen
 	t.Stats.SegmentsSent++
 	if isRtx {
 		t.Stats.Retransmits++
@@ -188,7 +192,7 @@ func (t *Sender) armRTO() {
 	if t.rtoTimer.Active() {
 		return
 	}
-	t.rtoTimer = t.s.Schedule(t.rto, t.onTimeout)
+	t.rtoTimer = t.s.ScheduleTimer(t.rto, t.onTimeoutFn)
 }
 
 func (t *Sender) onTimeout() {
@@ -208,7 +212,7 @@ func (t *Sender) onTimeout() {
 	if segLen > 0 {
 		t.emit(t.sndUna, segLen, true)
 	}
-	t.rtoTimer = t.s.Schedule(t.rto, t.onTimeout)
+	t.rtoTimer = t.s.ScheduleTimer(t.rto, t.onTimeoutFn)
 }
 
 func (t *Sender) onAck(pkt *netsim.Packet) {
@@ -300,10 +304,10 @@ func (r *receiver) onData(pkt *netsim.Packet) {
 		r.segs[pkt.Seq] = pkt.Len
 	}
 	// ACK every segment (no delayed ACKs).
-	r.host.Send(&netsim.Packet{
-		Flow: r.flow, Entry: netsim.InvalidEntry, Src: r.src, Dst: r.dst,
-		Proto: netsim.ProtoTCP, Size: 40, Ack: r.rcvNxt, Flags: netsim.FlagACK,
-	})
+	ack := r.host.Pool().Get()
+	ack.Flow, ack.Entry, ack.Src, ack.Dst = r.flow, netsim.InvalidEntry, r.src, r.dst
+	ack.Proto, ack.Size, ack.Ack, ack.Flags = netsim.ProtoTCP, 40, r.rcvNxt, netsim.FlagACK
+	r.host.Send(ack)
 }
 
 func min64(a, b int64) int64 {

@@ -298,3 +298,33 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		}
 	}
 }
+
+// TestLifecycleSteadyStateDoesNotAllocate pins a bulk flow's steady state:
+// data segments and ACKs come from the hosts' packet pools and go back to
+// them on delivery, and the RTO timer is re-armed by value with a bound
+// callback, so a segment and its ACK allocate nothing. The flow is paced at
+// half the line rate, so it loses nothing and its in-flight set — which a
+// growing cwnd would otherwise keep enlarging — is constant while measured;
+// pacing also puts the second timer (payTimer) on the measured path.
+func TestLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
+	s := sim.New(1)
+	a, b, l := pair(s, 100e6, sim.Millisecond)
+	snd := NewSender(s, a, b, 1, 100, 1, 2, 1<<40, Config{RateBps: 50e6})
+	snd.Start()
+	s.Run(2 * sim.Second) // warm: event pool, packet pools, full window
+	if snd.Done() || snd.Stats.Retransmits != 0 {
+		t.Fatalf("warm-up was not a clean bulk transfer: done=%v retransmits=%d", snd.Done(), snd.Stats.Retransmits)
+	}
+	before := snd.Stats.SegmentsSent
+	step := func() { s.Run(s.Now() + 10*sim.Millisecond) }
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Errorf("10 ms of steady-state bulk transfer allocates %.2f objects, want 0", avg)
+	}
+	segs := snd.Stats.SegmentsSent - before
+	if segs < 4000 || l.BA.Stats().Delivered == 0 {
+		t.Fatalf("only %d segments sent while measuring", segs)
+	}
+	if a.Pool().Reuses < segs || b.Pool().Reuses < segs {
+		t.Errorf("pools reused %d segments and %d ACKs of %d sent", a.Pool().Reuses, b.Pool().Reuses, segs)
+	}
+}

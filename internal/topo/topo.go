@@ -49,6 +49,13 @@ type Network struct {
 	adjacency map[string][]edge
 	hostAddr  map[string]uint32
 	hostAt    map[string]string
+
+	// Shortest-path state. The topology is fixed once built, so the sorted
+	// switch names (Dijkstra's scan and tie-break order) are computed once
+	// and each destination's next-hop map is computed at most once.
+	swNames  []string
+	swIndex  map[string]int // position in swNames
+	nextHops map[string]map[string]string
 }
 
 type edge struct {
@@ -69,6 +76,8 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 		adjacency: make(map[string][]edge),
 		hostAddr:  make(map[string]uint32),
 		hostAt:    make(map[string]string),
+		swIndex:   make(map[string]int),
+		nextHops:  make(map[string]map[string]string),
 	}
 	ports := make(map[string]int) // next free port per switch
 	degree := make(map[string]int)
@@ -85,6 +94,11 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 		}
 		n.Switches[name] = netsim.NewSwitch(s, name, degree[name])
 		n.PortOf[name] = make(map[string]int)
+		n.swNames = append(n.swNames, name)
+	}
+	sort.Strings(n.swNames)
+	for i, name := range n.swNames {
+		n.swIndex[name] = i
 	}
 	alloc := func(sw string) int {
 		p := ports[sw]
@@ -126,22 +140,13 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 	return n, nil
 }
 
-// UsePool installs one packet pool on every link direction and host of the
-// network, so terminally dropped data packets (failure/chaos drops, sink
-// hosts without handlers) are recycled instead of garbage-collected. The
-// returned pool is what pooled traffic generators (traffic.UDPSource.Pool)
-// should draw from. Pools are single-threaded like the Sim; use one per
-// trial or per shard.
-func (n *Network) UsePool() *netsim.PacketPool {
-	p := netsim.NewPacketPool()
-	for _, l := range n.links {
-		l.SetPool(p)
-	}
-	for _, h := range n.Hosts {
-		h.SetPool(p)
-	}
-	return p
-}
+// UsePool returns a fresh packet pool for traffic generators that want to
+// share one (traffic.UDPSource.Pool) and read its Gets/Reuses counters.
+// It installs nothing: packets find their own way back to the pool that
+// issued them. It remains because benchmark/, which a performance change
+// may not edit, calls it. Pools are single-threaded like the Sim; use one
+// per trial or per shard.
+func (n *Network) UsePool() *netsim.PacketPool { return netsim.NewPacketPool() }
 
 // Link returns the link between two switches, in either spec order.
 func (n *Network) Link(a, b string) *netsim.Link {
@@ -255,45 +260,49 @@ func (n *Network) PathDelay(from, to string) (sim.Time, bool) {
 	return total, true
 }
 
-// paths computes Dijkstra next hops toward dst (a switch name): for every
-// switch, the neighbor on its shortest path to dst.
+// paths returns the Dijkstra next hops toward dst (a switch name): for
+// every switch, the neighbor on its delay-weighted shortest path to dst.
+// The result is cached per destination and shared; callers must not modify
+// it.
 func (n *Network) paths(dst string) map[string]string {
-	const inf = int64(1) << 62
-	dist := make(map[string]int64)
-	next := make(map[string]string) // next hop toward dst
-	for sw := range n.Switches {
-		dist[sw] = inf
+	if next, ok := n.nextHops[dst]; ok {
+		return next
 	}
-	dist[dst] = 0
-	visited := make(map[string]bool)
+	di, ok := n.swIndex[dst]
+	if !ok {
+		return nil
+	}
+	const inf = int64(1) << 62
+	dist := make([]int64, len(n.swNames)) // indexed like swNames
+	for i := range dist {
+		dist[i] = inf
+	}
+	dist[di] = 0
+	visited := make([]bool, len(n.swNames))
+	next := make(map[string]string, len(n.swNames))
 	for {
-		// Extract the closest unvisited switch (deterministic tie-break
-		// by name for reproducibility).
-		var u string
-		best := inf
-		var names []string
-		for sw := range n.Switches {
-			names = append(names, sw)
-		}
-		sort.Strings(names)
-		for _, sw := range names {
-			if !visited[sw] && dist[sw] < best {
-				best = dist[sw]
-				u = sw
+		// Extract the closest unvisited switch; scanning in name order
+		// with a strict comparison breaks ties by name, so the installed
+		// routes are reproducible.
+		u, best := -1, inf
+		for i, d := range dist {
+			if !visited[i] && d < best {
+				best, u = d, i
 			}
 		}
-		if u == "" {
+		if u < 0 {
 			break
 		}
 		visited[u] = true
-		for _, e := range n.adjacency[u] {
-			d := dist[u] + int64(e.delay) + 1 // +1: hop count tie-break
-			if d < dist[e.to] {
-				dist[e.to] = d
-				next[e.to] = u
+		for _, e := range n.adjacency[n.swNames[u]] {
+			to := n.swIndex[e.to]
+			if d := dist[u] + int64(e.delay) + 1; d < dist[to] { // +1: hop count tie-break
+				dist[to] = d
+				next[e.to] = n.swNames[u]
 			}
 		}
 	}
+	n.nextHops[dst] = next
 	return next
 }
 

@@ -1,6 +1,10 @@
 package topo
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"fancy/internal/fancy"
@@ -338,5 +342,95 @@ func TestAbileneSpec(t *testing.T) {
 	s.Run(s.Now() + 2*sim.Second)
 	if dep.Detectors["kansascity"].SessionsCompleted(n.PortOf["kansascity"]["denver"]) == 0 {
 		t.Error("no sessions on an interior Abilene link")
+	}
+}
+
+// referencePaths is the Dijkstra that paths replaced, kept as the oracle:
+// it re-collects and re-sorts the switch names on every extract-min. The
+// installed routes must not depend on which of the two computed them.
+func referencePaths(n *Network, dst string) map[string]string {
+	const inf = int64(1) << 62
+	dist := make(map[string]int64)
+	next := make(map[string]string)
+	for sw := range n.Switches {
+		dist[sw] = inf
+	}
+	dist[dst] = 0
+	visited := make(map[string]bool)
+	for {
+		var u string
+		best := inf
+		var names []string
+		for sw := range n.Switches {
+			names = append(names, sw)
+		}
+		sort.Strings(names)
+		for _, sw := range names {
+			if !visited[sw] && dist[sw] < best {
+				best = dist[sw]
+				u = sw
+			}
+		}
+		if u == "" {
+			break
+		}
+		visited[u] = true
+		for _, e := range n.adjacency[u] {
+			d := dist[u] + int64(e.delay) + 1
+			if d < dist[e.to] {
+				dist[e.to] = d
+				next[e.to] = u
+			}
+		}
+	}
+	return next
+}
+
+// gridSpec is a side×side grid with one host per switch. Delays are whole
+// milliseconds from a small range, so equal-cost paths — where the name
+// tie-break decides — are everywhere.
+func gridSpec(side int) Spec {
+	name := func(r, c int) string { return fmt.Sprintf("g%02d-%02d", r, c) }
+	rng := rand.New(rand.NewSource(12))
+	delay := func() sim.Time { return sim.Time(1+rng.Intn(3)) * sim.Millisecond }
+	var spec Spec
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			spec.Switches = append(spec.Switches, name(r, c))
+			spec.Hosts = append(spec.Hosts, HostSpec{Name: "h" + name(r, c), Attach: name(r, c)})
+			if c+1 < side {
+				spec.Links = append(spec.Links, LinkSpec{A: name(r, c), B: name(r, c+1), Delay: delay()})
+			}
+			if r+1 < side {
+				spec.Links = append(spec.Links, LinkSpec{A: name(r, c), B: name(r+1, c), Delay: delay()})
+			}
+		}
+	}
+	return spec
+}
+
+// TestPathsMatchReference holds the next-hop maps of the hoisted, cached
+// Dijkstra equal to the reference's for every destination, on Abilene and
+// on a 12×12 grid — asked twice, so the cached answer is checked too.
+func TestPathsMatchReference(t *testing.T) {
+	for name, spec := range map[string]Spec{"abilene": Abilene(), "grid12": gridSpec(12)} {
+		n, err := Build(sim.New(1), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, dst := range spec.Switches {
+			want := referencePaths(n, dst)
+			if len(want) != len(spec.Switches)-1 {
+				t.Fatalf("%s: %d switches reach %s, want %d", name, len(want), dst, len(spec.Switches)-1)
+			}
+			for round := 0; round < 2; round++ {
+				if !reflect.DeepEqual(n.paths(dst), want) {
+					t.Fatalf("%s round %d: next hops toward %s differ from the reference", name, round, dst)
+				}
+			}
+		}
+		if n.paths("no-such-switch") != nil {
+			t.Errorf("%s: paths to an unknown switch is not empty", name)
+		}
 	}
 }

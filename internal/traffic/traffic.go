@@ -169,8 +169,9 @@ type UDPSource struct {
 	stop   sim.Time
 	tickFn func() // bound once: the tick→tick reschedule must not allocate
 
-	// Pool, when set, supplies the emitted packets. Pair it with a pooled
-	// sink (Host.SetPool / LinkEnd.SetPool) so dead packets flow back.
+	// Pool supplies the emitted packets; Start defaults it to the host's
+	// pool. Set it beforehand to draw from (and count reuse on) a pool
+	// shared by several sources.
 	Pool *netsim.PacketPool
 
 	Sent uint64
@@ -190,23 +191,20 @@ func NewUDPSource(s *sim.Sim, host *netsim.Host, flow netsim.FlowID, entry netsi
 }
 
 // Start begins emission.
-func (u *UDPSource) Start() { u.tick() }
+func (u *UDPSource) Start() {
+	if u.Pool == nil {
+		u.Pool = u.host.Pool()
+	}
+	u.tick()
+}
 
 func (u *UDPSource) tick() {
 	if u.stop > 0 && u.s.Now() >= u.stop {
 		return
 	}
-	var pkt *netsim.Packet
-	if u.Pool != nil {
-		pkt = u.Pool.Get()
-		pkt.Flow, pkt.Entry, pkt.Dst = u.flow, u.entry, u.dst
-		pkt.Proto, pkt.Size = netsim.ProtoUDP, u.size
-	} else {
-		pkt = &netsim.Packet{
-			Flow: u.flow, Entry: u.entry, Dst: u.dst,
-			Proto: netsim.ProtoUDP, Size: u.size,
-		}
-	}
+	pkt := u.Pool.Get()
+	pkt.Flow, pkt.Entry, pkt.Dst = u.flow, u.entry, u.dst
+	pkt.Proto, pkt.Size = netsim.ProtoUDP, u.size
 	u.host.Send(pkt)
 	u.Sent++
 	u.s.After(u.gap, u.tickFn)

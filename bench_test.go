@@ -258,12 +258,6 @@ func TestBenchArtifact(t *testing.T) {
 			return time.Since(epoch).Seconds() //lint:allow walltime stopwatch read for the latency cell, measured outside the simulator
 		})}
 	})
-	stamp(func() []exp.BenchCell {
-		epoch := time.Now() //lint:allow walltime stopwatch epoch for the sim-core cells, measured outside the simulator
-		return exp.SimCoreBenchCells(benchSeed, func() float64 {
-			return time.Since(epoch).Seconds() //lint:allow walltime stopwatch read for the sim-core cells, measured outside the simulator
-		})
-	})
 	if err := exp.WriteBenchJSON("BENCH_fleet.json", cells); err != nil {
 		t.Fatal(err)
 	}

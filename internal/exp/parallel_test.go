@@ -23,26 +23,3 @@ func TestFleetWorkersByteIdentical(t *testing.T) {
 		t.Error("verified sweep diverged between 1 and 4 workers")
 	}
 }
-
-// TestSimCoreBenchCells checks the cells are well-formed and that the
-// embedded sequential-vs-parallel cross-check passes (it panics on
-// divergence).
-func TestSimCoreBenchCells(t *testing.T) {
-	var tick float64
-	now := func() float64 { tick += 0.001; return tick }
-	cells := SimCoreBenchCells(20220822, now)
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	for _, c := range cells {
-		if c.Experiment != "sim-core" || c.WallSeconds <= 0 {
-			t.Errorf("degenerate cell: %+v", c)
-		}
-		if c.Values["wallclock"] != 1 {
-			t.Errorf("%s: missing wallclock marker", c.Cell)
-		}
-		if c.Values["exact"] != c.Values["trials"] {
-			t.Errorf("%s: localization regression: %+v", c.Cell, c.Values)
-		}
-	}
-}

@@ -2,11 +2,11 @@
 // forward worklist fixpoint over per-variable facts.
 //
 // The PR 4 analyzers are syntactic pattern matchers; the PR 9 sim-core
-// idioms (pooled packets/events, borrow-semantics decode scratch, sharded
-// parallel scheduling) have PATH-sensitive contracts — "a packet must not
-// be used after Put *along any execution path*", "the scratch must not be
-// referenced after the borrowing function returns". This file gives the
-// analyzers an SSA-lite substrate for those checks:
+// idioms (pooled packets/events, borrow-semantics decode scratch) have
+// PATH-sensitive contracts — "a packet must not be used after its release
+// *along any execution path*", "the scratch must not be referenced after
+// the borrowing function returns". This file gives the analyzers an
+// SSA-lite substrate for those checks:
 //
 //   - buildCFG turns one function body into basic blocks of "simple" nodes
 //     (plain statements and control-header expressions) connected by the
@@ -41,7 +41,7 @@ type varFact uint16
 const (
 	// poolsafe
 	factPooled   varFact = 1 << iota // holds the result of a pool Get/alloc
-	factReleased                     // pool Put/release was called on it
+	factReleased                     // release was called on it
 	factEscaped                      // a retaining reference escaped (field/slice/map/closure)
 	factLent                         // a packet lent to a netsim callback, or a copy of that pointer
 	// borrowescape

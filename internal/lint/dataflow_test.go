@@ -127,7 +127,7 @@ func f(bad bool) int {
 
 // TestCFGLoopBackEdge asserts a fact generated inside a loop body flows along
 // the back edge: on re-entry the loop header observes it, which is exactly
-// what lets poolsafe catch a Put in iteration i followed by a use in i+1.
+// what lets poolsafe catch a release in iteration i followed by a use in i+1.
 func TestCFGLoopBackEdge(t *testing.T) {
 	src := `package p
 func f(n int) {

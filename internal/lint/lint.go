@@ -47,7 +47,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerLockedCallback,
 		AnalyzerPoolSafe,
 		AnalyzerBorrowEscape,
-		AnalyzerShardSafe,
 	}
 }
 

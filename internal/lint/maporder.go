@@ -45,7 +45,6 @@ var emissionMethods = map[string]bool{
 	"ScheduleTimer": true,
 	"After":         true,
 	"At":            true,
-	"CrossAt":       true,
 }
 
 func runMapOrder(p *Package) []Finding {

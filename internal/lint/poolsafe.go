@@ -9,9 +9,8 @@ import (
 
 // AnalyzerPoolSafe enforces the ownership contract of the object pools
 // (netsim.PacketPool's Get and Packet.release, sim.Sim's event
-// alloc/release, and any Get/Put pool), which pool.go states only in
-// prose: a release transfers ownership back to the pool. Along every
-// execution path it flags
+// alloc/release), which pool.go states only in prose: a release transfers
+// ownership back to the pool. Along every execution path it flags
 //
 //   - a use of a variable after it was returned to its pool (the pool may
 //     already have recycled and reinitialized the object),
@@ -32,8 +31,8 @@ import (
 // copy-out-then-release idiom (fn := ev.fn; s.release(ev); fn()) and
 // branch-separated release/retain paths (chaos drop vs. delayed redeliver)
 // pass clean. Calls are opaque: passing a packet to a function neither
-// releases nor retains it here. A Put inside defer is not analyzed (it runs
-// at function end, after every textually later use).
+// releases nor retains it here. A release inside defer is not analyzed (it
+// runs at function end, after every textually later use).
 var AnalyzerPoolSafe = &Analyzer{
 	Name: "poolsafe",
 	Doc:  "no use-after-release, double release, release of an escaped pooled object, or retained borrowed packet",
@@ -43,13 +42,13 @@ var AnalyzerPoolSafe = &Analyzer{
 const (
 	poolOpNone = iota
 	poolOpGet
-	poolOpPut
+	poolOpRelease
 )
 
-// poolCallOf classifies a call as a pool acquire or release: Get/Put on a
-// named type whose name ends in "Pool", alloc/release on sim.Sim (the
-// event pool), or pkt.release() on netsim.Packet (the packet goes back to
-// the pool that issued it, so the released object is the receiver). The
+// poolCallOf classifies a call as a pool acquire or release: Get on a named
+// type whose name ends in "Pool", alloc/release on sim.Sim (the event
+// pool), or pkt.release() on netsim.Packet (the packet goes back to the
+// pool that issued it, so the released object is the receiver). The
 // released/acquired object must be a plain identifier to be tracked.
 func poolCallOf(p *Package, call *ast.CallExpr) (op int, arg *ast.Ident) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -74,14 +73,14 @@ func poolCallOf(p *Package, call *ast.CallExpr) (op int, arg *ast.Ident) {
 	switch {
 	case isNetsimPacket(named) && sel.Sel.Name == "release" && len(call.Args) == 0:
 		id, _ := sel.X.(*ast.Ident)
-		return poolOpPut, id
+		return poolOpRelease, id
 	case isPool && sel.Sel.Name == "Get" && len(call.Args) == 0:
 		return poolOpGet, nil
 	case isSim && sel.Sel.Name == "alloc":
 		return poolOpGet, nil
-	case (isPool && sel.Sel.Name == "Put" || isSim && sel.Sel.Name == "release") && len(call.Args) == 1:
+	case isSim && sel.Sel.Name == "release" && len(call.Args) == 1:
 		id, _ := call.Args[0].(*ast.Ident)
-		return poolOpPut, id
+		return poolOpRelease, id
 	}
 	return poolOpNone, nil
 }
@@ -222,7 +221,7 @@ type poolFlow struct {
 
 // step is both the transfer function and, with check set, the reporting
 // visitor — one implementation so they can never disagree. Order inside a
-// node: Put calls first (their own argument is not a "use"), then the
+// node: releases first (their own argument is not a "use"), then the
 // use-after-release scan, then escapes, then assignment kills/gens.
 func (a *poolFlow) step(n ast.Node, s flowState, check bool) {
 	if rs, ok := n.(*ast.RangeStmt); ok {
@@ -235,7 +234,7 @@ func (a *poolFlow) step(n ast.Node, s flowState, check bool) {
 
 	skipUse := make(map[*ast.Ident]bool)
 
-	// 1. Pool releases. A `defer pool.Put(x)` runs after every later use,
+	// 1. Pool releases. A `defer s.release(x)` runs after every later use,
 	// so defers are exempt from the release tracking entirely.
 	if _, isDefer := n.(*ast.DeferStmt); !isDefer {
 		inspectNoFuncLit(n, func(m ast.Node) bool {
@@ -244,7 +243,7 @@ func (a *poolFlow) step(n ast.Node, s flowState, check bool) {
 				return true
 			}
 			op, arg := poolCallOf(a.p, call)
-			if op != poolOpPut || arg == nil {
+			if op != poolOpRelease || arg == nil {
 				return true
 			}
 			obj, isVar := a.p.Info.Uses[arg].(*types.Var)
@@ -301,7 +300,7 @@ func (a *poolFlow) step(n ast.Node, s flowState, check bool) {
 
 // scanUses reports reads of released variables. Plain-identifier assignment
 // targets are definitions, not reads, and are skipped; so are the arguments
-// of the Put calls handled above and the interiors of function literals
+// of the releases handled above and the interiors of function literals
 // (captures are escapes, handled separately).
 func (a *poolFlow) scanUses(n ast.Node, s flowState, skip map[*ast.Ident]bool, check bool) {
 	if !check {
@@ -375,7 +374,7 @@ func (a *poolFlow) scanEscapes(n ast.Node, s flowState, check bool) {
 			mark(arg)
 		}
 	case *ast.DeferStmt:
-		if op, _ := poolCallOf(a.p, st.Call); op != poolOpPut {
+		if op, _ := poolCallOf(a.p, st.Call); op != poolOpRelease {
 			for _, arg := range st.Call.Args {
 				mark(arg)
 			}

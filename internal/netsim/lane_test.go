@@ -99,63 +99,3 @@ func TestLinkSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Error("pool never recycled a packet")
 	}
 }
-
-// TestConnectOnShardedTranscript runs the same two-node ping-pong workload
-// on the classic engine and on the sharded parallel engine (one node per
-// shard, the link crossing shards via ConnectOn) and requires identical
-// delivery times on both.
-func TestConnectOnShardedTranscript(t *testing.T) {
-	run := func(workers int) []sim.Time {
-		s := sim.New(7)
-		var times []sim.Time
-		const delay = 2 * sim.Millisecond
-		if workers > 0 {
-			s.SetParallel(workers, delay)
-			shards := s.Shards(2)
-			a := &sinkNode{name: "a", s: shards[0]}
-			b := &bouncer{times: &times, s: shards[1]}
-			ConnectOn(shards[0], shards[1], a, 0, b, 0,
-				LinkConfig{Delay: delay, RateBps: 1e6})
-			shards[0].After(0, func() { a.tx.Send(&Packet{Size: 1250, ID: 1}) })
-			shards[0].After(15*sim.Millisecond, func() { a.tx.Send(&Packet{Size: 1250, ID: 2}) })
-			s.Run(100 * sim.Millisecond)
-			return times
-		}
-		a := &sinkNode{name: "a", s: s}
-		b := &bouncer{times: &times, s: s}
-		Connect(s, a, 0, b, 0, LinkConfig{Delay: delay, RateBps: 1e6})
-		s.After(0, func() { a.tx.Send(&Packet{Size: 1250, ID: 1}) })
-		s.After(15*sim.Millisecond, func() { a.tx.Send(&Packet{Size: 1250, ID: 2}) })
-		s.Run(100 * sim.Millisecond)
-		return times
-	}
-	want := run(0)
-	if len(want) == 0 {
-		t.Fatal("classic run delivered nothing")
-	}
-	for _, w := range []int{1, 2} {
-		got := run(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d delivered %d, classic %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d delivery %d at %v, classic %v", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// bouncer records arrival times using its own shard's clock.
-type bouncer struct {
-	name  string
-	s     *sim.Sim
-	tx    *LinkEnd
-	times *[]sim.Time
-}
-
-func (n *bouncer) Name() string                 { return n.name }
-func (n *bouncer) Attach(port int, tx *LinkEnd) { n.tx = tx }
-func (n *bouncer) Receive(pkt *Packet, port int) {
-	*n.times = append(*n.times, n.s.Now())
-}

@@ -77,8 +77,7 @@ type LinkStats struct {
 // head packet, so a send costs O(1) lane appends instead of two or three
 // heap pushes with escaping closures.
 type direction struct {
-	s  *sim.Sim // transmit-side simulator (the sender node's shard)
-	rs *sim.Sim // receive-side simulator; == s except on cross-shard links
+	s *sim.Sim
 
 	delay    sim.Time
 	rateBps  int64 // whole bits per second; 0 = infinitely fast
@@ -211,19 +210,8 @@ func (d *direction) drain() {
 	}
 }
 
-// handoff moves a serialized packet onto the receive lane (same shard) or
-// across shards through the conservative-lookahead scheduler.
+// handoff appends a serialized packet to the receive lane, due at time at.
 func (d *direction) handoff(pkt *Packet, at sim.Time) {
-	if d.rs != d.s {
-		// Cross-shard link: one closure per packet, but only on shard
-		// boundaries. The link's propagation delay is what makes the
-		// lookahead sound, so `at` is always at or beyond the window end.
-		// The packet's pool belongs to this shard's worker; the far
-		// shard's must not push onto it, so the packet leaves home here.
-		pkt.home = nil
-		d.s.CrossAt(d.rs, at, func() { d.arrive(pkt) })
-		return
-	}
 	pkt.laneAt = at
 	pkt.laneNext = nil
 	if d.rxTail == nil {
@@ -237,7 +225,7 @@ func (d *direction) handoff(pkt *Packet, at sim.Time) {
 		if d.arriveFn == nil {
 			d.arriveFn = d.arriveLane
 		}
-		d.rs.At(at, d.arriveFn)
+		d.s.At(at, d.arriveFn)
 	}
 }
 
@@ -246,7 +234,7 @@ func (d *direction) handoff(pkt *Packet, at sim.Time) {
 // direction (FIFO links), so the lane never reorders.
 func (d *direction) arriveLane() {
 	d.rxArmed = false
-	now := d.rs.Now()
+	now := d.s.Now()
 	for d.rxHead != nil && d.rxHead.laneAt <= now {
 		pkt := d.rxHead
 		d.rxHead = pkt.laneNext
@@ -258,7 +246,7 @@ func (d *direction) arriveLane() {
 	}
 	if d.rxHead != nil && !d.rxArmed {
 		d.rxArmed = true
-		d.rs.At(d.rxHead.laneAt, d.arriveFn)
+		d.s.At(d.rxHead.laneAt, d.arriveFn)
 	}
 }
 
@@ -266,7 +254,7 @@ func (d *direction) arriveLane() {
 // node. Failure (clean gray-failure drops) applies first, then Chaos
 // (corruption, duplication, reorder, flap).
 func (d *direction) arrive(pkt *Packet) {
-	now := d.rs.Now()
+	now := d.s.Now()
 	if d.failure.Drop(pkt, now) {
 		d.stats.FailureDrops++
 		d.captureEvent(CaptureFailureDrop, pkt, now)
@@ -279,7 +267,7 @@ func (d *direction) arrive(pkt *Packet) {
 			// The extra copy lands shortly after the original and skips
 			// further chaos rolls (one fault decision per transmission).
 			copyPkt := pkt.clone()
-			d.rs.After(c.dupDelay(), func() {
+			d.s.After(c.dupDelay(), func() {
 				c.Stats.Duplicated++
 				d.deliver(copyPkt)
 			})
@@ -290,7 +278,7 @@ func (d *direction) arrive(pkt *Packet) {
 			pkt.release()
 			return
 		case chaosDelay:
-			d.rs.After(extra, func() { d.deliver(pkt) })
+			d.s.After(extra, func() { d.deliver(pkt) })
 			return
 		}
 	}
@@ -299,7 +287,7 @@ func (d *direction) arrive(pkt *Packet) {
 
 func (d *direction) deliver(pkt *Packet) {
 	d.stats.Delivered++
-	d.captureEvent(CaptureDeliver, pkt, d.rs.Now())
+	d.captureEvent(CaptureDeliver, pkt, d.s.Now())
 	d.dst.Receive(pkt, d.dstPort)
 }
 
@@ -312,14 +300,6 @@ type Link struct {
 // Connect wires port aPort of node a to port bPort of node b and attaches
 // the transmit handles to both nodes.
 func Connect(s *sim.Sim, a Node, aPort int, b Node, bPort int, cfg LinkConfig) *Link {
-	return ConnectOn(s, s, a, aPort, b, bPort, cfg)
-}
-
-// ConnectOn is Connect for the sharded parallel scheduler: node a runs on
-// simulator (shard view) sa and node b on sb. Cross-shard packet handoffs
-// go through sim.CrossAt, so the link's propagation delay must be at least
-// the scheduler's lookahead. With sa == sb it is exactly Connect.
-func ConnectOn(sa, sb *sim.Sim, a Node, aPort int, b Node, bPort int, cfg LinkConfig) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = defaultQueueBytes
 	}
@@ -327,8 +307,8 @@ func ConnectOn(sa, sb *sim.Sim, a Node, aPort int, b Node, bPort int, cfg LinkCo
 		panic(fmt.Sprintf("netsim: negative rate %v", cfg.RateBps))
 	}
 	rate := int64(cfg.RateBps)
-	ab := &direction{s: sa, rs: sb, delay: cfg.Delay, rateBps: rate, queueCap: cfg.QueueBytes, dst: b, dstPort: bPort}
-	ba := &direction{s: sb, rs: sa, delay: cfg.Delay, rateBps: rate, queueCap: cfg.QueueBytes, dst: a, dstPort: aPort}
+	ab := &direction{s: s, delay: cfg.Delay, rateBps: rate, queueCap: cfg.QueueBytes, dst: b, dstPort: bPort}
+	ba := &direction{s: s, delay: cfg.Delay, rateBps: rate, queueCap: cfg.QueueBytes, dst: a, dstPort: aPort}
 	l := &Link{AB: &LinkEnd{dir: ab}, BA: &LinkEnd{dir: ba}}
 	a.Attach(aPort, l.AB)
 	b.Attach(bPort, l.BA)

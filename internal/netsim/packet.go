@@ -98,7 +98,7 @@ type Packet struct {
 
 	// home is the pool that issued the packet and takes it back when it
 	// dies; nil for literals, clones, and packets that were pinned by a
-	// capture observer or crossed a shard boundary (see pool.go).
+	// capture observer (see pool.go).
 	home *PacketPool
 }
 

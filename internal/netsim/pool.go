@@ -19,14 +19,12 @@ package netsim
 // home in its own header. Hooks and handlers only ever borrow a packet
 // (see Packet).
 //
-// Three kinds of packet are never recycled and are left to the garbage
+// Two kinds of packet are never recycled and are left to the garbage
 // collector: a &Packet{} literal and a chaos duplicate (neither has a
-// home); a packet a capture observer has seen (LinkEnd.SetCapture — the
+// home), and a packet a capture observer has seen (LinkEnd.SetCapture — the
 // observer may hold on to it, so the first captured event pins it for
-// good); and a packet that crossed a shard boundary, because a pool is
-// single-threaded like the Sim it serves and the far shard's worker must
-// not push onto it. Trial-level parallelism uses separate pools per trial
-// by construction.
+// good). A pool is single-threaded like the Sim it serves; trial-level
+// parallelism uses separate pools per trial by construction.
 type PacketPool struct {
 	free []*Packet
 

@@ -279,41 +279,3 @@ func TestLifecycleChaosDelayedPacketStaysLive(t *testing.T) {
 		t.Fatalf("after delivery: received %d, free %d, want 1 and 1", h.Received, len(p.free))
 	}
 }
-
-// TestLifecycleShardCrossingLeavesHome: a pool belongs to one shard's
-// worker. A packet that crosses shards must not be pushed onto it by the
-// far shard's worker, so it leaves home at the crossing. Run under -race.
-func TestLifecycleShardCrossingLeavesHome(t *testing.T) {
-	const delay = 2 * sim.Millisecond
-	s := sim.New(7)
-	s.SetParallel(2, delay)
-	shards := s.Shards(2)
-	a, b := NewHost(shards[0], "a"), NewHost(shards[1], "b")
-	ConnectOn(shards[0], shards[1], a, 0, b, 0, LinkConfig{Delay: delay, RateBps: 1e9})
-	// Both hosts keep sending from their own pools while the other side's
-	// packets arrive and die: any cross-shard release would race with Get.
-	for i, h := range []*Host{a, b} {
-		h, sh := h, shards[i]
-		var tick func()
-		n := 0
-		tick = func() {
-			pkt := h.Pool().Get()
-			pkt.Proto, pkt.Size = ProtoUDP, 100
-			h.Send(pkt)
-			if n++; n < 200 {
-				sh.After(100*sim.Microsecond, tick)
-			}
-		}
-		sh.After(0, tick)
-	}
-	s.Run(100 * sim.Millisecond)
-	if a.Received != 200 || b.Received != 200 {
-		t.Fatalf("received %d and %d, want 200 each", a.Received, b.Received)
-	}
-	for _, h := range []*Host{a, b} {
-		if h.Pool().Reuses != 0 || len(h.Pool().free) != 0 {
-			t.Errorf("host %s: a packet that crossed shards came home (reuses %d, free %d)",
-				h.Name(), h.Pool().Reuses, len(h.Pool().free))
-		}
-	}
-}

@@ -10,16 +10,14 @@
 // timestamp, and the simulation runs until the queue drains or a configured
 // horizon is reached.
 //
-// Two engine-level performance features exist beyond the classic loop:
+// Events are pooled: executed and cancelled events are recycled through a
+// free list, so steady-state scheduling via At/After allocates nothing.
+// Schedule/ScheduleAt additionally allocate their *Timer handle; hot paths
+// that never cancel should prefer At/After.
 //
-//   - Event pooling: executed and cancelled events are recycled through a
-//     free list, so steady-state scheduling via At/After allocates nothing.
-//     Schedule/ScheduleAt additionally allocate their *Timer handle; hot
-//     paths that never cancel should prefer At/After.
-//   - A conservative-lookahead parallel scheduler (see parallel.go): nodes
-//     are partitioned into shards, events of the same lookahead window run
-//     concurrently across shards, and cross-shard sends merge at window
-//     boundaries in a deterministic order.
+// A Sim is single-threaded. Parallelism lives one level up, where it is
+// deterministic for free: independent trials each own a Sim and run on
+// separate goroutines (exp.FleetAbileneWorkers).
 package sim
 
 import (
@@ -59,32 +57,14 @@ func FromDuration(d time.Duration) Time { return Time(d) }
 // after execution or cancellation they return to the owning Sim's free list,
 // and gen is bumped so stale Timer handles can detect the recycling.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	dead bool   // cancelled while staged (parallel mode only)
-	gen  uint64 // incremented on every release to the pool
-
-	shard int32 // owning shard, or -1 for global/unsharded events
-
-	// Deterministic merge key for events staged at a parallel window
-	// boundary: the virtual time of the event that scheduled them. Zero
-	// for events scheduled outside window execution.
-	parentAt Time
-
-	// owner is the Sim whose queue (or staging buffer) holds the event,
-	// so Timer.Stop can remove it from the right heap. For a parallel
-	// run this is the root for heap events and the shard view for
-	// window-local and staged events.
-	owner *Sim
-
-	index int // heap index, indexFree, or indexStaged
+	at    Time
+	seq   uint64
+	fn    func()
+	gen   uint64 // incremented on every release to the pool
+	index int    // heap index, or indexFree
 }
 
-const (
-	indexFree   = -1 // not in any heap: pooled, executing, or in a window batch
-	indexStaged = -2 // in a shard's window-boundary staging buffer
-)
+const indexFree = -1 // not in the heap: pooled or executing
 
 // eventQueue is a 4-ary min-heap of events ordered by (at, seq), hand
 // rolled instead of container/heap: the event loop spends most of its time
@@ -187,9 +167,6 @@ func heapRemove(qp *eventQueue, i int) *event {
 
 // Timer is a handle to a scheduled event. Its zero value is an inert timer:
 // Stop and Active are safe to call and report false.
-//
-// Timers are owned by the Sim (or shard view) they were scheduled on; in
-// parallel mode a timer must only be stopped from its own shard.
 type Timer struct {
 	s   *Sim
 	ev  *event
@@ -201,60 +178,23 @@ type Timer struct {
 // removes the event from the queue immediately (O(log n)), so a stopped
 // long-horizon timer holds no memory and does not inflate the queue.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	if !t.Active() {
 		return false
 	}
-	ev := t.ev
 	s := t.s
-	r := s.root
-	if r.par != nil && r.par.inWindow {
-		// Shard worker goroutines are running: only shard-local
-		// structures may be mutated from here.
-		if ev.index >= 0 && ev.owner == s && s != r {
-			heapRemove(&s.queue, ev.index)
-			s.live--
-			s.release(ev)
-			return true
-		}
-		if ev.index == indexStaged && ev.owner == s {
-			ev.dead = true
-			ev.fn = nil
-			s.live--
-			return true
-		}
-		// Root-heap (or foreign) event: mark dead without touching the
-		// shared heap; the root loop recycles it when it surfaces, and
-		// decrements live then.
-		ev.dead = true
-		ev.fn = nil
-		return true
-	}
-	if ev.index >= 0 {
-		// Queued in the owner's heap: remove and recycle immediately.
-		heapRemove(&ev.owner.queue, ev.index)
-		ev.owner.live--
-		ev.owner.release(ev)
-		return true
-	}
-	if ev.index == indexStaged {
-		ev.dead = true
-		ev.fn = nil
-		ev.owner.live--
-		return true
-	}
-	return false
+	heapRemove(&s.queue, t.ev.index)
+	s.release(t.ev)
+	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && !t.ev.dead &&
-		t.ev.index != indexFree
+	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index != indexFree
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable;
-// construct one with New. A Sim is single-threaded unless SetParallel
-// enables the sharded scheduler, and even then event handlers of one shard
-// never run concurrently with each other.
+// construct one with New. A Sim is single-threaded: everything scheduled on
+// it runs on the goroutine that calls Run.
 type Sim struct {
 	now     Time
 	seq     uint64
@@ -262,22 +202,7 @@ type Sim struct {
 	seed    int64
 	rng     *rand.Rand
 	stopped bool
-	live    int      // non-cancelled events currently queued or staged
 	free    []*event // event pool
-
-	// Parallel-mode fields (see parallel.go). On a root Sim, par is set by
-	// SetParallel and views holds the shard views. On a shard view, root
-	// points to the owning Sim and shard is its index; the view reuses
-	// queue as its window-local heap and stage as its boundary buffer.
-	par      *parRuntime
-	root     *Sim
-	shard    int32
-	views    []*Sim
-	stage    []*event
-	batch    []*event // this shard's slice of the current window, in (at, seq) order
-	wend     Time     // current window end while this shard executes
-	lseq     uint64   // window-local seq counter, frozen-root-seq based
-	executed uint64   // events run this window, merged into root.Executed at the barrier
 
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
@@ -285,28 +210,17 @@ type Sim struct {
 
 // New returns a simulator whose random generator is seeded with seed.
 func New(seed int64) *Sim {
-	s := &Sim{seed: seed, rng: rand.New(rand.NewSource(seed)), shard: -1}
-	s.root = s
-	return s
+	return &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Now returns the current virtual time. On a shard view this is the shard's
-// local clock, which stays within one lookahead window of every other shard.
-func (s *Sim) Now() Time {
-	if s.root != s && s.root.now > s.now {
-		return s.root.now
-	}
-	return s.now
-}
+// Now returns the current virtual time.
+func (s *Sim) Now() Time { return s.now }
 
-// Rand exposes the simulation's deterministic random number generator. Each
-// shard view has its own independent stream (derived from the seed), so
-// parallel execution never races on, or nondeterministically interleaves,
-// the root stream.
+// Rand exposes the simulation's deterministic random number generator.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Seed returns the seed the simulator was constructed with.
-func (s *Sim) Seed() int64 { return s.root.seed }
+func (s *Sim) Seed() int64 { return s.seed }
 
 // DeriveSeed maps the simulation seed plus a stream label to an independent
 // sub-seed. Components that need their own RNG (failure injectors, chaos
@@ -316,7 +230,7 @@ func (s *Sim) Seed() int64 { return s.root.seed }
 func (s *Sim) DeriveSeed(stream string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(stream))
-	return s.root.seed ^ int64(h.Sum64())
+	return s.seed ^ int64(h.Sum64())
 }
 
 // DeriveRand returns a deterministic RNG for a named stream (see DeriveSeed).
@@ -336,10 +250,6 @@ func (s *Sim) alloc(at Time, fn func()) *event {
 	}
 	ev.at = at
 	ev.fn = fn
-	ev.dead = false
-	ev.shard = s.shard
-	ev.parentAt = 0
-	ev.owner = s
 	ev.index = indexFree
 	return ev
 }
@@ -397,13 +307,8 @@ func (s *Sim) At(at Time, fn func()) {
 	s.schedule(at, fn)
 }
 
-// schedule is the common scheduling path. On a root Sim outside parallel
-// execution it pushes straight onto the heap; shard views route through the
-// window-aware path in parallel.go.
+// schedule is the common scheduling path.
 func (s *Sim) schedule(at Time, fn func()) *event {
-	if s.root != s || (s.par != nil && s.par.inWindow) {
-		return s.scheduleSharded(at, fn)
-	}
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at=%v now=%v", at, s.now))
 	}
@@ -411,20 +316,11 @@ func (s *Sim) schedule(at Time, fn func()) *event {
 	ev.seq = s.seq
 	s.seq++
 	heapPush(&s.queue, ev)
-	s.live++
 	return ev
 }
 
-// Stop makes Run return after the currently executing event completes. In
-// parallel mode the run stops at the next window boundary.
-func (s *Sim) Stop() {
-	r := s.root
-	if r.par != nil {
-		r.par.stopReq.Store(true)
-		return
-	}
-	r.stopped = true
-}
+// Stop makes Run return after the currently executing event completes.
+func (s *Sim) Stop() { s.stopped = true }
 
 // Run executes events in timestamp order until the queue is empty, until the
 // horizon is crossed, or until Stop is called. A zero horizon means no limit.
@@ -433,9 +329,6 @@ func (s *Sim) Stop() {
 // In particular, after Stop() the clock is NOT advanced to the horizon —
 // the stop time is the end time.
 func (s *Sim) Run(horizon Time) Time {
-	if s.par != nil {
-		return s.runParallel(horizon)
-	}
 	s.stopped = false
 	for len(s.queue) > 0 && !s.stopped {
 		ev := s.queue[0]
@@ -444,12 +337,7 @@ func (s *Sim) Run(horizon Time) Time {
 			return s.now
 		}
 		heapPop(&s.queue)
-		if ev.dead {
-			s.release(ev)
-			continue
-		}
 		s.now = ev.at
-		s.live--
 		s.Executed++
 		fn := ev.fn
 		s.release(ev)
@@ -464,5 +352,6 @@ func (s *Sim) Run(horizon Time) Time {
 	return s.now
 }
 
-// Pending reports the number of live events still queued, in O(1).
-func (s *Sim) Pending() int { return s.live }
+// Pending reports the number of events still queued. Cancelled events leave
+// the queue at once, so this is the heap's length.
+func (s *Sim) Pending() int { return len(s.queue) }

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -208,75 +206,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// Property: for any batch of events with arbitrary non-negative delays, Run
-// executes all of them in non-decreasing timestamp order and the clock ends
-// at the maximum timestamp.
-func TestPropertyEventOrdering(t *testing.T) {
-	f := func(seed int64, raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 200 {
-			raw = raw[:200]
-		}
-		s := New(seed)
-		var fired []Time
-		var max Time
-		for _, r := range raw {
-			d := Time(r%1_000_000) * Microsecond
-			if d > max {
-				max = d
-			}
-			s.Schedule(d, func() { fired = append(fired, s.Now()) })
-		}
-		s.Run(0)
-		if len(fired) != len(raw) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return s.Now() == max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: cancelling an arbitrary subset of timers runs exactly the
-// complement.
-func TestPropertyCancellation(t *testing.T) {
-	f := func(mask []bool) bool {
-		if len(mask) > 300 {
-			mask = mask[:300]
-		}
-		s := New(3)
-		ran := make([]bool, len(mask))
-		timers := make([]*Timer, len(mask))
-		for i := range mask {
-			i := i
-			timers[i] = s.Schedule(Time(i+1)*Microsecond, func() { ran[i] = true })
-		}
-		for i, cancel := range mask {
-			if cancel {
-				timers[i].Stop()
-			}
-		}
-		s.Run(0)
-		for i := range mask {
-			if ran[i] == mask[i] {
-				return false // cancelled ran, or non-cancelled didn't
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(8))}); err != nil {
-		t.Error(err)
 	}
 }
 

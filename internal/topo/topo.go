@@ -145,7 +145,7 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 // It installs nothing: packets find their own way back to the pool that
 // issued them. It remains because benchmark/, which a performance change
 // may not edit, calls it. Pools are single-threaded like the Sim; use one
-// per trial or per shard.
+// per trial.
 func (n *Network) UsePool() *netsim.PacketPool { return netsim.NewPacketPool() }
 
 // Link returns the link between two switches, in either spec order.

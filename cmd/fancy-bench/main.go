@@ -5,36 +5,34 @@
 //
 //	fancy-bench -list
 //	fancy-bench -exp fig7,table3
-//	fancy-bench -exp all -full                      # paper-scale parameters (slow)
-//	fancy-bench -exp fleet,hh-churn -bench-json BENCH_fleet.json
-//	fancy-bench -exp fleet -full -workers 4        # parallel fleet trials
+//	fancy-bench -exp all -full                # paper-scale parameters (slow)
+//	fancy-bench -exp fleet -full -workers 4   # parallel fleet trials
 //
 // Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record. -bench-json
-// additionally writes the machine-readable benchmark cells (TTL medians
-// plus wall-clock per sweep cell) that CI archives as an artifact.
+// EXPERIMENTS.md for the paper-vs-measured record. Stdout is the artifact:
+// byte-identical for a seed at any -workers value, and pinned by
+// testdata/*.golden (refresh one with `go run ./cmd/fancy-bench [args] >
+// cmd/fancy-bench/testdata/<name>.golden` in the change that explains why a
+// number moved). The per-experiment host-time footers go to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/exp"
 )
 
 type experiment struct {
 	name string
 	desc string
-	run  func(scale exp.Scale, seed int64) (string, []exp.BenchCell)
-}
-
-// text adapts a render-only experiment (no benchmark cells).
-func text(fn func(scale exp.Scale, seed int64) string) func(exp.Scale, int64) (string, []exp.BenchCell) {
-	return func(s exp.Scale, seed int64) (string, []exp.BenchCell) { return fn(s, seed), nil }
+	run  func(scale exp.Scale, seed int64) string
 }
 
 // experiments builds the registry. workers sets the trial-level
@@ -43,19 +41,19 @@ func text(fn func(scale exp.Scale, seed int64) string) func(exp.Scale, int64) (s
 func experiments(workers int) []experiment {
 	return []experiment{
 		{"table2", "LossRadar requirements vs switch capabilities (§2.3)",
-			text(func(exp.Scale, int64) string { return exp.Table2() })},
+			func(exp.Scale, int64) string { return exp.Table2() }},
 		{"fig2", "NetSeer required memory vs link latency (§2.3)",
-			text(func(exp.Scale, int64) string { return exp.Figure2() })},
+			func(exp.Scale, int64) string { return exp.Figure2() }},
 		{"fig7", "dedicated-counter accuracy & speed heatmaps (§5.1.1)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure7(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure7(s, seed).Render() }},
 		{"fig8", "minimum entry size per zooming speed (§5.1.2)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure8(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure8(s, seed).Render() }},
 		{"fig9a", "hash-tree heatmaps, single-entry failures (§5.1.2)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure9Single(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure9Single(s, seed).Render() }},
 		{"fig9b", "hash-tree heatmaps, multi-entry failures (§5.1.2)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure9Multi(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure9Multi(s, seed).Render() }},
 		{"uniform", "uniform-failure classification (§5.1.3)",
-			text(func(s exp.Scale, seed int64) string {
+			func(s exp.Scale, seed int64) string {
 				r := exp.UniformFailures(s, seed)
 				var b strings.Builder
 				b.WriteString("== §5.1.3 uniform failures ==\n")
@@ -64,69 +62,65 @@ func experiments(workers int) []experiment {
 						exp.LossLabel(loss), r.Detected[i], r.Latency[i])
 				}
 				return b.String()
-			})},
+			}},
 		{"table3", "FANcY on CAIDA-like traces (§5.2)",
-			text(func(s exp.Scale, seed int64) string { return exp.Table3(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Table3(s, seed).Render() }},
 		{"base", "comparison to simple designs (§5.2)",
-			text(func(s exp.Scale, seed int64) string { return exp.BaselineComparison(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.BaselineComparison(s, seed).Render() }},
 		{"overhead", "control and tagging overhead (§5.3)",
-			text(func(exp.Scale, int64) string { return exp.Overhead().Render() })},
+			func(exp.Scale, int64) string { return exp.Overhead().Render() }},
 		{"table4", "Tofino hardware resource usage (§6)",
-			text(func(exp.Scale, int64) string { return exp.Table4() })},
+			func(exp.Scale, int64) string { return exp.Table4() }},
 		{"fig10", "selective fast-rerouting case study (§6.1)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure10(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure10(s, seed).Render() }},
 		{"fleet", "ISP-wide fleet: Abilene gray-link localization + gated reroute",
-			func(s exp.Scale, seed int64) (string, []exp.BenchCell) {
-				r := exp.FleetAbileneWorkers(s, seed, false, workers)
-				return r.Render(), r.BenchCells(seed)
+			func(s exp.Scale, seed int64) string {
+				return exp.FleetAbileneWorkers(s, seed, false, workers).Render()
 			}},
 		{"fleet-chaos", "fleet survivability: localization vs mgmt-plane loss + correlator crash",
-			text(func(s exp.Scale, seed int64) string { return exp.FleetChaos(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.FleetChaos(s, seed).Render() }},
 		{"fleet-verified", "fleet localization sweep with the verified-commit gate on",
-			func(s exp.Scale, seed int64) (string, []exp.BenchCell) {
-				r := exp.FleetAbileneWorkers(s, seed, true, workers)
-				return r.Render(), r.BenchCells(seed)
+			func(s exp.Scale, seed int64) string {
+				return exp.FleetAbileneWorkers(s, seed, true, workers).Render()
 			}},
-		{"verified-reroute", "verified reroute: concurrent-failure chaos suite + check latency",
-			func(s exp.Scale, seed int64) (string, []exp.BenchCell) {
-				r := exp.VerifiedReroute(s, seed)
-				epoch := time.Now()
-				cells := append(r.BenchCells(), exp.VerifyLatencyCell(seed,
-					func() float64 { return time.Since(epoch).Seconds() }))
-				return r.Render(), cells
-			}},
+		{"verified-reroute", "verified reroute: concurrent-failure chaos suite",
+			func(s exp.Scale, seed int64) string { return exp.VerifiedReroute(s, seed).Render() }},
 		{"hh-churn", "churning heavy hitters: dynamic vs static dedicated-counter allocation",
-			func(s exp.Scale, seed int64) (string, []exp.BenchCell) {
-				r := exp.HHChurn(s, seed)
-				return r.Render(), r.BenchCells()
-			}},
+			func(s exp.Scale, seed int64) string { return exp.HHChurn(s, seed).Render() }},
 		{"fig11", "tree parameter sensitivity (Appendix D)",
-			text(func(s exp.Scale, seed int64) string { return exp.Figure11(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.Figure11(s, seed).Render() }},
 		{"table5", "synthesized trace statistics (Appendix C)",
-			text(func(s exp.Scale, _ int64) string { return exp.Table5(s) })},
+			func(s exp.Scale, _ int64) string { return exp.Table5(s) }},
 		{"abl-strawman", "ablation: stop-and-wait vs §4.1 strawman",
-			text(func(s exp.Scale, seed int64) string { return exp.AblationStrawman(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.AblationStrawman(s, seed).Render() }},
 		{"abl-select", "ablation: zoom counter selection policy",
-			text(func(s exp.Scale, seed int64) string { return exp.AblationSelection(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.AblationSelection(s, seed).Render() }},
 		{"abl-blink", "ablation: Blink vs FANcY on minority-flow failures",
-			text(func(s exp.Scale, seed int64) string { return exp.AblationBlink(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.AblationBlink(s, seed).Render() }},
 		{"sweep-freq", "exchange-frequency sensitivity (§5.1.1 text)",
-			text(func(s exp.Scale, seed int64) string { return exp.ExchangeFrequencySweep(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.ExchangeFrequencySweep(s, seed).Render() }},
 		{"sweep-delay", "link-delay sensitivity (§5 text)",
-			text(func(s exp.Scale, seed int64) string { return exp.DelaySweep(s, seed).Render() })},
+			func(s exp.Scale, seed int64) string { return exp.DelaySweep(s, seed).Render() }},
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: tables on stdout, host-time footers and errors
+// on stderr, exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fancy-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list      = flag.Bool("list", false, "list experiments and exit")
-		expt      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		full      = flag.Bool("full", false, "paper-scale parameters (slow)")
-		seed      = flag.Int64("seed", 20220822, "random seed")
-		benchJSON = flag.String("bench-json", "", "write benchmark cells (TTL medians + wall-clock) to this JSON file")
-		workers   = flag.Int("workers", 1, "trial-level parallelism of the fleet sweeps (same results at any value)")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		expt    = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		full    = fs.Bool("full", false, "paper-scale parameters (slow)")
+		seed    = fs.Int64("seed", 20220822, "random seed")
+		workers = fs.Int("workers", 1, "trial-level parallelism of the fleet sweeps (same results at any value)")
 	)
-	flag.Parse()
+	if code, done := flagcheck.Parse(fs, args); done {
+		return code
+	}
 	if *workers < 1 {
 		*workers = 1
 	}
@@ -134,9 +128,9 @@ func main() {
 	all := experiments(*workers)
 	if *list {
 		for _, e := range all {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)
 		}
-		return
+		return 0
 	}
 
 	scale := exp.Quick
@@ -163,30 +157,17 @@ func main() {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		fmt.Fprintf(os.Stderr, "unknown experiments: %s (use -list)\n", strings.Join(unknown, ", "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fancy-bench: unknown experiments: %s (use -list)\n", strings.Join(unknown, ", "))
+		return 2
 	}
 
-	var cells []exp.BenchCell
 	for _, e := range all {
 		if !runAll && !want[e.name] {
 			continue
 		}
 		start := time.Now()
-		out, ec := e.run(scale, *seed)
-		wall := time.Since(start).Seconds()
-		for i := range ec {
-			ec[i].WallSeconds = wall
-		}
-		cells = append(cells, ec...)
-		fmt.Println(out)
-		fmt.Printf("[%s: %s scale, %.1fs]\n\n", e.name, scale, wall)
+		fmt.Fprintln(stdout, e.run(scale, *seed))
+		fmt.Fprintf(stderr, "[%s: %s scale, %.1fs]\n", e.name, scale, time.Since(start).Seconds())
 	}
-	if *benchJSON != "" {
-		if err := exp.WriteBenchJSON(*benchJSON, cells); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d benchmark cells to %s\n", len(cells), *benchJSON)
-	}
+	return 0
 }

@@ -48,10 +48,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/fancy"
 	"fancy/internal/fancy/tree"
 	"fancy/internal/fleet"
@@ -64,35 +66,50 @@ import (
 	"fancy/internal/verify"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the scenario transcript on stdout (byte-
+// deterministic for a flag set), usage errors on stderr with exit status 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fancy-fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "fancy-fleet: "+format+"\n", a...)
+		return 2
+	}
 	var (
-		link     = flag.String("link", "seattle->sunnyvale", "directed link to fail (from->to)")
-		loss     = flag.Float64("loss", 1.0, "per-entry drop probability on the failed link (0..1)")
-		rate     = flag.Float64("rate", 2e6, "target-entry traffic (bps)")
-		failAt   = flag.Duration("fail-at", 2*time.Second, "failure start time")
-		duration = flag.Duration("duration", 8*time.Second, "simulation length")
-		seed     = flag.Int64("seed", 42, "random seed")
-		events   = flag.Bool("events", false, "print the full fleet event log")
+		link     = fs.String("link", "seattle->sunnyvale", "directed link to fail (from->to)")
+		loss     = fs.Float64("loss", 1.0, "per-entry drop probability on the failed link (0..1)")
+		rate     = fs.Float64("rate", 2e6, "target-entry traffic (bps)")
+		failAt   = fs.Duration("fail-at", 2*time.Second, "failure start time")
+		duration = fs.Duration("duration", 8*time.Second, "simulation length")
+		seed     = fs.Int64("seed", 42, "random seed")
+		events   = fs.Bool("events", false, "print the full fleet event log")
 
-		mgmtLoss   = flag.Float64("mgmt-loss", 0, "management-network datagram loss probability (0..1); any -mgmt-* flag enables the simulated management plane")
-		mgmtDelay  = flag.Duration("mgmt-delay", 0, "management-network one-way delay (0 = default 500µs)")
-		mgmtJitter = flag.Duration("mgmt-jitter", 0, "management-network delay jitter bound")
-		mgmtDup    = flag.Float64("mgmt-dup", 0, "management-network duplication probability (0..1)")
+		mgmtLoss   = fs.Float64("mgmt-loss", 0, "management-network datagram loss probability (0..1); any -mgmt-* flag enables the simulated management plane")
+		mgmtDelay  = fs.Duration("mgmt-delay", 0, "management-network one-way delay (0 = default 500µs)")
+		mgmtJitter = fs.Duration("mgmt-jitter", 0, "management-network delay jitter bound")
+		mgmtDup    = fs.Float64("mgmt-dup", 0, "management-network duplication probability (0..1)")
 
-		crashCorr = flag.Duration("crash-correlator", 0, "crash the correlator at this time (0 = never)")
-		crashDown = flag.Duration("crash-downtime", 300*time.Millisecond, "correlator downtime before restart")
-		partition = flag.String("partition", "", "switch to partition from the management plane mid-run (failure start → heal at fail start + half the remaining run)")
+		crashCorr = fs.Duration("crash-correlator", 0, "crash the correlator at this time (0 = never)")
+		crashDown = fs.Duration("crash-downtime", 300*time.Millisecond, "correlator downtime before restart")
+		partition = fs.String("partition", "", "switch to partition from the management plane mid-run (failure start → heal at fail start + half the remaining run)")
 
-		replicas   = flag.Int("replicas", 0, "correlator replicas (0/1 = single instance, 3+ = consensus group; needs the management plane)")
-		killLeader = flag.Duration("kill-leader", 0, "crash the active consensus leader at this time (0 = never; needs -replicas)")
+		replicas   = fs.Int("replicas", 0, "correlator replicas (0/1 = single instance, 3+ = consensus group; needs the management plane)")
+		killLeader = fs.Duration("kill-leader", 0, "crash the active consensus leader at this time (0 = never; needs -replicas)")
 
-		hhMode  = flag.Bool("hh", false, "dynamic dedicated-counter allocation: heavy-hitter stage + churning background workload instead of a static pin")
-		hhSlots = flag.Int("hh-slots", 8, "dedicated-counter slots per port available to the allocation loop (needs -hh)")
+		hhMode  = fs.Bool("hh", false, "dynamic dedicated-counter allocation: heavy-hitter stage + churning background workload instead of a static pin")
+		hhSlots = fs.Int("hh-slots", 8, "dedicated-counter slots per port available to the allocation loop (needs -hh)")
 
-		verifyGate = flag.Bool("verify", false, "verified-commit gate: check every reroute against the atom-based forwarding model before committing")
-		injectLoop = flag.Bool("inject-loop", false, "concurrent-failure demo: backups that compose into a forwarding loop (overrides -link; pair with -verify to see the gate reject and repair it)")
+		verifyGate = fs.Bool("verify", false, "verified-commit gate: check every reroute against the atom-based forwarding model before committing")
+		injectLoop = fs.Bool("inject-loop", false, "concurrent-failure demo: backups that compose into a forwarding loop (overrides -link; pair with -verify to see the gate reject and repair it)")
 	)
-	flag.Parse()
+	if code, done := flagcheck.Parse(fs, args, "loss", "mgmt-loss", "mgmt-dup"); done {
+		return code
+	}
+	if *hhMode && *hhSlots < 1 {
+		return fail("-hh-slots must be >= 1 with -hh, got %d", *hhSlots)
+	}
 
 	srcAt, dstAt := "", ""
 	if *injectLoop {
@@ -104,8 +121,7 @@ func main() {
 	}
 	from, to, ok := strings.Cut(*link, "->")
 	if !ok {
-		fmt.Fprintf(os.Stderr, "fancy-fleet: -link must look like from->to, got %q\n", *link)
-		os.Exit(2)
+		return fail("-link must look like from->to, got %q", *link)
 	}
 	if srcAt == "" {
 		srcAt, dstAt = from, to
@@ -119,12 +135,10 @@ func main() {
 	}
 	n, err := topo.Build(s, spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fancy-fleet: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	if n.Direction(from, to) == nil {
-		fmt.Fprintf(os.Stderr, "fancy-fleet: no %s link in Abilene\n", *link)
-		os.Exit(2)
+		return fail("no %s link in Abilene", *link)
 	}
 	const entry = netsim.EntryID(10)
 	dur := sim.Time(*duration)
@@ -146,8 +160,7 @@ func main() {
 		}
 	}
 	if err := n.InstallShortestPaths(routes); err != nil {
-		fmt.Fprintf(os.Stderr, "fancy-fleet: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	cfg := fleet.Config{Fancy: fancy.Config{
 		HighPriority: []netsim.EntryID{entry},
@@ -173,20 +186,18 @@ func main() {
 		cfg.Replicas = *replicas
 	}
 	if *killLeader > 0 && *replicas <= 1 {
-		fmt.Fprintln(os.Stderr, "fancy-fleet: -kill-leader needs -replicas > 1")
-		os.Exit(2)
+		return fail("-kill-leader needs -replicas > 1")
 	}
 	if *verifyGate {
 		cfg.Verify = &fleet.VerifyConfig{}
 	}
 	f, err := fleet.New(s, n, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fancy-fleet: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	f.OnEvent = func(ev fleet.Event) {
 		if *events {
-			fmt.Println(ev)
+			fmt.Fprintln(stdout, ev)
 			return
 		}
 		// Headline events only.
@@ -195,47 +206,46 @@ func main() {
 			fleet.EventLinkFlapping, fleet.EventRerouteRejected,
 			fleet.EventRerouteRepaired, fleet.EventRerouteHeld,
 			fleet.EventVerifyFallback:
-			fmt.Println(ev)
+			fmt.Fprintln(stdout, ev)
 		}
 	}
 
+	protect := func(sw, primaryTo, backupTo string) error {
+		route := n.Switches[sw].Routes.InsertEntry(entry, netsim.Route{
+			Port:   n.PortOf[sw][primaryTo],
+			Backup: n.PortOf[sw][backupTo],
+		})
+		if err := f.Protect(sw, entry, route); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "protecting entry %d at %s: primary via %s, backup via %s\n",
+			entry, sw, primaryTo, backupTo)
+		return nil
+	}
 	// Protect the target entry at the failed link's upstream switch, if a
 	// provably loop-free detour exists.
 	if *injectLoop {
-		protect := func(sw, primaryTo, backupTo string) {
-			route := n.Switches[sw].Routes.InsertEntry(entry, netsim.Route{
-				Port:   n.PortOf[sw][primaryTo],
-				Backup: n.PortOf[sw][backupTo],
-			})
-			if err := f.Protect(sw, entry, route); err != nil {
-				fmt.Fprintf(os.Stderr, "fancy-fleet: %v\n", err)
-				os.Exit(2)
+		for _, p := range [][3]string{
+			{"atlanta", "indianapolis", "houston"},
+			{"houston", "kansascity", "atlanta"},
+		} {
+			if err := protect(p[0], p[1], p[2]); err != nil {
+				return fail("%v", err)
 			}
-			fmt.Printf("protecting entry %d at %s: primary via %s, backup via %s\n",
-				entry, sw, primaryTo, backupTo)
 		}
-		protect("atlanta", "indianapolis", "houston")
-		protect("houston", "kansascity", "atlanta")
 	} else if nb, ok := loopFreeBackup(n, from, to); ok {
-		route := n.Switches[from].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[from][to],
-			Backup: n.PortOf[from][nb],
-		})
-		if err := f.Protect(from, entry, route); err != nil {
-			fmt.Fprintf(os.Stderr, "fancy-fleet: %v\n", err)
-			os.Exit(2)
+		if err := protect(from, to, nb); err != nil {
+			return fail("%v", err)
 		}
-		fmt.Printf("protecting entry %d at %s: primary via %s, backup via %s\n",
-			entry, from, to, nb)
 	} else {
-		fmt.Printf("no loop-free detour from %s avoiding %s: running detection only\n", from, to)
+		fmt.Fprintf(stdout, "no loop-free detour from %s avoiding %s: running detection only\n", from, to)
 	}
 
 	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
 		netsim.EntryAddr(entry, 1), *rate, 1000, dur).Start()
 	if churn != nil {
 		srcs := churn.Launch(s, n.Hosts["hsrc"])
-		fmt.Printf("heavy-hitter stage: %d dynamic slots/port, churn background: %d entries, %d sources, %d epochs\n",
+		fmt.Fprintf(stdout, "heavy-hitter stage: %d dynamic slots/port, churn background: %d entries, %d sources, %d epochs\n",
 			*hhSlots, churn.Config().Entries, srcs, churn.Epochs())
 	}
 	n.Direction(from, to).SetFailure(
@@ -243,54 +253,52 @@ func main() {
 	if *injectLoop {
 		n.Direction("houston", "kansascity").SetFailure(
 			netsim.FailEntries(*seed+2, sim.Time(*failAt), *loss, entry))
-		fmt.Printf("also failing houston->kansascity at %v: both backups now compose into a loop\n",
+		fmt.Fprintf(stdout, "also failing houston->kansascity at %v: both backups now compose into a loop\n",
 			*failAt)
 	}
 	if *verifyGate {
-		fmt.Println("verified-commit gate: every reroute checked against the atom model before committing")
+		fmt.Fprintln(stdout, "verified-commit gate: every reroute checked against the atom model before committing")
 	}
 
 	if *crashCorr > 0 {
 		if !mgmtWanted {
-			fmt.Fprintln(os.Stderr, "fancy-fleet: -crash-correlator needs the management plane")
-			os.Exit(2)
+			return fail("-crash-correlator needs the management plane")
 		}
 		s.ScheduleAt(sim.Time(*crashCorr), f.CrashCorrelator)
 		s.ScheduleAt(sim.Time(*crashCorr+*crashDown), f.RestartCorrelator)
-		fmt.Printf("correlator crash at %v, restart at %v\n", *crashCorr, *crashCorr+*crashDown)
+		fmt.Fprintf(stdout, "correlator crash at %v, restart at %v\n", *crashCorr, *crashCorr+*crashDown)
 	}
 	if *killLeader > 0 {
 		killed := -1
 		s.ScheduleAt(sim.Time(*killLeader), func() { killed = f.KillLeader() })
 		s.ScheduleAt(sim.Time(*killLeader+*crashDown), func() { f.RestartReplica(killed) })
-		fmt.Printf("leader kill at %v, dead replica rejoins at %v\n", *killLeader, *killLeader+*crashDown)
+		fmt.Fprintf(stdout, "leader kill at %v, dead replica rejoins at %v\n", *killLeader, *killLeader+*crashDown)
 	}
 	if *partition != "" {
 		if _, ok := n.Switches[*partition]; !ok {
-			fmt.Fprintf(os.Stderr, "fancy-fleet: no switch %q to partition\n", *partition)
-			os.Exit(2)
+			return fail("no switch %q to partition", *partition)
 		}
 		cut := sim.Time(*failAt)
 		heal := cut + (dur-cut)/2
 		sw := *partition
 		s.ScheduleAt(cut, func() { f.PartitionSwitch(sw) })
 		s.ScheduleAt(heal, func() { f.HealSwitch(sw) })
-		fmt.Printf("partitioning %s off the management plane at %v, healing at %v\n", sw, cut, heal)
+		fmt.Fprintf(stdout, "partitioning %s off the management plane at %v, healing at %v\n", sw, cut, heal)
 	}
 	if mgmtWanted {
-		fmt.Printf("management plane: loss=%.0f%% dup=%.0f%% delay=%v jitter=%v\n",
+		fmt.Fprintf(stdout, "management plane: loss=%.0f%% dup=%.0f%% delay=%v jitter=%v\n",
 			*mgmtLoss*100, *mgmtDup*100, *mgmtDelay, *mgmtJitter)
 	}
 	if *replicas > 1 {
-		fmt.Printf("correlator: %d-replica consensus group, leader %s\n", *replicas, f.Leader())
+		fmt.Fprintf(stdout, "correlator: %d-replica consensus group, leader %s\n", *replicas, f.Leader())
 	}
 
-	fmt.Printf("failing %s at %v (loss %.0f%%), %d switches / %d directed links monitored\n\n",
+	fmt.Fprintf(stdout, "failing %s at %v (loss %.0f%%), %d switches / %d directed links monitored\n\n",
 		*link, *failAt, *loss*100, len(n.Switches), len(n.DirectedLinks()))
 	s.Run(dur)
 
-	fmt.Println()
-	fmt.Print(f.Snapshot().Report())
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, f.Snapshot().Report())
 
 	// Close with a forwarding-state audit: the gate's own model when
 	// verifying, else a fresh snapshot of the final installed routes — the
@@ -300,7 +308,8 @@ func main() {
 	if !*verifyGate {
 		audit = verify.NewModel(n).Audit
 	}
-	fmt.Printf("\npost-run forwarding audit: %s\n", audit())
+	fmt.Fprintf(stdout, "\npost-run forwarding audit: %s\n", audit())
+	return 0
 }
 
 // loopFreeBackup picks from's cheapest neighbor detour toward to that

@@ -17,27 +17,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fancy"
+	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/exp"
 	"fancy/internal/fancy/tree"
 	"fancy/internal/p4gen"
 	"fancy/internal/tofino"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the report on stdout, errors on stderr; exit 2
+// for a usage error, 1 when the deployment cannot be planned or does not fit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fancy-resources", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "fancy-resources: "+format+"\n", a...)
+		return code
+	}
 	var (
-		dedicated = flag.Int("dedicated", 512, "dedicated entries per port")
-		width     = flag.Int("width", 190, "tree width")
-		ports     = flag.Int("ports", 32, "switch ports")
-		budget    = flag.Int("budget", 0, "per-port memory budget in bytes (runs input translation)")
-		entries   = flag.Int("entries", 500, "high-priority entries for input translation")
-		emitP4    = flag.Bool("p4", false, "emit the P4_16 program skeleton instead of the report")
-		hhStages  = flag.Int("hh-stages", 3, "heavy-hitter sketch stages (0 = stage not deployed)")
-		hhWidth   = flag.Int("hh-width", 64, "heavy-hitter sketch slots per stage")
+		dedicated = fs.Int("dedicated", 512, "dedicated entries per port")
+		width     = fs.Int("width", 190, "tree width")
+		ports     = fs.Int("ports", 32, "switch ports")
+		budget    = fs.Int("budget", 0, "per-port memory budget in bytes (runs input translation)")
+		entries   = fs.Int("entries", 500, "high-priority entries for input translation")
+		emitP4    = fs.Bool("p4", false, "emit the P4_16 program skeleton instead of the report")
+		hhStages  = fs.Int("hh-stages", 3, "heavy-hitter sketch stages (0 = stage not deployed)")
+		hhWidth   = fs.Int("hh-width", 64, "heavy-hitter sketch slots per stage")
 	)
-	flag.Parse()
+	if code, done := flagcheck.Parse(fs, args); done {
+		return code
+	}
 
 	if *emitP4 {
 		hp := make([]fancy.EntryID, *dedicated)
@@ -50,11 +64,10 @@ func main() {
 		}
 		src, err := p4gen.Generate(cfg, p4gen.Options{Ports: *ports, Reroute: true})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		fmt.Print(src)
-		return
+		fmt.Fprint(stdout, src)
+		return 0
 	}
 
 	if *budget > 0 {
@@ -65,14 +78,13 @@ func main() {
 		cfg := fancy.Config{HighPriority: hp, MemoryBytes: *budget}
 		layout, err := cfg.Plan()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "input translation failed: %v\n", err)
-			os.Exit(1)
+			return fail(1, "input translation failed: %v", err)
 		}
-		fmt.Printf("input translation for %d B/port, %d high-priority entries:\n  %s\n\n",
+		fmt.Fprintf(stdout, "input translation for %d B/port, %d high-priority entries:\n  %s\n\n",
 			*budget, *entries, layout)
 	}
 
-	fmt.Println(exp.Table4())
+	fmt.Fprintln(stdout, exp.Table4())
 
 	d := tofino.PaperConfig()
 	d.DedicatedPerPort = *dedicated
@@ -81,30 +93,30 @@ func main() {
 	d.Ports = *ports
 	d.HHStages = *hhStages
 	d.HHWidth = *hhWidth
-	fmt.Printf("register memory for %d ports, %d dedicated/port, width-%d tree:\n", *ports, *dedicated, *width)
-	fmt.Printf("  state machines:     %8.1f KB\n", float64(d.StateMachineBytes())/1024)
-	fmt.Printf("  dedicated counters: %8.1f KB\n", float64(d.DedicatedCounterBytes())/1024)
-	fmt.Printf("  hash-based tree:    %8.1f KB\n", float64(d.TreeBytes())/1024)
-	fmt.Printf("  rerouting:          %8.1f KB\n", float64(d.RerouteBytes())/1024)
+	fmt.Fprintf(stdout, "register memory for %d ports, %d dedicated/port, width-%d tree:\n", *ports, *dedicated, *width)
+	fmt.Fprintf(stdout, "  state machines:     %8.1f KB\n", float64(d.StateMachineBytes())/1024)
+	fmt.Fprintf(stdout, "  dedicated counters: %8.1f KB\n", float64(d.DedicatedCounterBytes())/1024)
+	fmt.Fprintf(stdout, "  hash-based tree:    %8.1f KB\n", float64(d.TreeBytes())/1024)
+	fmt.Fprintf(stdout, "  rerouting:          %8.1f KB\n", float64(d.RerouteBytes())/1024)
 	if d.HHStages > 0 {
-		fmt.Printf("  heavy-hitter stage: %8.1f KB (%d-stage x %d-slot sketch/port)\n",
+		fmt.Fprintf(stdout, "  heavy-hitter stage: %8.1f KB (%d-stage x %d-slot sketch/port)\n",
 			float64(d.HeavyHitterBytes())/1024, d.HHStages, d.HHWidth)
 	}
-	fmt.Printf("  total:              %8.1f KB (%.1f KB with rerouting)\n",
+	fmt.Fprintf(stdout, "  total:              %8.1f KB (%.1f KB with rerouting)\n",
 		float64(d.TotalBytes(false))/1024, float64(d.TotalBytes(true))/1024)
 
 	if d.HHStages > 0 {
 		chip := tofino.Tofino32()
 		r := chip.FancyResources(d, true)
 		u := chip.Utilization(r)
-		fmt.Printf("\nfull deployment + heavy-hitter stage on %s:\n", chip.Name)
-		fmt.Printf("  sram=%.1f%% salu=%.1f%% vliw=%.1f%% tcam=%.1f%% hash=%.1f%% txbar=%.1f%% exbar=%.1f%%\n",
+		fmt.Fprintf(stdout, "\nfull deployment + heavy-hitter stage on %s:\n", chip.Name)
+		fmt.Fprintf(stdout, "  sram=%.1f%% salu=%.1f%% vliw=%.1f%% tcam=%.1f%% hash=%.1f%% txbar=%.1f%% exbar=%.1f%%\n",
 			u.SRAM*100, u.SALU*100, u.VLIW*100, u.TCAM*100,
 			u.HashBits*100, u.TernaryXbar*100, u.ExactXbar*100)
 		if !chip.Fits(r) {
-			fmt.Fprintln(os.Stderr, "fancy-resources: deployment does NOT fit the Tofino-1 envelope")
-			os.Exit(1)
+			return fail(1, "deployment does NOT fit the Tofino-1 envelope")
 		}
-		fmt.Println("  fits the Tofino-1 envelope")
+		fmt.Fprintln(stdout, "  fits the Tofino-1 envelope")
 	}
+	return 0
 }

@@ -14,46 +14,59 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"fancy"
+	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/fancy/tree"
 	"fancy/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the deterministic transcript on stdout (same
+// flags => byte-identical), host wall-clock and errors on stderr, usage
+// errors exit 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fancy-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "fancy-sim: "+format+"\n", a...)
+		return code
+	}
 	var (
-		entries   = flag.Int("entries", 5, "number of entries with traffic")
-		dedicated = flag.Int("dedicated", 2, "entries tracked by dedicated counters")
-		rate      = flag.Float64("rate", 2e6, "traffic per entry (bps)")
-		loss      = flag.Float64("loss", 1.0, "failure drop probability (0..1)")
-		failAt    = flag.Duration("fail-at", 2*time.Second, "failure start time")
-		duration  = flag.Duration("duration", 10*time.Second, "simulation length")
-		failList  = flag.String("fail", "0", "comma-separated failing entry indices")
-		uniform   = flag.Bool("uniform", false, "uniform link loss instead of per-entry")
-		delay     = flag.Duration("delay", 10*time.Millisecond, "inter-switch link delay")
-		width     = flag.Int("width", 190, "tree width")
-		depth     = flag.Int("depth", 3, "tree depth")
-		split     = flag.Int("split", 2, "tree split")
-		zoom      = flag.Duration("zoom", 200*time.Millisecond, "zooming interval")
-		exchange  = flag.Duration("exchange", 50*time.Millisecond, "dedicated exchange interval")
-		seed      = flag.Int64("seed", 1, "random seed")
-		watch     = flag.Bool("watch", false, "stream telemetry samples during the run")
+		entries   = fs.Int("entries", 5, "number of entries with traffic")
+		dedicated = fs.Int("dedicated", 2, "entries tracked by dedicated counters")
+		rate      = fs.Float64("rate", 2e6, "traffic per entry (bps)")
+		loss      = fs.Float64("loss", 1.0, "failure drop probability (0..1)")
+		failAt    = fs.Duration("fail-at", 2*time.Second, "failure start time")
+		duration  = fs.Duration("duration", 10*time.Second, "simulation length")
+		failList  = fs.String("fail", "0", "comma-separated failing entry indices")
+		uniform   = fs.Bool("uniform", false, "uniform link loss instead of per-entry")
+		delay     = fs.Duration("delay", 10*time.Millisecond, "inter-switch link delay")
+		width     = fs.Int("width", 190, "tree width")
+		depth     = fs.Int("depth", 3, "tree depth")
+		split     = fs.Int("split", 2, "tree split")
+		zoom      = fs.Duration("zoom", 200*time.Millisecond, "zooming interval")
+		exchange  = fs.Duration("exchange", 50*time.Millisecond, "dedicated exchange interval")
+		seed      = fs.Int64("seed", 1, "random seed")
+		watch     = fs.Bool("watch", false, "stream telemetry samples during the run")
 
-		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "probability of flipping a bit in each control message (both directions)")
-		chaosDup     = flag.Float64("chaos-dup", 0, "probability of duplicating each delivered packet")
-		chaosReorder = flag.Float64("chaos-reorder", 0, "probability of jittering each packet (≤1ms extra delay)")
-		chaosFlapAt  = flag.Duration("chaos-flap-at", 0, "take the link fully down at this time (0: never)")
-		chaosFlapFor = flag.Duration("chaos-flap-for", time.Second, "outage length for -chaos-flap-at")
+		chaosCorrupt = fs.Float64("chaos-corrupt", 0, "probability of flipping a bit in each control message (both directions)")
+		chaosDup     = fs.Float64("chaos-dup", 0, "probability of duplicating each delivered packet")
+		chaosReorder = fs.Float64("chaos-reorder", 0, "probability of jittering each packet (≤1ms extra delay)")
+		chaosFlapAt  = fs.Duration("chaos-flap-at", 0, "take the link fully down at this time (0: never)")
+		chaosFlapFor = fs.Duration("chaos-flap-for", time.Second, "outage length for -chaos-flap-at")
 	)
-	flag.Parse()
-
+	if code, done := flagcheck.Parse(fs, args, "loss", "chaos-corrupt", "chaos-dup", "chaos-reorder"); done {
+		return code
+	}
 	if *dedicated > *entries {
-		fmt.Fprintln(os.Stderr, "-dedicated cannot exceed -entries")
-		os.Exit(2)
+		return fail(2, "-dedicated cannot exceed -entries")
 	}
 
 	hp := make([]fancy.EntryID, *dedicated)
@@ -71,10 +84,9 @@ func main() {
 	s := fancy.NewSim(*seed)
 	ml, err := fancy.NewMonitoredLinkOpts(s, cfg, fancy.MonitoredLinkOptions{Delay: fancy.Time(*delay)})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
-	fmt.Printf("layout: %s\n", ml.Upstream.Layout)
+	fmt.Fprintf(stdout, "layout: %s\n", ml.Upstream.Layout)
 
 	if *watch {
 		srv := telemetry.NewServer(s, ml.Upstream, ml.MonitorPort())
@@ -83,15 +95,14 @@ func main() {
 			fmt.Sprintf("/fancy/ports/%d/sessions/completed", ml.MonitorPort()),
 		} {
 			if _, err := srv.Sample(path, fancy.Second, func(u telemetry.Update) {
-				fmt.Printf("[telemetry %v] %s = %v\n", u.Time, u.Path, u.Value)
+				fmt.Fprintf(stdout, "[telemetry %v] %s = %v\n", u.Time, u.Path, u.Value)
 			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, "%v", err)
 			}
 		}
 	}
 
-	ml.OnEvent(func(ev fancy.Event) { fmt.Println(ev) })
+	ml.OnEvent(func(ev fancy.Event) { fmt.Fprintln(stdout, ev) })
 	stop := fancy.Time(*duration)
 	for i := 0; i < *entries; i++ {
 		ml.UDP(fancy.EntryID(i), *rate, 0, stop)
@@ -101,17 +112,16 @@ func main() {
 	for _, part := range strings.Split(*failList, ",") {
 		idx, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || idx < 0 || idx >= *entries {
-			fmt.Fprintf(os.Stderr, "bad failing entry %q\n", part)
-			os.Exit(2)
+			return fail(2, "bad failing entry %q", part)
 		}
 		failing = append(failing, fancy.EntryID(idx))
 	}
 	if *uniform {
 		ml.FailUniform(fancy.Time(*failAt), *loss)
-		fmt.Printf("injecting uniform %.1f%% loss at %v\n", *loss*100, *failAt)
+		fmt.Fprintf(stdout, "injecting uniform %.1f%% loss at %v\n", *loss*100, *failAt)
 	} else {
 		ml.FailEntries(fancy.Time(*failAt), *loss, failing...)
-		fmt.Printf("injecting %.1f%% loss on entries %v at %v\n", *loss*100, failing, *failAt)
+		fmt.Fprintf(stdout, "injecting %.1f%% loss on entries %v at %v\n", *loss*100, failing, *failAt)
 	}
 
 	var chaoses []*fancy.Chaos
@@ -127,7 +137,7 @@ func main() {
 			}
 			chaoses = append(chaoses, c)
 		}
-		fmt.Printf("chaos: corrupt=%.0f%% dup=%.0f%% reorder=%.0f%% flap=%v/%v\n",
+		fmt.Fprintf(stdout, "chaos: corrupt=%.0f%% dup=%.0f%% reorder=%.0f%% flap=%v/%v\n",
 			*chaosCorrupt*100, *chaosDup*100, *chaosReorder*100, *chaosFlapAt, *chaosFlapFor)
 	}
 
@@ -137,30 +147,31 @@ func main() {
 
 	// Stdout is the deterministic transcript (same seed => byte-identical),
 	// so host wall-clock timing goes to stderr.
-	fmt.Printf("\nengine: %d events executed\n", s.Executed)
+	fmt.Fprintf(stdout, "\nengine: %d events executed\n", s.Executed)
 	if pktPool := ml.Src.Pool(); pktPool.Gets > 0 {
-		fmt.Printf("packet pool: %d gets, %.1f%% recycled\n",
+		fmt.Fprintf(stdout, "packet pool: %d gets, %.1f%% recycled\n",
 			pktPool.Gets, 100*float64(pktPool.Reuses)/float64(pktPool.Gets))
 	}
-	fmt.Fprintf(os.Stderr, "wall: %.2fs (%.1f Mev/s)\n", wall, float64(s.Executed)/wall/1e6)
+	fmt.Fprintf(stderr, "wall: %.2fs (%.1f Mev/s)\n", wall, float64(s.Executed)/wall/1e6)
 
-	fmt.Println("\nfinal flags:")
+	fmt.Fprintln(stdout, "\nfinal flags:")
 	for i := 0; i < *entries; i++ {
 		e := fancy.EntryID(i)
 		kind := "tree"
 		if i < *dedicated {
 			kind = "dedicated"
 		}
-		fmt.Printf("  entry %d (%s): flagged=%v\n", i, kind, ml.Flagged(e))
+		fmt.Fprintf(stdout, "  entry %d (%s): flagged=%v\n", i, kind, ml.Flagged(e))
 	}
-	fmt.Printf("\nsessions completed: %d, control messages: %d (%d bytes)\n",
+	fmt.Fprintf(stdout, "\nsessions completed: %d, control messages: %d (%d bytes)\n",
 		ml.Upstream.SessionsCompleted(ml.MonitorPort()),
 		ml.Upstream.CtlMsgsSent, ml.Upstream.CtlBytesSent)
 	st := ml.Upstream.Stats()
-	fmt.Printf("robustness: %d corrupted ctl dropped, %d retransmissions, link down/up %d/%d, %d sessions discarded (congestion)\n",
+	fmt.Fprintf(stdout, "robustness: %d corrupted ctl dropped, %d retransmissions, link down/up %d/%d, %d sessions discarded (congestion)\n",
 		st.CtlCorrupted, st.Retransmits, st.LinkDownEvents, st.LinkUpEvents, st.SessionsDiscarded)
 	for i, c := range chaoses {
 		dir := []string{"forward", "reverse"}[i]
-		fmt.Printf("chaos %s: %+v\n", dir, c.Stats)
+		fmt.Fprintf(stdout, "chaos %s: %+v\n", dir, c.Stats)
 	}
+	return 0
 }

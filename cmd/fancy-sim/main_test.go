@@ -1,0 +1,29 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"fancy/cmd/internal/cmdtest"
+)
+
+func TestGolden(t *testing.T) {
+	cmdtest.Golden(t, run, "testdata/default.golden")
+}
+
+func TestRejectsOutOfRangeFlags(t *testing.T) {
+	for args, msg := range map[string]string{
+		"-dedicated -1":    "-dedicated must be >= 0, got -1",
+		"-entries -1":      "-entries must be >= 0, got -1",
+		"-dedicated 9":     "-dedicated cannot exceed -entries",
+		"-loss 2":          "-loss must be a probability in [0, 1], got 2",
+		"-chaos-corrupt 7": "-chaos-corrupt must be a probability in [0, 1], got 7",
+		"-chaos-dup -0.5":  "-chaos-dup must be a probability in [0, 1], got -0.5",
+		"-zoom -1s":        "-zoom must be >= 0, got -1s",
+		"-delay -1s":       "-delay must be >= 0, got -1s",
+	} {
+		t.Run(args, func(t *testing.T) {
+			cmdtest.Rejects(t, run, "fancy-sim", msg, strings.Fields(args)...)
+		})
+	}
+}

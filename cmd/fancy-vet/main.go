@@ -1,11 +1,10 @@
 // Command fancy-vet runs the repo-specific static-analysis suite that
-// enforces simulator determinism, ownership and locking invariants:
+// enforces simulator determinism and ownership invariants:
 //
 //	walltime        no wall-clock access in simulation-facing packages
 //	globalrand      no global math/rand anywhere
 //	maporder        no order-sensitive map or sync.Map.Range iteration without sorted keys
 //	floateq         no floating-point == / != in stats, exp and fancy
-//	lockedcallback  no callback invocation while the receiver's mutex is held
 //	poolsafe        no use of a pooled object after release, no double release, no release after escape, no retained borrowed packet
 //	borrowescape    no UnmarshalInto scratch alias escaping the borrowing function
 //

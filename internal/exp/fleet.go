@@ -76,8 +76,7 @@ func (r *FleetResult) Render() string {
 	b.WriteString(stats.Table(headers, rows))
 	fmt.Fprintf(&b, "exact localization: %d/%d\n", exact, len(r.Rows))
 	if len(ttls) > 0 {
-		sort.Slice(ttls, func(i, j int) bool { return ttls[i] < ttls[j] })
-		fmt.Fprintf(&b, "time-to-localize: median %v, max %v\n", ttls[len(ttls)/2], maxTTL)
+		fmt.Fprintf(&b, "time-to-localize: median %v, max %v\n", ttlMedian(ttls), maxTTL)
 	}
 	return b.String()
 }
@@ -88,6 +87,28 @@ var quickFleetLinks = []topo.DirectedLink{
 	{From: "seattle", To: "sunnyvale"},
 	{From: "kansascity", To: "denver"},
 	{From: "chicago", To: "newyork"},
+}
+
+// abileneTargets is the gray-link target list of the fleet sweeps: the
+// 3-link subsample at Quick scale, every directed link of Abilene (28,
+// sorted) at Full.
+func abileneTargets(scale Scale) []topo.DirectedLink {
+	if scale != Full {
+		return quickFleetLinks
+	}
+	var targets []topo.DirectedLink
+	for _, l := range topo.Abilene().Links {
+		targets = append(targets,
+			topo.DirectedLink{From: l.A, To: l.B},
+			topo.DirectedLink{From: l.B, To: l.A})
+	}
+	sort.Slice(targets, func(i, j int) bool {
+		if targets[i].From != targets[j].From {
+			return targets[i].From < targets[j].From
+		}
+		return targets[i].To < targets[j].To
+	})
+	return targets
 }
 
 // FleetAbilene runs the fleet scenario: Quick targets a 3-link subsample,
@@ -109,23 +130,7 @@ func FleetAbileneVerified(scale Scale, seed int64) *FleetResult {
 // alone and written to its own result slot, so the sweep is byte-identical
 // for every worker count — parallelism here is pure wall-clock.
 func FleetAbileneWorkers(scale Scale, seed int64, verified bool, workers int) *FleetResult {
-	var targets []topo.DirectedLink
-	if scale == Full {
-		spec := topo.Abilene()
-		for _, l := range spec.Links {
-			targets = append(targets,
-				topo.DirectedLink{From: l.A, To: l.B},
-				topo.DirectedLink{From: l.B, To: l.A})
-		}
-		sort.Slice(targets, func(i, j int) bool {
-			if targets[i].From != targets[j].From {
-				return targets[i].From < targets[j].From
-			}
-			return targets[i].To < targets[j].To
-		})
-	} else {
-		targets = quickFleetLinks
-	}
+	targets := abileneTargets(scale)
 	res := &FleetResult{Scale: scale, Verified: verified}
 	duration := pick(scale, 3*sim.Second, 5*sim.Second)
 	res.Rows = make([]FleetRow, len(targets))

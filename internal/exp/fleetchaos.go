@@ -10,7 +10,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fancy/internal/fancy"
@@ -94,10 +93,14 @@ func (r *ChaosFleetResult) Render() string {
 		var lost, failovers uint64
 		holes := 0
 		var ttls []sim.Time
+		var max sim.Time
 		for _, t := range trials {
 			if t.Exact {
 				exact++
 				ttls = append(ttls, t.TTL)
+				if t.TTL > max {
+					max = t.TTL
+				}
 			}
 			if t.Verdicts > 1 {
 				dups++
@@ -106,14 +109,9 @@ func (r *ChaosFleetResult) Render() string {
 			holes += t.MgmtHoles
 			failovers += t.Failovers
 		}
-		med, max := sim.Time(0), sim.Time(0)
-		if len(ttls) > 0 {
-			sort.Slice(ttls, func(i, j int) bool { return ttls[i] < ttls[j] })
-			med, max = ttls[len(ttls)/2], ttls[len(ttls)-1]
-		}
 		rows = append(rows, []string{cfg,
 			fmt.Sprintf("%d/%d", exact, len(trials)),
-			fmt.Sprintf("%d", dups), med.String(), max.String(),
+			fmt.Sprintf("%d", dups), ttlMedian(ttls).String(), max.String(),
 			fmt.Sprintf("%d", lost), fmt.Sprintf("%d", holes),
 			fmt.Sprintf("%d", failovers)})
 	}
@@ -142,23 +140,7 @@ func (r *ChaosFleetResult) Render() string {
 // FleetChaos runs the sweep: every configuration over the Quick 3-link
 // subsample or, at Full scale, over all 28 directed links of Abilene.
 func FleetChaos(scale Scale, seed int64) *ChaosFleetResult {
-	var targets []topo.DirectedLink
-	if scale == Full {
-		spec := topo.Abilene()
-		for _, l := range spec.Links {
-			targets = append(targets,
-				topo.DirectedLink{From: l.A, To: l.B},
-				topo.DirectedLink{From: l.B, To: l.A})
-		}
-		sort.Slice(targets, func(i, j int) bool {
-			if targets[i].From != targets[j].From {
-				return targets[i].From < targets[j].From
-			}
-			return targets[i].To < targets[j].To
-		})
-	} else {
-		targets = quickFleetLinks
-	}
+	targets := abileneTargets(scale)
 	res := &ChaosFleetResult{Scale: scale}
 	duration := pick(scale, 3*sim.Second, 5*sim.Second)
 	for ci, cfg := range fleetChaosConfigs() {

@@ -104,6 +104,8 @@ func HHChurn(scale Scale, seed int64) *HHChurnResult {
 	return res
 }
 
+// ttlMedian is the upper median (sorted[len/2]) of ttls, 0 when empty; the
+// one median every fleet-era table prints.
 func ttlMedian(ttls []sim.Time) sim.Time {
 	if len(ttls) == 0 {
 		return 0

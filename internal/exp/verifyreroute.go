@@ -14,13 +14,11 @@ package exp
 // snapshotted from the post-run routes. The verified fleet rejects
 // houston's flip with a loop verdict and repairs it via losangeles, keeping
 // every trial's post-run state loop- and blackhole-free. The suite soaks
-// the composition across seeds; the latency cell measures the wall-clock
-// cost of one incremental safety check (the paper's localization budget is
-// ~156 ms — the check must be negligible against it).
+// the composition across seeds. (The host cost of one incremental safety
+// check is the benchmark's verify.probe.check_ns.)
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fancy/internal/fancy"
@@ -209,123 +207,4 @@ func verifiedChaosTrial(seed int64, duration sim.Time, verified bool) chaosOut {
 	out.loopAtoms = audit.Loops()
 	out.holeAtoms = audit.Blackholes()
 	return out
-}
-
-// BenchCells summarizes the suite: the baseline damage and the verified
-// sweep's repair latency (simulated time).
-func (r *VerifiedRerouteResult) BenchCells() []BenchCell {
-	var repairs []sim.Time
-	var maxRepair sim.Time
-	exact, rejected, repaired, unsafe := 0, uint64(0), uint64(0), 0
-	for _, row := range r.Rows {
-		if row.Exact {
-			exact++
-		}
-		rejected += row.Rejected
-		repaired += row.Repaired
-		unsafe += row.Unsafe
-		if row.RepairTTL > 0 {
-			repairs = append(repairs, row.RepairTTL)
-			if row.RepairTTL > maxRepair {
-				maxRepair = row.RepairTTL
-			}
-		}
-	}
-	return []BenchCell{
-		{
-			Experiment:  "verified-reroute",
-			Cell:        "baseline-unverified",
-			Scale:       r.Scale.String(),
-			Seed:        r.Seed,
-			TTLMedianMs: ttlMs(r.BaselineTTL),
-			Values: map[string]float64{
-				"loop_atoms": float64(r.BaselineLoopAtoms),
-				"hole_atoms": float64(r.BaselineHoleAtoms),
-				"delivered":  float64(r.BaselineDelivered),
-			},
-		},
-		{
-			Experiment:  "verified-reroute",
-			Cell:        "verified",
-			Scale:       r.Scale.String(),
-			Seed:        r.Seed,
-			TTLMedianMs: ttlMs(ttlMedian(repairs)),
-			TTLMaxMs:    ttlMs(maxRepair),
-			Values: map[string]float64{
-				"seeds":        float64(len(r.Rows)),
-				"exact":        float64(exact),
-				"rejected":     float64(rejected),
-				"repaired":     float64(repaired),
-				"unsafe_atoms": float64(unsafe),
-			},
-		},
-	}
-}
-
-// VerifyLatencyCell measures the wall-clock cost of one incremental safety
-// check on the full Abilene model: every (switch, alternate next hop) flip
-// of four dedicated entries, checked against a live model that commits as
-// it goes. The caller supplies the stopwatch (seconds) so this package
-// stays free of wall-clock reads; the cell is marked wallclock=1 so the
-// regression gate treats its latency as host-dependent.
-func VerifyLatencyCell(seed int64, now func() float64) BenchCell {
-	s := sim.New(seed)
-	spec := topo.Abilene()
-	owners := map[netsim.EntryID]string{}
-	var entries []netsim.EntryID
-	for i, sw := range []string{"kansascity", "denver", "seattle", "atlanta"} {
-		e := netsim.EntryID(10 + i)
-		h := "h-" + sw
-		spec.Hosts = append(spec.Hosts, topo.HostSpec{Name: h, Attach: sw})
-		owners[e] = h
-		entries = append(entries, e)
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		panic(fmt.Sprintf("exp: latency topology: %v", err))
-	}
-	if err := n.InstallShortestPaths(owners); err != nil {
-		panic(err)
-	}
-	m := verify.NewModel(n)
-
-	var checkMs []float64
-	var maxMs float64
-	for _, e := range entries {
-		for _, sw := range m.Switches() {
-			for _, nb := range n.Neighbors(sw) {
-				d := verify.NewDelta(sw, []verify.Flip{
-					verify.EntryFlip(sw, e, n.PortOf[sw][nb])})
-				t0 := now()
-				v, err := m.Check(d)
-				ms := (now() - t0) * 1e3
-				if err != nil {
-					panic(err)
-				}
-				checkMs = append(checkMs, ms)
-				if ms > maxMs {
-					maxMs = ms
-				}
-				// Commit safe flips so later checks run against an evolved
-				// (dirtier) model, not always the pristine snapshot.
-				if v.Safe() {
-					m.Commit(d)
-				}
-			}
-		}
-	}
-	sort.Float64s(checkMs)
-	return BenchCell{
-		Experiment:  "verified-reroute",
-		Cell:        "check-latency",
-		Scale:       "full",
-		Seed:        seed,
-		TTLMedianMs: checkMs[len(checkMs)/2],
-		TTLMaxMs:    maxMs,
-		Values: map[string]float64{
-			"wallclock":   1,
-			"checks":      float64(len(checkMs)),
-			"model_atoms": float64(m.Atoms()),
-		},
-	}
 }

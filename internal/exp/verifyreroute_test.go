@@ -101,27 +101,4 @@ func TestFleetAbileneVerified(t *testing.T) {
 	if !strings.Contains(r.Render(), "verified gate") {
 		t.Fatal("render does not flag the gate")
 	}
-	if cells := r.BenchCells(20220822); cells[0].Experiment != "fleet-verified" {
-		t.Fatalf("bench cell experiment %q, want fleet-verified", cells[0].Experiment)
-	}
-}
-
-// TestVerifyLatencyCell exercises the cell with a synthetic stopwatch (1 ms
-// per read keeps the test itself wall-free and deterministic).
-func TestVerifyLatencyCell(t *testing.T) {
-	tick := 0.0
-	now := func() float64 { tick += 1e-3; return tick }
-	c := VerifyLatencyCell(20220822, now)
-	if c.Experiment != "verified-reroute" || c.Cell != "check-latency" {
-		t.Fatalf("cell identity wrong: %+v", c)
-	}
-	if c.Values["wallclock"] != 1 {
-		t.Fatal("latency cell not marked wallclock — the regression gate would treat it as simulated time")
-	}
-	if c.Values["checks"] == 0 || c.Values["model_atoms"] == 0 {
-		t.Fatalf("degenerate latency cell: %+v", c)
-	}
-	if c.TTLMedianMs <= 0 || c.TTLMaxMs < c.TTLMedianMs {
-		t.Fatalf("latency stats wrong: median %v max %v", c.TTLMedianMs, c.TTLMaxMs)
-	}
 }

@@ -229,7 +229,7 @@ func (f *Fleet) resumeDuty() {
 	for _, sw := range f.switches {
 		f.refreshRestarts(sw, nil)
 	}
-	f.sweepTimer = f.S.Schedule(f.cfg.SweepInterval, f.sweep)
+	f.sweepTimer = f.S.Schedule(sweepInterval, f.sweep)
 	if f.cfg.CheckpointInterval > 0 {
 		f.ckptTimer = f.S.Schedule(f.cfg.CheckpointInterval, f.periodicCheckpoint)
 	}

@@ -72,10 +72,15 @@ type corrGroup struct {
 	pending     map[uint64]*pendingEntry
 	quorumLost  bool // active leader is in degraded single-instance mode
 	lastCrashed int  // most recently crashed replica (legacy Restart mapping)
-
-	beat       sim.Time // leader heartbeat cadence (mgmt heartbeat interval)
-	minSilence sim.Time // anti-flap floor before a follower may campaign
 }
+
+// The group rides the management plane's clocks: the leader beats (and every
+// replica ticks) at the heartbeat cadence, and a follower may not campaign
+// until the leader has been silent for the liveness bootstrap horizon.
+const (
+	beat       = mgmt.HeartbeatInterval
+	minSilence = mgmt.UnreachableAfter // anti-flap floor
+)
 
 // replica is one member of the correlator group.
 type replica struct {
@@ -116,18 +121,15 @@ func newCorrGroup(f *Fleet, n int, onReport func(string, uint64, any)) *corrGrou
 		pending:     make(map[uint64]*pendingEntry),
 		lastCrashed: -1,
 	}
-	cfg := f.mgmtNet.Config()
-	g.beat = cfg.HeartbeatInterval
-	g.minSilence = cfg.UnreachableAfter
 	for i := 0; i < n; i++ {
 		r := &replica{
 			g: g, id: i, name: fmt.Sprintf("corr%d", i),
 			lastAcked: make([]uint64, n),
 			peerPhi:   make([]*mgmt.PhiDetector, n),
-			leaderPhi: cfg.NewPhi(),
+			leaderPhi: mgmt.NewPhi(),
 		}
 		for j := 0; j < n; j++ {
-			r.peerPhi[j] = cfg.NewPhi()
+			r.peerPhi[j] = mgmt.NewPhi()
 		}
 		r.srv = mgmt.NewServer(f.S, f.mgmtNet, r.name)
 		r.srv.OnReport = onReport
@@ -137,7 +139,7 @@ func newCorrGroup(f *Fleet, n int, onReport func(string, uint64, any)) *corrGrou
 	g.replicas[0].isLeader = true
 	for i, r := range g.replicas {
 		r := r
-		r.tickTimer = f.S.Schedule(g.beat+sim.Time(i)*(g.beat/4+1), r.tick)
+		r.tickTimer = f.S.Schedule(beat+sim.Time(i)*(beat/4+1), r.tick)
 	}
 	return g
 }
@@ -249,7 +251,7 @@ func (r *replica) leaderHint() string {
 // tick is a replica's periodic duty: leaders beat peers and audit their
 // quorum, followers audit the leader and campaign on suspicion.
 func (r *replica) tick() {
-	r.tickTimer = r.g.f.S.Schedule(r.g.beat, r.tick)
+	r.tickTimer = r.g.f.S.Schedule(beat, r.tick)
 	if r.crashed {
 		return
 	}
@@ -369,7 +371,7 @@ func (r *replica) checkLeader(now sim.Time) {
 	// single lost datagram looks astronomically suspicious, so an election
 	// additionally requires silence past the bootstrap horizon — phi then
 	// governs how far past it suspicion stretches under observed jitter.
-	if last, heard := r.leaderPhi.LastSeen(); heard && now-last < r.g.minSilence {
+	if last, heard := r.leaderPhi.LastSeen(); heard && now-last < minSilence {
 		return
 	}
 	r.startCampaign()

@@ -289,10 +289,10 @@ func (f *Fleet) onDetectorEvent(sw string, ev fancy.Event) {
 		ls.downTimes = append(ls.downTimes, now)
 		f.pruneFlaps(ls, now)
 		f.emit(Event{Time: now, Kind: EventLinkDown, Link: ls.key, Entry: netsim.InvalidEntry})
-		if !ls.flapping && len(ls.downTimes) >= f.cfg.FlapThreshold {
+		if !ls.flapping && len(ls.downTimes) >= flapThreshold {
 			ls.flapping = true
 			f.emit(Event{Time: now, Kind: EventLinkFlapping, Link: ls.key, Entry: netsim.InvalidEntry,
-				Detail: fmt.Sprintf("%d outages within %v", len(ls.downTimes), f.cfg.FlapWindow)})
+				Detail: fmt.Sprintf("%d outages within %v", len(ls.downTimes), flapWindow)})
 		}
 	case fancy.EventLinkUp:
 		f.emit(Event{Time: now, Kind: EventLinkUp, Link: ls.key, Entry: netsim.InvalidEntry})
@@ -591,7 +591,7 @@ func (f *Fleet) congestedDuring(ls *linkState, from, to sim.Time) bool {
 // pruneFlaps drops link-down reports older than the flap window and clears
 // the flapping classification once the window is quiet again.
 func (f *Fleet) pruneFlaps(ls *linkState, now sim.Time) {
-	cutoff := now - f.cfg.FlapWindow
+	cutoff := now - flapWindow
 	keep := ls.downTimes[:0]
 	for _, t := range ls.downTimes {
 		if t >= cutoff {
@@ -614,7 +614,7 @@ func (f *Fleet) healthOf(ls *linkState, now sim.Time) Health {
 		return HealthFlapping
 	case ls.localized:
 		return HealthGray
-	case ls.guard != nil && ls.guard.Congested(ls.port, now-f.cfg.SweepInterval, now):
+	case ls.guard != nil && ls.guard.Congested(ls.port, now-sweepInterval, now):
 		return HealthCongested
 	case det.SessionsCompleted(ls.port) > 0:
 		return HealthHealthy
@@ -657,5 +657,5 @@ func (f *Fleet) sweep() {
 			}
 		}
 	}
-	f.sweepTimer = f.S.Schedule(f.cfg.SweepInterval, f.sweep)
+	f.sweepTimer = f.S.Schedule(sweepInterval, f.sweep)
 }

@@ -59,6 +59,22 @@ import (
 // correlatorEndpoint is the correlator's management-network address.
 const correlatorEndpoint = "correlator"
 
+// The control plane's fixed cadences and thresholds; no scenario varies them.
+const (
+	// sweepInterval is the cadence of the correlator's health sweep, which
+	// reads each detector's /fancy/stats counters through telemetry and
+	// emits health-transition events.
+	sweepInterval = 250 * sim.Millisecond
+
+	// A link is flapping when at least flapThreshold link-down reports land
+	// within flapWindow.
+	flapWindow    = 5 * sim.Second
+	flapThreshold = 2
+
+	// guardInterval is the queue-sampling cadence of the per-link guards.
+	guardInterval = 5 * sim.Millisecond
+)
+
 // Config tunes the fleet control plane.
 type Config struct {
 	// Fancy is the per-detector configuration applied at every switch.
@@ -70,26 +86,11 @@ type Config struct {
 	// at the end. Default 100 ms — two dedicated counting sessions.
 	Window sim.Time
 
-	// SweepInterval is the cadence of the correlator's health sweep, which
-	// reads each detector's /fancy/stats counters through telemetry and
-	// emits health-transition events. Default 250 ms.
-	SweepInterval sim.Time
-
-	// FlapWindow and FlapThreshold classify a link as flapping when at
-	// least FlapThreshold link-down reports land within FlapWindow.
-	// Defaults: 2 reports in 5 s.
-	FlapWindow    sim.Time
-	FlapThreshold int
-
 	// CongestionBytes is the per-direction transmit-queue depth above
 	// which the link's queue guard marks the surrounding window congested
 	// (suppressing gray verdicts, §4.3 footnote 2). Default 256 KB;
 	// negative disables congestion guarding.
 	CongestionBytes int
-
-	// GuardInterval is the queue-sampling cadence of the per-link guards.
-	// Default 5 ms.
-	GuardInterval sim.Time
 
 	// Mgmt, when non-nil, interposes a simulated management network
 	// between every switch's telemetry agent and the correlator. Nil keeps
@@ -158,29 +159,14 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 100 * sim.Millisecond
 	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = 250 * sim.Millisecond
-	}
-	if c.FlapWindow == 0 {
-		c.FlapWindow = 5 * sim.Second
-	}
-	if c.FlapThreshold == 0 {
-		c.FlapThreshold = 2
-	}
 	if c.CongestionBytes == 0 {
 		c.CongestionBytes = 256 << 10
-	}
-	if c.GuardInterval == 0 {
-		c.GuardInterval = 5 * sim.Millisecond
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 250 * sim.Millisecond
 	}
 	if c.Verify != nil {
 		v := *c.Verify
-		if v.HoldRetry == 0 {
-			v.HoldRetry = 100 * sim.Millisecond
-		}
 		if v.MaxRetries == 0 {
 			v.MaxRetries = 5
 		}
@@ -396,7 +382,7 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 			affected: make(map[netsim.EntryID]bool),
 		}
 		if cfg.CongestionBytes >= 0 {
-			ls.guard = fancy.NewQueueGuard(s, cfg.CongestionBytes, cfg.GuardInterval)
+			ls.guard = fancy.NewQueueGuard(s, cfg.CongestionBytes, guardInterval)
 			ls.guard.Watch(net.Direction(dl.From, dl.To))
 		}
 		f.links[ls.key] = ls
@@ -428,7 +414,7 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		f.verifier = verify.NewModel(net)
 		f.mountVerifyStats()
 	}
-	f.sweepTimer = s.Schedule(cfg.SweepInterval, f.sweep)
+	f.sweepTimer = s.Schedule(sweepInterval, f.sweep)
 	if cfg.CheckpointInterval > 0 {
 		f.ckptTimer = s.Schedule(cfg.CheckpointInterval, f.periodicCheckpoint)
 	}

@@ -37,13 +37,12 @@ import (
 	"fancy/internal/verify"
 )
 
+// holdRetry is the cadence at which held (currently unrepairable) flips are
+// re-checked against the evolved model: one evidence window.
+const holdRetry = 100 * sim.Millisecond
+
 // VerifyConfig tunes the verified-commit gate.
 type VerifyConfig struct {
-	// HoldRetry is the cadence at which held (currently unrepairable) flips
-	// are re-checked against the evolved model. Default 100 ms — one
-	// evidence window.
-	HoldRetry sim.Time
-
 	// MaxRetries bounds the hold-and-retry attempts per held flip before it
 	// is abandoned as a final rejection. Default 5.
 	MaxRetries int
@@ -327,7 +326,7 @@ func (f *Fleet) reissue(ls *linkState, key string) {
 }
 
 // retryHeld re-checks every parked flip: after each committed delta or
-// model sync (tick=false, no retry budget consumed) and on the HoldRetry
+// model sync (tick=false, no retry budget consumed) and on the holdRetry
 // cadence (tick=true, budget consumed; exhaustion abandons the flip as a
 // final rejection).
 func (f *Fleet) retryHeld(tick bool) {
@@ -366,7 +365,7 @@ func (f *Fleet) armVerifyTimer() {
 	if f.verifyTimer != nil || len(f.verifyHeld) == 0 || f.crashed {
 		return
 	}
-	f.verifyTimer = f.S.Schedule(f.cfg.Verify.HoldRetry, f.verifyRetryTick)
+	f.verifyTimer = f.S.Schedule(holdRetry, f.verifyRetryTick)
 }
 
 func (f *Fleet) verifyRetryTick() {

@@ -1,9 +1,9 @@
 // Analyzer framework: findings, suppression directives and the run loop.
 //
-// fancy-vet enforces the repo's two load-bearing invariants — every layer of
-// the simulator must be seed-deterministic, and callback dispatch must not
-// hold locks — as machine-checked analyzers. A finding can only be silenced
-// with an inline
+// fancy-vet enforces the repo's load-bearing invariants — every layer of
+// the simulator must be seed-deterministic, and pooled or borrowed objects
+// must not outlive their owner's claim — as machine-checked analyzers. A
+// finding can only be silenced with an inline
 //
 //	//lint:allow <analyzer> <reason>
 //
@@ -44,7 +44,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerGlobalRand,
 		AnalyzerMapOrder,
 		AnalyzerFloatEq,
-		AnalyzerLockedCallback,
 		AnalyzerPoolSafe,
 		AnalyzerBorrowEscape,
 	}

@@ -29,7 +29,6 @@ type ClientStats struct {
 type Client struct {
 	s    *sim.Sim
 	net  *Network
-	cfg  Config
 	name string
 	srv  string // current server endpoint name
 
@@ -80,17 +79,17 @@ type spooled struct {
 // NewClient registers a client endpoint named name, talking to server srv.
 func NewClient(s *sim.Sim, net *Network, name, srv string) *Client {
 	c := &Client{
-		s: s, net: net, cfg: net.cfg, name: name, srv: srv,
+		s: s, net: net, name: name, srv: srv,
 		nextSeq: 1, online: true,
 		inflight: make(map[uint64]*pendingReport),
 	}
 	c.heartbeatFn = c.heartbeat
 	net.Register(name, c.onDgram)
-	s.After(c.cfg.HeartbeatInterval, c.heartbeatFn)
+	s.After(HeartbeatInterval, c.heartbeatFn)
 	return c
 }
 
-// Online reports current connectivity belief (optimistic until OfflineAfter
+// Online reports current connectivity belief (optimistic until offlineAfter
 // consecutive probes go unanswered).
 func (c *Client) Online() bool { return c.online }
 
@@ -159,7 +158,7 @@ func (c *Client) rotate() {
 func (c *Client) rng() *rand.Rand { return c.net.rng(c.name, c.srv) }
 
 // Send ships one report. While offline the report is spooled; otherwise it
-// is transmitted with up to MaxAttempts tries under exponential backoff,
+// is transmitted with up to maxAttempts tries under exponential backoff,
 // and parked in the spool if every attempt goes unacknowledged.
 func (c *Client) Send(payload any) uint64 {
 	seq := c.nextSeq
@@ -180,7 +179,7 @@ func (c *Client) transmit(p *pendingReport) {
 
 func (c *Client) send(p *pendingReport) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramReport, Seq: p.seq, Payload: p.payload})
-	p.timer = c.s.Schedule(backoff(c.cfg, c.rng(), p.attempt), func() { c.expire(p) })
+	p.timer = c.s.Schedule(backoff(c.rng(), p.attempt), func() { c.expire(p) })
 }
 
 func (c *Client) expire(p *pendingReport) {
@@ -188,7 +187,7 @@ func (c *Client) expire(p *pendingReport) {
 		return
 	}
 	p.attempt++
-	if p.attempt >= c.cfg.MaxAttempts {
+	if p.attempt >= maxAttempts {
 		delete(c.inflight, p.seq)
 		c.Stats.Exhausted++
 		c.miss()
@@ -210,7 +209,7 @@ func (c *Client) park(seq uint64, payload any) {
 	c.spool = append(c.spool, spooled{})
 	copy(c.spool[i+1:], c.spool[i:])
 	c.spool[i] = spooled{seq: seq, payload: payload}
-	if len(c.spool) > c.cfg.SpoolLimit {
+	if len(c.spool) > c.net.cfg.SpoolLimit {
 		c.spool = c.spool[1:]
 		c.Stats.SpoolDrops++
 	}
@@ -220,22 +219,22 @@ func (c *Client) heartbeat() {
 	c.Stats.Heartbeats++
 	c.probeSeq++
 	c.probe(c.probeSeq, 0)
-	c.s.After(c.cfg.HeartbeatInterval, c.heartbeatFn)
+	c.s.After(HeartbeatInterval, c.heartbeatFn)
 }
 
 // probe transmits one liveness probe with fast, fixed-interval retries (no
 // exponential backoff: this is failure detection, not congestion control).
 // A probe counts as missed only after every attempt went unanswered, which
 // keeps false offline transitions negligible even at heavy datagram loss
-// while a real outage still accumulates OfflineAfter misses within a few
+// while a real outage still accumulates offlineAfter misses within a few
 // heartbeat intervals.
 func (c *Client) probe(seq uint64, attempt int) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramHeartbeat, Seq: seq})
-	c.s.After(c.cfg.AckTimeout, func() {
+	c.s.After(ackTimeout, func() {
 		if c.lastProbeAck >= seq {
 			return
 		}
-		if attempt+1 >= c.cfg.MaxAttempts {
+		if attempt+1 >= maxAttempts {
 			c.miss()
 			return
 		}
@@ -249,7 +248,7 @@ func (c *Client) miss() {
 	// Try the next replica before (and after) giving up: a dead leader is
 	// indistinguishable from a partition until another endpoint answers.
 	c.rotate()
-	if c.online && c.misses >= c.cfg.OfflineAfter {
+	if c.online && c.misses >= offlineAfter {
 		c.online = false
 		c.Stats.Offline++
 		if c.OnOnline != nil {

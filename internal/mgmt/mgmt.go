@@ -30,8 +30,8 @@ import (
 	"fancy/internal/sim"
 )
 
-// Config tunes both the datagram channel and the reliability protocol.
-// The zero value is a perfect, near-instant management network.
+// Config is the management network's weather plus the one protocol bound a
+// caller sizes. The zero value is a perfect, near-instant network.
 type Config struct {
 	// Delay is the base one-way datagram delay (default 500 µs).
 	Delay sim.Time
@@ -40,96 +40,61 @@ type Config struct {
 	// Loss is the per-datagram drop probability (0..1).
 	Loss float64
 	// Duplicate is the per-datagram probability of delivering a second
-	// copy within DupDelayMax (default 2 ms) of the original.
-	Duplicate   float64
-	DupDelayMax sim.Time
-
-	// AckTimeout is the client's first-attempt ack wait (default 5 ms);
-	// each retry doubles it up to BackoffMax (default 80 ms), with a
-	// ±JitterFrac (default 0.25) multiplicative jitter to avoid
-	// synchronized retry storms across the fleet.
-	AckTimeout sim.Time
-	BackoffMax sim.Time
-	JitterFrac float64
-	// MaxAttempts bounds transmissions per report or RPC attempt cycle
-	// (default 5). An exhausted report is parked in the spool rather than
-	// silently lost; an exhausted RPC fails with an error.
-	MaxAttempts int
-
-	// HeartbeatInterval is the client's liveness-probe cadence (default
-	// 10 ms); OfflineAfter consecutive unacknowledged probes or reports
-	// (default 3) flip the client to offline/degraded mode.
-	HeartbeatInterval sim.Time
-	OfflineAfter      int
+	// copy within dupDelayMax of the original.
+	Duplicate float64
 
 	// SpoolLimit bounds the offline spool (default 512 reports); overflow
 	// evicts the oldest report, which the server will observe as a
 	// sequence hole.
 	SpoolLimit int
-
-	// UnreachableAfter is the server-side liveness bootstrap horizon: a
-	// client not heard from for this long is considered unreachable
-	// (default 60 ms) until the phi-accrual window warms up, after which
-	// suspicion adapts to the observed arrival jitter.
-	UnreachableAfter sim.Time
-
-	// PhiThreshold is the accrual suspicion level treated as failure, used
-	// by both the server-side liveness sweep and replica leader election
-	// (default DefaultPhiThreshold = 8). PhiWindow and PhiMinSamples size
-	// the inter-arrival sample window and its warm-up floor (defaults 100
-	// and 5).
-	PhiThreshold  float64
-	PhiWindow     int
-	PhiMinSamples int
 }
+
+// The reliability protocol's timing is fixed; no scenario varies it (the
+// knob table in DESIGN.md §7.1 lists each value next to what Config sets).
+const (
+	// dupDelayMax bounds how long after the original a duplicated datagram
+	// is delivered.
+	dupDelayMax = 2 * sim.Millisecond
+
+	// ackTimeout is the first-attempt ack wait; each retry doubles it up to
+	// backoffMax, with a ±jitterFrac multiplicative jitter to avoid
+	// synchronized retry storms across the fleet.
+	ackTimeout = 5 * sim.Millisecond
+	backoffMax = 80 * sim.Millisecond
+	jitterFrac = 0.25
+	// maxAttempts bounds transmissions per report or RPC attempt cycle. An
+	// exhausted report is parked in the spool rather than silently lost; an
+	// exhausted RPC fails with an error.
+	maxAttempts = 5
+
+	// HeartbeatInterval is the client's liveness-probe cadence and the
+	// replica group's tick; offlineAfter consecutive unacknowledged probes
+	// or reports flip the client to offline/degraded mode.
+	HeartbeatInterval = 10 * sim.Millisecond
+	offlineAfter      = 3
+
+	// UnreachableAfter is the liveness bootstrap horizon: a peer not heard
+	// from for this long is considered unreachable until the phi-accrual
+	// window warms up, after which suspicion adapts to the observed arrival
+	// jitter. It is also the replica group's anti-flap floor.
+	UnreachableAfter = 60 * sim.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Delay == 0 {
 		c.Delay = 500 * sim.Microsecond
 	}
-	if c.DupDelayMax == 0 {
-		c.DupDelayMax = 2 * sim.Millisecond
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 5 * sim.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 80 * sim.Millisecond
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.25
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 5
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 10 * sim.Millisecond
-	}
-	if c.OfflineAfter == 0 {
-		c.OfflineAfter = 3
-	}
 	if c.SpoolLimit == 0 {
 		c.SpoolLimit = 512
-	}
-	if c.UnreachableAfter == 0 {
-		c.UnreachableAfter = 60 * sim.Millisecond
-	}
-	if c.PhiThreshold <= 0 {
-		c.PhiThreshold = DefaultPhiThreshold
-	}
-	if c.PhiWindow <= 0 {
-		c.PhiWindow = DefaultPhiWindow
-	}
-	if c.PhiMinSamples <= 0 {
-		c.PhiMinSamples = DefaultPhiMinSamples
 	}
 	return c
 }
 
-// NewPhi builds a phi-accrual detector from the configuration's suspicion
-// knobs, bootstrapped by the fixed UnreachableAfter horizon.
-func (c Config) NewPhi() *PhiDetector {
-	return NewPhiDetector(c.PhiThreshold, c.PhiWindow, c.PhiMinSamples, c.UnreachableAfter)
+// NewPhi builds the phi-accrual detector both liveness consumers use (the
+// server-side sweep and replica leader election): the package's suspicion
+// defaults, bootstrapped by the fixed UnreachableAfter horizon.
+func NewPhi() *PhiDetector {
+	return NewPhiDetector(DefaultPhiThreshold, DefaultPhiWindow, DefaultPhiMinSamples, UnreachableAfter)
 }
 
 // DgramKind tags a management datagram.
@@ -198,9 +163,6 @@ func NewNetwork(s *sim.Sim, cfg Config) *Network {
 		chaos:       make(map[string]*netsim.Chaos),
 	}
 }
-
-// Config returns the effective (defaults-filled) configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Register attaches an endpoint's delivery handler.
 func (n *Network) Register(name string, handler func(Dgram)) {
@@ -277,7 +239,7 @@ func (n *Network) Send(d Dgram) {
 	n.deliver(d, delay)
 	if n.cfg.Duplicate > 0 && rng.Float64() < n.cfg.Duplicate {
 		n.Stats.Duplicated++
-		n.deliver(d, delay+1+sim.Time(rng.Int63n(int64(n.cfg.DupDelayMax))))
+		n.deliver(d, delay+1+sim.Time(rng.Int63n(int64(dupDelayMax))))
 	}
 }
 
@@ -295,12 +257,12 @@ func (n *Network) deliver(d Dgram, after sim.Time) {
 }
 
 // backoff computes the attempt'th retransmission timeout with jitter.
-func backoff(cfg Config, rng *rand.Rand, attempt int) sim.Time {
-	t := cfg.AckTimeout << attempt
-	if t > cfg.BackoffMax || t <= 0 {
-		t = cfg.BackoffMax
+func backoff(rng *rand.Rand, attempt int) sim.Time {
+	t := ackTimeout << attempt
+	if t > backoffMax || t <= 0 {
+		t = backoffMax
 	}
-	j := 1 + cfg.JitterFrac*(2*rng.Float64()-1)
+	j := 1 + jitterFrac*(2*rng.Float64()-1)
 	t = sim.Time(float64(t) * j)
 	if t < 1 {
 		t = 1

@@ -47,7 +47,6 @@ type pendingCall struct {
 type Server struct {
 	s    *sim.Sim
 	net  *Network
-	cfg  Config
 	name string
 
 	clients map[string]*clientTrack
@@ -75,7 +74,7 @@ type Server struct {
 // NewServer registers the correlator endpoint under name.
 func NewServer(s *sim.Sim, net *Network, name string) *Server {
 	srv := &Server{
-		s: s, net: net, cfg: net.cfg, name: name,
+		s: s, net: net, name: name,
 		clients:   make(map[string]*clientTrack),
 		calls:     make(map[uint64]*pendingCall),
 		accepting: true,
@@ -102,7 +101,7 @@ func (srv *Server) SetAccepting(on bool) {
 func (srv *Server) track(name string) *clientTrack {
 	ct, ok := srv.clients[name]
 	if !ok {
-		ct = &clientTrack{above: make(map[uint64]struct{}), phi: srv.cfg.NewPhi()}
+		ct = &clientTrack{above: make(map[uint64]struct{}), phi: NewPhi()}
 		srv.clients[name] = ct
 	}
 	return ct
@@ -183,12 +182,12 @@ func (srv *Server) Call(to string, req any, cb func(any, error)) {
 func (srv *Server) attempt(pc *pendingCall) {
 	srv.Stats.Calls++
 	srv.net.Send(Dgram{From: srv.name, To: pc.to, Kind: DgramCallReq, Seq: pc.id, Payload: pc.req})
-	pc.timer = srv.s.Schedule(backoff(srv.cfg, srv.rng(pc.to), pc.attempt), func() {
+	pc.timer = srv.s.Schedule(backoff(srv.rng(pc.to), pc.attempt), func() {
 		if pc.done {
 			return
 		}
 		pc.attempt++
-		if pc.attempt >= srv.cfg.MaxAttempts {
+		if pc.attempt >= maxAttempts {
 			pc.done = true
 			delete(srv.calls, pc.id)
 			srv.Stats.CallFails++
@@ -272,7 +271,7 @@ func (srv *Server) RestoreSeq(cp map[string]SeqState) {
 	for name, st := range cp {
 		// Fresh phi state: the restarted incarnation re-learns arrival
 		// statistics rather than trusting the dead one's window.
-		ct := &clientTrack{above: make(map[uint64]struct{}, len(st.Above)), phi: srv.cfg.NewPhi()}
+		ct := &clientTrack{above: make(map[uint64]struct{}, len(st.Above)), phi: NewPhi()}
 		ct.contig = st.Contig
 		for _, s := range st.Above {
 			ct.above[s] = struct{}{}

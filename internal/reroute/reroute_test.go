@@ -203,3 +203,72 @@ func TestUnprotectedEntryIgnored(t *testing.T) {
 		t.Error("unprotected entry was rerouted")
 	}
 }
+
+// The correlator-side commit gate drives the app through Targets / Route /
+// SetBackup / Divert instead of HandleEvent: Targets is HandleEvent's
+// dispatch without the side effect, Divert is the per-entry commit.
+func TestGateCommands(t *testing.T) {
+	b := newFig10(t, cfg)
+	b.protect(10) // dedicated
+	b.protect(77) // tree
+	b.protect(78) // tree
+	diverted := 0
+	b.app.OnReroute = func(netsim.EntryID, sim.Time) { diverted++ }
+
+	leaf77 := fancy.Event{Kind: fancy.EventTreeLeaf, Port: 1, Path: b.det.EntryPath(1, 77)}
+	for _, tc := range []struct {
+		name string
+		ev   fancy.Event
+		want []netsim.EntryID
+	}{
+		{"dedicated", fancy.Event{Kind: fancy.EventDedicated, Port: 1, Entry: 10}, []netsim.EntryID{10}},
+		{"dedicated, unprotected", fancy.Event{Kind: fancy.EventDedicated, Port: 1, Entry: 11}, nil},
+		{"tree leaf", leaf77, []netsim.EntryID{77}},
+		{"uniform", fancy.Event{Kind: fancy.EventUniform, Port: 1}, []netsim.EntryID{10, 77, 78}},
+		{"link down", fancy.Event{Kind: fancy.EventLinkDown, Port: 1}, []netsim.EntryID{10, 77, 78}},
+		{"other port", fancy.Event{Kind: fancy.EventUniform, Port: 2}, nil},
+	} {
+		got := b.app.Targets(tc.ev)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: Targets = %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: Targets = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+	if diverted != 0 || b.app.Rerouted(10) || b.app.Rerouted(77) {
+		t.Fatal("Targets diverted an entry; it must be side-effect free")
+	}
+
+	route, ok := b.app.Route(77)
+	if !ok || route.Port != 1 || route.Backup != 2 {
+		t.Fatalf("Route(77) = %+v, %v; want the protected handle", route, ok)
+	}
+	if _, ok := b.app.Route(99); ok {
+		t.Fatal("Route(99) found an unprotected entry")
+	}
+
+	if b.app.SetBackup(99, 2) {
+		t.Fatal("SetBackup accepted an unprotected entry")
+	}
+	if !b.app.SetBackup(77, -1) {
+		t.Fatal("SetBackup refused a protected entry")
+	}
+	b.app.Divert(77)
+	if b.app.Rerouted(77) || diverted != 0 {
+		t.Fatal("Divert flipped an entry that has no backup")
+	}
+	b.app.SetBackup(77, 2) // the repair: a safe alternate next hop
+	b.app.Divert(77)
+	b.app.Divert(77) // a re-issued commit is idempotent
+	b.app.Divert(99) // unprotected: no-op
+	if !b.app.Rerouted(77) || !route.UseBackup || route.Backup != 2 || diverted != 1 {
+		t.Fatalf("after Divert: rerouted=%v route=%+v notifications=%d; want one diversion to port 2",
+			b.app.Rerouted(77), route, diverted)
+	}
+	if _, ok := b.app.ReroutedAt[77]; !ok || len(b.app.ReroutedAt) != 1 {
+		t.Fatalf("ReroutedAt = %v, want entry 77 only", b.app.ReroutedAt)
+	}
+}

@@ -55,10 +55,10 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.1
 	}
-	if c.ShiftCount == 0 {
+	if c.ShiftCount <= 0 {
 		c.ShiftCount = 4
 	}
-	if c.HotRanks == 0 {
+	if c.HotRanks <= 0 { // a negative head would slice perm[:HotRanks]
 		c.HotRanks = c.ShiftCount
 	}
 	if c.MinEntryBps == 0 {

@@ -41,6 +41,22 @@ func TestChurnDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// A negative HotRanks or ShiftCount means "unset": the schedule equals the
+// defaulted one instead of slicing perm with it.
+func TestChurnNegativeCountsMeanDefault(t *testing.T) {
+	neg := churnCfg(7)
+	neg.HotRanks, neg.ShiftCount = -3, -1
+	got, want := NewChurnSchedule(neg), NewChurnSchedule(churnCfg(7))
+	if got.Config() != want.Config() {
+		t.Fatalf("config %+v, want %+v", got.Config(), want.Config())
+	}
+	for e := 0; e < want.Epochs(); e++ {
+		if !reflect.DeepEqual(got.Ranks(e), want.Ranks(e)) {
+			t.Fatalf("epoch %d ranks differ from the defaulted schedule", e)
+		}
+	}
+}
+
 func TestChurnNewlyHotIsGenuinelyNew(t *testing.T) {
 	cs := NewChurnSchedule(churnCfg(7))
 	if len(cs.NewlyHot(0)) != 0 {

@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail("%v", err)
 			}
 		}
-	} else if nb, ok := loopFreeBackup(n, from, to); ok {
+	} else if nb, ok := n.LoopFreeBackup(topo.DirectedLink{From: from, To: to}); ok {
 		if err := protect(from, to, nb); err != nil {
 			return fail("%v", err)
 		}
@@ -310,32 +310,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "\npost-run forwarding audit: %s\n", audit())
 	return 0
-}
-
-// loopFreeBackup picks from's cheapest neighbor detour toward to that
-// provably avoids the from→to link (same rule as the exp driver).
-func loopFreeBackup(n *topo.Network, from, to string) (string, bool) {
-	direct, ok := n.LinkDelay(from, to)
-	if !ok {
-		return "", false
-	}
-	best := ""
-	var bestDelay sim.Time
-	for _, nb := range n.Neighbors(from) {
-		if nb == to {
-			continue
-		}
-		detour, ok := n.PathDelay(nb, to)
-		if !ok {
-			continue
-		}
-		back, _ := n.LinkDelay(nb, from)
-		if detour >= back+direct {
-			continue
-		}
-		if best == "" || detour < bestDelay {
-			best, bestDelay = nb, detour
-		}
-	}
-	return best, best != ""
 }

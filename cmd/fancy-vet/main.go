@@ -6,7 +6,6 @@
 //	maporder        no order-sensitive map or sync.Map.Range iteration without sorted keys
 //	floateq         no floating-point == / != in stats, exp and fancy
 //	poolsafe        no use of a pooled object after release, no double release, no release after escape, no retained borrowed packet
-//	borrowescape    no UnmarshalInto scratch alias escaping the borrowing function
 //
 // Usage:
 //

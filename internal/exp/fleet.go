@@ -164,92 +164,114 @@ func FleetAbileneWorkers(scale Scale, seed int64, verified bool, workers int) *F
 
 // fleetTrial injects one gray link into a fresh Abilene fleet.
 func fleetTrial(seed int64, dl topo.DirectedLink, duration sim.Time, verified bool) FleetRow {
+	var cfg fleet.Config
+	if verified {
+		cfg.Verify = &fleet.VerifyConfig{}
+	}
+	g := grayLinkTrial(seed, dl, duration, cfg, nil)
+	return FleetRow{Link: dl.String(), Exact: g.exact, TTL: g.ttl, Suppressed: g.f.Suppressed,
+		Protected: g.protected, Rerouted: g.rerouted}
+}
+
+// The fleet-era trials all probe one high-priority entry and start dropping
+// it one second in.
+const (
+	grayEntry  = netsim.EntryID(10)
+	grayFailAt = sim.Second
+)
+
+// abileneFleet builds what those trials share: a fresh Abilene with hosts
+// hsrc and hdst attached at src and dst, grayEntry routed to hdst along
+// shortest paths, and a fleet over it. cfg carries the trial's control-plane
+// choices (Mgmt, Replicas, Verify); the detector configuration is the same
+// everywhere and is filled in here.
+func abileneFleet(seed int64, src, dst string, cfg fleet.Config) (*sim.Sim, *topo.Network, *fleet.Fleet) {
 	s := sim.New(seed)
 	spec := topo.Abilene()
 	spec.Hosts = []topo.HostSpec{
-		{Name: "hsrc", Attach: dl.From},
-		{Name: "hdst", Attach: dl.To},
+		{Name: "hsrc", Attach: src},
+		{Name: "hdst", Attach: dst},
 	}
 	n, err := topo.Build(s, spec)
 	if err != nil {
 		panic(fmt.Sprintf("exp: fleet topology: %v", err))
 	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "hdst"}); err != nil {
+	if err := n.InstallShortestPaths(map[netsim.EntryID]string{grayEntry: "hdst"}); err != nil {
 		panic(err)
 	}
-	cfg := fleet.Config{Fancy: fancy.Config{
-		HighPriority: []netsim.EntryID{entry},
+	cfg.Fancy = fancy.Config{
+		HighPriority: []netsim.EntryID{grayEntry},
 		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
 		TreeSeed:     3,
-	}}
-	if verified {
-		cfg.Verify = &fleet.VerifyConfig{}
 	}
 	f, err := fleet.New(s, n, cfg)
 	if err != nil {
 		panic(err)
 	}
+	return s, n, f
+}
 
-	row := FleetRow{Link: dl.String()}
-	// Gated reroute, only where a detour is provably loop-free: a neighbor
-	// nb of From (other than To) whose installed shortest path to To is
-	// strictly cheaper than going back through From cannot traverse the
-	// failed link. Direct links are the shortest A→B paths in Abilene, so
-	// the comparison baseline is the failed link's own delay.
-	if nb, ok := loopFreeBackup(n, dl); ok {
-		row.Protected = true
-		route := n.Switches[dl.From].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[dl.From][dl.To],
-			Backup: n.PortOf[dl.From][nb],
-		})
-		if err := f.Protect(dl.From, entry, route); err != nil {
-			panic(err)
-		}
+// protectEntry gives grayEntry a backup next hop at sw and registers it for
+// the fleet's gated reroute.
+func protectEntry(n *topo.Network, f *fleet.Fleet, sw, primaryTo, backupTo string) {
+	route := n.Switches[sw].Routes.InsertEntry(grayEntry, netsim.Route{
+		Port:   n.PortOf[sw][primaryTo],
+		Backup: n.PortOf[sw][backupTo],
+	})
+	if err := f.Protect(sw, grayEntry, route); err != nil {
+		panic(err)
 	}
+}
 
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), 2e6, 1000, duration).Start()
-	const failAt = sim.Second
-	n.Direction(dl.From, dl.To).SetFailure(netsim.FailEntries(seed+1, failAt, 1.0, entry))
+// probeAndFail starts the 2 Mbps probe flow from hsrc toward grayEntry and
+// blackholes the entry on every failed link from grayFailAt on (link i's
+// drop stream is seeded seed+1+i).
+func probeAndFail(s *sim.Sim, n *topo.Network, seed int64, duration sim.Time, failed ...topo.DirectedLink) {
+	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(grayEntry), grayEntry,
+		netsim.EntryAddr(grayEntry, 1), 2e6, 1000, duration).Start()
+	for i, dl := range failed {
+		n.Direction(dl.From, dl.To).SetFailure(
+			netsim.FailEntries(seed+1+int64(i), grayFailAt, 1.0, grayEntry))
+	}
+}
+
+// grayLinkOutcome is what a single-gray-link trial reads out; f stays
+// available for the counters only some sweeps report.
+type grayLinkOutcome struct {
+	f         *fleet.Fleet
+	exact     bool     // localized exactly the injected link, nothing else
+	ttl       sim.Time // failure injection → localization
+	protected bool     // a loop-free backup existed and the entry was protected
+	rerouted  bool     // the protected entry was diverted to it
+}
+
+// grayLinkTrial is one gray directed link under a full Abilene fleet: traffic
+// for grayEntry crosses dl, dl starts dropping it, and — only where a
+// provably loop-free detour exists (topo.LoopFreeBackup) — the entry is
+// protected by the fleet's gated reroute. faults, if non-nil, schedules the
+// trial's control-plane faults (correlator crash, leader kill) before the
+// run.
+func grayLinkTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg fleet.Config,
+	faults func(*sim.Sim, *fleet.Fleet)) grayLinkOutcome {
+	s, n, f := abileneFleet(seed, dl.From, dl.To, cfg)
+	g := grayLinkOutcome{f: f}
+	if nb, ok := n.LoopFreeBackup(dl); ok {
+		g.protected = true
+		protectEntry(n, f, dl.From, dl.To, nb)
+	}
+	probeAndFail(s, n, seed, duration, dl)
+	if faults != nil {
+		faults(s, f)
+	}
 	s.Run(duration)
 
 	loc := f.Localized()
-	row.Exact = len(loc) == 1 && loc[0] == dl.String()
-	if row.Exact {
-		row.TTL = f.LocalizedAt(dl.String()) - failAt
+	g.exact = len(loc) == 1 && loc[0] == dl.String()
+	if g.exact {
+		g.ttl = f.LocalizedAt(dl.String()) - grayFailAt
 	}
-	row.Suppressed = f.Suppressed
-	if row.Protected {
-		row.Rerouted = f.Rerouted(dl.From, entry)
+	if g.protected {
+		g.rerouted = f.Rerouted(dl.From, grayEntry)
 	}
-	return row
-}
-
-// loopFreeBackup picks From's cheapest neighbor detour toward To that
-// provably avoids the From→To link.
-func loopFreeBackup(n *topo.Network, dl topo.DirectedLink) (string, bool) {
-	direct, ok := n.LinkDelay(dl.From, dl.To)
-	if !ok {
-		return "", false
-	}
-	best := ""
-	var bestDelay sim.Time
-	for _, nb := range n.Neighbors(dl.From) {
-		if nb == dl.To {
-			continue
-		}
-		detour, ok := n.PathDelay(nb, dl.To)
-		if !ok {
-			continue
-		}
-		back, _ := n.LinkDelay(nb, dl.From)
-		if detour >= back+direct {
-			continue // detour may route back through From; unsafe
-		}
-		if best == "" || detour < bestDelay {
-			best, bestDelay = nb, detour
-		}
-	}
-	return best, best != ""
+	return g
 }

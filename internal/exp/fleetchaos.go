@@ -12,15 +12,11 @@ import (
 	"fmt"
 	"strings"
 
-	"fancy/internal/fancy"
-	"fancy/internal/fancy/tree"
 	"fancy/internal/fleet"
 	"fancy/internal/mgmt"
-	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/stats"
 	"fancy/internal/topo"
-	"fancy/internal/traffic"
 )
 
 // ChaosFleetConfig is one cell of the sweep: a management-plane impairment
@@ -154,79 +150,35 @@ func FleetChaos(scale Scale, seed int64) *ChaosFleetResult {
 
 // fleetChaosTrial is one gray link under one impairment configuration.
 func fleetChaosTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg ChaosFleetConfig) ChaosFleetRow {
-	s := sim.New(seed)
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
-		{Name: "hsrc", Attach: dl.From},
-		{Name: "hdst", Attach: dl.To},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		panic(fmt.Sprintf("exp: fleet chaos topology: %v", err))
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "hdst"}); err != nil {
-		panic(err)
-	}
-	f, err := fleet.New(s, n, fleet.Config{
-		Fancy: fancy.Config{
-			HighPriority: []netsim.EntryID{entry},
-			Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
-			TreeSeed:     3,
-		},
-		Mgmt:     &mgmt.Config{Loss: cfg.Loss, Duplicate: cfg.Loss / 2, Jitter: sim.Millisecond},
-		Replicas: cfg.Replicas,
-	})
-	if err != nil {
-		panic(err)
-	}
-
-	row := ChaosFleetRow{Config: cfg.Name, Link: dl.String()}
-	if nb, ok := loopFreeBackup(n, dl); ok {
-		row.Protected = true
-		route := n.Switches[dl.From].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[dl.From][dl.To],
-			Backup: n.PortOf[dl.From][nb],
-		})
-		if err := f.Protect(dl.From, entry, route); err != nil {
-			panic(err)
-		}
-	}
-
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), 2e6, 1000, duration).Start()
-	const failAt = sim.Second
-	n.Direction(dl.From, dl.To).SetFailure(netsim.FailEntries(seed+1, failAt, 1.0, entry))
-	if cfg.Crash {
-		if cfg.Replicas > 1 {
+	faults := func(s *sim.Sim, f *fleet.Fleet) {
+		switch {
+		case !cfg.Crash:
+		case cfg.Replicas > 1:
 			// Kill the LEADER spanning the first evidence window; recovery
 			// is a phi-driven election and a replicated-log restore, not a
 			// scheduled restart. The dead replica rejoins as a follower.
 			killed := -1
-			s.ScheduleAt(failAt+100*sim.Millisecond, func() { killed = f.KillLeader() })
-			s.ScheduleAt(failAt+400*sim.Millisecond, func() { f.RestartReplica(killed) })
-		} else {
+			s.ScheduleAt(grayFailAt+100*sim.Millisecond, func() { killed = f.KillLeader() })
+			s.ScheduleAt(grayFailAt+400*sim.Millisecond, func() { f.RestartReplica(killed) })
+		default:
 			// Crash spanning the first evidence window; restart 300 ms later.
-			s.ScheduleAt(failAt+100*sim.Millisecond, f.CrashCorrelator)
-			s.ScheduleAt(failAt+400*sim.Millisecond, f.RestartCorrelator)
+			s.ScheduleAt(grayFailAt+100*sim.Millisecond, f.CrashCorrelator)
+			s.ScheduleAt(grayFailAt+400*sim.Millisecond, f.RestartCorrelator)
 		}
 	}
-	s.Run(duration)
+	g := grayLinkTrial(seed, dl, duration, fleet.Config{
+		Mgmt:     &mgmt.Config{Loss: cfg.Loss, Duplicate: cfg.Loss / 2, Jitter: sim.Millisecond},
+		Replicas: cfg.Replicas,
+	}, faults)
 
-	loc := f.Localized()
-	row.Exact = len(loc) == 1 && loc[0] == dl.String()
-	if row.Exact {
-		row.TTL = f.LocalizedAt(dl.String()) - failAt
-	}
-	for _, ev := range f.Events {
+	row := ChaosFleetRow{Config: cfg.Name, Link: dl.String(), Exact: g.exact, TTL: g.ttl,
+		Protected: g.protected, Rerouted: g.rerouted}
+	for _, ev := range g.f.Events {
 		if ev.Kind == fleet.EventLocalized && ev.Link == dl.String() {
 			row.Verdicts++
 		}
 	}
-	if row.Protected {
-		row.Rerouted = f.Rerouted(dl.From, entry)
-	}
-	snap := f.Snapshot()
+	snap := g.f.Snapshot()
 	row.Stale = snap.Corr.StaleEvents
 	row.Handbacks = snap.Corr.Handbacks
 	row.MgmtLost = snap.MgmtNet.Lost

@@ -21,14 +21,11 @@ import (
 	"fmt"
 	"strings"
 
-	"fancy/internal/fancy"
-	"fancy/internal/fancy/tree"
 	"fancy/internal/fleet"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/stats"
 	"fancy/internal/topo"
-	"fancy/internal/traffic"
 	"fancy/internal/verify"
 )
 
@@ -124,72 +121,36 @@ func (c chaosOut) row() VerifiedRerouteRow {
 	}
 }
 
-const chaosFailAt = sim.Second
-
 // verifiedChaosTrial runs one washington→kansascity double-failure trial.
 func verifiedChaosTrial(seed int64, duration sim.Time, verified bool) chaosOut {
-	s := sim.New(seed)
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
-		{Name: "hsrc", Attach: "washington"},
-		{Name: "hdst", Attach: "kansascity"},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		panic(fmt.Sprintf("exp: chaos topology: %v", err))
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "hdst"}); err != nil {
-		panic(err)
-	}
-	cfg := fleet.Config{Fancy: fancy.Config{
-		HighPriority: []netsim.EntryID{entry},
-		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
-		TreeSeed:     3,
-	}}
+	var cfg fleet.Config
 	if verified {
 		cfg.Verify = &fleet.VerifyConfig{}
 	}
-	f, err := fleet.New(s, n, cfg)
-	if err != nil {
-		panic(err)
-	}
-	protect := func(sw, primaryTo, backupTo string) {
-		route := n.Switches[sw].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[sw][primaryTo],
-			Backup: n.PortOf[sw][backupTo],
-		})
-		if err := f.Protect(sw, entry, route); err != nil {
-			panic(err)
-		}
-	}
-	protect("atlanta", "indianapolis", "houston")
-	protect("houston", "kansascity", "atlanta")
+	s, n, f := abileneFleet(seed, "washington", "kansascity", cfg)
+	protectEntry(n, f, "atlanta", "indianapolis", "houston")
+	protectEntry(n, f, "houston", "kansascity", "atlanta")
 
 	out := chaosOut{seed: seed}
 	n.Hosts["hdst"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
-		if p.Entry == entry {
+		if p.Entry == grayEntry {
 			out.delivered++
 		}
 	})
-
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), 2e6, 1000, duration).Start()
-	n.Direction("atlanta", "indianapolis").SetFailure(
-		netsim.FailEntries(seed+1, chaosFailAt, 1.0, entry))
-	n.Direction("houston", "kansascity").SetFailure(
-		netsim.FailEntries(seed+2, chaosFailAt, 1.0, entry))
+	probeAndFail(s, n, seed, duration,
+		topo.DirectedLink{From: "atlanta", To: "indianapolis"},
+		topo.DirectedLink{From: "houston", To: "kansascity"})
 	s.Run(duration)
 
 	loc := f.Localized()
 	out.exact = len(loc) == 2 &&
 		loc[0] == "atlanta->indianapolis" && loc[1] == "houston->kansascity"
 	for _, key := range loc {
-		out.locTTLs = append(out.locTTLs, f.LocalizedAt(key)-chaosFailAt)
+		out.locTTLs = append(out.locTTLs, f.LocalizedAt(key)-grayFailAt)
 	}
 	for _, ev := range f.Events {
 		if ev.Kind == fleet.EventRerouteRepaired && out.repairTTL == 0 {
-			out.repairTTL = ev.Time - chaosFailAt
+			out.repairTTL = ev.Time - grayFailAt
 		}
 	}
 	// Audit the post-run forwarding state. The verified fleet audits its own

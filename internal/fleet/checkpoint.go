@@ -1,11 +1,12 @@
 package fleet
 
-// Correlator checkpoint/restart. The correlator periodically snapshots its
-// evidence windows, verdicts and health bookkeeping; CrashCorrelator wipes
+// Correlator checkpoint/restart. The correlator encodes its durable state
+// (state.go: evidence windows, verdicts, health bookkeeping) into a byte
+// frame, periodically and on every durable change; CrashCorrelator abandons
 // the live state (and stops the management server from acknowledging
 // anything, so agents observe the crash as a partition and fall back to
-// degraded-mode local protection); RestartCorrelator rebuilds from the last
-// checkpoint and reconciles with live telemetry — pending evidence windows
+// degraded-mode local protection); RestartCorrelator decodes the last frame
+// back into the live state and reconciles with live telemetry — pending evidence windows
 // re-open with a fresh full window, restart counters are re-read, and the
 // transport-level sequence state plus the fleet-level alarm and reroute
 // dedup maps guarantee no duplicate confirmed verdicts and no duplicate
@@ -13,133 +14,28 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"fancy/internal/fancy"
-	"fancy/internal/mgmt"
+	"fancy/internal/codec"
 	"fancy/internal/netsim"
-	"fancy/internal/sim"
 	"fancy/internal/verify"
 )
 
-// LinkCheckpoint is one directed link's persisted correlator record.
-type LinkCheckpoint struct {
-	Localized   bool
-	LocalizedAt sim.Time
-	Affected    []netsim.EntryID
-	TreePaths   int
-	Alarms      int
-	Suppressed  int
-	Flapping    bool
-	DownTimes   []sim.Time
-
-	VerdictPending bool
-	IncidentStart  sim.Time
-	Seen           []string
-	Evidence       []fancy.Event
-
-	LastHealth Health
-}
-
-// Checkpoint is a full correlator snapshot, sufficient to restart from.
-type Checkpoint struct {
-	Time sim.Time
-
-	Alarms        int
-	Suppressed    int
-	Localizations int
-	Reroutes      int
-
-	Links map[string]LinkCheckpoint
-
-	RestartsSeen    map[string]int
-	RestartObserved map[string]sim.Time
-	EpochCur        map[string]uint8
-	EpochPrev       map[string]uint8
-	RerouteSeen     []string
-
-	// Seq is the management server's per-client sequencing state, so a
-	// restarted correlator keeps deduplicating reports the crashed
-	// incarnation already consumed.
-	Seq map[string]mgmt.SeqState
-
-	// VerifyLog and VerifyHeld persist the verified-commit gate: decided
-	// commits (with their committed delta frames, replayed into a fresh
-	// model on restore) and flips parked on the hold-and-retry list. Empty
-	// without Config.Verify.
-	VerifyLog  []VerifyDecision
-	VerifyHeld []HeldReroute
-}
-
-// Checkpoint deep-copies the correlator's current state.
-func (f *Fleet) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		Time:            f.S.Now(),
-		Alarms:          f.Alarms,
-		Suppressed:      f.Suppressed,
-		Localizations:   f.Localizations,
-		Reroutes:        f.Reroutes,
-		Links:           make(map[string]LinkCheckpoint, len(f.links)),
-		RestartsSeen:    make(map[string]int, len(f.restartsSeen)),
-		RestartObserved: make(map[string]sim.Time, len(f.restartObserved)),
-		EpochCur:        make(map[string]uint8, len(f.epochCur)),
-		EpochPrev:       make(map[string]uint8, len(f.epochPrev)),
-	}
-	for _, key := range f.order {
-		ls := f.links[key]
-		lc := LinkCheckpoint{
-			Localized:      ls.localized,
-			LocalizedAt:    ls.localizedAt,
-			TreePaths:      ls.treePaths,
-			Alarms:         ls.alarms,
-			Suppressed:     ls.suppressed,
-			Flapping:       ls.flapping,
-			DownTimes:      append([]sim.Time(nil), ls.downTimes...),
-			VerdictPending: ls.verdictPending,
-			IncidentStart:  ls.incidentStart,
-			Evidence:       append([]fancy.Event(nil), ls.evidence...),
-			LastHealth:     ls.lastHealth,
-		}
-		for e := range ls.affected {
-			lc.Affected = append(lc.Affected, e)
-		}
-		sort.Slice(lc.Affected, func(i, j int) bool { return lc.Affected[i] < lc.Affected[j] })
-		for k := range ls.seen {
-			lc.Seen = append(lc.Seen, k)
-		}
-		sort.Strings(lc.Seen)
-		cp.Links[key] = lc
-	}
-	for sw, r := range f.restartsSeen {
-		cp.RestartsSeen[sw] = r
-	}
-	for sw, t := range f.restartObserved {
-		cp.RestartObserved[sw] = t
-	}
-	for sw, e := range f.epochCur {
-		cp.EpochCur[sw] = e
-	}
-	for sw, e := range f.epochPrev {
-		cp.EpochPrev[sw] = e
-	}
-	for k := range f.rerouteSeen {
-		cp.RerouteSeen = append(cp.RerouteSeen, k)
-	}
-	sort.Strings(cp.RerouteSeen)
+// checkpoint encodes the live durable state into a fresh frame. It is the
+// one place a frame is built: lastCkpt, log entries and every datagram that
+// carries one hold or copy these bytes, never the state.
+func (f *Fleet) checkpoint() []byte {
+	f.savedAt = f.S.Now()
 	if f.mgmtSrv != nil {
-		cp.Seq = f.mgmtSrv.SeqCheckpoint()
+		f.seq = f.mgmtSrv.SeqCheckpoint()
 	}
-	for _, d := range f.verifyLog {
-		cp.VerifyLog = append(cp.VerifyLog, VerifyDecision{
-			Key: d.Key, Outcome: d.Outcome, Frame: append([]byte(nil), d.Frame...),
-		})
-	}
-	for _, h := range f.verifyHeld {
-		cp.VerifyHeld = append(cp.VerifyHeld, HeldReroute{
-			LinkKey: h.ls.key, Key: h.key, Entry: h.entry, Retries: h.retries,
-		})
-	}
-	return cp
+	// Consecutive frames differ by an alarm or a timestamp: the previous
+	// length plus slack sizes the buffer in one allocation.
+	w := codec.Writer{B: make([]byte, 0, len(f.lastCkpt)+256)}
+	f.corrState.encode(&w)
+	f.lastCkpt = w.B
+	f.Corr.Checkpoints++
+	return w.B
 }
 
 func (f *Fleet) periodicCheckpoint() {
@@ -160,18 +56,13 @@ func (f *Fleet) persist() {
 	if f.cfg.CheckpointInterval < 0 {
 		return
 	}
-	f.lastCkpt = f.Checkpoint()
-	f.Corr.Checkpoints++
+	cp := f.checkpoint()
 	if f.replicating() {
 		// Replicated mode: a persisted checkpoint is also a log entry, so
 		// followers track every durable state change, not just verdicts.
-		f.group.replicate(f.lastCkpt, "window", nil)
+		f.group.replicate(cp, "window", nil)
 	}
 }
-
-// LastCheckpoint returns the most recent periodic checkpoint (nil before
-// the first checkpoint interval elapses).
-func (f *Fleet) LastCheckpoint() *Checkpoint { return f.lastCkpt }
 
 // CrashCorrelator fails the central correlator: all in-memory state since
 // the last checkpoint is lost, every pending timer and in-flight read is
@@ -259,115 +150,67 @@ func (f *Fleet) RestartCorrelator() {
 	f.resumeDuty()
 }
 
-// restoreState wipes the correlator state machine and overlays cp (nil
-// restores from scratch): confirmed verdicts and the alarm/reroute dedup
-// maps come back verbatim, evidence windows that were pending re-open with
-// a fresh full window, and the management server resumes accepting with the
-// checkpointed sequence state. Returns a human-readable restore summary.
-func (f *Fleet) restoreState(cp *Checkpoint) string {
-	// Wipe to zero state, then overlay the checkpoint.
-	f.Alarms, f.Suppressed, f.Localizations, f.Reroutes = 0, 0, 0, 0
-	f.restartsSeen = make(map[string]int)
-	f.restartObserved = make(map[string]sim.Time)
-	f.epochCur = make(map[string]uint8)
-	f.epochPrev = make(map[string]uint8)
-	f.rerouteSeen = make(map[string]bool)
-	f.aliveSeen = make(map[string]bool)
+// restoreState replaces the correlator's durable state with the one frame
+// decodes to (nil restores from scratch) and re-arms everything that hangs
+// off it: evidence windows that were pending re-open with a fresh full
+// window, the verifier model is rebuilt and the decision log replayed, and
+// the management server resumes accepting with the frame's sequence state.
+// Restart and takeover are both this; confirmed verdicts and the
+// alarm/reroute dedup maps come back verbatim because they are in the frame.
+// Returns a human-readable restore summary.
+func (f *Fleet) restoreState(frame []byte) string {
+	st := &corrState{}
+	if frame != nil {
+		var err error
+		if st, err = decodeState(frame); err != nil {
+			// Only frames this process encoded, or a replica validated on
+			// receipt, ever get here.
+			panic("fleet: restoring a frame that does not decode: " + err.Error())
+		}
+	}
+	// The live link objects stay (timers, guards and closures point at
+	// them); each takes over its decoded record. Re-opened verdict windows
+	// are scheduled here, so the links must be visited in a fixed order to
+	// keep event sequence numbers (and therefore same-tick execution order)
+	// reproducible.
+	restored := 0
 	for _, key := range f.order {
 		ls := f.links[key]
-		*ls = linkState{
-			dl: ls.dl, key: ls.key, port: ls.port, guard: ls.guard,
-			seen:     make(map[string]bool),
-			affected: make(map[netsim.EntryID]bool),
+		ls.linkRecord, ls.verdictTimer = linkRecord{}, nil
+		if d, ok := st.links[key]; ok {
+			ls.linkRecord = d.linkRecord
+		}
+		if ls.verdictPending {
+			// Re-open the window in full: the crashed incarnation's
+			// partial wait cannot be trusted, and a fresh window gives
+			// retransmitted evidence time to land before the verdict.
+			ls.verdictTimer = f.S.Schedule(f.cfg.Window, func() { f.verdict(ls) })
+			restored++
 		}
 	}
+	// Records of links this topology does not have end here, and holds on
+	// them with them: every live hold names a live link.
+	st.links = f.links
+	st.verifyHeld = slices.DeleteFunc(st.verifyHeld, func(h *heldReroute) bool { return f.links[h.link] == nil })
+	f.corrState = *st
+	f.corrState.alloc()
+	f.aliveSeen = make(map[string]bool)
+
 	if f.verifier != nil {
-		// A fresh model snapshot of the live tables, with the checkpointed
-		// decision log replayed on top: flips already applied at the agents
-		// are in the snapshot (replay is then idempotent), and flips whose
-		// command was lost in flight stay committed in the model, exactly as
-		// the deposed incarnation decided them.
+		// A fresh model snapshot of the live tables, with the decision log
+		// replayed on top: flips already applied at the agents are in the
+		// snapshot (replay is then idempotent), and flips whose command was
+		// lost in flight stay committed in the model, exactly as the deposed
+		// incarnation decided them.
 		f.verifier = verify.NewModel(f.Net)
 		f.verifySeen = make(map[string]uint8)
-		f.verifyLog = nil
-		f.verifyHeld = nil
-	}
-
-	restored := 0
-	if cp != nil {
-		f.Alarms, f.Suppressed = cp.Alarms, cp.Suppressed
-		f.Localizations, f.Reroutes = cp.Localizations, cp.Reroutes
-		for sw, r := range cp.RestartsSeen {
-			f.restartsSeen[sw] = r
-		}
-		for sw, t := range cp.RestartObserved {
-			f.restartObserved[sw] = t
-		}
-		for sw, e := range cp.EpochCur {
-			f.epochCur[sw] = e
-		}
-		for sw, e := range cp.EpochPrev {
-			f.epochPrev[sw] = e
-		}
-		for _, k := range cp.RerouteSeen {
-			f.rerouteSeen[k] = true
-		}
-		// Re-opened verdict windows are scheduled below, so the links must
-		// be visited in a fixed order to keep event sequence numbers (and
-		// therefore same-tick execution order) reproducible.
-		linkKeys := make([]string, 0, len(cp.Links))
-		for key := range cp.Links {
-			linkKeys = append(linkKeys, key)
-		}
-		sort.Strings(linkKeys)
-		for _, key := range linkKeys {
-			lc := cp.Links[key]
-			ls, ok := f.links[key]
-			if !ok {
+		for _, d := range f.verifyLog {
+			f.verifySeen[d.Key] = d.Outcome
+			if len(d.Frame) == 0 || d.Outcome == verifyRejected {
 				continue
 			}
-			ls.localized = lc.Localized
-			ls.localizedAt = lc.LocalizedAt
-			ls.treePaths = lc.TreePaths
-			ls.alarms = lc.Alarms
-			ls.suppressed = lc.Suppressed
-			ls.flapping = lc.Flapping
-			ls.downTimes = append([]sim.Time(nil), lc.DownTimes...)
-			ls.incidentStart = lc.IncidentStart
-			ls.evidence = append([]fancy.Event(nil), lc.Evidence...)
-			ls.lastHealth = lc.LastHealth
-			for _, e := range lc.Affected {
-				ls.affected[e] = true
-			}
-			for _, k := range lc.Seen {
-				ls.seen[k] = true
-			}
-			if lc.VerdictPending {
-				// Re-open the window in full: the crashed incarnation's
-				// partial wait cannot be trusted, and a fresh window gives
-				// retransmitted evidence time to land before the verdict.
-				ls.verdictPending = true
-				ls.verdictTimer = f.S.Schedule(f.cfg.Window, func() { f.verdict(ls) })
-				restored++
-			}
-		}
-		if f.verifier != nil {
-			for _, d := range cp.VerifyLog {
-				d.Frame = append([]byte(nil), d.Frame...)
-				f.verifyLog = append(f.verifyLog, d)
-				f.verifySeen[d.Key] = d.Outcome
-				if len(d.Frame) == 0 || d.Outcome == verifyRejected {
-					continue
-				}
-				if dd, err := verify.DecodeDelta(d.Frame); err == nil {
-					f.verifier.Commit(dd)
-				}
-			}
-			for _, h := range cp.VerifyHeld {
-				if ls, ok := f.links[h.LinkKey]; ok {
-					f.verifyHeld = append(f.verifyHeld,
-						&heldReroute{ls: ls, key: h.Key, entry: h.Entry, retries: h.Retries})
-				}
+			if dd, err := verify.DecodeDelta(d.Frame); err == nil {
+				f.verifier.Commit(dd)
 			}
 		}
 	}
@@ -377,14 +220,14 @@ func (f *Fleet) restoreState(cp *Checkpoint) string {
 	f.armVerifyTimer()
 	if f.mgmtSrv != nil {
 		f.mgmtSrv.SetAccepting(true)
-		if cp != nil && cp.Seq != nil {
-			f.mgmtSrv.RestoreSeq(cp.Seq)
+		if frame != nil {
+			f.mgmtSrv.RestoreSeq(f.seq)
 		}
 	}
-	if cp == nil {
+	if frame == nil {
 		return "from scratch (no checkpoint)"
 	}
-	return fmt.Sprintf("checkpoint at %v, %d pending window(s) re-opened", cp.Time, restored)
+	return fmt.Sprintf("checkpoint at %v, %d pending window(s) re-opened", f.savedAt, restored)
 }
 
 // Crashed reports whether the correlator is currently down.

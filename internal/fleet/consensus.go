@@ -2,7 +2,9 @@ package fleet
 
 // Replicated correlator: a Paxos-style consensus group (in the spirit of
 // "Paxos Made Switch-y") whose replicated log carries full correlator
-// checkpoints over the lossy management network.
+// state frames over the lossy management network. As there, an acceptor
+// stores and forwards the value as opaque bytes under a fixed header; only
+// a replica taking over decodes it (restoreState).
 //
 // Design, and how it maps onto classic Multi-Paxos with a stable leader:
 //
@@ -12,12 +14,12 @@ package fleet
 //   - Ballot numbers are partitioned by replica id (ballot b belongs to
 //     replica b mod N), so two candidates can never collide on a ballot.
 //     Replica 0 boots as the established leader of ballot 0.
-//   - Every log entry carries a COMPLETE correlator checkpoint, so entry k
+//   - Every log entry carries a COMPLETE correlator state frame, so entry k
 //     subsumes all entries before it. That collapses log replication, log
 //     compaction and snapshotting into one mechanism: an acceptor stores
 //     only its highest accepted entry, the snapshot is the last committed
-//     entry, and Checkpoint.Seq carries the SeqCheckpoint transport state
-//     so report dedup survives failover.
+//     entry, and the frame carries the transport's sequencing state so
+//     report dedup survives failover.
 //   - The leader beats every mgmt heartbeat interval; followers feed a
 //     phi-accrual detector with beat arrivals and campaign (Prepare /
 //     Promise, then a fresh Accept of the best accepted entry) when
@@ -170,15 +172,13 @@ func (f *Fleet) propose(note string, cb func()) {
 		}
 		return
 	}
-	f.lastCkpt = f.Checkpoint()
-	f.Corr.Checkpoints++
-	f.group.replicate(f.lastCkpt, note, cb)
+	f.group.replicate(f.checkpoint(), note, cb)
 }
 
-// replicate appends cp to the log and sends Accepts; cb runs at quorum.
-// Without a leading quorum the commit applies immediately (degraded
-// single-instance mode, PR 3 semantics).
-func (g *corrGroup) replicate(cp *Checkpoint, note string, cb func()) {
+// replicate appends the state frame cp to the log and sends Accepts; cb runs
+// at quorum. Without a leading quorum the commit applies immediately
+// (degraded single-instance mode, PR 3 semantics).
+func (g *corrGroup) replicate(cp []byte, note string, cb func()) {
 	r := g.leader()
 	if r == nil || g.quorumLost {
 		if cb != nil {
@@ -627,8 +627,7 @@ func (g *corrGroup) takeover(r *replica, best *logEntry) {
 	f.haltDuty()
 	f.mgmtSrv = r.srv
 	f.Corr.Failovers++
-	cp := f.lastCkpt
-	detail := f.restoreState(cp)
+	detail := f.restoreState(f.lastCkpt)
 	f.emit(Event{Time: now, Kind: EventLeaderElected, Link: r.name,
 		Entry: netsim.InvalidEntry, Detail: fmt.Sprintf("ballot %d, %s", r.ballot, detail)})
 	f.announcePending()

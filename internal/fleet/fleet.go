@@ -190,31 +190,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// linkState is the correlator's per-directed-link record.
+// linkState is the correlator's per-directed-link record: the link's fixed
+// wiring plus its durable record.
 type linkState struct {
 	dl    topo.DirectedLink
 	key   string // "from->to"
 	port  int    // monitored egress port at dl.From
 	guard *fancy.QueueGuard
 
-	// Current incident (between first alarm and verdict).
-	incidentStart  sim.Time
-	evidence       []fancy.Event
-	seen           map[string]bool // dedup keys of alarms already counted
-	verdictPending bool
-	verdictTimer   *sim.Timer
+	verdictTimer *sim.Timer
 
-	localized   bool
-	localizedAt sim.Time
-	affected    map[netsim.EntryID]bool // flagged dedicated entries
-	treePaths   int                     // flagged hash paths (not invertible)
-
-	downTimes  []sim.Time // recent link-down reports, for flap detection
-	flapping   bool
-	alarms     int // deduped alarms, lifetime
-	suppressed int // alarms discarded by the correlator, lifetime
-
-	lastHealth Health
+	linkRecord // the durable part (state.go)
 }
 
 // CorrelatorStats are the correlator's management-plane robustness counters.
@@ -278,21 +264,19 @@ type Fleet struct {
 	// pipeline applies.
 	announced map[string]bool
 
-	links    map[string]*linkState
-	order    []string // sorted link keys, the canonical iteration order
-	portLink map[string]map[int]*linkState
+	// corrState is the correlator's durable state — the aggregate counters
+	// (Alarms, Suppressed, Localizations, Reroutes), the per-link records
+	// and the dedup maps. A crash loses whatever changed since lastCkpt; a
+	// restart or takeover decodes lastCkpt back into it (restoreState).
+	corrState
+	lastCkpt []byte // the latest state frame (nil before the first)
 
-	// Correlator working state (wiped by a crash, rebuilt from checkpoint).
-	restartsSeen    map[string]int      // per-switch restart counter at last read
-	restartObserved map[string]sim.Time // when an advance was last observed
-	epochCur        map[string]uint8    // per-switch detector epoch, from report stamps
-	epochPrev       map[string]uint8
-	rerouteSeen     map[string]bool // "sw|port|entry" reroutes already recorded
-	aliveSeen       map[string]bool // last sweep's per-switch liveness
+	order     []string // sorted link keys, the canonical iteration order
+	portLink  map[string]map[int]*linkState
+	aliveSeen map[string]bool // last sweep's per-switch liveness
 
 	crashed    bool
 	corrGen    int // bumped by each crash; stale async callbacks check it
-	lastCkpt   *Checkpoint
 	sweepTimer *sim.Timer
 	ckptTimer  *sim.Timer
 
@@ -300,9 +284,7 @@ type Fleet struct {
 	// internal/fleet/verify.go).
 	verifier    *verify.Model
 	verifyDown  bool             // verify-unavailable fallback engaged
-	verifySeen  map[string]uint8 // decision key → outcome
-	verifyLog   []VerifyDecision
-	verifyHeld  []*heldReroute
+	verifySeen  map[string]uint8 // decision key → outcome, indexes verifyLog
 	verifyTimer *sim.Timer
 
 	// Verify tallies the gate's work (zero-valued without Config.Verify).
@@ -311,12 +293,6 @@ type Fleet struct {
 	// Events is the fleet-level event log; OnEvent, if set, streams it.
 	Events  []Event
 	OnEvent func(Event)
-
-	// Aggregate counters.
-	Alarms        int // deduped alarms across all links
-	Suppressed    int // alarms discarded (congestion/flap/restart)
-	Localizations int
-	Reroutes      int
 
 	// Corr tallies management-plane robustness at the correlator.
 	Corr CorrelatorStats
@@ -330,19 +306,14 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		S: s, Net: net, cfg: cfg,
-		Detectors:       make(map[string]*fancy.Detector),
-		Telemetry:       make(map[string]*telemetry.Server),
-		agents:          make(map[string]*switchAgent),
-		links:           make(map[string]*linkState),
-		portLink:        make(map[string]map[int]*linkState),
-		restartsSeen:    make(map[string]int),
-		restartObserved: make(map[string]sim.Time),
-		epochCur:        make(map[string]uint8),
-		epochPrev:       make(map[string]uint8),
-		rerouteSeen:     make(map[string]bool),
-		aliveSeen:       make(map[string]bool),
-		announced:       make(map[string]bool),
-		verifySeen:      make(map[string]uint8),
+		Detectors:  make(map[string]*fancy.Detector),
+		Telemetry:  make(map[string]*telemetry.Server),
+		agents:     make(map[string]*switchAgent),
+		corrState:  corrState{links: make(map[string]*linkState)},
+		portLink:   make(map[string]map[int]*linkState),
+		aliveSeen:  make(map[string]bool),
+		announced:  make(map[string]bool),
+		verifySeen: make(map[string]uint8),
 	}
 	for sw := range net.Switches {
 		f.switches = append(f.switches, sw)
@@ -376,11 +347,7 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		port := net.PortOf[dl.From][dl.To]
 		f.Detectors[dl.From].MonitorPort(port)
 		f.Detectors[dl.To].ListenPort(net.PortOf[dl.To][dl.From])
-		ls := &linkState{
-			dl: dl, key: dl.String(), port: port,
-			seen:     make(map[string]bool),
-			affected: make(map[netsim.EntryID]bool),
-		}
+		ls := &linkState{dl: dl, key: dl.String(), port: port}
 		if cfg.CongestionBytes >= 0 {
 			ls.guard = fancy.NewQueueGuard(s, cfg.CongestionBytes, guardInterval)
 			ls.guard.Watch(net.Direction(dl.From, dl.To))
@@ -390,6 +357,7 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		f.portLink[dl.From][port] = ls
 	}
 	sort.Strings(f.order)
+	f.corrState.alloc()
 	// One telemetry server and one management agent per switch over its
 	// monitored ports; detector events flow through the telemetry server
 	// (so external subscribers share the stream), into the agent, and from
@@ -536,20 +504,25 @@ func (f *Fleet) Rerouted(sw string, entry netsim.EntryID) bool {
 }
 
 // Acknowledge clears a localized link after the operator acted on it: the
-// detector outputs are wiped and the correlator state reset, so a
-// persisting failure will re-alarm and re-localize.
+// detector outputs are wiped and the correlator's verdict reset — durably,
+// so a crash does not resurrect it — and a persisting failure will re-alarm
+// and re-localize.
 func (f *Fleet) Acknowledge(key string) {
 	ls, ok := f.links[key]
 	if !ok {
 		return
 	}
 	f.Detectors[ls.dl.From].Acknowledge(ls.port)
+	if f.crashed {
+		return // no correlator to tell; its state comes back from lastCkpt
+	}
 	ls.localized = false
 	ls.localizedAt = 0
 	ls.evidence = nil
-	ls.seen = make(map[string]bool)
-	ls.affected = make(map[netsim.EntryID]bool)
+	clear(ls.seen)
+	clear(ls.affected)
 	ls.treePaths = 0
+	f.persist()
 }
 
 func (f *Fleet) emit(ev Event) {

@@ -36,6 +36,14 @@ func FuzzDecodeConsensus(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("accepted non-canonical input:\n in: %x\nout: %x", data, enc)
 		}
+		// The message encoder appends an entry's state frame verbatim, so
+		// the check above no longer reaches inside it: re-encode the frame
+		// from the state it decodes to.
+		if m.Entry != nil && m.Entry.Cp != nil {
+			if re := reencodeFrame(t, m.Entry.Cp); !bytes.Equal(re, m.Entry.Cp) {
+				t.Fatalf("accepted non-canonical state frame:\n in: %x\nout: %x", m.Entry.Cp, re)
+			}
+		}
 		m2, err := decodeConsensus(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical bytes failed: %v", err)

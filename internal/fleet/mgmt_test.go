@@ -416,3 +416,58 @@ func TestRestartMidEvidenceWindowPurgesEpoch(t *testing.T) {
 		t.Fatalf("correlator tracks epoch %d for B, want 2", f.epochCur["B"])
 	}
 }
+
+// TestAcknowledgeSurvivesCrash: an operator's Acknowledge is a durable state
+// change like any other — a correlator that crashes (or a leader that dies)
+// right after it must not come back with the acknowledged verdict. The
+// traffic has stopped by then, so nothing can re-localize the link: a
+// verdict after the restore can only be the old one resurrected.
+func TestAcknowledgeSurvivesCrash(t *testing.T) {
+	const entry = netsim.EntryID(10)
+	single := fleetCfg(entry)
+	single.Mgmt = &mgmt.Config{}
+	for name, tc := range map[string]struct {
+		cfg     Config
+		outage  func(f *Fleet)
+		settle  sim.Time // replication / failover time around the outage
+		wantEvt EventKind
+	}{
+		"single-instance": {cfg: single, wantEvt: EventCorrelatorRestart,
+			outage: func(f *Fleet) { f.CrashCorrelator(); f.RestartCorrelator() }},
+		"3-replica KillLeader": {cfg: replicatedCfg(0, entry), settle: 2 * sim.Second, wantEvt: EventLeaderElected,
+			outage: func(f *Fleet) { f.KillLeader() }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := sim.New(17)
+			n, err := topo.Build(s, lineSpec(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
+				t.Fatal(err)
+			}
+			f, err := New(s, n, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			udp(n, "H1", entry, 2e6, 4*sim.Second)
+			n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+			s.Run(5 * sim.Second)
+			if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
+				t.Fatalf("localized %v before the acknowledge, want [B->C]", got)
+			}
+
+			f.Acknowledge("B->C")
+			s.Run(s.Now() + tc.settle/10) // let the entry reach the followers
+			tc.outage(f)
+			s.Run(s.Now() + tc.settle)
+
+			if !hasEvent(f, tc.wantEvt, "") || f.Crashed() {
+				t.Fatalf("no %v, or still crashed=%v: the outage did not complete", tc.wantEvt, f.Crashed())
+			}
+			if got := f.Localized(); len(got) != 0 {
+				t.Fatalf("acknowledged verdict resurrected by the outage: localized %v", got)
+			}
+		})
+	}
+}

@@ -68,18 +68,10 @@ type VerifyDecision struct {
 	Frame   []byte
 }
 
-// HeldReroute is the checkpointed form of one parked flip.
-type HeldReroute struct {
-	LinkKey string
-	Key     string
-	Entry   netsim.EntryID
-	Retries int
-}
-
-// heldReroute is the live form.
+// heldReroute is one parked flip.
 type heldReroute struct {
-	ls      *linkState
-	key     string
+	link    string // directed-link key
+	key     string // decision key (verifyKey)
 	entry   netsim.EntryID
 	retries int
 }
@@ -256,7 +248,7 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 		f.Verify.Held++
 		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteHeld, Link: ls.key, Entry: entry,
 			Detail: "no safe backup next hop; holding for retry"})
-		f.verifyHeld = append(f.verifyHeld, &heldReroute{ls: ls, key: key, entry: entry})
+		f.verifyHeld = append(f.verifyHeld, &heldReroute{link: ls.key, key: key, entry: entry})
 		f.persist()
 		f.armVerifyTimer()
 	}
@@ -338,7 +330,8 @@ func (f *Fleet) retryHeld(tick bool) {
 		if _, done := f.verifySeen[h.key]; done {
 			continue // decided while parked (restore replay or fallback)
 		}
-		app, ok := f.agents[h.ls.dl.From].apps[h.ls.port]
+		ls := f.links[h.link]
+		app, ok := f.agents[ls.dl.From].apps[ls.port]
 		if !ok {
 			continue
 		}
@@ -346,12 +339,12 @@ func (f *Fleet) retryHeld(tick bool) {
 			h.retries++
 			f.Verify.Retries++
 		}
-		if f.tryCommit(h.ls, app, h.entry, h.key, false) {
+		if f.tryCommit(ls, app, h.entry, h.key, false) {
 			continue
 		}
 		if h.retries >= f.cfg.Verify.MaxRetries {
 			f.Verify.Abandoned++
-			f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: h.ls.key, Entry: h.entry,
+			f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: h.link, Entry: h.entry,
 				Detail: fmt.Sprintf("abandoned after %d retries; entry stays on primary", h.retries)})
 			f.record(VerifyDecision{Key: h.key, Outcome: verifyRejected})
 			continue
@@ -478,7 +471,7 @@ func (f *Fleet) RestoreEntry(sw string, entry netsim.EntryID) {
 		// exactly what makes them safe.
 		keep := f.verifyHeld[:0]
 		for _, h := range f.verifyHeld {
-			if h.ls.dl.From == sw && h.entry == entry {
+			if f.links[h.link].dl.From == sw && h.entry == entry {
 				continue
 			}
 			keep = append(keep, h)

@@ -5,26 +5,19 @@ package fleet
 // network (mgmt.DgramConsensus payloads).
 //
 // The in-process simulator could pass structs by pointer, but real replicas
-// exchange bytes — and bytes are what a fuzzer can attack. Encoding is
-// canonical: integers are varints (zigzag for signed), strings are
-// length-prefixed, maps are emitted in sorted key order, and absent
-// optionals are a zero flag byte — so identical states produce identical
-// bytes regardless of map iteration order, which same-seed transcript
-// determinism requires. Decoding is defensive: every length prefix is
-// bounds-checked against the remaining input before allocation, so
-// arbitrary input can produce an error but never a panic or a
-// multi-gigabyte allocation (see FuzzDecodeConsensus).
+// exchange bytes — and bytes are what a fuzzer can attack. A message is a
+// fixed header (internal/codec primitives, absent optionals a zero flag
+// byte) followed, when it carries a log entry, by that entry's state frame
+// (state.go) verbatim: the sender appends the bytes it already holds, the
+// receiver validates them with decodeState and keeps them as bytes. Nothing
+// is re-serialised along the way, and arbitrary input can produce an error
+// but never a panic or an allocation beyond the input's size (see
+// FuzzDecodeConsensus).
 
 import (
-	"encoding/binary"
 	"errors"
-	"sort"
 
-	"fancy/internal/fancy"
-	"fancy/internal/mgmt"
-	"fancy/internal/netsim"
-	"fancy/internal/sim"
-	"fancy/internal/verify"
+	"fancy/internal/codec"
 )
 
 // errWire rejects malformed consensus bytes.
@@ -67,16 +60,16 @@ func (k consKind) String() string {
 }
 
 // logEntry is one replicated-log record. Every entry carries a complete
-// correlator checkpoint: committing entry k therefore subsumes every entry
+// correlator state frame: committing entry k therefore subsumes every entry
 // before it, which is the log's built-in compaction — an acceptor persists
 // only its highest accepted entry, and the snapshot is the last committed
-// entry (Checkpoint.Seq already embeds the management server's SeqCheckpoint
-// state, so transport-level dedup survives failover too).
+// entry (the frame embeds the management server's sequencing state, so
+// transport-level dedup survives failover too).
 type logEntry struct {
 	Index  uint64 // log position, 1-based
 	Ballot uint64 // ballot under which the entry was proposed
 	Note   string // human-readable trigger ("verdict seattle>sunnyvale", ...)
-	Cp     *Checkpoint
+	Cp     []byte // the state frame, immutable once built; nil = none
 }
 
 // consMsg is one consensus datagram payload.
@@ -91,491 +84,61 @@ type consMsg struct {
 	Entry     *logEntry // accept payload, promise report, beat retransmit
 }
 
-// --- encoder ---
-
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u64(v uint64)    { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) i64(v int64)     { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) time(t sim.Time) { w.i64(int64(t)) }
-func (w *wbuf) byte(v byte)     { w.b = append(w.b, v) }
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
-}
-func (w *wbuf) str(s string) {
-	w.u64(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) strs(ss []string) {
-	w.u64(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
 // encodeConsensus serializes a consensus message canonically.
 func encodeConsensus(m *consMsg) []byte {
-	w := &wbuf{b: make([]byte, 0, 64)}
-	w.byte(wireVersion)
-	w.byte(byte(m.Kind))
-	w.byte(m.From)
-	w.u64(m.Ballot)
-	w.u64(m.Index)
-	w.u64(m.AccBallot)
-	if m.Entry == nil {
-		w.bool(false)
-	} else {
-		w.bool(true)
-		encodeEntry(w, m.Entry)
+	size := 40 // header bound: 3 bytes, three uvarints, the entry flag
+	if e := m.Entry; e != nil {
+		size += 24 + len(e.Note) + len(e.Cp)
 	}
-	return w.b
-}
-
-func encodeEntry(w *wbuf, e *logEntry) {
-	w.u64(e.Index)
-	w.u64(e.Ballot)
-	w.str(e.Note)
-	if e.Cp == nil {
-		w.bool(false)
-		return
+	w := codec.Writer{B: make([]byte, 0, size)}
+	w.Byte(wireVersion)
+	w.Byte(byte(m.Kind))
+	w.Byte(m.From)
+	w.Uvarint(m.Ballot)
+	w.Uvarint(m.Index)
+	w.Uvarint(m.AccBallot)
+	e := m.Entry
+	w.Bool(e != nil)
+	if e != nil {
+		w.Uvarint(e.Index)
+		w.Uvarint(e.Ballot)
+		w.Str(e.Note)
+		w.Bool(e.Cp != nil)
+		w.B = append(w.B, e.Cp...)
 	}
-	w.bool(true)
-	encodeCheckpoint(w, e.Cp)
-}
-
-func encodeCheckpoint(w *wbuf, cp *Checkpoint) {
-	w.time(cp.Time)
-	w.i64(int64(cp.Alarms))
-	w.i64(int64(cp.Suppressed))
-	w.i64(int64(cp.Localizations))
-	w.i64(int64(cp.Reroutes))
-
-	w.u64(uint64(len(cp.Links)))
-	for _, key := range sortedKeys(cp.Links) {
-		w.str(key)
-		encodeLink(w, cp.Links[key])
-	}
-
-	w.u64(uint64(len(cp.RestartsSeen)))
-	for _, sw := range sortedKeys(cp.RestartsSeen) {
-		w.str(sw)
-		w.i64(int64(cp.RestartsSeen[sw]))
-	}
-	w.u64(uint64(len(cp.RestartObserved)))
-	for _, sw := range sortedKeys(cp.RestartObserved) {
-		w.str(sw)
-		w.time(cp.RestartObserved[sw])
-	}
-	w.u64(uint64(len(cp.EpochCur)))
-	for _, sw := range sortedKeys(cp.EpochCur) {
-		w.str(sw)
-		w.byte(cp.EpochCur[sw])
-	}
-	w.u64(uint64(len(cp.EpochPrev)))
-	for _, sw := range sortedKeys(cp.EpochPrev) {
-		w.str(sw)
-		w.byte(cp.EpochPrev[sw])
-	}
-	w.strs(cp.RerouteSeen)
-
-	w.u64(uint64(len(cp.Seq)))
-	for _, name := range sortedKeys(cp.Seq) {
-		st := cp.Seq[name]
-		w.str(name)
-		w.u64(st.Contig)
-		w.u64(uint64(len(st.Above)))
-		for _, s := range st.Above {
-			w.u64(s)
-		}
-	}
-
-	w.u64(uint64(len(cp.VerifyLog)))
-	for _, d := range cp.VerifyLog {
-		w.str(d.Key)
-		w.byte(d.Outcome)
-		w.u64(uint64(len(d.Frame)))
-		w.b = append(w.b, d.Frame...)
-	}
-	w.u64(uint64(len(cp.VerifyHeld)))
-	for _, h := range cp.VerifyHeld {
-		w.str(h.LinkKey)
-		w.str(h.Key)
-		w.u64(uint64(h.Entry))
-		w.i64(int64(h.Retries))
-	}
-}
-
-func encodeLink(w *wbuf, lc LinkCheckpoint) {
-	w.bool(lc.Localized)
-	w.time(lc.LocalizedAt)
-	w.u64(uint64(len(lc.Affected)))
-	for _, e := range lc.Affected {
-		w.u64(uint64(e))
-	}
-	w.i64(int64(lc.TreePaths))
-	w.i64(int64(lc.Alarms))
-	w.i64(int64(lc.Suppressed))
-	w.bool(lc.Flapping)
-	w.u64(uint64(len(lc.DownTimes)))
-	for _, t := range lc.DownTimes {
-		w.time(t)
-	}
-	w.bool(lc.VerdictPending)
-	w.time(lc.IncidentStart)
-	w.strs(lc.Seen)
-	w.u64(uint64(len(lc.Evidence)))
-	for _, ev := range lc.Evidence {
-		encodeEvidence(w, ev)
-	}
-	w.byte(byte(lc.LastHealth))
-}
-
-func encodeEvidence(w *wbuf, ev fancy.Event) {
-	w.time(ev.Time)
-	w.i64(int64(ev.Port))
-	w.byte(byte(ev.Kind))
-	w.u64(uint64(ev.Entry))
-	w.u64(uint64(len(ev.Path)))
-	for _, p := range ev.Path {
-		w.u64(uint64(p))
-	}
-	w.u64(ev.Diff)
-}
-
-// sortedKeys returns a map's keys in sorted order (canonical encoding).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// --- decoder ---
-
-type rbuf struct {
-	b   []byte
-	bad bool
-}
-
-func (r *rbuf) fail() { r.bad = true }
-
-func (r *rbuf) u64() uint64 {
-	v, n := binary.Uvarint(r.b)
-	// n <= 0 is truncation/overflow; a zero final byte of a multi-byte
-	// varint is a non-minimal encoding our encoder never produces —
-	// rejecting it keeps "valid input" and "canonical input" the same set.
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rbuf) i64() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// u32 and u16 read range-checked narrow integers (a wider value would
-// silently truncate and break canonical re-encoding).
-func (r *rbuf) u32() uint32 {
-	v := r.u64()
-	if v > 0xffffffff {
-		r.fail()
-		return 0
-	}
-	return uint32(v)
-}
-
-func (r *rbuf) u16() uint16 {
-	v := r.u64()
-	if v > 0xffff {
-		r.fail()
-		return 0
-	}
-	return uint16(v)
-}
-
-func (r *rbuf) time() sim.Time { return sim.Time(r.i64()) }
-
-func (r *rbuf) byte() byte {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) bool() bool {
-	switch r.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail() // non-canonical flag byte
-		return false
-	}
-}
-
-// count reads a length prefix and bounds it by the remaining input (every
-// element costs at least one byte), so hostile prefixes cannot drive a
-// huge allocation.
-func (r *rbuf) count() int {
-	v := r.u64()
-	if r.bad || v > uint64(len(r.b)) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *rbuf) str() string {
-	n := r.count()
-	if r.bad {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// strs reads a sorted unique string set (Seen, RerouteSeen): the encoder
-// always emits these sorted, so an out-of-order or duplicate element marks
-// forged input.
-func (r *rbuf) strs() []string {
-	n := r.count()
-	if r.bad || n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		s := r.str()
-		if i > 0 && s <= out[i-1] {
-			r.fail()
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// key reads one sorted-map key, enforcing strictly ascending order against
-// the previous key (duplicates and shuffles are non-canonical).
-func (r *rbuf) key(i int, prev string) string {
-	k := r.str()
-	if i > 0 && k <= prev {
-		r.fail()
-	}
-	return k
+	return w.B
 }
 
 // decodeConsensus parses a consensus message, rejecting malformed or
-// trailing bytes.
+// trailing bytes. An entry's state frame is validated and kept as the bytes
+// it arrived in (aliasing b).
 func decodeConsensus(b []byte) (*consMsg, error) {
-	r := &rbuf{b: b}
-	if r.byte() != wireVersion {
+	r := codec.NewReader(b)
+	if r.Byte() != wireVersion {
 		return nil, errWire
 	}
 	m := &consMsg{}
-	k := r.byte()
+	k := r.Byte()
 	if consKind(k) > consBeat {
 		return nil, errWire
 	}
 	m.Kind = consKind(k)
-	m.From = r.byte()
-	m.Ballot = r.u64()
-	m.Index = r.u64()
-	m.AccBallot = r.u64()
-	if r.bool() {
-		m.Entry = decodeEntry(r)
+	m.From = r.Byte()
+	m.Ballot = r.Uvarint()
+	m.Index = r.Uvarint()
+	m.AccBallot = r.Uvarint()
+	if r.Bool() {
+		e := &logEntry{Index: r.Uvarint(), Ballot: r.Uvarint(), Note: r.Str()}
+		if r.Bool() {
+			e.Cp = r.Rest()
+			if _, err := decodeState(e.Cp); err != nil {
+				return nil, err
+			}
+		}
+		m.Entry = e
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return nil, errWire
 	}
 	return m, nil
-}
-
-func decodeEntry(r *rbuf) *logEntry {
-	e := &logEntry{}
-	e.Index = r.u64()
-	e.Ballot = r.u64()
-	e.Note = r.str()
-	if r.bool() {
-		e.Cp = decodeCheckpoint(r)
-	}
-	return e
-}
-
-func decodeCheckpoint(r *rbuf) *Checkpoint {
-	cp := &Checkpoint{}
-	cp.Time = r.time()
-	cp.Alarms = int(r.i64())
-	cp.Suppressed = int(r.i64())
-	cp.Localizations = int(r.i64())
-	cp.Reroutes = int(r.i64())
-
-	if n := r.count(); n > 0 {
-		cp.Links = make(map[string]LinkCheckpoint, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.Links[prev] = decodeLink(r)
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.RestartsSeen = make(map[string]int, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.RestartsSeen[prev] = int(r.i64())
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.RestartObserved = make(map[string]sim.Time, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.RestartObserved[prev] = r.time()
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.EpochCur = make(map[string]uint8, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.EpochCur[prev] = r.byte()
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.EpochPrev = make(map[string]uint8, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.EpochPrev[prev] = r.byte()
-		}
-	}
-	cp.RerouteSeen = r.strs()
-
-	if n := r.count(); n > 0 {
-		cp.Seq = make(map[string]mgmt.SeqState, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			st := mgmt.SeqState{Contig: r.u64()}
-			if a := r.count(); a > 0 {
-				st.Above = make([]uint64, 0, a)
-				for j := 0; j < a && !r.bad; j++ {
-					s := r.u64()
-					if j > 0 && s <= st.Above[j-1] {
-						r.fail()
-						break
-					}
-					st.Above = append(st.Above, s)
-				}
-			}
-			cp.Seq[prev] = st
-		}
-	}
-
-	if n := r.count(); n > 0 {
-		for i := 0; i < n && !r.bad; i++ {
-			d := VerifyDecision{Key: r.str(), Outcome: r.byte()}
-			if d.Outcome > verifyOutcomeMax {
-				r.fail()
-				break
-			}
-			if fn := r.count(); fn > 0 && !r.bad {
-				d.Frame = append([]byte(nil), r.b[:fn]...)
-				r.b = r.b[fn:]
-				// A frame must itself be a canonical delta; a forged or
-				// corrupted frame would otherwise be replayed into the
-				// verifier model after a failover.
-				if _, err := verify.DecodeDelta(d.Frame); err != nil {
-					r.fail()
-					break
-				}
-			}
-			cp.VerifyLog = append(cp.VerifyLog, d)
-		}
-	}
-	if n := r.count(); n > 0 {
-		for i := 0; i < n && !r.bad; i++ {
-			cp.VerifyHeld = append(cp.VerifyHeld, HeldReroute{
-				LinkKey: r.str(),
-				Key:     r.str(),
-				Entry:   netsim.EntryID(r.u32()),
-				Retries: int(r.i64()),
-			})
-		}
-	}
-	return cp
-}
-
-func decodeLink(r *rbuf) LinkCheckpoint {
-	var lc LinkCheckpoint
-	lc.Localized = r.bool()
-	lc.LocalizedAt = r.time()
-	if n := r.count(); n > 0 {
-		lc.Affected = make([]netsim.EntryID, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			e := netsim.EntryID(r.u32())
-			if i > 0 && e <= lc.Affected[i-1] {
-				r.fail()
-				break
-			}
-			lc.Affected = append(lc.Affected, e)
-		}
-	}
-	lc.TreePaths = int(r.i64())
-	lc.Alarms = int(r.i64())
-	lc.Suppressed = int(r.i64())
-	lc.Flapping = r.bool()
-	if n := r.count(); n > 0 {
-		lc.DownTimes = make([]sim.Time, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			lc.DownTimes = append(lc.DownTimes, r.time())
-		}
-	}
-	lc.VerdictPending = r.bool()
-	lc.IncidentStart = r.time()
-	lc.Seen = r.strs()
-	if n := r.count(); n > 0 {
-		lc.Evidence = make([]fancy.Event, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			lc.Evidence = append(lc.Evidence, decodeEvidence(r))
-		}
-	}
-	lc.LastHealth = Health(r.byte())
-	return lc
-}
-
-func decodeEvidence(r *rbuf) fancy.Event {
-	var ev fancy.Event
-	ev.Time = r.time()
-	ev.Port = int(r.i64())
-	ev.Kind = fancy.EventKind(r.byte())
-	ev.Entry = netsim.EntryID(r.u32())
-	if n := r.count(); n > 0 {
-		ev.Path = make([]uint16, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			ev.Path = append(ev.Path, r.u16())
-		}
-	}
-	ev.Diff = r.u64()
-	return ev
 }

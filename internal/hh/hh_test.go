@@ -1,8 +1,11 @@
 package hh
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fancy/internal/netsim"
@@ -160,6 +163,28 @@ func TestReportRoundTrip(t *testing.T) {
 	got, err = DecodeReport(EncodeReport(empty))
 	if err != nil || !reflect.DeepEqual(empty, got) {
 		t.Fatalf("empty round trip: %v %+v", err, got)
+	}
+}
+
+// TestReportFormatPinned compares the frames of TestReportRoundTrip's two
+// samples with the bytes the pre-codec encoder produced (recorded at commit
+// 7231d9a): moving the varint primitives into internal/codec did not move
+// the format.
+func TestReportFormatPinned(t *testing.T) {
+	var got strings.Builder
+	for _, r := range []*Report{
+		{Port: 3, Epoch: 7, Seq: 19, Packets: 12345, Recircs: 67,
+			Entries: []EntryCount{{Entry: 9, Count: 500}, {Entry: 2, Count: 80}, {Entry: 5, Count: 80}, {Entry: 1, Count: 3}}},
+		{Port: 1, Epoch: 0, Seq: 0},
+	} {
+		fmt.Fprintf(&got, "%x\n", EncodeReport(r))
+	}
+	want, err := os.ReadFile("testdata/report.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("report frame bytes moved:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

@@ -1,10 +1,10 @@
 package hh
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"fancy/internal/codec"
 	"fancy/internal/netsim"
 )
 
@@ -33,102 +33,46 @@ const maxReportEntries = 4096
 
 // EncodeReport serializes r in canonical form.
 func EncodeReport(r *Report) []byte {
-	b := make([]byte, 0, 16+8*len(r.Entries))
-	b = append(b, reportVersion)
-	b = binary.AppendUvarint(b, uint64(r.Port))
-	b = append(b, r.Epoch)
-	b = binary.AppendUvarint(b, uint64(r.Seq))
-	b = binary.AppendUvarint(b, r.Packets)
-	b = binary.AppendUvarint(b, r.Recircs)
-	b = binary.AppendUvarint(b, uint64(len(r.Entries)))
+	w := codec.Writer{B: make([]byte, 0, 16+8*len(r.Entries))}
+	w.Byte(reportVersion)
+	w.Uvarint(uint64(r.Port))
+	w.Byte(r.Epoch)
+	w.Uvarint(uint64(r.Seq))
+	w.Uvarint(r.Packets)
+	w.Uvarint(r.Recircs)
+	w.Uvarint(uint64(len(r.Entries)))
 	for _, ec := range r.Entries {
-		b = binary.AppendUvarint(b, uint64(ec.Entry))
-		b = binary.AppendUvarint(b, uint64(ec.Count))
+		w.Uvarint(uint64(ec.Entry))
+		w.Uvarint(uint64(ec.Count))
 	}
-	return b
+	return w.B
 }
 
 var errBadReport = errors.New("hh: malformed report")
 
-// rrbuf is the defensive reader: any violation (short buffer, non-minimal
-// varint, range overflow) latches bad and zero-fills from then on.
-type rrbuf struct {
-	b   []byte
-	bad bool
-}
-
-func (r *rrbuf) fail() uint64 {
-	r.bad = true
-	return 0
-}
-
-func (r *rrbuf) u64() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return r.fail()
-	}
-	// Reject non-minimal encodings: a multi-byte varint must not end in a
-	// zero continuation payload byte.
-	if n > 1 && r.b[n-1] == 0 {
-		return r.fail()
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rrbuf) u32() uint32 {
-	v := r.u64()
-	if v > 1<<32-1 {
-		return uint32(r.fail())
-	}
-	return uint32(v)
-}
-
-func (r *rrbuf) u16() uint16 {
-	v := r.u64()
-	if v > 1<<16-1 {
-		return uint16(r.fail())
-	}
-	return uint16(v)
-}
-
-func (r *rrbuf) byte() byte {
-	if len(r.b) == 0 {
-		return byte(r.fail())
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rrbuf) count() int {
-	v := r.u64()
-	// Each entry costs at least two bytes on the wire; a count that
-	// cannot fit the remaining buffer is garbage, not a big report.
-	if v > maxReportEntries || v > uint64(len(r.b)) {
-		return int(r.fail())
-	}
-	return int(v)
-}
-
 // DecodeReport parses and validates a canonical report frame.
 func DecodeReport(b []byte) (*Report, error) {
-	if len(b) == 0 || b[0] != reportVersion {
+	r := codec.NewReader(b)
+	if r.Byte() != reportVersion {
 		return nil, fmt.Errorf("%w: bad version", errBadReport)
 	}
-	r := &rrbuf{b: b[1:]}
 	rep := &Report{
-		Port:    r.u16(),
-		Epoch:   r.byte(),
-		Seq:     r.u32(),
-		Packets: r.u64(),
-		Recircs: r.u64(),
+		Port:    r.U16(),
+		Epoch:   r.Byte(),
+		Seq:     r.U32(),
+		Packets: r.Uvarint(),
+		Recircs: r.Uvarint(),
 	}
-	n := r.count()
+	// Each entry costs at least two bytes on the wire, so Count's
+	// bytes-remaining bound already rejects a prefix that cannot fit.
+	n := r.Count()
+	if n > maxReportEntries {
+		r.Fail()
+	}
 	var prev EntryCount
-	for i := 0; i < n; i++ {
-		ec := EntryCount{Entry: netsim.EntryID(r.u32()), Count: r.u32()}
-		if r.bad {
+	for i := 0; i < n && !r.Failed(); i++ {
+		ec := EntryCount{Entry: netsim.EntryID(r.U32()), Count: r.U32()}
+		if r.Failed() {
 			break
 		}
 		// Enforce the canonical order: strictly descending by count,
@@ -141,7 +85,7 @@ func DecodeReport(b []byte) (*Report, error) {
 		rep.Entries = append(rep.Entries, ec)
 		prev = ec
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return nil, errBadReport
 	}
 	return rep, nil

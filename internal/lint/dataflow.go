@@ -1,12 +1,10 @@
 // Intra-procedural dataflow engine: CFG construction over go/ast plus a
 // forward worklist fixpoint over per-variable facts.
 //
-// The PR 4 analyzers are syntactic pattern matchers; the PR 9 sim-core
-// idioms (pooled packets/events, borrow-semantics decode scratch) have
-// PATH-sensitive contracts — "a packet must not be used after its release
-// *along any execution path*", "the scratch must not be referenced after
-// the borrowing function returns". This file gives the analyzers an
-// SSA-lite substrate for those checks:
+// The PR 4 analyzers are syntactic pattern matchers; the sim-core's pooled
+// packets and events have a PATH-sensitive contract — "a packet must not be
+// used after its release *along any execution path*". This file gives
+// poolsafe an SSA-lite substrate for that check:
 //
 //   - buildCFG turns one function body into basic blocks of "simple" nodes
 //     (plain statements and control-header expressions) connected by the
@@ -44,8 +42,6 @@ const (
 	factReleased                     // release was called on it
 	factEscaped                      // a retaining reference escaped (field/slice/map/closure)
 	factLent                         // a packet lent to a netsim callback, or a copy of that pointer
-	// borrowescape
-	factBorrowed // aliases an UnmarshalInto decode scratch
 )
 
 // flowState maps variables to their current facts. The absence of an entry
@@ -472,37 +468,6 @@ func (g *funcCFG) replay(in map[*cfgBlock]flowState,
 
 // --- shared expression helpers for the dataflow analyzers ---
 
-// rootIdentObj resolves the leftmost identifier of a selector / index /
-// slice / paren / star / unary-& chain to its object, or nil.
-func rootIdentObj(p *Package, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if obj := p.Info.Uses[x]; obj != nil {
-				return obj
-			}
-			return p.Info.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // inspectNoFuncLit walks the subtree like ast.Inspect but does not descend
 // into function literals: a closure body is a separate function for the
 // intra-procedural analyses (captures are handled explicitly).
@@ -541,33 +506,4 @@ func freeVars(p *Package, fl *ast.FuncLit) map[types.Object]bool {
 func isImmediatelyInvoked(parent ast.Node, fl *ast.FuncLit) bool {
 	call, ok := parent.(*ast.CallExpr)
 	return ok && call.Fun == fl
-}
-
-// typeRetains reports whether a value of type t can keep the memory it was
-// derived from alive: slices, pointers, maps, channels, funcs, interfaces,
-// and structs/arrays containing any of those. Plain scalars (and structs of
-// scalars, like wire.Header) copy by value and retain nothing.
-func typeRetains(t types.Type) bool {
-	return typeRetainsSeen(t, make(map[types.Type]bool))
-}
-
-func typeRetainsSeen(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Slice, *types.Pointer, *types.Map, *types.Chan,
-		*types.Signature, *types.Interface:
-		return true
-	case *types.Array:
-		return typeRetainsSeen(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeRetainsSeen(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
 }

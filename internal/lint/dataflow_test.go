@@ -291,11 +291,11 @@ func TestJoinFrom(t *testing.T) {
 	a := types.NewVar(token.NoPos, nil, "a", types.Typ[types.Int])
 	b := types.NewVar(token.NoPos, nil, "b", types.Typ[types.Int])
 	s := flowState{a: factPooled}
-	src := flowState{a: factReleased, b: factBorrowed}
+	src := flowState{a: factReleased, b: factLent}
 	if !s.joinFrom(src) {
 		t.Fatal("joinFrom reported no change when merging new facts")
 	}
-	if s[a] != factPooled|factReleased || s[b] != factBorrowed {
+	if s[a] != factPooled|factReleased || s[b] != factLent {
 		t.Fatalf("joinFrom merged wrong facts: a=%b b=%b", s[a], s[b])
 	}
 	if s.joinFrom(src) {
@@ -305,40 +305,5 @@ func TestJoinFrom(t *testing.T) {
 	c[a] |= factEscaped
 	if s[a]&factEscaped != 0 {
 		t.Fatal("clone shares storage with the original state")
-	}
-}
-
-// TestTypeRetains pins the escape-relevance classification used by poolsafe
-// and borrowescape, including recursion through structs and self-referential
-// types.
-func TestTypeRetains(t *testing.T) {
-	intT := types.Typ[types.Int]
-	if typeRetains(intT) {
-		t.Error("int must not retain")
-	}
-	if !typeRetains(types.NewSlice(intT)) {
-		t.Error("[]int must retain")
-	}
-	if !typeRetains(types.NewPointer(intT)) {
-		t.Error("*int must retain")
-	}
-	scalarStruct := types.NewStruct([]*types.Var{
-		types.NewField(token.NoPos, nil, "a", intT, false),
-		types.NewField(token.NoPos, nil, "b", types.Typ[types.Float64], false),
-	}, nil)
-	if typeRetains(scalarStruct) {
-		t.Error("struct of scalars must not retain")
-	}
-	sliceStruct := types.NewStruct([]*types.Var{
-		types.NewField(token.NoPos, nil, "xs", types.NewSlice(intT), false),
-	}, nil)
-	if !typeRetains(sliceStruct) {
-		t.Error("struct containing a slice must retain")
-	}
-	if typeRetains(types.NewArray(intT, 4)) {
-		t.Error("[4]int must not retain")
-	}
-	if !typeRetains(types.NewArray(types.NewPointer(intT), 4)) {
-		t.Error("[4]*int must retain")
 	}
 }

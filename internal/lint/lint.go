@@ -45,7 +45,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerMapOrder,
 		AnalyzerFloatEq,
 		AnalyzerPoolSafe,
-		AnalyzerBorrowEscape,
 	}
 }
 

@@ -260,6 +260,39 @@ func (n *Network) PathDelay(from, to string) (sim.Time, bool) {
 	return total, true
 }
 
+// LoopFreeBackup picks the backup next hop for traffic that crosses dl: the
+// neighbor of dl.From, other than dl.To, with the cheapest delay-weighted
+// path to dl.To among those that provably avoid the dl.From→dl.To link. A
+// neighbor nb qualifies when its shortest path to dl.To is strictly cheaper
+// than going back through dl.From (nb→From plus the link itself) — such a
+// path cannot traverse From, so diverting to nb cannot loop. The second
+// result is false when dl is not a link or no neighbor qualifies.
+func (n *Network) LoopFreeBackup(dl DirectedLink) (string, bool) {
+	direct, ok := n.LinkDelay(dl.From, dl.To)
+	if !ok {
+		return "", false
+	}
+	best := ""
+	var bestDelay sim.Time
+	for _, nb := range n.Neighbors(dl.From) {
+		if nb == dl.To {
+			continue
+		}
+		detour, ok := n.PathDelay(nb, dl.To)
+		if !ok {
+			continue
+		}
+		back, _ := n.LinkDelay(nb, dl.From)
+		if detour >= back+direct {
+			continue // the detour may route back through From: unsafe
+		}
+		if best == "" || detour < bestDelay {
+			best, bestDelay = nb, detour
+		}
+	}
+	return best, best != ""
+}
+
 // paths returns the Dijkstra next hops toward dst (a switch name): for
 // every switch, the neighbor on its delay-weighted shortest path to dst.
 // The result is cached per destination and shared; callers must not modify

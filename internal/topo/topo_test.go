@@ -268,6 +268,49 @@ func TestLinkAccessors(t *testing.T) {
 	}
 }
 
+// TestLoopFreeBackup: the backup next hop is the cheapest neighbor whose
+// shortest path to the far end cannot come back through the near end.
+func TestLoopFreeBackup(t *testing.T) {
+	ms := func(d int) sim.Time { return sim.Time(d) * sim.Millisecond }
+	// A—B is the protected link; C and D both offer safe detours, D's the
+	// cheaper one; E hangs off A alone, so its way to B is back through A.
+	diamond := Spec{
+		Switches: []string{"A", "B", "C", "D", "E"},
+		Links: []LinkSpec{
+			{A: "A", B: "B", Delay: ms(10)},
+			{A: "A", B: "C", Delay: ms(1)}, {A: "C", B: "B", Delay: ms(2)},
+			{A: "A", B: "D", Delay: ms(1)}, {A: "D", B: "B", Delay: ms(1)},
+			{A: "A", B: "E", Delay: ms(1)},
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		dl   DirectedLink
+		want string // "" = no loop-free backup
+	}{
+		// atlanta's neighbors besides indianapolis: houston reaches it via
+		// kansascity (11 ms < 8+5 back through atlanta) — safe; washington's
+		// shortest path (11 ms) is the one back through atlanta — unsafe.
+		{"Abilene, one safe neighbor of two", Abilene(), DirectedLink{"atlanta", "indianapolis"}, "houston"},
+		{"Abilene, single candidate", Abilene(), DirectedLink{"seattle", "sunnyvale"}, "denver"},
+		// houston and indianapolis both reach denver through kansascity.
+		{"Abilene, every detour routes back through From", Abilene(), DirectedLink{"kansascity", "denver"}, ""},
+		{"cheapest of two safe neighbors", diamond, DirectedLink{"A", "B"}, "D"},
+		{"no neighbor besides To", diamond, DirectedLink{"E", "A"}, ""},
+		{"not a link", diamond, DirectedLink{"C", "D"}, ""},
+	} {
+		n, err := Build(sim.New(1), tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := n.LoopFreeBackup(tc.dl)
+		if got != tc.want || ok != (tc.want != "") {
+			t.Errorf("%s: LoopFreeBackup(%v) = %q, %v; want %q", tc.name, tc.dl, got, ok, tc.want)
+		}
+	}
+}
+
 func TestAbileneRoundTrip(t *testing.T) {
 	// Round-trip sanity: an echo between coast hosts must take exactly
 	// 2 × (host links + the delay-weighted shortest switch path), which the

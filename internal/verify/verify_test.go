@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -313,6 +315,32 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDelta(nil); err == nil {
 		t.Fatal("empty frame must be rejected")
+	}
+}
+
+// TestDeltaFormatPinned compares the frames of the round-trip sample, an
+// empty delta and a negative port with the bytes the pre-codec encoder
+// produced (recorded at commit 7231d9a): moving the varint primitives into
+// internal/codec did not move the format.
+func TestDeltaFormatPinned(t *testing.T) {
+	var got strings.Builder
+	for _, d := range []*Delta{
+		NewDelta("seattle->denver", []Flip{
+			EntryFlip("sunnyvale", 10, 3),
+			EntryFlip("seattle", 10, 1),
+			{Switch: "seattle", Addr: 0xac100002, Plen: 32, Port: 0},
+		}),
+		{Link: "seattle->denver"},
+		NewDelta("atlanta->indianapolis", []Flip{EntryFlip("atlanta", 10, -1)}),
+	} {
+		fmt.Fprintf(&got, "%x\n", EncodeDelta(d))
+	}
+	want, err := os.ReadFile("testdata/delta.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("delta frame bytes moved:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

@@ -1,10 +1,10 @@
 package verify
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"fancy/internal/codec"
 	"fancy/internal/netsim"
 )
 
@@ -65,129 +65,48 @@ func NewDelta(link string, flips []Flip) *Delta {
 
 // EncodeDelta emits the canonical frame.
 func EncodeDelta(d *Delta) []byte {
-	b := []byte{deltaVersion}
-	b = appendStr(b, d.Link)
-	b = binary.AppendUvarint(b, uint64(len(d.Flips)))
+	w := codec.Writer{B: []byte{deltaVersion}}
+	w.Str(d.Link)
+	w.Uvarint(uint64(len(d.Flips)))
 	for _, fl := range d.Flips {
-		b = appendStr(b, fl.Switch)
-		b = binary.AppendUvarint(b, uint64(fl.Addr))
-		b = append(b, byte(fl.Plen))
-		b = binary.AppendVarint(b, int64(fl.Port))
+		w.Str(fl.Switch)
+		w.Uvarint(uint64(fl.Addr))
+		w.Byte(byte(fl.Plen))
+		w.Varint(int64(fl.Port))
 	}
-	return b
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return w.B
 }
 
 // DecodeDelta parses a frame, rejecting every non-canonical encoding:
 // wrong version, non-minimal varints, out-of-range fields, flips not in
 // strictly ascending (Switch, Addr, Plen) order, or trailing bytes.
 func DecodeDelta(data []byte) (*Delta, error) {
-	r := &deltaReader{b: data}
-	if v := r.byte(); v != deltaVersion {
+	r := codec.NewReader(data)
+	if v := r.Byte(); v != deltaVersion {
 		return nil, fmt.Errorf("verify: bad delta version %d", v)
 	}
-	d := &Delta{Link: r.str()}
-	n := r.count()
-	for i := 0; i < n && !r.bad; i++ {
-		fl := Flip{Switch: r.str()}
-		addr := r.u64()
-		if addr > 0xffffffff {
-			r.fail()
-			break
-		}
-		fl.Addr = uint32(addr)
-		fl.Plen = int(r.byte())
+	d := &Delta{Link: r.Str()}
+	n := r.Count()
+	for i := 0; i < n && !r.Failed(); i++ {
+		fl := Flip{Switch: r.Str(), Addr: r.U32(), Plen: int(r.Byte())}
 		if fl.Plen > 32 {
-			r.fail()
+			r.Fail()
 			break
 		}
-		fl.Port = int(r.i64())
+		fl.Port = int(r.Varint())
 		if i > 0 {
 			p := d.Flips[i-1]
 			if fl.Switch < p.Switch ||
 				(fl.Switch == p.Switch && fl.Addr < p.Addr) ||
 				(fl.Switch == p.Switch && fl.Addr == p.Addr && fl.Plen <= p.Plen) {
-				r.fail()
+				r.Fail()
 				break
 			}
 		}
 		d.Flips = append(d.Flips, fl)
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return nil, fmt.Errorf("verify: malformed delta frame")
 	}
 	return d, nil
-}
-
-// deltaReader mirrors the fleet codec's strict reader: any malformed field
-// poisons the rest of the parse.
-type deltaReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *deltaReader) fail() {
-	r.bad = true
-	r.b = nil
-}
-
-func (r *deltaReader) byte() byte {
-	if r.bad || len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *deltaReader) u64() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) { // reject non-minimal encodings
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *deltaReader) i64() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads a collection length, bounded by the remaining input so a
-// hostile frame cannot force a huge allocation.
-func (r *deltaReader) count() int {
-	v := r.u64()
-	if r.bad || v > uint64(len(r.b)) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *deltaReader) str() string {
-	n := r.count()
-	if r.bad {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
 }

@@ -140,6 +140,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if n.Direction(from, to) == nil {
 		return fail("no %s link in Abilene", *link)
 	}
+	if *partition != "" && n.Switches[*partition] == nil {
+		return fail("no switch %q to partition", *partition)
+	}
 	const entry = netsim.EntryID(10)
 	dur := sim.Time(*duration)
 	routes := map[netsim.EntryID]string{entry: "hdst"}
@@ -261,9 +264,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *crashCorr > 0 {
-		if !mgmtWanted {
-			return fail("-crash-correlator needs the management plane")
-		}
 		s.ScheduleAt(sim.Time(*crashCorr), f.CrashCorrelator)
 		s.ScheduleAt(sim.Time(*crashCorr+*crashDown), f.RestartCorrelator)
 		fmt.Fprintf(stdout, "correlator crash at %v, restart at %v\n", *crashCorr, *crashCorr+*crashDown)
@@ -275,9 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "leader kill at %v, dead replica rejoins at %v\n", *killLeader, *killLeader+*crashDown)
 	}
 	if *partition != "" {
-		if _, ok := n.Switches[*partition]; !ok {
-			return fail("no switch %q to partition", *partition)
-		}
 		cut := sim.Time(*failAt)
 		heal := cut + (dur-cut)/2
 		sw := *partition

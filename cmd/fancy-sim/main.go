@@ -68,6 +68,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *dedicated > *entries {
 		return fail(2, "-dedicated cannot exceed -entries")
 	}
+	var failing []fancy.EntryID
+	for _, part := range strings.Split(*failList, ",") {
+		idx, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || idx < 0 || idx >= *entries {
+			return fail(2, "bad failing entry %q", part)
+		}
+		failing = append(failing, fancy.EntryID(idx))
+	}
 
 	hp := make([]fancy.EntryID, *dedicated)
 	for i := range hp {
@@ -108,14 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ml.UDP(fancy.EntryID(i), *rate, 0, stop)
 	}
 
-	var failing []fancy.EntryID
-	for _, part := range strings.Split(*failList, ",") {
-		idx, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || idx < 0 || idx >= *entries {
-			return fail(2, "bad failing entry %q", part)
-		}
-		failing = append(failing, fancy.EntryID(idx))
-	}
 	if *uniform {
 		ml.FailUniform(fancy.Time(*failAt), *loss)
 		fmt.Fprintf(stdout, "injecting uniform %.1f%% loss at %v\n", *loss*100, *failAt)

@@ -16,6 +16,8 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		"-dedicated -1":    "-dedicated must be >= 0, got -1",
 		"-entries -1":      "-entries must be >= 0, got -1",
 		"-dedicated 9":     "-dedicated cannot exceed -entries",
+		"-fail 9":          `bad failing entry "9"`,
+		"-fail 0,x":        `bad failing entry "x"`,
 		"-loss 2":          "-loss must be a probability in [0, 1], got 2",
 		"-chaos-corrupt 7": "-chaos-corrupt must be a probability in [0, 1], got 7",
 		"-chaos-dup -0.5":  "-chaos-dup must be a probability in [0, 1], got -0.5",

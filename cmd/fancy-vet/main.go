@@ -16,7 +16,8 @@
 // file:line:col: analyzer: message; -json emits them as a JSON array;
 // -github emits GitHub Actions ::error workflow commands so findings show
 // up as inline annotations on the pull request.
-// Exit status is 1 if there are findings, 2 on load errors, 0 otherwise.
+// Exit status is 1 if there are findings, 2 on load or usage errors, 0
+// otherwise.
 //
 // A finding is suppressed only by an inline directive with a reason:
 //
@@ -31,10 +32,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/lint"
 )
 
@@ -65,27 +68,37 @@ func ghEscapeProp(s string) string {
 	return s
 }
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	githubOut := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: fancy-vet [-json] [-github] [packages]\n\nanalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: findings on stdout, load and usage errors on
+// stderr; the exit status is the package comment's.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fancy-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
+	githubOut := fs.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: fancy-vet [-json] [-github] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if code, done := flagcheck.Parse(fs, args); done {
+		return code
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fancy-vet:", err)
+		return 2
+	}
 
 	mod, err := lint.FindModule(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fancy-vet:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	pkgs, err := lint.Load(mod, flag.Args()...)
+	pkgs, err := lint.Load(mod, fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fancy-vet:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	findings := lint.Run(pkgs, lint.Analyzers())
 
@@ -111,27 +124,27 @@ func main() {
 				Message:  f.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "\t")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "fancy-vet:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	case *githubOut:
 		// Workflow commands must use forward slashes so the annotation
 		// anchors to the file in the PR diff view.
 		for _, f := range findings {
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=%s::%s\n",
+			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=%s::%s\n",
 				ghEscapeProp(filepath.ToSlash(display(f.Pos.Filename))), f.Pos.Line, f.Pos.Column,
 				ghEscapeProp("fancy-vet "+f.Analyzer), ghEscape(f.Message))
 		}
 	default:
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n",
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
 				display(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

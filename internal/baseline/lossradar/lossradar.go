@@ -47,9 +47,6 @@ func New(n int) *IBF {
 	return &IBF{cells: make([]Cell, n)}
 }
 
-// Len reports the number of cells.
-func (f *IBF) Len() int { return len(f.cells) }
-
 func (f *IBF) indices(id uint64) [ibfHashes]int {
 	var out [ibfHashes]int
 	n := uint64(len(f.cells))

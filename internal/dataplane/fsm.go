@@ -37,7 +37,6 @@ const (
 // Metadata keys.
 const (
 	metaPass    = "pass"    // 0 = first step, 1 = apply, 2 = readout
-	metaState   = "state"   // state read in the first step
 	metaNext    = "next"    // planned next state
 	metaAckSess = "ackSess" // session to acknowledge
 	metaReset   = "reset"   // reset counters during apply

@@ -69,9 +69,6 @@ func BuildHeavyHitter(p hh.Params) *HHProgram {
 	return g
 }
 
-// Params returns the (defaulted) sketch sizing the program was built for.
-func (g *HHProgram) Params() hh.Params { return g.params }
-
 func (g *HHProgram) stageAction(i int) Action {
 	return func(c *Ctx) {
 		if c.Meta(hhMetaClaim) == 1 {

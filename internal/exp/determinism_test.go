@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -107,6 +108,12 @@ func chaosTranscript(t *testing.T, seed int64, replicas int, hhSlots int, verifi
 // gray link (the verdict is seed-independent even though the transcript is
 // not). Both the single-instance and the replicated correlator must hold
 // it — elections, log replication and redirects included.
+//
+// Run 1 must also equal testdata/transcript-<name>.golden, recorded from this
+// function at the commit before the correlator became one replica group
+// (a065d1f): "byte-identical to the parent" is a file compare, not a manual
+// check. There is no update flag; a transcript that is meant to move is
+// replaced with the "got" text below in the change that explains why.
 func TestSameSeedSameTranscript(t *testing.T) {
 	const seed = 1234
 	for _, tc := range []struct {
@@ -128,6 +135,14 @@ func TestSameSeedSameTranscript(t *testing.T) {
 			}
 			if !strings.Contains(a, "verdict kansascity->denver") {
 				t.Fatalf("transcript has no verdict for the injected link:\n%s", a)
+			}
+			file := "testdata/transcript-" + tc.name + ".golden"
+			want, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != string(want) {
+				t.Fatalf("%s: transcript moved:\n got:\n%s\nwant:\n%s", file, a, want)
 			}
 			c := chaosTranscript(t, seed+1, tc.replicas, tc.hhSlots, tc.verified)
 			if !strings.Contains(c, "verdict kansascity->denver") {

@@ -151,20 +151,17 @@ func FleetChaos(scale Scale, seed int64) *ChaosFleetResult {
 // fleetChaosTrial is one gray link under one impairment configuration.
 func fleetChaosTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg ChaosFleetConfig) ChaosFleetRow {
 	faults := func(s *sim.Sim, f *fleet.Fleet) {
-		switch {
-		case !cfg.Crash:
-		case cfg.Replicas > 1:
-			// Kill the LEADER spanning the first evidence window; recovery
-			// is a phi-driven election and a replicated-log restore, not a
-			// scheduled restart. The dead replica rejoins as a follower.
-			killed := -1
-			s.ScheduleAt(grayFailAt+100*sim.Millisecond, func() { killed = f.KillLeader() })
-			s.ScheduleAt(grayFailAt+400*sim.Millisecond, func() { f.RestartReplica(killed) })
-		default:
-			// Crash spanning the first evidence window; restart 300 ms later.
-			s.ScheduleAt(grayFailAt+100*sim.Millisecond, f.CrashCorrelator)
-			s.ScheduleAt(grayFailAt+400*sim.Millisecond, f.RestartCorrelator)
+		if !cfg.Crash {
+			return
 		}
+		// Kill the active replica spanning the first evidence window and
+		// restart it 300 ms later. With peers, recovery is a phi-driven
+		// election and a replicated-log restore, and the dead replica
+		// rejoins as a follower; a lone replica restores from its last
+		// checkpoint at the restart.
+		killed := -1
+		s.ScheduleAt(grayFailAt+100*sim.Millisecond, func() { killed = f.KillLeader() })
+		s.ScheduleAt(grayFailAt+400*sim.Millisecond, func() { f.RestartReplica(killed) })
 	}
 	g := grayLinkTrial(seed, dl, duration, fleet.Config{
 		Mgmt:     &mgmt.Config{Loss: cfg.Loss, Duplicate: cfg.Loss / 2, Jitter: sim.Millisecond},

@@ -12,7 +12,6 @@ import (
 
 	"fancy/internal/hh"
 	"fancy/internal/netsim"
-	"fancy/internal/sim"
 	"fancy/internal/wire"
 )
 
@@ -131,13 +130,4 @@ func (d *Detector) PromotedEntries(port int) []netsim.EntryID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// HHReportInterval exposes the effective reporting interval (0 when the
-// stage is not deployed).
-func (d *Detector) HHReportInterval() sim.Time {
-	if d.cfg.HH == nil {
-		return 0
-	}
-	return d.cfg.HH.ReportInterval
 }

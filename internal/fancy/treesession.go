@@ -367,7 +367,6 @@ type treeReceiver struct {
 	// ancestors[i] lists (nodeIdx, counterIdx) increments implied by a tag
 	// for target i, precomputed from the prefix-closed target list.
 	ancestors [][]ancestorRef
-	targets   []wire.ZoomTarget
 
 	// Non-pipelined: single reused node.
 	node []uint64
@@ -400,13 +399,9 @@ func (r *treeReceiver) resetSession(targets []wire.ZoomTarget) {
 	}
 	// The zoom configuration outlives this call (tag decoding reads it all
 	// session), while targets is borrowed from the control-message parse
-	// scratch — deep-copy it. Healthy ports carry no zooms, so this
-	// allocates only while a failure is being chased.
-	r.targets = make([]wire.ZoomTarget, len(targets))
-	for i, tg := range targets {
-		r.targets[i].Path = append([]uint16(nil), tg.Path...)
-	}
-	targets = r.targets
+	// scratch: nodes and ancestors are derived from it by value (pathKey
+	// copies), so no slice of it may be kept. Healthy ports carry no zooms,
+	// so this allocates only while a failure is being chased.
 	r.nodes = make([][]uint64, len(targets))
 	r.ancestors = make([][]ancestorRef, len(targets))
 	idxByPath := make(map[string]int, len(targets))

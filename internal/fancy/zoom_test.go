@@ -5,6 +5,7 @@ package fancy
 // the "downstream" sees.
 
 import (
+	"slices"
 	"testing"
 
 	"fancy/internal/fancy/tree"
@@ -369,45 +370,59 @@ func TestZoomNonPipelinedUniform(t *testing.T) {
 // TestControlScratchNotRetained covers the borrow contract of the control
 // path: OnIngress decodes every control message into one per-detector
 // scratch (wire.UnmarshalInto reuses its Targets and Path arrays), and the
-// one consumer that keeps zoom targets beyond the call — a pipelined
-// treeReceiver — must have copied them. A pipelined Start configures the
-// receiver; a second message of the same shape but other contents is then
-// decoded into the same scratch; the receiver's targets must not move.
+// one consumer whose zoom configuration outlives the call — a pipelined
+// treeReceiver — must keep nothing that aliases it. A pipelined Start
+// configures the receiver; a second message of the same shape but other
+// contents is then decoded into the same scratch; tags counted afterwards
+// must land exactly where they land in a run without the overwrite.
 func TestControlScratchNotRetained(t *testing.T) {
-	s := sim.New(1)
-	sw := netsim.NewSwitch(s, "sw", 2)
-	det, err := NewDetector(s, sw, Config{
-		Tree: tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}, TreeSeed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.ListenPort(1)
-	deliver := func(typ wire.MsgType, session uint32, paths [][]uint16) {
-		t.Helper()
-		m := &wire.Message{
-			Header:  wire.Header{Type: typ, Kind: wire.KindTree, Epoch: 1, Session: session, Unit: wire.TreeUnit},
-			Targets: wire2ZoomTargets(paths),
+	count := func(overwrite bool) []uint64 {
+		s := sim.New(1)
+		sw := netsim.NewSwitch(s, "sw", 2)
+		det, err := NewDetector(s, sw, Config{
+			Tree: tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}, TreeSeed: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !det.OnIngress(&netsim.Packet{Proto: netsim.ProtoFancy, Ctl: m.Marshal(nil)}, 1) {
-			t.Fatal("control message was not consumed")
+		det.ListenPort(1)
+		deliver := func(typ wire.MsgType, session uint32, paths [][]uint16) {
+			t.Helper()
+			m := &wire.Message{
+				Header:  wire.Header{Type: typ, Kind: wire.KindTree, Epoch: 1, Session: session, Unit: wire.TreeUnit},
+				Targets: wire2ZoomTargets(paths),
+			}
+			if !det.OnIngress(&netsim.Packet{Proto: netsim.ProtoFancy, Ctl: m.Marshal(nil)}, 1) {
+				t.Fatal("control message was not consumed")
+			}
 		}
-	}
-	deliver(wire.MsgStart, 1, [][]uint16{{3}, {3, 5}})
-	rcv := det.listeners[1].units[wire.TreeUnit].counters.(*treeReceiver)
-	// A Stop for a session the receiver does not know: ignored by the FSM,
-	// but decoded — into the arrays the Start's targets were parsed into.
-	deliver(wire.MsgStop, 99, [][]uint16{{7}, {7, 1}})
-
-	if got := det.ctlScratch.Targets; len(got) != 2 || got[1].Path[0] != 7 {
-		t.Fatalf("scratch targets %v: the second message did not reuse the scratch", got)
-	}
-	want := [][]uint16{{3}, {3, 5}}
-	if len(rcv.targets) != len(want) {
-		t.Fatalf("receiver holds %d targets, want %d", len(rcv.targets), len(want))
-	}
-	for i, tg := range rcv.targets {
-		if pathKey(tg.Path) != pathKey(want[i]) {
-			t.Errorf("receiver target %d = %v, want %v: it aliases the decode scratch", i, tg.Path, want[i])
+		deliver(wire.MsgStart, 1, [][]uint16{{3}, {3, 5}})
+		if overwrite {
+			// A Stop for a session the receiver does not know: ignored by the
+			// FSM, but decoded — into the arrays the Start's targets were
+			// parsed into.
+			deliver(wire.MsgStop, 99, [][]uint16{{7}, {7, 1}})
+			if got := det.ctlScratch.Targets; len(got) != 2 || got[1].Path[0] != 7 {
+				t.Fatalf("scratch targets %v: the second message did not reuse the scratch", got)
+			}
 		}
+		rcv := det.listeners[1].units[wire.TreeUnit].counters.(*treeReceiver)
+		// One tag per node: the root, target {3} and target {3,5} — the last
+		// implies root[3] and {3}'s counter 5 through its ancestor list.
+		for _, tag := range []wire.Tag{tagFor(0, 2), tagFor(1, 6), tagFor(2, 4)} {
+			rcv.countTag(tag)
+		}
+		return rcv.appendSnapshot(nil)
+	}
+	plain, overwritten := count(false), count(true)
+	// root ‖ node {3} ‖ node {3,5}, 8 counters each.
+	want := make([]uint64, 24)
+	want[2], want[3] = 1, 2     // root: own tag; ancestor of both targets
+	want[8+6], want[8+5] = 1, 1 // {3}: own tag; ancestor of {3,5}
+	want[16+4] = 1              // {3,5}: own tag
+	if !slices.Equal(plain, want) {
+		t.Fatalf("counters without the overwrite = %v, want %v", plain, want)
+	}
+	if !slices.Equal(overwritten, plain) {
+		t.Errorf("counters after the scratch was overwritten = %v, want %v: the receiver aliases the decode scratch", overwritten, plain)
 	}
 }

@@ -80,7 +80,7 @@ type switchAgent struct {
 	srv  *telemetry.Server
 	apps map[int]*reroute.App
 
-	client *mgmt.Client // nil in legacy in-process mode
+	client *mgmt.Client // nil in direct mode
 
 	degraded      bool
 	degradedSince sim.Time
@@ -98,20 +98,15 @@ func newSwitchAgent(f *Fleet, sw string, srv *telemetry.Server) *switchAgent {
 	a := &switchAgent{f: f, sw: sw, srv: srv, apps: make(map[int]*reroute.App),
 		hhAlloc: make(map[int]*hh.Allocator)}
 	if f.mgmtNet != nil {
-		target := correlatorEndpoint
-		if f.group != nil {
-			target = f.group.replicas[0].name
+		// Leader discovery: the agent knows every replica endpoint and
+		// rotates through them on silence; redirects re-aim it directly.
+		// With one endpoint there is nowhere to rotate to.
+		eps := make([]string, f.group.n)
+		for i, r := range f.group.replicas {
+			eps[i] = r.name
 		}
-		a.client = mgmt.NewClient(f.S, f.mgmtNet, sw, target)
-		if f.group != nil {
-			// Leader discovery: the agent knows every replica endpoint and
-			// rotates through them on silence; redirects re-aim it directly.
-			eps := make([]string, f.group.n)
-			for i, r := range f.group.replicas {
-				eps[i] = r.name
-			}
-			a.client.SetEndpoints(eps)
-		}
+		a.client = mgmt.NewClient(f.S, f.mgmtNet, sw, eps[0])
+		a.client.SetEndpoints(eps)
 		a.client.OnOnline = a.onOnline
 		a.client.OnCall = a.onCall
 	}
@@ -197,8 +192,8 @@ func (a *switchAgent) onLocalReroute(port int, entry netsim.EntryID, at sim.Time
 }
 
 // command delivers a correlator gating command (rerouteCmd, divertCmd or
-// repairCmd) to this agent: direct in legacy mode, a hardened RPC over the
-// management plane otherwise.
+// repairCmd) to this agent: a plain call in direct mode, a hardened RPC over
+// the management plane otherwise.
 func (f *Fleet) command(sw string, cmd any) {
 	a := f.agents[sw]
 	if a.client == nil {
@@ -212,7 +207,7 @@ func (f *Fleet) command(sw string, cmd any) {
 	})
 }
 
-// remoteGet reads a telemetry path of sw: synchronous in legacy mode, a
+// remoteGet reads a telemetry path of sw: synchronous in direct mode, a
 // hardened RPC (timeout, bounded retries, backoff + jitter) otherwise. cb
 // fires exactly once either way.
 func (f *Fleet) remoteGet(sw, path string, cb func(any, error)) {

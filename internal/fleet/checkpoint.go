@@ -2,22 +2,23 @@ package fleet
 
 // Correlator checkpoint/restart. The correlator encodes its durable state
 // (state.go: evidence windows, verdicts, health bookkeeping) into a byte
-// frame, periodically and on every durable change; CrashCorrelator abandons
-// the live state (and stops the management server from acknowledging
-// anything, so agents observe the crash as a partition and fall back to
-// degraded-mode local protection); RestartCorrelator decodes the last frame
-// back into the live state and reconciles with live telemetry — pending evidence windows
-// re-open with a fresh full window, restart counters are re-read, and the
-// transport-level sequence state plus the fleet-level alarm and reroute
-// dedup maps guarantee no duplicate confirmed verdicts and no duplicate
-// reroute accounting, while confirmed verdicts survive verbatim.
+// frame, periodically and on every durable change; crashing the active
+// replica (consensus.go: CrashReplica) abandons the live state (and stops
+// its management server from acknowledging anything, so agents observe the
+// crash as a partition and fall back to degraded-mode local protection);
+// restarting it with no successor elected — always, in a group of one —
+// decodes the last frame back into the live state and reconciles with live
+// telemetry: pending evidence windows re-open with a fresh full window,
+// restart counters are re-read, and the transport-level sequence state plus
+// the fleet-level alarm and reroute dedup maps guarantee no duplicate
+// confirmed verdicts and no duplicate reroute accounting, while confirmed
+// verdicts survive verbatim.
 
 import (
 	"fmt"
 	"slices"
 
 	"fancy/internal/codec"
-	"fancy/internal/netsim"
 	"fancy/internal/verify"
 )
 
@@ -42,52 +43,27 @@ func (f *Fleet) periodicCheckpoint() {
 	if !f.crashed {
 		f.persist()
 	}
-	f.ckptTimer = f.S.Schedule(f.cfg.CheckpointInterval, f.periodicCheckpoint)
+	f.ckptTimer = f.S.Schedule(checkpointInterval, f.periodicCheckpoint)
 }
 
-// persist takes a checkpoint immediately. Besides the periodic cadence, the
-// correlator persists on every durable state change (alarm accepted into an
-// evidence window, verdict, epoch purge, reroute recorded): the transport
-// acknowledges a report the moment it is consumed, so anything consumed but
-// not checkpointed would be lost for good in a crash — the client never
-// retransmits an acknowledged report, and a degraded-mode reroute may have
-// removed the failure symptom that would otherwise re-alarm.
-func (f *Fleet) persist() {
-	if f.cfg.CheckpointInterval < 0 {
-		return
-	}
-	cp := f.checkpoint()
-	if f.replicating() {
-		// Replicated mode: a persisted checkpoint is also a log entry, so
-		// followers track every durable state change, not just verdicts.
-		f.group.replicate(cp, "window", nil)
-	}
-}
+// persist makes the current state durable at once: a commit with no effects
+// attached. Besides the periodic cadence, the correlator persists on every
+// durable state change (alarm accepted into an evidence window, verdict,
+// epoch purge, reroute recorded): the transport acknowledges a report the
+// moment it is consumed, so anything consumed but not checkpointed would be
+// lost for good in a crash — the client never retransmits an acknowledged
+// report, and a degraded-mode reroute may have removed the failure symptom
+// that would otherwise re-alarm. With peers the frame is also a log entry,
+// so followers track every durable state change, not just verdicts.
+func (f *Fleet) persist() { f.commit("window", func() {}) }
 
-// CrashCorrelator fails the central correlator: all in-memory state since
-// the last checkpoint is lost, every pending timer and in-flight read is
-// abandoned, and — over a management network — inbound reports go
-// unacknowledged, so switch agents observe the crash exactly like a
-// partition and engage degraded-mode local protection. Detectors and
+// CrashCorrelator fails whichever replica drives the fleet: all in-memory
+// state since the last checkpoint is lost, every pending timer and
+// in-flight read is abandoned, and — over a management network — inbound
+// reports go unacknowledged, so switch agents observe the crash exactly
+// like a partition and engage degraded-mode local protection. Detectors and
 // agents keep running throughout.
-func (f *Fleet) CrashCorrelator() {
-	if f.group != nil {
-		f.CrashReplica(f.group.active)
-		return
-	}
-	if f.crashed {
-		return
-	}
-	f.crashed = true
-	f.corrGen++
-	f.Corr.Crashes++
-	if f.mgmtSrv != nil {
-		f.mgmtSrv.SetAccepting(false)
-	}
-	f.haltDuty()
-	f.emit(Event{Time: f.S.Now(), Kind: EventCorrelatorCrash, Link: correlatorEndpoint,
-		Entry: netsim.InvalidEntry})
-}
+func (f *Fleet) CrashCorrelator() { f.CrashReplica(f.group.active) }
 
 // haltDuty stops every timer the current correlator incarnation owns:
 // pending verdict windows, the liveness sweep and the checkpoint cadence.
@@ -100,12 +76,8 @@ func (f *Fleet) haltDuty() {
 			ls.verdictTimer.Stop()
 		}
 	}
-	if f.sweepTimer != nil {
-		f.sweepTimer.Stop()
-	}
-	if f.ckptTimer != nil {
-		f.ckptTimer.Stop()
-	}
+	f.sweepTimer.Stop()
+	f.ckptTimer.Stop()
 	if f.verifyTimer != nil {
 		f.verifyTimer.Stop()
 		f.verifyTimer = nil
@@ -121,34 +93,19 @@ func (f *Fleet) resumeDuty() {
 		f.refreshRestarts(sw, nil)
 	}
 	f.sweepTimer = f.S.Schedule(sweepInterval, f.sweep)
-	if f.cfg.CheckpointInterval > 0 {
-		f.ckptTimer = f.S.Schedule(f.cfg.CheckpointInterval, f.periodicCheckpoint)
-	}
+	f.ckptTimer = f.S.Schedule(checkpointInterval, f.periodicCheckpoint)
 }
 
-// RestartCorrelator brings the correlator back from its last periodic
-// checkpoint (or from scratch if none was taken) and reconciles with live
-// telemetry: confirmed verdicts and the alarm/reroute dedup maps are
-// restored, evidence windows that were pending at the crash re-open with a
-// fresh full window, the management server resumes accepting with the
-// checkpointed sequence state, and every switch's restart counter is
-// re-read so reboots during the outage are not misdiagnosed.
-func (f *Fleet) RestartCorrelator() {
-	if f.group != nil {
-		if f.group.lastCrashed >= 0 {
-			f.RestartReplica(f.group.lastCrashed)
-		}
-		return
-	}
-	if !f.crashed {
-		return
-	}
-	now := f.S.Now()
-	detail := f.restoreState(f.lastCkpt)
-	f.emit(Event{Time: now, Kind: EventCorrelatorRestart, Link: correlatorEndpoint,
-		Entry: netsim.InvalidEntry, Detail: detail})
-	f.resumeDuty()
-}
+// RestartCorrelator restarts the most recently crashed replica (no-op if
+// none ever crashed). If it was the active one and nobody took over, the
+// correlator comes back from its last checkpoint (or from scratch if none
+// was taken) and reconciles with live telemetry: confirmed verdicts and the
+// alarm/reroute dedup maps are restored, evidence windows that were pending
+// at the crash re-open with a fresh full window, the management server
+// resumes accepting with the checkpointed sequence state, and every
+// switch's restart counter is re-read so reboots during the outage are not
+// misdiagnosed.
+func (f *Fleet) RestartCorrelator() { f.RestartReplica(f.group.lastCrashed) }
 
 // restoreState replaces the correlator's durable state with the one frame
 // decodes to (nil restores from scratch) and re-arms everything that hangs

@@ -1,10 +1,19 @@
 package fleet
 
-// Replicated correlator: a Paxos-style consensus group (in the spirit of
+// The correlator group: a Paxos-style consensus group (in the spirit of
 // "Paxos Made Switch-y") whose replicated log carries full correlator
 // state frames over the lossy management network. As there, an acceptor
 // stores and forwards the value as opaque bytes under a fixed header; only
 // a replica taking over decodes it (restoreState).
+//
+// The correlator is ALWAYS such a group, and this file is its one lifecycle
+// (crash, restart, commit). A single-instance correlator is the degenerate
+// group of one: its lone replica is the leader of ballot 0 for good, keeps
+// the endpoint name "correlator" (the management network seeds one RNG per
+// endpoint-name pair), has no server in direct mode, and does not do the
+// three things that need a peer — it arms no tick (nobody to beat, no
+// quorum to audit), replicates nothing (a commit is its effects plus a
+// checkpoint) and never elects.
 //
 // Design, and how it maps onto classic Multi-Paxos with a stable leader:
 //
@@ -26,7 +35,7 @@ package fleet
 //     suspicion crosses the threshold. Followers answer beats with
 //     beat-acks, which drive the leader's own per-peer phi detectors.
 //   - A leader that loses its acknowledgment quorum for a grace period
-//     degrades explicitly to PR 3's single-instance mode: commits apply
+//     degrades explicitly to what a group of one always does: commits apply
 //     locally (checkpoint/restart semantics) until quorum returns. If the
 //     leader itself dies with no electable quorum, agents get no acks,
 //     go offline, and fall back to degraded-mode local protection.
@@ -61,7 +70,7 @@ type pendingEntry struct {
 	acked map[int]bool // peer ids that acknowledged this index
 }
 
-// corrGroup is the replicated correlator: N replicas, one active.
+// corrGroup is the correlator: N >= 1 replicas, one active.
 type corrGroup struct {
 	f        *Fleet
 	n        int
@@ -73,7 +82,7 @@ type corrGroup struct {
 	commitIndex uint64
 	pending     map[uint64]*pendingEntry
 	quorumLost  bool // active leader is in degraded single-instance mode
-	lastCrashed int  // most recently crashed replica (legacy Restart mapping)
+	lastCrashed int  // most recently crashed replica, -1 if none (RestartCorrelator)
 }
 
 // The group rides the management plane's clocks: the leader beats (and every
@@ -89,7 +98,7 @@ type replica struct {
 	g    *corrGroup
 	id   int
 	name string
-	srv  *mgmt.Server
+	srv  *mgmt.Server // nil in direct mode
 
 	crashed bool
 
@@ -114,18 +123,23 @@ type replica struct {
 	tickTimer *sim.Timer
 }
 
-// newCorrGroup builds the replica group over the fleet's management
-// network. Replica 0 starts as the leader of ballot 0; ticks are staggered
-// by replica id so same-tick elections resolve deterministically.
-func newCorrGroup(f *Fleet, n int, onReport func(string, uint64, any)) *corrGroup {
+// newCorrGroup builds the replica group, over the fleet's management
+// network when there is one. Replica 0 starts as the leader of ballot 0;
+// with peers every replica ticks, staggered by replica id so same-tick
+// elections resolve deterministically.
+func newCorrGroup(f *Fleet, n int) *corrGroup {
 	g := &corrGroup{
 		f: f, n: n, quorum: n/2 + 1,
 		pending:     make(map[uint64]*pendingEntry),
 		lastCrashed: -1,
 	}
 	for i := 0; i < n; i++ {
+		name := correlatorEndpoint
+		if n > 1 {
+			name = fmt.Sprintf("corr%d", i)
+		}
 		r := &replica{
-			g: g, id: i, name: fmt.Sprintf("corr%d", i),
+			g: g, id: i, name: name,
 			lastAcked: make([]uint64, n),
 			peerPhi:   make([]*mgmt.PhiDetector, n),
 			leaderPhi: mgmt.NewPhi(),
@@ -133,15 +147,18 @@ func newCorrGroup(f *Fleet, n int, onReport func(string, uint64, any)) *corrGrou
 		for j := 0; j < n; j++ {
 			r.peerPhi[j] = mgmt.NewPhi()
 		}
-		r.srv = mgmt.NewServer(f.S, f.mgmtNet, r.name)
-		r.srv.OnReport = onReport
-		r.srv.Intercept = r.intercept
+		if f.mgmtNet != nil {
+			r.srv = mgmt.NewServer(f.S, f.mgmtNet, r.name)
+			r.srv.OnReport = func(from string, _ uint64, payload any) { f.handleReport(from, payload) }
+			r.srv.Intercept = r.intercept
+		}
 		g.replicas = append(g.replicas, r)
 	}
 	g.replicas[0].isLeader = true
-	for i, r := range g.replicas {
-		r := r
-		r.tickTimer = f.S.Schedule(beat+sim.Time(i)*(beat/4+1), r.tick)
+	if n > 1 {
+		for i, r := range g.replicas {
+			r.tickTimer = f.S.Schedule(beat+sim.Time(i)*(beat/4+1), r.tick)
+		}
 	}
 	return g
 }
@@ -156,36 +173,33 @@ func (g *corrGroup) leader() *replica {
 	return nil
 }
 
-// replicating reports whether verdict and reroute commits should travel the
-// log: a live active leader with its quorum intact.
+// replicating reports whether commits should travel the log: the group has
+// peers and a live active leader with its quorum intact.
 func (f *Fleet) replicating() bool {
-	return f.group != nil && !f.group.quorumLost && !f.crashed && f.group.leader() != nil
+	g := f.group
+	return g.n > 1 && !g.quorumLost && !f.crashed && g.leader() != nil
 }
 
-// propose persists the current state as a replicated log entry whose commit
-// runs cb. Callers must hold f.replicating(); if checkpointing is disabled
-// the effects commit locally, single-instance style.
-func (f *Fleet) propose(note string, cb func()) {
-	if f.cfg.CheckpointInterval < 0 {
-		if cb != nil {
-			cb()
-		}
+// commit is the one place a decision's external effects (operator alert,
+// gating reroute commands) meet durability; the caller has already applied
+// the state change. While replicating, the state rides a log entry and the
+// effects wait for the acknowledgment quorum, so nothing externally visible
+// is lost to a leader crash. Otherwise — a group of one, or a leader
+// without its quorum — the effects run now and the checkpoint that follows
+// is the commit.
+func (f *Fleet) commit(note string, effects func()) {
+	if f.replicating() {
+		f.group.replicate(f.checkpoint(), note, effects)
 		return
 	}
-	f.group.replicate(f.checkpoint(), note, cb)
+	effects()
+	f.checkpoint()
 }
 
 // replicate appends the state frame cp to the log and sends Accepts; cb runs
-// at quorum. Without a leading quorum the commit applies immediately
-// (degraded single-instance mode, PR 3 semantics).
+// at quorum. Only commit calls it, holding replicating().
 func (g *corrGroup) replicate(cp []byte, note string, cb func()) {
 	r := g.leader()
-	if r == nil || g.quorumLost {
-		if cb != nil {
-			cb()
-		}
-		return
-	}
 	g.nextIndex++
 	e := &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: note, Cp: cp}
 	r.acc = e // self-accept
@@ -320,8 +334,8 @@ func (r *replica) checkQuorum(now sim.Time) {
 }
 
 // flushPending commits every outstanding proposal locally, in index order:
-// degraded mode inherits PR 3's semantics, where a persisted checkpoint is
-// the commit.
+// degraded mode commits like a group of one, where a persisted checkpoint
+// is the commit.
 func (g *corrGroup) flushPending() {
 	for _, idx := range g.pendingIndexes() {
 		p := g.pending[idx]
@@ -329,9 +343,7 @@ func (g *corrGroup) flushPending() {
 		if idx > g.commitIndex {
 			g.commitIndex = idx
 		}
-		if p.cb != nil {
-			p.cb()
-		}
+		p.cb()
 	}
 }
 
@@ -549,9 +561,7 @@ func (r *replica) ackFrom(from int, idx uint64, now sim.Time) {
 		if i > g.commitIndex {
 			g.commitIndex = i
 		}
-		if p.cb != nil {
-			p.cb()
-		}
+		p.cb()
 	}
 }
 
@@ -641,7 +651,7 @@ func (g *corrGroup) takeover(r *replica, best *logEntry) {
 // entry) survives, as Paxos requires of stable storage.
 func (f *Fleet) CrashReplica(id int) {
 	g := f.group
-	if g == nil || id < 0 || id >= g.n {
+	if id < 0 || id >= g.n {
 		return
 	}
 	r := g.replicas[id]
@@ -650,7 +660,9 @@ func (f *Fleet) CrashReplica(id int) {
 	}
 	r.crashed = true
 	g.lastCrashed = id
-	r.srv.SetAccepting(false)
+	if r.srv != nil {
+		r.srv.SetAccepting(false)
+	}
 	r.campaign = 0
 	r.promises = nil
 	f.Corr.Crashes++
@@ -661,17 +673,20 @@ func (f *Fleet) CrashReplica(id int) {
 		f.corrGen++
 		f.haltDuty()
 	}
+	if g.n == 1 {
+		detail = "" // a lone replica has no role to name
+	}
 	f.emit(Event{Time: f.S.Now(), Kind: EventCorrelatorCrash, Link: r.name,
 		Entry: netsim.InvalidEntry, Detail: detail})
 }
 
 // RestartReplica brings a crashed replica back. A restarted non-active
 // replica rejoins as a follower and catches up from the leader's beats; the
-// active replica restarting with no successor elected restores from its
-// last checkpoint exactly like the single-instance path.
+// active replica restarting with no successor elected — the only case in a
+// group of one — restores from its last checkpoint.
 func (f *Fleet) RestartReplica(id int) {
 	g := f.group
-	if g == nil || id < 0 || id >= g.n {
+	if id < 0 || id >= g.n {
 		return
 	}
 	r := g.replicas[id]
@@ -680,10 +695,12 @@ func (f *Fleet) RestartReplica(id int) {
 	}
 	now := f.S.Now()
 	r.crashed = false
-	r.srv.SetAccepting(true)
+	if r.srv != nil {
+		r.srv.SetAccepting(true)
+	}
 	r.leaderPhi.Reset(now)
 	if id == g.active && f.crashed {
-		// Nobody took over while we were down: single-instance recovery.
+		// Nobody took over while we were down: checkpoint recovery.
 		detail := f.restoreState(f.lastCkpt)
 		f.emit(Event{Time: now, Kind: EventCorrelatorRestart, Link: r.name,
 			Entry: netsim.InvalidEntry, Detail: detail})
@@ -696,25 +713,18 @@ func (f *Fleet) RestartReplica(id int) {
 }
 
 // KillLeader crashes whichever replica currently drives the fleet (the
-// failover drill), returning its id; -1 without a replica group.
+// failover drill; CrashCorrelator by another name), returning its id for
+// RestartReplica.
 func (f *Fleet) KillLeader() int {
-	if f.group == nil {
-		return -1
-	}
 	id := f.group.active
 	f.CrashReplica(id)
 	return id
 }
 
-// Leader returns the name of the replica currently driving the fleet (the
-// single-instance endpoint name in legacy mode).
-func (f *Fleet) Leader() string {
-	if f.group == nil {
-		return correlatorEndpoint
-	}
-	return f.group.replicas[f.group.active].name
-}
+// Leader returns the name of the replica currently driving the fleet
+// ("correlator" for a group of one).
+func (f *Fleet) Leader() string { return f.group.replicas[f.group.active].name }
 
 // QuorumDegraded reports whether the active leader is running without its
 // acknowledgment quorum (explicit single-instance degraded mode).
-func (f *Fleet) QuorumDegraded() bool { return f.group != nil && f.group.quorumLost }
+func (f *Fleet) QuorumDegraded() bool { return f.group.quorumLost }

@@ -177,8 +177,8 @@ func (h Health) String() string {
 
 // handleReport consumes one report from a switch agent, after transport
 // dedup. The correlator never processes anything while crashed (the
-// management server already drops inbound then; this guard covers the
-// legacy synchronous path).
+// management server already drops inbound then; this guard covers direct
+// mode's synchronous path).
 func (f *Fleet) handleReport(sw string, payload any) {
 	if f.crashed {
 		return
@@ -330,18 +330,9 @@ func (f *Fleet) onAlarm(ls *linkState, ev fancy.Event) {
 
 	if ls.localized {
 		// The link is already a confirmed gray link; new evidence extends
-		// the affected set and reacts with no second window — through the
-		// replicated log when one is running, so a reroute commit is never
-		// lost to a leader crash.
+		// the affected set and reacts with no second window.
 		f.recordEvidence(ls, ev)
-		if f.replicating() {
-			f.propose("evidence "+ls.key, func() {
-				f.react(ls, []fancy.Event{ev})
-			})
-			return
-		}
-		f.react(ls, []fancy.Event{ev})
-		f.persist()
+		f.commit("evidence "+ls.key, func() { f.react(ls, []fancy.Event{ev}) })
 		return
 	}
 	entry := netsim.InvalidEntry
@@ -431,21 +422,10 @@ func (f *Fleet) finishVerdict(ls *linkState) {
 		f.recordEvidence(ls, ev)
 	}
 	detail := fmt.Sprintf("%d alarm(s) in %v%s", len(ls.evidence), now-ls.incidentStart, f.corroboration(ls))
-	if f.replicating() {
-		// Replicated mode: the state change above rides the proposed
-		// entry's checkpoint, but the externally visible actions — the
-		// operator alert and the gating reroute commands — wait for the
-		// acknowledgment quorum. The evidence stays on the link until the
-		// commit closure runs, so a leader that dies pre-commit leaves a
-		// checkpoint from which the next leader can finish the job (see
-		// announcePending).
-		f.propose("verdict "+ls.key, func() {
-			f.announceLocalized(ls, detail)
-		})
-		return
-	}
-	f.announceLocalized(ls, detail)
-	f.persist() // a confirmed verdict must survive any later crash
+	// The evidence stays on the link until the effects run, so a leader that
+	// dies before the commit leaves a checkpoint from which the next leader
+	// can finish the job (see announcePending).
+	f.commit("verdict "+ls.key, func() { f.announceLocalized(ls, detail) })
 }
 
 // announceLocalized fires a confirmed verdict's external effects: the
@@ -466,7 +446,7 @@ func (f *Fleet) announceLocalized(ls *linkState, detail string) {
 	}
 	ls.evidence = nil
 	if f.replicating() {
-		f.persist()
+		f.persist() // at quorum, after the entry that carried the evidence
 	}
 }
 

@@ -56,7 +56,9 @@ import (
 	"fancy/internal/verify"
 )
 
-// correlatorEndpoint is the correlator's management-network address.
+// correlatorEndpoint is a lone replica's management-network address (a
+// group with peers uses "corr0".."corrN-1"). The name is load-bearing: the
+// network seeds one RNG per endpoint-name pair.
 const correlatorEndpoint = "correlator"
 
 // The control plane's fixed cadences and thresholds; no scenario varies them.
@@ -65,6 +67,10 @@ const (
 	// reads each detector's /fancy/stats counters through telemetry and
 	// emits health-transition events.
 	sweepInterval = 250 * sim.Millisecond
+
+	// checkpointInterval is the cadence of the correlator's periodic
+	// checkpoint — a backstop: every durable change also persists at once.
+	checkpointInterval = 250 * sim.Millisecond
 
 	// A link is flapping when at least flapThreshold link-down reports land
 	// within flapWindow.
@@ -93,24 +99,20 @@ type Config struct {
 	CongestionBytes int
 
 	// Mgmt, when non-nil, interposes a simulated management network
-	// between every switch's telemetry agent and the correlator. Nil keeps
-	// the legacy perfect in-process channel (reports deliver instantly and
-	// reads are synchronous), which is also the degenerate zero-impairment
-	// configuration.
+	// between every switch's telemetry agent and the correlator. Nil is
+	// direct mode: the same agents and the same correlator lifecycle over a
+	// perfect in-process transport (reports deliver instantly and reads are
+	// synchronous).
 	Mgmt *mgmt.Config
 
-	// CheckpointInterval is the cadence at which the correlator checkpoints
-	// its evidence windows, verdicts and health state for crash recovery.
-	// Default 250 ms; negative disables checkpointing.
-	CheckpointInterval sim.Time
-
-	// Replicas runs the correlator as a consensus group of this many
-	// replicas (endpoints "corr0".."corrN-1") instead of a single instance:
-	// confirmed verdicts, gating reroute commits and evidence-window
-	// checkpoints travel a Paxos-style replicated log over the management
-	// network, leader election is driven by phi-accrual suspicion of the
-	// leader's beats, and switch agents discover the leader by redirect.
-	// Requires Mgmt. 0 or 1 keeps the single-instance correlator.
+	// Replicas sizes the correlator's replica group. 0 or 1 is a group of
+	// one: endpoint "correlator", checkpoint/restart durability, nobody to
+	// beat, replicate to or elect. More (endpoints "corr0".."corrN-1",
+	// requires Mgmt) adds consensus: confirmed verdicts, gating reroute
+	// commits and evidence-window checkpoints travel a Paxos-style
+	// replicated log over the management network, leader election is driven
+	// by phi-accrual suspicion of the leader's beats, and switch agents
+	// discover the leader by redirect.
 	Replicas int
 
 	// HH, when non-nil, deploys the heavy-hitter stage on every detector
@@ -161,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CongestionBytes == 0 {
 		c.CongestionBytes = 256 << 10
-	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 250 * sim.Millisecond
 	}
 	if c.Verify != nil {
 		v := *c.Verify
@@ -251,12 +250,14 @@ type Fleet struct {
 	switches []string // sorted switch names, the canonical iteration order
 	agents   map[string]*switchAgent
 
-	// Management plane (nil in legacy in-process mode). With replication,
-	// mgmtSrv always points at the ACTIVE replica's server — the one
-	// driving the fleet state machine — and is re-aimed on failover.
+	// The correlator is always a replica group (of one unless cfg.Replicas
+	// says more), over the management plane when there is one: mgmtNet and
+	// mgmtSrv are nil in direct mode. mgmtSrv always points at the ACTIVE
+	// replica's server — the one driving the fleet state machine — and is
+	// re-aimed on failover.
 	mgmtNet *mgmt.Network
 	mgmtSrv *mgmt.Server
-	group   *corrGroup // nil unless cfg.Replicas > 1
+	group   *corrGroup
 
 	// announced deduplicates externally visible verdict announcements
 	// (operator alerts + reroute replays) across crashes and failovers,
@@ -324,17 +325,9 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	}
 	if cfg.Mgmt != nil {
 		f.mgmtNet = mgmt.NewNetwork(s, *cfg.Mgmt)
-		onReport := func(from string, seq uint64, payload any) {
-			f.handleReport(from, payload)
-		}
-		if cfg.Replicas > 1 {
-			f.group = newCorrGroup(f, cfg.Replicas, onReport)
-			f.mgmtSrv = f.group.replicas[0].srv
-		} else {
-			f.mgmtSrv = mgmt.NewServer(s, f.mgmtNet, correlatorEndpoint)
-			f.mgmtSrv.OnReport = onReport
-		}
 	}
+	f.group = newCorrGroup(f, max(cfg.Replicas, 1))
+	f.mgmtSrv = f.group.replicas[0].srv
 	for _, sw := range f.switches {
 		det, err := fancy.NewDetector(s, net.Switches[sw], cfg.Fancy)
 		if err != nil {
@@ -383,23 +376,13 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		f.mountVerifyStats()
 	}
 	f.sweepTimer = s.Schedule(sweepInterval, f.sweep)
-	if cfg.CheckpointInterval > 0 {
-		f.ckptTimer = s.Schedule(cfg.CheckpointInterval, f.periodicCheckpoint)
-	}
+	f.ckptTimer = s.Schedule(checkpointInterval, f.periodicCheckpoint)
 	return f, nil
 }
 
-// MgmtEnabled reports whether the fleet runs over a simulated management
-// network (as opposed to the perfect in-process channel).
-func (f *Fleet) MgmtEnabled() bool { return f.mgmtNet != nil }
-
-// MgmtNetwork exposes the management network for fault injection (nil in
-// legacy mode).
-func (f *Fleet) MgmtNetwork() *mgmt.Network { return f.mgmtNet }
-
 // PartitionSwitch cuts a switch's telemetry agent off the management
 // network; its detectors keep running and, if entries are protected there,
-// degraded-mode local protection takes over. No-op in legacy mode.
+// degraded-mode local protection takes over. No-op in direct mode.
 func (f *Fleet) PartitionSwitch(sw string) {
 	if f.mgmtNet != nil {
 		f.mgmtNet.Partition(sw)
@@ -415,7 +398,7 @@ func (f *Fleet) HealSwitch(sw string) {
 }
 
 // Degraded reports whether a switch's agent is currently in degraded-mode
-// local protection (always false in legacy mode).
+// local protection (always false in direct mode).
 func (f *Fleet) Degraded(sw string) bool {
 	a, ok := f.agents[sw]
 	return ok && a.degraded

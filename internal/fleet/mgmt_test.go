@@ -244,8 +244,7 @@ func TestCrashMidEvidenceWindow(t *testing.T) {
 	}
 	cfg := fleetCfg(entry)
 	cfg.Mgmt = &mgmt.Config{}
-	cfg.Window = 400 * sim.Millisecond            // long window, so the crash lands inside it
-	cfg.CheckpointInterval = 50 * sim.Millisecond // checkpoint catches the open window
+	cfg.Window = 400 * sim.Millisecond // long window, so the crash lands inside it
 	f, err := New(s, n, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -409,6 +409,87 @@ func TestReplicasRequireMgmt(t *testing.T) {
 	}
 }
 
+// TestLoneReplicaLifecycle: a single-instance correlator is a replica group
+// of one, so the replica API is the correlator API — KillLeader is
+// CrashCorrelator, RestartReplica(0) restores from the last frame — over the
+// management plane and in direct mode alike, and nothing that needs a peer
+// (tick, replication, election) ever happens.
+func TestLoneReplicaLifecycle(t *testing.T) {
+	for name, mg := range map[string]*mgmt.Config{"mgmt": {}, "direct": nil} {
+		t.Run(name, func(t *testing.T) {
+			s := sim.New(19)
+			n, err := topo.Build(s, lineSpec(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const entry = netsim.EntryID(10)
+			if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := fleetCfg(entry)
+			cfg.Mgmt = mg
+			f, err := New(s, n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			udp(n, "H1", entry, 2e6, 8*sim.Second)
+			n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+
+			// Crash after the verdict (~2.2 s) and the 2.5 s checkpoint.
+			s.ScheduleAt(2600*sim.Millisecond, func() {
+				if len(f.Localized()) != 1 {
+					t.Fatal("failure not localized before the crash — timing assumption broken")
+				}
+				if id := f.KillLeader(); id != 0 || !f.Crashed() {
+					t.Fatalf("KillLeader = %d, crashed=%v; want replica 0 down", id, f.Crashed())
+				}
+				f.CrashCorrelator() // already down: must not count a second crash
+			})
+			s.ScheduleAt(3200*sim.Millisecond, func() {
+				f.RestartReplica(0)
+				if f.Crashed() {
+					t.Fatal("RestartReplica(0) did not bring the correlator back")
+				}
+				if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
+					t.Fatalf("verdict lost across crash/restart: %v", got)
+				}
+				f.RestartCorrelator() // already up: must not restore again
+			})
+			s.Run(8 * sim.Second)
+
+			if f.Leader() != correlatorEndpoint || f.QuorumDegraded() {
+				t.Fatalf("leader %q, quorum degraded %v; want %q with nothing to lose",
+					f.Leader(), f.QuorumDegraded(), correlatorEndpoint)
+			}
+			if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+				t.Fatalf("%d localization events, want 1", nLoc)
+			}
+			if c := f.Corr; c.Crashes != 1 || c.Restores != 1 || c.Checkpoints == 0 ||
+				c.Elections != 0 || c.Failovers != 0 || c.QuorumLosses != 0 {
+				t.Fatalf("lifecycle counters %+v, want 1 crash, 1 restore, checkpoints, no consensus activity", c)
+			}
+			if countEvents(f, EventLeaderElected, "") != 0 {
+				t.Fatal("a lone replica held an election")
+			}
+			for _, ev := range f.Events {
+				if ev.Kind == EventCorrelatorCrash && (ev.Link != correlatorEndpoint || ev.Detail != "") {
+					t.Fatalf("crash event %v, want link %q and no role detail", ev, correlatorEndpoint)
+				}
+			}
+			if !hasEvent(f, EventCorrelatorRestart, "checkpoint at") {
+				t.Fatal("restart did not restore from the last frame")
+			}
+			g := f.group
+			if r := g.replicas[0]; r.tickTimer != nil || r.acc != nil || g.nextIndex != 0 {
+				t.Fatalf("lone replica ticked or replicated: timer %v, acc %v, next index %d", r.tickTimer, r.acc, g.nextIndex)
+			}
+			if snap := f.Snapshot(); snap.Replicated || snap.Leader != "" || snap.CommitIndex != 0 || snap.Replicas != nil {
+				t.Fatalf("snapshot carries a replication block for a group of one: %+v", snap)
+			}
+		})
+	}
+}
+
 // soakReplicaOne is one seeded replica-chaos trial: 20% management loss,
 // the active leader assassinated at seed-derived times (the dead replica
 // rejoins at the next kill), and the exactly-once verdict contract checked

@@ -139,7 +139,7 @@ func (f *Fleet) Snapshot() Snapshot {
 			})
 			snap.MgmtSpoolDrops += a.client.Stats.SpoolDrops
 		}
-		if g := f.group; g != nil {
+		if g := f.group; g.n > 1 {
 			snap.Replicated = true
 			snap.Leader = f.Leader()
 			snap.CommitIndex = g.commitIndex

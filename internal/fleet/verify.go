@@ -91,13 +91,6 @@ type VerifyStats struct {
 	Errors       uint64 // model errors (treated as per-commit fallback)
 }
 
-// VerifyEnabled reports whether the fleet runs the verified-commit gate.
-func (f *Fleet) VerifyEnabled() bool { return f.verifier != nil }
-
-// VerifierAvailable reports whether the gate is currently verifying (false
-// in verify-unavailable fallback).
-func (f *Fleet) VerifierAvailable() bool { return f.verifier != nil && !f.verifyDown }
-
 // SetVerifierAvailable toggles the gate's verifier. While unavailable,
 // commits fall back to today's unverified behavior — counted in
 // VerifyStats.Fallbacks and still synced into the model — so verification

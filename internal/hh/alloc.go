@@ -98,9 +98,6 @@ func (a *Allocator) Stats() AllocStats { return a.stats }
 // Occupancy is the number of dynamic slots currently allocated.
 func (a *Allocator) Occupancy() int { return len(a.allocated) }
 
-// Capacity is the number of dynamic slots the controller manages.
-func (a *Allocator) Capacity() int { return a.policy.Capacity }
-
 // Allocated reports whether the controller currently holds a dynamic slot
 // for the entry.
 func (a *Allocator) Allocated(entry netsim.EntryID) bool {

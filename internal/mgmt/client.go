@@ -97,9 +97,6 @@ func (c *Client) Online() bool { return c.online }
 // reachable server.
 func (c *Client) SpoolLen() int { return len(c.spool) }
 
-// Target returns the server endpoint currently being addressed.
-func (c *Client) Target() string { return c.srv }
-
 // SetEndpoints installs the candidate server list (correlator replicas).
 // If the current target is not on the list the client re-aims at the first
 // candidate; otherwise it stays put and only rotates on future misses.

@@ -23,11 +23,9 @@ type ServerStats struct {
 
 // clientTrack is the server's per-client sequencing and liveness record.
 type clientTrack struct {
-	contig   uint64              // all report seqs <= contig delivered
-	above    map[uint64]struct{} // delivered seqs beyond a hole
-	lastSeen sim.Time
-	heard    bool
-	phi      *PhiDetector // accrual liveness over datagram arrivals
+	contig uint64              // all report seqs <= contig delivered
+	above  map[uint64]struct{} // delivered seqs beyond a hole
+	phi    *PhiDetector        // the one liveness record: accrual over datagram arrivals
 }
 
 // pendingCall is one in-flight RPC attempt cycle.
@@ -107,13 +105,6 @@ func (srv *Server) track(name string) *clientTrack {
 	return ct
 }
 
-// seen records one sign of life from a client: the fixed-horizon timestamp
-// and the accrual window both advance.
-func (ct *clientTrack) seen(now sim.Time) {
-	ct.lastSeen, ct.heard = now, true
-	ct.phi.Observe(now)
-}
-
 func (srv *Server) onDgram(d Dgram) {
 	if !srv.accepting {
 		return
@@ -125,7 +116,7 @@ func (srv *Server) onDgram(d Dgram) {
 	case DgramReport:
 		srv.Stats.Reports++
 		ct := srv.track(d.From)
-		ct.seen(srv.s.Now())
+		ct.phi.Observe(srv.s.Now())
 		// Always ack: the client may have missed a previous ack.
 		srv.net.Send(Dgram{From: srv.name, To: d.From, Kind: DgramReportAck, Seq: d.Seq})
 		if d.Seq <= ct.contig {
@@ -149,7 +140,7 @@ func (srv *Server) onDgram(d Dgram) {
 		}
 	case DgramHeartbeat:
 		ct := srv.track(d.From)
-		ct.seen(srv.s.Now())
+		ct.phi.Observe(srv.s.Now())
 		srv.net.Send(Dgram{From: srv.name, To: d.From, Kind: DgramHeartbeatAck, Seq: d.Seq})
 	case DgramCallResp:
 		pc, ok := srv.calls[d.Seq]
@@ -205,7 +196,7 @@ func (srv *Server) rng(to string) *rand.Rand { return srv.net.rng(srv.name, to) 
 // has warmed up, the fixed UnreachableAfter horizon before that.
 func (srv *Server) Alive(name string) bool {
 	ct, ok := srv.clients[name]
-	return ok && ct.heard && !ct.phi.Suspect(srv.s.Now())
+	return ok && ct.phi.Heard() && !ct.phi.Suspect(srv.s.Now())
 }
 
 // Phi returns the current accrual suspicion level for a client (0 if the
@@ -216,15 +207,6 @@ func (srv *Server) Phi(name string) float64 {
 		return 0
 	}
 	return ct.phi.Phi(srv.s.Now())
-}
-
-// LastSeen returns when the client was last heard from (0, false if never).
-func (srv *Server) LastSeen(name string) (sim.Time, bool) {
-	ct, ok := srv.clients[name]
-	if !ok || !ct.heard {
-		return 0, false
-	}
-	return ct.lastSeen, true
 }
 
 // Holes counts report sequence numbers currently missing below each

@@ -41,12 +41,9 @@ type FlowID uint32
 // TCPFlags is the subset of TCP flags the simplified stack uses.
 type TCPFlags uint8
 
-// TCP flag bits.
-const (
-	FlagSYN TCPFlags = 1 << iota
-	FlagACK
-	FlagFIN
-)
+// FlagACK is the one TCP flag bit the stack sets: connections are implicit
+// (no handshake, no teardown).
+const FlagACK TCPFlags = 1 << 1
 
 // Packet is the unit of transmission. Packets are passed by pointer and are
 // borrowed for the duration of HandlePacket/OnIngress/OnEgress/OnForwarded/

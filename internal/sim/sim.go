@@ -219,9 +219,6 @@ func (s *Sim) Now() Time { return s.now }
 // Rand exposes the simulation's deterministic random number generator.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Seed returns the seed the simulator was constructed with.
-func (s *Sim) Seed() int64 { return s.seed }
-
 // DeriveSeed maps the simulation seed plus a stream label to an independent
 // sub-seed. Components that need their own RNG (failure injectors, chaos
 // injectors, workload generators) derive it from here so that two runs with

@@ -148,14 +148,6 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 // per trial.
 func (n *Network) UsePool() *netsim.PacketPool { return netsim.NewPacketPool() }
 
-// Link returns the link between two switches, in either spec order.
-func (n *Network) Link(a, b string) *netsim.Link {
-	if l, ok := n.links[a+"|"+b]; ok {
-		return l
-	}
-	return nil
-}
-
 // Direction returns the transmit end of the a→b direction of a link.
 func (n *Network) Direction(a, b string) *netsim.LinkEnd {
 	if l, ok := n.links[a+"|"+b]; ok {

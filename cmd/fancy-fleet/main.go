@@ -127,25 +127,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		srcAt, dstAt = from, to
 	}
 
-	s := sim.New(*seed)
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
+	if *killLeader > 0 && *replicas <= 1 {
+		return fail("-kill-leader needs -replicas > 1")
+	}
+
+	const entry = netsim.EntryID(10)
+	dur := sim.Time(*duration)
+	trial := fleet.Trial{
+		Seed: *seed, Duration: dur,
+		Spec:   topo.Abilene(),
+		Routes: map[netsim.EntryID]string{entry: "hdst"},
+		Config: fleet.Config{Fancy: fancy.Config{
+			HighPriority: []netsim.EntryID{entry},
+			Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
+			TreeSeed:     3,
+		}},
+		Flows: []fleet.Flow{{From: "hsrc", Entry: entry, RateBps: *rate}},
+	}
+	trial.Spec.Hosts = []topo.HostSpec{
 		{Name: "hsrc", Attach: srcAt},
 		{Name: "hdst", Attach: dstAt},
 	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if n.Direction(from, to) == nil {
-		return fail("no %s link in Abilene", *link)
-	}
-	if *partition != "" && n.Switches[*partition] == nil {
-		return fail("no switch %q to partition", *partition)
-	}
-	const entry = netsim.EntryID(10)
-	dur := sim.Time(*duration)
-	routes := map[netsim.EntryID]string{entry: "hdst"}
 	var churn *traffic.ChurnSchedule
 	if *hhMode {
 		// The background entry set includes the target entry; its dedicated
@@ -159,45 +161,66 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:          *seed,
 		})
 		for i := 0; i < churn.Config().Entries; i++ {
-			routes[netsim.EntryID(i)] = "hdst"
+			trial.Routes[netsim.EntryID(i)] = "hdst"
 		}
-	}
-	if err := n.InstallShortestPaths(routes); err != nil {
-		return fail("%v", err)
-	}
-	cfg := fleet.Config{Fancy: fancy.Config{
-		HighPriority: []netsim.EntryID{entry},
-		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
-		TreeSeed:     3,
-	}}
-	if *hhMode {
-		cfg.Fancy.HighPriority = nil // dedicated counters come from the allocation loop
-		cfg.HH = &fleet.HHFleetConfig{
+		trial.Config.Fancy.HighPriority = nil // dedicated counters come from the allocation loop
+		trial.Config.HH = &fleet.HHFleetConfig{
 			Sketch:       hh.Params{Stages: 3, Width: 32, Seed: uint64(*seed)},
 			DynamicSlots: *hhSlots,
 		}
 	}
 	mgmtWanted := *mgmtLoss > 0 || *mgmtDelay > 0 || *mgmtJitter > 0 || *mgmtDup > 0 ||
-		*crashCorr > 0 || *partition != "" || *replicas > 1 || *killLeader > 0
+		*crashCorr > 0 || *partition != "" || *replicas > 1
 	if mgmtWanted {
-		cfg.Mgmt = &mgmt.Config{
+		trial.Config.Mgmt = &mgmt.Config{
 			Loss:      *mgmtLoss,
 			Delay:     sim.Time(*mgmtDelay),
 			Jitter:    sim.Time(*mgmtJitter),
 			Duplicate: *mgmtDup,
 		}
-		cfg.Replicas = *replicas
-	}
-	if *killLeader > 0 && *replicas <= 1 {
-		return fail("-kill-leader needs -replicas > 1")
+		trial.Config.Replicas = *replicas
 	}
 	if *verifyGate {
-		cfg.Verify = &fleet.VerifyConfig{}
+		trial.Config.Verify = &fleet.VerifyConfig{}
 	}
-	f, err := fleet.New(s, n, cfg)
+
+	// Protect the target entry at the failed link's upstream switch, if a
+	// provably loop-free detour exists (an empty BackupTo asks for it).
+	trial.Protect = []fleet.Protection{{Switch: from, Entry: entry, PrimaryTo: to}}
+	gray := func(from, to string) fleet.Fault {
+		return fleet.Fault{At: sim.Time(*failAt), Kind: fleet.FaultGrayLink,
+			Link: topo.DirectedLink{From: from, To: to}, Entries: []netsim.EntryID{entry}, Loss: *loss}
+	}
+	trial.Faults = []fleet.Fault{gray(from, to)}
+	if *injectLoop {
+		trial.Protect = []fleet.Protection{
+			{Switch: "atlanta", Entry: entry, PrimaryTo: "indianapolis", BackupTo: "houston"},
+			{Switch: "houston", Entry: entry, PrimaryTo: "kansascity", BackupTo: "atlanta"},
+		}
+		trial.Faults = append(trial.Faults, gray("houston", "kansascity"))
+	}
+	// -crash-correlator and -kill-leader are one fault pair under two names:
+	// the correlator is always a replica group, of one by default.
+	for _, at := range []time.Duration{*crashCorr, *killLeader} {
+		if at > 0 {
+			trial.Faults = append(trial.Faults,
+				fleet.Fault{At: sim.Time(at), Kind: fleet.FaultKillLeader},
+				fleet.Fault{At: sim.Time(at + *crashDown), Kind: fleet.FaultRestartKilled})
+		}
+	}
+	cut := sim.Time(*failAt)
+	heal := cut + (dur-cut)/2
+	if *partition != "" {
+		trial.Faults = append(trial.Faults,
+			fleet.Fault{At: cut, Kind: fleet.FaultPartition, Switch: *partition},
+			fleet.Fault{At: heal, Kind: fleet.FaultHeal, Switch: *partition})
+	}
+
+	r, err := trial.Start()
 	if err != nil {
 		return fail("%v", err)
 	}
+	n, f := r.Net, r.Fleet
 	f.OnEvent = func(ev fleet.Event) {
 		if *events {
 			fmt.Fprintln(stdout, ev)
@@ -213,74 +236,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	protect := func(sw, primaryTo, backupTo string) error {
-		route := n.Switches[sw].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[sw][primaryTo],
-			Backup: n.PortOf[sw][backupTo],
-		})
-		if err := f.Protect(sw, entry, route); err != nil {
-			return err
-		}
+	for _, p := range r.Protected {
 		fmt.Fprintf(stdout, "protecting entry %d at %s: primary via %s, backup via %s\n",
-			entry, sw, primaryTo, backupTo)
-		return nil
+			p.Entry, p.Switch, p.PrimaryTo, p.BackupTo)
 	}
-	// Protect the target entry at the failed link's upstream switch, if a
-	// provably loop-free detour exists.
-	if *injectLoop {
-		for _, p := range [][3]string{
-			{"atlanta", "indianapolis", "houston"},
-			{"houston", "kansascity", "atlanta"},
-		} {
-			if err := protect(p[0], p[1], p[2]); err != nil {
-				return fail("%v", err)
-			}
-		}
-	} else if nb, ok := n.LoopFreeBackup(topo.DirectedLink{From: from, To: to}); ok {
-		if err := protect(from, to, nb); err != nil {
-			return fail("%v", err)
-		}
-	} else {
+	if len(r.Protected) == 0 {
 		fmt.Fprintf(stdout, "no loop-free detour from %s avoiding %s: running detection only\n", from, to)
 	}
-
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), *rate, 1000, dur).Start()
 	if churn != nil {
-		srcs := churn.Launch(s, n.Hosts["hsrc"])
+		srcs := churn.Launch(r.Sim, n.Hosts["hsrc"])
 		fmt.Fprintf(stdout, "heavy-hitter stage: %d dynamic slots/port, churn background: %d entries, %d sources, %d epochs\n",
 			*hhSlots, churn.Config().Entries, srcs, churn.Epochs())
 	}
-	n.Direction(from, to).SetFailure(
-		netsim.FailEntries(*seed+1, sim.Time(*failAt), *loss, entry))
 	if *injectLoop {
-		n.Direction("houston", "kansascity").SetFailure(
-			netsim.FailEntries(*seed+2, sim.Time(*failAt), *loss, entry))
 		fmt.Fprintf(stdout, "also failing houston->kansascity at %v: both backups now compose into a loop\n",
 			*failAt)
 	}
 	if *verifyGate {
 		fmt.Fprintln(stdout, "verified-commit gate: every reroute checked against the atom model before committing")
 	}
-
 	if *crashCorr > 0 {
-		s.ScheduleAt(sim.Time(*crashCorr), f.CrashCorrelator)
-		s.ScheduleAt(sim.Time(*crashCorr+*crashDown), f.RestartCorrelator)
 		fmt.Fprintf(stdout, "correlator crash at %v, restart at %v\n", *crashCorr, *crashCorr+*crashDown)
 	}
 	if *killLeader > 0 {
-		killed := -1
-		s.ScheduleAt(sim.Time(*killLeader), func() { killed = f.KillLeader() })
-		s.ScheduleAt(sim.Time(*killLeader+*crashDown), func() { f.RestartReplica(killed) })
 		fmt.Fprintf(stdout, "leader kill at %v, dead replica rejoins at %v\n", *killLeader, *killLeader+*crashDown)
 	}
 	if *partition != "" {
-		cut := sim.Time(*failAt)
-		heal := cut + (dur-cut)/2
-		sw := *partition
-		s.ScheduleAt(cut, func() { f.PartitionSwitch(sw) })
-		s.ScheduleAt(heal, func() { f.HealSwitch(sw) })
-		fmt.Fprintf(stdout, "partitioning %s off the management plane at %v, healing at %v\n", sw, cut, heal)
+		fmt.Fprintf(stdout, "partitioning %s off the management plane at %v, healing at %v\n", *partition, cut, heal)
 	}
 	if mgmtWanted {
 		fmt.Fprintf(stdout, "management plane: loss=%.0f%% dup=%.0f%% delay=%v jitter=%v\n",
@@ -292,7 +274,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "failing %s at %v (loss %.0f%%), %d switches / %d directed links monitored\n\n",
 		*link, *failAt, *loss*100, len(n.Switches), len(n.DirectedLinks()))
-	s.Run(dur)
+	r.Finish()
 
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, f.Snapshot().Report())

@@ -13,15 +13,10 @@ import (
 	"strings"
 	"testing"
 
-	"fancy/internal/fancy"
-	"fancy/internal/fancy/tree"
 	"fancy/internal/fleet"
 	"fancy/internal/hh"
-	"fancy/internal/mgmt"
-	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/topo"
-	"fancy/internal/traffic"
 )
 
 // chaosTranscript runs one fleet-chaos trial — gray link on a degraded
@@ -36,62 +31,27 @@ import (
 func chaosTranscript(t *testing.T, seed int64, replicas int, hhSlots int, verified bool) string {
 	t.Helper()
 	dl := topo.DirectedLink{From: "kansascity", To: "denver"}
-	duration := 3 * sim.Second
-
-	s := sim.New(seed)
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
-		{Name: "hsrc", Attach: dl.From},
-		{Name: "hdst", Attach: dl.To},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "hdst"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleet.Config{
-		Fancy: fancy.Config{
-			HighPriority: []netsim.EntryID{entry},
-			Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
-			TreeSeed:     3,
-		},
-		Mgmt:     &mgmt.Config{Loss: 0.2, Duplicate: 0.1, Jitter: sim.Millisecond},
-		Replicas: replicas,
-	}
+	// The fleet-chaos sweep's own trial value at its acceptance cell, minus
+	// the automatic protection: only the verify cell protects the entry.
+	tr := chaosTrial(seed, dl, 3*sim.Second, ChaosFleetConfig{Loss: 0.2, Crash: true, Replicas: replicas})
+	tr.Protect = nil
 	if hhSlots > 0 {
-		cfg.HH = &fleet.HHFleetConfig{
+		tr.Config.HH = &fleet.HHFleetConfig{
 			Sketch:       hh.Params{Stages: 3, Width: 32, Seed: 5},
 			DynamicSlots: hhSlots,
 		}
 	}
 	if verified {
-		cfg.Verify = &fleet.VerifyConfig{}
+		tr.Config.Verify = &fleet.VerifyConfig{}
+		tr.Protect = []fleet.Protection{{Switch: dl.From, Entry: grayEntry, PrimaryTo: dl.To, BackupTo: "houston"}}
 	}
-	f, err := fleet.New(s, n, cfg)
+	r, err := tr.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verified {
-		route := n.Switches[dl.From].Routes.InsertEntry(entry, netsim.Route{
-			Port:   n.PortOf[dl.From][dl.To],
-			Backup: n.PortOf[dl.From]["houston"],
-		})
-		if err := f.Protect(dl.From, entry, route); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.Finish()
 
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(entry), entry,
-		netsim.EntryAddr(entry, 1), 2e6, 1000, duration).Start()
-	const failAt = sim.Second
-	n.Direction(dl.From, dl.To).SetFailure(netsim.FailEntries(seed+1, failAt, 1.0, entry))
-	s.ScheduleAt(failAt+100*sim.Millisecond, f.CrashCorrelator)
-	s.ScheduleAt(failAt+400*sim.Millisecond, f.RestartCorrelator)
-	s.Run(duration)
-
+	f := r.Fleet
 	var b strings.Builder
 	for _, ev := range f.Events {
 		fmt.Fprintf(&b, "%s\n", ev)

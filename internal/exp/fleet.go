@@ -22,7 +22,6 @@ import (
 	"fancy/internal/sim"
 	"fancy/internal/stats"
 	"fancy/internal/topo"
-	"fancy/internal/traffic"
 )
 
 // FleetRow is one trial: one gray directed link under a full Abilene fleet.
@@ -111,22 +110,12 @@ func abileneTargets(scale Scale) []topo.DirectedLink {
 	return targets
 }
 
-// FleetAbilene runs the fleet scenario: Quick targets a 3-link subsample,
-// Full targets every directed link of Abilene (28 trials).
-func FleetAbilene(scale Scale, seed int64) *FleetResult {
-	return FleetAbileneWorkers(scale, seed, false, 1)
-}
-
-// FleetAbileneVerified is FleetAbilene with the verified-commit gate on
-// every fleet: the single-failure localization and reroute results must be
-// indistinguishable from the ungated sweep — verification is free when the
-// requested backup is safe.
-func FleetAbileneVerified(scale Scale, seed int64) *FleetResult {
-	return FleetAbileneWorkers(scale, seed, true, 1)
-}
-
-// FleetAbileneWorkers runs the sweep's independent trials on up to workers
-// OS threads. Each trial is its own simulator, seeded from the trial index
+// FleetAbileneWorkers runs the fleet scenario — Quick targets a 3-link
+// subsample, Full every directed link of Abilene (28 trials) — with its
+// independent trials on up to workers OS threads. With verified set every
+// fleet runs the verified-commit gate, and the single-failure localization
+// and reroute results must be indistinguishable from the ungated sweep:
+// verification is free when the requested backup is safe. Each trial is its own simulator, seeded from the trial index
 // alone and written to its own result slot, so the sweep is byte-identical
 // for every worker count — parallelism here is pure wall-clock.
 func FleetAbileneWorkers(scale Scale, seed int64, verified bool, workers int) *FleetResult {
@@ -168,8 +157,8 @@ func fleetTrial(seed int64, dl topo.DirectedLink, duration sim.Time, verified bo
 	if verified {
 		cfg.Verify = &fleet.VerifyConfig{}
 	}
-	g := grayLinkTrial(seed, dl, duration, cfg, nil)
-	return FleetRow{Link: dl.String(), Exact: g.exact, TTL: g.ttl, Suppressed: g.f.Suppressed,
+	g := runGrayLink(grayLinkTrial(seed, dl, duration, cfg), dl)
+	return FleetRow{Link: dl.String(), Exact: g.exact, TTL: g.ttl, Suppressed: g.Fleet.Suppressed,
 		Protected: g.protected, Rerouted: g.rerouted}
 }
 
@@ -180,65 +169,48 @@ const (
 	grayFailAt = sim.Second
 )
 
-// abileneFleet builds what those trials share: a fresh Abilene with hosts
+// abileneTrial is what those trials share, as a value: Abilene with hosts
 // hsrc and hdst attached at src and dst, grayEntry routed to hdst along
-// shortest paths, and a fleet over it. cfg carries the trial's control-plane
-// choices (Mgmt, Replicas, Verify); the detector configuration is the same
-// everywhere and is filled in here.
-func abileneFleet(seed int64, src, dst string, cfg fleet.Config) (*sim.Sim, *topo.Network, *fleet.Fleet) {
-	s := sim.New(seed)
+// shortest paths and probed at 2 Mbps from hsrc, and every failed link
+// blackholing the entry from grayFailAt on. cfg carries the trial's
+// control-plane choices (Mgmt, Replicas, Verify); the detector configuration
+// is the same everywhere and is filled in here.
+func abileneTrial(seed int64, src, dst string, duration sim.Time, cfg fleet.Config, failed ...topo.DirectedLink) fleet.Trial {
 	spec := topo.Abilene()
 	spec.Hosts = []topo.HostSpec{
 		{Name: "hsrc", Attach: src},
 		{Name: "hdst", Attach: dst},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		panic(fmt.Sprintf("exp: fleet topology: %v", err))
-	}
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{grayEntry: "hdst"}); err != nil {
-		panic(err)
 	}
 	cfg.Fancy = fancy.Config{
 		HighPriority: []netsim.EntryID{grayEntry},
 		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
 		TreeSeed:     3,
 	}
-	f, err := fleet.New(s, n, cfg)
+	t := fleet.Trial{
+		Seed: seed, Spec: spec, Config: cfg, Duration: duration,
+		Routes: map[netsim.EntryID]string{grayEntry: "hdst"},
+		Flows:  []fleet.Flow{{From: "hsrc", Entry: grayEntry, RateBps: 2e6}},
+	}
+	for _, dl := range failed {
+		t.Faults = append(t.Faults, fleet.Fault{At: grayFailAt, Kind: fleet.FaultGrayLink,
+			Link: dl, Entries: []netsim.EntryID{grayEntry}, Loss: 1})
+	}
+	return t
+}
+
+// mustStart starts a trial the package itself composed: a failure is a bug.
+func mustStart(t fleet.Trial) *fleet.Run {
+	r, err := t.Start()
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("exp: fleet trial: %v", err))
 	}
-	return s, n, f
+	return r
 }
 
-// protectEntry gives grayEntry a backup next hop at sw and registers it for
-// the fleet's gated reroute.
-func protectEntry(n *topo.Network, f *fleet.Fleet, sw, primaryTo, backupTo string) {
-	route := n.Switches[sw].Routes.InsertEntry(grayEntry, netsim.Route{
-		Port:   n.PortOf[sw][primaryTo],
-		Backup: n.PortOf[sw][backupTo],
-	})
-	if err := f.Protect(sw, grayEntry, route); err != nil {
-		panic(err)
-	}
-}
-
-// probeAndFail starts the 2 Mbps probe flow from hsrc toward grayEntry and
-// blackholes the entry on every failed link from grayFailAt on (link i's
-// drop stream is seeded seed+1+i).
-func probeAndFail(s *sim.Sim, n *topo.Network, seed int64, duration sim.Time, failed ...topo.DirectedLink) {
-	traffic.NewUDPSource(s, n.Hosts["hsrc"], netsim.FlowID(grayEntry), grayEntry,
-		netsim.EntryAddr(grayEntry, 1), 2e6, 1000, duration).Start()
-	for i, dl := range failed {
-		n.Direction(dl.From, dl.To).SetFailure(
-			netsim.FailEntries(seed+1+int64(i), grayFailAt, 1.0, grayEntry))
-	}
-}
-
-// grayLinkOutcome is what a single-gray-link trial reads out; f stays
+// grayLinkOutcome is what a single-gray-link trial reads out; the run stays
 // available for the counters only some sweeps report.
 type grayLinkOutcome struct {
-	f         *fleet.Fleet
+	*fleet.Run
 	exact     bool     // localized exactly the injected link, nothing else
 	ttl       sim.Time // failure injection → localization
 	protected bool     // a loop-free backup existed and the entry was protected
@@ -248,23 +220,22 @@ type grayLinkOutcome struct {
 // grayLinkTrial is one gray directed link under a full Abilene fleet: traffic
 // for grayEntry crosses dl, dl starts dropping it, and — only where a
 // provably loop-free detour exists (topo.LoopFreeBackup) — the entry is
-// protected by the fleet's gated reroute. faults, if non-nil, schedules the
-// trial's control-plane faults (correlator crash, leader kill) before the
-// run.
-func grayLinkTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg fleet.Config,
-	faults func(*sim.Sim, *fleet.Fleet)) grayLinkOutcome {
-	s, n, f := abileneFleet(seed, dl.From, dl.To, cfg)
-	g := grayLinkOutcome{f: f}
-	if nb, ok := n.LoopFreeBackup(dl); ok {
-		g.protected = true
-		protectEntry(n, f, dl.From, dl.To, nb)
-	}
-	probeAndFail(s, n, seed, duration, dl)
-	if faults != nil {
-		faults(s, f)
-	}
-	s.Run(duration)
+// protected by the fleet's gated reroute. faults are the trial's
+// control-plane faults (correlator crash, leader kill).
+func grayLinkTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg fleet.Config, faults ...fleet.Fault) fleet.Trial {
+	t := abileneTrial(seed, dl.From, dl.To, duration, cfg, dl)
+	t.Protect = []fleet.Protection{{Switch: dl.From, Entry: grayEntry, PrimaryTo: dl.To}}
+	t.Faults = append(t.Faults, faults...)
+	return t
+}
 
+// runGrayLink runs a grayLinkTrial value and reads the outcome for dl.
+func runGrayLink(t fleet.Trial, dl topo.DirectedLink) grayLinkOutcome {
+	g := grayLinkOutcome{Run: mustStart(t)}
+	g.protected = len(g.Protected) > 0
+	g.Finish()
+
+	f := g.Fleet
 	loc := f.Localized()
 	g.exact = len(loc) == 1 && loc[0] == dl.String()
 	if g.exact {

@@ -148,34 +148,32 @@ func FleetChaos(scale Scale, seed int64) *ChaosFleetResult {
 	return res
 }
 
-// fleetChaosTrial is one gray link under one impairment configuration.
-func fleetChaosTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg ChaosFleetConfig) ChaosFleetRow {
-	faults := func(s *sim.Sim, f *fleet.Fleet) {
-		if !cfg.Crash {
-			return
-		}
+// chaosTrial is one gray link under one impairment configuration, as a value.
+func chaosTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg ChaosFleetConfig) fleet.Trial {
+	var faults []fleet.Fault
+	if cfg.Crash {
 		// Kill the active replica spanning the first evidence window and
 		// restart it 300 ms later. With peers, recovery is a phi-driven
 		// election and a replicated-log restore, and the dead replica
 		// rejoins as a follower; a lone replica restores from its last
 		// checkpoint at the restart.
-		killed := -1
-		s.ScheduleAt(grayFailAt+100*sim.Millisecond, func() { killed = f.KillLeader() })
-		s.ScheduleAt(grayFailAt+400*sim.Millisecond, func() { f.RestartReplica(killed) })
-	}
-	g := grayLinkTrial(seed, dl, duration, fleet.Config{
-		Mgmt:     &mgmt.Config{Loss: cfg.Loss, Duplicate: cfg.Loss / 2, Jitter: sim.Millisecond},
-		Replicas: cfg.Replicas,
-	}, faults)
-
-	row := ChaosFleetRow{Config: cfg.Name, Link: dl.String(), Exact: g.exact, TTL: g.ttl,
-		Protected: g.protected, Rerouted: g.rerouted}
-	for _, ev := range g.f.Events {
-		if ev.Kind == fleet.EventLocalized && ev.Link == dl.String() {
-			row.Verdicts++
+		faults = []fleet.Fault{
+			{At: grayFailAt + 100*sim.Millisecond, Kind: fleet.FaultKillLeader},
+			{At: grayFailAt + 400*sim.Millisecond, Kind: fleet.FaultRestartKilled},
 		}
 	}
-	snap := g.f.Snapshot()
+	return grayLinkTrial(seed, dl, duration, fleet.Config{
+		Mgmt:     &mgmt.Config{Loss: cfg.Loss, Duplicate: cfg.Loss / 2, Jitter: sim.Millisecond},
+		Replicas: cfg.Replicas,
+	}, faults...)
+}
+
+// fleetChaosTrial runs chaosTrial and reads out the sweep's row.
+func fleetChaosTrial(seed int64, dl topo.DirectedLink, duration sim.Time, cfg ChaosFleetConfig) ChaosFleetRow {
+	g := runGrayLink(chaosTrial(seed, dl, duration, cfg), dl)
+	row := ChaosFleetRow{Config: cfg.Name, Link: dl.String(), Exact: g.exact, TTL: g.ttl,
+		Protected: g.protected, Rerouted: g.rerouted, Verdicts: g.Verdicts(dl.String())}
+	snap := g.Fleet.Snapshot()
 	row.Stale = snap.Corr.StaleEvents
 	row.Handbacks = snap.Corr.Handbacks
 	row.MgmtLost = snap.MgmtNet.Lost

@@ -121,24 +121,10 @@ func ttlMedian(ttls []sim.Time) sim.Time {
 func runHHChurn(seed int64, sched *traffic.ChurnSchedule, targets []netsim.EntryID,
 	slots int, dynamic bool, hhOut *fleet.HHSnapshot) map[int]stats.Detection {
 
-	s := sim.New(seed)
-	spec := topo.Spec{
-		Switches: []string{"up", "down"},
-		Links:    []topo.LinkSpec{{A: "up", B: "down", Delay: 2 * sim.Millisecond}},
-		Hosts:    []topo.HostSpec{{Name: "hsrc", Attach: "up"}, {Name: "hdst", Attach: "down"}},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		panic(fmt.Sprintf("exp: hh-churn topology: %v", err))
-	}
 	routes := make(map[netsim.EntryID]string, sched.Config().Entries)
 	for i := 0; i < sched.Config().Entries; i++ {
 		routes[netsim.EntryID(i)] = "hdst"
 	}
-	if err := n.InstallShortestPaths(routes); err != nil {
-		panic(err)
-	}
-
 	cfg := fleet.Config{}
 	cfg.Fancy.Tree = tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true}
 	cfg.Fancy.TreeSeed = 3
@@ -150,10 +136,18 @@ func runHHChurn(seed int64, sched *traffic.ChurnSchedule, targets []netsim.Entry
 	} else {
 		cfg.Fancy.HighPriority = sched.Top(0, slots)
 	}
-	f, err := fleet.New(s, n, cfg)
-	if err != nil {
-		panic(err)
-	}
+	// The trial carries the deployment; the churn workload and its
+	// cumulative per-epoch blackholes are not Flows and gray-link Faults,
+	// so they go onto the started run below.
+	r := mustStart(fleet.Trial{
+		Seed: seed, Routes: routes, Config: cfg, Duration: sched.Duration(),
+		Spec: topo.Spec{
+			Switches: []string{"up", "down"},
+			Links:    []topo.LinkSpec{{A: "up", B: "down", Delay: 2 * sim.Millisecond}},
+			Hosts:    []topo.HostSpec{{Name: "hsrc", Attach: "up"}, {Name: "hdst", Attach: "down"}},
+		},
+	})
+	s, n, f := r.Sim, r.Net, r.Fleet
 
 	// Detection taps the upstream detector directly (fleet wired its own
 	// handler; chain ours in front) so both modes are measured at the
@@ -209,7 +203,7 @@ func runHHChurn(seed int64, sched *traffic.ChurnSchedule, targets []netsim.Entry
 	}
 
 	sched.Launch(s, n.Hosts["hsrc"])
-	s.Run(sched.Duration())
+	r.Finish()
 
 	for e, entry := range targets {
 		if !out[e].Detected {

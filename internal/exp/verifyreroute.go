@@ -127,20 +127,23 @@ func verifiedChaosTrial(seed int64, duration sim.Time, verified bool) chaosOut {
 	if verified {
 		cfg.Verify = &fleet.VerifyConfig{}
 	}
-	s, n, f := abileneFleet(seed, "washington", "kansascity", cfg)
-	protectEntry(n, f, "atlanta", "indianapolis", "houston")
-	protectEntry(n, f, "houston", "kansascity", "atlanta")
+	t := abileneTrial(seed, "washington", "kansascity", duration, cfg,
+		topo.DirectedLink{From: "atlanta", To: "indianapolis"},
+		topo.DirectedLink{From: "houston", To: "kansascity"})
+	t.Protect = []fleet.Protection{
+		{Switch: "atlanta", Entry: grayEntry, PrimaryTo: "indianapolis", BackupTo: "houston"},
+		{Switch: "houston", Entry: grayEntry, PrimaryTo: "kansascity", BackupTo: "atlanta"},
+	}
+	r := mustStart(t)
+	f := r.Fleet
 
 	out := chaosOut{seed: seed}
-	n.Hosts["hdst"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
+	r.Net.Hosts["hdst"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
 		if p.Entry == grayEntry {
 			out.delivered++
 		}
 	})
-	probeAndFail(s, n, seed, duration,
-		topo.DirectedLink{From: "atlanta", To: "indianapolis"},
-		topo.DirectedLink{From: "houston", To: "kansascity"})
-	s.Run(duration)
+	r.Finish()
 
 	loc := f.Localized()
 	out.exact = len(loc) == 2 &&
@@ -163,7 +166,7 @@ func verifiedChaosTrial(seed int64, duration sim.Time, verified bool) chaosOut {
 		out.fallbacks = f.Verify.Fallbacks
 		audit = f.Verifier().Audit()
 	} else {
-		audit = verify.NewModel(n).Audit()
+		audit = verify.NewModel(r.Net).Audit()
 	}
 	out.loopAtoms = audit.Loops()
 	out.holeAtoms = audit.Blackholes()

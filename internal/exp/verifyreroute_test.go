@@ -86,7 +86,7 @@ func TestVerifiedRerouteSoakSeeds(t *testing.T) {
 // TestFleetAbileneVerified: single-failure sweeps must be unharmed by the
 // gate — same exact localization, every protected entry still diverted.
 func TestFleetAbileneVerified(t *testing.T) {
-	r := FleetAbileneVerified(Quick, 20220822)
+	r := FleetAbileneWorkers(Quick, 20220822, true, 1)
 	if !r.Verified {
 		t.Fatal("result not flagged verified")
 	}

@@ -21,23 +21,6 @@ func fleetCfg(entries ...netsim.EntryID) Config {
 	}
 }
 
-// udp drives a constant-bitrate UDP flow from a host toward an entry.
-func udp(n *topo.Network, from string, entry netsim.EntryID, rateBps float64, stop sim.Time) {
-	host := n.Hosts[from]
-	const size = 1000
-	gap := sim.Time(float64(size*8) / rateBps * float64(sim.Second))
-	var tick func()
-	tick = func() {
-		if n.Sim.Now() >= stop {
-			return
-		}
-		host.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
-			Src: n.HostAddr(from), Proto: netsim.ProtoUDP, Size: size})
-		n.Sim.Schedule(gap, tick)
-	}
-	n.Sim.Schedule(0, tick)
-}
-
 // burstUDP sends count-packet bursts every interval, to build transient
 // queues on a slow link without destabilizing it.
 func burstUDP(n *topo.Network, from string, entry netsim.EntryID, count int, interval, start, stop sim.Time) {
@@ -56,15 +39,81 @@ func burstUDP(n *topo.Network, from string, entry netsim.EntryID, count int, int
 	n.Sim.ScheduleAt(start, tick)
 }
 
-func lineSpec(rateBC float64) topo.Spec {
-	return topo.Spec{
-		Switches: []string{"A", "B", "C"},
-		Links: []topo.LinkSpec{
-			{A: "A", B: "B", Delay: 2 * sim.Millisecond},
-			{A: "B", B: "C", Delay: 2 * sim.Millisecond, RateBps: rateBC},
-		},
-		Hosts: []topo.HostSpec{{Name: "H1", Attach: "A"}, {Name: "H2", Attach: "C"}},
+// start assembles a trial or fails the test.
+func start(t *testing.T, tr Trial) *Run {
+	t.Helper()
+	r, err := tr.Start()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
+}
+
+// entry is the prefix every scenario below watches.
+const entry = netsim.EntryID(10)
+
+// grayAt is the fault every scenario injects: from->to blackholes e from at on.
+func grayAt(at sim.Time, from, to string, e netsim.EntryID) Fault {
+	return Fault{At: at, Kind: FaultGrayLink, Link: topo.DirectedLink{From: from, To: to},
+		Entries: []netsim.EntryID{e}, Loss: 1}
+}
+
+// lineTrial is the small scenario: the line A—B—C with H1 at A and H2 at C,
+// entry routed to H2 and probed at 2 Mb/s from H1 for the whole run, B->C
+// blackholing it from failAt on.
+func lineTrial(seed int64, cfg Config, failAt, duration sim.Time, faults ...Fault) Trial {
+	return Trial{
+		Seed: seed, Config: cfg, Duration: duration,
+		Spec: topo.Spec{
+			Switches: []string{"A", "B", "C"},
+			Links: []topo.LinkSpec{
+				{A: "A", B: "B", Delay: 2 * sim.Millisecond},
+				{A: "B", B: "C", Delay: 2 * sim.Millisecond},
+			},
+			Hosts: []topo.HostSpec{{Name: "H1", Attach: "A"}, {Name: "H2", Attach: "C"}},
+		},
+		Routes: map[netsim.EntryID]string{entry: "H2"},
+		Flows:  []Flow{{From: "H1", Entry: entry, RateBps: 2e6}},
+		Faults: append([]Fault{grayAt(failAt, "B", "C", entry)}, faults...),
+	}
+}
+
+// abileneSpec is Abilene with a host "h-<switch>" at each named switch.
+func abileneSpec(at ...string) topo.Spec {
+	spec := topo.Abilene()
+	for _, sw := range at {
+		spec.Hosts = append(spec.Hosts, topo.HostSpec{Name: "h-" + sw, Attach: sw})
+	}
+	return spec
+}
+
+// grayTrial is the acceptance scenario, and the shape of every internal/exp
+// fleet trial: Abilene, entry owned by a host at dl.To and probed at 2 Mb/s
+// from one at dl.From, protected at dl.From wherever a loop-free detour
+// exists (seattle->sunnyvale detours via denver, whose own shortest path to
+// sunnyvale is the direct link), dl blackholing it from failAt on.
+func grayTrial(seed int64, dl topo.DirectedLink, cfg Config, failAt, duration sim.Time, faults ...Fault) Trial {
+	return Trial{
+		Seed: seed, Config: cfg, Duration: duration,
+		Spec:    abileneSpec(dl.From, dl.To),
+		Routes:  map[netsim.EntryID]string{entry: "h-" + dl.To},
+		Protect: []Protection{{Switch: dl.From, Entry: entry, PrimaryTo: dl.To}},
+		Flows:   []Flow{{From: "h-" + dl.From, Entry: entry, RateBps: 2e6}},
+		Faults:  append([]Fault{grayAt(failAt, dl.From, dl.To, entry)}, faults...),
+	}
+}
+
+var seattleSunnyvale = topo.DirectedLink{From: "seattle", To: "sunnyvale"}
+
+// deliveries counts the entry's packets arriving at a host.
+func deliveries(r *Run, host string) *int {
+	n := new(int)
+	r.Net.Hosts[host].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
+		if p.Entry == entry {
+			*n++
+		}
+	})
+	return n
 }
 
 func hasEvent(f *Fleet, kind EventKind, detailSub string) bool {
@@ -80,55 +129,18 @@ func hasEvent(f *Fleet, kind EventKind, detailSub string) bool {
 // fleet, one injected gray link, exactly one localization, reroute fired,
 // time-to-localize within a few counting sessions.
 func TestAbileneGrayLocalization(t *testing.T) {
-	s := sim.New(42)
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
-		{Name: "h-sunnyvale", Attach: "sunnyvale"},
-		{Name: "h-seattle", Attach: "seattle"},
-		{Name: "h-newyork", Attach: "newyork"},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
 	const bg = netsim.EntryID(11)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{
-		entry: "h-sunnyvale", bg: "h-newyork"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, fleetCfg(entry, bg))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Protect the target entry at seattle: primary is the direct
-	// seattle→sunnyvale link (7 ms, the shortest path), backup detours via
-	// denver, whose own shortest path to sunnyvale is the direct 9 ms link
-	// — loop-free by construction.
-	primary := n.PortOf["seattle"]["sunnyvale"]
-	backup := n.PortOf["seattle"]["denver"]
-	route := n.Switches["seattle"].Routes.InsertEntry(entry,
-		netsim.Route{Port: primary, Backup: backup})
-	if err := f.Protect("seattle", entry, route); err != nil {
-		t.Fatal(err)
-	}
-
-	// Count target-entry arrivals, to prove the detour actually delivers.
-	delivered := 0
-	n.Hosts["h-sunnyvale"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
-		if p.Entry == entry {
-			delivered++
-		}
-	})
-
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-	udp(n, "h-seattle", bg, 1e6, 8*sim.Second) // background: seattle→…→newyork
-
 	const failAt = 2 * sim.Second
-	n.Direction("seattle", "sunnyvale").SetFailure(
-		netsim.FailEntries(7, failAt, 1.0, entry))
-	s.Run(8 * sim.Second)
+	tr := grayTrial(42, seattleSunnyvale, fleetCfg(entry, bg), failAt, 8*sim.Second)
+	// Background: seattle→…→newyork.
+	tr.Spec.Hosts = append(tr.Spec.Hosts, topo.HostSpec{Name: "h-newyork", Attach: "newyork"})
+	tr.Routes[bg] = "h-newyork"
+	tr.Flows = append(tr.Flows, Flow{From: "h-seattle", Entry: bg, RateBps: 1e6})
+	r := start(t, tr)
+	f := r.Fleet
+	// Count target-entry arrivals, to prove the detour actually delivers.
+	delivered := deliveries(r, "h-sunnyvale")
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "seattle->sunnyvale" {
 		t.Fatalf("localized %v, want exactly [seattle->sunnyvale]", got)
@@ -149,8 +161,8 @@ func TestAbileneGrayLocalization(t *testing.T) {
 	}
 	// The detour via denver must deliver: well over half the post-failure
 	// packets arrive (only the detection window's worth is lost).
-	if delivered < 1200 {
-		t.Fatalf("only %d target packets delivered, detour not working", delivered)
+	if *delivered < 1200 {
+		t.Fatalf("only %d target packets delivered, detour not working", *delivered)
 	}
 	if f.Suppressed != 0 {
 		t.Fatalf("clean gray failure, but %d alarms suppressed", f.Suppressed)
@@ -175,29 +187,9 @@ func TestAbileneGrayLocalization(t *testing.T) {
 // and event logs.
 func TestFleetDeterminism(t *testing.T) {
 	run := func() (string, int) {
-		s := sim.New(42)
-		spec := topo.Abilene()
-		spec.Hosts = []topo.HostSpec{
-			{Name: "h-sunnyvale", Attach: "sunnyvale"},
-			{Name: "h-seattle", Attach: "seattle"},
-		}
-		n, err := topo.Build(s, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const entry = netsim.EntryID(10)
-		if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "h-sunnyvale"}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := New(s, n, fleetCfg(entry))
-		if err != nil {
-			t.Fatal(err)
-		}
-		udp(n, "h-seattle", entry, 2e6, 5*sim.Second)
-		n.Direction("seattle", "sunnyvale").SetFailure(
-			netsim.FailEntries(7, 2*sim.Second, 1.0, entry))
-		s.Run(5 * sim.Second)
-		return f.Snapshot().Report(), len(f.Events)
+		r := start(t, grayTrial(42, seattleSunnyvale, fleetCfg(entry), 2*sim.Second, 5*sim.Second))
+		r.Finish()
+		return r.Fleet.Snapshot().Report(), len(r.Fleet.Events)
 	}
 	r1, e1 := run()
 	r2, e2 := run()
@@ -210,26 +202,17 @@ func TestFleetDeterminism(t *testing.T) {
 // TestCongestionSuppressed: alarms raised while the link's transmit queue
 // is congested are discarded (§4.3 footnote 2), not localized.
 func TestCongestionSuppressed(t *testing.T) {
-	s := sim.New(7)
-	// B→C runs at 10 Mb/s so bursts queue up; 20-packet bursts every 20 ms
-	// (8 Mb/s average) oscillate the queue between ~20 kB and empty.
-	n, err := topo.Build(s, lineSpec(10e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
 	cfg := fleetCfg(entry)
 	cfg.CongestionBytes = 5000
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	burstUDP(n, "H1", entry, 20, 20*sim.Millisecond, 0, 6*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-	s.Run(6 * sim.Second)
+	tr := lineTrial(7, cfg, 2*sim.Second, 6*sim.Second)
+	// B→C runs at 10 Mb/s so bursts queue up; 20-packet bursts every 20 ms
+	// (8 Mb/s average) oscillate the queue between ~20 kB and empty.
+	tr.Spec.Links[1].RateBps = 10e6
+	tr.Flows = nil
+	r := start(t, tr)
+	f := r.Fleet
+	burstUDP(r.Net, "H1", entry, 20, 20*sim.Millisecond, 0, 6*sim.Second)
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 0 {
 		t.Fatalf("localized %v despite congestion", got)
@@ -242,29 +225,16 @@ func TestCongestionSuppressed(t *testing.T) {
 // TestFlappingSuppressed: a flapping link is classified as flapping and its
 // counter-mismatch alarms are not misreported as a gray failure.
 func TestFlappingSuppressed(t *testing.T) {
-	s := sim.New(11)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, fleetCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	ch := netsim.NewChaos(s, "flap")
+	// The gray failure arrives once the link is already established as
+	// flapping: its alarms must be attributed to the flap, not localized.
+	r := start(t, lineTrial(11, fleetCfg(entry), 3*sim.Second, 8*sim.Second))
+	f := r.Fleet
+	ch := netsim.NewChaos(r.Sim, "flap")
 	ch.Start = sim.Second
 	ch.DownFor = 300 * sim.Millisecond
 	ch.UpFor = 100 * sim.Millisecond
-	n.Direction("B", "C").SetChaos(ch)
-	// A gray failure arrives once the link is already established as
-	// flapping: its alarms must be attributed to the flap, not localized.
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 3*sim.Second, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r.Net.Direction("B", "C").SetChaos(ch)
+	r.Finish()
 
 	if !hasEvent(f, EventLinkFlapping, "") {
 		t.Fatal("flapping link never classified as flapping")
@@ -280,24 +250,11 @@ func TestFlappingSuppressed(t *testing.T) {
 // TestPeerRestartSuppressed: evidence spanning a peer reboot is discarded
 // once; the persisting failure then re-alarms and localizes cleanly.
 func TestPeerRestartSuppressed(t *testing.T) {
-	s := sim.New(13)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, fleetCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+	r := start(t, lineTrial(13, fleetCfg(entry), 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
 	// Reboot the downstream switch inside the first evidence window.
-	s.ScheduleAt(2*sim.Second+100*sim.Millisecond, func() { f.Detectors["C"].Restart() })
-	s.Run(8 * sim.Second)
+	r.Sim.ScheduleAt(2*sim.Second+100*sim.Millisecond, func() { f.Detectors["C"].Restart() })
+	r.Finish()
 
 	if !hasEvent(f, EventSuppressed, "peer-restart") {
 		t.Fatal("restart-window alarms were not suppressed")
@@ -314,22 +271,9 @@ func TestPeerRestartSuppressed(t *testing.T) {
 // TestHealthStates: the sweep's per-link health resolves Down over Gray
 // over Healthy.
 func TestHealthStates(t *testing.T) {
-	s := sim.New(17)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, fleetCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 4*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-	s.Run(4 * sim.Second)
+	r := start(t, lineTrial(17, fleetCfg(entry), 2*sim.Second, 4*sim.Second))
+	f := r.Fleet
+	r.Finish()
 
 	snap := f.Snapshot()
 	byLink := make(map[string]LinkReport)
@@ -351,8 +295,7 @@ func TestHealthStates(t *testing.T) {
 	if len(f.Localized()) != 0 {
 		t.Fatal("Acknowledge did not clear the localization")
 	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	s.Run(8 * sim.Second)
+	r.Sim.Run(8 * sim.Second)
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v after acknowledge, want [B->C] again", got)
 	}

@@ -10,7 +10,6 @@ import (
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
-	"fancy/internal/topo"
 )
 
 // hhFleetCfg is a fleet with no static high-priority entries: every
@@ -28,33 +27,32 @@ func hhFleetCfg(slots int) Config {
 	}
 }
 
+// hot is the prefix the allocation loop must find on its own.
+const hot = netsim.EntryID(20)
+
+// hotLineTrial is lineTrial for the hot prefix: a 4 Mb/s flow until stop,
+// B->C blackholing it from 600 ms on.
+func hotLineTrial(seed int64, cfg Config, stop, duration sim.Time) Trial {
+	tr := lineTrial(seed, cfg, 0, duration)
+	tr.Routes = map[netsim.EntryID]string{hot: "H2"}
+	tr.Flows = []Flow{{From: "H1", Entry: hot, RateBps: 4e6, Until: stop}}
+	tr.Faults = []Fault{grayAt(600*sim.Millisecond, "B", "C", hot)}
+	return tr
+}
+
 // TestHHFleetPromoteDetectDemote is the allocation loop end to end: a hot
 // prefix is promoted into a dynamic dedicated slot, a gray failure on it
 // is then detected at dedicated-counter speed, and once the flow stops
 // the slot is demoted and returned.
 func TestHHFleetPromoteDetectDemote(t *testing.T) {
-	s := sim.New(21)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(20)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, hhFleetCfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Heavy flow from t=0; with 100 ms digests and PromoteAfter=2 the
 	// B->C agent promotes it by ~300 ms, well before the failure.
-	udp(n, "H1", entry, 4e6, 1500*sim.Millisecond)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 600*sim.Millisecond, 1.0, entry))
-	s.Run(1200 * sim.Millisecond)
+	r := start(t, hotLineTrial(21, hhFleetCfg(2), 1500*sim.Millisecond, 1200*sim.Millisecond))
+	f, s := r.Fleet, r.Sim
+	r.Finish()
 
-	bPort := n.PortOf["B"]["C"]
-	if _, ok := f.Detectors["B"].Promoted(bPort, entry); !ok {
+	bPort := r.Net.PortOf["B"]["C"]
+	if _, ok := f.Detectors["B"].Promoted(bPort, hot); !ok {
 		t.Fatal("hot entry was not promoted on B->C")
 	}
 	// The failure must surface through the dynamic dedicated counter, not
@@ -96,7 +94,7 @@ func TestHHFleetPromoteDetectDemote(t *testing.T) {
 	// The flow stops at 1.5 s; DemoteAfter=3 empty digests later every
 	// agent lets go of the slot.
 	s.Run(2500 * sim.Millisecond)
-	if _, ok := f.Detectors["B"].Promoted(bPort, entry); ok {
+	if _, ok := f.Detectors["B"].Promoted(bPort, hot); ok {
 		t.Fatal("cooled entry still promoted on B->C")
 	}
 	snap = f.Snapshot()
@@ -119,26 +117,14 @@ func TestHHFleetPromoteDetectDemote(t *testing.T) {
 // TestHHFleetSurvivesPartition: the allocation loop is local to each
 // switch, so a management-plane partition must not stop promotions.
 func TestHHFleetSurvivesPartition(t *testing.T) {
-	s := sim.New(22)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(20)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
 	cfg := hhFleetCfg(2)
 	cfg.Mgmt = &mgmt.Config{Loss: 0.2, Jitter: sim.Millisecond}
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.PartitionSwitch("B")
-	udp(n, "H1", entry, 4e6, sim.Second)
-	s.Run(800 * sim.Millisecond)
+	tr := hotLineTrial(22, cfg, sim.Second, 800*sim.Millisecond)
+	tr.Faults = []Fault{{Kind: FaultPartition, Switch: "B"}}
+	r := start(t, tr)
+	r.Finish()
 
-	if _, ok := f.Detectors["B"].Promoted(n.PortOf["B"]["C"], entry); !ok {
+	if _, ok := r.Fleet.Detectors["B"].Promoted(r.Net.PortOf["B"]["C"], hot); !ok {
 		t.Fatal("partitioned switch stopped promoting")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
-	"fancy/internal/topo"
 )
 
 func countEvents(f *Fleet, kind EventKind, link string) int {
@@ -24,66 +23,27 @@ func countEvents(f *Fleet, kind EventKind, link string) int {
 	return n
 }
 
-// abileneProtected builds the acceptance topology: Abilene, one protected
-// entry at seattle whose primary is seattle→sunnyvale and whose backup
-// detours via denver.
-func abileneProtected(t *testing.T, s *sim.Sim, cfg Config) (*topo.Network, *Fleet, netsim.EntryID) {
-	t.Helper()
-	spec := topo.Abilene()
-	spec.Hosts = []topo.HostSpec{
-		{Name: "h-sunnyvale", Attach: "sunnyvale"},
-		{Name: "h-seattle", Attach: "seattle"},
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "h-sunnyvale"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := n.Switches["seattle"].Routes.InsertEntry(entry, netsim.Route{
-		Port:   n.PortOf["seattle"]["sunnyvale"],
-		Backup: n.PortOf["seattle"]["denver"],
-	})
-	if err := f.Protect("seattle", entry, route); err != nil {
-		t.Fatal(err)
-	}
-	return n, f, entry
+// mgmtCfg is fleetCfg over the given management network.
+func mgmtCfg(m mgmt.Config, entries ...netsim.EntryID) Config {
+	cfg := fleetCfg(entries...)
+	cfg.Mgmt = &m
+	return cfg
 }
 
 // TestMgmtLossyLocalization: with 20% management-plane loss plus
 // duplication and jitter, retries and transport dedup keep localization
 // exact — one verdict on the failed link, duplicates never double-counted.
 func TestMgmtLossyLocalization(t *testing.T) {
-	s := sim.New(42)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleetCfg(entry)
-	cfg.Mgmt = &mgmt.Config{Loss: 0.2, Duplicate: 0.2, Jitter: sim.Millisecond}
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
 	const failAt = 2 * sim.Second
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, failAt, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r := start(t, lineTrial(42, mgmtCfg(mgmt.Config{Loss: 0.2, Duplicate: 0.2, Jitter: sim.Millisecond}, entry),
+		failAt, 8*sim.Second))
+	f := r.Fleet
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v, want exactly [B->C]", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events for B->C, want exactly 1", nLoc)
 	}
 	ttl := f.LocalizedAt("B->C") - failAt
@@ -106,27 +66,12 @@ func TestMgmtLossyLocalization(t *testing.T) {
 // jitter, retries) must replay byte-identically under the same seed.
 func TestMgmtDeterminism(t *testing.T) {
 	run := func() string {
-		s := sim.New(23)
-		n, err := topo.Build(s, lineSpec(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const entry = netsim.EntryID(10)
-		if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-			t.Fatal(err)
-		}
-		cfg := fleetCfg(entry)
-		cfg.Mgmt = &mgmt.Config{Loss: 0.25, Duplicate: 0.2, Jitter: 2 * sim.Millisecond}
-		f, err := New(s, n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		udp(n, "H1", entry, 2e6, 5*sim.Second)
-		n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-		s.ScheduleAt(2500*sim.Millisecond, f.CrashCorrelator)
-		s.ScheduleAt(2900*sim.Millisecond, f.RestartCorrelator)
-		s.Run(5 * sim.Second)
-		return f.Snapshot().Report()
+		r := start(t, lineTrial(23, mgmtCfg(mgmt.Config{Loss: 0.25, Duplicate: 0.2, Jitter: 2 * sim.Millisecond}, entry),
+			2*sim.Second, 5*sim.Second,
+			Fault{At: 2500 * sim.Millisecond, Kind: FaultKillLeader},
+			Fault{At: 2900 * sim.Millisecond, Kind: FaultRestartKilled}))
+		r.Finish()
+		return r.Fleet.Snapshot().Report()
 	}
 	r1, r2 := run(), run()
 	if r1 != r2 {
@@ -138,23 +83,14 @@ func TestMgmtDeterminism(t *testing.T) {
 // twice (management-plane duplication that slips past transport dedup,
 // e.g. a post-restore retransmission) must count as one piece of evidence.
 func TestDuplicateAlarmNotDoubleCounted(t *testing.T) {
-	s := sim.New(5)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, fleetCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := lineTrial(5, fleetCfg(entry), 0, 0)
+	tr.Flows, tr.Faults = nil, nil
+	r := start(t, tr)
+	f := r.Fleet
 	rep := eventReport{
 		Epoch: f.Detectors["B"].Epoch(),
 		Ev: fancy.Event{
-			Time: s.Now(), Port: n.PortOf["B"]["C"],
+			Time: r.Sim.Now(), Port: r.Net.PortOf["B"]["C"],
 			Kind: fancy.EventDedicated, Entry: entry, Diff: 3,
 		},
 	}
@@ -177,27 +113,13 @@ func TestDuplicateAlarmNotDoubleCounted(t *testing.T) {
 // correlator deduplicates retransmitted evidence, and no duplicate
 // localization is ever emitted.
 func TestCorrelatorCrashRestart(t *testing.T) {
-	s := sim.New(19)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleetCfg(entry)
-	cfg.Mgmt = &mgmt.Config{} // perfect channel: isolate the crash semantics
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+	// A perfect channel isolates the crash semantics.
+	r := start(t, lineTrial(19, mgmtCfg(mgmt.Config{}, entry), 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
 
 	// Crash well after the verdict (~2.2 s) and the 2.5 s checkpoint; the
 	// outage spans several counting sessions' worth of fresh alarms.
-	s.ScheduleAt(2600*sim.Millisecond, func() {
+	r.Sim.ScheduleAt(2600*sim.Millisecond, func() {
 		if len(f.Localized()) != 1 {
 			t.Fatal("failure not localized before the crash — timing assumption broken")
 		}
@@ -206,19 +128,19 @@ func TestCorrelatorCrashRestart(t *testing.T) {
 			t.Fatal("CrashCorrelator did not take")
 		}
 	})
-	s.ScheduleAt(3200*sim.Millisecond, func() {
+	r.Sim.ScheduleAt(3200*sim.Millisecond, func() {
 		f.RestartCorrelator()
 		// The confirmed verdict must survive the restart verbatim.
 		if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 			t.Fatalf("verdict lost across crash/restart: %v", got)
 		}
 	})
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v at end, want exactly [B->C]", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events, want 1 (no duplicate verdicts after restart)", nLoc)
 	}
 	if f.Corr.Crashes != 1 || f.Corr.Restores != 1 || f.Corr.Checkpoints == 0 {
@@ -229,52 +151,44 @@ func TestCorrelatorCrashRestart(t *testing.T) {
 	}
 }
 
+// whenVerdictPending polls B->C from 2 s on and runs act once, the moment
+// its evidence window is open; the returned flag reports whether it ran.
+func whenVerdictPending(r *Run, act func()) *bool {
+	done := new(bool)
+	var poll func()
+	poll = func() {
+		if r.Fleet.link("B->C").verdictPending {
+			*done = true
+			act()
+		} else if r.Sim.Now() < 4*sim.Second {
+			r.Sim.Schedule(10*sim.Millisecond, poll)
+		}
+	}
+	r.Sim.ScheduleAt(2*sim.Second, poll)
+	return done
+}
+
 // TestCrashMidEvidenceWindow: a crash between the first alarm and the
 // verdict re-opens the evidence window from the checkpoint, and the
 // persisting failure still localizes exactly once.
 func TestCrashMidEvidenceWindow(t *testing.T) {
-	s := sim.New(29)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleetCfg(entry)
-	cfg.Mgmt = &mgmt.Config{}
+	cfg := mgmtCfg(mgmt.Config{}, entry)
 	cfg.Window = 400 * sim.Millisecond // long window, so the crash lands inside it
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+	r := start(t, lineTrial(29, cfg, 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
+	crashed := whenVerdictPending(r, func() {
+		f.CrashCorrelator()
+		r.Sim.Schedule(200*sim.Millisecond, f.RestartCorrelator)
+	})
+	r.Finish()
 
-	crashed := false
-	var poll func()
-	poll = func() {
-		if !crashed && f.link("B->C").verdictPending {
-			crashed = true
-			f.CrashCorrelator()
-			s.Schedule(200*sim.Millisecond, f.RestartCorrelator)
-			return
-		}
-		if !crashed && s.Now() < 4*sim.Second {
-			s.Schedule(10*sim.Millisecond, poll)
-		}
-	}
-	s.ScheduleAt(2*sim.Second, poll)
-	s.Run(8 * sim.Second)
-
-	if !crashed {
+	if !*crashed {
 		t.Fatal("no evidence window ever opened — scenario broken")
 	}
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v, want [B->C] despite mid-window crash", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events, want 1", nLoc)
 	}
 	if !hasEvent(f, EventCorrelatorRestart, "window(s) re-opened") {
@@ -289,33 +203,24 @@ func TestCrashMidEvidenceWindow(t *testing.T) {
 // agent hands control back — one confirmed verdict, one recorded reroute,
 // no duplicates.
 func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
-	s := sim.New(31)
-	cfg := fleetCfg(10, 11)
-	cfg.Mgmt = &mgmt.Config{}
-	n, f, entry := abileneProtected(t, s, cfg)
-
-	delivered := 0
-	n.Hosts["h-sunnyvale"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
-		if p.Entry == entry {
-			delivered++
-		}
-	})
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-
 	const partitionAt = 1500 * sim.Millisecond
 	const failAt = 2 * sim.Second
 	const healAt = 3 * sim.Second
-	s.ScheduleAt(partitionAt, func() { f.PartitionSwitch("seattle") })
-	s.ScheduleAt(failAt-sim.Millisecond, func() {
+	r := start(t, grayTrial(31, seattleSunnyvale, mgmtCfg(mgmt.Config{}, 10, 11), failAt, 8*sim.Second,
+		Fault{At: partitionAt, Kind: FaultPartition, Switch: "seattle"},
+		Fault{At: healAt, Kind: FaultHeal, Switch: "seattle"}))
+	f := r.Fleet
+	delivered := deliveries(r, "h-sunnyvale")
+
+	r.Sim.ScheduleAt(failAt-sim.Millisecond, func() {
 		if !f.Degraded("seattle") {
 			t.Error("agent not degraded before the failure despite the partition")
 		}
 	})
-	n.Direction("seattle", "sunnyvale").SetFailure(netsim.FailEntries(7, failAt, 1.0, entry))
 	// Degraded-mode local protection must reroute within ~one counting
 	// session of the detector flagging the entry (flagging itself takes a
 	// session or two from the failure).
-	s.ScheduleAt(failAt+4*fancy.DefaultExchangeInterval, func() {
+	r.Sim.ScheduleAt(failAt+4*fancy.DefaultExchangeInterval, func() {
 		if !f.Rerouted("seattle", entry) {
 			t.Error("degraded-mode local reroute did not engage within a few counting sessions")
 		}
@@ -323,8 +228,7 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 			t.Error("correlator localized during the partition — it cannot have the evidence yet")
 		}
 	})
-	s.ScheduleAt(healAt, func() { f.HealSwitch("seattle") })
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if f.Degraded("seattle") {
 		t.Fatal("agent still degraded after the heal")
@@ -340,7 +244,7 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 	if got := f.Localized(); len(got) != 1 || got[0] != "seattle->sunnyvale" {
 		t.Fatalf("localized %v, want exactly [seattle->sunnyvale]", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "seattle->sunnyvale"); nLoc != 1 {
+	if nLoc := r.Verdicts("seattle->sunnyvale"); nLoc != 1 {
 		t.Fatalf("%d localization events, want 1 (no duplicate verdicts after handback)", nLoc)
 	}
 	if f.Reroutes != 1 {
@@ -353,8 +257,8 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 		t.Fatal("liveness transitions not surfaced")
 	}
 	// The detour must actually deliver traffic throughout the partition.
-	if delivered < 1200 {
-		t.Fatalf("only %d packets delivered — degraded protection did not keep traffic flowing", delivered)
+	if *delivered < 1200 {
+		t.Fatalf("only %d packets delivered — degraded protection did not keep traffic flowing", *delivered)
 	}
 }
 
@@ -364,40 +268,14 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 // instead of letting a verdict fire over counters from two incarnations.
 // The persisting failure then re-alarms under the new epoch and localizes.
 func TestRestartMidEvidenceWindowPurgesEpoch(t *testing.T) {
-	s := sim.New(37)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
 	cfg := fleetCfg(entry)
 	cfg.Window = 300 * sim.Millisecond // wide window so the restart lands inside
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 10*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+	r := start(t, lineTrial(37, cfg, 2*sim.Second, 10*sim.Second))
+	f := r.Fleet
+	restarted := whenVerdictPending(r, func() { f.Detectors["B"].Restart() })
+	r.Finish()
 
-	restarted := false
-	var poll func()
-	poll = func() {
-		if !restarted && f.link("B->C").verdictPending {
-			restarted = true
-			f.Detectors["B"].Restart()
-			return
-		}
-		if !restarted && s.Now() < 4*sim.Second {
-			s.Schedule(10*sim.Millisecond, poll)
-		}
-	}
-	s.ScheduleAt(2*sim.Second, poll)
-	s.Run(10 * sim.Second)
-
-	if !restarted {
+	if !*restarted {
 		t.Fatal("no evidence window ever opened — scenario broken")
 	}
 	if !hasEvent(f, EventSuppressed, "epoch-change") {
@@ -422,36 +300,23 @@ func TestRestartMidEvidenceWindowPurgesEpoch(t *testing.T) {
 // traffic has stopped by then, so nothing can re-localize the link: a
 // verdict after the restore can only be the old one resurrected.
 func TestAcknowledgeSurvivesCrash(t *testing.T) {
-	const entry = netsim.EntryID(10)
-	single := fleetCfg(entry)
-	single.Mgmt = &mgmt.Config{}
 	for name, tc := range map[string]struct {
 		cfg     Config
 		outage  func(f *Fleet)
 		settle  sim.Time // replication / failover time around the outage
 		wantEvt EventKind
 	}{
-		"single-instance": {cfg: single, wantEvt: EventCorrelatorRestart,
+		"single-instance": {cfg: mgmtCfg(mgmt.Config{}, entry), wantEvt: EventCorrelatorRestart,
 			outage: func(f *Fleet) { f.CrashCorrelator(); f.RestartCorrelator() }},
 		"3-replica KillLeader": {cfg: replicatedCfg(0, entry), settle: 2 * sim.Second, wantEvt: EventLeaderElected,
 			outage: func(f *Fleet) { f.KillLeader() }},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s := sim.New(17)
-			n, err := topo.Build(s, lineSpec(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-				t.Fatal(err)
-			}
-			f, err := New(s, n, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			udp(n, "H1", entry, 2e6, 4*sim.Second)
-			n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-			s.Run(5 * sim.Second)
+			tr := lineTrial(17, tc.cfg, 2*sim.Second, 5*sim.Second)
+			tr.Flows[0].Until = 4 * sim.Second
+			r := start(t, tr)
+			f, s := r.Fleet, r.Sim
+			r.Finish()
 			if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 				t.Fatalf("localized %v before the acknowledge, want [B->C]", got)
 			}

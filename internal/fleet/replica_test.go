@@ -16,7 +16,6 @@ import (
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
-	"fancy/internal/topo"
 )
 
 // replicatedCfg is the common 3-replica config over a lossy channel.
@@ -31,27 +30,14 @@ func replicatedCfg(loss float64, entries ...netsim.EntryID) Config {
 // verdicts travel the consensus log and localization stays exact — one
 // verdict, committed through a quorum, no failovers.
 func TestReplicatedLocalization(t *testing.T) {
-	s := sim.New(42)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0.2, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r := start(t, lineTrial(42, replicatedCfg(0.2, entry), 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v, want exactly [B->C]", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events, want exactly 1", nLoc)
 	}
 	snap := f.Snapshot()
@@ -78,35 +64,22 @@ func TestReplicatedLocalization(t *testing.T) {
 // via phi, wins the election, restores from the replicated log and finishes
 // the verdict — exactly once, with agents redirected to the new leader.
 func TestLeaderFailover(t *testing.T) {
-	s := sim.New(7)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0.2, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
 	const failAt = 2 * sim.Second
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, failAt, 1.0, entry))
+	r := start(t, lineTrial(7, replicatedCfg(0.2, entry), failAt, 8*sim.Second))
+	f := r.Fleet
 	// Kill the leader shortly after the failure starts alarming: the crash
 	// lands around the open evidence window, the worst time to lose state.
-	s.ScheduleAt(failAt+100*sim.Millisecond, func() {
+	r.Sim.ScheduleAt(failAt+100*sim.Millisecond, func() {
 		if id := f.KillLeader(); id != 0 {
 			t.Errorf("KillLeader killed replica %d, want 0 (corr0 leads at boot)", id)
 		}
 	})
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v, want exactly [B->C] across the failover", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events, want exactly 1 (no duplicate verdicts)", nLoc)
 	}
 	if f.Corr.Failovers == 0 || !hasEvent(f, EventLeaderElected, "ballot") {
@@ -133,26 +106,13 @@ func TestLeaderFailover(t *testing.T) {
 // detection timescale (phi horizon + election + restore + re-opened
 // window), not the multi-second restart of the single-instance path.
 func TestFailoverTTL(t *testing.T) {
-	s := sim.New(11)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0.1, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
 	const failAt = 2 * sim.Second
 	const killAt = failAt + 100*sim.Millisecond
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, failAt, 1.0, entry))
+	r := start(t, lineTrial(11, replicatedCfg(0.1, entry), failAt, 8*sim.Second,
+		Fault{At: killAt, Kind: FaultKillLeader}))
+	f := r.Fleet
+	r.Finish()
 	var electedAt sim.Time
-	s.ScheduleAt(killAt, func() { f.KillLeader() })
-	s.Run(8 * sim.Second)
 	for _, ev := range f.Events {
 		if ev.Kind == EventLeaderElected {
 			electedAt = ev.Time
@@ -177,22 +137,18 @@ func TestFailoverTTL(t *testing.T) {
 // gating back to the NEW leader — one confirmed verdict, one recorded
 // reroute, one handback, no duplicates and nothing lost.
 func TestPartitionHealReconcileToNewLeader(t *testing.T) {
-	s := sim.New(31)
-	cfg := fleetCfg(10, 11)
-	cfg.Mgmt = &mgmt.Config{}
-	cfg.Replicas = 3
-	n, f, entry := abileneProtected(t, s, cfg)
-
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-
 	const partitionAt = 1500 * sim.Millisecond
 	const failAt = 2 * sim.Second
 	const killAt = 2200 * sim.Millisecond
 	const healAt = 3500 * sim.Millisecond
-	s.ScheduleAt(partitionAt, func() { f.PartitionSwitch("seattle") })
-	n.Direction("seattle", "sunnyvale").SetFailure(netsim.FailEntries(7, failAt, 1.0, entry))
-	s.ScheduleAt(killAt, func() { f.KillLeader() })
-	s.ScheduleAt(healAt-sim.Millisecond, func() {
+	cfg := mgmtCfg(mgmt.Config{}, 10, 11)
+	cfg.Replicas = 3
+	r := start(t, grayTrial(31, seattleSunnyvale, cfg, failAt, 8*sim.Second,
+		Fault{At: partitionAt, Kind: FaultPartition, Switch: "seattle"},
+		Fault{At: killAt, Kind: FaultKillLeader},
+		Fault{At: healAt, Kind: FaultHeal, Switch: "seattle"}))
+	f := r.Fleet
+	r.Sim.ScheduleAt(healAt-sim.Millisecond, func() {
 		if f.Leader() == "corr0" {
 			t.Error("no failover before the heal — scenario broken")
 		}
@@ -200,8 +156,7 @@ func TestPartitionHealReconcileToNewLeader(t *testing.T) {
 			t.Error("degraded-mode local reroute did not engage during the partition")
 		}
 	})
-	s.ScheduleAt(healAt, func() { f.HealSwitch("seattle") })
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if f.Degraded("seattle") {
 		t.Fatal("agent still degraded after the heal")
@@ -226,7 +181,7 @@ func TestPartitionHealReconcileToNewLeader(t *testing.T) {
 	if got := f.Localized(); len(got) != 1 || got[0] != "seattle->sunnyvale" {
 		t.Fatalf("localized %v, want exactly [seattle->sunnyvale]", got)
 	}
-	if nLoc := countEvents(f, EventLocalized, "seattle->sunnyvale"); nLoc != 1 {
+	if nLoc := r.Verdicts("seattle->sunnyvale"); nLoc != 1 {
 		t.Fatalf("%d localization events, want exactly 1 (no duplicate verdicts)", nLoc)
 	}
 	if f.Reroutes != 1 {
@@ -246,21 +201,9 @@ func TestPartitionHealReconcileToNewLeader(t *testing.T) {
 // single-instance checkpointing (PR 3 semantics) without blocking verdicts,
 // and resume replicated commits when the followers return.
 func TestQuorumLossDegradedFallback(t *testing.T) {
-	s := sim.New(13)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+	r := start(t, lineTrial(13, replicatedCfg(0, entry), 2*sim.Second, 8*sim.Second))
+	f, s := r.Fleet, r.Sim
+	// Followers, not the leader: no Fault kind kills those.
 	s.ScheduleAt(1500*sim.Millisecond, func() {
 		f.CrashReplica(1)
 		f.CrashReplica(2)
@@ -277,7 +220,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 		f.RestartReplica(1)
 		f.RestartReplica(2)
 	})
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if f.QuorumDegraded() {
 		t.Fatal("quorum not restored after both followers returned")
@@ -288,7 +231,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 	if !hasEvent(f, EventQuorumLost, "single-instance") || !hasEvent(f, EventQuorumRestored, "resuming") {
 		t.Fatal("quorum loss/restore transitions not surfaced as events")
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events, want 1", nLoc)
 	}
 	if f.Corr.Failovers != 0 {
@@ -306,43 +249,28 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 	}
 }
 
+// assassinate is repeated leader assassination as data: at each time the
+// replica killed the round before rejoins and whoever leads now is killed.
+func assassinate(at ...sim.Time) []Fault {
+	var faults []Fault
+	for _, t := range at {
+		faults = append(faults, Fault{At: t, Kind: FaultRestartKilled}, Fault{At: t, Kind: FaultKillLeader})
+	}
+	return faults
+}
+
 // TestReplicaCrashSoak: repeated leader assassination — every elected
 // leader is killed in turn and the previous one restarted — must never
 // lose or duplicate the confirmed verdict.
 func TestReplicaCrashSoak(t *testing.T) {
-	s := sim.New(17)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
+	var rounds []sim.Time
+	for at := 2200 * sim.Millisecond; at <= 9*sim.Second; at += 1200 * sim.Millisecond {
+		rounds = append(rounds, at)
 	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0.1, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 12*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-	kills := 0
-	prev := -1
-	var round func()
-	round = func() {
-		if s.Now() > 9*sim.Second {
-			return
-		}
-		if prev >= 0 {
-			f.RestartReplica(prev)
-		}
-		prev = f.KillLeader()
-		if prev >= 0 {
-			kills++
-		}
-		s.Schedule(1200*sim.Millisecond, round)
-	}
-	s.ScheduleAt(2200*sim.Millisecond, round)
-	s.Run(12 * sim.Second)
+	kills := len(rounds)
+	r := start(t, lineTrial(17, replicatedCfg(0.1, entry), 2*sim.Second, 12*sim.Second, assassinate(rounds...)...))
+	f := r.Fleet
+	r.Finish()
 
 	if kills < 3 {
 		t.Fatalf("only %d leader kills executed — soak too short", kills)
@@ -350,7 +278,7 @@ func TestReplicaCrashSoak(t *testing.T) {
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v after %d leader kills, want exactly [B->C]", got, kills)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events after %d kills, want exactly 1", nLoc, kills)
 	}
 	if int(f.Corr.Failovers) < kills-1 {
@@ -363,24 +291,11 @@ func TestReplicaCrashSoak(t *testing.T) {
 // the same seed.
 func TestReplicatedDeterminism(t *testing.T) {
 	run := func() string {
-		s := sim.New(23)
-		n, err := topo.Build(s, lineSpec(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const entry = netsim.EntryID(10)
-		if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := New(s, n, replicatedCfg(0.25, entry))
-		if err != nil {
-			t.Fatal(err)
-		}
-		udp(n, "H1", entry, 2e6, 6*sim.Second)
-		n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
-		s.ScheduleAt(2300*sim.Millisecond, func() { f.KillLeader() })
-		s.ScheduleAt(3100*sim.Millisecond, func() { f.RestartReplica(0) })
-		s.Run(6 * sim.Second)
+		r := start(t, lineTrial(23, replicatedCfg(0.25, entry), 2*sim.Second, 6*sim.Second,
+			Fault{At: 2300 * sim.Millisecond, Kind: FaultKillLeader},
+			Fault{At: 3100 * sim.Millisecond, Kind: FaultRestartKilled}))
+		f := r.Fleet
+		r.Finish()
 		var b strings.Builder
 		b.WriteString(f.Snapshot().Report())
 		for _, ev := range f.Events {
@@ -397,14 +312,9 @@ func TestReplicatedDeterminism(t *testing.T) {
 // TestReplicasRequireMgmt: a replica group without a management network is
 // a configuration error, not a silent fallback.
 func TestReplicasRequireMgmt(t *testing.T) {
-	s := sim.New(1)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := fleetCfg(10)
 	cfg.Replicas = 3
-	if _, err := New(s, n, cfg); err == nil {
+	if _, err := lineTrial(1, cfg, 0, 0).Start(); err == nil {
 		t.Fatal("New accepted Replicas=3 without Config.Mgmt")
 	}
 }
@@ -417,23 +327,10 @@ func TestReplicasRequireMgmt(t *testing.T) {
 func TestLoneReplicaLifecycle(t *testing.T) {
 	for name, mg := range map[string]*mgmt.Config{"mgmt": {}, "direct": nil} {
 		t.Run(name, func(t *testing.T) {
-			s := sim.New(19)
-			n, err := topo.Build(s, lineSpec(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const entry = netsim.EntryID(10)
-			if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-				t.Fatal(err)
-			}
 			cfg := fleetCfg(entry)
 			cfg.Mgmt = mg
-			f, err := New(s, n, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			udp(n, "H1", entry, 2e6, 8*sim.Second)
-			n.Direction("B", "C").SetFailure(netsim.FailEntries(9, 2*sim.Second, 1.0, entry))
+			r := start(t, lineTrial(19, cfg, 2*sim.Second, 8*sim.Second))
+			f, s := r.Fleet, r.Sim
 
 			// Crash after the verdict (~2.2 s) and the 2.5 s checkpoint.
 			s.ScheduleAt(2600*sim.Millisecond, func() {
@@ -455,13 +352,13 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 				}
 				f.RestartCorrelator() // already up: must not restore again
 			})
-			s.Run(8 * sim.Second)
+			r.Finish()
 
 			if f.Leader() != correlatorEndpoint || f.QuorumDegraded() {
 				t.Fatalf("leader %q, quorum degraded %v; want %q with nothing to lose",
 					f.Leader(), f.QuorumDegraded(), correlatorEndpoint)
 			}
-			if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+			if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 				t.Fatalf("%d localization events, want 1", nLoc)
 			}
 			if c := f.Corr; c.Crashes != 1 || c.Restores != 1 || c.Checkpoints == 0 ||
@@ -496,40 +393,15 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 // at the end regardless of how the kills landed.
 func soakReplicaOne(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	s := sim.New(seed)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
+	var rounds []sim.Time
+	for at := 2*sim.Second + sim.Time(rng.Int63n(int64(400*sim.Millisecond))); at < 8*sim.Second; {
+		rounds = append(rounds, at)
+		at += 800*sim.Millisecond + sim.Time(rng.Int63n(int64(sim.Second)))
 	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(s, n, replicatedCfg(0.2, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp(n, "H1", entry, 2e6, 10*sim.Second)
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(seed+1, 2*sim.Second, 1.0, entry))
-
-	kills := 0
-	prev := -1
-	var round func()
-	round = func() {
-		if prev >= 0 {
-			f.RestartReplica(prev)
-		}
-		prev = f.KillLeader()
-		if prev >= 0 {
-			kills++
-		}
-		gap := 800*sim.Millisecond + sim.Time(rng.Int63n(int64(sim.Second)))
-		if s.Now()+gap < 8*sim.Second {
-			s.Schedule(gap, round)
-		}
-	}
-	s.ScheduleAt(2*sim.Second+sim.Time(rng.Int63n(int64(400*sim.Millisecond))), round)
-	s.Run(10 * sim.Second)
+	kills := len(rounds)
+	r := start(t, lineTrial(seed, replicatedCfg(0.2, entry), 2*sim.Second, 10*sim.Second, assassinate(rounds...)...))
+	f := r.Fleet
+	r.Finish()
 
 	if kills < 2 {
 		t.Fatalf("only %d leader kills executed — soak schedule broken", kills)
@@ -537,7 +409,7 @@ func soakReplicaOne(t *testing.T, seed int64) {
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v after %d leader kills, want exactly [B->C]", got, kills)
 	}
-	if nLoc := countEvents(f, EventLocalized, "B->C"); nLoc != 1 {
+	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 		t.Fatalf("%d localization events after %d kills, want exactly 1", nLoc, kills)
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
-	"fancy/internal/topo"
 )
 
 // verifiedCfg is fleetCfg plus the verified-commit gate.
@@ -22,42 +21,36 @@ func verifiedCfg(entries ...netsim.EntryID) Config {
 	return cfg
 }
 
-// abileneHosts builds Abilene with hosts attached at the named switches
-// ("h-<switch>") and installs shortest paths for owners.
-func abileneHosts(t *testing.T, s *sim.Sim, owners map[netsim.EntryID]string, at ...string) *topo.Network {
-	t.Helper()
-	spec := topo.Abilene()
-	for _, sw := range at {
-		spec.Hosts = append(spec.Hosts, topo.HostSpec{Name: "h-" + sw, Attach: sw})
-	}
-	n, err := topo.Build(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.InstallShortestPaths(owners); err != nil {
-		t.Fatal(err)
-	}
-	return n
+// backupOf reads the live backup port of the entry's route at sw.
+func backupOf(r *Run, sw string) int {
+	return r.Net.Switches[sw].Routes.Lookup(netsim.EntryAddr(entry, 1)).Backup
 }
 
-func mustProtect(t *testing.T, f *Fleet, n *topo.Network, sw string, entry netsim.EntryID, primaryTo, backupTo string) *netsim.Route {
-	t.Helper()
-	route := n.Switches[sw].Routes.InsertEntry(entry, netsim.Route{
-		Port: n.PortOf[sw][primaryTo], Backup: n.PortOf[sw][backupTo]})
-	if err := f.Protect(sw, entry, route); err != nil {
-		t.Fatal(err)
+// holdTrial is the scenario with no safe alternate: for traffic to denver,
+// sunnyvale's backup (seattle) loops once seattle has diverted via sunnyvale,
+// and its only alternate (losangeles) default-routes to denver through
+// sunnyvale — also a loop. The failures are staggered so seattle commits
+// first and sunnyvale's backup is provably unsafe by the time it localizes.
+func holdTrial(maxRetries int, seattleUntil, sunnyvaleUntil, duration sim.Time, faults ...Fault) Trial {
+	cfg := verifiedCfg(entry)
+	cfg.Verify.MaxRetries = maxRetries
+	return Trial{
+		Seed: 42, Config: cfg, Duration: duration,
+		Spec:   abileneSpec("denver", "seattle", "sunnyvale"),
+		Routes: map[netsim.EntryID]string{entry: "h-denver"},
+		Protect: []Protection{
+			{Switch: "seattle", Entry: entry, PrimaryTo: "denver", BackupTo: "sunnyvale"},
+			{Switch: "sunnyvale", Entry: entry, PrimaryTo: "denver", BackupTo: "seattle"},
+		},
+		Flows: []Flow{
+			{From: "h-seattle", Entry: entry, RateBps: 2e6, Until: seattleUntil},
+			{From: "h-sunnyvale", Entry: entry, RateBps: 2e6, Until: sunnyvaleUntil},
+		},
+		Faults: append([]Fault{
+			grayAt(1*sim.Second, "seattle", "denver", entry),
+			grayAt(2500*sim.Millisecond, "sunnyvale", "denver", entry),
+		}, faults...),
 	}
-	return route
-}
-
-func countEventKind(f *Fleet, kind EventKind) int {
-	n := 0
-	for _, ev := range f.Events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // TestVerifiedSafeCommit: the PR-0 acceptance scenario with the gate on. A
@@ -65,20 +58,9 @@ func countEventKind(f *Fleet, kind EventKind) int {
 // reroute — plus a checked/committed decision, live telemetry counters and
 // the verify line in the report.
 func TestVerifiedSafeCommit(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-sunnyvale"},
-		"sunnyvale", "seattle")
-	f, err := New(s, n, verifiedCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "seattle", entry, "sunnyvale", "denver")
-
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-	n.Direction("seattle", "sunnyvale").SetFailure(
-		netsim.FailEntries(7, 2*sim.Second, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r := start(t, grayTrial(42, seattleSunnyvale, verifiedCfg(entry), 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "seattle->sunnyvale" {
 		t.Fatalf("localized %v, want exactly [seattle->sunnyvale]", got)
@@ -115,32 +97,25 @@ func TestVerifiedSafeCommit(t *testing.T) {
 // verdict and repair via losangeles — the only remaining next hop whose
 // post-commit state is loop-free — restoring end-to-end delivery.
 func TestVerifiedRejectAndRepair(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-kansascity"},
-		"kansascity", "washington")
-	f, err := New(s, n, verifiedCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "atlanta", entry, "indianapolis", "houston")
-	hou := mustProtect(t, f, n, "houston", entry, "kansascity", "atlanta")
-
-	delivered := 0
-	n.Hosts["h-kansascity"].Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) {
-		if p.Entry == entry {
-			delivered++
-		}
+	r := start(t, Trial{
+		Seed: 42, Config: verifiedCfg(entry), Duration: 10 * sim.Second,
+		Spec:   abileneSpec("kansascity", "washington"),
+		Routes: map[netsim.EntryID]string{entry: "h-kansascity"},
+		Protect: []Protection{
+			{Switch: "atlanta", Entry: entry, PrimaryTo: "indianapolis", BackupTo: "houston"},
+			{Switch: "houston", Entry: entry, PrimaryTo: "kansascity", BackupTo: "atlanta"},
+		},
+		Flows: []Flow{{From: "h-washington", Entry: entry, RateBps: 2e6}},
+		// Concurrent gray failures: the primary path's atlanta→indianapolis
+		// hop and the would-be detour's houston→kansascity hop.
+		Faults: []Fault{
+			grayAt(1*sim.Second, "atlanta", "indianapolis", entry),
+			grayAt(1*sim.Second, "houston", "kansascity", entry),
+		},
 	})
-
-	udp(n, "h-washington", entry, 2e6, 10*sim.Second)
-	// Concurrent gray failures: the primary path's atlanta→indianapolis hop
-	// and the would-be detour's houston→kansascity hop.
-	n.Direction("atlanta", "indianapolis").SetFailure(
-		netsim.FailEntries(43, 1*sim.Second, 1.0, entry))
-	n.Direction("houston", "kansascity").SetFailure(
-		netsim.FailEntries(44, 1*sim.Second, 1.0, entry))
-	s.Run(10 * sim.Second)
+	f, n := r.Fleet, r.Net
+	delivered := deliveries(r, "h-kansascity")
+	r.Finish()
 
 	loc := f.Localized()
 	if len(loc) != 2 || loc[0] != "atlanta->indianapolis" || loc[1] != "houston->kansascity" {
@@ -155,8 +130,8 @@ func TestVerifiedRejectAndRepair(t *testing.T) {
 	if !hasEvent(f, EventRerouteRepaired, "") {
 		t.Fatal("no repair event")
 	}
-	if want := n.PortOf["houston"]["losangeles"]; hou.Backup != want {
-		t.Fatalf("houston diverted via port %d, want losangeles (%d)", hou.Backup, want)
+	if want := n.PortOf["houston"]["losangeles"]; backupOf(r, "houston") != want {
+		t.Fatalf("houston diverted via port %d, want losangeles (%d)", backupOf(r, "houston"), want)
 	}
 	if f.Verify.Rejected == 0 || f.Verify.Repaired == 0 || f.Verify.Committed == 0 {
 		t.Fatalf("gate stats %+v, want a commit, a rejection and a repair", f.Verify)
@@ -166,40 +141,18 @@ func TestVerifiedRejectAndRepair(t *testing.T) {
 	}
 	// The repaired detour (…→houston→losangeles→sunnyvale→denver→kansascity)
 	// must actually deliver the tail of the flow.
-	if delivered < 1000 {
-		t.Fatalf("only %d packets delivered; repaired detour not carrying traffic", delivered)
+	if *delivered < 1000 {
+		t.Fatalf("only %d packets delivered; repaired detour not carrying traffic", *delivered)
 	}
 }
 
-// TestVerifiedHoldAndRetry is the scenario with no safe alternate: for
-// traffic to denver, sunnyvale's backup (seattle) loops once seattle has
-// diverted via sunnyvale, and its only alternate (losangeles) default-routes
-// to denver through sunnyvale — also a loop. The flip must hold, commit
+// TestVerifiedHoldAndRetry: with no safe alternate the flip must hold, commit
 // nothing unsafe, and go through the moment the operator rolls seattle back.
 func TestVerifiedHoldAndRetry(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-denver"},
-		"denver", "seattle", "sunnyvale")
-	cfg := verifiedCfg(entry)
-	cfg.Verify.MaxRetries = 1000 // the test drives the unblock explicitly
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "seattle", entry, "denver", "sunnyvale")
-	sun := mustProtect(t, f, n, "sunnyvale", entry, "denver", "seattle")
-
-	udp(n, "h-seattle", entry, 2e6, 4*sim.Second)
-	udp(n, "h-sunnyvale", entry, 2e6, 8*sim.Second)
-	// Staggered failures so seattle commits first and sunnyvale's backup is
-	// provably unsafe by the time it localizes.
-	n.Direction("seattle", "denver").SetFailure(
-		netsim.FailEntries(43, 1*sim.Second, 1.0, entry))
-	n.Direction("sunnyvale", "denver").SetFailure(
-		netsim.FailEntries(44, 2500*sim.Millisecond, 1.0, entry))
-
-	s.Run(4 * sim.Second)
+	// MaxRetries 1000: the test drives the unblock explicitly.
+	r := start(t, holdTrial(1000, 4*sim.Second, 8*sim.Second, 4*sim.Second))
+	f, s, n := r.Fleet, r.Sim, r.Net
+	r.Finish()
 	if !f.Rerouted("seattle", entry) {
 		t.Fatal("seattle's safe commit missing")
 	}
@@ -223,8 +176,8 @@ func TestVerifiedHoldAndRetry(t *testing.T) {
 	if !f.Rerouted("sunnyvale", entry) {
 		t.Fatal("held flip did not commit after the conflicting reroute rolled back")
 	}
-	if want := n.PortOf["sunnyvale"]["seattle"]; sun.Backup != want {
-		t.Fatalf("sunnyvale diverted via port %d, want seattle (%d)", sun.Backup, want)
+	if want := n.PortOf["sunnyvale"]["seattle"]; backupOf(r, "sunnyvale") != want {
+		t.Fatalf("sunnyvale diverted via port %d, want seattle (%d)", backupOf(r, "sunnyvale"), want)
 	}
 	if f.HeldCommits() != 0 && f.Verify.Abandoned == 0 {
 		t.Fatalf("hold list not drained: %d pending", f.HeldCommits())
@@ -240,26 +193,9 @@ func TestVerifiedHoldAndRetry(t *testing.T) {
 // TestVerifiedAbandonAfterRetries: a held flip with a tight retry budget is
 // dropped as a final rejection — and never re-parked by later evidence.
 func TestVerifiedAbandonAfterRetries(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-denver"},
-		"denver", "seattle", "sunnyvale")
-	cfg := verifiedCfg(entry)
-	cfg.Verify.MaxRetries = 3
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "seattle", entry, "denver", "sunnyvale")
-	mustProtect(t, f, n, "sunnyvale", entry, "denver", "seattle")
-
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-	udp(n, "h-sunnyvale", entry, 2e6, 8*sim.Second)
-	n.Direction("seattle", "denver").SetFailure(
-		netsim.FailEntries(43, 1*sim.Second, 1.0, entry))
-	n.Direction("sunnyvale", "denver").SetFailure(
-		netsim.FailEntries(44, 2500*sim.Millisecond, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r := start(t, holdTrial(3, 8*sim.Second, 8*sim.Second, 8*sim.Second))
+	f := r.Fleet
+	r.Finish()
 
 	if f.Verify.Abandoned != 1 || f.HeldCommits() != 0 {
 		t.Fatalf("gate stats %+v pending=%d, want exactly one abandoned hold",
@@ -282,21 +218,10 @@ func TestVerifiedAbandonAfterRetries(t *testing.T) {
 // counted as a fallback, and the model stays in sync for when verification
 // resumes.
 func TestVerifyFallbackUnavailable(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-sunnyvale"},
-		"sunnyvale", "seattle")
-	f, err := New(s, n, verifiedCfg(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "seattle", entry, "sunnyvale", "denver")
+	r := start(t, grayTrial(42, seattleSunnyvale, verifiedCfg(entry), 2*sim.Second, 8*sim.Second))
+	f := r.Fleet
 	f.SetVerifierAvailable(false)
-
-	udp(n, "h-seattle", entry, 2e6, 8*sim.Second)
-	n.Direction("seattle", "sunnyvale").SetFailure(
-		netsim.FailEntries(7, 2*sim.Second, 1.0, entry))
-	s.Run(8 * sim.Second)
+	r.Finish()
 
 	if !f.Rerouted("seattle", entry) {
 		t.Fatal("fallback mode blocked the reroute — verification made recovery worse")
@@ -322,29 +247,11 @@ func TestVerifyFallbackUnavailable(t *testing.T) {
 // restarted incarnation keeps refusing the loop, and the operator unblock
 // still works.
 func TestVerifiedHoldSurvivesRestart(t *testing.T) {
-	s := sim.New(42)
-	const entry = netsim.EntryID(10)
-	n := abileneHosts(t, s, map[netsim.EntryID]string{entry: "h-denver"},
-		"denver", "seattle", "sunnyvale")
-	cfg := verifiedCfg(entry)
-	cfg.Verify.MaxRetries = 1000
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustProtect(t, f, n, "seattle", entry, "denver", "sunnyvale")
-	mustProtect(t, f, n, "sunnyvale", entry, "denver", "seattle")
-
-	udp(n, "h-seattle", entry, 2e6, 4*sim.Second)
-	udp(n, "h-sunnyvale", entry, 2e6, 9*sim.Second)
-	n.Direction("seattle", "denver").SetFailure(
-		netsim.FailEntries(43, 1*sim.Second, 1.0, entry))
-	n.Direction("sunnyvale", "denver").SetFailure(
-		netsim.FailEntries(44, 2500*sim.Millisecond, 1.0, entry))
-
-	s.ScheduleAt(3500*sim.Millisecond, f.CrashCorrelator)
-	s.ScheduleAt(4*sim.Second, f.RestartCorrelator)
-	s.Run(6 * sim.Second)
+	r := start(t, holdTrial(1000, 4*sim.Second, 9*sim.Second, 6*sim.Second,
+		Fault{At: 3500 * sim.Millisecond, Kind: FaultKillLeader},
+		Fault{At: 4 * sim.Second, Kind: FaultRestartKilled}))
+	f, s := r.Fleet, r.Sim
+	r.Finish()
 
 	if f.HeldCommits() != 1 {
 		t.Fatalf("held flip lost across restart: pending=%d", f.HeldCommits())
@@ -372,32 +279,14 @@ func TestVerifiedHoldSurvivesRestart(t *testing.T) {
 // decision log from consensus and must keep refusing the flip for the rest
 // of the run, under continuing evidence replay.
 func TestVerifiedNoDoubleCommitAcrossFailover(t *testing.T) {
-	s := sim.New(7)
-	n, err := topo.Build(s, lineSpec(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const entry = netsim.EntryID(10)
-	if err := n.InstallShortestPaths(map[netsim.EntryID]string{entry: "H2"}); err != nil {
-		t.Fatal(err)
-	}
 	cfg := replicatedCfg(0.2, entry)
 	cfg.Verify = &VerifyConfig{}
-	f, err := New(s, n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := n.Switches["B"].Routes.InsertEntry(entry, netsim.Route{
-		Port: n.PortOf["B"]["C"], Backup: n.PortOf["B"]["A"]})
-	if err := f.Protect("B", entry, route); err != nil {
-		t.Fatal(err)
-	}
-
-	udp(n, "H1", entry, 2e6, 8*sim.Second)
 	const failAt = 2 * sim.Second
-	n.Direction("B", "C").SetFailure(netsim.FailEntries(9, failAt, 1.0, entry))
-	s.ScheduleAt(failAt+400*sim.Millisecond, func() { f.KillLeader() })
-	s.Run(8 * sim.Second)
+	tr := lineTrial(7, cfg, failAt, 8*sim.Second, Fault{At: failAt + 400*sim.Millisecond, Kind: FaultKillLeader})
+	tr.Protect = []Protection{{Switch: "B", Entry: entry, PrimaryTo: "C", BackupTo: "A"}}
+	r := start(t, tr)
+	f := r.Fleet
+	r.Finish()
 
 	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 		t.Fatalf("localized %v, want exactly [B->C]", got)

@@ -184,16 +184,24 @@ func (f *Fleet) replicating() bool {
 // gating reroute commands) meet durability; the caller has already applied
 // the state change. While replicating, the state rides a log entry and the
 // effects wait for the acknowledgment quorum, so nothing externally visible
-// is lost to a leader crash. Otherwise — a group of one, or a leader
-// without its quorum — the effects run now and the checkpoint that follows
-// is the commit.
+// is lost to a leader crash. Otherwise — a group of one, a leader without
+// its quorum, or one a stale ballot deposed while it still drives the fleet —
+// the effects run now and the checkpoint that follows is the commit.
 func (f *Fleet) commit(note string, effects func()) {
 	if f.replicating() {
 		f.group.replicate(f.checkpoint(), note, effects)
 		return
 	}
 	effects()
-	f.checkpoint()
+	cp := f.checkpoint()
+	if g := f.group; g.n > 1 {
+		// One home for durable state: what the active replica checkpoints
+		// alone is also its accepted entry, or its next election win restores
+		// a frame that predates effects already run — and runs them again.
+		r := g.replicas[g.active]
+		g.nextIndex++
+		r.acc = &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: note, Cp: cp}
+	}
 }
 
 // replicate appends the state frame cp to the log and sends Accepts; cb runs

@@ -16,6 +16,7 @@ import (
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
+	"fancy/internal/topo"
 )
 
 // replicatedCfg is the common 3-replica config over a lossy channel.
@@ -387,30 +388,81 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 	}
 }
 
-// soakReplicaOne is one seeded replica-chaos trial: 20% management loss,
-// the active leader assassinated at seed-derived times (the dead replica
-// rejoins at the next kill), and the exactly-once verdict contract checked
-// at the end regardless of how the kills landed.
+// exactlyOnceCfg is the control plane the benchmark's abilene-ctrl-chaos
+// workload was designed around: three replicas over 20 % management loss.
+func exactlyOnceCfg() Config {
+	cfg := replicatedCfg(0.2, entry)
+	cfg.Mgmt.Duplicate = 0.01
+	return cfg
+}
+
+// assertExactlyOnce is the verdict contract: dl, only dl, announced once.
+func assertExactlyOnce(t *testing.T, r *Run, dl topo.DirectedLink) {
+	t.Helper()
+	if got := r.Fleet.Localized(); len(got) != 1 || got[0] != dl.String() {
+		t.Fatalf("localized %v, want exactly [%s]", got, dl)
+	}
+	if nLoc := r.Verdicts(dl.String()); nLoc != 1 {
+		t.Fatalf("%d localization events for %s, want exactly 1", nLoc, dl)
+	}
+}
+
+// TestExactlyOnceAcrossStepDown pins the duplicate verdict the benchmark
+// found (ROADMAP item 1a): on these seeds of the 40 × 28 Abilene sweep
+// (seed s·1000 + link index; leader killed 100 ms after the failure, back
+// 300 ms later) two candidates duel after the kill, the winner is deposed by
+// a stale ballot while it still drives the fleet, commits a verdict locally
+// and then wins again — and used to restore a frame from before that verdict
+// and announce it a second time (or, on 13000, lose it).
+func TestExactlyOnceAcrossStepDown(t *testing.T) {
+	faults := []Fault{
+		{At: sim.Second + 100*sim.Millisecond, Kind: FaultKillLeader},
+		{At: sim.Second + 400*sim.Millisecond, Kind: FaultRestartKilled},
+	}
+	for _, tc := range []struct {
+		seed int64
+		dl   topo.DirectedLink
+	}{
+		{10010, topo.DirectedLink{From: "houston", To: "losangeles"}},
+		{10017, topo.DirectedLink{From: "losangeles", To: "houston"}},
+		{13000, topo.DirectedLink{From: "atlanta", To: "houston"}},
+		{13014, topo.DirectedLink{From: "kansascity", To: "denver"}},
+		{14009, topo.DirectedLink{From: "houston", To: "kansascity"}},
+		{20024, topo.DirectedLink{From: "sunnyvale", To: "losangeles"}},
+	} {
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
+			t.Parallel()
+			r := start(t, grayTrial(tc.seed, tc.dl, exactlyOnceCfg(), sim.Second, 3*sim.Second, faults...))
+			r.Finish()
+			assertExactlyOnce(t, r, tc.dl)
+		})
+	}
+}
+
+// soakReplicaOne is one seeded replica-chaos pass over the topology the
+// benchmark uses: a seed-derived assassination schedule — the first kill
+// inside the 200 ms after the failure where elections race the verdict, the
+// dead replica rejoining at the next kill — runs against every directed link
+// of Abilene in turn under 20% management loss, and the exactly-once verdict
+// contract is checked at the end regardless of how the kills landed.
 func soakReplicaOne(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var rounds []sim.Time
-	for at := 2*sim.Second + sim.Time(rng.Int63n(int64(400*sim.Millisecond))); at < 8*sim.Second; {
+	for at := sim.Second + sim.Time(rng.Int63n(int64(200*sim.Millisecond))); at < 3*sim.Second; {
 		rounds = append(rounds, at)
 		at += 800*sim.Millisecond + sim.Time(rng.Int63n(int64(sim.Second)))
 	}
 	kills := len(rounds)
-	r := start(t, lineTrial(seed, replicatedCfg(0.2, entry), 2*sim.Second, 10*sim.Second, assassinate(rounds...)...))
-	f := r.Fleet
-	r.Finish()
-
 	if kills < 2 {
 		t.Fatalf("only %d leader kills executed — soak schedule broken", kills)
 	}
-	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
-		t.Fatalf("localized %v after %d leader kills, want exactly [B->C]", got, kills)
-	}
-	if nLoc := r.Verdicts("B->C"); nLoc != 1 {
-		t.Fatalf("%d localization events after %d kills, want exactly 1", nLoc, kills)
+	t.Logf("leader killed at %v", rounds)
+	for i, l := range topo.Abilene().Links {
+		for j, dl := range []topo.DirectedLink{{From: l.A, To: l.B}, {From: l.B, To: l.A}} {
+			r := start(t, grayTrial(seed*1000+int64(2*i+j), dl, exactlyOnceCfg(), sim.Second, 4*sim.Second, assassinate(rounds...)...))
+			r.Finish()
+			assertExactlyOnce(t, r, dl)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"fancy/internal/sim"
@@ -215,39 +216,69 @@ func TestLifecycleNodeDeathPoints(t *testing.T) {
 // TestLifecycleCapturedPacketIsPinned: a capture observer may hold on to
 // the packets it is shown (capture tests inspect them after the run), so
 // the first captured event pins a packet for good — it is not recycled at
-// the captured link's drop, nor at any later death point downstream.
+// the captured link's drop, nor at any later death point downstream, and it
+// is never on the free list when the observer is handed it. Every
+// CaptureKind is walked: a congestion drop is the one death point whose
+// capture is the packet's first, so releasing before capturing there goes
+// unseen by the other four.
 func TestLifecycleCapturedPacketIsPinned(t *testing.T) {
-	run := func(withCapture, drop bool) (pool *PacketPool, sent *Packet, retained *Packet) {
-		s := sim.New(1)
-		a := &sinkNode{name: "a", s: s}
-		h := NewHost(s, "h") // no handler: delivered packets die here
-		l := Connect(s, a, 0, h, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6})
-		if drop {
-			l.AB.SetFailure(FailEntries(1, 0, 1.0, 9))
-		}
-		if withCapture {
-			l.AB.SetCapture(func(ev CaptureEvent) { retained = ev.Pkt })
-		}
-		pool = NewPacketPool()
-		sent = pool.Get()
-		sent.Proto, sent.Entry, sent.Size = ProtoUDP, 9, 100
-		a.tx.Send(sent)
-		s.Run(0)
-		return pool, sent, retained
+	cases := []struct {
+		name  string
+		size  int // the queue holds 150 bytes
+		setup func(s *sim.Sim, l *Link)
+		kinds []CaptureKind
+	}{
+		{"deliver", 100, func(*sim.Sim, *Link) {}, []CaptureKind{CaptureSend, CaptureDeliver}},
+		{"failure-drop", 100, func(_ *sim.Sim, l *Link) { l.AB.SetFailure(FailEntries(1, 0, 1.0, 9)) },
+			[]CaptureKind{CaptureSend, CaptureFailureDrop}},
+		{"chaos-drop", 100, func(s *sim.Sim, l *Link) {
+			c := NewChaos(s, "x")
+			c.CorruptData = 1
+			l.AB.SetChaos(c)
+		}, []CaptureKind{CaptureSend, CaptureChaosDrop}},
+		{"congestion-drop", 200, func(*sim.Sim, *Link) {}, []CaptureKind{CaptureCongestionDrop}},
 	}
-	for _, drop := range []bool{true, false} {
-		if pool, sent, _ := run(false, drop); len(pool.free) != 1 || pool.free[0] != sent {
-			t.Errorf("drop=%v without capture: packet not recycled", drop)
+	walked := NewCaptureStats()
+	for _, tc := range cases {
+		run := func(withCapture bool) (pool *PacketPool, sent *Packet, retained *Packet, seen []CaptureKind) {
+			s := sim.New(1)
+			a := &sinkNode{name: "a", s: s}
+			h := NewHost(s, "h") // no handler: delivered packets die here
+			l := Connect(s, a, 0, h, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6, QueueBytes: 150})
+			tc.setup(s, l)
+			pool = NewPacketPool()
+			if withCapture {
+				l.AB.SetCapture(func(ev CaptureEvent) {
+					if len(pool.free) != 0 {
+						t.Errorf("%s: observer handed a packet at %v with the free list holding %d", tc.name, ev.Kind, len(pool.free))
+					}
+					retained, seen = ev.Pkt, append(seen, ev.Kind)
+					walked.Observe(ev)
+				})
+			}
+			sent = pool.Get()
+			sent.Proto, sent.Entry, sent.Size = ProtoUDP, 9, tc.size
+			a.tx.Send(sent)
+			s.Run(0)
+			return pool, sent, retained, seen
 		}
-		pool, sent, retained := run(true, drop)
-		if retained != sent {
-			t.Fatalf("drop=%v: capture observer did not see the packet", drop)
+		if pool, sent, _, _ := run(false); len(pool.free) != 1 || pool.free[0] != sent {
+			t.Errorf("%s without capture: packet not recycled", tc.name)
+		}
+		pool, sent, retained, seen := run(true)
+		if retained != sent || !slices.Equal(seen, tc.kinds) {
+			t.Fatalf("%s: capture observer saw %v of packet %p, want %v of %p", tc.name, seen, retained, tc.kinds, sent)
 		}
 		if len(pool.free) != 0 {
-			t.Errorf("drop=%v with capture: a packet the observer holds was recycled", drop)
+			t.Errorf("%s with capture: a packet the observer holds was recycled", tc.name)
 		}
 		if pool.Get() == retained {
-			t.Errorf("drop=%v: Get handed out the packet the capture observer holds", drop)
+			t.Errorf("%s: Get handed out the packet the capture observer holds", tc.name)
+		}
+	}
+	for kind, n := range walked.ByKind {
+		if n == 0 {
+			t.Errorf("no case captures a %v", CaptureKind(kind))
 		}
 	}
 }

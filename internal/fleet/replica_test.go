@@ -452,14 +452,14 @@ func soakReplicaOne(t *testing.T, seed int64) {
 		rounds = append(rounds, at)
 		at += 800*sim.Millisecond + sim.Time(rng.Int63n(int64(sim.Second)))
 	}
-	kills := len(rounds)
+	kills, faults := len(rounds), assassinate(rounds...)
 	if kills < 2 {
 		t.Fatalf("only %d leader kills executed — soak schedule broken", kills)
 	}
 	t.Logf("leader killed at %v", rounds)
 	for i, l := range topo.Abilene().Links {
 		for j, dl := range []topo.DirectedLink{{From: l.A, To: l.B}, {From: l.B, To: l.A}} {
-			r := start(t, grayTrial(seed*1000+int64(2*i+j), dl, exactlyOnceCfg(), sim.Second, 4*sim.Second, assassinate(rounds...)...))
+			r := start(t, grayTrial(seed*1000+int64(2*i+j), dl, exactlyOnceCfg(), sim.Second, 4*sim.Second, faults...))
 			r.Finish()
 			assertExactlyOnce(t, r, dl)
 		}

@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"fancy/cmd/internal/cmdtest"
+	"fancy/internal/cmdtest"
 )
 
 // The two goldens pin every table fancy-bench prints, byte for byte: all 24

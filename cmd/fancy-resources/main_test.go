@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"fancy/cmd/internal/cmdtest"
+	"fancy/internal/cmdtest"
 )
 
 func TestGolden(t *testing.T) {

@@ -15,6 +15,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"fancy"
@@ -24,22 +26,14 @@ import (
 	"fancy/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(3)
 
-	src := fancy.NewHost(s, "sender")
-	dst := fancy.NewHost(s, "receiver")
-	up := fancy.NewSwitch(s, "fancy-switch", 3)
-	down := fancy.NewSwitch(s, "link-switch", 3)
+	// sender — FANcY switch ═(primary + backup)═ link switch — receiver
 	lc := netsim.LinkConfig{Delay: 2 * fancy.Millisecond, RateBps: 10e9}
-	fancy.Connect(s, src, 0, up, 0, lc)
-	primary := fancy.Connect(s, up, 1, down, 0, lc)
-	fancy.Connect(s, up, 2, down, 2, lc) // backup
-	fancy.Connect(s, down, 1, dst, 0, lc)
-	down.Routes.Insert(0, 0, fancy.Route{Port: 1, Backup: -1})
-	up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, fancy.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, fancy.Route{Port: 0, Backup: -1})
-	src.Default = netsim.PacketHandlerFunc(func(*fancy.Packet) {})
+	bed := netsim.NewLinkBed(s, lc, lc, true)
 
 	const victim = fancy.EntryID(10)
 	const healthy = fancy.EntryID(20)
@@ -48,39 +42,35 @@ func main() {
 		MemoryBytes:      20_000,
 		ExchangeInterval: 200 * fancy.Millisecond, // §6's session duration
 	}
-	det, err := fancy.NewDetector(s, up, cfg)
+	pair, err := fancy.DeployLink(bed, cfg)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	downDet, err := fancy.NewDetector(s, down, cfg)
-	if err != nil {
-		panic(err)
-	}
-	downDet.ListenPort(0)
-	det.MonitorPort(1)
+	det := pair.Upstream
 
 	app := reroute.New(s, det, 1)
 	det.OnEvent = app.HandleEvent
 	app.OnReroute = func(e fancy.EntryID, at fancy.Time) {
-		fmt.Printf("%.3fs  REROUTED entry %d to the backup link\n", at.Seconds(), e)
+		fmt.Fprintf(stdout, "%.3fs  REROUTED entry %d to the backup link\n", at.Seconds(), e)
 	}
 	for _, e := range []fancy.EntryID{victim, healthy} {
-		app.Protect(e, up.Routes.InsertEntry(e, fancy.Route{Port: 1, Backup: 2}))
+		app.Protect(e, bed.Up.Routes.InsertEntry(e, fancy.Route{Port: 1, Backup: 2}))
 	}
 
 	// 20 Mbps of TCP plus a small UDP stream per entry.
 	const duration = 8 * fancy.Second
-	drv := traffic.NewDriver(s, src, dst, tcp.Config{})
+	drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcp.Config{})
 	rng := s.Rand()
 	drv.Schedule(traffic.SteadyEntry(victim, 20e6, 30, duration, rng))
 	drv.Schedule(traffic.SteadyEntry(healthy, 20e6, 30, duration, rng))
-	traffic.NewUDPSource(s, src, 9001, victim, netsim.EntryAddr(victim, 2), 1e6, 1000, duration).Start()
+	traffic.NewUDPSource(s, bed.Src, 9001, victim, netsim.EntryAddr(victim, 2), 1e6, 1000, duration).Start()
 
 	// Throughput accounting in 100 ms bins, tapped at the downstream
 	// switch's forwarding step so both TCP and UDP deliveries count.
 	const bin = 100 * fancy.Millisecond
 	bins := map[fancy.EntryID][]float64{victim: make([]float64, duration/bin), healthy: make([]float64, duration/bin)}
-	down.OnForwarded(func(p *fancy.Packet, in, out int) {
+	bed.Down.OnForwarded(func(p *fancy.Packet, in, out int) {
 		if out != 1 { // only packets toward the receiver
 			return
 		}
@@ -91,23 +81,23 @@ func main() {
 			}
 		}
 	})
-	dst.Default = netsim.PacketHandlerFunc(func(*fancy.Packet) {})
 
 	const failAt = 2 * fancy.Second
-	fmt.Printf("injecting 10%% gray loss for entry %d on the primary link at t=%v\n\n", victim, failAt)
-	primary.AB.SetFailure(netsim.FailEntries(5, failAt, 0.10, victim))
+	fmt.Fprintf(stdout, "injecting 10%% gray loss for entry %d on the primary link at t=%v\n\n", victim, failAt)
+	bed.Link.AB.SetFailure(netsim.FailEntries(5, failAt, 0.10, victim))
 
 	s.Run(duration)
 
-	fmt.Println("\ndelivered throughput (Mbps per 100 ms bin):")
+	fmt.Fprintln(stdout, "\ndelivered throughput (Mbps per 100 ms bin):")
 	for _, e := range []fancy.EntryID{victim, healthy} {
-		fmt.Printf("entry %d: ", e)
+		fmt.Fprintf(stdout, "entry %d: ", e)
 		var cells []string
 		for _, v := range bins[e] {
 			cells = append(cells, fmt.Sprintf("%.0f", v/bin.Seconds()/1e6))
 		}
-		fmt.Println(strings.Join(cells, " "))
+		fmt.Fprintln(stdout, strings.Join(cells, " "))
 	}
-	fmt.Printf("\nvictim rerouted: %v   healthy rerouted: %v (must stay false)\n",
+	fmt.Fprintf(stdout, "\nvictim rerouted: %v   healthy rerouted: %v (must stay false)\n",
 		app.Rerouted(victim), app.Rerouted(healthy))
+	return 0
 }

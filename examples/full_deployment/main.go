@@ -13,6 +13,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"fancy"
 	"fancy/internal/fancy/tree"
@@ -20,7 +22,9 @@ import (
 	"fancy/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(11)
 
 	// The Abilene backbone, with a customer host on each coast.
@@ -31,7 +35,8 @@ func main() {
 	}
 	n, err := topo.Build(s, spec)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// Two customer prefixes terminate in Atlanta; route everything.
@@ -40,7 +45,8 @@ func main() {
 	if err := n.InstallShortestPaths(map[netsim.EntryID]string{
 		pfxVideo: "cust-south", pfxBulk: "cust-south",
 	}); err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	dep, err := n.DeployFancy(fancy.Config{
@@ -49,9 +55,10 @@ func main() {
 		TreeSeed:     5,
 	})
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("deployed FANcY on %d switches, %d links monitored in both directions\n\n",
+	fmt.Fprintf(stdout, "deployed FANcY on %d switches, %d links monitored in both directions\n\n",
 		len(dep.Detectors), len(spec.Links))
 
 	// Seattle → Atlanta traffic crosses denver→kansascity→{indianapolis|houston}→atlanta.
@@ -75,7 +82,7 @@ func main() {
 	// A line card in Kansas City corrupts 2% of the video prefix's
 	// packets toward Indianapolis.
 	victim := [2]string{"kansascity", "indianapolis"}
-	fmt.Printf("injecting 2%% gray loss for prefix %d on %s→%s at t=3s\n\n",
+	fmt.Fprintf(stdout, "injecting 2%% gray loss for prefix %d on %s→%s at t=3s\n\n",
 		pfxVideo, victim[0], victim[1])
 	n.Direction(victim[0], victim[1]).SetFailure(
 		netsim.FailEntries(13, 3*fancy.Second, 0.02, pfxVideo))
@@ -84,16 +91,17 @@ func main() {
 
 	// Where was it flagged?
 	flagged := n.FlaggedAt(dep, pfxVideo)
-	fmt.Printf("prefix %d flagged at: %v\n", pfxVideo, flagged)
-	fmt.Printf("prefix %d flagged at: %v (healthy: must be empty)\n\n", pfxBulk, n.FlaggedAt(dep, pfxBulk))
+	fmt.Fprintf(stdout, "prefix %d flagged at: %v\n", pfxVideo, flagged)
+	fmt.Fprintf(stdout, "prefix %d flagged at: %v (healthy: must be empty)\n\n", pfxBulk, n.FlaggedAt(dep, pfxBulk))
 
 	for _, de := range dep.Events {
 		if de.Event.Kind == fancy.EventDedicated {
-			fmt.Printf("first detection: switch %s at %.2fs (%.0f ms after failure)\n",
+			fmt.Fprintf(stdout, "first detection: switch %s at %.2fs (%.0f ms after failure)\n",
 				de.Switch, de.Event.Time.Seconds(), (de.Event.Time-3*fancy.Second).Seconds()*1000)
 			break
 		}
 	}
-	fmt.Println("\nOnly the faulty port's upstream switch raises the flag: the gray")
-	fmt.Println("failure is localized to (switch port, prefix) — enough to reroute or page.")
+	fmt.Fprintln(stdout, "\nOnly the faulty port's upstream switch raises the flag: the gray")
+	fmt.Fprintln(stdout, "failure is localized to (switch port, prefix) — enough to reroute or page.")
+	return 0
 }

@@ -16,12 +16,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"fancy"
 	"fancy/internal/netsim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(7)
 
 	customers := fancy.NewHost(s, "customers")
@@ -56,11 +60,13 @@ func main() {
 	}
 	det1, err := fancy.NewDetector(s, pe1, cfg)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	det2, err := fancy.NewDetector(s, pe2, cfg)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	det1.SetOwnAddr(pe1Addr)
 	det1.SetPeerAddr(1, pe2Addr)
@@ -72,13 +78,13 @@ func main() {
 	det1.OnEvent = func(ev fancy.Event) {
 		switch ev.Kind {
 		case fancy.EventDedicated:
-			fmt.Printf("%8.3fs  PE1: loss on the PE1→PE2 path for customer prefix %d\n",
+			fmt.Fprintf(stdout, "%8.3fs  PE1: loss on the PE1→PE2 path for customer prefix %d\n",
 				ev.Time.Seconds(), ev.Entry)
 		case fancy.EventTreeLeaf:
-			fmt.Printf("%8.3fs  PE1: loss on the PE1→PE2 path for best-effort path %v\n",
+			fmt.Fprintf(stdout, "%8.3fs  PE1: loss on the PE1→PE2 path for best-effort path %v\n",
 				ev.Time.Seconds(), ev.Path)
 		case fancy.EventUniform:
-			fmt.Printf("%8.3fs  PE1: uniform loss on the PE1→PE2 path\n", ev.Time.Seconds())
+			fmt.Fprintf(stdout, "%8.3fs  PE1: uniform loss on the PE1→PE2 path\n", ev.Time.Seconds())
 		}
 	}
 
@@ -104,15 +110,16 @@ func main() {
 
 	// The gray failure: a dirty fiber between the two transit routers
 	// corrupts ≈5% of prefix 100's and one background prefix's packets.
-	fmt.Println("injecting 5% loss for prefixes 100 and 203 on the P1→P2 link at t=3s")
+	fmt.Fprintln(stdout, "injecting 5% loss for prefixes 100 and 203 on the P1→P2 link at t=3s")
 	midLink.AB.SetFailure(netsim.FailEntries(99, 3*fancy.Second, 0.05, 100, 203))
 
 	s.Run(12 * fancy.Second)
 
-	fmt.Println("\nfinal state at PE1:")
+	fmt.Fprintln(stdout, "\nfinal state at PE1:")
 	for _, e := range []fancy.EntryID{100, 101, 203, 207} {
-		fmt.Printf("  prefix %d flagged: %v\n", e, det1.Flagged(1, e))
+		fmt.Fprintf(stdout, "  prefix %d flagged: %v\n", e, det1.Flagged(1, e))
 	}
-	fmt.Println("\nNote: PE1 localizes the loss to (prefixes, PE1→PE2 path); pinpointing")
-	fmt.Println("the P1→P2 hop requires FANcY on the transit routers too (§4.3).")
+	fmt.Fprintln(stdout, "\nNote: PE1 localizes the loss to (prefixes, PE1→PE2 path); pinpointing")
+	fmt.Fprintln(stdout, "the P1→P2 hop requires FANcY on the transit routers too (§4.3).")
+	return 0
 }

@@ -11,28 +11,32 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"fancy"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(1)
 
 	ml := fancy.NewMonitoredLink(s, fancy.Config{
 		HighPriority: []fancy.EntryID{10}, // e.g. the prefix of a big customer
 		MemoryBytes:  20_000,              // 20 KB per port, the paper's budget
 	})
-	fmt.Printf("memory layout: %s\n\n", ml.Upstream.Layout)
+	fmt.Fprintf(stdout, "memory layout: %s\n\n", ml.Upstream.Layout)
 
 	ml.OnEvent(func(ev fancy.Event) {
 		switch ev.Kind {
 		case fancy.EventDedicated:
-			fmt.Printf("%8.3fs  dedicated counter flagged entry %d (lost %d packets)\n",
+			fmt.Fprintf(stdout, "%8.3fs  dedicated counter flagged entry %d (lost %d packets)\n",
 				ev.Time.Seconds(), ev.Entry, ev.Diff)
 		case fancy.EventTreeZoomStart:
-			fmt.Printf("%8.3fs  tree observed a root mismatch, zooming in...\n", ev.Time.Seconds())
+			fmt.Fprintf(stdout, "%8.3fs  tree observed a root mismatch, zooming in...\n", ev.Time.Seconds())
 		case fancy.EventTreeLeaf:
-			fmt.Printf("%8.3fs  tree flagged hash path %v (lost %d packets)\n",
+			fmt.Fprintf(stdout, "%8.3fs  tree flagged hash path %v (lost %d packets)\n",
 				ev.Time.Seconds(), ev.Path, ev.Diff)
 		}
 	})
@@ -46,10 +50,11 @@ func main() {
 
 	s.Run(10 * fancy.Second)
 
-	fmt.Println()
-	fmt.Printf("entry  10 flagged: %v (dedicated counter)\n", ml.Flagged(10))
-	fmt.Printf("entry 500 flagged: %v (hash-based tree)\n", ml.Flagged(500))
-	fmt.Printf("entry 600 flagged: %v (healthy, never sent)\n", ml.Flagged(600))
-	fmt.Printf("\ncontrol overhead: %d messages, %d bytes in 10s\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "entry  10 flagged: %v (dedicated counter)\n", ml.Flagged(10))
+	fmt.Fprintf(stdout, "entry 500 flagged: %v (hash-based tree)\n", ml.Flagged(500))
+	fmt.Fprintf(stdout, "entry 600 flagged: %v (healthy, never sent)\n", ml.Flagged(600))
+	fmt.Fprintf(stdout, "\ncontrol overhead: %d messages, %d bytes in 10s\n",
 		ml.Upstream.CtlMsgsSent, ml.Upstream.CtlBytesSent)
+	return 0
 }

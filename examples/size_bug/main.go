@@ -13,6 +13,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"fancy"
@@ -20,7 +22,9 @@ import (
 	"fancy/internal/netsim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(9)
 	ml := fancy.NewMonitoredLink(s, fancy.Config{
 		HighPriority: []fancy.EntryID{10},
@@ -35,7 +39,7 @@ func main() {
 	ml.Downstream.ListenCustom(0, unit, receiver)
 
 	sender.OnMismatch = func(bucket int, diff uint64) {
-		fmt.Printf("%8.3fs  size bucket %-10s lost %d packets\n",
+		fmt.Fprintf(stdout, "%8.3fs  size bucket %-10s lost %d packets\n",
 			s.Now().Seconds(), core.BucketRange(bucket), diff)
 	}
 
@@ -57,21 +61,22 @@ func main() {
 	}
 
 	// The bug: packets of 800–900 bytes silently dropped from t=2s.
-	fmt.Println("injecting a size-specific bug (drops 800-900B packets) at t=2s")
-	fmt.Println()
+	fmt.Fprintln(stdout, "injecting a size-specific bug (drops 800-900B packets) at t=2s")
+	fmt.Fprintln(stdout)
 	ml.Link.AB.SetFailure(netsim.FailSizes(3, 2*fancy.Second, 800, 900, 1.0))
 
 	s.Run(8 * fancy.Second)
 
-	fmt.Println("\nflagged size buckets:")
+	fmt.Fprintln(stdout, "\nflagged size buckets:")
 	buckets := make([]int, 0, len(sender.FlaggedBuckets))
 	for b := range sender.FlaggedBuckets {
 		buckets = append(buckets, b)
 	}
 	sort.Ints(buckets)
 	for _, b := range buckets {
-		fmt.Printf("  %s\n", core.BucketRange(b))
+		fmt.Fprintf(stdout, "  %s\n", core.BucketRange(b))
 	}
-	fmt.Println("\nThe report points an operator straight at the failing size range —")
-	fmt.Println("root-cause context no per-prefix counter can provide (§4.1, Table 1).")
+	fmt.Fprintln(stdout, "\nThe report points an operator straight at the failing size range —")
+	fmt.Fprintln(stdout, "root-cause context no per-prefix counter can provide (§4.1, Table 1).")
+	return 0
 }

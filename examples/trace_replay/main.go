@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"fancy"
 	"fancy/internal/netsim"
@@ -19,7 +21,9 @@ import (
 	"fancy/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(_ []string, stdout, stderr io.Writer) int {
 	s := fancy.NewSim(42)
 
 	// A 1/400-scale equinix-chicago trace: ≈15 Mbps over ≈600 prefixes.
@@ -27,7 +31,7 @@ func main() {
 	traceCfg.Duration = 20 * fancy.Second
 	tr := traffic.Synthesize(traceCfg)
 	st := tr.Stats()
-	fmt.Printf("synthesized %s: %.1f Mbps, %.0f flows/s, %d active prefixes\n\n",
+	fmt.Fprintf(stdout, "synthesized %s: %.1f Mbps, %.0f flows/s, %d active prefixes\n\n",
 		traceCfg.Name, st.BitRateBps/1e6, st.FlowRate, st.ActivePfx)
 
 	// Dedicated counters for the historical top 100 prefixes.
@@ -88,7 +92,7 @@ func main() {
 	drv.Schedule(tr.Specs)
 
 	const failAt = 5 * fancy.Second
-	fmt.Printf("blackholing prefixes %v at t=%v\n\n", failed, failAt)
+	fmt.Fprintf(stdout, "blackholing prefixes %v at t=%v\n\n", failed, failAt)
 	ml.Link.AB.SetFailure(netsim.FailEntries(7, failAt, 1.0, failed...))
 
 	s.Run(traceCfg.Duration)
@@ -97,20 +101,21 @@ func main() {
 	for _, f := range tr.Specs {
 		bytesOf[f.Entry] += f.Bytes
 	}
-	fmt.Println("results:")
+	fmt.Fprintln(stdout, "results:")
 	for _, e := range failed {
 		kind := "hash-tree"
 		if _, ok := ml.Upstream.DedicatedSlot(e); ok {
 			kind = "dedicated"
 		}
 		if at, ok := detectedAt[e]; ok {
-			fmt.Printf("  prefix %-4d (%-9s, %6.1f KB in slice): detected %.2fs after failure\n",
+			fmt.Fprintf(stdout, "  prefix %-4d (%-9s, %6.1f KB in slice): detected %.2fs after failure\n",
 				e, kind, float64(bytesOf[e])/1024, (at - failAt).Seconds())
 		} else {
-			fmt.Printf("  prefix %-4d (%-9s, %6.1f KB in slice): NOT detected "+
+			fmt.Fprintf(stdout, "  prefix %-4d (%-9s, %6.1f KB in slice): NOT detected "+
 				"(too little traffic for drops in %d consecutive sessions)\n",
 				e, kind, float64(bytesOf[e])/1024, 3)
 		}
 	}
-	fmt.Printf("\nflows replayed: %d (completed: %d)\n", drv.Started(), drv.Completed())
+	fmt.Fprintf(stdout, "\nflows replayed: %d (completed: %d)\n", drv.Started(), drv.Completed())
+	return 0
 }

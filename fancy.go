@@ -125,29 +125,33 @@ func Connect(s *Sim, a netsim.Node, aPort int, b netsim.Node, bPort int, cfg net
 	return netsim.Connect(s, a, aPort, b, bPort, cfg)
 }
 
+// DeployLink attaches a detector pair to a netsim.LinkBed's monitored link
+// (upstream port 1 → downstream port 0), for callers that build the bed
+// themselves — with the backup link, say.
+func DeployLink(bed *netsim.LinkBed, cfg Config) (core.LinkPair, error) {
+	return core.DeployLink(bed, cfg)
+}
+
 // MonitoredLink is the canonical FANcY deployment: two switches joined by
 // a monitored link, a source host feeding the upstream switch and a sink
-// host behind the downstream one. The upstream runs the sender FSMs, the
-// downstream the receiver FSMs, and failures are injected on the
-// upstream→downstream direction.
+// host behind the downstream one (Sim, Src, Dst, Up, Down and Link come from
+// the embedded testbed). The upstream runs the sender FSMs, the downstream
+// the receiver FSMs, and failures are injected on the upstream→downstream
+// direction.
 type MonitoredLink struct {
-	Sim  *Sim
-	Src  *Host
-	Dst  *Host
-	Up   *Switch
-	Down *Switch
-	Link *netsim.Link
+	*netsim.LinkBed
 
 	// Upstream is the detector comparing counters (the one raising
-	// events); Downstream runs the receiver side.
-	Upstream   *Detector
-	Downstream *Detector
+	// events), Downstream runs the receiver side and Out holds the
+	// monitored port's output structures.
+	core.LinkPair
 
-	// Out holds the monitored port's output structures.
-	Out *Outputs
-
-	monitorPort int
+	// tcp starts every TCP flow of the link, so flow IDs never collide.
+	tcp *traffic.Driver
 }
+
+// monitorPort is the upstream port the testbed's monitored link hangs off.
+const monitorPort = 1
 
 // MonitoredLinkOptions tune the topology. Zero values give the paper's
 // defaults: 10 ms inter-switch delay, 100 Gbps links.
@@ -175,35 +179,17 @@ func NewMonitoredLinkOpts(s *Sim, cfg Config, opts MonitoredLinkOptions) (*Monit
 	if opts.RateBps <= 0 {
 		opts.RateBps = 100e9
 	}
-	ml := &MonitoredLink{Sim: s, monitorPort: 1}
-	ml.Src = NewHost(s, "src")
-	ml.Dst = NewHost(s, "dst")
-	ml.Up = NewSwitch(s, "up", 2)
-	ml.Down = NewSwitch(s, "down", 2)
 	edge := netsim.LinkConfig{Delay: Millisecond, RateBps: opts.RateBps, QueueBytes: 1 << 24}
 	corecfg := netsim.LinkConfig{Delay: opts.Delay, RateBps: opts.RateBps, QueueBytes: 1 << 24}
-	Connect(s, ml.Src, 0, ml.Up, 0, edge)
-	ml.Link = Connect(s, ml.Up, 1, ml.Down, 0, corecfg)
-	Connect(s, ml.Down, 1, ml.Dst, 0, edge)
-	ml.Up.Routes.Insert(0, 0, Route{Port: 1, Backup: -1})
-	ml.Up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, Route{Port: 0, Backup: -1})
-	ml.Down.Routes.Insert(0, 0, Route{Port: 1, Backup: -1})
-	ml.Down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, Route{Port: 0, Backup: -1})
-	ml.Src.Default = netsim.PacketHandlerFunc(func(*Packet) {})
-	ml.Dst.Default = netsim.PacketHandlerFunc(func(*Packet) {})
-
-	var err error
-	ml.Upstream, err = NewDetector(s, ml.Up, cfg)
+	bed := netsim.NewLinkBed(s, edge, corecfg, false)
+	pair, err := DeployLink(bed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ml.Downstream, err = NewDetector(s, ml.Down, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ml.Downstream.ListenPort(0)
-	ml.Out = ml.Upstream.MonitorPort(1)
-	return ml, nil
+	return &MonitoredLink{
+		LinkBed: bed, LinkPair: pair,
+		tcp: traffic.NewDriver(s, bed.Src, bed.Dst, tcp.Config{}),
+	}, nil
 }
 
 // OnEvent registers the detection event callback.
@@ -223,9 +209,7 @@ func (ml *MonitoredLink) UDP(entry EntryID, rateBps float64, start, stop Time) {
 // carrying rateBps aggregate for the given duration (flows last ≈1 s, as
 // in the paper's synthetic workloads).
 func (ml *MonitoredLink) TCP(entry EntryID, rateBps, flowsPerSec float64, duration Time) {
-	drv := traffic.NewDriver(ml.Sim, ml.Src, ml.Dst, tcp.Config{})
-	specs := traffic.SteadyEntry(entry, rateBps, flowsPerSec, duration, ml.Sim.Rand())
-	drv.Schedule(specs)
+	ml.tcp.Schedule(traffic.SteadyEntry(entry, rateBps, flowsPerSec, duration, ml.Sim.Rand()))
 }
 
 // FailEntries injects a gray failure dropping rate of the listed entries'
@@ -265,8 +249,8 @@ func (ml *MonitoredLink) ChaosReverse() *Chaos {
 // Flagged reports whether FANcY has flagged the entry on the monitored
 // link — by dedicated counter or hash-based tree.
 func (ml *MonitoredLink) Flagged(entry EntryID) bool {
-	return ml.Upstream.Flagged(ml.monitorPort, entry)
+	return ml.Upstream.Flagged(monitorPort, entry)
 }
 
 // MonitorPort returns the upstream port under monitoring.
-func (ml *MonitoredLink) MonitorPort() int { return ml.monitorPort }
+func (ml *MonitoredLink) MonitorPort() int { return monitorPort }

@@ -69,6 +69,34 @@ func TestMonitoredLinkTCPTraffic(t *testing.T) {
 	}
 }
 
+// Two TCP calls used to make two drivers that both numbered their flows from
+// 0, so the second entry's connections took over the first's handlers on the
+// same two hosts and half the flows never finished (80 of 160 here).
+func TestMonitoredLinkTCPTwoEntries(t *testing.T) {
+	s := NewSim(3)
+	ml := NewMonitoredLink(s, Config{MemoryBytes: 20_000})
+	ml.TCP(10, 2e6, 20, 4*Second)
+	ml.TCP(11, 2e6, 20, 4*Second)
+	flows := make(map[uint64]bool) // flow IDs of the two entries seen on the link
+	ml.Up.OnForwarded(func(p *Packet, in, out int) {
+		if out == ml.MonitorPort() && (p.Entry == 10 || p.Entry == 11) {
+			flows[uint64(p.Flow)] = true
+		}
+	})
+	s.Run(10 * Second)
+
+	const started = 2 * 20 * 4
+	if len(flows) != started {
+		t.Errorf("%d distinct flow IDs on the link, want %d: the entries share flow IDs", len(flows), started)
+	}
+	if got := ml.tcp.Started(); got != started {
+		t.Errorf("started %d flows, want %d", got, started)
+	}
+	if got := ml.tcp.Completed(); got != started {
+		t.Errorf("%d of %d flows completed", got, started)
+	}
+}
+
 func TestMonitoredLinkUniform(t *testing.T) {
 	s := NewSim(4)
 	ml := NewMonitoredLink(s, Config{

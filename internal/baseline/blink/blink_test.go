@@ -13,37 +13,18 @@ import (
 // blinkBed: src — up — down — dst, Blink watching the up switch's ingress,
 // failures injected on the up→down link.
 type blinkBed struct {
-	s    *sim.Sim
-	src  *netsim.Host
-	dst  *netsim.Host
-	up   *netsim.Switch
-	link *netsim.Link
-	det  *Detector
-	drv  *traffic.Driver
+	*netsim.LinkBed
+	det *Detector
+	drv *traffic.Driver
 }
 
 func newBed(t *testing.T, seed int64, cfg Config) *blinkBed {
 	t.Helper()
-	s := sim.New(seed)
-	b := &blinkBed{s: s}
-	b.src = netsim.NewHost(s, "src")
-	b.dst = netsim.NewHost(s, "dst")
-	b.up = netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: 5 * sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, b.src, 0, b.up, 0, lc)
-	b.link = netsim.Connect(s, b.up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, b.dst, 0, lc)
-	b.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	b.src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	b.dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	b.det = New(s, 100, cfg)
-	b.up.AddIngressHook(b.det)
-	b.drv = traffic.NewDriver(s, b.src, b.dst, tcp.Config{})
+	b := &blinkBed{LinkBed: netsim.NewLinkBed(sim.New(seed), lc, lc, false)}
+	b.det = New(b.Sim, 100, cfg)
+	b.Up.AddIngressHook(b.det)
+	b.drv = traffic.NewDriver(b.Sim, b.Src, b.Dst, tcp.Config{})
 	return b
 }
 
@@ -64,8 +45,8 @@ func (b *blinkBed) flows(n int, duration sim.Time) {
 func TestBlinkDetectsFullLinkFailure(t *testing.T) {
 	b := newBed(t, 1, Config{MaxFlows: 64})
 	b.flows(40, 10*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, 2*sim.Second, 1.0, 100))
-	b.s.Run(10 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, 2*sim.Second, 1.0, 100))
+	b.Sim.Run(10 * sim.Second)
 
 	if !b.det.Detected() {
 		t.Fatal("Blink missed a total failure affecting all flows")
@@ -88,8 +69,8 @@ func TestBlinkMissesMinorityGrayFailure(t *testing.T) {
 	b.flows(40, 10*sim.Second)
 	// Blackhole 20% of the flows: a severe gray failure, well below the
 	// majority vote.
-	b.link.AB.SetFailure(netsim.FailFlows(5, 2*sim.Second, 0.20, 1.0))
-	b.s.Run(10 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailFlows(5, 2*sim.Second, 0.20, 1.0))
+	b.Sim.Run(10 * sim.Second)
 
 	if b.det.Detected() {
 		t.Fatalf("Blink claimed detection at %v with only 20%% of flows affected", b.det.FailureAt)
@@ -102,7 +83,7 @@ func TestBlinkMissesMinorityGrayFailure(t *testing.T) {
 func TestBlinkNoFalsePositivesOnCleanTraffic(t *testing.T) {
 	b := newBed(t, 3, Config{MaxFlows: 64})
 	b.flows(40, 6*sim.Second)
-	b.s.Run(6 * sim.Second)
+	b.Sim.Run(6 * sim.Second)
 	if b.det.Detected() {
 		t.Fatal("Blink fired without any failure")
 	}
@@ -121,7 +102,7 @@ func TestBlinkFlowEviction(t *testing.T) {
 		specs = append(specs, traffic.FlowSpec{Entry: 100, Start: 3 * sim.Second, Bytes: 20_000, RateBps: 200e3})
 	}
 	b.drv.Schedule(specs)
-	b.s.Run(6 * sim.Second)
+	b.Sim.Run(6 * sim.Second)
 	// The second wave must have been admitted after the first went idle.
 	if len(b.det.flows) == 0 {
 		t.Fatal("no flows monitored after eviction cycle")
@@ -141,7 +122,7 @@ func TestBlinkIgnoresOtherPrefixesAndACKs(t *testing.T) {
 		specs = append(specs, traffic.FlowSpec{Entry: 200, Start: 0, Bytes: 50_000, RateBps: 200e3})
 	}
 	b.drv.Schedule(specs)
-	b.s.Run(4 * sim.Second)
+	b.Sim.Run(4 * sim.Second)
 	if b.det.MonitoredFlows != 0 {
 		t.Errorf("monitored %d flows of an unmonitored prefix", b.det.MonitoredFlows)
 	}

@@ -8,32 +8,16 @@ import (
 )
 
 type meterBed struct {
-	s    *sim.Sim
-	src  *netsim.Host
-	link *netsim.Link
-	m    *MeterPair
+	*netsim.LinkBed
+	m *MeterPair
 }
 
 func newMeterBed(t *testing.T, cells int, interval sim.Time) *meterBed {
 	t.Helper()
-	s := sim.New(1)
-	b := &meterBed{s: s}
-	b.src = netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, b.src, 0, up, 0, lc)
-	b.link = netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	b.m = NewMeterPair(s, cells, interval)
-	up.AddEgressHook(b.m)
-	up.RefreshEgressHooks()
-	down.AddIngressHook(b.m)
+	b := &meterBed{LinkBed: netsim.NewLinkBed(sim.New(1), lc, lc, false)}
+	b.m = NewMeterPair(b.Sim, cells, interval)
+	b.AttachProbe(b.m)
 	return b
 }
 
@@ -41,14 +25,14 @@ func (b *meterBed) cbr(entry netsim.EntryID, pps int, stop sim.Time) {
 	gap := sim.Second / sim.Time(pps)
 	var tick func()
 	tick = func() {
-		if b.s.Now() >= stop {
+		if b.Sim.Now() >= stop {
 			return
 		}
-		b.src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
+		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 500})
-		b.s.Schedule(gap, tick)
+		b.Sim.Schedule(gap, tick)
 	}
-	b.s.Schedule(0, tick)
+	b.Sim.Schedule(0, tick)
 }
 
 func TestMeterDecodesLowLoss(t *testing.T) {
@@ -58,8 +42,8 @@ func TestMeterDecodesLowLoss(t *testing.T) {
 	b := newMeterBed(t, 64, 10*sim.Millisecond)
 	b.cbr(7, 1000, 3*sim.Second)
 	b.cbr(8, 1000, 3*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.01, 7))
-	b.s.Run(4 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.01, 7))
+	b.Sim.Run(4 * sim.Second)
 
 	if b.m.Batches == 0 {
 		t.Fatal("no batches extracted")
@@ -75,7 +59,7 @@ func TestMeterDecodesLowLoss(t *testing.T) {
 	}
 	// The recovered count matches the injected drops exactly — LossRadar
 	// reconstructs per-packet identities, not estimates.
-	if got, want := b.m.LostRecovered[7], b.link.AB.Failure().Dropped.Data; got != want {
+	if got, want := b.m.LostRecovered[7], b.Link.AB.Failure().Dropped.Data; got != want {
 		t.Errorf("recovered %d losses, injected %d", got, want)
 	}
 }
@@ -86,8 +70,8 @@ func TestMeterStallsWhenUndersized(t *testing.T) {
 	// stall and the controller recovers (almost) nothing.
 	b := newMeterBed(t, 8, 10*sim.Millisecond)
 	b.cbr(7, 4000, 2*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, 500*sim.Millisecond, 0.5, 7))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, 500*sim.Millisecond, 0.5, 7))
+	b.Sim.Run(3 * sim.Second)
 
 	if b.m.StalledBatches == 0 {
 		t.Fatal("no stalled batches despite overload")
@@ -96,7 +80,7 @@ func TestMeterStallsWhenUndersized(t *testing.T) {
 		t.Fatalf("decode fraction = %.2f under overload, want low", f)
 	}
 	// What was recovered is far less than what was lost.
-	if b.m.LostRecovered[7] >= b.link.AB.Failure().Dropped.Data {
+	if b.m.LostRecovered[7] >= b.Link.AB.Failure().Dropped.Data {
 		t.Error("recovered as much as was lost despite stalls")
 	}
 }
@@ -104,7 +88,7 @@ func TestMeterStallsWhenUndersized(t *testing.T) {
 func TestMeterLosslessBatchesDecodeEmpty(t *testing.T) {
 	b := newMeterBed(t, 32, 10*sim.Millisecond)
 	b.cbr(7, 2000, sim.Second)
-	b.s.Run(2 * sim.Second)
+	b.Sim.Run(2 * sim.Second)
 	if f := b.m.DecodeFraction(); f != 1 {
 		t.Fatalf("decode fraction = %.2f without loss", f)
 	}

@@ -9,32 +9,16 @@ import (
 
 // protoBed wires the protocol onto a two-switch link.
 type protoBed struct {
-	s    *sim.Sim
-	src  *netsim.Host
-	link *netsim.Link
-	p    *Protocol
+	*netsim.LinkBed
+	p *Protocol
 }
 
 func newProtoBed(t *testing.T, bufferPackets int, delay sim.Time) *protoBed {
 	t.Helper()
-	s := sim.New(1)
-	b := &protoBed{s: s}
-	b.src = netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: delay, RateBps: 10e9}
-	netsim.Connect(s, b.src, 0, up, 0, lc)
-	b.link = netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	b.p = NewProtocol(s, bufferPackets, delay)
-	up.AddEgressHook(b.p)
-	up.RefreshEgressHooks()
-	down.AddIngressHook(b.p)
+	b := &protoBed{LinkBed: netsim.NewLinkBed(sim.New(1), lc, lc, false)}
+	b.p = NewProtocol(b.Sim, bufferPackets, delay)
+	b.AttachProbe(b.p)
 	return b
 }
 
@@ -42,14 +26,14 @@ func (b *protoBed) cbr(entry netsim.EntryID, pps int, stop sim.Time) {
 	gap := sim.Second / sim.Time(pps)
 	var tick func()
 	tick = func() {
-		if b.s.Now() >= stop {
+		if b.Sim.Now() >= stop {
 			return
 		}
-		b.src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
+		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 500})
-		b.s.Schedule(gap, tick)
+		b.Sim.Schedule(gap, tick)
 	}
-	b.s.Schedule(0, tick)
+	b.Sim.Schedule(0, tick)
 }
 
 func TestProtocolAttributesAtDataCenterBDP(t *testing.T) {
@@ -57,8 +41,8 @@ func TestProtocolAttributesAtDataCenterBDP(t *testing.T) {
 	// buffer easily outlives the NACKs, so every loss is attributed.
 	b := newProtoBed(t, 1000, 100*sim.Microsecond)
 	b.cbr(7, 2000, 2*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.1, 7))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.1, 7))
+	b.Sim.Run(3 * sim.Second)
 
 	if b.p.Attributed == 0 {
 		t.Fatal("no losses attributed")
@@ -77,8 +61,8 @@ func TestProtocolNotOperationalAtISPBDP(t *testing.T) {
 	// Figure 2 regime ("NetSeer is not operational").
 	b := newProtoBed(t, 8, 10*sim.Millisecond)
 	b.cbr(7, 2000, 2*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.1, 7))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.1, 7))
+	b.Sim.Run(3 * sim.Second)
 
 	if b.p.Unattributable == 0 {
 		t.Fatal("no unattributable losses despite a wrapped buffer")
@@ -91,7 +75,7 @@ func TestProtocolNotOperationalAtISPBDP(t *testing.T) {
 func TestProtocolNoLossNoNACKs(t *testing.T) {
 	b := newProtoBed(t, 1000, sim.Millisecond)
 	b.cbr(7, 1000, sim.Second)
-	b.s.Run(2 * sim.Second)
+	b.Sim.Run(2 * sim.Second)
 	if b.p.Attributed != 0 || b.p.Unattributable != 0 {
 		t.Fatalf("NACKs on a lossless link: %d/%d", b.p.Attributed, b.p.Unattributable)
 	}
@@ -113,8 +97,8 @@ func TestProtocolMatchesAnalyticalThreshold(t *testing.T) {
 	} {
 		b := newProtoBed(t, c.buffer, latency)
 		b.cbr(7, pps, 2*sim.Second)
-		b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.05, 7))
-		b.s.Run(3 * sim.Second)
+		b.Link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 0.05, 7))
+		b.Sim.Run(3 * sim.Second)
 		if got := b.p.Operational(0.9); got != c.wantOK {
 			t.Errorf("buffer=%d (needed≈%d): operational=%v, want %v (attributed %.2f)",
 				c.buffer, needed, got, c.wantOK, b.p.AttributedFraction())

@@ -7,61 +7,38 @@ import (
 	"fancy/internal/sim"
 )
 
-// bed wires a probe onto a two-switch link with CBR traffic.
-type bed struct {
-	s    *sim.Sim
-	src  *netsim.Host
-	up   *netsim.Switch
-	down *netsim.Switch
-	dst  *netsim.Host
-	link *netsim.Link
-}
+// bed is the two-switch link, for probes and CBR traffic.
+type bed struct{ *netsim.LinkBed }
 
 func newBed(t *testing.T) *bed {
 	t.Helper()
-	s := sim.New(1)
-	b := &bed{s: s}
-	b.src = netsim.NewHost(s, "src")
-	b.dst = netsim.NewHost(s, "dst")
-	b.up = netsim.NewSwitch(s, "up", 2)
-	b.down = netsim.NewSwitch(s, "down", 2)
-	netsim.Connect(s, b.src, 0, b.up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9})
-	b.link = netsim.Connect(s, b.up, 1, b.down, 0, netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 1e9})
-	netsim.Connect(s, b.down, 1, b.dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9})
-	b.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	return b
-}
-
-func (b *bed) attach(p *Probe) {
-	b.up.AddEgressHook(p)
-	b.up.RefreshEgressHooks()
-	b.down.AddIngressHook(p)
+	edge := netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9}
+	core := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 1e9}
+	return &bed{netsim.NewLinkBed(sim.New(1), edge, core, false)}
 }
 
 func (b *bed) cbr(entry netsim.EntryID, pps int, stop sim.Time) {
 	gap := sim.Second / sim.Time(pps)
 	var tick func()
 	tick = func() {
-		if b.s.Now() >= stop {
+		if b.Sim.Now() >= stop {
 			return
 		}
-		b.src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
+		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 500})
-		b.s.Schedule(gap, tick)
+		b.Sim.Schedule(gap, tick)
 	}
-	b.s.Schedule(0, tick)
+	b.Sim.Schedule(0, tick)
 }
 
 func TestSingleCounterDetectsButCannotLocalize(t *testing.T) {
 	b := newBed(t)
-	p := NewProbe(b.s, SingleCounter{}, 50*sim.Millisecond)
-	b.attach(p)
+	p := NewProbe(b.Sim, SingleCounter{}, 50*sim.Millisecond)
+	b.AttachProbe(p)
 	b.cbr(1, 200, 3*sim.Second)
 	b.cbr(2, 200, 3*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 1))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 1))
+	b.Sim.Run(3 * sim.Second)
 
 	if !p.EntryFlagged(1) {
 		t.Fatal("failure not detected")
@@ -78,13 +55,13 @@ func TestSingleCounterDetectsButCannotLocalize(t *testing.T) {
 
 func TestPerEntryExactLocalization(t *testing.T) {
 	b := newBed(t)
-	p := NewProbe(b.s, PerEntry{N: 10}, 50*sim.Millisecond)
-	b.attach(p)
+	p := NewProbe(b.Sim, PerEntry{N: 10}, 50*sim.Millisecond)
+	b.AttachProbe(p)
 	for e := netsim.EntryID(0); e < 5; e++ {
 		b.cbr(e, 100, 3*sim.Second)
 	}
-	b.link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 3))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 3))
+	b.Sim.Run(3 * sim.Second)
 
 	if !p.EntryFlagged(3) {
 		t.Fatal("failed entry not flagged")
@@ -116,13 +93,13 @@ func TestPerEntryMemoryMatchesPaper(t *testing.T) {
 func TestCountingBloomLocalizesWithCollisions(t *testing.T) {
 	b := newBed(t)
 	cb := CountingBloom{M: 64, K: 2, Seed: 3}
-	p := NewProbe(b.s, cb, 50*sim.Millisecond)
-	b.attach(p)
+	p := NewProbe(b.Sim, cb, 50*sim.Millisecond)
+	b.AttachProbe(p)
 	for e := netsim.EntryID(0); e < 20; e++ {
 		b.cbr(e, 100, 3*sim.Second)
 	}
-	b.link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 7))
-	b.s.Run(3 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(1, sim.Second, 1.0, 7))
+	b.Sim.Run(3 * sim.Second)
 
 	if !p.EntryFlagged(7) {
 		t.Fatal("failed entry not flagged by counting Bloom filter")
@@ -165,11 +142,11 @@ func TestCountingBloomIndexProperties(t *testing.T) {
 
 func TestCountingDutyPausesCounting(t *testing.T) {
 	b := newBed(t)
-	p := NewProbe(b.s, SingleCounter{}, 100*sim.Millisecond)
+	p := NewProbe(b.Sim, SingleCounter{}, 100*sim.Millisecond)
 	p.CountingDuty = 0.5
-	b.attach(p)
+	b.AttachProbe(p)
 	b.cbr(1, 1000, 2*sim.Second)
-	b.s.Run(2 * sim.Second)
+	b.Sim.Run(2 * sim.Second)
 	// No failure: no flags even with pauses (pauses must be symmetric).
 	if p.FlaggedCells() != 0 {
 		t.Errorf("duty-cycle pauses caused %d false flags", p.FlaggedCells())
@@ -178,15 +155,15 @@ func TestCountingDutyPausesCounting(t *testing.T) {
 
 func TestProbeIgnoresControlAndUnclassified(t *testing.T) {
 	b := newBed(t)
-	p := NewProbe(b.s, SingleCounter{}, 50*sim.Millisecond)
-	b.attach(p)
+	p := NewProbe(b.Sim, SingleCounter{}, 50*sim.Millisecond)
+	b.AttachProbe(p)
 	// Control and unclassified packets dropped by a failure must not
 	// show up as mismatches (they are not counted at all).
-	b.s.Schedule(0, func() {
-		b.src.Send(&netsim.Packet{Proto: netsim.ProtoFancy, Entry: netsim.InvalidEntry,
+	b.Sim.Schedule(0, func() {
+		b.Src.Send(&netsim.Packet{Proto: netsim.ProtoFancy, Entry: netsim.InvalidEntry,
 			Dst: netsim.EntryAddr(1, 1), Size: 64})
 	})
-	b.s.Run(1 * sim.Second)
+	b.Sim.Run(1 * sim.Second)
 	if p.FlaggedCells() != 0 {
 		t.Error("control packets were counted")
 	}

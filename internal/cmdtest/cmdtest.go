@@ -1,10 +1,11 @@
-// Package cmdtest drives the cmd/ binaries through their run(args, stdout,
-// stderr) entry points. Golden is the repo's exact regression gate: stdout
+// Package cmdtest drives the cmd/ binaries and the examples/ programs through
+// their run(args, stdout, stderr) entry points. Golden is the repo's exact regression gate: stdout
 // either equals a committed file byte for byte or the test fails naming the
 // first line that differs. There is no tolerance and no update mode; a golden
 // is refreshed by redirecting the command into it (`go run ./cmd/<name>
-// [args] > cmd/<name>/testdata/<file>`) in the change that explains why the
-// output moved.
+// [args] > cmd/<name>/testdata/<file>`, `go run ./examples/<name> >
+// examples/<name>/testdata/output.golden`) in the change that explains why
+// the output moved.
 package cmdtest
 
 import (
@@ -15,7 +16,7 @@ import (
 	"testing"
 )
 
-// Run is the shape every cmd/ binary gives its main.
+// Run is the shape every cmd/ binary and example gives its main.
 type Run func(args []string, stdout, stderr io.Writer) int
 
 // Golden runs the command, requires exit status 0 and compares its stdout

@@ -113,28 +113,19 @@ func runStrawmanOnce(seed int64, cfg core.StrawmanConfig, revLoss, failRate floa
 	duration sim.Time) (verified float64, detected bool) {
 
 	s := sim.New(seed)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, src, 0, up, 0, lc)
-	link := netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
+	bed := netsim.NewLinkBed(s, lc, lc, false)
 
 	var reverse *netsim.Failure
 	if revLoss > 0 {
 		reverse = netsim.FailUniform(seed+5, 0, revLoss)
 	}
-	snd := core.NewStrawmanSender(s, up, 1, cfg)
-	core.NewStrawmanReceiver(s, down, 0, snd, reverse, cfg)
+	snd := core.NewStrawmanSender(s, bed.Up, 1, cfg)
+	core.NewStrawmanReceiver(s, bed.Down, 0, snd, reverse, cfg)
 
-	traffic.NewUDPSource(s, src, 1, cfg.Entry, netsim.EntryAddr(cfg.Entry, 1),
+	traffic.NewUDPSource(s, bed.Src, 1, cfg.Entry, netsim.EntryAddr(cfg.Entry, 1),
 		2e6, 1000, duration).Start()
-	link.AB.SetFailure(netsim.FailEntries(seed+2, 1*sim.Second, failRate, cfg.Entry))
+	bed.Link.AB.SetFailure(netsim.FailEntries(seed+2, 1*sim.Second, failRate, cfg.Entry))
 	s.Run(duration)
 	return snd.VerifiedFraction(), snd.Mismatches > 0
 }
@@ -283,48 +274,30 @@ func AblationBlink(scale Scale, seed int64) *BlinkResult {
 
 func runBlinkVsFancy(seed int64, fraction float64, duration sim.Time) (bool, float64, bool, float64) {
 	s := sim.New(seed)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: 5 * sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, src, 0, up, 0, lc)
-	link := netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
+	bed := netsim.NewLinkBed(s, lc, lc, false)
 
 	const entry = netsim.EntryID(100)
 	bd := blink.New(s, entry, blink.Config{})
-	up.AddIngressHook(bd)
+	bed.Up.AddIngressHook(bd)
 
 	cfg := core.Config{
 		HighPriority: []netsim.EntryID{entry},
 		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
 	}
-	det, err := core.NewDetector(s, up, cfg)
+	pair, err := core.DeployLink(bed, cfg)
 	if err != nil {
 		panic(err)
 	}
-	downDet, err := core.NewDetector(s, down, cfg)
-	if err != nil {
-		panic(err)
-	}
-	downDet.ListenPort(0)
-	det.MonitorPort(1)
 	var fancyAt sim.Time
-	det.OnEvent = func(ev core.Event) {
+	pair.Upstream.OnEvent = func(ev core.Event) {
 		if ev.Kind == core.EventDedicated && ev.Entry == entry && fancyAt == 0 {
 			fancyAt = ev.Time
 		}
 	}
 
 	// 40 long-lived TCP flows at 100 kbps each.
-	drv := traffic.NewDriver(s, src, dst, tcp.Config{})
+	drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcp.Config{})
 	var specs []traffic.FlowSpec
 	for i := 0; i < 40; i++ {
 		specs = append(specs, traffic.FlowSpec{
@@ -335,7 +308,7 @@ func runBlinkVsFancy(seed int64, fraction float64, duration sim.Time) (bool, flo
 	drv.Schedule(specs)
 
 	const failAt = 2 * sim.Second
-	link.AB.SetFailure(netsim.FailFlows(seed+3, failAt, fraction, 1.0))
+	bed.Link.AB.SetFailure(netsim.FailFlows(seed+3, failAt, fraction, 1.0))
 	s.Run(duration)
 
 	blinkSecs, fancySecs := 0.0, 0.0

@@ -67,19 +67,8 @@ func Figure10(scale Scale, seed int64) *Fig10Result {
 
 func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series {
 	s := sim.New(seed)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 3)
-	down := netsim.NewSwitch(s, "down", 3)
 	lc := netsim.LinkConfig{Delay: 2 * sim.Millisecond, RateBps: 10e9, QueueBytes: 1 << 24}
-	netsim.Connect(s, src, 0, up, 0, lc)
-	primary := netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, up, 2, down, 2, lc) // backup link via the link switch
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
+	bed := netsim.NewLinkBed(s, lc, lc, true) // backup link via the link switch
 
 	const entry = netsim.EntryID(10)
 	hp := []netsim.EntryID{10}
@@ -94,20 +83,15 @@ func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series
 		ExchangeInterval: 200 * sim.Millisecond,
 		ZoomingInterval:  200 * sim.Millisecond,
 	}
-	det, err := fancy.NewDetector(s, up, cfg)
+	pair, err := fancy.DeployLink(bed, cfg)
 	if err != nil {
 		panic(err)
 	}
-	downDet, err := fancy.NewDetector(s, down, cfg)
-	if err != nil {
-		panic(err)
-	}
-	downDet.ListenPort(0)
-	det.MonitorPort(1)
+	det := pair.Upstream
 
 	app := reroute.New(s, det, 1)
 	det.OnEvent = func(ev fancy.Event) { app.HandleEvent(ev) }
-	route := up.Routes.InsertEntry(entry, netsim.Route{Port: 1, Backup: 2})
+	route := bed.Up.Routes.InsertEntry(entry, netsim.Route{Port: 1, Backup: 2})
 	app.Protect(entry, route)
 
 	duration := pick(scale, 6*sim.Second, 10*sim.Second)
@@ -116,7 +100,7 @@ func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series
 	bins := make([]float64, int(duration.Seconds()/binSecs))
 	// Tap delivered bytes at the downstream switch's forwarding step so
 	// both the TCP flows (bound to per-flow handlers) and UDP count.
-	down.OnForwarded(func(p *netsim.Packet, in, out int) {
+	bed.Down.OnForwarded(func(p *netsim.Packet, in, out int) {
 		if out != 1 {
 			return
 		}
@@ -125,17 +109,16 @@ func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series
 			bins[bin] += float64(p.Size) * 8
 		}
 	})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
 
 	// Workload: TCP flows plus a UDP stream, as in the testbed.
 	rateBps := pick(scale, 50e6, 500e6)
-	drv := traffic.NewDriver(s, src, dst, tcpCfg())
+	drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcpCfg())
 	rng := simRand(seed)
 	drv.Schedule(traffic.SteadyEntry(entry, rateBps, 50, duration, rng))
-	traffic.NewUDPSource(s, src, 9999, entry, netsim.EntryAddr(entry, 2),
+	traffic.NewUDPSource(s, bed.Src, 9999, entry, netsim.EntryAddr(entry, 2),
 		rateBps/100, 1000, duration).Start()
 
-	primary.AB.SetFailure(netsim.FailEntries(seed+3, failAt, loss, entry))
+	bed.Link.AB.SetFailure(netsim.FailEntries(seed+3, failAt, loss, entry))
 	s.Run(duration)
 
 	series := Fig10Series{

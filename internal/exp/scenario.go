@@ -2,7 +2,7 @@
 // evaluation (§2.3, §5, §6, Appendix D). Each driver builds the scenario,
 // runs it at the requested scale and returns a result that renders the same
 // rows/series the paper reports. cmd/fancy-bench exposes them on the
-// command line; bench_test.go wraps them as testing.B benchmarks.
+// command line and pins their quick-scale output in its goldens.
 package exp
 
 import (
@@ -86,14 +86,10 @@ var QuickLossRates = []float64{1.0, 0.50, 0.10, 0.01}
 
 // LossLabel formats a loss fraction like the paper's column headers.
 func LossLabel(l float64) string {
-	switch {
-	case l >= 1:
+	if l >= 1 {
 		return "100%"
-	case l >= 0.001:
-		return fmt.Sprintf("%g%%", l*100)
-	default:
-		return fmt.Sprintf("%g%%", l*100)
 	}
+	return fmt.Sprintf("%g%%", l*100)
 }
 
 // Scenario is one measurement run on the canonical two-switch link:
@@ -146,32 +142,14 @@ type Outcome struct {
 // Run executes the scenario.
 func (sc *Scenario) Run() *Outcome {
 	s := sim.New(sc.Seed)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	edge := netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 100e9, QueueBytes: 1 << 24}
 	core := netsim.LinkConfig{Delay: sc.Delay, RateBps: 100e9, QueueBytes: 1 << 24}
-	netsim.Connect(s, src, 0, up, 0, edge)
-	link := netsim.Connect(s, up, 1, down, 0, core)
-	netsim.Connect(s, down, 1, dst, 0, edge)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	det, err := fancy.NewDetector(s, up, sc.Cfg)
+	bed := netsim.NewLinkBed(s, edge, core, false)
+	pair, err := fancy.DeployLink(bed, sc.Cfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: detector config invalid: %v", err))
 	}
-	downDet, err := fancy.NewDetector(s, down, sc.Cfg)
-	if err != nil {
-		panic(err)
-	}
-	downDet.ListenPort(0)
-	det.MonitorPort(1)
+	det := pair.Upstream
 
 	out := &Outcome{PerEntry: make(map[netsim.EntryID]stats.Detection)}
 	failedSet := make(map[netsim.EntryID]bool, len(sc.Failed))
@@ -228,14 +206,14 @@ func (sc *Scenario) Run() *Outcome {
 	// Traffic.
 	rng := rand.New(rand.NewSource(sc.Seed + 1))
 	if sc.InstallTraffic != nil {
-		sc.InstallTraffic(s, src, dst)
+		sc.InstallTraffic(s, bed.Src, bed.Dst)
 	} else if sc.UDP {
 		for _, l := range sc.Loads {
-			traffic.NewUDPSource(s, src, netsim.FlowID(l.Entry), l.Entry,
+			traffic.NewUDPSource(s, bed.Src, netsim.FlowID(l.Entry), l.Entry,
 				netsim.EntryAddr(l.Entry, 1), l.RateBps, 1000, sc.Duration).Start()
 		}
 	} else {
-		drv := traffic.NewDriver(s, src, dst, tcp.Config{})
+		drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcp.Config{})
 		var specs []traffic.FlowSpec
 		for _, l := range sc.Loads {
 			specs = append(specs, traffic.SteadyEntry(l.Entry, l.RateBps, l.FlowsPerSec, sc.Duration, rng)...)
@@ -250,9 +228,9 @@ func (sc *Scenario) Run() *Outcome {
 	} else {
 		failure = netsim.FailEntries(sc.Seed+2, sc.FailAt, sc.LossRate, sc.Failed...)
 	}
-	link.AB.SetFailure(failure)
+	bed.Link.AB.SetFailure(failure)
 	if sc.ReverseLoss > 0 {
-		link.BA.SetFailure(netsim.FailUniform(sc.Seed+3, 0, sc.ReverseLoss))
+		bed.Link.BA.SetFailure(netsim.FailUniform(sc.Seed+3, 0, sc.ReverseLoss))
 	}
 
 	s.Run(sc.Duration)

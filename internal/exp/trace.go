@@ -353,33 +353,20 @@ func BaselineComparison(scale Scale, seed int64) *BaselineResult {
 	return res
 }
 
-// baselineTopo builds the bare two-switch topology shared by the §2.3/§2.4
-// baseline trials and returns the pieces the caller hooks into.
-type baselineTopo struct {
-	s        *sim.Sim
-	src, dst *netsim.Host
-	up, down *netsim.Switch
-	link     *netsim.Link
+// newBaselineBed builds the bare link the §2.3/§2.4 baseline trials run on:
+// FANcY's own testbed at the paper's 10 ms / 100 Gbps, so all designs are
+// compared on the same link.
+func newBaselineBed(seed int64) *netsim.LinkBed {
+	lc := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 100e9, QueueBytes: 1 << 24}
+	return netsim.NewLinkBed(sim.New(seed), lc, lc, false)
 }
 
-func newBaselineTopo(seed int64) *baselineTopo {
-	s := sim.New(seed)
-	b := &baselineTopo{s: s}
-	b.src = netsim.NewHost(s, "src")
-	b.dst = netsim.NewHost(s, "dst")
-	b.up = netsim.NewSwitch(s, "up", 2)
-	b.down = netsim.NewSwitch(s, "down", 2)
-	lc := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 100e9, QueueBytes: 1 << 24}
-	netsim.Connect(s, b.src, 0, b.up, 0, lc)
-	b.link = netsim.Connect(s, b.up, 1, b.down, 0, lc)
-	netsim.Connect(s, b.down, 1, b.dst, 0, lc)
-	b.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	b.down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	b.src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	b.dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	return b
+// replayOn runs one baseline trial on b: the trace slice as closed-loop TCP,
+// prefix failing at the slice's failure time.
+func (ts *traceScenario) replayOn(b *netsim.LinkBed, failSeed int64, loss float64, prefix netsim.EntryID) {
+	traffic.NewDriver(b.Sim, b.Src, b.Dst, tcp.Config{}).Schedule(ts.trace.Specs)
+	b.Link.AB.SetFailure(netsim.FailEntries(failSeed, ts.failAt, loss, prefix))
+	b.Sim.Run(ts.duration)
 }
 
 // runLossRadarTrials runs the executable LossRadar meter pair, budgeted to
@@ -388,15 +375,10 @@ func runLossRadarTrials(ts *traceScenario, samples []netsim.EntryID, loss float6
 	const cells = 20_000 / lossradar.CellBytes
 	var det, tot int
 	for i, prefix := range samples {
-		b := newBaselineTopo(seed + int64(i)*23)
-		m := lossradar.NewMeterPair(b.s, cells, 10*sim.Millisecond)
-		b.up.AddEgressHook(m)
-		b.up.RefreshEgressHooks()
-		b.down.AddIngressHook(m)
-		drv := traffic.NewDriver(b.s, b.src, b.dst, tcp.Config{})
-		drv.Schedule(ts.trace.Specs)
-		b.link.AB.SetFailure(netsim.FailEntries(seed+2, ts.failAt, loss, prefix))
-		b.s.Run(ts.duration)
+		b := newBaselineBed(seed + int64(i)*23)
+		m := lossradar.NewMeterPair(b.Sim, cells, 10*sim.Millisecond)
+		b.AttachProbe(m)
+		ts.replayOn(b, seed+2, loss, prefix)
 		tot++
 		if m.LostRecovered[prefix] > 0 {
 			det++
@@ -416,15 +398,10 @@ func runNetSeerTrials(ts *traceScenario, samples []netsim.EntryID, loss float64,
 	const bufferPkts = 20_000 / netseer.RecordBytes
 	var det, tot int
 	for i, prefix := range samples {
-		b := newBaselineTopo(seed + int64(i)*29)
-		p := netseer.NewProtocol(b.s, bufferPkts, 10*sim.Millisecond)
-		b.up.AddEgressHook(p)
-		b.up.RefreshEgressHooks()
-		b.down.AddIngressHook(p)
-		drv := traffic.NewDriver(b.s, b.src, b.dst, tcp.Config{})
-		drv.Schedule(ts.trace.Specs)
-		b.link.AB.SetFailure(netsim.FailEntries(seed+2, ts.failAt, loss, prefix))
-		b.s.Run(ts.duration)
+		b := newBaselineBed(seed + int64(i)*29)
+		p := netseer.NewProtocol(b.Sim, bufferPkts, 10*sim.Millisecond)
+		b.AttachProbe(p)
+		ts.replayOn(b, seed+2, loss, prefix)
 		tot++
 		if p.LossByEntry[prefix] > 0 {
 			det++
@@ -446,31 +423,10 @@ type baselineOutcome struct {
 func runBaselineTrial(ts *traceScenario, design simple.Design, prefix netsim.EntryID,
 	loss float64, seed int64) baselineOutcome {
 
-	s := sim.New(seed)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
-	lc := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 100e9, QueueBytes: 1 << 24}
-	netsim.Connect(s, src, 0, up, 0, lc)
-	link := netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	probe := simple.NewProbe(s, design, 50*sim.Millisecond)
-	up.AddEgressHook(probe)
-	up.RefreshEgressHooks()
-	down.AddIngressHook(probe)
-
-	drv := traffic.NewDriver(s, src, dst, tcp.Config{})
-	drv.Schedule(ts.trace.Specs)
-	link.AB.SetFailure(netsim.FailEntries(seed+2, ts.failAt, loss, prefix))
-	s.Run(ts.duration)
+	b := newBaselineBed(seed)
+	probe := simple.NewProbe(b.Sim, design, 50*sim.Millisecond)
+	b.AttachProbe(probe)
+	ts.replayOn(b, seed+2, loss, prefix)
 
 	out := baselineOutcome{}
 	if at, ok := probe.EntryFlaggedAt(prefix); ok {

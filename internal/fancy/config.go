@@ -23,7 +23,7 @@ import (
 )
 
 // Config is the FANcY input of Figure 1: the monitoring requirements
-// (high-priority entries), the memory budget, and protocol timing knobs.
+// (high-priority entries), the memory budget, and the two session durations.
 type Config struct {
 	// HighPriority lists entries tracked with dedicated counters, in slot
 	// order (slot index = wire unit). The paper's evaluation uses the 500
@@ -50,29 +50,6 @@ type Config struct {
 	// speed, §5.1.2; default 200 ms, matching TCP's retransmission
 	// timeout).
 	ZoomingInterval sim.Time
-
-	// Trtx is the control-message retransmission timeout of the
-	// stop-and-wait protocol (default 50 ms).
-	Trtx sim.Time
-
-	// Twait is the receiver's WaitToSendCounter grace period for delayed
-	// or reordered tagged packets (default 2 ms).
-	Twait sim.Time
-
-	// MaxAttempts is X, the number of unanswered control retransmissions
-	// after which a link failure is reported (default 5).
-	MaxAttempts int
-
-	// MaxProbeInterval caps the exponential backoff of the degraded probe
-	// state a unit enters after reporting link-down: instead of hammering
-	// Trtx retransmissions forever, it sends a fresh Start at intervals
-	// doubling from Trtx up to this cap, and resumes counting on the first
-	// answer (default 8×Trtx).
-	MaxProbeInterval sim.Time
-
-	// BloomCells sizes each of the two output Bloom filter registers
-	// (default 100_000, the Tofino prototype's layout).
-	BloomCells int
 
 	// ZoomSelection picks which mismatching counters the zooming
 	// algorithm explores first. The paper selects the maximum difference
@@ -132,15 +109,32 @@ const (
 	SelectRandom
 )
 
-// Protocol and layout defaults.
+// Protocol and layout defaults. The intervals and the HH pair fill zero
+// Config fields; the other five are fixed — no experiment varies them, so
+// they are not Config fields.
 const (
 	DefaultExchangeInterval = 50 * sim.Millisecond
 	DefaultZoomingInterval  = 200 * sim.Millisecond
-	DefaultTrtx             = 50 * sim.Millisecond
-	DefaultTwait            = 2 * sim.Millisecond
-	DefaultMaxAttempts      = 5
+
+	// DefaultTrtx is the control-message retransmission timeout of the
+	// stop-and-wait protocol.
+	DefaultTrtx = 50 * sim.Millisecond
+	// DefaultTwait is the receiver's WaitToSendCounter grace period for
+	// delayed or reordered tagged packets.
+	DefaultTwait = 2 * sim.Millisecond
+	// DefaultMaxAttempts is X, the number of unanswered control
+	// retransmissions after which a link failure is reported.
+	DefaultMaxAttempts = 5
+	// DefaultMaxProbeInterval caps the exponential backoff of the degraded
+	// probe state a unit enters after reporting link-down: instead of
+	// hammering Trtx retransmissions forever, it sends a fresh Start at
+	// intervals doubling from Trtx up to this cap, and resumes counting on
+	// the first answer.
 	DefaultMaxProbeInterval = 8 * DefaultTrtx
-	DefaultBloomCells       = 100_000
+	// DefaultBloomCells sizes each of the two output Bloom filter registers
+	// (the Tofino prototype's layout).
+	DefaultBloomCells = 100_000
+
 	DefaultHHReportInterval = 100 * sim.Millisecond
 	DefaultHHTopK           = 8
 
@@ -160,21 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ZoomingInterval == 0 {
 		c.ZoomingInterval = DefaultZoomingInterval
-	}
-	if c.Trtx == 0 {
-		c.Trtx = DefaultTrtx
-	}
-	if c.Twait == 0 {
-		c.Twait = DefaultTwait
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.MaxProbeInterval == 0 {
-		c.MaxProbeInterval = 8 * c.Trtx
-	}
-	if c.BloomCells == 0 {
-		c.BloomCells = DefaultBloomCells
 	}
 	if c.Tree.Depth == 0 {
 		c.Tree.Depth = 3

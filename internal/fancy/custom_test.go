@@ -24,45 +24,19 @@ func (tb *testbed) udpSized(entry netsim.EntryID, size, pps int, stop sim.Time) 
 	tb.s.Schedule(0, tick)
 }
 
-// customBed extends the testbed with a size-histogram custom session.
+// customBed extends the testbed with a size-histogram custom session that
+// has a sender but no registered downstream receiver.
 func customBed(t *testing.T, seed int64) (*testbed, *SizeHistogramUnit) {
 	t.Helper()
 	tb := newTestbed(t, testCfg, seed)
 	sender := NewSizeHistogramUnit()
-	receiver := NewSizeHistogramUnit()
-	unit := tb.det.MonitorCustom(1, 100*sim.Millisecond, sender)
-	// The downstream detector of newTestbed is not exposed; create the
-	// custom receiver registration through a fresh listen call on it via
-	// the detector we can reach: rebuild instead.
-	_ = unit
-	_ = receiver
+	tb.det.MonitorCustom(1, 100*sim.Millisecond, sender)
 	return tb, sender
 }
 
 func TestSizeHistogramLocalizesSizeSpecificBug(t *testing.T) {
-	// Build the full topology by hand so we hold both detectors.
-	s := sim.New(41)
-	src := netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
-	netsim.Connect(s, src, 0, up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	link := netsim.Connect(s, up, 1, down, 0, netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9})
-	netsim.Connect(s, down, 1, dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	upDet, err := NewDetector(s, up, testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downDet, err := NewDetector(s, down, testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downDet.ListenPort(0)
-	upDet.MonitorPort(1)
+	tb := newTestbed(t, testCfg, 41)
+	s, src, link, upDet, downDet := tb.s, tb.src, tb.link, tb.det, tb.downDet
 
 	sender := NewSizeHistogramUnit()
 	receiver := NewSizeHistogramUnit()

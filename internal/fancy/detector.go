@@ -170,7 +170,7 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 	m := &portMonitor{
 		out: Outputs{
 			Flags: NewFlagArray(len(d.cfg.HighPriority) + d.cfg.DynamicSlots),
-			Bloom: NewPathBloom(d.cfg.BloomCells),
+			Bloom: NewPathBloom(DefaultBloomCells),
 		},
 	}
 	d.startMonitor(m, port)

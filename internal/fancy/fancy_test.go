@@ -18,8 +18,8 @@ type testbed struct {
 	s        *sim.Sim
 	src, dst *netsim.Host
 	up, down *netsim.Switch
-	link     *netsim.Link    // up — down, the monitored link
-	edges    [2]*netsim.Link // src — up, down — dst
+	link     *netsim.Link // up — down, the monitored link
+	bed      *netsim.LinkBed
 	det      *Detector
 	downDet  *Detector
 	out      *Outputs
@@ -28,36 +28,22 @@ type testbed struct {
 
 func newTestbed(t *testing.T, cfg Config, seed int64) *testbed {
 	t.Helper()
-	s := sim.New(seed)
-	tb := &testbed{s: s}
-	tb.src = netsim.NewHost(s, "src")
-	tb.dst = netsim.NewHost(s, "dst")
-	tb.up = netsim.NewSwitch(s, "up", 2)
-	tb.down = netsim.NewSwitch(s, "down", 2)
-	tb.edges[0] = netsim.Connect(s, tb.src, 0, tb.up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	tb.link = netsim.Connect(s, tb.up, 1, tb.down, 0, netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9})
-	tb.edges[1] = netsim.Connect(s, tb.down, 1, tb.dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	// Entries forward (toward dst), host-src prefix backward.
-	tb.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	tb.up.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	tb.down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	tb.down.Routes.Insert(netsim.IPv4(172, 16, 0, 0), 16, netsim.Route{Port: 0, Backup: -1})
-	tb.dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-	tb.src.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	var err error
-	tb.det, err = NewDetector(s, tb.up, cfg)
+	tb := newBareTestbed(seed)
+	pair, err := DeployLink(tb.bed, cfg)
 	if err != nil {
-		t.Fatalf("NewDetector(up): %v", err)
+		t.Fatalf("DeployLink: %v", err)
 	}
+	tb.det, tb.downDet, tb.out = pair.Upstream, pair.Downstream, pair.Out
 	tb.det.OnEvent = func(ev Event) { tb.events = append(tb.events, ev) }
-	tb.downDet, err = NewDetector(s, tb.down, cfg)
-	if err != nil {
-		t.Fatalf("NewDetector(down): %v", err)
-	}
-	tb.downDet.ListenPort(0)
-	tb.out = tb.det.MonitorPort(1)
 	return tb
+}
+
+// newBareTestbed is the testbed's topology with nothing deployed on it.
+func newBareTestbed(seed int64) *testbed {
+	edge := netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9}
+	core := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9}
+	b := netsim.NewLinkBed(sim.New(seed), edge, core, false)
+	return &testbed{bed: b, s: b.Sim, src: b.Src, dst: b.Dst, up: b.Up, down: b.Down, link: b.Link}
 }
 
 // udp schedules a CBR UDP stream for entry between start and stop.

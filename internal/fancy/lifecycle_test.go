@@ -51,7 +51,7 @@ func lifecycleRun(t *testing.T, capture bool) (lifecycleTranscript, uint64) {
 	tb.down.OnForwarded(tap)
 
 	var ends []*netsim.LinkEnd // [2] is up→down, the failed direction
-	for _, l := range []*netsim.Link{tb.edges[0], tb.link, tb.edges[1]} {
+	for _, l := range []*netsim.Link{tb.bed.Edges[0], tb.link, tb.bed.Edges[1]} {
 		ends = append(ends, l.AB, l.BA)
 	}
 	if capture {

@@ -94,8 +94,8 @@ func TestProbeBackoffAndRecovery(t *testing.T) {
 	if !h.fsm.linkDown || h.fsm.state != sWaitStartACK {
 		t.Fatalf("not probing: linkDown=%v state=%d", h.fsm.linkDown, h.fsm.state)
 	}
-	if h.fsm.backoff != h.det.cfg.MaxProbeInterval {
-		t.Fatalf("backoff = %v, want capped at %v", h.fsm.backoff, h.det.cfg.MaxProbeInterval)
+	if h.fsm.backoff != DefaultMaxProbeInterval {
+		t.Fatalf("backoff = %v, want capped at %v", h.fsm.backoff, DefaultMaxProbeInterval)
 	}
 	// Rough bound: after the first 250 ms the probe intervals are
 	// 100+200+400+400+… ms, so ~4 s of silence fits well under 20 sends;

@@ -67,7 +67,7 @@ type senderFSM struct {
 	lastTargets []wire.ZoomTarget
 	linkDown    bool
 	// backoff is the current probe interval of the degraded state entered
-	// after link-down (doubles per probe up to cfg.MaxProbeInterval).
+	// after link-down (doubles per probe up to DefaultMaxProbeInterval).
 	backoff sim.Time
 	// dead marks an FSM retired by Detector.Restart; its pending timers may
 	// still fire and must become no-ops.
@@ -124,7 +124,7 @@ func (f *senderFSM) armRtx() {
 		f.onRtxFn = f.onRtx
 	}
 	f.rtx.Stop()
-	f.rtx = f.det.s.ScheduleTimer(f.det.cfg.Trtx, f.onRtxFn)
+	f.rtx = f.det.s.ScheduleTimer(DefaultTrtx, f.onRtxFn)
 }
 
 func (f *senderFSM) onRtx() {
@@ -133,7 +133,7 @@ func (f *senderFSM) onRtx() {
 	}
 	f.attempts++
 	f.det.stats.Retransmits++
-	if f.attempts >= f.det.cfg.MaxAttempts {
+	if f.attempts >= DefaultMaxAttempts {
 		if !f.linkDown {
 			f.linkDown = true
 			f.det.reportLinkDown(f.port)
@@ -142,14 +142,14 @@ func (f *senderFSM) onRtx() {
 			// intervals. Counting resumes automatically the moment an ACK
 			// comes back (see onControl), so flap heal and peer restart
 			// both recover without operator action.
-			f.backoff = f.det.cfg.Trtx
+			f.backoff = DefaultTrtx
 			f.session++
 			f.lastTargets = f.counters.resetSession()
 			f.state = sWaitStartACK
 		}
 		f.backoff *= 2
-		if f.backoff > f.det.cfg.MaxProbeInterval {
-			f.backoff = f.det.cfg.MaxProbeInterval
+		if f.backoff > DefaultMaxProbeInterval {
+			f.backoff = DefaultMaxProbeInterval
 		}
 		f.sendStart()
 		f.rtx.Stop()
@@ -358,7 +358,7 @@ func (f *receiverFSM) onControl(m *wire.Message) {
 			if f.sendReportFn == nil {
 				f.sendReportFn = f.sendReport
 			}
-			f.twait = f.det.s.ScheduleTimer(f.det.cfg.Twait, f.sendReportFn)
+			f.twait = f.det.s.ScheduleTimer(DefaultTwait, f.sendReportFn)
 		case rIdle:
 			// Retransmitted Stop: our Report was lost; resend it.
 			f.resendReport()

@@ -17,23 +17,9 @@ type strawBed struct {
 
 func newStrawBed(t *testing.T, cfg StrawmanConfig, reverse *netsim.Failure, seed int64) *strawBed {
 	t.Helper()
-	// Reuse the topology but without FANcY detectors: build manually.
-	s := sim.New(seed)
-	tb := &testbed{s: s}
-	tb.src = netsim.NewHost(s, "src")
-	tb.dst = netsim.NewHost(s, "dst")
-	tb.up = netsim.NewSwitch(s, "up", 2)
-	tb.down = netsim.NewSwitch(s, "down", 2)
-	netsim.Connect(s, tb.src, 0, tb.up, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	tb.link = netsim.Connect(s, tb.up, 1, tb.down, 0, netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9})
-	netsim.Connect(s, tb.down, 1, tb.dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 10e9})
-	tb.up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	tb.down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	tb.dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	sb := &strawBed{testbed: tb}
-	sb.snd = NewStrawmanSender(s, tb.up, 1, cfg)
-	sb.rcv = NewStrawmanReceiver(s, tb.down, 0, sb.snd, reverse, cfg)
+	sb := &strawBed{testbed: newBareTestbed(seed)}
+	sb.snd = NewStrawmanSender(sb.s, sb.up, 1, cfg)
+	sb.rcv = NewStrawmanReceiver(sb.s, sb.down, 0, sb.snd, reverse, cfg)
 	return sb
 }
 

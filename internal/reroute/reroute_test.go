@@ -14,49 +14,29 @@ import (
 //	src — up —(primary, failure injected)— down — dst
 //	        \—(backup)————————————————————/
 type fig10bed struct {
-	s        *sim.Sim
-	src, dst *netsim.Host
-	up, down *netsim.Switch
-	primary  *netsim.Link
-	det      *fancy.Detector
-	app      *App
-	arrived  map[netsim.EntryID]int
+	*netsim.LinkBed // Link is the primary
+	det             *fancy.Detector
+	app             *App
+	arrived         map[netsim.EntryID]int
 }
 
 func newFig10(t *testing.T, cfg fancy.Config) *fig10bed {
 	t.Helper()
-	s := sim.New(1)
-	b := &fig10bed{s: s, arrived: make(map[netsim.EntryID]int)}
-	b.src = netsim.NewHost(s, "src")
-	b.dst = netsim.NewHost(s, "dst")
-	b.up = netsim.NewSwitch(s, "up", 3)
-	b.down = netsim.NewSwitch(s, "down", 3)
 	lc := netsim.LinkConfig{Delay: 2 * sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, b.src, 0, b.up, 0, lc)
-	b.primary = netsim.Connect(s, b.up, 1, b.down, 0, lc)
-	netsim.Connect(s, b.up, 2, b.down, 2, lc) // backup
-	netsim.Connect(s, b.down, 1, b.dst, 0, lc)
-	b.down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	b.dst.Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) { b.arrived[p.Entry]++ })
-
-	var err error
-	b.det, err = fancy.NewDetector(s, b.up, cfg)
+	lb := netsim.NewLinkBed(sim.New(1), lc, lc, true)
+	pair, err := fancy.DeployLink(lb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	downDet, err := fancy.NewDetector(s, b.down, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downDet.ListenPort(0)
-	b.det.MonitorPort(1)
-	b.app = New(s, b.det, 1)
+	b := &fig10bed{LinkBed: lb, det: pair.Upstream, arrived: make(map[netsim.EntryID]int)}
+	b.Dst.Default = netsim.PacketHandlerFunc(func(p *netsim.Packet) { b.arrived[p.Entry]++ })
+	b.app = New(b.Sim, b.det, 1)
 	b.det.OnEvent = func(ev fancy.Event) { b.app.HandleEvent(ev) }
 	return b
 }
 
 func (b *fig10bed) protect(entry netsim.EntryID) {
-	route := b.up.Routes.InsertEntry(entry, netsim.Route{Port: 1, Backup: 2})
+	route := b.Up.Routes.InsertEntry(entry, netsim.Route{Port: 1, Backup: 2})
 	b.app.Protect(entry, route)
 }
 
@@ -64,14 +44,14 @@ func (b *fig10bed) udp(entry netsim.EntryID, pps int, stop sim.Time) {
 	gap := sim.Second / sim.Time(pps)
 	var tick func()
 	tick = func() {
-		if b.s.Now() >= stop {
+		if b.Sim.Now() >= stop {
 			return
 		}
-		b.src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
+		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 1000})
-		b.s.Schedule(gap, tick)
+		b.Sim.Schedule(gap, tick)
 	}
-	b.s.Schedule(0, tick)
+	b.Sim.Schedule(0, tick)
 }
 
 var cfg = fancy.Config{
@@ -85,8 +65,8 @@ func TestDedicatedEntryReroutedSubSecond(t *testing.T) {
 	b.protect(10)
 	b.udp(10, 500, 6*sim.Second)
 	const failAt = 2 * sim.Second
-	b.primary.AB.SetFailure(netsim.FailEntries(3, failAt, 1.0, 10))
-	b.s.Run(6 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(3, failAt, 1.0, 10))
+	b.Sim.Run(6 * sim.Second)
 
 	at, ok := b.app.ReroutedAt[10]
 	if !ok {
@@ -111,8 +91,8 @@ func TestTreeEntryRerouted(t *testing.T) {
 	b.protect(entry)
 	b.udp(entry, 500, 8*sim.Second)
 	const failAt = 2 * sim.Second
-	b.primary.AB.SetFailure(netsim.FailEntries(4, failAt, 1.0, entry))
-	b.s.Run(8 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(4, failAt, 1.0, entry))
+	b.Sim.Run(8 * sim.Second)
 
 	at, ok := b.app.ReroutedAt[entry]
 	if !ok {
@@ -132,8 +112,8 @@ func TestOnlyAffectedEntryRerouted(t *testing.T) {
 	b.protect(healthy)
 	b.udp(10, 500, 6*sim.Second)
 	b.udp(healthy, 500, 6*sim.Second)
-	b.primary.AB.SetFailure(netsim.FailEntries(5, 2*sim.Second, 1.0, 10))
-	b.s.Run(6 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(5, 2*sim.Second, 1.0, 10))
+	b.Sim.Run(6 * sim.Second)
 
 	if !b.app.Rerouted(10) {
 		t.Fatal("failed entry not rerouted")
@@ -149,8 +129,8 @@ func TestPartialLossReroute(t *testing.T) {
 		b := newFig10(t, cfg)
 		b.protect(10)
 		b.udp(10, 2000, 8*sim.Second)
-		b.primary.AB.SetFailure(netsim.FailEntries(6, 2*sim.Second, rate, 10))
-		b.s.Run(8 * sim.Second)
+		b.Link.AB.SetFailure(netsim.FailEntries(6, 2*sim.Second, rate, 10))
+		b.Sim.Run(8 * sim.Second)
 		at, ok := b.app.ReroutedAt[10]
 		if !ok {
 			t.Fatalf("loss rate %.0f%%: never rerouted", rate*100)
@@ -167,8 +147,8 @@ func TestUniformFailureReroutesEverything(t *testing.T) {
 		b.protect(e)
 		b.udp(e, 100, 6*sim.Second)
 	}
-	b.primary.AB.SetFailure(netsim.FailUniform(8, 2*sim.Second, 0.5))
-	b.s.Run(6 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailUniform(8, 2*sim.Second, 0.5))
+	b.Sim.Run(6 * sim.Second)
 	for e := netsim.EntryID(50); e < 70; e++ {
 		if !b.app.Rerouted(e) {
 			t.Fatalf("entry %d not rerouted on uniform failure", e)
@@ -180,8 +160,8 @@ func TestRestore(t *testing.T) {
 	b := newFig10(t, cfg)
 	b.protect(10)
 	b.udp(10, 500, 4*sim.Second)
-	b.primary.AB.SetFailure(netsim.FailEntries(9, sim.Second, 1.0, 10))
-	b.s.Run(4 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(9, sim.Second, 1.0, 10))
+	b.Sim.Run(4 * sim.Second)
 	if !b.app.Rerouted(10) {
 		t.Fatal("precondition: entry rerouted")
 	}
@@ -197,8 +177,8 @@ func TestRestore(t *testing.T) {
 func TestUnprotectedEntryIgnored(t *testing.T) {
 	b := newFig10(t, cfg)
 	b.udp(10, 500, 4*sim.Second) // entry 10 dedicated but NOT protected
-	b.primary.AB.SetFailure(netsim.FailEntries(10, sim.Second, 1.0, 10))
-	b.s.Run(4 * sim.Second)
+	b.Link.AB.SetFailure(netsim.FailEntries(10, sim.Second, 1.0, 10))
+	b.Sim.Run(4 * sim.Second)
 	if len(b.app.ReroutedAt) != 0 {
 		t.Error("unprotected entry was rerouted")
 	}

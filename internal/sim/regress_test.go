@@ -144,9 +144,13 @@ func TestAfterDoesNotAllocate(t *testing.T) {
 			s.After(Millisecond, fn)
 		}
 	}
-	// Warm the pool and the heap.
+	// Warm the pool and the heap; a self-rescheduling chain runs every one
+	// of its ticks.
 	s.After(Millisecond, fn)
 	s.Run(0)
+	if n != 100 {
+		t.Fatalf("the After chain executed %d ticks, want 100", n)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		n = 0
 		s.After(Millisecond, fn)

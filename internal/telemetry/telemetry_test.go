@@ -32,36 +32,17 @@ func newBed(t *testing.T) *bed {
 // buildBed is the harness constructor proper, shared with FuzzGetPath
 // (fuzzing hands out *testing.F, not *testing.T).
 func buildBed() (*bed, error) {
-	s := sim.New(1)
-	b := &bed{s: s}
-	b.src = netsim.NewHost(s, "src")
-	dst := netsim.NewHost(s, "dst")
-	up := netsim.NewSwitch(s, "up", 2)
-	down := netsim.NewSwitch(s, "down", 2)
 	lc := netsim.LinkConfig{Delay: 10 * sim.Millisecond, RateBps: 10e9}
-	netsim.Connect(s, b.src, 0, up, 0, lc)
-	b.link = netsim.Connect(s, up, 1, down, 0, lc)
-	netsim.Connect(s, down, 1, dst, 0, lc)
-	up.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	down.Routes.Insert(0, 0, netsim.Route{Port: 1, Backup: -1})
-	dst.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	cfg := fancy.Config{
+	lb := netsim.NewLinkBed(sim.New(1), lc, lc, false)
+	pair, err := fancy.DeployLink(lb, fancy.Config{
 		HighPriority: []netsim.EntryID{10, 11},
 		Tree:         tree.Params{Width: 32, Depth: 3, Split: 2, Pipelined: true},
-	}
-	var err error
-	b.det, err = fancy.NewDetector(s, up, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	downDet, err := fancy.NewDetector(s, down, cfg)
-	if err != nil {
-		return nil, err
-	}
-	downDet.ListenPort(0)
-	b.det.MonitorPort(1)
-	b.srv = NewServer(s, b.det, 1)
+	b := &bed{s: lb.Sim, src: lb.Src, link: lb.Link, det: pair.Upstream}
+	b.srv = NewServer(b.s, b.det, 1)
 	b.det.OnEvent = b.srv.AttachEvents(nil)
 	return b, nil
 }

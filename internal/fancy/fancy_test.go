@@ -1,6 +1,8 @@
 package fancy
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"fancy/internal/fancy/tree"
@@ -569,5 +571,55 @@ func TestOutputStructuresEdges(t *testing.T) {
 	pb.Reset()
 	if pb.Contains([]uint16{1, 2, 3}) || pb.Inserted() != 0 {
 		t.Error("bloom Reset ineffective")
+	}
+}
+
+// TestPathBloomAllocatesOnFirstInsert pins the port Bloom's laziness: no
+// register exists until a path is flagged, a never-inserted filter answers
+// as the eager one did, and from the first Insert on the two are the same
+// filter, bit for bit.
+func TestPathBloomAllocatesOnFirstInsert(t *testing.T) {
+	const cells = DefaultBloomCells
+	words := (cells + 63) / 64
+	eager := &PathBloom{reg0: make([]uint64, words), reg1: make([]uint64, words), cells: cells}
+
+	lazy := NewPathBloom(cells)
+	probe := []uint16{7, 7, 7}
+	idle := func() {
+		if lazy.Contains(probe) || lazy.Inserted() != 0 || lazy.MemoryBits() != 2*cells {
+			t.Fatal("a never-inserted filter does not read as empty")
+		}
+		lazy.Reset()
+	}
+	if avg := testing.AllocsPerRun(10, idle); avg != 0 {
+		t.Errorf("Contains/Reset/MemoryBits on a never-inserted filter allocate %.1f objects, want 0", avg)
+	}
+	if lazy.reg0 != nil || lazy.reg1 != nil {
+		t.Fatal("registers exist before the first Insert")
+	}
+
+	rng := rand.New(rand.NewSource(20220822))
+	path := func() []uint16 {
+		return []uint16{uint16(rng.Intn(190)), uint16(rng.Intn(190)), uint16(rng.Intn(190))}
+	}
+	for i := 0; i < 500; i++ {
+		p := path()
+		eager.Insert(p)
+		lazy.Insert(p)
+	}
+	if len(lazy.reg0) != words || len(lazy.reg1) != words {
+		t.Fatalf("registers hold %d and %d words after Insert, want %d each", len(lazy.reg0), len(lazy.reg1), words)
+	}
+	if !reflect.DeepEqual(lazy, eager) {
+		t.Fatal("lazy and eager filters differ after the same inserts")
+	}
+	for i := 0; i < 5000; i++ {
+		if p := path(); lazy.Contains(p) != eager.Contains(p) {
+			t.Fatalf("Contains(%v) = %v, eager filter says %v", p, lazy.Contains(p), eager.Contains(p))
+		}
+	}
+	lazy.Reset()
+	if lazy.Inserted() != 0 || lazy.Contains(probe) || lazy.MemoryBits() != 2*cells {
+		t.Error("Reset after inserts left the filter non-empty")
 	}
 }

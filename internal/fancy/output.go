@@ -54,20 +54,21 @@ func (f *FlagArray) Len() int { return f.n }
 // PathBloom is the two-register Bloom filter that records flagged hash
 // paths. Each register is a 1-bit array; a path sets (and is queried
 // against) one bit per register through independent hashes — the layout of
-// the Tofino prototype's rerouting structure (Appendix B.2).
+// the Tofino prototype's rerouting structure (Appendix B.2). The registers
+// are zeroed on the first Insert: most monitored ports never flag a path,
+// and a never-inserted filter answers every query without them.
 type PathBloom struct {
 	reg0, reg1 []uint64
 	cells      int
 	inserted   int
 }
 
-// NewPathBloom allocates a filter with the given cells per register.
+// NewPathBloom builds a filter with the given cells per register.
 func NewPathBloom(cells int) *PathBloom {
 	if cells < 64 {
 		cells = 64
 	}
-	words := (cells + 63) / 64
-	return &PathBloom{reg0: make([]uint64, words), reg1: make([]uint64, words), cells: cells}
+	return &PathBloom{cells: cells}
 }
 
 // hashPath folds a hash path into two independent cell indices.
@@ -83,6 +84,10 @@ func (b *PathBloom) hashPath(path []uint16) (uint32, uint32) {
 
 // Insert records path as flagged.
 func (b *PathBloom) Insert(path []uint16) {
+	if b.reg0 == nil {
+		words := (b.cells + 63) / 64
+		b.reg0, b.reg1 = make([]uint64, words), make([]uint64, words)
+	}
 	i0, i1 := b.hashPath(path)
 	b.reg0[i0/64] |= 1 << (i0 % 64)
 	b.reg1[i1/64] |= 1 << (i1 % 64)

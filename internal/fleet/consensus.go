@@ -120,7 +120,8 @@ type replica struct {
 	campaignTicks int
 	promises      map[int]*consMsg
 
-	tickTimer *sim.Timer
+	tickTimer sim.Timer
+	tickFn    func() // tick bound once: re-arming allocates nothing
 }
 
 // newCorrGroup builds the replica group, over the fleet's management
@@ -157,7 +158,8 @@ func newCorrGroup(f *Fleet, n int) *corrGroup {
 	g.replicas[0].isLeader = true
 	if n > 1 {
 		for i, r := range g.replicas {
-			r.tickTimer = f.S.Schedule(beat+sim.Time(i)*(beat/4+1), r.tick)
+			r.tickFn = r.tick
+			r.tickTimer = f.S.ScheduleTimer(beat+sim.Time(i)*(beat/4+1), r.tickFn)
 		}
 	}
 	return g
@@ -273,7 +275,7 @@ func (r *replica) leaderHint() string {
 // tick is a replica's periodic duty: leaders beat peers and audit their
 // quorum, followers audit the leader and campaign on suspicion.
 func (r *replica) tick() {
-	r.tickTimer = r.g.f.S.Schedule(beat, r.tick)
+	r.tickTimer = r.g.f.S.ScheduleTimer(beat, r.tickFn)
 	if r.crashed {
 		return
 	}
@@ -545,6 +547,9 @@ func (r *replica) ackFrom(from int, idx uint64, now sim.Time) {
 	r.peerPhi[from].Observe(now)
 	if idx > r.lastAcked[from] {
 		r.lastAcked[from] = idx
+	}
+	if len(g.pending) == 0 {
+		return // the common beat-ack: nothing to order, nothing to commit
 	}
 	frontier := uint64(0)
 	for _, i := range g.pendingIndexes() {

@@ -378,8 +378,8 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 				t.Fatal("restart did not restore from the last frame")
 			}
 			g := f.group
-			if r := g.replicas[0]; r.tickTimer != nil || r.acc != nil || g.nextIndex != 0 {
-				t.Fatalf("lone replica ticked or replicated: timer %v, acc %v, next index %d", r.tickTimer, r.acc, g.nextIndex)
+			if r := g.replicas[0]; r.tickFn != nil || r.tickTimer.Active() || r.acc != nil || g.nextIndex != 0 {
+				t.Fatalf("lone replica ticked or replicated: timer armed %v, acc %v, next index %d", r.tickTimer.Active(), r.acc, g.nextIndex)
 			}
 			if snap := f.Snapshot(); snap.Replicated || snap.Leader != "" || snap.CommitIndex != 0 || snap.Replicas != nil {
 				t.Fatalf("snapshot carries a replication block for a group of one: %+v", snap)

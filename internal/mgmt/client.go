@@ -28,7 +28,7 @@ type ClientStats struct {
 // unreachable so a healed partition replays them in order.
 type Client struct {
 	s    *sim.Sim
-	net  *Network
+	net  fabric
 	name string
 	srv  string // current server endpoint name
 
@@ -44,6 +44,7 @@ type Client struct {
 	lastProbeAck uint64 // highest probe id ever acknowledged
 	inflight     map[uint64]*pendingReport
 	spool        []spooled // seq-ordered reports awaiting a reachable server
+	spoolLimit   int
 
 	online bool
 	misses int // consecutive unacked probes/reports
@@ -62,13 +63,25 @@ type Client struct {
 	// heartbeatFn is the bound heartbeat method, allocated once so the
 	// recurring self-reschedule is allocation-free.
 	heartbeatFn func()
+	waits       []*probeWait // probe-wait records with no timeout pending
 }
 
 type pendingReport struct {
 	seq     uint64
 	payload any
 	attempt int
-	timer   *sim.Timer
+	timer   sim.Timer
+	expire  func() // the ack timeout, bound once per report
+}
+
+// probeWait is one pending ack timeout of a heartbeat probe. The client owns
+// the record: probe fills it, expire recycles it before acting, fn is expire
+// bound once — a few exist per client, one per retry chain still running.
+type probeWait struct {
+	c       *Client
+	seq     uint64
+	attempt int
+	fn      func()
 }
 
 type spooled struct {
@@ -80,7 +93,7 @@ type spooled struct {
 func NewClient(s *sim.Sim, net *Network, name, srv string) *Client {
 	c := &Client{
 		s: s, net: net, name: name, srv: srv,
-		nextSeq: 1, online: true,
+		nextSeq: 1, online: true, spoolLimit: net.cfg.SpoolLimit,
 		inflight: make(map[uint64]*pendingReport),
 	}
 	c.heartbeatFn = c.heartbeat
@@ -130,6 +143,9 @@ func (c *Client) Retarget(srv string) {
 			break
 		}
 	}
+	if len(c.inflight) == 0 {
+		return
+	}
 	seqs := make([]uint64, 0, len(c.inflight))
 	for seq := range c.inflight {
 		seqs = append(seqs, seq)
@@ -165,18 +181,20 @@ func (c *Client) Send(payload any) uint64 {
 		c.park(seq, payload)
 		return seq
 	}
-	c.transmit(&pendingReport{seq: seq, payload: payload})
+	c.transmit(seq, payload)
 	return seq
 }
 
-func (c *Client) transmit(p *pendingReport) {
-	c.inflight[p.seq] = p
+func (c *Client) transmit(seq uint64, payload any) {
+	p := &pendingReport{seq: seq, payload: payload}
+	p.expire = func() { c.expire(p) }
+	c.inflight[seq] = p
 	c.send(p)
 }
 
 func (c *Client) send(p *pendingReport) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramReport, Seq: p.seq, Payload: p.payload})
-	p.timer = c.s.Schedule(backoff(c.rng(), p.attempt), func() { c.expire(p) })
+	p.timer = c.s.ScheduleTimer(backoff(c.rng(), p.attempt), p.expire)
 }
 
 func (c *Client) expire(p *pendingReport) {
@@ -206,7 +224,7 @@ func (c *Client) park(seq uint64, payload any) {
 	c.spool = append(c.spool, spooled{})
 	copy(c.spool[i+1:], c.spool[i:])
 	c.spool[i] = spooled{seq: seq, payload: payload}
-	if len(c.spool) > c.net.cfg.SpoolLimit {
+	if len(c.spool) > c.spoolLimit {
 		c.spool = c.spool[1:]
 		c.Stats.SpoolDrops++
 	}
@@ -227,17 +245,29 @@ func (c *Client) heartbeat() {
 // heartbeat intervals.
 func (c *Client) probe(seq uint64, attempt int) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramHeartbeat, Seq: seq})
-	c.s.After(ackTimeout, func() {
-		if c.lastProbeAck >= seq {
-			return
-		}
-		if attempt+1 >= maxAttempts {
-			c.miss()
-			return
-		}
-		c.Stats.ProbeRetries++
-		c.probe(seq, attempt+1)
-	})
+	var w *probeWait
+	if k := len(c.waits); k > 0 {
+		w, c.waits = c.waits[k-1], c.waits[:k-1]
+	} else {
+		w = &probeWait{c: c}
+		w.fn = w.expire
+	}
+	w.seq, w.attempt = seq, attempt
+	c.s.After(ackTimeout, w.fn)
+}
+
+func (w *probeWait) expire() {
+	c, seq, attempt := w.c, w.seq, w.attempt
+	c.waits = append(c.waits, w)
+	if c.lastProbeAck >= seq {
+		return
+	}
+	if attempt+1 >= maxAttempts {
+		c.miss()
+		return
+	}
+	c.Stats.ProbeRetries++
+	c.probe(seq, attempt+1)
 }
 
 func (c *Client) miss() {
@@ -303,7 +333,7 @@ func (c *Client) ackSeen() {
 	spool := c.spool
 	c.spool = nil
 	for _, sp := range spool {
-		c.transmit(&pendingReport{seq: sp.seq, payload: sp.payload})
+		c.transmit(sp.seq, sp.payload)
 	}
 	if c.OnOnline != nil {
 		c.OnOnline(true)

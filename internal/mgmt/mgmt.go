@@ -145,45 +145,73 @@ type Network struct {
 	s   *sim.Sim
 	cfg Config
 
-	handlers    map[string]func(Dgram)
-	rngs        map[string]*rand.Rand
-	partitioned map[string]bool          // dynamically partitioned endpoints
-	chaos       map[string]*netsim.Chaos // per-endpoint windowed impairments
+	eps  map[string]*endpoint
+	free []*flight // landed in-flight records awaiting the next Send
 
 	Stats NetStats
 }
 
+// fabric is what the protocol endpoints ask of the channel. Network is the
+// implementation; the tests also run Client and Server over the
+// closure-per-datagram network it replaced, as the reference.
+type fabric interface {
+	Send(Dgram)
+	rng(from, to string) *rand.Rand
+}
+
+// endpoint is everything the network knows about one name, found with one
+// lookup per end of a datagram. A name gets its record when first mentioned:
+// datagrams are sent to, and partitions cut, endpoints that register later.
+type endpoint struct {
+	name        string
+	handler     func(Dgram)
+	partitioned bool          // dynamically cut off (Partition/Heal)
+	chaos       *netsim.Chaos // windowed impairments, nil without SetChaos
+	// rngs holds this sender's per-destination streams, each derived — label
+	// and all — when the pair is first used, and kept for the network's life.
+	rngs map[*endpoint]*rand.Rand
+}
+
+// cut reports whether the endpoint is off the network at now.
+func (e *endpoint) cut(now sim.Time) bool { return e.partitioned || e.chaos.DownAt(now) }
+
+// flight is one datagram in flight. The network owns the record: deliver
+// fills it, land puts it back on the free list, fn is land bound once — so
+// once the list holds as many as were ever in flight, a Send allocates nothing.
+type flight struct {
+	n  *Network
+	to *endpoint
+	d  Dgram
+	fn func()
+}
+
 // NewNetwork builds a management network over s.
 func NewNetwork(s *sim.Sim, cfg Config) *Network {
-	return &Network{
-		s: s, cfg: cfg.withDefaults(),
-		handlers:    make(map[string]func(Dgram)),
-		rngs:        make(map[string]*rand.Rand),
-		partitioned: make(map[string]bool),
-		chaos:       make(map[string]*netsim.Chaos),
+	return &Network{s: s, cfg: cfg.withDefaults(), eps: make(map[string]*endpoint)}
+}
+
+func (n *Network) ep(name string) *endpoint {
+	e := n.eps[name]
+	if e == nil {
+		e = &endpoint{name: name}
+		n.eps[name] = e
 	}
+	return e
 }
 
 // Register attaches an endpoint's delivery handler.
-func (n *Network) Register(name string, handler func(Dgram)) {
-	n.handlers[name] = handler
-}
+func (n *Network) Register(name string, handler func(Dgram)) { n.ep(name).handler = handler }
 
 // Partition cuts an endpoint off the management network (both directions)
 // until Heal. It models a site losing its out-of-band connectivity.
-func (n *Network) Partition(name string) { n.partitioned[name] = true }
+func (n *Network) Partition(name string) { n.ep(name).partitioned = true }
 
 // Heal reconnects a previously partitioned endpoint.
-func (n *Network) Heal(name string) { delete(n.partitioned, name) }
+func (n *Network) Heal(name string) { n.ep(name).partitioned = false }
 
 // Partitioned reports whether the endpoint is currently cut off
 // (dynamically, or inside a SetChaos down window).
-func (n *Network) Partitioned(name string) bool {
-	if n.partitioned[name] {
-		return true
-	}
-	return n.chaos[name].DownAt(n.s.Now())
-}
+func (n *Network) Partitioned(name string) bool { return n.ep(name).cut(n.s.Now()) }
 
 // SetChaos attaches a netsim.Chaos schedule to an endpoint: its
 // DownFor/UpFor window flaps the endpoint's management connectivity, its
@@ -191,14 +219,18 @@ func (n *Network) Partitioned(name string) bool {
 // datagram with a corrupted payload is discarded whole), and
 // Reorder/JitterMax add extra delivery jitter — the same knob semantics
 // the data plane's chaos injector uses, applied at the management layer.
-func (n *Network) SetChaos(name string, c *netsim.Chaos) { n.chaos[name] = c }
+func (n *Network) SetChaos(name string, c *netsim.Chaos) { n.ep(name).chaos = c }
 
-func (n *Network) rng(from, to string) *rand.Rand {
-	key := from + ">" + to
-	r, ok := n.rngs[key]
-	if !ok {
-		r = n.s.DeriveRand("mgmt/" + key)
-		n.rngs[key] = r
+func (n *Network) rng(from, to string) *rand.Rand { return n.pairRand(n.ep(from), n.ep(to)) }
+
+func (n *Network) pairRand(from, to *endpoint) *rand.Rand {
+	r := from.rngs[to]
+	if r == nil {
+		if from.rngs == nil {
+			from.rngs = make(map[*endpoint]*rand.Rand)
+		}
+		r = n.s.DeriveRand("mgmt/" + from.name + ">" + to.name)
+		from.rngs[to] = r
 	}
 	return r
 }
@@ -208,20 +240,21 @@ func (n *Network) rng(from, to string) *rand.Rand {
 func (n *Network) Send(d Dgram) {
 	n.Stats.Sent++
 	now := n.s.Now()
-	if n.Partitioned(d.From) || n.Partitioned(d.To) {
+	from, to := n.ep(d.From), n.ep(d.To)
+	if from.cut(now) || to.cut(now) {
 		n.Stats.PartitionDrops++
-		if c := n.chaos[d.From]; c.DownAt(now) {
-			c.Stats.FlapDrops++
-		} else if c := n.chaos[d.To]; c.DownAt(now) {
-			c.Stats.FlapDrops++
+		if from.chaos.DownAt(now) {
+			from.chaos.Stats.FlapDrops++
+		} else if to.chaos.DownAt(now) {
+			to.chaos.Stats.FlapDrops++
 		}
 		return
 	}
-	rng := n.rng(d.From, d.To)
+	rng := n.pairRand(from, to)
 	loss := n.cfg.Loss
 	jitterMax := n.cfg.Jitter
-	for _, c := range []*netsim.Chaos{n.chaos[d.From], n.chaos[d.To]} {
-		if c != nil && c.ActiveAt(now) {
+	for _, c := range [2]*netsim.Chaos{from.chaos, to.chaos} {
+		if c.ActiveAt(now) {
 			loss = 1 - (1-loss)*(1-c.CorruptData)
 			if c.JitterMax > jitterMax {
 				jitterMax = c.JitterMax
@@ -236,24 +269,40 @@ func (n *Network) Send(d Dgram) {
 	if jitterMax > 0 {
 		delay += sim.Time(rng.Int63n(int64(jitterMax)))
 	}
-	n.deliver(d, delay)
+	n.deliver(to, d, delay)
 	if n.cfg.Duplicate > 0 && rng.Float64() < n.cfg.Duplicate {
 		n.Stats.Duplicated++
-		n.deliver(d, delay+1+sim.Time(rng.Int63n(int64(dupDelayMax))))
+		n.deliver(to, d, delay+1+sim.Time(rng.Int63n(int64(dupDelayMax))))
 	}
 }
 
-func (n *Network) deliver(d Dgram, after sim.Time) {
-	n.s.After(after, func() {
-		if n.Partitioned(d.To) { // partition started while in flight
-			n.Stats.PartitionDrops++
-			return
-		}
-		if h, ok := n.handlers[d.To]; ok {
-			n.Stats.Delivered++
-			h(d)
-		}
-	})
+// deliver puts one copy of d in flight toward to.
+func (n *Network) deliver(to *endpoint, d Dgram, after sim.Time) {
+	var f *flight
+	if k := len(n.free); k > 0 {
+		f, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		f = &flight{n: n}
+		f.fn = f.land
+	}
+	f.to, f.d = to, d
+	n.s.After(after, f.fn)
+}
+
+// land ends a flight. The record is recycled before the handler runs, so a
+// handler that sends re-uses it, and keeps no reference to the payload.
+func (f *flight) land() {
+	n, to, d := f.n, f.to, f.d
+	f.d = Dgram{}
+	n.free = append(n.free, f)
+	if to.cut(n.s.Now()) { // partition started while in flight
+		n.Stats.PartitionDrops++
+		return
+	}
+	if to.handler != nil {
+		n.Stats.Delivered++
+		to.handler(d)
+	}
 }
 
 // backoff computes the attempt'th retransmission timeout with jitter.

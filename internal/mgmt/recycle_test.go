@@ -1,0 +1,143 @@
+package mgmt
+
+// Datagram-lifecycle tests: an in-flight record is the network's, goes back
+// on its free list before the handler runs, and is filled again by the next
+// Send — so what a handler was handed must not depend on who re-used the
+// record since, and a warmed heartbeat exchange must not allocate.
+
+import (
+	"testing"
+
+	"fancy/internal/sim"
+)
+
+// TestHeartbeatIntervalDoesNotAllocate pins the management plane's steady
+// state: one heartbeat interval of a warmed client/server pair — probe, ack,
+// the probe's ack-timeout wait and the heartbeat re-arm, retries included on
+// the lossy channel — performs no heap allocations.
+func TestHeartbeatIntervalDoesNotAllocate(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"perfect": {},
+		"lossy":   {Loss: 0.02, Duplicate: 0.01, Jitter: sim.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 1, cfg)
+			// Warm up: the event pool, the free lists and the phi window all
+			// reach their steady size.
+			r.s.Run(5 * sim.Second)
+			before, sent := r.cl.Stats, r.net.Stats.Sent
+			// AllocsPerRun rounds its average down, so count a thousand
+			// intervals as one run: a single object anywhere shows.
+			const intervals = 1000
+			run := func() { r.s.Run(r.s.Now() + intervals*HeartbeatInterval) }
+			if total := testing.AllocsPerRun(1, run); total != 0 {
+				t.Errorf("%d heartbeat intervals allocate %.0f objects, want 0", intervals, total)
+			}
+			if got := r.cl.Stats.Heartbeats - before.Heartbeats; got < intervals {
+				t.Errorf("%d heartbeats in %d intervals", got, intervals)
+			}
+			if r.net.Stats.Sent-sent < 2*intervals {
+				t.Error("fewer than a probe and an ack per interval were sent")
+			}
+			if !r.cl.Online() || !r.srv.Alive("sw") {
+				t.Error("the pair lost touch")
+			}
+			if cfg.Loss > 0 && (r.cl.Stats.ProbeRetries == before.ProbeRetries || r.net.Stats.Duplicated == 0) {
+				t.Errorf("lossy channel exercised no retry or duplicate: %+v, %+v", r.cl.Stats, r.net.Stats)
+			}
+		})
+	}
+}
+
+// TestRecycledRecordDuplicateArrivesIntact: both copies of a duplicated
+// datagram are in flight at once; the first to land frees its record, the
+// receiver's answer re-uses that record with other contents, and the second
+// copy must still arrive as sent.
+func TestRecycledRecordDuplicateArrivesIntact(t *testing.T) {
+	s := sim.New(1)
+	n := NewNetwork(s, Config{Duplicate: 1})
+	sent := Dgram{From: "a", To: "b", Kind: DgramReport, Seq: 7, Payload: "original", Err: "e"}
+	var atB, atA []Dgram
+	n.Register("a", func(d Dgram) { atA = append(atA, d) })
+	n.Register("b", func(d Dgram) {
+		if atB = append(atB, d); len(atB) == 1 {
+			n.Send(Dgram{From: "b", To: "a", Kind: DgramReportAck, Seq: 99, Payload: "other"})
+		}
+	})
+	n.Send(sent)
+	s.Run(0)
+	if len(atB) != 2 || atB[0] != sent || atB[1] != sent {
+		t.Fatalf("b received %+v, want two copies of %+v", atB, sent)
+	}
+	if len(atA) != 2 || atA[0].Seq != 99 || atA[1] != atA[0] {
+		t.Fatalf("a received %+v, want two copies of the answer", atA)
+	}
+	if n.Stats.Delivered != 4 || len(n.free) >= 4 {
+		t.Fatalf("%d deliveries used %d records; the answer did not re-use the landed one", n.Stats.Delivered, len(n.free))
+	}
+	for _, f := range n.free {
+		if f.d != (Dgram{}) {
+			t.Fatalf("a landed record still holds %+v", f.d)
+		}
+	}
+}
+
+// TestRecycledRecordHandlerSendsFromDelivery: a handler that sends and
+// partitions from inside delivery has already been handed its datagram; the
+// record it came in on is the one its own Send fills.
+func TestRecycledRecordHandlerSendsFromDelivery(t *testing.T) {
+	s := sim.New(1)
+	n := NewNetwork(s, Config{})
+	sent := Dgram{From: "a", To: "b", Kind: DgramCallReq, Seq: 3, Payload: "ask"}
+	var got Dgram
+	answered := false
+	n.Register("a", func(Dgram) { answered = true })
+	n.Register("b", func(d Dgram) {
+		if len(n.free) != 1 {
+			t.Errorf("%d free records inside the handler, want the one just landed", len(n.free))
+		}
+		n.Send(Dgram{From: "b", To: "a", Kind: DgramCallResp, Seq: 4, Payload: "answer"})
+		if len(n.free) != 0 {
+			t.Error("the handler's Send did not re-use the landed record")
+		}
+		n.Partition("b")
+		n.Send(Dgram{From: "b", To: "a", Kind: DgramCallResp, Seq: 5})
+		got = d
+	})
+	n.Send(sent)
+	s.Run(0)
+	if got != sent {
+		t.Fatalf("handler saw %+v after sending, want %+v", got, sent)
+	}
+	if !answered || n.Stats.Delivered != 2 || n.Stats.PartitionDrops != 1 || len(n.free) != 1 {
+		t.Fatalf("answered %v, %+v, %d records", answered, n.Stats, len(n.free))
+	}
+}
+
+// TestRecycledRecordMidFlightPartition: a partition that starts while a
+// datagram is in flight drops it at landing — counted, and the record
+// recycled all the same.
+func TestRecycledRecordMidFlightPartition(t *testing.T) {
+	s := sim.New(1)
+	n := NewNetwork(s, Config{})
+	n.Register("b", func(Dgram) { t.Error("delivered into a partition") })
+	n.Send(Dgram{From: "a", To: "b", Seq: 1, Payload: "lost"})
+	s.After(100*sim.Microsecond, func() { n.Partition("b") })
+	s.Run(0)
+	if n.Stats.PartitionDrops != 1 || n.Stats.Delivered != 0 {
+		t.Fatalf("stats %+v, want one partition drop and no delivery", n.Stats)
+	}
+	if len(n.free) != 1 || n.free[0].d != (Dgram{}) {
+		t.Fatalf("the dropped datagram's record was not recycled: %d free", len(n.free))
+	}
+	n.Heal("b")
+	n.Register("b", func(Dgram) {})
+	n.Send(Dgram{From: "a", To: "b", Seq: 2})
+	if len(n.free) != 0 {
+		t.Fatal("the next Send did not re-use the record")
+	}
+	s.Run(0)
+	if n.Stats.Delivered != 1 {
+		t.Fatalf("stats %+v after heal, want one delivery", n.Stats)
+	}
+}

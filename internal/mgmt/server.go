@@ -34,7 +34,8 @@ type pendingCall struct {
 	to      string
 	req     any
 	attempt int
-	timer   *sim.Timer
+	timer   sim.Timer
+	expire  func() // the attempt timeout, bound once per call
 	done    bool
 	cb      func(any, error)
 }
@@ -44,7 +45,7 @@ type pendingCall struct {
 // issues hardened RPC reads against switch agents.
 type Server struct {
 	s    *sim.Sim
-	net  *Network
+	net  fabric
 	name string
 
 	clients map[string]*clientTrack
@@ -166,14 +167,7 @@ func (srv *Server) onDgram(d Dgram) {
 func (srv *Server) Call(to string, req any, cb func(any, error)) {
 	srv.nextID++
 	pc := &pendingCall{id: srv.nextID, to: to, req: req, cb: cb}
-	srv.calls[pc.id] = pc
-	srv.attempt(pc)
-}
-
-func (srv *Server) attempt(pc *pendingCall) {
-	srv.Stats.Calls++
-	srv.net.Send(Dgram{From: srv.name, To: pc.to, Kind: DgramCallReq, Seq: pc.id, Payload: pc.req})
-	pc.timer = srv.s.Schedule(backoff(srv.rng(pc.to), pc.attempt), func() {
+	pc.expire = func() {
 		if pc.done {
 			return
 		}
@@ -186,7 +180,15 @@ func (srv *Server) attempt(pc *pendingCall) {
 			return
 		}
 		srv.attempt(pc)
-	})
+	}
+	srv.calls[pc.id] = pc
+	srv.attempt(pc)
+}
+
+func (srv *Server) attempt(pc *pendingCall) {
+	srv.Stats.Calls++
+	srv.net.Send(Dgram{From: srv.name, To: pc.to, Kind: DgramCallReq, Seq: pc.id, Payload: pc.req})
+	pc.timer = srv.s.ScheduleTimer(backoff(srv.rng(pc.to), pc.attempt), pc.expire)
 }
 
 func (srv *Server) rng(to string) *rand.Rand { return srv.net.rng(srv.name, to) }

@@ -33,7 +33,7 @@ func (f *Fleet) checkpoint() []byte {
 	// Consecutive frames differ by an alarm or a timestamp: the previous
 	// length plus slack sizes the buffer in one allocation.
 	w := codec.Writer{B: make([]byte, 0, len(f.lastCkpt)+256)}
-	f.corrState.encode(&w)
+	f.corrState.encode(&w, &f.ckptKeys)
 	f.lastCkpt = w.B
 	f.Corr.Checkpoints++
 	return w.B
@@ -118,8 +118,7 @@ func (f *Fleet) RestartCorrelator() { f.RestartReplica(f.group.lastCrashed) }
 func (f *Fleet) restoreState(frame []byte) string {
 	st := &corrState{}
 	if frame != nil {
-		var err error
-		if st, err = decodeState(frame); err != nil {
+		if err := decodeState(frame, st); err != nil {
 			// Only frames this process encoded, or a replica validated on
 			// receipt, ever get here.
 			panic("fleet: restoring a frame that does not decode: " + err.Error())

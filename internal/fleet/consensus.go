@@ -3,8 +3,9 @@ package fleet
 // The correlator group: a Paxos-style consensus group (in the spirit of
 // "Paxos Made Switch-y") whose replicated log carries full correlator
 // state frames over the lossy management network. As there, an acceptor
-// stores and forwards the value as opaque bytes under a fixed header; only
-// a replica taking over decodes it (restoreState).
+// stores and forwards the value as opaque bytes under a fixed header: a
+// receiver checks the frame in place and builds nothing from it, and only a
+// replica taking over decodes it (restoreState).
 //
 // The correlator is ALWAYS such a group, and this file is its one lifecycle
 // (crash, restart, commit). A single-instance correlator is the degenerate
@@ -47,7 +48,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
@@ -122,6 +123,20 @@ type replica struct {
 
 	tickTimer sim.Timer
 	tickFn    func() // tick bound once: re-arming allocates nothing
+
+	// rx holds the entry of the message being handled: decodeConsensus
+	// decodes into it (the network never delivers reentrantly), and a
+	// handler that stores the entry keeps a copy.
+	rx logEntry
+	// sent is, per peer, the last message sent there and its boxed encoding
+	// (encoded).
+	sent []sentMsg
+}
+
+// sentMsg is a message and its encoding, boxed once for every send of it.
+type sentMsg struct {
+	m       consMsg
+	payload any
 }
 
 // newCorrGroup builds the replica group, over the fleet's management
@@ -144,6 +159,7 @@ func newCorrGroup(f *Fleet, n int) *corrGroup {
 			lastAcked: make([]uint64, n),
 			peerPhi:   make([]*mgmt.PhiDetector, n),
 			leaderPhi: mgmt.NewPhi(),
+			sent:      make([]sentMsg, n),
 		}
 		for j := 0; j < n; j++ {
 			r.peerPhi[j] = mgmt.NewPhi()
@@ -202,7 +218,7 @@ func (f *Fleet) commit(note string, effects func()) {
 		// a frame that predates effects already run — and runs them again.
 		r := g.replicas[g.active]
 		g.nextIndex++
-		r.acc = &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: note, Cp: cp}
+		r.acc = &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
 	}
 }
 
@@ -211,23 +227,43 @@ func (f *Fleet) commit(note string, effects func()) {
 func (g *corrGroup) replicate(cp []byte, note string, cb func()) {
 	r := g.leader()
 	g.nextIndex++
-	e := &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: note, Cp: cp}
+	e := &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
 	r.acc = e // self-accept
 	g.pending[e.Index] = &pendingEntry{entry: e, cb: cb, acked: make(map[int]bool)}
 	for j := 0; j < g.n; j++ {
 		if j != r.id {
-			r.sendTo(j, &consMsg{Kind: consAccept, Ballot: r.ballot, Index: e.Index, Entry: e})
+			r.sendTo(j, consMsg{Kind: consAccept, Ballot: r.ballot, Index: e.Index, Entry: e})
 		}
 	}
 }
 
 // sendTo ships one consensus message to a peer over the lossy channel.
-func (r *replica) sendTo(peer int, m *consMsg) {
+func (r *replica) sendTo(peer int, m consMsg) {
 	m.From = uint8(r.id)
 	r.g.f.mgmtNet.Send(mgmt.Dgram{
 		From: r.name, To: r.g.replicas[peer].name,
-		Kind: mgmt.DgramConsensus, Payload: encodeConsensus(m),
+		Kind: mgmt.DgramConsensus, Payload: r.encoded(peer, m),
 	})
+}
+
+// encoded returns m's encoding, boxed, from the send memo when peer — or
+// another peer — was last sent the same message: an Accept goes to every
+// peer, and a Beat re-carries the same entry to a lagging peer every beat.
+// Payloads are immutable and receivers alias them, so sharing is safe.
+func (r *replica) encoded(peer int, m consMsg) any {
+	s := &r.sent[peer]
+	if s.payload != nil && s.m == m {
+		return s.payload
+	}
+	*s = sentMsg{m: m}
+	for _, o := range r.sent {
+		if o.payload != nil && o.m == m {
+			s.payload = o.payload
+			return s.payload
+		}
+	}
+	s.payload = encodeConsensus(&m)
+	return s.payload
 }
 
 // intercept sees every datagram reaching this replica's server: consensus
@@ -241,12 +277,12 @@ func (r *replica) intercept(d mgmt.Dgram) bool {
 			r.g.f.Corr.WireRejects++
 			return true
 		}
-		m, err := decodeConsensus(b)
+		m, err := decodeConsensus(b, &r.rx)
 		if err != nil {
 			r.g.f.Corr.WireRejects++
 			return true
 		}
-		r.handle(m, int(m.From))
+		r.handle(&m, int(m.From))
 		return true
 	case mgmt.DgramReport, mgmt.DgramHeartbeat:
 		if r.g.active == r.id && !r.g.f.crashed {
@@ -302,7 +338,7 @@ func (r *replica) beatPeers() {
 		if j == r.id {
 			continue
 		}
-		m := &consMsg{Kind: consBeat, Ballot: r.ballot, Index: g.commitIndex}
+		m := consMsg{Kind: consBeat, Ballot: r.ballot, Index: g.commitIndex}
 		if r.acc != nil && r.lastAcked[j] < r.acc.Index {
 			m.Entry = r.acc
 		}
@@ -364,7 +400,7 @@ func (g *corrGroup) pendingIndexes() []uint64 {
 	for idx := range g.pending {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	return idxs
 }
 
@@ -420,7 +456,7 @@ func (r *replica) startCampaign() {
 	}
 	for j := 0; j < g.n; j++ {
 		if j != r.id {
-			r.sendTo(j, &consMsg{Kind: consPrepare, Ballot: b})
+			r.sendTo(j, consMsg{Kind: consPrepare, Ballot: b})
 		}
 	}
 }
@@ -435,14 +471,14 @@ func (r *replica) handle(m *consMsg, from int) {
 	switch m.Kind {
 	case consPrepare:
 		if m.Ballot < r.promised {
-			r.sendTo(from, &consMsg{Kind: consNack, Ballot: r.promised})
+			r.sendTo(from, consMsg{Kind: consNack, Ballot: r.promised})
 			return
 		}
 		r.promised = m.Ballot
 		if r.isLeader && m.Ballot > r.ballot {
 			r.stepDown()
 		}
-		p := &consMsg{Kind: consPromise, Ballot: m.Ballot}
+		p := consMsg{Kind: consPromise, Ballot: m.Ballot}
 		if r.acc != nil {
 			p.AccBallot = r.acc.Ballot
 			p.Index = r.acc.Index
@@ -454,14 +490,16 @@ func (r *replica) handle(m *consMsg, from int) {
 		if r.campaign == 0 || m.Ballot != r.campaign {
 			return
 		}
-		r.promises[from] = m
+		p := *m
+		p.Entry = m.Entry.keep()
+		r.promises[from] = &p
 		if len(r.promises)+1 >= r.g.quorum {
 			r.win(now)
 		}
 
 	case consAccept:
 		if m.Ballot < r.promised {
-			r.sendTo(from, &consMsg{Kind: consNack, Ballot: r.promised})
+			r.sendTo(from, consMsg{Kind: consNack, Ballot: r.promised})
 			return
 		}
 		r.promised = m.Ballot
@@ -471,13 +509,13 @@ func (r *replica) handle(m *consMsg, from int) {
 		r.observeLeader(m.Ballot, now)
 		if m.Entry != nil && (r.acc == nil || m.Entry.Index > r.acc.Index ||
 			(m.Entry.Index == r.acc.Index && m.Entry.Ballot >= r.acc.Ballot)) {
-			r.acc = m.Entry
+			r.acc = m.Entry.keep()
 		}
 		ackIdx := uint64(0)
 		if r.acc != nil {
 			ackIdx = r.acc.Index
 		}
-		r.sendTo(from, &consMsg{Kind: consAccepted, Ballot: m.Ballot, Index: ackIdx})
+		r.sendTo(from, consMsg{Kind: consAccepted, Ballot: m.Ballot, Index: ackIdx})
 
 	case consAccepted:
 		if !r.isLeader || m.Ballot != r.ballot || r.g.active != r.id {
@@ -501,7 +539,7 @@ func (r *replica) handle(m *consMsg, from int) {
 		if int(m.Ballot)%r.g.n == from {
 			// A leader's beat.
 			if m.Ballot < r.promised {
-				r.sendTo(from, &consMsg{Kind: consNack, Ballot: r.promised})
+				r.sendTo(from, consMsg{Kind: consNack, Ballot: r.promised})
 				return
 			}
 			r.promised = m.Ballot
@@ -510,13 +548,13 @@ func (r *replica) handle(m *consMsg, from int) {
 			}
 			r.observeLeader(m.Ballot, now)
 			if m.Entry != nil && (r.acc == nil || m.Entry.Index > r.acc.Index) {
-				r.acc = m.Entry
+				r.acc = m.Entry.keep()
 			}
 			ackIdx := uint64(0)
 			if r.acc != nil {
 				ackIdx = r.acc.Index
 			}
-			r.sendTo(from, &consMsg{Kind: consBeat, Ballot: m.Ballot, Index: ackIdx})
+			r.sendTo(from, consMsg{Kind: consBeat, Ballot: m.Ballot, Index: ackIdx})
 			return
 		}
 		// A follower's beat-ack.
@@ -551,8 +589,9 @@ func (r *replica) ackFrom(from int, idx uint64, now sim.Time) {
 	if len(g.pending) == 0 {
 		return // the common beat-ack: nothing to order, nothing to commit
 	}
+	idxs := g.pendingIndexes()
 	frontier := uint64(0)
-	for _, i := range g.pendingIndexes() {
+	for _, i := range idxs {
 		if i <= idx {
 			g.pending[i].acked[from] = true
 		}
@@ -565,7 +604,7 @@ func (r *replica) ackFrom(from int, idx uint64, now sim.Time) {
 	}
 	// Entry `frontier` carries a checkpoint subsuming everything below it,
 	// so all lower pending entries commit with it.
-	for _, i := range g.pendingIndexes() {
+	for _, i := range idxs {
 		if i > frontier {
 			break
 		}

@@ -270,7 +270,8 @@ type Fleet struct {
 	// and the dedup maps. A crash loses whatever changed since lastCkpt; a
 	// restart or takeover decodes lastCkpt back into it (restoreState).
 	corrState
-	lastCkpt []byte // the latest state frame (nil before the first)
+	lastCkpt []byte   // the latest state frame (nil before the first)
+	ckptKeys []string // checkpoint's scratch stack for sorting map keys (encodeMap)
 
 	order     []string // sorted link keys, the canonical iteration order
 	portLink  map[string]map[int]*linkState

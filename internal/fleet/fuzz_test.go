@@ -28,11 +28,12 @@ func FuzzDecodeConsensus(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64)) // max varints everywhere
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeConsensus(data) // must not panic, whatever the input
+		var e logEntry
+		m, err := decodeConsensus(data, &e) // must not panic, whatever the input
 		if err != nil {
 			return
 		}
-		enc := encodeConsensus(m)
+		enc := encodeConsensus(&m)
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("accepted non-canonical input:\n in: %x\nout: %x", data, enc)
 		}
@@ -44,12 +45,43 @@ func FuzzDecodeConsensus(f *testing.F) {
 				t.Fatalf("accepted non-canonical state frame:\n in: %x\nout: %x", m.Entry.Cp, re)
 			}
 		}
-		m2, err := decodeConsensus(enc)
+		var e2 logEntry
+		m2, err := decodeConsensus(enc, &e2)
 		if err != nil {
 			t.Fatalf("re-decode of canonical bytes failed: %v", err)
 		}
-		if !bytes.Equal(encodeConsensus(m2), enc) {
+		if !bytes.Equal(encodeConsensus(&m2), enc) {
 			t.Fatal("decode∘encode not idempotent")
+		}
+	})
+}
+
+// FuzzStateValidationAgrees is the differential check on decodeState's two
+// walks: checking a frame in place, which is all a replica does with a frame
+// it is sent, must accept exactly the byte strings that building the state
+// from it accepts — the state a takeover restores — and a frame both accept
+// must re-encode to itself. The corpus is every state frame the pinned
+// messages carry and every canonical and misordered frame of
+// TestStateFrameRejectsNonCanonical.
+func FuzzStateValidationAgrees(f *testing.F) {
+	for _, m := range pinnedMsgs() {
+		if m.Entry != nil {
+			f.Add(m.Entry.Cp)
+		}
+	}
+	for _, good := range orderedFrames() {
+		f.Add(good)
+		for _, to := range misorders {
+			f.Add(reorder(good, to))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if checkFrame(t, frame) != nil {
+			return
+		}
+		if re := reencodeFrame(t, frame); !bytes.Equal(re, frame) {
+			t.Fatalf("accepted non-canonical state frame:\n in: %x\nout: %x", frame, re)
 		}
 	})
 }

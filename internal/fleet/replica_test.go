@@ -487,3 +487,77 @@ func TestReplicaCrashSoakSeeds(t *testing.T) {
 		})
 	}
 }
+
+// TestConsensusReceiptDoesNotAllocate pins the consensus transport's steady
+// state at zero heap objects: checking a 28-link Abilene state frame in
+// place, the leader handling a beat-ack and an Accepted, and the leader's
+// beat re-carrying its accepted entry to a lagging, partitioned peer — the
+// encoding made and boxed once, then shared. (What the network does with a
+// datagram it delivers is mgmt.TestHeartbeatIntervalDoesNotAllocate's.)
+func TestConsensusReceiptDoesNotAllocate(t *testing.T) {
+	r := start(t, grayTrial(42, seattleSunnyvale, replicatedCfg(0.02, entry), 2*sim.Second, 4*sim.Second))
+	f, g := r.Fleet, r.Fleet.group
+	r.Finish()
+	leader := g.leader()
+	if leader == nil || leader.acc == nil {
+		t.Fatal("no leader with an accepted entry at the end of the run")
+	}
+	frame := leader.acc.Cp
+	var st corrState
+	if err := decodeState(frame, &st); err != nil || len(st.links) != 28 || st.Localizations != 1 {
+		t.Fatalf("leader's frame: %v, %d links, %d localizations; want a 28-link frame with the verdict",
+			err, len(st.links), st.Localizations)
+	}
+
+	peer, lagging := (leader.id+1)%g.n, (leader.id+2)%g.n
+	deliver := func(m consMsg) func() {
+		m.From = uint8(peer)
+		d := mgmt.Dgram{From: g.replicas[peer].name, To: leader.name, Kind: mgmt.DgramConsensus,
+			Payload: encodeConsensus(&m)}
+		return func() { leader.intercept(d) }
+	}
+	ack := consMsg{Kind: consBeat, Ballot: leader.ballot, Index: leader.acc.Index}
+	deliver(ack)() // commits whatever the run left pending
+	if len(g.pending) != 0 {
+		t.Fatalf("%d entries still pending after an ack covering them", len(g.pending))
+	}
+	for _, name := range []string{g.replicas[peer].name, g.replicas[lagging].name} {
+		f.mgmtNet.Partition(name)
+	}
+	leader.lastAcked[lagging] = 0
+	rejects, sent := f.Corr.WireRejects, f.mgmtNet.Stats.Sent
+
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"check a 28-link frame", func() {
+			if decodeState(frame, nil) != nil {
+				t.Error("the leader's own frame does not check")
+			}
+		}},
+		{"beat-ack", deliver(ack)},
+		{"accepted", deliver(consMsg{Kind: consAccepted, Ballot: leader.ballot, Index: leader.acc.Index})},
+		{"beat retransmit to a lagging peer", leader.beatPeers},
+	} {
+		// AllocsPerRun rounds its average down, so count a thousand as one
+		// run: a single object anywhere shows.
+		const n = 1000
+		if total := testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				tc.run()
+			}
+		}); total != 0 {
+			t.Errorf("%s: %d times allocate %.0f objects, want 0", tc.name, n, total)
+		}
+	}
+	if f.Corr.WireRejects != rejects {
+		t.Errorf("%d datagrams rejected", f.Corr.WireRejects-rejects)
+	}
+	if got := f.mgmtNet.Stats.Sent - sent; got != 2*2*1000 {
+		t.Errorf("%d beats offered to the network, want 2 peers × 2 runs × 1000", got)
+	}
+	if m := leader.sent[lagging].m; m.Entry != leader.acc {
+		t.Errorf("the lagging peer was last sent %+v, not a beat carrying the accepted entry", m)
+	}
+}

@@ -5,11 +5,12 @@ package fleet
 // Everything a correlator crash must not lose lives in corrState, once:
 // Fleet embeds it as the live state, encode walks it into the byte frame
 // that is a checkpoint (and the value of a replicated log entry), and
-// decodeState produces the same type back — a throw-away instance when a
-// follower validates a frame it was sent, the one restoreState grafts onto
-// the live fleet on restart or takeover. A durable field is therefore named
-// in its declaration, in alloc if it is a map, in encode and in decodeState,
-// and nowhere else but the correlator code that really reads or writes it.
+// decodeState walks a frame back. Given a destination it builds the state
+// restoreState grafts onto the live fleet on restart or takeover; given none
+// it runs every check and builds nothing, which is how a replica validates
+// each frame it is sent. A durable field is therefore named in its
+// declaration, in alloc if it is a map, in encode and in decodeState, and
+// nowhere else but the correlator code that really reads or writes it.
 //
 // The frame follows the internal/codec rules plus its own: maps and sets are
 // emitted in ascending key order and must decode strictly ascending, so
@@ -18,6 +19,7 @@ package fleet
 // re-encodes to itself.
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 
@@ -83,8 +85,7 @@ type linkRecord struct {
 }
 
 // alloc makes every nil map writable. New calls it on the zero state and
-// restoreState on a decoded one: the decoder leaves empty maps nil, so
-// validating a frame allocates no more than the frame holds.
+// restoreState on a decoded one: the decoder leaves empty maps nil.
 func (s *corrState) alloc() {
 	ensure(&s.restartsSeen)
 	ensure(&s.restartObserved)
@@ -114,18 +115,30 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 }
 
 // encodeMap emits a string-keyed map in ascending key order; a set passes a
-// val that writes nothing.
-func encodeMap[V any](w *codec.Writer, m map[string]V, val func(V)) {
+// val that writes nothing. The keys are sorted on *keys, a scratch stack the
+// caller keeps between frames: a nested map's val pushes its keys above
+// these and pops them before returning, so sorting allocates nothing once the
+// stack has grown to hold a frame's keys.
+func encodeMap[V any](w *codec.Writer, keys *[]string, m map[string]V, val func(V)) {
+	stack := *keys
+	base := len(stack)
+	for k := range m {
+		stack = append(stack, k)
+	}
+	slices.Sort(stack[base:])
+	*keys = stack
 	w.Uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	for _, k := range stack[base:] {
 		w.Str(k)
 		val(m[k])
 	}
+	*keys = (*keys)[:base]
 }
 
 // ascending returns v, failing r unless v is strictly above prev, the
-// element before it: every map, set and sorted list in the frame decodes
-// through here, so duplicates and shuffles are non-canonical everywhere.
+// element before it: every set and sorted list in the frame decodes through
+// here (every map through key), so duplicates and shuffles are non-canonical
+// everywhere.
 func ascending[T cmp.Ordered](r *codec.Reader, i int, prev, v T) T {
 	if i > 0 && v <= prev {
 		r.Fail()
@@ -133,19 +146,58 @@ func ascending[T cmp.Ordered](r *codec.Reader, i int, prev, v T) T {
 	return v
 }
 
-// decodeMap reads what encodeMap wrote. Empty decodes nil.
-func decodeMap[V any](r *codec.Reader, val func() V) map[string]V {
-	n := r.Count()
-	if n == 0 {
-		return nil
+// walker is decodeState's reader: build is false when the walk only checks.
+type walker struct {
+	*codec.Reader
+	build bool
+}
+
+// key reads a map key that must sort strictly above prev, the key before
+// it. It stays bytes, so a walk that only checks converts no string.
+func (w walker) key(i int, prev []byte) []byte {
+	k := w.Bytes()
+	if i > 0 && bytes.Compare(k, prev) <= 0 {
+		w.Fail()
 	}
-	m := make(map[string]V, n)
-	k := ""
-	for i := 0; i < n && !r.Failed(); i++ {
-		k = ascending(r, i, k, r.Str())
-		m[k] = val()
+	return k
+}
+
+// str reads a string, converting it only when the walk builds.
+func (w walker) str() string {
+	if b := w.Bytes(); w.build {
+		return string(b)
 	}
-	return m
+	return ""
+}
+
+// decodeMap reads what encodeMap wrote, into *m when the walk builds (empty
+// decodes nil).
+func decodeMap[V any](w walker, m *map[string]V, val func() V) {
+	n := w.Count()
+	if w.build && n > 0 {
+		*m = make(map[string]V, n)
+	}
+	var k []byte
+	for i := 0; i < n && !w.Failed(); i++ {
+		k = w.key(i, k)
+		if v := val(); w.build {
+			(*m)[string(k)] = v
+		}
+	}
+}
+
+// decodeList reads a count-prefixed list element by element, onto *l when
+// the walk builds (empty decodes nil).
+func decodeList[T any](w walker, l *[]T, elem func(i int) T) {
+	n := w.Count()
+	if w.build && n > 0 {
+		*l = make([]T, 0, n)
+	}
+	for i := 0; i < n && !w.Failed(); i++ {
+		if v := elem(i); w.build {
+			*l = append(*l, v)
+		}
+	}
 }
 
 // A set is a map whose values carry nothing.
@@ -155,21 +207,22 @@ func member() bool { return true }
 func wtime(w *codec.Writer, t sim.Time) { w.Varint(int64(t)) }
 func rtime(r *codec.Reader) sim.Time    { return sim.Time(r.Varint()) }
 
-// encode appends the state's canonical frame to w.
-func (s *corrState) encode(w *codec.Writer) {
+// encode appends the state's canonical frame to w, sorting map keys on the
+// scratch stack *keys (see encodeMap).
+func (s *corrState) encode(w *codec.Writer, keys *[]string) {
 	wtime(w, s.savedAt)
 	w.Varint(int64(s.Alarms))
 	w.Varint(int64(s.Suppressed))
 	w.Varint(int64(s.Localizations))
 	w.Varint(int64(s.Reroutes))
 
-	encodeMap(w, s.links, func(ls *linkState) { ls.encode(w) })
-	encodeMap(w, s.restartsSeen, func(v int) { w.Varint(int64(v)) })
-	encodeMap(w, s.restartObserved, func(t sim.Time) { wtime(w, t) })
-	encodeMap(w, s.epochCur, w.Byte)
-	encodeMap(w, s.epochPrev, w.Byte)
-	encodeMap(w, s.rerouteSeen, noValue)
-	encodeMap(w, s.seq, func(st mgmt.SeqState) {
+	encodeMap(w, keys, s.links, func(ls *linkState) { ls.encode(w, keys) })
+	encodeMap(w, keys, s.restartsSeen, func(v int) { w.Varint(int64(v)) })
+	encodeMap(w, keys, s.restartObserved, func(t sim.Time) { wtime(w, t) })
+	encodeMap(w, keys, s.epochCur, w.Byte)
+	encodeMap(w, keys, s.epochPrev, w.Byte)
+	encodeMap(w, keys, s.rerouteSeen, noValue)
+	encodeMap(w, keys, s.seq, func(st mgmt.SeqState) {
 		w.Uvarint(st.Contig)
 		w.Uvarint(uint64(len(st.Above)))
 		for _, a := range st.Above {
@@ -192,7 +245,7 @@ func (s *corrState) encode(w *codec.Writer) {
 	}
 }
 
-func (l *linkRecord) encode(w *codec.Writer) {
+func (l *linkRecord) encode(w *codec.Writer, keys *[]string) {
 	w.Bool(l.localized)
 	wtime(w, l.localizedAt)
 	w.Uvarint(uint64(len(l.affected)))
@@ -209,7 +262,7 @@ func (l *linkRecord) encode(w *codec.Writer) {
 	}
 	w.Bool(l.verdictPending)
 	wtime(w, l.incidentStart)
-	encodeMap(w, l.seen, noValue)
+	encodeMap(w, keys, l.seen, noValue)
 	w.Uvarint(uint64(len(l.evidence)))
 	for _, ev := range l.evidence {
 		wtime(w, ev.Time)
@@ -225,118 +278,115 @@ func (l *linkRecord) encode(w *codec.Writer) {
 	w.Byte(byte(l.lastHealth))
 }
 
-// decodeState parses a state frame, rejecting anything malformed,
-// non-canonical or followed by trailing bytes. Byte strings in the result
-// (decision-log frames) alias the input, which is immutable by convention.
-func decodeState(frame []byte) (*corrState, error) {
-	r := codec.NewReader(frame)
-	s := &corrState{
-		savedAt:       rtime(r),
-		Alarms:        int(r.Varint()),
-		Suppressed:    int(r.Varint()),
-		Localizations: int(r.Varint()),
-		Reroutes:      int(r.Varint()),
+// decodeState walks a state frame, rejecting anything malformed,
+// non-canonical or followed by trailing bytes. Into a non-nil s it builds the
+// state; with s nil it makes the same reads and checks and builds nothing, so
+// validating a frame allocates only what verify.DecodeDelta does for a
+// decision-log frame. Byte strings in a built state (decision-log frames)
+// alias the input, which is immutable by convention.
+func decodeState(frame []byte, s *corrState) error {
+	w := walker{codec.NewReader(frame), s != nil}
+	if !w.build {
+		s = new(corrState) // the checked scalars land here and go nowhere
 	}
+	s.savedAt = rtime(w.Reader)
+	s.Alarms = int(w.Varint())
+	s.Suppressed = int(w.Varint())
+	s.Localizations = int(w.Varint())
+	s.Reroutes = int(w.Varint())
 
-	// One slab holds every link record: a follower validates each frame it
-	// is sent, and most links in most frames are idle.
-	if n := r.Count(); n > 0 {
+	// One slab holds every built link record; a checked one is read into rec.
+	n := w.Count()
+	var slab []linkState
+	if w.build && n > 0 {
 		s.links = make(map[string]*linkState, n)
-		slab := make([]linkState, n)
-		k := ""
-		for i := 0; i < n && !r.Failed(); i++ {
-			k = ascending(r, i, k, r.Str())
-			slab[i].decode(r)
-			s.links[k] = &slab[i]
-		}
+		slab = make([]linkState, n)
 	}
-	s.restartsSeen = decodeMap(r, func() int { return int(r.Varint()) })
-	s.restartObserved = decodeMap(r, func() sim.Time { return rtime(r) })
-	s.epochCur = decodeMap(r, r.Byte)
-	s.epochPrev = decodeMap(r, r.Byte)
-	s.rerouteSeen = decodeMap(r, member)
-	s.seq = decodeMap(r, func() mgmt.SeqState {
-		st := mgmt.SeqState{Contig: r.Uvarint()}
-		if n := r.Count(); n > 0 {
-			st.Above = make([]uint64, 0, n)
-			for i, a := 0, uint64(0); i < n && !r.Failed(); i++ {
-				a = ascending(r, i, a, r.Uvarint())
-				st.Above = append(st.Above, a)
-			}
+	var rec linkRecord
+	var k []byte
+	for i := 0; i < n && !w.Failed(); i++ {
+		k = w.key(i, k)
+		if !w.build {
+			rec.decode(w)
+			continue
 		}
+		slab[i].decode(w)
+		s.links[string(k)] = &slab[i]
+	}
+	decodeMap(w, &s.restartsSeen, func() int { return int(w.Varint()) })
+	decodeMap(w, &s.restartObserved, func() sim.Time { return rtime(w.Reader) })
+	decodeMap(w, &s.epochCur, w.Byte)
+	decodeMap(w, &s.epochPrev, w.Byte)
+	decodeMap(w, &s.rerouteSeen, member)
+	decodeMap(w, &s.seq, func() mgmt.SeqState {
+		st := mgmt.SeqState{Contig: w.Uvarint()}
+		var a uint64
+		decodeList(w, &st.Above, func(i int) uint64 {
+			a = ascending(w.Reader, i, a, w.Uvarint())
+			return a
+		})
 		return st
 	})
 
-	for i, n := 0, r.Count(); i < n && !r.Failed(); i++ {
-		d := VerifyDecision{Key: r.Str(), Outcome: r.Byte(), Frame: r.Bytes()}
+	decodeList(w, &s.verifyLog, func(int) VerifyDecision {
+		d := VerifyDecision{Key: w.str(), Outcome: w.Byte(), Frame: w.Bytes()}
 		if d.Outcome > verifyOutcomeMax {
-			r.Fail()
+			w.Fail()
 		}
 		// A frame must itself be a canonical delta; a forged or corrupted
 		// frame would otherwise be replayed into the verifier model after a
 		// failover.
 		if len(d.Frame) > 0 {
 			if _, err := verify.DecodeDelta(d.Frame); err != nil {
-				r.Fail()
+				w.Fail()
 			}
 		}
-		s.verifyLog = append(s.verifyLog, d)
+		return d
+	})
+	decodeList(w, &s.verifyHeld, func(int) *heldReroute {
+		link, key := w.str(), w.str()
+		entry, retries := netsim.EntryID(w.U32()), int(w.Varint())
+		if !w.build {
+			return nil
+		}
+		return &heldReroute{link: link, key: key, entry: entry, retries: retries}
+	})
+	if !w.Done() {
+		return errWire
 	}
-	for i, n := 0, r.Count(); i < n && !r.Failed(); i++ {
-		s.verifyHeld = append(s.verifyHeld, &heldReroute{
-			link:    r.Str(),
-			key:     r.Str(),
-			entry:   netsim.EntryID(r.U32()),
-			retries: int(r.Varint()),
-		})
-	}
-	if !r.Done() {
-		return nil, errWire
-	}
-	return s, nil
+	return nil
 }
 
-func (l *linkRecord) decode(r *codec.Reader) {
-	l.localized = r.Bool()
-	l.localizedAt = rtime(r)
-	if n := r.Count(); n > 0 {
+func (l *linkRecord) decode(w walker) {
+	l.localized = w.Bool()
+	l.localizedAt = rtime(w.Reader)
+	n := w.Count()
+	if w.build && n > 0 {
 		l.affected = make(map[netsim.EntryID]bool, n)
-		for i, e := 0, netsim.EntryID(0); i < n && !r.Failed(); i++ {
-			e = ascending(r, i, e, netsim.EntryID(r.U32()))
+	}
+	for i, e := 0, netsim.EntryID(0); i < n && !w.Failed(); i++ {
+		if e = ascending(w.Reader, i, e, netsim.EntryID(w.U32())); w.build {
 			l.affected[e] = true
 		}
 	}
-	l.treePaths = int(r.Varint())
-	l.alarms = int(r.Varint())
-	l.suppressed = int(r.Varint())
-	l.flapping = r.Bool()
-	if n := r.Count(); n > 0 {
-		l.downTimes = make([]sim.Time, 0, n)
-		for i := 0; i < n && !r.Failed(); i++ {
-			l.downTimes = append(l.downTimes, rtime(r))
+	l.treePaths = int(w.Varint())
+	l.alarms = int(w.Varint())
+	l.suppressed = int(w.Varint())
+	l.flapping = w.Bool()
+	decodeList(w, &l.downTimes, func(int) sim.Time { return rtime(w.Reader) })
+	l.verdictPending = w.Bool()
+	l.incidentStart = rtime(w.Reader)
+	decodeMap(w, &l.seen, member)
+	decodeList(w, &l.evidence, func(int) fancy.Event {
+		ev := fancy.Event{
+			Time:  rtime(w.Reader),
+			Port:  int(w.Varint()),
+			Kind:  fancy.EventKind(w.Byte()),
+			Entry: netsim.EntryID(w.U32()),
 		}
-	}
-	l.verdictPending = r.Bool()
-	l.incidentStart = rtime(r)
-	l.seen = decodeMap(r, member)
-	if n := r.Count(); n > 0 {
-		l.evidence = make([]fancy.Event, 0, n)
-		for i := 0; i < n && !r.Failed(); i++ {
-			ev := fancy.Event{
-				Time:  rtime(r),
-				Port:  int(r.Varint()),
-				Kind:  fancy.EventKind(r.Byte()),
-				Entry: netsim.EntryID(r.U32()),
-			}
-			if p := r.Count(); p > 0 {
-				ev.Path = make([]uint16, 0, p)
-				for j := 0; j < p && !r.Failed(); j++ {
-					ev.Path = append(ev.Path, r.U16())
-				}
-			}
-			ev.Diff = r.Uvarint()
-			l.evidence = append(l.evidence, ev)
-		}
-	}
-	l.lastHealth = Health(r.Byte())
+		decodeList(w, &ev.Path, func(int) uint16 { return w.U16() })
+		ev.Diff = w.Uvarint()
+		return ev
+	})
+	l.lastHealth = Health(w.Byte())
 }

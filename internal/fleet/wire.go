@@ -9,10 +9,16 @@ package fleet
 // fixed header (internal/codec primitives, absent optionals a zero flag
 // byte) followed, when it carries a log entry, by that entry's state frame
 // (state.go) verbatim: the sender appends the bytes it already holds, the
-// receiver validates them with decodeState and keeps them as bytes. Nothing
-// is re-serialised along the way, and arbitrary input can produce an error
-// but never a panic or an allocation beyond the input's size (see
-// FuzzDecodeConsensus).
+// receiver checks them in place (decodeState with no destination) and keeps
+// them as bytes. Nothing is re-serialised along the way, and arbitrary input
+// can produce an error but never a panic or an allocation beyond the input's
+// size (see FuzzDecodeConsensus).
+//
+// Neither side makes per-message garbage: the receiver decodes the header
+// into a value and the entry into its own buffer, and copies out only an
+// entry it stores; the sender encodes and boxes a message once and ships
+// those immutable bytes to every peer and on every retransmission of it
+// (replica.encoded).
 
 import (
 	"errors"
@@ -68,8 +74,19 @@ func (k consKind) String() string {
 type logEntry struct {
 	Index  uint64 // log position, 1-based
 	Ballot uint64 // ballot under which the entry was proposed
-	Note   string // human-readable trigger ("verdict seattle>sunnyvale", ...)
+	Note   []byte // human-readable trigger ("verdict seattle>sunnyvale", ...), immutable
 	Cp     []byte // the state frame, immutable once built; nil = none
+}
+
+// keep copies a received entry out of the buffer it was decoded into, for a
+// handler that stores it (nil stays nil). Its byte strings go on aliasing
+// the datagram, which is immutable.
+func (e *logEntry) keep() *logEntry {
+	if e == nil {
+		return nil
+	}
+	c := *e
+	return &c
 }
 
 // consMsg is one consensus datagram payload.
@@ -81,7 +98,10 @@ type consMsg struct {
 	// AccBallot is, in a promise, the ballot of the accepted entry being
 	// reported back to the candidate (0 = none).
 	AccBallot uint64
-	Entry     *logEntry // accept payload, promise report, beat retransmit
+	// Entry is the accept payload, promise report or beat retransmit. Two
+	// messages with the same fields and the same Entry pointer encode to the
+	// same bytes: entries are immutable.
+	Entry *logEntry
 }
 
 // encodeConsensus serializes a consensus message canonically.
@@ -102,43 +122,40 @@ func encodeConsensus(m *consMsg) []byte {
 	if e != nil {
 		w.Uvarint(e.Index)
 		w.Uvarint(e.Ballot)
-		w.Str(e.Note)
+		w.Bytes(e.Note)
 		w.Bool(e.Cp != nil)
 		w.B = append(w.B, e.Cp...)
 	}
 	return w.B
 }
 
-// decodeConsensus parses a consensus message, rejecting malformed or
-// trailing bytes. An entry's state frame is validated and kept as the bytes
-// it arrived in (aliasing b).
-func decodeConsensus(b []byte) (*consMsg, error) {
+// decodeConsensus parses a consensus message into a value, rejecting
+// malformed or trailing bytes. An entry's header is decoded into *e, which
+// the message then points at, and its state frame is checked in place and
+// kept as the bytes it arrived in: e's Note and Cp alias b. Nothing is
+// allocated but what checking a decision-log frame costs (decodeState).
+func decodeConsensus(b []byte, e *logEntry) (consMsg, error) {
 	r := codec.NewReader(b)
 	if r.Byte() != wireVersion {
-		return nil, errWire
+		return consMsg{}, errWire
 	}
-	m := &consMsg{}
-	k := r.Byte()
-	if consKind(k) > consBeat {
-		return nil, errWire
+	k := consKind(r.Byte())
+	if k > consBeat {
+		return consMsg{}, errWire
 	}
-	m.Kind = consKind(k)
-	m.From = r.Byte()
-	m.Ballot = r.Uvarint()
-	m.Index = r.Uvarint()
-	m.AccBallot = r.Uvarint()
+	m := consMsg{Kind: k, From: r.Byte(), Ballot: r.Uvarint(), Index: r.Uvarint(), AccBallot: r.Uvarint()}
 	if r.Bool() {
-		e := &logEntry{Index: r.Uvarint(), Ballot: r.Uvarint(), Note: r.Str()}
+		*e = logEntry{Index: r.Uvarint(), Ballot: r.Uvarint(), Note: r.Bytes()}
 		if r.Bool() {
 			e.Cp = r.Rest()
-			if _, err := decodeState(e.Cp); err != nil {
-				return nil, err
+			if err := decodeState(e.Cp, nil); err != nil {
+				return consMsg{}, err
 			}
 		}
 		m.Entry = e
 	}
 	if !r.Done() {
-		return nil, errWire
+		return consMsg{}, errWire
 	}
 	return m, nil
 }

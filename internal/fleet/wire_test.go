@@ -18,7 +18,8 @@ import (
 // frameOf encodes a state the way Fleet.checkpoint does.
 func frameOf(s *corrState) []byte {
 	var w codec.Writer
-	s.encode(&w)
+	var keys []string
+	s.encode(&w, &keys)
 	return w.B
 }
 
@@ -87,7 +88,7 @@ func verifiedSampleState() *corrState {
 }
 
 func sampleMsgs() []*consMsg {
-	entry := &logEntry{Index: 9, Ballot: 7, Note: "verdict seattle>sunnyvale", Cp: frameOf(sampleState())}
+	entry := &logEntry{Index: 9, Ballot: 7, Note: []byte("verdict seattle>sunnyvale"), Cp: frameOf(sampleState())}
 	return []*consMsg{
 		{Kind: consPrepare, From: 1, Ballot: 4},
 		{Kind: consPromise, From: 2, Ballot: 4, Index: 8, AccBallot: 3, Entry: entry},
@@ -98,7 +99,7 @@ func sampleMsgs() []*consMsg {
 		{Kind: consBeat, From: 1, Ballot: 4, Index: 9},
 		{Kind: consBeat, From: 1, Ballot: 4, Index: 8, Entry: entry}, // retransmit
 		{Kind: consAccept, From: 1, Ballot: 4, Index: 1,
-			Entry: &logEntry{Index: 1, Ballot: 4, Note: "window", Cp: frameOf(&corrState{})}},
+			Entry: &logEntry{Index: 1, Ballot: 4, Note: []byte("window"), Cp: frameOf(&corrState{})}},
 	}
 }
 
@@ -106,7 +107,7 @@ func sampleMsgs() []*consMsg {
 // accept whose frame carries the verify gate's fields.
 func pinnedMsgs() []*consMsg {
 	return append(sampleMsgs(), &consMsg{Kind: consAccept, From: 0, Ballot: 6, Index: 10,
-		Entry: &logEntry{Index: 10, Ballot: 6, Note: "evidence seattle>sunnyvale", Cp: frameOf(verifiedSampleState())}})
+		Entry: &logEntry{Index: 10, Ballot: 6, Note: []byte("evidence seattle>sunnyvale"), Cp: frameOf(verifiedSampleState())}})
 }
 
 // TestWireFormatPinned compares every sample message with the bytes the
@@ -131,11 +132,23 @@ func TestWireFormatPinned(t *testing.T) {
 // canonical-form property of the state codec shows.
 func reencodeFrame(t *testing.T, frame []byte) []byte {
 	t.Helper()
-	st, err := decodeState(frame)
-	if err != nil {
+	var st corrState
+	if err := decodeState(frame, &st); err != nil {
 		t.Fatalf("state frame a message decoder accepted does not decode: %v", err)
 	}
-	return frameOf(st)
+	return frameOf(&st)
+}
+
+// checkFrame walks a state frame both ways decodeState can — building the
+// state and only checking it — and returns their verdict, failing t if the
+// two disagree.
+func checkFrame(t *testing.T, frame []byte) error {
+	t.Helper()
+	built, checked := decodeState(frame, &corrState{}), decodeState(frame, nil)
+	if (built == nil) != (checked == nil) {
+		t.Fatalf("building the state says %v, checking it says %v:\n%x", built, checked, frame)
+	}
+	return checked
 }
 
 // TestWireRoundtrip checks the canonical-form property: decoding and
@@ -146,7 +159,8 @@ func reencodeFrame(t *testing.T, frame []byte) []byte {
 func TestWireRoundtrip(t *testing.T) {
 	for i, m := range pinnedMsgs() {
 		b := encodeConsensus(m)
-		got, err := decodeConsensus(b)
+		var e logEntry
+		got, err := decodeConsensus(b, &e)
 		if err != nil {
 			t.Fatalf("msg %d (%v): decode failed: %v", i, m.Kind, err)
 		}
@@ -154,7 +168,7 @@ func TestWireRoundtrip(t *testing.T) {
 			got.Index != m.Index || got.AccBallot != m.AccBallot {
 			t.Fatalf("msg %d: header mismatch: %+v vs %+v", i, got, m)
 		}
-		if !bytes.Equal(encodeConsensus(got), b) {
+		if !bytes.Equal(encodeConsensus(&got), b) {
 			t.Fatalf("msg %d (%v): decode∘encode not canonical", i, m.Kind)
 		}
 		if m.Entry != nil && !bytes.Equal(reencodeFrame(t, got.Entry.Cp), m.Entry.Cp) {
@@ -174,14 +188,13 @@ func TestWireEncodingDeterministic(t *testing.T) {
 	}
 }
 
-// TestStateFrameRejectsNonCanonical: the rules the state codec adds on top
-// of internal/codec. Every map, set and ascending list must decode strictly
-// ascending — each case holds the two elements 'a' and 'b' and nothing else
-// with those byte values, so rewriting them in place shuffles or duplicates
-// exactly that collection — and the decision log's outcomes and embedded
-// delta frames are checked.
-func TestStateFrameRejectsNonCanonical(t *testing.T) {
+// orderedFrames holds, per collection the state codec keeps in order, a
+// canonical frame in which the two elements 'a' and 'b' of that collection are
+// the only bytes with those values, so rewriting them in place (reorder)
+// shuffles or duplicates exactly that collection.
+func orderedFrames() map[string][]byte {
 	ab := set("a", "b")
+	frames := make(map[string][]byte)
 	for name, st := range map[string]*corrState{
 		"links":           {links: map[string]*linkState{"a": {}, "b": {}}},
 		"restartsSeen":    {restartsSeen: map[string]int{"a": 0, "b": 0}},
@@ -195,21 +208,39 @@ func TestStateFrameRejectsNonCanonical(t *testing.T) {
 		"link.affected": {links: map[string]*linkState{"x": {linkRecord: linkRecord{
 			affected: set[netsim.EntryID]('a', 'b')}}}},
 	} {
-		good := frameOf(st)
-		if _, err := decodeState(good); err != nil {
+		frames[name] = frameOf(st)
+	}
+	return frames
+}
+
+// misorders are the rewrites of 'a' and 'b' that break strict ascent.
+var misorders = map[string][2]byte{"shuffled": {'b', 'a'}, "duplicated": {'a', 'a'}}
+
+// reorder returns frame with its 'a' and 'b' bytes rewritten to to[0], to[1].
+func reorder(frame []byte, to [2]byte) []byte {
+	out := bytes.Clone(frame)
+	for i, c := range out {
+		switch c {
+		case 'a':
+			out[i] = to[0]
+		case 'b':
+			out[i] = to[1]
+		}
+	}
+	return out
+}
+
+// TestStateFrameRejectsNonCanonical: the rules the state codec adds on top
+// of internal/codec. Every map, set and ascending list must decode strictly
+// ascending, and the decision log's outcomes and embedded delta frames are
+// checked — whether the walk builds the state or only checks it.
+func TestStateFrameRejectsNonCanonical(t *testing.T) {
+	for name, good := range orderedFrames() {
+		if err := checkFrame(t, good); err != nil {
 			t.Fatalf("%s: canonical frame rejected: %v", name, err)
 		}
-		for what, to := range map[string][2]byte{"shuffled": {'b', 'a'}, "duplicated": {'a', 'a'}} {
-			bad := bytes.Clone(good)
-			for i, c := range bad {
-				switch c {
-				case 'a':
-					bad[i] = to[0]
-				case 'b':
-					bad[i] = to[1]
-				}
-			}
-			if _, err := decodeState(bad); err == nil {
+		for what, to := range misorders {
+			if checkFrame(t, reorder(good, to)) == nil {
 				t.Errorf("%s %s: decoded without error", name, what)
 			}
 		}
@@ -218,7 +249,7 @@ func TestStateFrameRejectsNonCanonical(t *testing.T) {
 		"outcome out of range": {Key: "k", Outcome: verifyOutcomeMax + 1},
 		"forged delta frame":   {Key: "k", Outcome: verifyCommitted, Frame: []byte{9, 9}},
 	} {
-		if _, err := decodeState(frameOf(&corrState{verifyLog: []VerifyDecision{d}})); err == nil {
+		if checkFrame(t, frameOf(&corrState{verifyLog: []VerifyDecision{d}})) == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -228,20 +259,21 @@ func TestStateFrameRejectsNonCanonical(t *testing.T) {
 // every prefix of a valid message except the full message must fail.
 func TestWireRejects(t *testing.T) {
 	b := encodeConsensus(sampleMsgs()[1])
+	var e logEntry
 	for n := 0; n < len(b); n++ {
-		if _, err := decodeConsensus(b[:n]); err == nil {
+		if _, err := decodeConsensus(b[:n], &e); err == nil {
 			t.Fatalf("accepted truncation to %d/%d bytes", n, len(b))
 		}
 	}
-	if _, err := decodeConsensus(append(append([]byte(nil), b...), 0)); err == nil {
+	if _, err := decodeConsensus(append(append([]byte(nil), b...), 0), &e); err == nil {
 		t.Fatal("accepted trailing garbage")
 	}
 	bad := append([]byte(nil), b...)
 	bad[0] = wireVersion + 1
-	if _, err := decodeConsensus(bad); err == nil {
+	if _, err := decodeConsensus(bad, &e); err == nil {
 		t.Fatal("accepted wrong wire version")
 	}
-	if _, err := decodeConsensus(nil); err == nil {
+	if _, err := decodeConsensus(nil, &e); err == nil {
 		t.Fatal("accepted empty input")
 	}
 }

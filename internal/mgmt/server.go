@@ -3,7 +3,7 @@ package mgmt
 import (
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fancy/internal/sim"
 )
@@ -240,7 +240,7 @@ func (srv *Server) SeqCheckpoint() map[string]SeqState {
 		for s := range ct.above {
 			st.Above = append(st.Above, s)
 		}
-		sort.Slice(st.Above, func(i, j int) bool { return st.Above[i] < st.Above[j] })
+		slices.Sort(st.Above)
 		out[name] = st
 	}
 	return out

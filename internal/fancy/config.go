@@ -67,9 +67,10 @@ type Config struct {
 
 	// HH, when non-nil, deploys the per-port heavy-hitter stage
 	// (internal/hh): every data packet is observed by a HashPipe sketch
-	// with PRECISION admission, and the top-k digest is reported through
-	// Detector.OnHHReport once per ReportInterval. This is the signal the
-	// counter-allocation controller uses to drive DynamicSlots.
+	// with PRECISION admission, and the top-DefaultHHTopK digest is
+	// reported through Detector.OnHHReport once per hhReportInterval. This
+	// is the signal the counter-allocation controller uses to drive
+	// DynamicSlots.
 	HH *HHStageConfig
 }
 
@@ -78,23 +79,6 @@ type HHStageConfig struct {
 	// Sketch sizes the per-port sketch; each port derives its own seed
 	// from Sketch.Seed via hh.PortSeed.
 	Sketch hh.Params
-
-	// ReportInterval is the sketch measurement window (default 100 ms):
-	// every interval the top-k is encoded, reported, and the sketch reset.
-	ReportInterval sim.Time
-
-	// TopK is the number of prefixes per report (default 8).
-	TopK int
-}
-
-func (h HHStageConfig) withDefaults() HHStageConfig {
-	if h.ReportInterval == 0 {
-		h.ReportInterval = DefaultHHReportInterval
-	}
-	if h.TopK <= 0 {
-		h.TopK = DefaultHHTopK
-	}
-	return h
 }
 
 // ZoomSelection is the zooming algorithm's counter-selection policy.
@@ -109,9 +93,9 @@ const (
 	SelectRandom
 )
 
-// Protocol and layout defaults. The intervals and the HH pair fill zero
-// Config fields; the other five are fixed — no experiment varies them, so
-// they are not Config fields.
+// Protocol and layout defaults. The two intervals fill zero Config fields;
+// the rest are fixed — no experiment varies them, so they are not Config
+// fields.
 const (
 	DefaultExchangeInterval = 50 * sim.Millisecond
 	DefaultZoomingInterval  = 200 * sim.Millisecond
@@ -135,8 +119,11 @@ const (
 	// (the Tofino prototype's layout).
 	DefaultBloomCells = 100_000
 
-	DefaultHHReportInterval = 100 * sim.Millisecond
-	DefaultHHTopK           = 8
+	// hhReportInterval is the heavy-hitter measurement window: every
+	// interval the top DefaultHHTopK prefixes are encoded, reported, and
+	// the sketch reset.
+	hhReportInterval = 100 * sim.Millisecond
+	DefaultHHTopK    = 8
 
 	// DedicatedEntryBits is the total memory per dedicated entry across
 	// both session sides, including protocol state (§4.3: 80 bits).
@@ -163,7 +150,7 @@ func (c Config) withDefaults() Config {
 		c.Tree.Pipelined = true
 	}
 	if c.HH != nil {
-		h := c.HH.withDefaults()
+		h := *c.HH // the detector's own copy: Restart re-reads it
 		c.HH = &h
 	}
 	return c

@@ -68,7 +68,7 @@ type Detector struct {
 	OnEvent func(Event)
 
 	// OnHHReport receives the encoded heavy-hitter report of a monitored
-	// port once per HH.ReportInterval (nil when cfg.HH is nil or nobody
+	// port once per hhReportInterval (nil when cfg.HH is nil or nobody
 	// subscribed). The frame decodes with hh.DecodeReport; the switch
 	// agent's counter-allocation controller is the intended consumer.
 	OnHHReport func(port int, frame []byte)
@@ -213,7 +213,7 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 		if m.hhTickFn == nil {
 			m.hhTickFn = func() { d.hhTick(m, port) }
 		}
-		m.hhTimer = d.s.ScheduleTimer(d.cfg.HH.ReportInterval, m.hhTickFn)
+		m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
 	}
 	m.treeCnt = newTreeSender(d, port, d.cfg.Tree, d.cfg.TreeSeed)
 	m.tree = &senderFSM{

@@ -23,14 +23,14 @@ func (d *Detector) hhTick(m *portMonitor, port int) {
 	}
 	rep := &hh.Report{Port: uint16(port), Epoch: d.epoch, Seq: m.hhSeq}
 	m.hhSeq++
-	rep.Entries = m.hh.TopK(d.cfg.HH.TopK)
+	rep.Entries = m.hh.TopK(DefaultHHTopK)
 	rep.Packets, rep.Recircs = m.hh.Window()
 	m.hh.Reset()
 	d.stats.HHReports++
 	if d.OnHHReport != nil {
 		d.OnHHReport(port, hh.EncodeReport(rep))
 	}
-	m.hhTimer = d.s.ScheduleTimer(d.cfg.HH.ReportInterval, m.hhTickFn)
+	m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
 }
 
 // Promote assigns entry a dynamic dedicated-counter slot on the monitored

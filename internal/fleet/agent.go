@@ -200,7 +200,7 @@ func (f *Fleet) command(sw string, cmd any) {
 		a.onCall(cmd) //nolint:errcheck // gating commands cannot fail
 		return
 	}
-	f.mgmtSrv.Call(sw, cmd, func(_ any, err error) {
+	f.active().srv.Call(sw, cmd, func(_ any, err error) {
 		if err != nil {
 			f.Corr.RerouteCmdFails++
 		}
@@ -217,5 +217,5 @@ func (f *Fleet) remoteGet(sw, path string, cb func(any, error)) {
 		cb(v, err)
 		return
 	}
-	f.mgmtSrv.Call(sw, getReq{Path: path}, cb)
+	f.active().srv.Call(sw, getReq{Path: path}, cb)
 }

@@ -27,8 +27,8 @@ import (
 // carries one hold or copy these bytes, never the state.
 func (f *Fleet) checkpoint() []byte {
 	f.savedAt = f.S.Now()
-	if f.mgmtSrv != nil {
-		f.seq = f.mgmtSrv.SeqCheckpoint()
+	if srv := f.active().srv; srv != nil {
+		f.seq = srv.SeqCheckpoint()
 	}
 	// Consecutive frames differ by an alarm or a timestamp: the previous
 	// length plus slack sizes the buffer in one allocation.
@@ -40,7 +40,7 @@ func (f *Fleet) checkpoint() []byte {
 }
 
 func (f *Fleet) periodicCheckpoint() {
-	if !f.crashed {
+	if !f.Crashed() {
 		f.persist()
 	}
 	f.ckptTimer = f.S.Schedule(checkpointInterval, f.periodicCheckpoint)
@@ -171,13 +171,12 @@ func (f *Fleet) restoreState(frame []byte) string {
 		}
 	}
 
-	f.crashed = false
 	f.Corr.Restores++
 	f.armVerifyTimer()
-	if f.mgmtSrv != nil {
-		f.mgmtSrv.SetAccepting(true)
+	if srv := f.active().srv; srv != nil {
+		srv.SetAccepting(true)
 		if frame != nil {
-			f.mgmtSrv.RestoreSeq(f.seq)
+			srv.RestoreSeq(f.seq)
 		}
 	}
 	if frame == nil {
@@ -186,5 +185,6 @@ func (f *Fleet) restoreState(frame []byte) string {
 	return fmt.Sprintf("checkpoint at %v, %d pending window(s) re-opened", f.savedAt, restored)
 }
 
-// Crashed reports whether the correlator is currently down.
-func (f *Fleet) Crashed() bool { return f.crashed }
+// Crashed reports whether the correlator is currently down: whether the
+// replica driving the fleet is.
+func (f *Fleet) Crashed() bool { return f.active().crashed }

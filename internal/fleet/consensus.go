@@ -42,9 +42,10 @@ package fleet
 //     go offline, and fall back to degraded-mode local protection.
 //   - Exactly one replica — group.active — drives the shared Fleet state
 //     machine; takeover halts the previous incarnation's timers, restores
-//     from the best accepted entry and re-aims f.mgmtSrv, which excludes
-//     split-brain by construction. Deposed or non-active replicas answer
-//     agent traffic with redirects instead of consuming it.
+//     from the best accepted entry and so re-aims the server agents report
+//     to (Fleet.active), which excludes split-brain by construction.
+//     Deposed or non-active replicas answer agent traffic with redirects
+//     instead of consuming it.
 
 import (
 	"fmt"
@@ -86,13 +87,9 @@ type corrGroup struct {
 	lastCrashed int  // most recently crashed replica, -1 if none (RestartCorrelator)
 }
 
-// The group rides the management plane's clocks: the leader beats (and every
-// replica ticks) at the heartbeat cadence, and a follower may not campaign
-// until the leader has been silent for the liveness bootstrap horizon.
-const (
-	beat       = mgmt.HeartbeatInterval
-	minSilence = mgmt.UnreachableAfter // anti-flap floor
-)
+// The group rides the management plane's clock: the leader beats (and every
+// replica ticks) at the heartbeat cadence.
+const beat = mgmt.HeartbeatInterval
 
 // replica is one member of the correlator group.
 type replica struct {
@@ -181,10 +178,15 @@ func newCorrGroup(f *Fleet, n int) *corrGroup {
 	return g
 }
 
+// active is the replica driving the Fleet state machine: the correlator is
+// down exactly when it is, and its server (nil in direct mode) is the one
+// agents report to and the correlator reads through.
+func (f *Fleet) active() *replica { return f.group.replicas[f.group.active] }
+
 // leader returns the active replica if it currently leads (nil while the
 // fleet is between leaders or the active replica is down).
 func (g *corrGroup) leader() *replica {
-	r := g.replicas[g.active]
+	r := g.f.active()
 	if r.isLeader && !r.crashed {
 		return r
 	}
@@ -195,7 +197,7 @@ func (g *corrGroup) leader() *replica {
 // peers and a live active leader with its quorum intact.
 func (f *Fleet) replicating() bool {
 	g := f.group
-	return g.n > 1 && !g.quorumLost && !f.crashed && g.leader() != nil
+	return g.n > 1 && !g.quorumLost && g.leader() != nil
 }
 
 // commit is the one place a decision's external effects (operator alert,
@@ -216,7 +218,7 @@ func (f *Fleet) commit(note string, effects func()) {
 		// One home for durable state: what the active replica checkpoints
 		// alone is also its accepted entry, or its next election win restores
 		// a frame that predates effects already run — and runs them again.
-		r := g.replicas[g.active]
+		r := f.active()
 		g.nextIndex++
 		r.acc = &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
 	}
@@ -285,7 +287,7 @@ func (r *replica) intercept(d mgmt.Dgram) bool {
 		r.handle(&m, int(m.From))
 		return true
 	case mgmt.DgramReport, mgmt.DgramHeartbeat:
-		if r.g.active == r.id && !r.g.f.crashed {
+		if r.g.active == r.id && !r.crashed {
 			return false // I am the leader: serve it normally
 		}
 		r.g.f.mgmtNet.Send(mgmt.Dgram{From: r.name, To: d.From, Kind: mgmt.DgramRedirect,
@@ -421,18 +423,14 @@ func (r *replica) checkLeader(now sim.Time) {
 		r.startCampaign()
 		return
 	}
-	if !r.leaderPhi.Suspect(now) {
-		return
-	}
 	// Anti-flap floor: phi crossing the threshold is necessary but not
 	// sufficient. On a freshly-warmed window of near-constant beat gaps a
 	// single lost datagram looks astronomically suspicious, so an election
 	// additionally requires silence past the bootstrap horizon — phi then
 	// governs how far past it suspicion stretches under observed jitter.
-	if last, heard := r.leaderPhi.LastSeen(); heard && now-last < minSilence {
-		return
+	if r.leaderPhi.Suspect(now) && r.leaderPhi.Silent(now) {
+		r.startCampaign()
 	}
-	r.startCampaign()
 }
 
 // startCampaign opens (or re-opens) an election with a ballot strictly
@@ -687,7 +685,6 @@ func (g *corrGroup) takeover(r *replica, best *logEntry) {
 	}
 	f.corrGen++
 	f.haltDuty()
-	f.mgmtSrv = r.srv
 	f.Corr.Failovers++
 	detail := f.restoreState(f.lastCkpt)
 	f.emit(Event{Time: now, Kind: EventLeaderElected, Link: r.name,
@@ -721,7 +718,6 @@ func (f *Fleet) CrashReplica(id int) {
 	detail := "follower replica"
 	if id == g.active {
 		detail = "active leader"
-		f.crashed = true
 		f.corrGen++
 		f.haltDuty()
 	}
@@ -751,7 +747,7 @@ func (f *Fleet) RestartReplica(id int) {
 		r.srv.SetAccepting(true)
 	}
 	r.leaderPhi.Reset(now)
-	if id == g.active && f.crashed {
+	if id == g.active {
 		// Nobody took over while we were down: checkpoint recovery.
 		detail := f.restoreState(f.lastCkpt)
 		f.emit(Event{Time: now, Kind: EventCorrelatorRestart, Link: r.name,
@@ -775,7 +771,7 @@ func (f *Fleet) KillLeader() int {
 
 // Leader returns the name of the replica currently driving the fleet
 // ("correlator" for a group of one).
-func (f *Fleet) Leader() string { return f.group.replicas[f.group.active].name }
+func (f *Fleet) Leader() string { return f.active().name }
 
 // QuorumDegraded reports whether the active leader is running without its
 // acknowledgment quorum (explicit single-instance degraded mode).

@@ -180,7 +180,7 @@ func (h Health) String() string {
 // management server already drops inbound then; this guard covers direct
 // mode's synchronous path).
 func (f *Fleet) handleReport(sw string, payload any) {
-	if f.crashed {
+	if f.Crashed() {
 		return
 	}
 	switch r := payload.(type) {
@@ -360,14 +360,14 @@ func (f *Fleet) onAlarm(ls *linkState, ev fancy.Event) {
 // reads complete or exhaust their retries. A crash between the two phases
 // abandons the verdict — the restored correlator re-opens the window.
 func (f *Fleet) verdict(ls *linkState) {
-	if f.crashed {
+	if f.Crashed() {
 		return
 	}
 	gen := f.corrGen
 	pending := 2
 	done := func() {
 		pending--
-		if pending == 0 && gen == f.corrGen && !f.crashed && ls.verdictPending {
+		if pending == 0 && gen == f.corrGen && !f.Crashed() && ls.verdictPending {
 			f.finishVerdict(ls)
 		}
 	}
@@ -532,7 +532,7 @@ func (f *Fleet) refreshRestarts(sw string, done func()) {
 				done()
 			}
 		}()
-		if gen != f.corrGen || f.crashed {
+		if gen != f.corrGen || f.Crashed() {
 			return // response addressed to a crashed incarnation
 		}
 		if err != nil {
@@ -606,7 +606,7 @@ func (f *Fleet) healthOf(ls *linkState, now sim.Time) Health {
 // the per-switch restart counters over the management plane, tracks agent
 // liveness from heartbeats, and emits health-transition events.
 func (f *Fleet) sweep() {
-	if f.crashed {
+	if f.Crashed() {
 		return
 	}
 	now := f.S.Now()
@@ -625,8 +625,8 @@ func (f *Fleet) sweep() {
 	// verdict forces a fresh read; plus heartbeat-liveness transitions.
 	for _, sw := range f.switches {
 		f.refreshRestarts(sw, nil)
-		if f.mgmtSrv != nil {
-			alive := f.mgmtSrv.Alive(sw)
+		if srv := f.active().srv; srv != nil {
+			alive := srv.Alive(sw)
 			if was, seen := f.aliveSeen[sw]; !seen || was != alive {
 				if seen && !alive {
 					f.emit(Event{Time: now, Kind: EventSwitchUnreachable, Link: sw, Entry: netsim.InvalidEntry})

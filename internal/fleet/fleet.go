@@ -134,27 +134,18 @@ type Config struct {
 	Verify *VerifyConfig
 }
 
-// HHFleetConfig tunes the fleet's heavy-hitter allocation loop.
+// HHFleetConfig tunes the fleet's heavy-hitter allocation loop. The digests
+// (every 100 ms, top 8) and the allocator's hysteresis (2 consecutive hot
+// reports to promote, 3 absences to demote, window count ≥ 2 to qualify) are
+// the fancy and hh defaults; no scenario varies them.
 type HHFleetConfig struct {
 	// Sketch sizes each detector's per-port sketch (defaults 3×32; each
 	// port derives its own seed from Sketch.Seed).
 	Sketch hh.Params
 
-	// ReportInterval and TopK parameterize the per-port digests (defaults
-	// 100 ms, 8 entries).
-	ReportInterval sim.Time
-	TopK           int
-
 	// DynamicSlots is the number of runtime-assignable dedicated-counter
 	// slots per port, beyond Fancy.HighPriority (default 8).
 	DynamicSlots int
-
-	// PromoteAfter, DemoteAfter and MinCount are the allocator's
-	// hysteresis knobs (defaults 2 consecutive hot reports to promote, 3
-	// consecutive absences to demote, window count ≥ 2 to qualify).
-	PromoteAfter int
-	DemoteAfter  int
-	MinCount     uint32
 }
 
 func (c Config) withDefaults() Config {
@@ -178,12 +169,8 @@ func (c Config) withDefaults() Config {
 		}
 		c.HH = &h
 		// Project the fleet knobs onto the per-detector config; the
-		// sketch and digest defaults cascade through fancy/hh.
-		c.Fancy.HH = &fancy.HHStageConfig{
-			Sketch:         h.Sketch,
-			ReportInterval: h.ReportInterval,
-			TopK:           h.TopK,
-		}
+		// sketch defaults cascade through fancy/hh.
+		c.Fancy.HH = &fancy.HHStageConfig{Sketch: h.Sketch}
 		c.Fancy.DynamicSlots = h.DynamicSlots
 	}
 	return c
@@ -252,11 +239,8 @@ type Fleet struct {
 
 	// The correlator is always a replica group (of one unless cfg.Replicas
 	// says more), over the management plane when there is one: mgmtNet and
-	// mgmtSrv are nil in direct mode. mgmtSrv always points at the ACTIVE
-	// replica's server — the one driving the fleet state machine — and is
-	// re-aimed on failover.
+	// every replica's server are nil in direct mode.
 	mgmtNet *mgmt.Network
-	mgmtSrv *mgmt.Server
 	group   *corrGroup
 
 	// announced deduplicates externally visible verdict announcements
@@ -277,7 +261,6 @@ type Fleet struct {
 	portLink  map[string]map[int]*linkState
 	aliveSeen map[string]bool // last sweep's per-switch liveness
 
-	crashed    bool
 	corrGen    int // bumped by each crash; stale async callbacks check it
 	sweepTimer *sim.Timer
 	ckptTimer  *sim.Timer
@@ -328,7 +311,6 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		f.mgmtNet = mgmt.NewNetwork(s, *cfg.Mgmt)
 	}
 	f.group = newCorrGroup(f, max(cfg.Replicas, 1))
-	f.mgmtSrv = f.group.replicas[0].srv
 	for _, sw := range f.switches {
 		det, err := fancy.NewDetector(s, net.Switches[sw], cfg.Fancy)
 		if err != nil {
@@ -497,7 +479,7 @@ func (f *Fleet) Acknowledge(key string) {
 		return
 	}
 	f.Detectors[ls.dl.From].Acknowledge(ls.port)
-	if f.crashed {
+	if f.Crashed() {
 		return // no correlator to tell; its state comes back from lastCkpt
 	}
 	ls.localized = false

@@ -30,12 +30,7 @@ func (a *switchAgent) onHHReport(port int, frame []byte) {
 	a.hhStats.Reports++
 	alloc, ok := a.hhAlloc[port]
 	if !ok {
-		alloc = hh.NewAllocator(hh.AllocPolicy{
-			Capacity:     a.f.cfg.HH.DynamicSlots,
-			PromoteAfter: a.f.cfg.HH.PromoteAfter,
-			DemoteAfter:  a.f.cfg.HH.DemoteAfter,
-			MinCount:     a.f.cfg.HH.MinCount,
-		}, a.f.cfg.Fancy.HighPriority)
+		alloc = hh.NewAllocator(hh.AllocPolicy{Capacity: a.f.cfg.HH.DynamicSlots}, a.f.cfg.Fancy.HighPriority)
 		a.hhAlloc[port] = alloc
 	}
 	det := a.f.Detectors[a.sw]

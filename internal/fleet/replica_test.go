@@ -250,6 +250,63 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 	}
 }
 
+// dropFirstAccept is a fault hook over a perfect management network: it
+// drops the leader's first Accept to one follower, found by decoding the
+// consensus payloads, and watches what the leader sends that follower next.
+type dropFirstAccept struct {
+	t                *testing.T
+	leader, follower string
+	rx               logEntry
+	dropped          uint64 // the dropped Accept's index, 0 until dropped
+	resent           bool   // a beat has re-carried the dropped entry
+	acceptsBetween   int    // Accepts to the follower after the drop, before the resend
+}
+
+func (h *dropFirstAccept) Fate(d mgmt.Dgram, _ float64, _ sim.Time) (bool, sim.Time, sim.Time) {
+	if d.Kind != mgmt.DgramConsensus || d.From != h.leader || d.To != h.follower {
+		return false, 0, 0
+	}
+	m, err := decodeConsensus(d.Payload.([]byte), &h.rx)
+	switch {
+	case err != nil:
+		h.t.Errorf("the leader sent a consensus payload that does not decode: %v", err)
+	case m.Kind == consAccept && h.dropped == 0:
+		h.dropped = m.Index
+		return true, 0, 0
+	case m.Kind == consAccept && !h.resent:
+		h.acceptsBetween++
+	case m.Kind == consBeat && h.dropped != 0 && m.Entry != nil && m.Entry.Index == h.dropped:
+		h.resent = true
+	}
+	return false, 0, 0
+}
+
+// TestFaultHookDroppedAcceptCatchesUpByBeat: the leader's first Accept to
+// corr1 is lost. The entry still commits on corr2's acknowledgment, corr1
+// catches up from the next beat that re-carries it — before any later
+// Accept could paper over the gap — and the gray link gets its one verdict.
+func TestFaultHookDroppedAcceptCatchesUpByBeat(t *testing.T) {
+	r := start(t, lineTrial(3, replicatedCfg(0, entry), sim.Second, 3*sim.Second))
+	f := r.Fleet
+	h := &dropFirstAccept{t: t, leader: "corr0", follower: "corr1"}
+	f.mgmtNet.SetFaultHook(h)
+	r.Finish()
+
+	if h.dropped == 0 || !h.resent || h.acceptsBetween != 0 {
+		t.Fatalf("dropped entry %d, re-carried by a beat %v, %d Accepts to corr1 in between; want a drop repaired by the next beat",
+			h.dropped, h.resent, h.acceptsBetween)
+	}
+	snap := f.Snapshot()
+	t.Logf("dropped entry %d; commit index %d at the end", h.dropped, snap.CommitIndex)
+	if snap.CommitIndex <= h.dropped || snap.Replicas[1].AccIndex < h.dropped || f.mgmtNet.Stats.Lost != 1 || f.Corr.Failovers != 0 {
+		t.Fatalf("commit index %d, corr1 at %d (dropped %d), %d datagrams lost, %d failovers; want commits past the drop, one loss, no failover",
+			snap.CommitIndex, snap.Replicas[1].AccIndex, h.dropped, f.mgmtNet.Stats.Lost, f.Corr.Failovers)
+	}
+	if n := r.Verdicts("B->C"); n != 1 {
+		t.Fatalf("%d localization events for B->C, want exactly 1", n)
+	}
+}
+
 // assassinate is repeated leader assassination as data: at each time the
 // replica killed the round before rejoins and whoever leads now is killed.
 func assassinate(at ...sim.Time) []Fault {

@@ -125,8 +125,8 @@ func (f *Fleet) Snapshot() Snapshot {
 	if f.mgmtNet != nil {
 		snap.MgmtEnabled = true
 		snap.MgmtNet = f.mgmtNet.Stats
-		snap.MgmtHoles = f.mgmtSrv.Holes()
-		snap.MgmtDuplicates = f.mgmtSrv.Stats.Duplicates
+		snap.MgmtHoles = f.active().srv.Holes()
+		snap.MgmtDuplicates = f.active().srv.Stats.Duplicates
 		snap.Corr = f.Corr
 		for _, sw := range f.switches {
 			a := f.agents[sw]

@@ -348,7 +348,7 @@ func (f *Fleet) retryHeld(tick bool) {
 }
 
 func (f *Fleet) armVerifyTimer() {
-	if f.verifyTimer != nil || len(f.verifyHeld) == 0 || f.crashed {
+	if f.verifyTimer != nil || len(f.verifyHeld) == 0 || f.Crashed() {
 		return
 	}
 	f.verifyTimer = f.S.Schedule(holdRetry, f.verifyRetryTick)
@@ -356,7 +356,7 @@ func (f *Fleet) armVerifyTimer() {
 
 func (f *Fleet) verifyRetryTick() {
 	f.verifyTimer = nil
-	if f.crashed || f.verifier == nil {
+	if f.Crashed() || f.verifier == nil {
 		return
 	}
 	f.retryHeld(true)

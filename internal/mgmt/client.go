@@ -1,7 +1,6 @@
 package mgmt
 
 import (
-	"math/rand"
 	"sort"
 
 	"fancy/internal/sim"
@@ -168,8 +167,6 @@ func (c *Client) rotate() {
 	c.Retarget(c.endpoints[(c.epIdx+1)%len(c.endpoints)])
 }
 
-func (c *Client) rng() *rand.Rand { return c.net.rng(c.name, c.srv) }
-
 // Send ships one report. While offline the report is spooled; otherwise it
 // is transmitted with up to maxAttempts tries under exponential backoff,
 // and parked in the spool if every attempt goes unacknowledged.
@@ -194,7 +191,7 @@ func (c *Client) transmit(seq uint64, payload any) {
 
 func (c *Client) send(p *pendingReport) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramReport, Seq: p.seq, Payload: p.payload})
-	p.timer = c.s.ScheduleTimer(backoff(c.rng(), p.attempt), p.expire)
+	p.timer = c.s.ScheduleTimer(c.net.backoff(c.name, c.srv, p.attempt), p.expire)
 }
 
 func (c *Client) expire(p *pendingReport) {

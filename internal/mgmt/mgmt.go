@@ -19,12 +19,14 @@
 //     liveness tracking, and a Call RPC (the Get/Sample read path) with
 //     the same timeout/retry/backoff hardening.
 //
-// All randomness derives from the simulation seed per directed endpoint
-// pair, so identical seeds replay identical management-plane weather.
+// All randomness is drawn in this file, from one stream per directed
+// endpoint pair derived from the simulation seed, so identical seeds replay
+// identical management-plane weather.
 package mgmt
 
 import (
 	"math/rand"
+	"slices"
 
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
@@ -76,7 +78,8 @@ const (
 	// UnreachableAfter is the liveness bootstrap horizon: a peer not heard
 	// from for this long is considered unreachable until the phi-accrual
 	// window warms up, after which suspicion adapts to the observed arrival
-	// jitter. It is also the replica group's anti-flap floor.
+	// jitter. It is also the replica group's anti-flap floor
+	// (PhiDetector.Silent).
 	UnreachableAfter = 60 * sim.Millisecond
 )
 
@@ -88,13 +91,6 @@ func (c Config) withDefaults() Config {
 		c.SpoolLimit = 512
 	}
 	return c
-}
-
-// NewPhi builds the phi-accrual detector both liveness consumers use (the
-// server-side sweep and replica leader election): the package's suspicion
-// defaults, bootstrapped by the fixed UnreachableAfter horizon.
-func NewPhi() *PhiDetector {
-	return NewPhiDetector(DefaultPhiThreshold, DefaultPhiWindow, DefaultPhiMinSamples, UnreachableAfter)
 }
 
 // DgramKind tags a management datagram.
@@ -147,6 +143,10 @@ type Network struct {
 
 	eps  map[string]*endpoint
 	free []*flight // landed in-flight records awaiting the next Send
+	// streams[from.id][to.id] is the source of every random draw on the
+	// from→to pair; nil until the pair first draws.
+	streams [][]*rand.Rand
+	hook    FaultHook // nil unless a test scripts datagram fates
 
 	Stats NetStats
 }
@@ -156,20 +156,35 @@ type Network struct {
 // closure-per-datagram network it replaced, as the reference.
 type fabric interface {
 	Send(Dgram)
-	rng(from, to string) *rand.Rand
+	// backoff is the attempt'th jittered retransmission timeout of the
+	// from→to pair.
+	backoff(from, to string, attempt int) sim.Time
 }
+
+// FaultHook decides datagram fates in place of the network's draws, so a
+// test can script what happens to one chosen message. Fate sees every
+// datagram that passed the partition check, with the loss probability and
+// jitter bound in effect after chaos windows. It returns whether to drop
+// the datagram, the extra delay on top of Config.Delay, and, if positive,
+// how long after the original a duplicate lands. Retransmission backoff
+// keeps drawing from the pair streams either way.
+type FaultHook interface {
+	Fate(d Dgram, loss float64, jitter sim.Time) (drop bool, extra, dupAfter sim.Time)
+}
+
+// SetFaultHook makes h the judge of every datagram's fate; nil, the
+// default, restores the seeded draws.
+func (n *Network) SetFaultHook(h FaultHook) { n.hook = h }
 
 // endpoint is everything the network knows about one name, found with one
 // lookup per end of a datagram. A name gets its record when first mentioned:
 // datagrams are sent to, and partitions cut, endpoints that register later.
 type endpoint struct {
 	name        string
+	id          int // creation order, the index into Network.streams
 	handler     func(Dgram)
 	partitioned bool          // dynamically cut off (Partition/Heal)
 	chaos       *netsim.Chaos // windowed impairments, nil without SetChaos
-	// rngs holds this sender's per-destination streams, each derived — label
-	// and all — when the pair is first used, and kept for the network's life.
-	rngs map[*endpoint]*rand.Rand
 }
 
 // cut reports whether the endpoint is off the network at now.
@@ -193,7 +208,7 @@ func NewNetwork(s *sim.Sim, cfg Config) *Network {
 func (n *Network) ep(name string) *endpoint {
 	e := n.eps[name]
 	if e == nil {
-		e = &endpoint{name: name}
+		e = &endpoint{name: name, id: len(n.eps)}
 		n.eps[name] = e
 	}
 	return e
@@ -221,18 +236,27 @@ func (n *Network) Partitioned(name string) bool { return n.ep(name).cut(n.s.Now(
 // the data plane's chaos injector uses, applied at the management layer.
 func (n *Network) SetChaos(name string, c *netsim.Chaos) { n.ep(name).chaos = c }
 
-func (n *Network) rng(from, to string) *rand.Rand { return n.pairRand(n.ep(from), n.ep(to)) }
-
-func (n *Network) pairRand(from, to *endpoint) *rand.Rand {
-	r := from.rngs[to]
-	if r == nil {
-		if from.rngs == nil {
-			from.rngs = make(map[*endpoint]*rand.Rand)
-		}
-		r = n.s.DeriveRand("mgmt/" + from.name + ">" + to.name)
-		from.rngs[to] = r
+// stream is the from→to pair's generator, derived from the pair label on
+// its first draw and kept for the network's life. Deriving is pure, so when
+// a pair first draws does not change what it draws. A sender's row starts
+// with room for eight destinations.
+func (n *Network) stream(from, to *endpoint) *rand.Rand {
+	if from.id >= len(n.streams) {
+		n.streams = slices.Grow(n.streams, len(n.eps)-len(n.streams))[:from.id+1]
 	}
-	return r
+	row := n.streams[from.id]
+	if to.id >= len(row) {
+		row = slices.Grow(row, max(to.id+1, 8)-len(row))[:to.id+1]
+		n.streams[from.id] = row
+	}
+	if row[to.id] == nil {
+		row[to.id] = n.s.DeriveRand("mgmt/" + from.name + ">" + to.name)
+	}
+	return row[to.id]
+}
+
+func (n *Network) backoff(from, to string, attempt int) sim.Time {
+	return retryTimeout(attempt, n.stream(n.ep(from), n.ep(to)).Float64())
 }
 
 // Send offers one datagram to the channel. Delivery (if any) is scheduled
@@ -250,7 +274,6 @@ func (n *Network) Send(d Dgram) {
 		}
 		return
 	}
-	rng := n.pairRand(from, to)
 	loss := n.cfg.Loss
 	jitterMax := n.cfg.Jitter
 	for _, c := range [2]*netsim.Chaos{from.chaos, to.chaos} {
@@ -261,19 +284,38 @@ func (n *Network) Send(d Dgram) {
 			}
 		}
 	}
-	if loss > 0 && rng.Float64() < loss {
+	var drop bool
+	var extra, dup sim.Time
+	if n.hook != nil {
+		drop, extra, dup = n.hook.Fate(d, loss, jitterMax)
+	} else if loss > 0 || jitterMax > 0 || n.cfg.Duplicate > 0 {
+		drop, extra, dup = n.draw(n.stream(from, to), loss, jitterMax)
+	}
+	if drop {
 		n.Stats.Lost++
 		return
 	}
-	delay := n.cfg.Delay
-	if jitterMax > 0 {
-		delay += sim.Time(rng.Int63n(int64(jitterMax)))
-	}
+	delay := n.cfg.Delay + extra
 	n.deliver(to, d, delay)
-	if n.cfg.Duplicate > 0 && rng.Float64() < n.cfg.Duplicate {
+	if dup > 0 {
 		n.Stats.Duplicated++
-		n.deliver(to, d, delay+1+sim.Time(rng.Int63n(int64(dupDelayMax))))
+		n.deliver(to, d, delay+dup)
 	}
+}
+
+// draw is a datagram's fate from its pair's stream, in the order every seed
+// replays: loss, jitter, then duplication and the duplicate's lag.
+func (n *Network) draw(r *rand.Rand, loss float64, jitterMax sim.Time) (drop bool, extra, dup sim.Time) {
+	if loss > 0 && r.Float64() < loss {
+		return true, 0, 0
+	}
+	if jitterMax > 0 {
+		extra = sim.Time(r.Int63n(int64(jitterMax)))
+	}
+	if n.cfg.Duplicate > 0 && r.Float64() < n.cfg.Duplicate {
+		dup = 1 + sim.Time(r.Int63n(int64(dupDelayMax)))
+	}
+	return false, extra, dup
 }
 
 // deliver puts one copy of d in flight toward to.
@@ -305,13 +347,14 @@ func (f *flight) land() {
 	}
 }
 
-// backoff computes the attempt'th retransmission timeout with jitter.
-func backoff(rng *rand.Rand, attempt int) sim.Time {
+// retryTimeout is the attempt'th retransmission timeout, jittered by u, a
+// uniform draw from [0, 1).
+func retryTimeout(attempt int, u float64) sim.Time {
 	t := ackTimeout << attempt
 	if t > backoffMax || t <= 0 {
 		t = backoffMax
 	}
-	j := 1 + jitterFrac*(2*rng.Float64()-1)
+	j := 1 + jitterFrac*(2*u-1)
 	t = sim.Time(float64(t) * j)
 	if t < 1 {
 		t = 1

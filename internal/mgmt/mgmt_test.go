@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"fancy/internal/netsim"
@@ -75,6 +76,103 @@ func TestLossyChannelRetriesToCompletion(t *testing.T) {
 	}
 	if r.srv.Holes() != 0 {
 		t.Fatalf("holes=%d, want 0 after retries", r.srv.Holes())
+	}
+}
+
+// script is a fault hook with two scripted fates: it drops the first
+// transmission of report dropSeq and delivers the first heartbeat ack a
+// second time dupAfter later. Every other datagram is delivered untouched,
+// whatever the configured weather; offered logs what Fate was asked about.
+type script struct {
+	t        *testing.T
+	cfg      Config
+	dropSeq  uint64
+	dupAfter sim.Time
+	dropped  bool
+	dupSeq   uint64 // the duplicated ack's probe id, 0 until chosen
+	offered  []Dgram
+}
+
+func (h *script) Fate(d Dgram, loss float64, jitter sim.Time) (bool, sim.Time, sim.Time) {
+	if loss != h.cfg.Loss || jitter != h.cfg.Jitter { //lint:allow floateq the hook must see the configured value itself
+		h.t.Errorf("Fate saw loss %v jitter %v, want the configured %v, %v", loss, jitter, h.cfg.Loss, h.cfg.Jitter)
+	}
+	h.offered = append(h.offered, d)
+	switch {
+	case d.Kind == DgramReport && d.Seq == h.dropSeq && !h.dropped:
+		h.dropped = true
+		return true, 0, 0
+	case d.Kind == DgramHeartbeatAck && h.dupSeq == 0:
+		h.dupSeq = d.Seq
+		return false, 0, h.dupAfter
+	}
+	return false, 0, 0
+}
+
+// TestFaultHookScriptsOneReportAndOneAck drives the protocol through the
+// fault hook over a channel configured to lose 30 % of datagrams: the hook
+// drops only the first transmission of report 4 and duplicates only the
+// first heartbeat ack, its copy landing after the next probe's ack. The
+// client must retry exactly once, the server pass every report up once and
+// in order, the stale ack copy change nothing, and every other datagram
+// arrive exactly as offered.
+func TestFaultHookScriptsOneReportAndOneAck(t *testing.T) {
+	cfg := Config{Loss: 0.3, Jitter: 2 * sim.Millisecond}
+	r := newRig(t, 1, cfg)
+	h := &script{t: t, cfg: cfg, dropSeq: 4, dupAfter: HeartbeatInterval + sim.Millisecond}
+	r.net.SetFaultHook(h)
+	type key struct {
+		kind DgramKind
+		to   string
+		seq  uint64
+	}
+	delivered := map[key]int{}
+	log := func(name string, handle func(Dgram)) {
+		r.net.Register(name, func(d Dgram) {
+			delivered[key{d.Kind, d.To, d.Seq}]++
+			if d.Kind == DgramHeartbeatAck && d.Seq == h.dupSeq && delivered[key{d.Kind, d.To, d.Seq}] == 2 {
+				if before := r.cl.lastProbeAck; before <= d.Seq {
+					t.Errorf("the ack copy of probe %d landed before the next probe's ack (%d)", d.Seq, before)
+				}
+			}
+			handle(d)
+		})
+	}
+	log("sw", r.cl.onDgram)
+	log("corr", r.srv.onDgram)
+	const n = 8
+	for i := 0; i < n; i++ {
+		r.s.Schedule(sim.Millisecond+sim.Time(i)*10*sim.Millisecond, func() { r.cl.Send(i) })
+	}
+	r.s.Run(205 * sim.Millisecond) // between heartbeats: nothing in flight
+
+	if r.cl.Stats.Retries != 1 || r.cl.Stats.ProbeRetries != 0 || r.srv.Stats.Duplicates != 0 {
+		t.Fatalf("client %+v, server %+v: want exactly one report retry and nothing else", r.cl.Stats, r.srv.Stats)
+	}
+	for i, seq := range r.got {
+		if seq != uint64(i+1) || r.vals[i] != i {
+			t.Fatalf("server passed up %v, want 1..%d once each, in order", r.got, n)
+		}
+	}
+	if len(r.got) != n {
+		t.Fatalf("server passed up %d reports, want %d", len(r.got), n)
+	}
+	if st := r.net.Stats; st.Lost != 1 || st.Duplicated != 1 || st.PartitionDrops != 0 || st.Sent != uint64(len(h.offered)) {
+		t.Fatalf("network %+v over %d offered datagrams: want exactly one loss and one duplicate", st, len(h.offered))
+	}
+	// No other fate changed: what arrived is what was offered, less the
+	// dropped report, plus the ack copy.
+	want := map[key]int{}
+	for _, d := range h.offered {
+		want[key{d.Kind, d.To, d.Seq}]++
+	}
+	want[key{DgramReport, "corr", h.dropSeq}]--
+	want[key{DgramHeartbeatAck, "sw", h.dupSeq}]++
+	if !maps.Equal(delivered, want) {
+		t.Errorf("delivered %v\nwant %v", delivered, want)
+	}
+	if want[key{DgramReport, "corr", h.dropSeq}] != 1 || !r.cl.Online() || !r.srv.Alive("sw") {
+		t.Fatal("the scripted report was not retransmitted exactly once, or the pair lost touch")
 	}
 }
 

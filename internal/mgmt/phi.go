@@ -31,29 +31,27 @@ import (
 	"fancy/internal/sim"
 )
 
-// phiDefaults mirror the liveness sweep and replica-election consumers.
+// The suspicion parameters both consumers (the liveness sweep and replica
+// election) share.
 const (
-	// DefaultPhiThreshold is the suspicion level treated as failure.
-	DefaultPhiThreshold = 8.0
-	// DefaultPhiWindow is the inter-arrival sample window size.
-	DefaultPhiWindow = 100
-	// DefaultPhiMinSamples is the warm-up floor: below it the detector
-	// falls back to its bootstrap horizon instead of trusting statistics
-	// of two or three gaps.
-	DefaultPhiMinSamples = 5
+	// phiThreshold is the suspicion level treated as failure.
+	phiThreshold = 8.0
+	// phiWindow is the inter-arrival sample window size.
+	phiWindow = 100
+	// phiMinSamples is the warm-up floor: below it the detector falls back
+	// to its bootstrap horizon instead of trusting statistics of two or
+	// three gaps.
+	phiMinSamples = 5
+	// minPhiStdDev keeps the normal approximation honest on a perfectly
+	// regular channel: a zero-variance window would make any gap infinitely
+	// suspicious, so the spread is floored at 100 µs.
+	minPhiStdDev = 100 * sim.Microsecond
 )
 
-// minPhiStdDev keeps the normal approximation honest on a perfectly
-// regular channel: a zero-variance window would make any gap infinitely
-// suspicious, so the spread is floored at 100 µs.
-const minPhiStdDev = 100 * sim.Microsecond
-
 // PhiDetector is one monitored peer's accrual state. The zero value is not
-// usable; construct with NewPhiDetector.
+// usable; construct with NewPhi.
 type PhiDetector struct {
-	threshold float64
 	bootstrap sim.Time // fixed horizon used until the window warms up
-	minKeep   int      // samples required before the statistics are trusted
 
 	window []sim.Time // inter-arrival ring buffer
 	next   int        // ring write cursor
@@ -63,26 +61,14 @@ type PhiDetector struct {
 	heard bool
 }
 
-// NewPhiDetector builds a detector with the given suspicion threshold,
-// window size, warm-up sample count and bootstrap horizon; zero values take
-// the package defaults (bootstrap must be provided by the caller — it is
-// the consumer's legacy fixed timeout).
-func NewPhiDetector(threshold float64, window, minSamples int, bootstrap sim.Time) *PhiDetector {
-	if threshold <= 0 {
-		threshold = DefaultPhiThreshold
-	}
-	if window <= 0 {
-		window = DefaultPhiWindow
-	}
-	if minSamples <= 0 {
-		minSamples = DefaultPhiMinSamples
-	}
-	return &PhiDetector{
-		threshold: threshold,
-		bootstrap: bootstrap,
-		minKeep:   minSamples,
-		window:    make([]sim.Time, 0, window),
-	}
+// NewPhi builds the detector both liveness consumers use, bootstrapped by
+// the fixed UnreachableAfter horizon.
+func NewPhi() *PhiDetector { return newPhiDetector(phiWindow, UnreachableAfter) }
+
+// newPhiDetector builds a detector over a window of the given size with the
+// given bootstrap horizon (0: none).
+func newPhiDetector(window int, bootstrap sim.Time) *PhiDetector {
+	return &PhiDetector{bootstrap: bootstrap, window: make([]sim.Time, 0, window)}
 }
 
 // Observe records one arrival (heartbeat, ack, or any sign of life) at now.
@@ -109,14 +95,8 @@ func (p *PhiDetector) Observe(now sim.Time) {
 // Heard reports whether the peer was ever observed.
 func (p *PhiDetector) Heard() bool { return p.heard }
 
-// LastSeen returns the most recent arrival (0, false if never heard).
-func (p *PhiDetector) LastSeen() (sim.Time, bool) { return p.last, p.heard }
-
-// Samples reports how many inter-arrival gaps the window currently holds.
-func (p *PhiDetector) Samples() int { return len(p.window) }
-
 // warm reports whether the window holds enough samples to trust.
-func (p *PhiDetector) warm() bool { return len(p.window) >= p.minKeep }
+func (p *PhiDetector) warm() bool { return len(p.window) >= phiMinSamples }
 
 // Phi returns the current suspicion level at now. Before the first arrival,
 // or before the window warms up, it returns 0 below the bootstrap horizon
@@ -125,10 +105,10 @@ func (p *PhiDetector) warm() bool { return len(p.window) >= p.minKeep }
 func (p *PhiDetector) Phi(now sim.Time) float64 {
 	if !p.heard || !p.warm() {
 		if p.heard && p.bootstrap > 0 && now-p.last >= p.bootstrap {
-			return p.threshold
+			return phiThreshold
 		}
 		if !p.heard && p.bootstrap > 0 && now-p.born >= p.bootstrap {
-			return p.threshold // never heard at all: suspect past the horizon
+			return phiThreshold // never heard at all: suspect past the horizon
 		}
 		return 0
 	}
@@ -168,8 +148,14 @@ func (p *PhiDetector) stats() (mean, sd float64) {
 
 // Suspect reports whether the suspicion level has crossed the threshold.
 func (p *PhiDetector) Suspect(now sim.Time) bool {
-	return p.Phi(now) >= p.threshold
+	return p.Phi(now) >= phiThreshold
 }
+
+// Silent is the second reading, an anti-flap floor under Suspect: whether
+// the peer was never heard or has been silent for the bootstrap horizon. On
+// a freshly warmed window of near-constant gaps one lost arrival already
+// looks astronomically suspicious; it does not yet look silent.
+func (p *PhiDetector) Silent(now sim.Time) bool { return !p.heard || now-p.last >= p.bootstrap }
 
 // Reset forgets everything (peer restarted from scratch, or the monitor
 // changed targets): the next Observe starts a fresh window, and the

@@ -18,7 +18,7 @@ func feed(p *PhiDetector, start, cadence sim.Time, n int) sim.Time {
 }
 
 func TestPhiSteadyCadenceStaysLow(t *testing.T) {
-	p := NewPhiDetector(8, 100, 5, 60*sim.Millisecond)
+	p := NewPhi()
 	last := feed(p, 0, 10*sim.Millisecond, 50)
 	// Right on cadence: the next expected arrival instant is unremarkable.
 	if phi := p.Phi(last + 10*sim.Millisecond); phi >= 8 {
@@ -30,7 +30,7 @@ func TestPhiSteadyCadenceStaysLow(t *testing.T) {
 }
 
 func TestPhiSilenceCrossesThreshold(t *testing.T) {
-	p := NewPhiDetector(8, 100, 5, 60*sim.Millisecond)
+	p := NewPhi()
 	last := feed(p, 0, 10*sim.Millisecond, 50)
 	if !p.Suspect(last + sim.Second) {
 		t.Fatalf("one second of silence after a 10ms cadence not suspected (phi=%v)",
@@ -45,9 +45,9 @@ func TestPhiSilenceCrossesThreshold(t *testing.T) {
 func TestPhiAdaptsToJitter(t *testing.T) {
 	// Tight cadence: 10ms gaps. Jittery cadence: alternating 5/40ms gaps
 	// (same order of magnitude, much higher variance).
-	tight := NewPhiDetector(8, 100, 5, 0)
+	tight := newPhiDetector(phiWindow, 0)
 	feed(tight, 0, 10*sim.Millisecond, 50)
-	jittery := NewPhiDetector(8, 100, 5, 0)
+	jittery := newPhiDetector(phiWindow, 0)
 	at := sim.Time(0)
 	for i := 0; i < 50; i++ {
 		jittery.Observe(at)
@@ -57,8 +57,7 @@ func TestPhiAdaptsToJitter(t *testing.T) {
 			at += 40 * sim.Millisecond
 		}
 	}
-	tl, _ := tight.LastSeen()
-	jl, _ := jittery.LastSeen()
+	tl, jl := tight.last, jittery.last
 	gap := 80 * sim.Millisecond
 	if tight.Phi(tl+gap) <= jittery.Phi(jl+gap) {
 		t.Fatalf("tight window should suspect an 80ms gap harder than a jittery one: tight=%v jittery=%v",
@@ -67,7 +66,7 @@ func TestPhiAdaptsToJitter(t *testing.T) {
 }
 
 func TestPhiBootstrapHorizon(t *testing.T) {
-	p := NewPhiDetector(8, 100, 5, 60*sim.Millisecond)
+	p := NewPhi()
 	// Never heard: silent until the horizon, suspected past it.
 	if p.Suspect(59 * sim.Millisecond) {
 		t.Fatal("suspected before bootstrap horizon with no observations")
@@ -88,8 +87,8 @@ func TestPhiBootstrapHorizon(t *testing.T) {
 	p.Reset(0)
 	p.Observe(100 * sim.Millisecond)
 	p.Observe(110 * sim.Millisecond)
-	if p.Samples() >= 5 {
-		t.Fatalf("expected cold window, got %d samples", p.Samples())
+	if len(p.window) >= phiMinSamples {
+		t.Fatalf("expected cold window, got %d samples", len(p.window))
 	}
 	if p.Suspect(110*sim.Millisecond + 59*sim.Millisecond) {
 		t.Fatal("cold detector suspected inside the bootstrap horizon")
@@ -99,19 +98,37 @@ func TestPhiBootstrapHorizon(t *testing.T) {
 	}
 }
 
+// TestPhiSilentFloor: the second reading. A warm detector suspects a peer
+// one missed arrival after a steady cadence but calls it silent only once
+// the bootstrap horizon has passed since the last arrival; a peer never
+// heard is silent from the start.
+func TestPhiSilentFloor(t *testing.T) {
+	p := NewPhi()
+	if !p.Silent(0) {
+		t.Fatal("a peer never heard is not silent")
+	}
+	last := feed(p, 0, 10*sim.Millisecond, 50)
+	if at := last + 30*sim.Millisecond; !p.Suspect(at) || p.Silent(at) {
+		t.Fatalf("one missed arrival: suspect %v, silent %v; want suspect and not silent", p.Suspect(at), p.Silent(at))
+	}
+	if p.Silent(last+UnreachableAfter-1) || !p.Silent(last+UnreachableAfter) {
+		t.Fatal("the silence floor is not the bootstrap horizon")
+	}
+}
+
 func TestPhiDuplicateInstantIgnored(t *testing.T) {
-	p := NewPhiDetector(8, 100, 5, 0)
+	p := newPhiDetector(phiWindow, 0)
 	last := feed(p, 0, 10*sim.Millisecond, 10)
-	n := p.Samples()
+	n := len(p.window)
 	p.Observe(last) // duplicated datagram, same instant
-	if p.Samples() != n {
-		t.Fatalf("duplicate-instant observation changed the window: %d -> %d", n, p.Samples())
+	if len(p.window) != n {
+		t.Fatalf("duplicate-instant observation changed the window: %d -> %d", n, len(p.window))
 	}
 }
 
 func TestPhiDeterministic(t *testing.T) {
 	mk := func() float64 {
-		p := NewPhiDetector(8, 100, 5, 60*sim.Millisecond)
+		p := NewPhi()
 		at := sim.Time(0)
 		for i := 0; i < 200; i++ {
 			p.Observe(at)
@@ -128,7 +145,7 @@ func TestPhiDeterministic(t *testing.T) {
 }
 
 func TestPhiWindowSlides(t *testing.T) {
-	p := NewPhiDetector(8, 10, 5, 0)
+	p := newPhiDetector(10, 0)
 	// Fill the 10-slot window with slow 50ms gaps, then shift to a fast
 	// 5ms cadence; once the window has slid, a 50ms silence — formerly the
 	// norm — must look far more suspicious than before.
@@ -139,7 +156,7 @@ func TestPhiWindowSlides(t *testing.T) {
 	if after <= before {
 		t.Fatalf("window did not adapt to the faster cadence: before=%v after=%v", before, after)
 	}
-	if p.Samples() != 10 {
-		t.Fatalf("window grew past its cap: %d", p.Samples())
+	if len(p.window) != 10 {
+		t.Fatalf("window grew past its cap: %d", len(p.window))
 	}
 }

@@ -61,6 +61,10 @@ func (n *closureNet) rng(from, to string) *rand.Rand {
 	return r
 }
 
+func (n *closureNet) backoff(from, to string, attempt int) sim.Time {
+	return retryTimeout(attempt, n.rng(from, to).Float64())
+}
+
 func (n *closureNet) Send(d Dgram) {
 	n.Stats.Sent++
 	now := n.s.Now()

@@ -2,7 +2,6 @@ package mgmt
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 
 	"fancy/internal/sim"
@@ -188,10 +187,8 @@ func (srv *Server) Call(to string, req any, cb func(any, error)) {
 func (srv *Server) attempt(pc *pendingCall) {
 	srv.Stats.Calls++
 	srv.net.Send(Dgram{From: srv.name, To: pc.to, Kind: DgramCallReq, Seq: pc.id, Payload: pc.req})
-	pc.timer = srv.s.ScheduleTimer(backoff(srv.rng(pc.to), pc.attempt), pc.expire)
+	pc.timer = srv.s.ScheduleTimer(srv.net.backoff(srv.name, pc.to, pc.attempt), pc.expire)
 }
-
-func (srv *Server) rng(to string) *rand.Rand { return srv.net.rng(srv.name, to) }
 
 // Alive reports whether the client is believed reachable: phi-accrual
 // suspicion over the observed datagram inter-arrival times once the window
@@ -199,16 +196,6 @@ func (srv *Server) rng(to string) *rand.Rand { return srv.net.rng(srv.name, to) 
 func (srv *Server) Alive(name string) bool {
 	ct, ok := srv.clients[name]
 	return ok && ct.phi.Heard() && !ct.phi.Suspect(srv.s.Now())
-}
-
-// Phi returns the current accrual suspicion level for a client (0 if the
-// client was never heard from and the bootstrap horizon has not passed).
-func (srv *Server) Phi(name string) float64 {
-	ct, ok := srv.clients[name]
-	if !ok {
-		return 0
-	}
-	return ct.phi.Phi(srv.s.Now())
 }
 
 // Holes counts report sequence numbers currently missing below each

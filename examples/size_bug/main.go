@@ -35,8 +35,8 @@ func run(_ []string, stdout, stderr io.Writer) int {
 	// counters: sender side upstream, receiver side downstream.
 	sender := core.NewSizeHistogramUnit()
 	receiver := core.NewSizeHistogramUnit()
-	unit := ml.Upstream.MonitorCustom(ml.MonitorPort(), 100*fancy.Millisecond, sender)
-	ml.Downstream.ListenCustom(0, unit, receiver)
+	ml.Upstream.MonitorCustom(ml.MonitorPort(), 100*fancy.Millisecond, sender)
+	ml.Downstream.ListenCustom(0, receiver)
 
 	sender.OnMismatch = func(bucket int, diff uint64) {
 		fmt.Fprintf(stdout, "%8.3fs  size bucket %-10s lost %d packets\n",

@@ -123,15 +123,7 @@ func FleetAbileneWorkers(scale Scale, seed int64, verified bool, workers int) *F
 	res := &FleetResult{Scale: scale, Verified: verified}
 	duration := pick(scale, 3*sim.Second, 5*sim.Second)
 	res.Rows = make([]FleetRow, len(targets))
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers <= 1 {
-		for i, dl := range targets {
-			res.Rows[i] = fleetTrial(seed+int64(i), dl, duration, verified)
-		}
-		return res
-	}
+	workers = min(max(workers, 1), len(targets))
 	var wg sync.WaitGroup
 	next := int64(-1)
 	for w := 0; w < workers; w++ {

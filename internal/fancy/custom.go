@@ -45,42 +45,34 @@ type CustomReceiver interface {
 	Snapshot() []uint64
 }
 
-// customUnitBase is the first wire unit number used for custom sessions,
-// keeping them clear of dedicated-entry slots.
+// customUnitBase is the wire unit number of a port's custom session, clear
+// of the dedicated-entry slots.
 const customUnitBase uint16 = 0xf000
 
 // MonitorCustom opens recurring custom sessions on an egress port,
-// exchanging cs's state every interval. The returned unit number must be
-// used by the downstream's ListenCustom. MonitorPort must have been called
-// for the port first (custom sessions share its infrastructure).
-func (d *Detector) MonitorCustom(port int, interval sim.Time, cs CustomSender) uint16 {
+// exchanging cs's state every interval with the half the downstream
+// registers through ListenCustom. MonitorPort must have been called for the
+// port first (custom sessions share its infrastructure). The session is one
+// more unit of the port: it survives Restart like the others, and its
+// packets are not counted by the dedicated or tree units.
+func (d *Detector) MonitorCustom(port int, interval sim.Time, cs CustomSender) {
 	m := d.monitors[port]
 	if m == nil {
 		panic(fmt.Sprintf("fancy: MonitorCustom before MonitorPort(%d)", port))
 	}
-	if len(m.custom) > 0 {
+	if m.custom != nil {
 		// Packet tags carry no unit number, so tagged-packet dispatch at
 		// the receiver supports one custom unit per port.
 		panic(fmt.Sprintf("fancy: port %d already has a custom session", port))
 	}
-	unit := customUnitBase + uint16(len(m.custom))
-	fsm := &senderFSM{
-		det: d, port: port, kind: wire.KindCustom, unit: unit,
-		interval: interval,
-		counters: &customSenderAdapter{cs},
-	}
-	m.custom = append(m.custom, fsm)
-	d.s.After(0, fsm.startSession)
-	return unit
+	m.custom = d.startUnit(port, wire.KindCustom, customUnitBase, interval, 0, &customSenderAdapter{cs})
 }
 
-// ListenCustom registers the downstream half for (port, unit).
-func (d *Detector) ListenCustom(port int, unit uint16, cr CustomReceiver) {
+// ListenCustom registers the downstream half of the custom session arriving
+// on an ingress port.
+func (d *Detector) ListenCustom(port int, cr CustomReceiver) {
 	d.ListenPort(port)
-	if d.customRecv == nil {
-		d.customRecv = make(map[uint32]CustomReceiver)
-	}
-	d.customRecv[uint32(port)<<16|uint32(unit)] = cr
+	d.listeners[port].custom = cr
 }
 
 // customSenderAdapter bridges CustomSender onto the senderCounters
@@ -92,9 +84,8 @@ func (a *customSenderAdapter) resetSession() []wire.ZoomTarget {
 	return nil
 }
 
-func (a *customSenderAdapter) tagPacket(netsim.EntryID) (wire.Tag, bool) {
-	// Custom units tag via tagPacketFull (they need the whole packet).
-	return wire.Tag{}, false
+func (a *customSenderAdapter) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
+	return a.cs.Observe(pkt)
 }
 
 func (a *customSenderAdapter) handleReport(counters []uint64) {

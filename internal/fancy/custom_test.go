@@ -40,8 +40,8 @@ func TestSizeHistogramLocalizesSizeSpecificBug(t *testing.T) {
 
 	sender := NewSizeHistogramUnit()
 	receiver := NewSizeHistogramUnit()
-	unit := upDet.MonitorCustom(1, 100*sim.Millisecond, sender)
-	downDet.ListenCustom(0, unit, receiver)
+	upDet.MonitorCustom(1, 100*sim.Millisecond, sender)
+	downDet.ListenCustom(0, receiver)
 
 	// Traffic at three distinct packet sizes.
 	sizes := []int{200, 800, 1400}
@@ -81,6 +81,34 @@ func TestSizeHistogramLocalizesSizeSpecificBug(t *testing.T) {
 	}
 	if sender.FlaggedBuckets[SizeBucket(1400)] {
 		t.Error("1400 B bucket flagged")
+	}
+}
+
+// TestCustomSessionSurvivesRestart: a custom unit is rebuilt by Restart like
+// every other unit of the port and keeps flagging its size bucket in the new
+// epoch.
+func TestCustomSessionSurvivesRestart(t *testing.T) {
+	tb := newTestbed(t, testCfg, 45)
+	sender, receiver := NewSizeHistogramUnit(), NewSizeHistogramUnit()
+	tb.det.MonitorCustom(1, 100*sim.Millisecond, sender)
+	tb.downDet.ListenCustom(0, receiver)
+	tb.udpSized(60, 300, 200, 6*sim.Second)
+	tb.udpSized(61, 1000, 200, 6*sim.Second)
+	tb.link.AB.SetFailure(netsim.FailSizes(7, 0, 900, 1100, 1.0))
+	bad := SizeBucket(1000)
+	tb.s.Run(2 * sim.Second)
+	if !sender.FlaggedBuckets[bad] {
+		t.Fatalf("bucket %s not flagged before the restart: %v", BucketRange(bad), sender.FlaggedBuckets)
+	}
+	before := tb.det.monitors[1].custom
+	tb.det.Restart()
+	if c := tb.det.monitors[1].custom; c == nil || c == before || c.dead || c.unit != customUnitBase {
+		t.Fatal("Restart did not rebuild the custom unit")
+	}
+	sender.FlaggedBuckets = map[int]bool{}
+	tb.s.Run(6 * sim.Second)
+	if len(sender.FlaggedBuckets) != 1 || !sender.FlaggedBuckets[bad] {
+		t.Fatalf("flagged buckets after restart = %v, want only %s", sender.FlaggedBuckets, BucketRange(bad))
 	}
 }
 

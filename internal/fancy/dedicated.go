@@ -24,7 +24,7 @@ func (d *dedicatedSender) resetSession() []wire.ZoomTarget {
 	return nil
 }
 
-func (d *dedicatedSender) tagPacket(entry netsim.EntryID) (wire.Tag, bool) {
+func (d *dedicatedSender) tagPacket(*netsim.Packet) (wire.Tag, bool) {
 	// The detector routes only this entry's packets here.
 	d.count++
 	return wire.DedicatedTag(uint16(d.slot)), true

@@ -29,6 +29,8 @@ type Detector struct {
 	// Layout is the memory plan computed from the config.
 	Layout Layout
 
+	// slotByEntry holds the static slots for DedicatedSlot; each port's
+	// portMonitor.slots is what the data path reads.
 	slotByEntry map[netsim.EntryID]int
 
 	monitors  map[int]*portMonitor
@@ -61,8 +63,6 @@ type Detector struct {
 	// each one back, Ctl buffer included, when the peer has consumed it.
 	ctlPkts netsim.PacketPool
 
-	customRecv map[uint32]CustomReceiver
-
 	// OnEvent receives every detection event (required for experiments;
 	// may be nil).
 	OnEvent func(Event)
@@ -78,18 +78,21 @@ type Detector struct {
 	CtlBytesSent uint64
 }
 
-// portMonitor is the sender side for one monitored egress port.
+// portMonitor is the sender side for one monitored egress port: one
+// sub-state-machine per unit (Appendix B.2), reached through unit.
 type portMonitor struct {
-	dedicated []*senderFSM // index = slot; dynamic slots are nil when free
-	tree      *senderFSM
-	treeCnt   *treeSender
-	custom    []*senderFSM
-	out       Outputs
-
-	// Dynamic dedicated-slot state (cfg.DynamicSlots > 0): which entry
-	// holds which slot, and the free slots in ascending order.
-	dyn     map[netsim.EntryID]int
-	freeDyn []int
+	// dedicated is indexed by slot, which is also the wire unit number:
+	// the static slots, then cfg.DynamicSlots promoted ones (nil when free).
+	dedicated []*senderFSM
+	// slots maps every entry holding a dedicated slot on this port, static
+	// and promoted alike; free lists the free dynamic slots in ascending
+	// order.
+	slots   map[netsim.EntryID]int
+	free    []int
+	tree    *senderFSM
+	treeCnt *treeSender
+	custom  *senderFSM // MonitorCustom's session, or nil
+	out     Outputs
 
 	// Heavy-hitter stage state (cfg.HH != nil).
 	hh       *hh.Sketch
@@ -103,10 +106,25 @@ type portMonitor struct {
 	downUnits int
 }
 
+// unit returns the sender FSM of wire unit u, or nil (no such unit, or a
+// free dynamic slot).
+func (m *portMonitor) unit(u uint16) *senderFSM {
+	switch {
+	case u == wire.TreeUnit:
+		return m.tree
+	case u == customUnitBase:
+		return m.custom
+	case int(u) < len(m.dedicated):
+		return m.dedicated[u]
+	}
+	return nil
+}
+
 // portListener is the receiver side for one ingress port. FSMs are created
 // on demand when the first Start for a unit arrives.
 type portListener struct {
-	units map[uint16]*receiverFSM
+	units  map[uint16]*receiverFSM
+	custom CustomReceiver // ListenCustom's downstream half, or nil
 }
 
 // NewDetector validates cfg (running the §4.3 input translation) and hooks
@@ -185,25 +203,20 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 func (d *Detector) startMonitor(m *portMonitor, port int) {
 	n := len(d.cfg.HighPriority)
 	m.dedicated = m.dedicated[:0]
+	m.slots = make(map[netsim.EntryID]int, n)
 	for slot, entry := range d.cfg.HighPriority {
-		fsm := &senderFSM{
-			det: d, port: port, kind: wire.KindDedicated, unit: uint16(slot),
-			interval: d.cfg.ExchangeInterval,
-			counters: &dedicatedSender{det: d, port: port, slot: slot, entry: entry},
-		}
-		m.dedicated = append(m.dedicated, fsm)
 		delay := sim.Time(int64(d.cfg.ExchangeInterval) * int64(slot) / int64(max(n, 1)))
-		d.s.After(delay, fsm.startSession)
+		m.dedicated = append(m.dedicated, d.startDedicated(port, slot, entry, delay))
+		m.slots[entry] = slot
 	}
 	// Dynamic slots start free; Promote fills them. After a restart the
 	// dataplane state is gone, so any previous assignment is forgotten —
 	// the allocation controller relearns from fresh reports (it notices
 	// the epoch change).
-	m.dyn = make(map[netsim.EntryID]int)
-	m.freeDyn = m.freeDyn[:0]
-	for i := 0; i < d.cfg.DynamicSlots; i++ {
+	m.free = m.free[:0]
+	for slot := n; slot < n+d.cfg.DynamicSlots; slot++ {
 		m.dedicated = append(m.dedicated, nil)
-		m.freeDyn = append(m.freeDyn, n+i)
+		m.free = append(m.free, slot)
 	}
 	if d.cfg.HH != nil {
 		p := d.cfg.HH.Sketch
@@ -216,12 +229,24 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 		m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
 	}
 	m.treeCnt = newTreeSender(d, port, d.cfg.Tree, d.cfg.TreeSeed)
-	m.tree = &senderFSM{
-		det: d, port: port, kind: wire.KindTree, unit: wire.TreeUnit,
-		interval: d.cfg.ZoomingInterval,
-		counters: m.treeCnt,
+	m.tree = d.startUnit(port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, m.treeCnt)
+	if c := m.custom; c != nil {
+		m.custom = d.startUnit(port, wire.KindCustom, customUnitBase, c.interval, 0, c.counters)
 	}
-	d.s.After(0, m.tree.startSession)
+}
+
+// startUnit builds the sender FSM of one unit and opens its first session
+// after delay.
+func (d *Detector) startUnit(port int, kind wire.SessionKind, unit uint16, interval, delay sim.Time, c senderCounters) *senderFSM {
+	fsm := &senderFSM{det: d, port: port, kind: kind, unit: unit, interval: interval, counters: c}
+	d.s.After(delay, fsm.startSession)
+	return fsm
+}
+
+// startDedicated starts the unit counting entry in a dedicated slot.
+func (d *Detector) startDedicated(port, slot int, entry netsim.EntryID, delay sim.Time) *senderFSM {
+	return d.startUnit(port, wire.KindDedicated, uint16(slot), d.cfg.ExchangeInterval, delay,
+		&dedicatedSender{det: d, port: port, slot: slot, entry: entry})
 }
 
 // Restart models a device reboot: all protocol and counter state is wiped,
@@ -250,27 +275,13 @@ func (d *Detector) Restart() {
 				f.kill()
 			}
 		}
-		custom := m.custom
-		for _, f := range custom {
-			f.kill()
-		}
-		m.custom = nil
 		m.tree.kill()
+		if m.custom != nil {
+			m.custom.kill()
+		}
 		m.downUnits = 0
-		// A reboot wipes the output registers too.
-		for i := 0; i < m.out.Flags.Len(); i++ {
-			m.out.Flags.Clear(i)
-		}
-		m.out.Bloom.Reset()
+		d.Acknowledge(port) // a reboot wipes the output registers too
 		d.startMonitor(m, port)
-		for _, old := range custom {
-			fsm := &senderFSM{
-				det: d, port: port, kind: wire.KindCustom, unit: old.unit,
-				interval: old.interval, counters: old.counters,
-			}
-			m.custom = append(m.custom, fsm)
-			d.s.After(0, fsm.startSession)
-		}
 	}
 	for _, l := range d.listeners {
 		for _, f := range l.units {
@@ -324,10 +335,7 @@ func (d *Detector) Flagged(port int, entry netsim.EntryID) bool {
 	if !ok {
 		return false
 	}
-	if slot, ok := d.slotByEntry[entry]; ok {
-		return m.out.Flags.Get(slot)
-	}
-	if slot, ok := m.dyn[entry]; ok {
+	if slot, ok := m.slots[entry]; ok {
 		return m.out.Flags.Get(slot)
 	}
 	return m.out.Bloom.Contains(m.treeCnt.EntryPath(entry))
@@ -522,7 +530,7 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 			if m.Type != wire.MsgStart {
 				return // Stop for an unknown session
 			}
-			fsm = d.newReceiverFSM(port, m)
+			fsm = d.newReceiverFSM(l, port, m)
 			if fsm == nil {
 				return // custom session without a registered receiver
 			}
@@ -530,43 +538,26 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 		}
 		fsm.onControl(m)
 	case wire.MsgStartACK, wire.MsgReport:
-		mon, ok := d.monitors[port]
-		if !ok {
-			return
-		}
-		if m.Unit == wire.TreeUnit {
-			if m.Kind == wire.KindTree {
-				mon.tree.onControl(m)
-			}
-			return
-		}
-		if m.Kind == wire.KindCustom {
-			if i := int(m.Unit) - int(customUnitBase); i >= 0 && i < len(mon.custom) {
-				mon.custom[i].onControl(m)
-			}
-			return
-		}
-		if int(m.Unit) < len(mon.dedicated) {
-			// A demoted dynamic slot is nil; a straggler ACK or Report
-			// for its dead session is simply stale.
-			if fsm := mon.dedicated[m.Unit]; fsm != nil {
+		// A free dynamic slot has no unit: a straggler ACK or Report for
+		// a demoted entry's dead session is simply stale.
+		if mon, ok := d.monitors[port]; ok {
+			if fsm := mon.unit(m.Unit); fsm != nil {
 				fsm.onControl(m)
 			}
 		}
 	}
 }
 
-func (d *Detector) newReceiverFSM(port int, m *wire.Message) *receiverFSM {
+func (d *Detector) newReceiverFSM(l *portListener, port int, m *wire.Message) *receiverFSM {
 	fsm := &receiverFSM{det: d, port: port, kind: m.Kind, unit: m.Unit}
 	switch m.Kind {
 	case wire.KindTree:
 		fsm.counters = newTreeReceiver(d.cfg.Tree)
 	case wire.KindCustom:
-		cr, ok := d.customRecv[uint32(port)<<16|uint32(m.Unit)]
-		if !ok {
+		if l.custom == nil || m.Unit != customUnitBase {
 			return nil
 		}
-		fsm.counters = &customReceiverAdapter{cr}
+		fsm.counters = &customReceiverAdapter{l.custom}
 	default:
 		fsm.counters = &dedicatedReceiver{}
 	}
@@ -597,20 +588,12 @@ func (d *Detector) OnEgress(pkt *netsim.Packet, port int) {
 	// one session per link. Custom sessions take precedence over the
 	// standard counting (they exist to analyze traffic the operator
 	// singled out; see MonitorCustom).
-	for _, fsm := range m.custom {
-		if fsm.onEgressCustom(pkt) {
-			return
-		}
-	}
-	if slot, ok := d.slotByEntry[pkt.Entry]; ok {
-		m.dedicated[slot].onEgress(pkt)
+	if m.custom != nil && m.custom.onEgress(pkt) {
 		return
 	}
-	if slot, ok := m.dyn[pkt.Entry]; ok {
-		if fsm := m.dedicated[slot]; fsm != nil {
-			fsm.onEgress(pkt)
-			return
-		}
+	if slot, ok := m.slots[pkt.Entry]; ok {
+		m.dedicated[slot].onEgress(pkt)
+		return
 	}
 	m.tree.onEgress(pkt)
 }

@@ -139,6 +139,33 @@ func TestFSMRetransmitsAndReportsLinkDown(t *testing.T) {
 
 func testCfgAttempts() int64 { return int64(DefaultMaxAttempts) }
 
+// TestDispatchIgnoresReportOfOtherKind: a unit answers only control messages
+// of its own session kind. A well-formed tree Report addressed to dedicated
+// unit 0, in its current session and epoch, must not close that session.
+func TestDispatchIgnoresReportOfOtherKind(t *testing.T) {
+	h := newFSMHarness(t)
+	sess := h.fsm.session
+	h.fsm.onControl(h.msg(wire.MsgStartACK, sess))
+	h.s.Run(h.s.Now() + DefaultExchangeInterval + sim.Millisecond)
+	if h.fsm.state != sWaitReport {
+		t.Fatalf("state = %d after interval, want WaitReport", h.fsm.state)
+	}
+	rep := h.msg(wire.MsgReport, sess)
+	rep.Kind = wire.KindTree
+	rep.Counters = []uint64{0}
+	h.det.handleControl(rep, 1)
+	if h.fsm.state != sWaitReport || h.fsm.session != sess || h.det.SessionsCompleted(1) != 0 {
+		t.Fatalf("tree Report closed a dedicated session: state=%d session=%d completed=%d",
+			h.fsm.state, h.fsm.session, h.det.SessionsCompleted(1))
+	}
+	// The same Report with the unit's own kind closes it.
+	rep.Kind = wire.KindDedicated
+	h.det.handleControl(rep, 1)
+	if h.fsm.SessionsCompleted != 1 {
+		t.Fatalf("SessionsCompleted = %d after a dedicated Report, want 1", h.fsm.SessionsCompleted)
+	}
+}
+
 // --- Receiver FSM edge cases, driven through handleControl ---
 
 type recvHarness struct {
@@ -173,6 +200,27 @@ func (h *recvHarness) deliverEpoch(typ wire.MsgType, session uint32, epoch uint8
 
 func (h *recvHarness) unitFSM() *receiverFSM {
 	return h.det.listeners[0].units[0]
+}
+
+// TestDispatchReceiverIgnoresStartOfOtherKind: once a unit number has a
+// receiver FSM, a Start of a different session kind for that unit is not
+// adopted (no reset, no ACK).
+func TestDispatchReceiverIgnoresStartOfOtherKind(t *testing.T) {
+	h := newRecvHarness(t)
+	h.deliver(wire.MsgStart, 1)
+	fsm := h.unitFSM()
+	fsm.onIngress(&netsim.Packet{Tagged: true, Tag: wire.DedicatedTag(0)})
+	sent := h.det.CtlMsgsSent
+	h.det.handleControl(&wire.Message{Header: wire.Header{
+		Type: wire.MsgStart, Kind: wire.KindTree, Epoch: 1, Session: 2, Unit: 0,
+	}}, 0)
+	if h.unitFSM() != fsm || fsm.session != 1 || fsm.tagged != 1 || fsm.state != rCounting {
+		t.Fatalf("tree Start reset the dedicated receiver: session=%d tagged=%d state=%d",
+			fsm.session, fsm.tagged, fsm.state)
+	}
+	if h.det.CtlMsgsSent != sent {
+		t.Fatal("tree Start to a dedicated unit was ACKed")
+	}
 }
 
 func TestReceiverStopBeforeStartIgnored(t *testing.T) {

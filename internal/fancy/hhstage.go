@@ -12,7 +12,6 @@ import (
 
 	"fancy/internal/hh"
 	"fancy/internal/netsim"
-	"fancy/internal/wire"
 )
 
 // hhTick closes one heavy-hitter measurement window on a port: encode the
@@ -42,70 +41,66 @@ func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("fancy: port %d is not monitored", port)
 	}
-	if _, ok := d.slotByEntry[entry]; ok {
-		return 0, fmt.Errorf("fancy: entry %d already holds a static dedicated slot", entry)
-	}
-	if _, ok := m.dyn[entry]; ok {
+	if slot, ok := m.slots[entry]; ok {
+		if slot < len(d.cfg.HighPriority) {
+			return 0, fmt.Errorf("fancy: entry %d already holds a static dedicated slot", entry)
+		}
 		return 0, fmt.Errorf("fancy: entry %d already promoted on port %d", entry, port)
 	}
-	if len(m.freeDyn) == 0 {
+	if len(m.free) == 0 {
 		return 0, fmt.Errorf("fancy: no free dynamic slot on port %d", port)
 	}
-	slot := m.freeDyn[0]
-	m.freeDyn = m.freeDyn[1:]
-	m.dyn[entry] = slot
-	fsm := &senderFSM{
-		det: d, port: port, kind: wire.KindDedicated, unit: uint16(slot),
-		interval: d.cfg.ExchangeInterval,
-		counters: &dedicatedSender{det: d, port: port, slot: slot, entry: entry},
-	}
-	m.dedicated[slot] = fsm
+	slot := m.free[0]
+	m.free = m.free[1:]
+	m.slots[entry] = slot
+	m.dedicated[slot] = d.startDedicated(port, slot, entry, 0)
 	d.stats.Promotions++
-	d.s.After(0, fsm.startSession)
 	return slot, nil
 }
 
 // Demote releases entry's dynamic slot on the port: the counting FSM is
 // killed, the flag bit cleared, and the slot returned to the free list.
 // The entry's traffic falls back to the hash-based tree. Stale control
-// messages for the dead session are ignored (the slot dispatch is
-// nil-guarded) and a later reuse of the slot resynchronizes the receiver
-// on its first Start.
+// messages for the dead session are ignored (a free slot has no unit) and a
+// later reuse of the slot resynchronizes the receiver on its first Start.
 func (d *Detector) Demote(port int, entry netsim.EntryID) error {
 	m, ok := d.monitors[port]
 	if !ok {
 		return fmt.Errorf("fancy: port %d is not monitored", port)
 	}
-	slot, ok := m.dyn[entry]
+	slot, ok := d.promotedSlot(m, entry)
 	if !ok {
 		return fmt.Errorf("fancy: entry %d is not promoted on port %d", entry, port)
 	}
-	if fsm := m.dedicated[slot]; fsm != nil {
-		fsm.kill()
-		if fsm.linkDown {
-			d.reportLinkUp(port)
-		}
+	fsm := m.dedicated[slot]
+	fsm.kill()
+	if fsm.linkDown {
+		d.reportLinkUp(port)
 	}
 	m.dedicated[slot] = nil
-	delete(m.dyn, entry)
+	delete(m.slots, entry)
 	m.out.Flags.Clear(slot)
-	i := sort.SearchInts(m.freeDyn, slot)
-	m.freeDyn = append(m.freeDyn, 0)
-	copy(m.freeDyn[i+1:], m.freeDyn[i:])
-	m.freeDyn[i] = slot
+	i := sort.SearchInts(m.free, slot)
+	m.free = append(m.free, 0)
+	copy(m.free[i+1:], m.free[i:])
+	m.free[i] = slot
 	d.stats.Demotions++
 	return nil
+}
+
+// promotedSlot returns entry's slot on the port if it is a dynamic one.
+func (d *Detector) promotedSlot(m *portMonitor, entry netsim.EntryID) (int, bool) {
+	slot, ok := m.slots[entry]
+	return slot, ok && slot >= len(d.cfg.HighPriority)
 }
 
 // Promoted reports whether entry currently holds a dynamic slot on the
 // port, and which.
 func (d *Detector) Promoted(port int, entry netsim.EntryID) (int, bool) {
-	m, ok := d.monitors[port]
-	if !ok {
-		return 0, false
+	if m, ok := d.monitors[port]; ok {
+		return d.promotedSlot(m, entry)
 	}
-	slot, ok := m.dyn[entry]
-	return slot, ok
+	return 0, false
 }
 
 // DynamicOccupancy returns the used and total dynamic slots of a port.
@@ -114,7 +109,7 @@ func (d *Detector) DynamicOccupancy(port int) (used, capacity int) {
 	if !ok {
 		return 0, 0
 	}
-	return len(m.dyn), d.cfg.DynamicSlots
+	return d.cfg.DynamicSlots - len(m.free), d.cfg.DynamicSlots
 }
 
 // PromotedEntries lists a port's dynamically promoted entries in
@@ -124,9 +119,11 @@ func (d *Detector) PromotedEntries(port int) []netsim.EntryID {
 	if !ok {
 		return nil
 	}
-	out := make([]netsim.EntryID, 0, len(m.dyn))
-	for e := range m.dyn {
-		out = append(out, e)
+	out := make([]netsim.EntryID, 0, d.cfg.DynamicSlots-len(m.free))
+	for e := range m.slots {
+		if _, ok := d.promotedSlot(m, e); ok {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

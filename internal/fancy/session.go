@@ -34,10 +34,11 @@ type senderCounters interface {
 	// resetSession zeroes the counters for a new session and returns the
 	// zoom targets to advertise in the Start message (nil for dedicated).
 	resetSession() []wire.ZoomTarget
-	// tagPacket counts a packet belonging to this unit and returns its
+	// tagPacket counts a packet offered to this unit and returns its
 	// wire tag. ok=false means the packet is not counted this session
-	// (non-pipelined zoom stages only count matching packets).
-	tagPacket(entry netsim.EntryID) (tag wire.Tag, ok bool)
+	// (non-pipelined zoom stages only count matching packets; a custom
+	// unit picks the packets it analyzes).
+	tagPacket(pkt *netsim.Packet) (tag wire.Tag, ok bool)
 	// handleReport compares the downstream counters against the local
 	// ones, raising events through the detector.
 	handleReport(counters []uint64)
@@ -178,8 +179,8 @@ func (f *senderFSM) recover() {
 
 // onControl handles StartACK and Report messages from the downstream.
 func (f *senderFSM) onControl(m *wire.Message) {
-	if f.dead || m.Session != f.session {
-		return // stale or duplicated response
+	if f.dead || m.Session != f.session || m.Kind != f.kind {
+		return // stale, duplicated or misaddressed response
 	}
 	if m.Epoch != f.det.epoch {
 		// Response from a previous incarnation of this detector (it
@@ -231,39 +232,19 @@ func (f *senderFSM) endCounting() {
 	f.armRtx()
 }
 
-// onEgress counts and tags a data packet if this unit is in Counting state.
-func (f *senderFSM) onEgress(pkt *netsim.Packet) {
+// onEgress counts and tags a data packet if this unit is in Counting state,
+// reporting whether the unit claimed (tagged) it.
+func (f *senderFSM) onEgress(pkt *netsim.Packet) bool {
 	if f.state != sCounting {
-		return
+		return false
 	}
-	tag, ok := f.counters.tagPacket(pkt.Entry)
+	tag, ok := f.counters.tagPacket(pkt)
 	if !ok {
-		return
+		return false
 	}
 	pkt.Tagged = true
 	pkt.Tag = tag
 	pkt.TagKind = f.kind
-	pkt.Size += wire.TagSize
-}
-
-// onEgressCustom counts a packet through a custom unit, which sees the
-// whole packet rather than just its entry. It reports whether the unit
-// claimed (tagged) the packet.
-func (f *senderFSM) onEgressCustom(pkt *netsim.Packet) bool {
-	if f.state != sCounting {
-		return false
-	}
-	a, ok := f.counters.(*customSenderAdapter)
-	if !ok {
-		return false
-	}
-	tag, want := a.cs.Observe(pkt)
-	if !want {
-		return false
-	}
-	pkt.Tagged = true
-	pkt.Tag = tag
-	pkt.TagKind = wire.KindCustom
 	pkt.Size += wire.TagSize
 	return true
 }
@@ -316,7 +297,7 @@ func (f *receiverFSM) kill() {
 
 // onControl handles Start and Stop from the upstream.
 func (f *receiverFSM) onControl(m *wire.Message) {
-	if f.dead {
+	if f.dead || m.Kind != f.kind {
 		return
 	}
 	switch m.Type {

@@ -95,8 +95,8 @@ func (t *treeSender) resetSession() []wire.ZoomTarget {
 	return targets
 }
 
-func (t *treeSender) tagPacket(entry netsim.EntryID) (wire.Tag, bool) {
-	t.pathBuf = t.hasher.Path(uint64(entry), t.pathBuf[:0])
+func (t *treeSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
+	t.pathBuf = t.hasher.Path(uint64(pkt.Entry), t.pathBuf[:0])
 	path := t.pathBuf
 	if !t.params.Pipelined {
 		return t.tagNonPipelined(path)

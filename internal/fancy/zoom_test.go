@@ -64,8 +64,9 @@ func (h *zoomHarness) session(sent, delivered map[netsim.EntryID]int) {
 	h.rcv.resetSession(targets)
 	for e, n := range sent {
 		got := delivered[e]
+		pkt := &netsim.Packet{Entry: e}
 		for i := 0; i < n; i++ {
-			tag, ok := h.snd.tagPacket(e)
+			tag, ok := h.snd.tagPacket(pkt)
 			if !ok {
 				continue
 			}

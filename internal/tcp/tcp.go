@@ -17,33 +17,35 @@ import (
 
 // Config parameterizes a TCP sender.
 type Config struct {
-	MSS         int      // payload bytes per segment (default 1460)
-	HeaderBytes int      // header overhead per packet (default 40)
-	RTO         sim.Time // initial retransmission timeout (default 200 ms)
-	MaxRTO      sim.Time // backoff cap (default 60 s)
-	InitialCwnd float64  // initial window in segments (default 10)
+	MSS int // payload bytes per segment (default 1460)
 
 	// RateBps paces the application: bytes become available for sending
 	// at this rate, emulating a flow with a target bitrate. Zero means
 	// unpaced (bulk transfer limited only by cwnd).
 	RateBps float64
+
+	// The remaining knobs keep their defaults outside this package's tests.
+	headerBytes int      // header overhead per packet (default 40)
+	rto         sim.Time // initial retransmission timeout (default 200 ms)
+	maxRTO      sim.Time // backoff cap (default 60 s)
+	initialCwnd float64  // initial window in segments (default 10)
 }
 
 func (c *Config) fill() {
 	if c.MSS == 0 {
 		c.MSS = 1460
 	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 40
+	if c.headerBytes == 0 {
+		c.headerBytes = 40
 	}
-	if c.RTO == 0 {
-		c.RTO = 200 * sim.Millisecond
+	if c.rto == 0 {
+		c.rto = 200 * sim.Millisecond
 	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
+	if c.maxRTO == 0 {
+		c.maxRTO = 60 * sim.Second
 	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 10
+	if c.initialCwnd == 0 {
+		c.initialCwnd = 10
 	}
 }
 
@@ -104,7 +106,7 @@ func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 	snd := &Sender{
 		cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
 		src: srcAddr, dst: dstAddr, total: total,
-		cwnd: cfg.InitialCwnd, ssthresh: 1 << 20, rto: cfg.RTO,
+		cwnd: cfg.initialCwnd, ssthresh: 1 << 20, rto: cfg.rto,
 		start: s.Now(),
 	}
 	snd.onTimeoutFn, snd.trySendFn = snd.onTimeout, snd.trySend
@@ -175,7 +177,7 @@ func (t *Sender) trySend() {
 func (t *Sender) emit(seq int64, segLen int, isRtx bool) {
 	pkt := t.host.Pool().Get()
 	pkt.Flow, pkt.Entry, pkt.Src, pkt.Dst = t.flow, t.entry, t.src, t.dst
-	pkt.Proto, pkt.Size = netsim.ProtoTCP, segLen+t.cfg.HeaderBytes
+	pkt.Proto, pkt.Size = netsim.ProtoTCP, segLen+t.cfg.headerBytes
 	pkt.Seq, pkt.Len = seq, segLen
 	t.Stats.SegmentsSent++
 	if isRtx {
@@ -204,8 +206,8 @@ func (t *Sender) onTimeout() {
 	t.cwnd = 1
 	t.dupAcks = 0
 	t.rto *= 2
-	if t.rto > t.cfg.MaxRTO {
-		t.rto = t.cfg.MaxRTO
+	if t.rto > t.cfg.maxRTO {
+		t.rto = t.cfg.maxRTO
 	}
 	// Retransmit the first unacknowledged segment.
 	segLen := int(min64(int64(t.cfg.MSS), t.total-t.sndUna))
@@ -225,7 +227,7 @@ func (t *Sender) onAck(pkt *netsim.Packet) {
 		t.Stats.BytesAcked = ack
 		t.sndUna = ack
 		t.dupAcks = 0
-		t.rto = t.cfg.RTO // fresh RTT estimate proxy
+		t.rto = t.cfg.rto // fresh RTT estimate proxy
 		t.rtoTimer.Stop()
 		if ack >= t.recover {
 			// Exit recovery: congestion avoidance or slow start resumes.

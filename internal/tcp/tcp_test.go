@@ -231,7 +231,7 @@ func TestRTOBackoffCapped(t *testing.T) {
 	a, b, l := pair(s, 10e6, sim.Millisecond)
 	l.AB.SetFailure(netsim.FailEntries(7, 0, 1.0, 100))
 	snd := NewSender(s, a, b, 1, 100, 1, 2, 50_000,
-		Config{RTO: 100 * sim.Millisecond, MaxRTO: 400 * sim.Millisecond})
+		Config{rto: 100 * sim.Millisecond, maxRTO: 400 * sim.Millisecond})
 	snd.Start()
 	s.Run(10 * sim.Second)
 	// With doubling capped at 400ms: timeouts at 0.1, 0.3, 0.7, then
@@ -252,7 +252,7 @@ func TestInitialCwndLimitsBurst(t *testing.T) {
 			firstBurst++
 		}
 	})
-	snd := NewSender(s, a, b, 1, 100, 1, 2, 100_000, Config{InitialCwnd: 2})
+	snd := NewSender(s, a, b, 1, 100, 1, 2, 100_000, Config{initialCwnd: 2})
 	snd.Start()
 	s.Run(5 * sim.Second)
 	if firstBurst != 2 {

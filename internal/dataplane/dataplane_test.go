@@ -8,14 +8,11 @@ import (
 func TestRegisterSingleAccessEnforced(t *testing.T) {
 	p := NewPipeline(1)
 	r := p.HomeRegister(NewRegister("r", 4), 0)
-	p.Stage(0).AddTable(&Table{
-		Name: "double",
-		Default: func(c *Ctx) {
-			c.RegOp(r, 0, func(v Value) Value { return v + 1 })
-			c.RegOp(r, 0, func(v Value) Value { return v + 1 }) // illegal
-		},
-	})
-	_, err := p.Process(NewPacket(nil))
+	p.stages[0] = func(c *Ctx) {
+		c.RegOp(r, 0, func(v Value) Value { return v + 1 })
+		c.RegOp(r, 0, func(v Value) Value { return v + 1 }) // illegal
+	}
+	_, err := p.Process(NewPacket(0))
 	if err == nil || !strings.Contains(err.Error(), "accessed twice") {
 		t.Fatalf("double access not rejected: %v", err)
 	}
@@ -24,11 +21,8 @@ func TestRegisterSingleAccessEnforced(t *testing.T) {
 func TestRegisterOutOfRange(t *testing.T) {
 	p := NewPipeline(1)
 	r := p.HomeRegister(NewRegister("r", 2), 0)
-	p.Stage(0).AddTable(&Table{
-		Name:    "oob",
-		Default: func(c *Ctx) { c.RegOp(r, 5, nil) },
-	})
-	if _, err := p.Process(NewPacket(nil)); err == nil {
+	p.stages[0] = func(c *Ctx) { c.RegOp(r, 5, nil) }
+	if _, err := p.Process(NewPacket(0)); err == nil {
 		t.Fatal("out-of-range access not rejected")
 	}
 }
@@ -36,34 +30,35 @@ func TestRegisterOutOfRange(t *testing.T) {
 func TestRecirculationBudget(t *testing.T) {
 	p := NewPipeline(1)
 	p.MaxRecirculations = 3
-	p.Stage(0).AddTable(&Table{
-		Name:    "loop",
-		Default: func(c *Ctx) { c.Recirculate() },
-	})
-	_, err := p.Process(NewPacket(nil))
+	p.stages[0] = func(c *Ctx) { c.Recirculate() }
+	_, err := p.Process(NewPacket(0))
 	if err != ErrRecircBudget {
 		t.Fatalf("err = %v, want ErrRecircBudget", err)
 	}
 }
 
-func TestTableMatchAndDefault(t *testing.T) {
+// TestPipelineStats: Recircs accumulates over every processed packet, and
+// a packet that recirculates once takes two passes.
+func TestPipelineStats(t *testing.T) {
 	p := NewPipeline(1)
-	var hit string
-	p.Stage(0).AddTable(&Table{
-		Name: "match",
-		Key:  func(pkt *Packet) Value { return pkt.Field("k") },
-		Entries: map[Value]Action{
-			7: func(c *Ctx) { hit = "seven" },
-		},
-		Default: func(c *Ctx) { hit = "default" },
-	})
-	p.Process(NewPacket(map[string]Value{"k": 7}))
-	if hit != "seven" {
-		t.Errorf("hit = %q", hit)
+	p.stages[0] = func(c *Ctx) {
+		if c.Pkt.Recirculations == 0 {
+			c.Recirculate()
+			return
+		}
+		c.Drop()
 	}
-	p.Process(NewPacket(map[string]Value{"k": 8}))
-	if hit != "default" {
-		t.Errorf("hit = %q", hit)
+	for i := 0; i < 2; i++ {
+		res, err := p.Process(NewPacket(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Passes != 2 || res.Disposition != Drop {
+			t.Errorf("packet %d: passes=%d disposition=%v, want 2/Drop", i, res.Passes, res.Disposition)
+		}
+	}
+	if p.Recircs != 2 {
+		t.Errorf("Recircs = %d, want 2", p.Recircs)
 	}
 }
 
@@ -75,191 +70,6 @@ func TestMemoryByStage(t *testing.T) {
 	got := p.MemoryByStage()
 	if got[0] != 10 || got[1] != 0 || got[2] != 25 {
 		t.Errorf("MemoryByStage = %v", got)
-	}
-}
-
-// --- Compiled FANcY receiver FSM ---
-
-func TestReceiverSessionLifecycle(t *testing.T) {
-	r := BuildReceiver(4)
-	if r.CurrentState() != StateIdle {
-		t.Fatal("initial state not Idle")
-	}
-
-	// Start: two passes (plan + apply), emits a Start ACK.
-	res, err := r.Inject(TypeStart, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes != 2 {
-		t.Errorf("start transition took %d passes, want 2 (Appendix B.1)", res.Passes)
-	}
-	if len(res.Emits) != 1 || res.Emits[0].Kind != "start-ack" || res.Emits[0].Data["session"] != 9 {
-		t.Errorf("emits = %+v, want one start-ack for session 9", res.Emits)
-	}
-	if r.CurrentState() != StateCounting {
-		t.Errorf("state = %d, want Counting", r.CurrentState())
-	}
-	if r.Locked() {
-		t.Error("lock not released after transition")
-	}
-
-	// Tagged packets: single pass, counted into the node.
-	for _, idx := range []Value{1, 1, 3} {
-		res, err := r.Inject(TypeTagged, 9, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Passes != 1 {
-			t.Errorf("counting took %d passes, want 1", res.Passes)
-		}
-	}
-	if r.Node.Peek(1) != 2 || r.Node.Peek(3) != 1 {
-		t.Errorf("node = [%d %d %d %d], want [0 2 0 1]",
-			r.Node.Peek(0), r.Node.Peek(1), r.Node.Peek(2), r.Node.Peek(3))
-	}
-
-	// Stop: transition to WaitToSend; counting continues.
-	if _, err := r.Inject(TypeStop, 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if r.CurrentState() != StateWaitToSend {
-		t.Fatalf("state = %d, want WaitToSend", r.CurrentState())
-	}
-	if _, err := r.Inject(TypeTagged, 9, 2); err != nil {
-		t.Fatal(err)
-	}
-	if r.Node.Peek(2) != 1 {
-		t.Error("tagged packet not counted during WaitToSend (Twait grace)")
-	}
-
-	// Timer expiry: report readout takes width recirculations.
-	res, err = r.Inject(TypeTimer, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 plan + 1 apply + 4 readout passes.
-	if res.Passes != 2+4 {
-		t.Errorf("report took %d passes, want %d (w recirculations)", res.Passes, 2+4)
-	}
-	var words []Value
-	done := false
-	for _, e := range res.Emits {
-		switch e.Kind {
-		case "report-word":
-			words = append(words, e.Data["value"])
-		case "report-done":
-			done = true
-		}
-	}
-	if !done || len(words) != 4 {
-		t.Fatalf("report emits = %+v", res.Emits)
-	}
-	want := []Value{0, 2, 1, 1}
-	for i, w := range want {
-		if words[i] != w {
-			t.Errorf("report[%d] = %d, want %d", i, words[i], w)
-		}
-	}
-	if r.CurrentState() != StateIdle {
-		t.Errorf("state = %d, want Idle after report", r.CurrentState())
-	}
-	// Counters were reset during readout.
-	for i := 0; i < 4; i++ {
-		if r.Node.Peek(i) != 0 {
-			t.Errorf("node[%d] = %d after readout, want 0", i, r.Node.Peek(i))
-		}
-	}
-}
-
-func TestReceiverIgnoresOutOfSessionTraffic(t *testing.T) {
-	r := BuildReceiver(4)
-	// Tagged packet while Idle: dropped, not counted.
-	res, err := r.Inject(TypeTagged, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Disposition != Drop || r.Node.Peek(2) != 0 {
-		t.Error("idle receiver counted a tagged packet")
-	}
-	// Stop while Idle: dropped.
-	if res, _ := r.Inject(TypeStop, 1, 0); res.Disposition != Drop {
-		t.Error("stop in Idle not dropped")
-	}
-	// Timer while Idle: dropped.
-	if res, _ := r.Inject(TypeTimer, 1, 0); res.Disposition != Drop {
-		t.Error("timer in Idle not dropped")
-	}
-}
-
-func TestReceiverLockBlocksConcurrentTransition(t *testing.T) {
-	r := BuildReceiver(2)
-	// Simulate a transition left in flight by taking the lock manually.
-	r.Lock.Poke(0, 1)
-	res, err := r.Inject(TypeStart, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Disposition != Drop {
-		t.Error("transition proceeded despite the state lock")
-	}
-	if r.CurrentState() != StateIdle {
-		t.Error("state changed despite the lock")
-	}
-}
-
-func TestDedicatedWidthOneResetsInline(t *testing.T) {
-	r := BuildReceiver(1)
-	r.Inject(TypeStart, 1, 0)
-	r.Inject(TypeTagged, 1, 0)
-	r.Inject(TypeTagged, 1, 0)
-	if r.Node.Peek(0) != 2 {
-		t.Fatalf("count = %d, want 2", r.Node.Peek(0))
-	}
-	// A new Start resets the single-cell counter in the apply pass.
-	r.Inject(TypeStart, 2, 0)
-	if r.Node.Peek(0) != 0 {
-		t.Error("dedicated counter not reset on session start")
-	}
-	if r.CurrentState() != StateCounting {
-		t.Error("not counting after restart")
-	}
-}
-
-func TestPipelineStats(t *testing.T) {
-	r := BuildReceiver(2)
-	r.Inject(TypeStart, 1, 0)  // 2 passes, 1 recirc
-	r.Inject(TypeTagged, 1, 0) // 1 pass
-	if r.Pipe.Passes != 3 || r.Pipe.Recircs != 1 {
-		t.Errorf("passes=%d recircs=%d, want 3/1", r.Pipe.Passes, r.Pipe.Recircs)
-	}
-	if r.Pipe.Dropped == 0 {
-		t.Error("control packets should be consumed (dropped) after transitions")
-	}
-}
-
-func BenchmarkReceiverTaggedPacket(b *testing.B) {
-	r := BuildReceiver(190)
-	r.Inject(TypeStart, 1, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Inject(TypeTagged, 1, Value(i%190)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReceiverReportReadout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r := BuildReceiver(190)
-		r.Inject(TypeStart, 1, 0)
-		r.Inject(TypeStop, 1, 0)
-		b.StartTimer()
-		if _, err := r.Inject(TypeTimer, 1, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -61,11 +61,11 @@ func BuildHeavyHitter(p hh.Params) *HHProgram {
 		i := i
 		g.keys = append(g.keys, g.Pipe.HomeRegister(NewRegister("hh_keys", p.Width), i))
 		g.counts = append(g.counts, g.Pipe.HomeRegister(NewRegister("hh_counts", p.Width), i))
-		g.Pipe.Stage(i).AddTable(&Table{Name: "hh_stage", Default: g.stageAction(i)})
+		g.Pipe.stages[i] = g.stageAction(i)
 	}
 	g.rng = g.Pipe.HomeRegister(NewRegister("hh_rng", 1), p.Stages)
 	g.rng.Poke(0, hh.RandInit(p.Seed))
-	g.Pipe.Stage(p.Stages).AddTable(&Table{Name: "hh_decide", Default: g.decideAction()})
+	g.Pipe.stages[p.Stages] = g.decideAction()
 	return g
 }
 
@@ -83,7 +83,7 @@ func (g *HHProgram) stageAction(i int) Action {
 		if c.PHV(hhPHVMatched) == 1 {
 			return
 		}
-		entry := c.Pkt.Field("entry")
+		entry := c.Pkt.key
 		idx := hh.StageIndex(g.params.Seed, i, g.params.Width, entry)
 		// Hardware: one paired-SALU op compares the stored key and, on
 		// match, increments the count half of the cell.
@@ -132,7 +132,7 @@ func (g *HHProgram) decideAction() Action {
 		c.SetMeta(hhMetaClaim, 1)
 		c.SetMeta(hhMetaStage, c.PHV(hhPHVMinStage))
 		c.SetMeta(hhMetaIdx, c.PHV(hhPHVMinIdx))
-		c.SetMeta(hhMetaKey, c.Pkt.Field("entry")+1)
+		c.SetMeta(hhMetaKey, c.Pkt.key+1)
 		c.SetMeta(hhMetaVal, min+1)
 		c.Recirculate()
 	}
@@ -141,7 +141,7 @@ func (g *HHProgram) decideAction() Action {
 // Inject runs one packet carrying the given entry through the program and
 // follows its recirculation.
 func (g *HHProgram) Inject(entry Value) (Result, error) {
-	return g.Pipe.Process(NewPacket(map[string]Value{"entry": entry}))
+	return g.Pipe.Process(NewPacket(entry))
 }
 
 // Slot exposes one cell (key+1 encoding, 0 = empty) for the equivalence

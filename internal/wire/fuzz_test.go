@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal checks that arbitrary input never panics the parser and
-// that anything it accepts re-marshals to a message it accepts again.
+// FuzzUnmarshal checks that arbitrary input never panics UnmarshalInto,
+// that a decode into a fresh Message never allocates more elements than
+// the input could hold (4 bytes per counter, at least 2 per target),
+// accepted or not, and that anything it accepts re-marshals to a message
+// it accepts again.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with valid encodings of each message type.
 	seeds := []*Message{
@@ -36,7 +39,11 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, n, err := Unmarshal(data)
+		m := new(Message)
+		n, err := UnmarshalInto(data, m)
+		if cap(m.Counters) > len(data)/4 || cap(m.Targets) > len(data)/2 {
+			t.Fatalf("%d-byte input sized %d counters and %d targets", len(data), cap(m.Counters), cap(m.Targets))
+		}
 		if err != nil {
 			return
 		}
@@ -45,8 +52,8 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		// Round trip: re-marshal and parse again; headers must agree.
 		re := m.Marshal(nil)
-		m2, _, err := Unmarshal(re)
-		if err != nil {
+		m2 := new(Message)
+		if _, err := UnmarshalInto(re, m2); err != nil {
 			t.Fatalf("re-marshal of accepted message rejected: %v", err)
 		}
 		if m2.Header != m.Header {
@@ -86,8 +93,8 @@ func TestSingleBitFlipsDetected(t *testing.T) {
 			for bit := 0; bit < 8; bit++ {
 				buf := append([]byte(nil), orig...)
 				buf[i] ^= 1 << bit
-				got, _, err := Unmarshal(buf)
-				if err != nil {
+				got := new(Message)
+				if _, err := UnmarshalInto(buf, got); err != nil {
 					ok := false
 					for _, k := range known {
 						if errors.Is(err, k) {

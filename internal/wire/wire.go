@@ -72,7 +72,7 @@ func (k SessionKind) String() string {
 // successor's sessions.
 const Version = 2
 
-// Errors returned by Unmarshal functions.
+// Errors returned by UnmarshalInto.
 var (
 	ErrShort    = errors.New("wire: buffer too short")
 	ErrChecksum = errors.New("wire: checksum mismatch")
@@ -211,17 +211,6 @@ func (m *Message) appendPayload(b []byte) []byte {
 	return b
 }
 
-// Unmarshal parses a control message from b, returning a freshly allocated
-// message and the number of bytes consumed.
-func Unmarshal(b []byte) (*Message, int, error) {
-	m := new(Message)
-	n, err := UnmarshalInto(b, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, n, nil
-}
-
 // grow returns s resized to n elements, reusing its backing array when the
 // capacity allows. Element values are overwritten by the caller.
 func grow[T any](s []T, n int) []T {
@@ -264,6 +253,9 @@ func UnmarshalInto(b []byte, m *Message) (int, error) {
 		Unit:    binary.BigEndian.Uint16(b[10:]),
 	}
 	p := b[headerSize:total]
+	if len(p) < 2 {
+		return 0, ErrTruncl
+	}
 	nc := int(binary.BigEndian.Uint16(p))
 	p = p[2:]
 	if len(p) < nc*4 {
@@ -279,6 +271,11 @@ func UnmarshalInto(b []byte, m *Message) (int, error) {
 	}
 	nt := int(binary.BigEndian.Uint16(p))
 	p = p[2:]
+	// Every target carries at least its 2-byte path length; checking that
+	// before sizing m.Targets bounds the allocation by the frame.
+	if len(p) < nt*2 {
+		return 0, ErrTruncl
+	}
 	m.Targets = grow(m.Targets, nt)
 	for i := range m.Targets {
 		if len(p) < 2 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -84,9 +85,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		if len(b) != m.WireSize() {
 			t.Errorf("msg %d: WireSize = %d, encoded = %d", i, m.WireSize(), len(b))
 		}
-		got, n, err := Unmarshal(b)
+		got := new(Message)
+		n, err := UnmarshalInto(b, got)
 		if err != nil {
-			t.Fatalf("msg %d: Unmarshal: %v", i, err)
+			t.Fatalf("msg %d: UnmarshalInto: %v", i, err)
 		}
 		if n != len(b) {
 			t.Errorf("msg %d: consumed %d of %d bytes", i, n, len(b))
@@ -134,8 +136,8 @@ func TestMarshalAppendsToExisting(t *testing.T) {
 	if !bytes.Equal(b[:2], prefix) {
 		t.Error("Marshal must append, not overwrite")
 	}
-	if _, _, err := Unmarshal(b[2:]); err != nil {
-		t.Errorf("Unmarshal after prefix: %v", err)
+	if _, err := UnmarshalInto(b[2:], new(Message)); err != nil {
+		t.Errorf("UnmarshalInto after prefix: %v", err)
 	}
 }
 
@@ -144,16 +146,17 @@ func TestUnmarshalErrors(t *testing.T) {
 		Counters: []uint64{1, 2, 3}}
 	b := m.Marshal(nil)
 
-	if _, _, err := Unmarshal(b[:5]); err != ErrShort {
+	var scratch Message
+	if _, err := UnmarshalInto(b[:5], &scratch); err != ErrShort {
 		t.Errorf("short buffer: err = %v, want ErrShort", err)
 	}
-	if _, _, err := Unmarshal(b[:len(b)-4]); err != ErrTruncl {
+	if _, err := UnmarshalInto(b[:len(b)-4], &scratch); err != ErrTruncl {
 		t.Errorf("truncated payload: err = %v, want ErrTruncl", err)
 	}
 
 	bad := append([]byte(nil), b...)
 	bad[0] = 77 // version
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, err := UnmarshalInto(bad, &scratch); err == nil {
 		t.Error("bad version accepted")
 	}
 
@@ -163,11 +166,31 @@ func TestUnmarshalErrors(t *testing.T) {
 		if flip[0] != Version {
 			continue // version errors take precedence over checksum
 		}
-		if _, _, err := Unmarshal(flip); err == nil {
+		if _, err := UnmarshalInto(flip, &scratch); err == nil {
 			// A flip in the length field may produce ErrTruncl instead; any
 			// error is fine, but silent acceptance is a checksum failure.
 			t.Errorf("bit flip at byte %d accepted silently", i)
 		}
+	}
+}
+
+// TestUnmarshalIntoBoundsDeclaredTargets: a 20-byte frame with a valid
+// checksum that declares 0xffff zoom targets and carries none is rejected
+// without sizing the reused scratch for 65 535 targets.
+func TestUnmarshalIntoBoundsDeclaredTargets(t *testing.T) {
+	b := (&Message{Header: Header{Type: MsgStart, Kind: KindTree}}).Marshal(nil)
+	binary.BigEndian.PutUint16(b[len(b)-2:], 0xffff) // target count
+	binary.BigEndian.PutUint16(b[14:], 0)
+	binary.BigEndian.PutUint16(b[14:], Checksum(b))
+	if len(b) != 20 || Checksum(b) != 0 {
+		t.Fatalf("built a %d-byte frame with checksum residue %#x", len(b), Checksum(b))
+	}
+	var m Message
+	if _, err := UnmarshalInto(b, &m); err != ErrTruncl {
+		t.Fatalf("err = %v, want ErrTruncl", err)
+	}
+	if cap(m.Targets) > len(b)/2 {
+		t.Fatalf("cap(Targets) = %d after a %d-byte frame", cap(m.Targets), len(b))
 	}
 }
 
@@ -209,7 +232,8 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 			}
 		}
 		b := m.Marshal(nil)
-		got, n, err := Unmarshal(b)
+		got := new(Message)
+		n, err := UnmarshalInto(b, got)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -256,7 +280,7 @@ func TestPropertyChecksumDetectsCorruption(t *testing.T) {
 		// Corrupt one payload byte (past the header, inside counters).
 		idx := headerSize + 2 + int(corrupt)%(4*len(counters))
 		b[idx] ^= xor
-		_, _, err := Unmarshal(b)
+		_, err := UnmarshalInto(b, new(Message))
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(12))}); err != nil {
@@ -291,9 +315,10 @@ func BenchmarkUnmarshalReport(b *testing.B) {
 	m := &Message{Header: Header{Type: MsgReport, Kind: KindDedicated, Session: 9, Link: 1},
 		Counters: make([]uint64, 500)}
 	buf := m.Marshal(nil)
+	var scratch Message
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Unmarshal(buf); err != nil {
+		if _, err := UnmarshalInto(buf, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

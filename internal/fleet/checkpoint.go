@@ -157,12 +157,13 @@ func (f *Fleet) restoreState(frame []byte) string {
 		// replayed on top: flips already applied at the agents are in the
 		// snapshot (replay is then idempotent), and flips whose command was
 		// lost in flight stay committed in the model, exactly as the deposed
-		// incarnation decided them.
+		// incarnation decided them. A rejection has no frame unless it rolled
+		// a degraded flip back, and then its frame is that rollback.
 		f.verifier = verify.NewModel(f.Net)
 		f.verifySeen = make(map[string]uint8)
 		for _, d := range f.verifyLog {
 			f.verifySeen[d.Key] = d.Outcome
-			if len(d.Frame) == 0 || d.Outcome == verifyRejected {
+			if len(d.Frame) == 0 {
 				continue
 			}
 			if dd, err := verify.DecodeDelta(d.Frame); err == nil {

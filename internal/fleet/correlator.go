@@ -271,7 +271,7 @@ func (f *Fleet) onRerouteReport(sw string, r rerouteReport) {
 	f.emit(Event{Time: f.S.Now(), Kind: EventRerouted, Link: linkKey, Entry: r.Entry, Detail: detail})
 	f.persist()
 	if r.Degraded && f.verifier != nil {
-		f.syncDegradedReroute(sw, r)
+		f.syncDegradedReroute(sw, r, key)
 	}
 }
 

@@ -18,8 +18,9 @@ package fleet
 //   - A model error (e.g. a prefix installed after the model snapshot)
 //     degrades that one commit to the same fallback.
 //   - Degraded-mode local protection bypasses the gate by design — the
-//     agent cannot reach the correlator — and its reroutes are adopted
-//     into the model unchecked when the report arrives.
+//     agent cannot reach the correlator — and its reroutes are checked
+//     when the report arrives at handback: a safe one is adopted into the
+//     model, an unsafe one is refused and rolled back at the agent.
 //
 // Every gate decision is recorded in a replicated decision log keyed by
 // (link, localization time, entry) and carried in the consensus checkpoint,
@@ -363,13 +364,18 @@ func (f *Fleet) verifyRetryTick() {
 	f.armVerifyTimer()
 }
 
-// syncDegradedReroute folds an agent's autonomous reroute into the model:
-// degraded-mode local protection bypasses the gate by design — the agent
-// cannot reach the correlator, and protection must not wait — so it IS a
-// verify-unavailable fallback, adopted unchecked.
-func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport) {
-	key := fmt.Sprintf("degraded|%s|%d|%d", sw, r.Port, r.Entry)
-	if _, done := f.verifySeen[key]; done {
+// syncDegradedReroute settles an agent's autonomous reroute at handback.
+// Degraded-mode local protection bypasses the gate by design — the agent
+// cannot reach the correlator, and protection must not wait — so the flip is
+// checked when its report arrives. A safe flip is a verify-unavailable
+// fallback, adopted into the model as made. An unsafe one is refused like a
+// gate rejection: logged as rejected, so a takeover meets the refusal again,
+// and the agent is commanded back to its primary next hop. seen is the
+// report's rerouteSeen key.
+func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport, seen string) {
+	key := "degraded|" + seen
+	out, decided := f.verifySeen[key]
+	if decided && out != verifyRejected {
 		return
 	}
 	app, ok := f.agents[sw].apps[r.Port]
@@ -384,16 +390,35 @@ func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport) {
 	if ls, ok := f.portLink[sw][r.Port]; ok {
 		linkKey = ls.key
 	}
-	d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, r.Entry, route.Egress())})
-	if _, err := f.verifier.Commit(d); err != nil {
-		f.Verify.Errors++
-		return
+	if !decided {
+		d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, r.Entry, route.Egress())})
+		v, err := f.verifier.Check(d)
+		if err != nil {
+			f.Verify.Errors++
+			return
+		}
+		if v.Safe() {
+			f.verifier.Commit(d)
+			f.Verify.Fallbacks++
+			f.emit(Event{Time: f.S.Now(), Kind: EventVerifyFallback, Link: linkKey, Entry: r.Entry,
+				Detail: "degraded-local reroute adopted unverified"})
+			f.record(VerifyDecision{Key: key, Outcome: verifyFallback, Frame: verify.EncodeDelta(d)})
+			f.retryHeld(false)
+			return
+		}
+		f.Verify.Rejected++
+		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: linkKey, Entry: r.Entry,
+			Detail: "degraded-local reroute: " + v.String()})
 	}
-	f.Verify.Fallbacks++
-	f.emit(Event{Time: f.S.Now(), Kind: EventVerifyFallback, Link: linkKey, Entry: r.Entry,
-		Detail: "degraded-local reroute adopted unverified"})
-	f.record(VerifyDecision{Key: key, Outcome: verifyFallback, Frame: verify.EncodeDelta(d)})
-	f.retryHeld(false)
+	// Refused now or before (the agent repeated the flip in a later degraded
+	// spell). The model goes back to the primary too: a takeover during the
+	// spell snapshotted the flip from the live tables, and replays this frame
+	// over it. Back on its primary, the entry's next flip is a new reroute.
+	d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, r.Entry, route.Port)})
+	f.verifier.Commit(d)
+	delete(f.rerouteSeen, seen)
+	f.record(VerifyDecision{Key: key, Outcome: verifyRejected, Frame: verify.EncodeDelta(d)})
+	f.command(sw, restoreCmd{Port: r.Port, Entry: r.Entry})
 }
 
 // RestoreEntry reverts a protected entry to its primary next hop at sw —

@@ -22,9 +22,10 @@ func TestHeartbeatIntervalDoesNotAllocate(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, 1, cfg)
-			// Warm up: the event pool, the free lists and the phi window all
-			// reach their steady size.
+			// Warm up: the phi window fills, and the free lists grow past
+			// any high-water mark the measured run can reach.
 			r.s.Run(5 * sim.Second)
+			prime(r, 32)
 			before, sent := r.cl.Stats, r.net.Stats.Sent
 			// AllocsPerRun rounds its average down, so count a thousand
 			// intervals as one run: a single object anywhere shows.
@@ -47,6 +48,20 @@ func TestHeartbeatIntervalDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// prime has the client send k stale probes at once and lets them settle: k
+// heartbeats and then k acks in flight together, k probe waits pending. Every
+// free list the steady state draws on — in-flight records, sim events and heap
+// slots, probe waits — then holds more records than a lossy channel keeps busy
+// at once. Without it, a burst of retries and duplicates can set a new
+// high-water mark seconds into the run, and whether one lands in the measured
+// run depends on the draw stream, not on the code under test.
+func prime(r *rig, k int) {
+	for range k {
+		r.cl.probe(r.cl.lastProbeAck, 0)
+	}
+	r.s.Run(r.s.Now() + HeartbeatInterval)
 }
 
 // TestRecycledRecordDuplicateArrivesIntact: both copies of a duplicated

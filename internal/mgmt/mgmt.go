@@ -25,7 +25,7 @@
 package mgmt
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 
 	"fancy/internal/netsim"
@@ -250,9 +250,15 @@ func (n *Network) stream(from, to *endpoint) *rand.Rand {
 		n.streams[from.id] = row
 	}
 	if row[to.id] == nil {
-		row[to.id] = n.s.DeriveRand("mgmt/" + from.name + ">" + to.name)
+		row[to.id] = pairStream(n.s, from.name, to.name)
 	}
 	return row[to.id]
+}
+
+// pairStream builds the from→to pair's generator: a PCG (16 bytes of state)
+// seeded from the pair label. It is the one constructor of every stream.
+func pairStream(s *sim.Sim, from, to string) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(s.DeriveSeed("mgmt/"+from+">"+to)), 0))
 }
 
 func (n *Network) backoff(from, to string, attempt int) sim.Time {
@@ -310,10 +316,10 @@ func (n *Network) draw(r *rand.Rand, loss float64, jitterMax sim.Time) (drop boo
 		return true, 0, 0
 	}
 	if jitterMax > 0 {
-		extra = sim.Time(r.Int63n(int64(jitterMax)))
+		extra = sim.Time(r.Int64N(int64(jitterMax)))
 	}
 	if n.cfg.Duplicate > 0 && r.Float64() < n.cfg.Duplicate {
-		dup = 1 + sim.Time(r.Int63n(int64(dupDelayMax)))
+		dup = 1 + sim.Time(r.Int64N(int64(dupDelayMax)))
 	}
 	return false, extra, dup
 }

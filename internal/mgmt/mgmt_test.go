@@ -200,6 +200,27 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestPairStreamPinned pins the generator behind every management-plane
+// draw: the first outputs of the a→b stream under sim seed 1. Every golden
+// with a lossy or jittered management network replays these streams, so a
+// change of generator, seeding or label fails here first, by name.
+func TestPairStreamPinned(t *testing.T) {
+	r := pairStream(sim.New(1), "a", "b")
+	floats := []float64{0.0497901465291698, 0.22128951013798825, 0.2616464156609205, 0.5707541472072715,
+		0.6984620582435794, 0.2508789814460042, 0.13668024837135762, 0.7823307475924977}
+	for i, want := range floats {
+		if got := r.Float64(); got != want {
+			t.Fatalf("Float64 #%d = %v, want %v", i, got, want)
+		}
+	}
+	ints := []int64{781381, 209136, 1350260, 734922, 1785326, 1589949, 617432, 123831}
+	for i, want := range ints {
+		if got := r.Int64N(int64(dupDelayMax)); got != want {
+			t.Fatalf("Int64N #%d = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestPartitionOfflineSpoolAndHeal(t *testing.T) {
 	r := newRig(t, 3, Config{})
 	var transitions []bool

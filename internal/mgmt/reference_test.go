@@ -9,7 +9,7 @@ package mgmt
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -51,11 +51,13 @@ func (n *closureNet) Partitioned(name string) bool {
 	return n.chaos[name].DownAt(n.s.Now())
 }
 
+// rng is the pair's stream from the constructor Network uses, so both
+// networks make the same draws by construction.
 func (n *closureNet) rng(from, to string) *rand.Rand {
 	key := from + ">" + to
 	r, ok := n.rngs[key]
 	if !ok {
-		r = n.s.DeriveRand("mgmt/" + key)
+		r = pairStream(n.s, from, to)
 		n.rngs[key] = r
 	}
 	return r
@@ -94,12 +96,12 @@ func (n *closureNet) Send(d Dgram) {
 	}
 	delay := n.cfg.Delay
 	if jitterMax > 0 {
-		delay += sim.Time(rng.Int63n(int64(jitterMax)))
+		delay += sim.Time(rng.Int64N(int64(jitterMax)))
 	}
 	n.deliver(d, delay)
 	if n.cfg.Duplicate > 0 && rng.Float64() < n.cfg.Duplicate {
 		n.Stats.Duplicated++
-		n.deliver(d, delay+1+sim.Time(rng.Int63n(int64(dupDelayMax))))
+		n.deliver(d, delay+1+sim.Time(rng.Int64N(int64(dupDelayMax))))
 	}
 }
 

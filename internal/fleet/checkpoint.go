@@ -28,7 +28,7 @@ import (
 func (f *Fleet) checkpoint() []byte {
 	f.savedAt = f.S.Now()
 	if srv := f.active().srv; srv != nil {
-		f.seq = srv.SeqCheckpoint()
+		f.seq = srv.SeqCheckpoint(f.seq)
 	}
 	// Consecutive frames differ by an alarm or a timestamp: the previous
 	// length plus slack sizes the buffer in one allocation.
@@ -110,7 +110,7 @@ func (f *Fleet) RestartCorrelator() { f.RestartReplica(f.group.lastCrashed) }
 // restoreState replaces the correlator's durable state with the one frame
 // decodes to (nil restores from scratch) and re-arms everything that hangs
 // off it: evidence windows that were pending re-open with a fresh full
-// window, the verifier model is rebuilt and the decision log replayed, and
+// window, the verifier model is reloaded and the decision log replayed, and
 // the management server resumes accepting with the frame's sequence state.
 // Restart and takeover are both this; confirmed verdicts and the
 // alarm/reroute dedup maps come back verbatim because they are in the frame.
@@ -153,13 +153,14 @@ func (f *Fleet) restoreState(frame []byte) string {
 	f.aliveSeen = make(map[string]bool)
 
 	if f.verifier != nil {
-		// A fresh model snapshot of the live tables, with the decision log
-		// replayed on top: flips already applied at the agents are in the
-		// snapshot (replay is then idempotent), and flips whose command was
-		// lost in flight stay committed in the model, exactly as the deposed
-		// incarnation decided them. A rejection has no frame unless it rolled
-		// a degraded flip back, and then its frame is that rollback.
-		f.verifier = verify.NewModel(f.Net)
+		// The trial's one model, reloaded from the live tables, with the
+		// decision log replayed on top: flips already applied at the agents
+		// are in the tables (replay is then idempotent), and flips whose
+		// command was lost in flight stay committed in the model, exactly as
+		// the deposed incarnation decided them. A rejection has no frame
+		// unless it rolled a degraded flip back, and then its frame is that
+		// rollback.
+		f.verifier.Reload(f.Net)
 		f.verifySeen = make(map[string]uint8)
 		for _, d := range f.verifyLog {
 			f.verifySeen[d.Key] = d.Outcome

@@ -344,7 +344,7 @@ func TestSeqCheckpointRestoreDedups(t *testing.T) {
 		r.cl.Send(i)
 	}
 	r.s.Run(50 * sim.Millisecond)
-	cp := r.srv.SeqCheckpoint()
+	cp := r.srv.SeqCheckpoint(nil)
 	if cp["sw"].Contig != 5 {
 		t.Fatalf("checkpoint contig=%d, want 5", cp["sw"].Contig)
 	}

@@ -53,8 +53,11 @@ const (
 type PhiDetector struct {
 	bootstrap sim.Time // fixed horizon used until the window warms up
 
-	window []sim.Time // inter-arrival ring buffer
-	next   int        // ring write cursor
+	// window is the inter-arrival ring buffer of size slots, allocated on
+	// the first gap: a peer never heard twice costs only the struct.
+	window []sim.Time
+	size   int
+	next   int // ring write cursor
 
 	last  sim.Time // most recent arrival
 	born  sim.Time // when monitoring (re)started; anchors the bootstrap horizon
@@ -68,7 +71,7 @@ func NewPhi() *PhiDetector { return newPhiDetector(phiWindow, UnreachableAfter) 
 // newPhiDetector builds a detector over a window of the given size with the
 // given bootstrap horizon (0: none).
 func newPhiDetector(window int, bootstrap sim.Time) *PhiDetector {
-	return &PhiDetector{bootstrap: bootstrap, window: make([]sim.Time, 0, window)}
+	return &PhiDetector{bootstrap: bootstrap, size: window}
 }
 
 // Observe records one arrival (heartbeat, ack, or any sign of life) at now.
@@ -81,12 +84,15 @@ func (p *PhiDetector) Observe(now sim.Time) {
 		if gap <= 0 {
 			return // duplicate delivery within the same instant
 		}
-		if len(p.window) < cap(p.window) {
+		if p.window == nil {
+			p.window = make([]sim.Time, 0, p.size)
+		}
+		if len(p.window) < p.size {
 			p.window = append(p.window, gap)
 		} else {
 			p.window[p.next] = gap
 		}
-		p.next = (p.next + 1) % cap(p.window)
+		p.next = (p.next + 1) % p.size
 	}
 	p.last = now
 	p.heard = true

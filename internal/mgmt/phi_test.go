@@ -144,6 +144,24 @@ func TestPhiDeterministic(t *testing.T) {
 	}
 }
 
+// TestPhiWindowAllocatesOnFirstGap: a detector costs its struct until it has
+// a gap to record — a peer heard once allocates no window — and the window
+// is then allocated whole.
+func TestPhiWindowAllocatesOnFirstGap(t *testing.T) {
+	var p *PhiDetector
+	if got := testing.AllocsPerRun(100, func() { p = NewPhi() }); got != 1 {
+		t.Fatalf("NewPhi allocates %.0f objects, want 1", got)
+	}
+	p.Observe(10 * sim.Millisecond)
+	if p.window != nil {
+		t.Fatal("the first arrival allocated a window")
+	}
+	p.Observe(20 * sim.Millisecond)
+	if len(p.window) != 1 || cap(p.window) != phiWindow {
+		t.Fatalf("window %d/%d after the first gap, want 1/%d", len(p.window), cap(p.window), phiWindow)
+	}
+}
+
 func TestPhiWindowSlides(t *testing.T) {
 	p := newPhiDetector(10, 0)
 	// Fill the 10-slot window with slow 50ms gaps, then shift to a fast

@@ -6,6 +6,9 @@ package mgmt
 // record since, and a warmed heartbeat exchange must not allocate.
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fancy/internal/sim"
@@ -62,6 +65,168 @@ func prime(r *rig, k int) {
 		r.cl.probe(r.cl.lastProbeAck, 0)
 	}
 	r.s.Run(r.s.Now() + HeartbeatInterval)
+}
+
+// fates is a FaultHook written as a function of the datagram alone.
+type fates func(Dgram) (drop bool, extra, dupAfter sim.Time)
+
+func (f fates) Fate(d Dgram, _ float64, _ sim.Time) (bool, sim.Time, sim.Time) { return f(d) }
+
+// TestCallDoesNotAllocate pins the RPC steady state: once the free lists
+// have grown, a call round trip — request, answer, the attempt timer, the
+// callback — and the heartbeats around it perform no heap allocations,
+// retries included on the lossy channel.
+func TestCallDoesNotAllocate(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"perfect": {},
+		"lossy":   {Loss: 0.02, Duplicate: 0.01, Jitter: sim.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 1, cfg)
+			r.cl.OnCall = func(req any) (any, error) { return req, nil }
+			var req any = "poll"
+			answered := 0
+			cb := func(v any, err error) {
+				if err == nil && v == req {
+					answered++
+				}
+			}
+			// Warm up like prime, for calls too: k calls in flight at once
+			// leave k records on the server's free list.
+			r.s.Run(5 * sim.Second)
+			prime(r, 32)
+			for range 32 {
+				r.srv.Call("sw", req, cb)
+			}
+			r.s.Run(r.s.Now() + sim.Second)
+			answered = 0
+			const calls = 1000
+			run := func() {
+				for range calls {
+					r.srv.Call("sw", req, cb)
+					r.s.Run(r.s.Now() + HeartbeatInterval)
+				}
+			}
+			if total := testing.AllocsPerRun(1, run); total != 0 {
+				t.Errorf("%d call round trips allocate %.0f objects, want 0", calls, total)
+			}
+			// A lossy channel may leave the last few retrying.
+			if answered < calls-int(cfg.Loss*calls) {
+				t.Errorf("%d of %d calls answered", answered, calls)
+			}
+		})
+	}
+}
+
+// TestCallRecordRecycled walks a call record through its three ends. Each
+// end puts the record back before the callback runs, and the next Call
+// takes it again under a new id, so whatever still arrives for the old id —
+// a duplicated answer, the answer to an abandoned call — must find nothing.
+func TestCallRecordRecycled(t *testing.T) {
+	r := newRig(t, 1, Config{})
+	r.cl.OnCall = func(req any) (any, error) { return req, nil }
+	// Duplicate every answer to the first call half a millisecond late:
+	// the copy lands while the call that re-used the record is pending.
+	r.net.SetFaultHook(fates(func(d Dgram) (bool, sim.Time, sim.Time) {
+		if d.Kind == DgramCallResp && d.Seq == 1 {
+			return false, 0, 500 * sim.Microsecond
+		}
+		return false, 0, 0
+	}))
+	got := map[string][]any{}
+	record := func(name string) func(any, error) {
+		return func(v any, err error) {
+			if err != nil {
+				v = err
+			}
+			got[name] = append(got[name], v)
+		}
+	}
+
+	// A response: the first call's record is free before its callback runs,
+	// and the second call, issued from that callback, re-uses it.
+	r.srv.Call("sw", "first", func(v any, err error) {
+		record("first")(v, err)
+		if len(r.srv.free) != 1 {
+			t.Errorf("%d free records inside the callback, want the answered one", len(r.srv.free))
+		}
+		r.srv.Call("sw", "second", record("second"))
+		if len(r.srv.free) != 0 {
+			t.Error("the call from the callback did not re-use the answered record")
+		}
+	})
+	r.s.Run(r.s.Now() + 10*sim.Millisecond)
+	if len(got["first"]) != 1 || len(got["second"]) != 1 || got["second"][0] != "second" {
+		t.Fatalf("callbacks %v: the late copy of the first answer reached the second call", got)
+	}
+	if r.net.Stats.Duplicated != 1 {
+		t.Fatalf("%+v: the first answer was not duplicated", r.net.Stats)
+	}
+
+	// SetAccepting(false): the abandoned call's answer arrives at a server
+	// accepting again and finds nothing; its timer never fires.
+	r.srv.Call("sw", "abandoned", record("abandoned"))
+	r.srv.SetAccepting(false)
+	r.srv.SetAccepting(true)
+	r.srv.Call("sw", "after", record("after"))
+	r.s.Run(r.s.Now() + sim.Second)
+	if len(got["abandoned"]) != 0 || len(got["after"]) != 1 || got["after"][0] != "after" {
+		t.Fatalf("callbacks %v: the abandoned call answered", got)
+	}
+
+	// Exhaustion: one callback, ErrUnavailable, and the record back.
+	r.net.Partition("sw")
+	r.srv.Call("sw", "lost", record("lost"))
+	r.s.Run(r.s.Now() + 2*sim.Second)
+	if len(got["lost"]) != 1 || got["lost"][0] != ErrUnavailable || r.srv.Stats.CallFails != 1 {
+		t.Fatalf("callbacks %v, %d call fails: want one ErrUnavailable", got, r.srv.Stats.CallFails)
+	}
+	if len(r.srv.calls) != 0 || len(r.srv.free) != 1 {
+		t.Fatalf("%d calls pending, %d records free; want 0 and the one every call re-used", len(r.srv.calls), len(r.srv.free))
+	}
+	for _, pc := range r.srv.free {
+		if pc.req != nil || pc.cb != nil || pc.timer.Active() {
+			t.Fatalf("a free record still holds %v / a callback / a timer", pc.req)
+		}
+	}
+}
+
+// TestSeqCheckpointReusesDst: a refill keeps the destination map and each
+// client's Above array, drops clients the server no longer tracks, comes
+// back sorted, and leaves a frame encoded from the previous fill alone.
+func TestSeqCheckpointReusesDst(t *testing.T) {
+	r := newRig(t, 1, Config{})
+	report := func(from string, seqs ...uint64) {
+		for _, s := range seqs {
+			r.srv.onDgram(Dgram{From: from, To: "corr", Kind: DgramReport, Seq: s})
+		}
+	}
+	encode := func(cp map[string]SeqState) string { return fmt.Sprint(cp) } // fmt sorts map keys
+	report("sw", 1, 2, 9, 4, 7)
+	r.srv.onDgram(Dgram{From: "gone", To: "corr", Kind: DgramHeartbeat, Seq: 1})
+	cp := r.srv.SeqCheckpoint(nil)
+	if _, ok := cp["gone"]; !ok || !slices.Equal(cp["sw"].Above, []uint64{4, 7, 9}) || cp["sw"].Contig != 2 {
+		t.Fatalf("checkpoint %v", cp)
+	}
+	frame, above := encode(cp), &cp["sw"].Above[0]
+
+	r.srv.RestoreSeq(map[string]SeqState{"sw": cp["sw"]})
+	report("sw", 6, 3, 11)
+	if got := r.srv.SeqCheckpoint(cp); reflect.ValueOf(got).UnsafePointer() != reflect.ValueOf(cp).UnsafePointer() {
+		t.Fatal("the refill built a new map")
+	}
+	if _, ok := cp["gone"]; ok || len(cp) != 1 {
+		t.Fatalf("refilled %v: a client RestoreSeq dropped is still there", cp)
+	}
+	if st := cp["sw"]; st.Contig != 4 || !slices.Equal(st.Above, []uint64{6, 7, 9, 11}) {
+		t.Fatalf("refilled %v, want contig 4 above [6 7 9 11]", cp)
+	}
+	if &cp["sw"].Above[0] != above {
+		t.Error("the refill did not re-use the client's Above array")
+	}
+	if frame != "map[gone:{0 []} sw:{2 [4 7 9]}]" {
+		t.Fatalf("the earlier frame reads %s after the refill", frame)
+	}
 }
 
 // TestRecycledRecordDuplicateArrivesIntact: both copies of a duplicated

@@ -27,15 +27,19 @@ type clientTrack struct {
 	phi    *PhiDetector        // the one liveness record: accrual over datagram arrivals
 }
 
-// pendingCall is one in-flight RPC attempt cycle.
+// pendingCall is one in-flight RPC attempt cycle. The server owns the
+// record: Call fills it, each of its three ends (a response, exhaustion,
+// SetAccepting(false)) puts it back on the free list before the callback
+// runs, and expire is onExpire bound once — so a late response or a stale
+// timeout can only ever find the id gone from calls.
 type pendingCall struct {
+	srv     *Server
 	id      uint64
 	to      string
 	req     any
 	attempt int
 	timer   sim.Timer
-	expire  func() // the attempt timeout, bound once per call
-	done    bool
+	expire  func() // the attempt timeout, bound once per record
 	cb      func(any, error)
 }
 
@@ -49,6 +53,7 @@ type Server struct {
 
 	clients map[string]*clientTrack
 	calls   map[uint64]*pendingCall
+	free    []*pendingCall // ended call records awaiting the next Call
 	nextID  uint64
 
 	// accepting gates inbound processing: a crashed correlator neither
@@ -88,12 +93,22 @@ func NewServer(s *sim.Sim, net *Network, name string) *Server {
 func (srv *Server) SetAccepting(on bool) {
 	srv.accepting = on
 	if !on {
-		for id, pc := range srv.calls {
-			pc.done = true
+		for _, pc := range srv.calls {
 			pc.timer.Stop()
-			delete(srv.calls, id)
+			srv.end(pc)
 		}
 	}
+}
+
+// end retires a call: its id leaves calls and the record goes back on the
+// free list, keeping nothing the caller handed in. It returns the callback
+// for the caller to run, if it runs one.
+func (srv *Server) end(pc *pendingCall) func(any, error) {
+	cb := pc.cb
+	delete(srv.calls, pc.id)
+	pc.req, pc.cb = nil, nil
+	srv.free = append(srv.free, pc)
+	return cb
 }
 
 func (srv *Server) track(name string) *clientTrack {
@@ -144,17 +159,16 @@ func (srv *Server) onDgram(d Dgram) {
 		srv.net.Send(Dgram{From: srv.name, To: d.From, Kind: DgramHeartbeatAck, Seq: d.Seq})
 	case DgramCallResp:
 		pc, ok := srv.calls[d.Seq]
-		if !ok || pc.done {
+		if !ok {
 			return // late duplicate of an answered or abandoned call
 		}
-		pc.done = true
 		pc.timer.Stop()
-		delete(srv.calls, d.Seq)
+		cb := srv.end(pc)
 		if d.Err != "" {
-			pc.cb(nil, errors.New(d.Err))
+			cb(nil, errors.New(d.Err))
 			return
 		}
-		pc.cb(d.Payload, nil)
+		cb(d.Payload, nil)
 	}
 }
 
@@ -164,23 +178,29 @@ func (srv *Server) onDgram(d Dgram) {
 // Get/Sample path: the correlator's periodic sweep is a SAMPLE over it and
 // verdict-time reads are hardened Gets.
 func (srv *Server) Call(to string, req any, cb func(any, error)) {
-	srv.nextID++
-	pc := &pendingCall{id: srv.nextID, to: to, req: req, cb: cb}
-	pc.expire = func() {
-		if pc.done {
-			return
-		}
-		pc.attempt++
-		if pc.attempt >= maxAttempts {
-			pc.done = true
-			delete(srv.calls, pc.id)
-			srv.Stats.CallFails++
-			pc.cb(nil, ErrUnavailable)
-			return
-		}
-		srv.attempt(pc)
+	var pc *pendingCall
+	if k := len(srv.free); k > 0 {
+		pc, srv.free = srv.free[k-1], srv.free[:k-1]
+	} else {
+		pc = &pendingCall{srv: srv}
+		pc.expire = pc.onExpire
 	}
+	srv.nextID++
+	pc.id, pc.to, pc.req, pc.cb, pc.attempt = srv.nextID, to, req, cb, 0
 	srv.calls[pc.id] = pc
+	srv.attempt(pc)
+}
+
+// onExpire is one attempt's timeout. Every end stops the timer first, so it
+// only fires for a call still in calls.
+func (pc *pendingCall) onExpire() {
+	srv := pc.srv
+	pc.attempt++
+	if pc.attempt >= maxAttempts {
+		srv.Stats.CallFails++
+		srv.end(pc)(nil, ErrUnavailable)
+		return
+	}
 	srv.attempt(pc)
 }
 
@@ -219,18 +239,27 @@ func (srv *Server) Holes() int {
 }
 
 // SeqCheckpoint snapshots the per-client sequencing state for the
-// correlator's checkpoint.
-func (srv *Server) SeqCheckpoint() map[string]SeqState {
-	out := make(map[string]SeqState, len(srv.clients))
+// correlator's checkpoint into dst and returns it (a new map if dst is nil).
+// The refill is in place: a client's Above slice is re-used, and clients
+// the server no longer tracks are deleted.
+func (srv *Server) SeqCheckpoint(dst map[string]SeqState) map[string]SeqState {
+	if dst == nil {
+		dst = make(map[string]SeqState, len(srv.clients))
+	}
+	for name := range dst {
+		if _, ok := srv.clients[name]; !ok {
+			delete(dst, name)
+		}
+	}
 	for name, ct := range srv.clients {
-		st := SeqState{Contig: ct.contig}
+		st := SeqState{Contig: ct.contig, Above: dst[name].Above[:0]}
 		for s := range ct.above {
 			st.Above = append(st.Above, s)
 		}
 		slices.Sort(st.Above)
-		out[name] = st
+		dst[name] = st
 	}
-	return out
+	return dst
 }
 
 // RestoreSeq reinstates sequencing state from a checkpoint: reports the

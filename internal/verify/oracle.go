@@ -25,7 +25,7 @@ func (m *Model) OracleCheck(d *Delta) (*Verdict, error) {
 		if fl.Plen < 0 || fl.Plen > 32 {
 			return nil, fmt.Errorf("verify: invalid prefix length %d", fl.Plen)
 		}
-		if _, ok := m.installed[si][pfxKey(fl.Addr, fl.Plen)]; !ok {
+		if !m.installed(si, fl.Addr, fl.Plen) {
 			return nil, fmt.Errorf("verify: prefix %s/%d not installed at %s (model predates it)",
 				ipStr(fl.Addr), fl.Plen, fl.Switch)
 		}

@@ -10,15 +10,17 @@
 // fast-reroute commit on the localization path (ISSUE 8 / ROADMAP
 // "verify reroutes before committing them, in real time").
 //
-// The model is a snapshot: NewModel reads the live route tables once, and
-// from then on Commit is the only mutation path. Callers that bypass the
-// verifier (degraded-mode local protection, verify-unavailable fallback)
-// must sync the model with an unchecked Commit so later checks see the
-// true state.
+// The model is a snapshot: NewModel (or Reload, which re-reads into the
+// storage a model already owns) reads the live route tables, and from then
+// on Commit is the only mutation path. Callers that bypass the verifier
+// (degraded-mode local protection, verify-unavailable fallback) must sync
+// the model with an unchecked Commit so later checks see the true state.
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,27 +39,35 @@ const (
 // switch's LPM decision is constant.
 type atom struct{ lo, hi uint32 }
 
-// Stats counts the verifier's work, for telemetry and benchmark cells.
-type Stats struct {
-	Checks     uint64 // Check/Commit invocations
-	AtomChecks uint64 // atoms re-walked, cumulative
-	LastAtoms  int    // atoms re-walked by the most recent call
+// pfx is one installed prefix and the egress port its route had when the
+// tables were read.
+type pfx struct {
+	key  uint64 // pfxKey(addr, plen)
+	port int
 }
 
-// Model is the atom-indexed forwarding state of one network.
-type Model struct {
-	switches  []string
-	swIdx     map[string]int
-	portPeer  []map[int]int32  // per switch: egress port -> peer index or sentinel
-	installed []map[uint64]int // per switch: prefix key -> port-at-snapshot (presence = installed)
-	atoms     []atom           // sorted, non-overlapping, covered intervals
-	next      [][]int32        // [atom][switch] -> next hop
-	win       [][]int8         // [atom][switch] -> winning prefix length, -1 if none
+func byKey(a, b pfx) int { return cmp.Compare(a.key, b.key) }
 
-	Stats Stats
+// Model is the atom-indexed forwarding state of one network. Every slice and
+// map is storage Reload refills in place.
+type Model struct {
+	switches []string
+	swIdx    map[string]int
+	portPeer []map[int]int32 // per switch: egress port -> peer index or sentinel
+	pfxs     []pfx           // every installed prefix, ascending key within a switch
+	pfxAt    []int           // switch i's prefixes are pfxs[pfxAt[i]:pfxAt[i+1]]
+	bounds   []uint64        // sorted distinct cut points; 64-bit, as hi+1 may be 2^32
+	atoms    []atom          // sorted, non-overlapping, covered intervals
+	next     [][]int32       // [atom][switch] -> next hop, rows cut from nextSlab
+	win      [][]int8        // [atom][switch] -> winning prefix length, -1 if none; rows cut from winSlab
+	nextSlab []int32
+	winSlab  []int8
 }
 
 func pfxKey(addr uint32, plen int) uint64 { return uint64(addr)<<6 | uint64(plen) }
+
+// keySpan returns the inclusive address interval a prefix key covers.
+func keySpan(key uint64) (uint32, uint32) { return span(uint32(key>>6), int(key&63)) }
 
 // span returns the inclusive address interval covered by addr/plen.
 func span(addr uint32, plen int) (uint32, uint32) {
@@ -73,98 +83,124 @@ func span(addr uint32, plen int) (uint32, uint32) {
 // and deltas touching them fail Check with an error (the fleet treats that
 // as verifier-unavailable and falls back to unverified commits).
 func NewModel(net *topo.Network) *Model {
-	m := &Model{swIdx: make(map[string]int)}
+	m := &Model{}
+	m.Reload(net)
+	return m
+}
+
+// Reload re-reads the network's installed forwarding state, dropping every
+// commit made since the last read: afterwards the model is the one
+// NewModel(net) builds. It refills the storage the model already owns, so
+// re-reading tables no larger than last time allocates only the route
+// visitor.
+func (m *Model) Reload(net *topo.Network) {
+	m.switches = m.switches[:0]
 	for sw := range net.Switches {
 		m.switches = append(m.switches, sw)
 	}
-	sort.Strings(m.switches)
+	slices.Sort(m.switches)
+	nsw := len(m.switches)
+	if m.swIdx == nil {
+		m.swIdx = make(map[string]int, nsw)
+	}
+	clear(m.swIdx)
 	for i, sw := range m.switches {
 		m.swIdx[sw] = i
 	}
 
-	// Port map: inter-switch ports forward to the peer switch, host-facing
-	// ports deliver, anything else drops.
-	m.portPeer = make([]map[int]int32, len(m.switches))
+	// Port map: host-facing ports deliver, inter-switch ports forward to the
+	// peer switch, anything else drops.
+	m.portPeer = slices.Grow(m.portPeer[:0], nsw)[:nsw]
 	for i, sw := range m.switches {
-		pp := make(map[int]int32)
-		for _, nb := range net.Neighbors(sw) {
-			pp[net.PortOf[sw][nb]] = int32(m.swIdx[nb])
+		if m.portPeer[i] == nil {
+			m.portPeer[i] = make(map[int]int32)
 		}
-		m.portPeer[i] = pp
+		pp := m.portPeer[i]
+		clear(pp)
+		for nb, port := range net.PortOf[sw] {
+			if net.HostAt(nb) == sw {
+				pp[port] = nhDeliver
+			} else if j, ok := m.swIdx[nb]; ok {
+				pp[port] = int32(j)
+			}
+		}
 	}
-	var hosts []string
-	for h := range net.Hosts {
-		hosts = append(hosts, h)
+
+	// Collect every installed prefix, per switch in ascending key order
+	// (Walk's trie order already is; the sort keeps that a local fact). The
+	// prefix boundaries cut the address space into intervals; they are
+	// compacted per switch, since switches mostly share their prefixes.
+	total := 0
+	for _, sw := range m.switches {
+		total += net.Switches[sw].Routes.Len()
 	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		sw := net.HostAt(h)
-		si, ok := m.swIdx[sw]
-		if !ok {
+	visit := m.addPrefix
+	m.pfxs = slices.Grow(m.pfxs[:0], total)
+	m.pfxAt = append(m.pfxAt[:0], 0)
+	m.bounds = m.bounds[:0]
+	for _, sw := range m.switches {
+		start := len(m.pfxs)
+		net.Switches[sw].Routes.Walk(visit)
+		slices.SortFunc(m.pfxs[start:], byKey)
+		m.pfxAt = append(m.pfxAt, len(m.pfxs))
+		for _, p := range m.pfxs[start:] {
+			lo, hi := keySpan(p.key)
+			m.bounds = append(m.bounds, uint64(lo), uint64(hi)+1)
+		}
+		slices.Sort(m.bounds)
+		m.bounds = slices.Compact(m.bounds)
+	}
+
+	// Resolve every interval on every switch by painting the switch's
+	// prefixes in key order. A prefix sorts after every prefix containing
+	// it, so a cell's last paint is its longest match; a prefix's ends are
+	// bounds, so it covers a run of whole intervals.
+	nint := max(len(m.bounds)-1, 0)
+	m.nextSlab = slices.Grow(m.nextSlab[:0], nint*nsw)[:nint*nsw]
+	m.winSlab = slices.Grow(m.winSlab[:0], nint*nsw)[:nint*nsw]
+	for c := range m.nextSlab {
+		m.nextSlab[c], m.winSlab[c] = nhDrop, -1
+	}
+	for i := range nsw {
+		for _, p := range m.pfxs[m.pfxAt[i]:m.pfxAt[i+1]] {
+			lo, hi := keySpan(p.key)
+			nh, plen := m.resolvePort(i, p.port), int8(p.key&63)
+			k, _ := slices.BinarySearch(m.bounds, uint64(lo))
+			for ; k < nint && m.bounds[k] <= uint64(hi); k++ {
+				m.nextSlab[k*nsw+i], m.winSlab[k*nsw+i] = nh, plen
+			}
+		}
+	}
+
+	// Materialize the covered intervals as atoms, moving their rows down
+	// the slabs. Uncovered intervals (no switch has a route) are dropped:
+	// they can never become reachable through a reroute flip.
+	m.atoms, m.next, m.win = m.atoms[:0], m.next[:0], m.win[:0]
+	for k := range nint {
+		row := m.winSlab[k*nsw : (k+1)*nsw]
+		if slices.Max(row) < 0 {
 			continue
 		}
-		m.portPeer[si][net.PortOf[sw][h]] = nhDeliver
+		j := len(m.atoms)
+		copy(m.nextSlab[j*nsw:], m.nextSlab[k*nsw:(k+1)*nsw])
+		copy(m.winSlab[j*nsw:], row)
+		m.atoms = append(m.atoms, atom{lo: uint32(m.bounds[k]), hi: uint32(m.bounds[k+1] - 1)})
+		m.next = append(m.next, m.nextSlab[j*nsw:(j+1)*nsw])
+		m.win = append(m.win, m.winSlab[j*nsw:(j+1)*nsw])
 	}
+}
 
-	// Collect every installed prefix; its boundaries cut the address space.
-	type pfx struct {
-		addr uint32
-		plen int
-	}
-	perSW := make([][]pfx, len(m.switches))
-	routeOf := make([]map[uint64]*netsim.Route, len(m.switches))
-	m.installed = make([]map[uint64]int, len(m.switches))
-	bset := make(map[uint64]bool) // 64-bit: hi+1 may be 2^32
-	for i, sw := range m.switches {
-		routeOf[i] = make(map[uint64]*netsim.Route)
-		m.installed[i] = make(map[uint64]int)
-		net.Switches[sw].Routes.Walk(func(addr uint32, plen int, r *netsim.Route) {
-			perSW[i] = append(perSW[i], pfx{addr, plen})
-			routeOf[i][pfxKey(addr, plen)] = r
-			m.installed[i][pfxKey(addr, plen)] = r.Egress()
-			lo, hi := span(addr, plen)
-			bset[uint64(lo)] = true
-			bset[uint64(hi)+1] = true
-		})
-	}
-	var bounds []uint64
-	for b := range bset {
-		bounds = append(bounds, b)
-	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
+// addPrefix is Reload's route-table visitor.
+func (m *Model) addPrefix(addr uint32, plen int, r *netsim.Route) {
+	m.pfxs = append(m.pfxs, pfx{key: pfxKey(addr, plen), port: r.Egress()})
+}
 
-	// Materialize the covered atoms and resolve their next-hop rows from
-	// the snapshot. Uncovered intervals (no switch has a route) are
-	// dropped: they can never become reachable through a reroute flip.
-	for k := 0; k+1 < len(bounds); k++ {
-		a := atom{lo: uint32(bounds[k]), hi: uint32(bounds[k+1] - 1)}
-		row := make([]int32, len(m.switches))
-		wrow := make([]int8, len(m.switches))
-		covered := false
-		for i := range m.switches {
-			bestPlen := -1
-			var best pfx
-			for _, p := range perSW[i] {
-				plo, phi := span(p.addr, p.plen)
-				if plo <= a.lo && a.hi <= phi && p.plen > bestPlen {
-					bestPlen, best = p.plen, p
-				}
-			}
-			if bestPlen < 0 {
-				row[i], wrow[i] = nhDrop, -1
-				continue
-			}
-			covered = true
-			wrow[i] = int8(bestPlen)
-			row[i] = m.resolvePort(i, routeOf[i][pfxKey(best.addr, best.plen)].Egress())
-		}
-		if covered {
-			m.atoms = append(m.atoms, a)
-			m.next = append(m.next, row)
-			m.win = append(m.win, wrow)
-		}
-	}
-	return m
+// installed reports whether switch si had addr/plen installed when the
+// tables were read.
+func (m *Model) installed(si int, addr uint32, plen int) bool {
+	_, ok := slices.BinarySearchFunc(m.pfxs[m.pfxAt[si]:m.pfxAt[si+1]], pfxKey(addr, plen),
+		func(p pfx, key uint64) int { return cmp.Compare(p.key, key) })
+	return ok
 }
 
 // resolvePort maps an egress port at switch index si to a next-hop value.
@@ -196,7 +232,7 @@ func (m *Model) overlay(d *Delta) (map[int64]int32, []int, error) {
 		if fl.Plen < 0 || fl.Plen > 32 {
 			return nil, nil, fmt.Errorf("verify: invalid prefix length %d", fl.Plen)
 		}
-		if _, ok := m.installed[si][pfxKey(fl.Addr, fl.Plen)]; !ok {
+		if !m.installed(si, fl.Addr, fl.Plen) {
 			return nil, nil, fmt.Errorf("verify: prefix %s/%d not installed at %s (model predates it)",
 				ipStr(fl.Addr), fl.Plen, fl.Switch)
 		}
@@ -263,9 +299,6 @@ func (m *Model) Audit() *Verdict {
 }
 
 func (m *Model) walkAtoms(dirty []int, ov map[int64]int32) *Verdict {
-	m.Stats.Checks++
-	m.Stats.AtomChecks += uint64(len(dirty))
-	m.Stats.LastAtoms = len(dirty)
 	v := &Verdict{Atoms: len(dirty)}
 	for _, k := range dirty {
 		loop, holes := m.walkAtom(k, ov)

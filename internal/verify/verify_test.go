@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,6 +33,170 @@ func abilene(t *testing.T) *topo.Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// grid builds a side×side grid with a host at each corner, entries 1–8
+// spread over them, shortest paths installed.
+func grid(t *testing.T, side int) *topo.Network {
+	t.Helper()
+	name := func(r, c int) string { return fmt.Sprintf("g%02d-%02d", r, c) }
+	var spec topo.Spec
+	for r := range side {
+		for c := range side {
+			spec.Switches = append(spec.Switches, name(r, c))
+			if c+1 < side {
+				spec.Links = append(spec.Links, topo.LinkSpec{A: name(r, c), B: name(r, c+1), Delay: sim.Millisecond})
+			}
+			if r+1 < side {
+				spec.Links = append(spec.Links, topo.LinkSpec{A: name(r, c), B: name(r+1, c), Delay: sim.Millisecond})
+			}
+		}
+	}
+	corners := []string{name(0, 0), name(0, side-1), name(side-1, 0), name(side-1, side-1)}
+	owners := map[netsim.EntryID]string{}
+	for i, sw := range corners {
+		spec.Hosts = append(spec.Hosts, topo.HostSpec{Name: "h" + sw, Attach: sw})
+		owners[netsim.EntryID(1+i)], owners[netsim.EntryID(5+i)] = "h"+sw, "h"+sw
+	}
+	n, err := topo.Build(sim.New(1), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.InstallShortestPaths(owners); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// sameModel fails unless got and want agree on everything a caller sees:
+// atom count, switches, the audit, and the verdict (or error) of every flip
+// the live tables admit — each installed prefix at each switch, to each of
+// its ports and to a dead one.
+func sameModel(t *testing.T, n *topo.Network, got, want *Model) {
+	t.Helper()
+	if got.Atoms() != want.Atoms() || !slices.Equal(got.Switches(), want.Switches()) {
+		t.Fatalf("%d atoms over %d switches, want %d over %d",
+			got.Atoms(), len(got.Switches()), want.Atoms(), len(want.Switches()))
+	}
+	if g, w := got.Audit().String(), want.Audit().String(); g != w {
+		t.Fatalf("audit %q, want %q", g, w)
+	}
+	verdict := func(m *Model, d *Delta) string {
+		v, err := m.Check(d)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return v.String()
+	}
+	flips := 0
+	for _, sw := range want.Switches() {
+		ports := []int{999}
+		for _, p := range n.PortOf[sw] {
+			ports = append(ports, p)
+		}
+		n.Switches[sw].Routes.Walk(func(addr uint32, plen int, _ *netsim.Route) {
+			for _, port := range ports {
+				d := NewDelta("x", []Flip{{Switch: sw, Addr: addr, Plen: plen, Port: port}})
+				if g, w := verdict(got, d), verdict(want, d); g != w {
+					t.Fatalf("%s %s/%d -> port %d: %q, want %q", sw, ipStr(addr), plen, port, g, w)
+				}
+				flips++
+			}
+		})
+	}
+	if flips == 0 {
+		t.Fatal("no flip compared")
+	}
+}
+
+// TestReloadEqualsNewModel: a model reloaded after it has drifted from the
+// tables it read is the model NewModel builds from the live tables — after
+// commits, after routes were added to the tables, and after a live egress
+// changed.
+func TestReloadEqualsNewModel(t *testing.T) {
+	for name, build := range map[string]func(*testing.T) *topo.Network{
+		"abilene": abilene,
+		"grid12":  func(t *testing.T) *topo.Network { return grid(t, 12) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := build(t)
+			m := NewModel(n)
+			sws := m.Switches()
+			var e netsim.EntryID = entry
+			if name != "abilene" {
+				e = 1
+			}
+
+			// Commits move the model away from the tables.
+			for i, sw := range sws {
+				if i%3 != 0 {
+					continue
+				}
+				nb := n.Neighbors(sw)[0]
+				if _, err := m.Commit(NewDelta("c", []Flip{EntryFlip(sw, e, n.PortOf[sw][nb])})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Reload(n)
+			sameModel(t, n, m, NewModel(n))
+
+			// Routes the model never saw: a default, a covering /16 and a
+			// /32 inside an entry's /24, at switches spread over the network.
+			for i, sw := range sws {
+				port := n.PortOf[sw][n.Neighbors(sw)[0]]
+				var err error
+				switch i % 4 {
+				case 0:
+					_, err = n.Switches[sw].Routes.Insert(0, 0, netsim.Route{Port: port, Backup: -1})
+				case 1:
+					_, err = n.Switches[sw].Routes.Insert(0, 16, netsim.Route{Port: port, Backup: -1})
+				case 2:
+					_, err = n.Switches[sw].Routes.Insert(netsim.EntryAddr(e, 7), 32, netsim.Route{Port: port, Backup: -1})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Reload(n)
+			sameModel(t, n, m, NewModel(n))
+
+			// A live egress change: every switch's route for e takes its
+			// last neighbor as the backup and uses it.
+			for _, sw := range sws {
+				nbs := n.Neighbors(sw)
+				r := n.Switches[sw].Routes.Lookup(netsim.EntryAddr(e, 0))
+				r.Backup, r.UseBackup = n.PortOf[sw][nbs[len(nbs)-1]], true
+			}
+			m.Reload(n)
+			sameModel(t, n, m, NewModel(n))
+		})
+	}
+}
+
+// TestReloadDoesNotAllocate pins Reload's reuse: re-reading unchanged
+// tables into a model that has since committed allocates at most the route
+// visitor handed to Walk.
+func TestReloadDoesNotAllocate(t *testing.T) {
+	n := grid(t, 12)
+	m := NewModel(n)
+	atoms := m.Atoms()
+	sw := m.Switches()[0]
+	flip := NewDelta("c", []Flip{EntryFlip(sw, 1, n.PortOf[sw][n.Neighbors(sw)[0]])})
+	if got := testing.AllocsPerRun(20, func() {
+		m.Reload(n)
+	}); got > 1 {
+		t.Errorf("Reload allocates %.0f objects, want at most 1", got)
+	}
+	if _, err := m.Commit(flip); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(1, func() { m.Reload(n) }); got > 1 {
+		t.Errorf("Reload after a commit allocates %.0f objects, want at most 1", got)
+	}
+	if m.Atoms() != atoms {
+		t.Fatalf("%d atoms after reloads, want %d", m.Atoms(), atoms)
+	}
+	sameModel(t, n, m, NewModel(n))
 }
 
 func TestModelCleanStateIsSafe(t *testing.T) {

@@ -69,8 +69,11 @@ type Detector struct {
 
 	// OnHHReport receives the encoded heavy-hitter report of a monitored
 	// port once per hhReportInterval (nil when cfg.HH is nil or nobody
-	// subscribed). The frame decodes with hh.DecodeReport; the switch
-	// agent's counter-allocation controller is the intended consumer.
+	// subscribed). The frame decodes with hh.DecodeReport (or
+	// hh.DecodeReportInto); the switch agent's counter-allocation
+	// controller is the intended consumer. The frame is borrowed for the
+	// call: the detector rewrites it on the port's next tick, so copy it to
+	// retain it.
 	OnHHReport func(port int, frame []byte)
 
 	// Control-plane overhead accounting (§5.3).
@@ -94,11 +97,14 @@ type portMonitor struct {
 	custom  *senderFSM // MonitorCustom's session, or nil
 	out     Outputs
 
-	// Heavy-hitter stage state (cfg.HH != nil).
+	// Heavy-hitter stage state (cfg.HH != nil). hhRep and hhFrame are the
+	// report and its encoding, refilled by every tick.
 	hh       *hh.Sketch
 	hhTimer  sim.Timer
 	hhTickFn func()
 	hhSeq    uint32
+	hhRep    hh.Report
+	hhFrame  []byte
 
 	// downUnits counts sub-state-machines currently reporting the link as
 	// unresponsive; EventLinkDown fires on the 0→1 transition only, so a

@@ -15,19 +15,22 @@ import (
 )
 
 // hhTick closes one heavy-hitter measurement window on a port: encode the
-// top-k digest, reset the sketch, deliver the frame, re-arm the timer.
+// top-k digest, reset the sketch, deliver the frame, re-arm the timer. The
+// report and the frame are the port's own buffers, refilled every window.
 func (d *Detector) hhTick(m *portMonitor, port int) {
 	if m.hh == nil {
 		return
 	}
-	rep := &hh.Report{Port: uint16(port), Epoch: d.epoch, Seq: m.hhSeq}
+	rep := &m.hhRep
+	rep.Port, rep.Epoch, rep.Seq = uint16(port), d.epoch, m.hhSeq
 	m.hhSeq++
-	rep.Entries = m.hh.TopK(DefaultHHTopK)
+	rep.Entries = m.hh.AppendTopK(rep.Entries[:0], DefaultHHTopK)
 	rep.Packets, rep.Recircs = m.hh.Window()
 	m.hh.Reset()
 	d.stats.HHReports++
 	if d.OnHHReport != nil {
-		d.OnHHReport(port, hh.EncodeReport(rep))
+		m.hhFrame = hh.AppendReport(m.hhFrame[:0], rep)
+		d.OnHHReport(port, m.hhFrame)
 	}
 	m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
 }

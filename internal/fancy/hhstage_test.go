@@ -59,6 +59,40 @@ func TestHHReportsFlow(t *testing.T) {
 	}
 }
 
+// TestHHTickDoesNotAllocate pins a warmed heavy-hitter window close: top-k
+// into the port's report, encode into its frame, and a subscriber that
+// decodes the borrowed frame into a Report it reuses.
+func TestHHTickDoesNotAllocate(t *testing.T) {
+	tb := newTestbed(t, hhTestConfig(), 5)
+	var rep hh.Report
+	reports := 0
+	tb.det.OnHHReport = func(_ int, frame []byte) {
+		if err := hh.DecodeReportInto(&rep, frame); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		reports++
+	}
+	m := tb.det.monitors[1]
+	tick := func() {
+		for e := 0; e < 40; e++ {
+			for i := 0; i <= e%7; i++ {
+				m.hh.Observe(netsim.EntryID(e))
+			}
+		}
+		m.hhTimer.Stop()
+		tb.det.hhTick(m, 1)
+	}
+	for i := 0; i < 4; i++ {
+		tick()
+	}
+	if avg := testing.AllocsPerRun(50, tick); avg != 0 {
+		t.Errorf("a warmed HH tick allocates %.2f objects, want 0", avg)
+	}
+	if reports != 55 || len(rep.Entries) != DefaultHHTopK || rep.Seq != 54 {
+		t.Fatalf("%d reports, last with %d entries and seq %d", reports, len(rep.Entries), rep.Seq)
+	}
+}
+
 // TestPromoteDetectGrayDemote is the full dynamic-slot lifecycle: promote
 // a prefix, detect a gray failure on it through the dedicated counter,
 // demote it, and reuse the slot.

@@ -99,6 +99,7 @@ type switchAgent struct {
 	// Heavy-hitter allocation loop (populated only with Config.HH).
 	hhAlloc map[int]*hh.Allocator // per monitored port
 	hhStats hhAllocStats
+	hhRep   hh.Report // decode target, reused by every digest
 }
 
 func newSwitchAgent(f *Fleet, sw string, srv *telemetry.Server) *switchAgent {

@@ -20,10 +20,11 @@ type hhAllocStats struct {
 
 // onHHReport receives one encoded heavy-hitter digest from the local
 // detector, runs it through the port's allocator and applies the
-// resulting slot changes.
+// resulting slot changes. The frame is decoded into the agent's one
+// reused Report before anything else runs, as the borrowed frame requires.
 func (a *switchAgent) onHHReport(port int, frame []byte) {
-	rep, err := hh.DecodeReport(frame)
-	if err != nil {
+	rep := &a.hhRep
+	if err := hh.DecodeReportInto(rep, frame); err != nil {
 		a.hhStats.DecodeErrs++
 		return
 	}

@@ -1,7 +1,7 @@
 package hh
 
 import (
-	"sort"
+	"slices"
 
 	"fancy/internal/netsim"
 )
@@ -75,6 +75,11 @@ type Allocator struct {
 	hot       map[netsim.EntryID]int // candidate consecutive-hot streaks
 	allocated map[netsim.EntryID]int // promoted prefixes -> consecutive-cold streak
 	stats     AllocStats
+
+	// Per-report scratch, reused by every Ingest: the report's eligible
+	// entries and one sorted key list.
+	present map[netsim.EntryID]uint32
+	keys    []netsim.EntryID
 }
 
 // NewAllocator builds a controller for one port. pinned lists the
@@ -85,6 +90,7 @@ func NewAllocator(policy AllocPolicy, pinned []netsim.EntryID) *Allocator {
 		pinned:    make(map[netsim.EntryID]bool, len(pinned)),
 		hot:       make(map[netsim.EntryID]int),
 		allocated: make(map[netsim.EntryID]int),
+		present:   make(map[netsim.EntryID]uint32),
 	}
 	for _, e := range pinned {
 		a.pinned[e] = true
@@ -105,31 +111,35 @@ func (a *Allocator) Allocated(entry netsim.EntryID) bool {
 	return ok
 }
 
-func sortedEntries[V any](m map[netsim.EntryID]V) []netsim.EntryID {
-	out := make([]netsim.EntryID, 0, len(m))
+// appendSortedKeys appends m's keys to dst in ascending order.
+func appendSortedKeys[V any](dst []netsim.EntryID, m map[netsim.EntryID]V) []netsim.EntryID {
+	base := len(dst)
 	for e := range m {
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Ingest consumes one report and returns the actions to apply, demotions
 // first (they free the slots this round's promotions fill). A report from
 // a new detector epoch means the dataplane restarted and every dynamic
-// slot was wiped: the controller forgets its state and relearns.
+// slot was wiped: the controller forgets its state and relearns. rep is
+// only read during the call. The actions are a fresh slice (nil when there
+// are none).
 func (a *Allocator) Ingest(rep *Report) []Action {
 	if !a.haveEpoch || rep.Epoch != a.epoch {
 		if a.haveEpoch {
 			a.stats.EpochResets++
 		}
 		a.epoch, a.haveEpoch = rep.Epoch, true
-		a.hot = make(map[netsim.EntryID]int)
-		a.allocated = make(map[netsim.EntryID]int)
+		clear(a.hot)
+		clear(a.allocated)
 	}
 	a.stats.Reports++
 
-	present := make(map[netsim.EntryID]uint32, len(rep.Entries))
+	present := a.present
+	clear(present)
 	for _, ec := range rep.Entries {
 		if ec.Count >= a.policy.MinCount && !a.pinned[ec.Entry] {
 			present[ec.Entry] = ec.Count
@@ -139,7 +149,8 @@ func (a *Allocator) Ingest(rep *Report) []Action {
 	var actions []Action
 
 	// Allocated prefixes: reset or advance the cold streak.
-	for _, e := range sortedEntries(a.allocated) {
+	a.keys = appendSortedKeys(a.keys[:0], a.allocated)
+	for _, e := range a.keys {
 		if _, ok := present[e]; ok {
 			if a.allocated[e] > 0 {
 				a.stats.FlapsSuppressed++
@@ -182,7 +193,8 @@ func (a *Allocator) Ingest(rep *Report) []Action {
 
 	// A candidate absent from this report loses its streak entirely —
 	// consecutive means consecutive.
-	for _, e := range sortedEntries(a.hot) {
+	a.keys = appendSortedKeys(a.keys[:0], a.hot)
+	for _, e := range a.keys {
 		if _, ok := present[e]; !ok {
 			delete(a.hot, e)
 		}

@@ -20,8 +20,9 @@
 package hh
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"fancy/internal/netsim"
 )
@@ -180,20 +181,27 @@ func (sk *Sketch) Window() (packets, recircs uint64) {
 // TopK returns the k heaviest tracked prefixes, ordered by descending
 // count then ascending entry — the canonical report order. k <= 0 or k
 // larger than the table returns everything tracked.
-func (sk *Sketch) TopK(k int) []EntryCount {
-	var all []EntryCount
+func (sk *Sketch) TopK(k int) []EntryCount { return sk.AppendTopK(nil, k) }
+
+// AppendTopK appends TopK(k) to dst and returns the extended slice. dst's
+// spare capacity is used as scratch for every tracked slot, so a buffer
+// reused across windows stops allocating once it has held a full table.
+func (sk *Sketch) AppendTopK(dst []EntryCount, k int) []EntryCount {
+	base := len(dst)
 	for i := range sk.keys {
 		for j, key := range sk.keys[i] {
 			if key == 0 {
 				continue
 			}
-			all = append(all, EntryCount{Entry: netsim.EntryID(key - 1), Count: sk.counts[i][j]})
+			dst = append(dst, EntryCount{Entry: netsim.EntryID(key - 1), Count: sk.counts[i][j]})
 		}
 	}
 	// The same entry can briefly occupy slots in two stages (admitted
 	// twice after losing a slot); merge counts so reports never carry
-	// duplicate prefixes.
-	sort.Slice(all, func(a, b int) bool { return all[a].Entry < all[b].Entry })
+	// duplicate prefixes. After the merge entries are unique, so the
+	// canonical order is total and any sort yields the same result.
+	all := dst[base:]
+	slices.SortFunc(all, func(a, b EntryCount) int { return cmp.Compare(a.Entry, b.Entry) })
 	merged := all[:0]
 	for _, ec := range all {
 		if n := len(merged); n > 0 && merged[n-1].Entry == ec.Entry {
@@ -202,16 +210,13 @@ func (sk *Sketch) TopK(k int) []EntryCount {
 		}
 		merged = append(merged, ec)
 	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Count != merged[b].Count {
-			return merged[a].Count > merged[b].Count
-		}
-		return merged[a].Entry < merged[b].Entry
+	slices.SortFunc(merged, func(a, b EntryCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Entry, b.Entry))
 	})
 	if k > 0 && len(merged) > k {
 		merged = merged[:k]
 	}
-	return merged
+	return dst[:base+len(merged)]
 }
 
 // Reset clears every slot and the window counters, starting a fresh

@@ -142,6 +142,59 @@ func TestTopKCanonicalOrder(t *testing.T) {
 			t.Fatalf("TopK order violated at %d: %v then %v", i, a, b)
 		}
 	}
+	// AppendTopK onto a non-empty dst leaves the prefix alone, whatever
+	// spare capacity it uses as scratch, and appends exactly TopK.
+	for _, k := range []int{0, 1, 3, 100} {
+		prefix := []EntryCount{{Entry: 99, Count: 1}, {Entry: 98, Count: 2}}
+		dst := append(make([]EntryCount, 0, 64), prefix...)
+		got := sk.AppendTopK(dst, k)
+		if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+			t.Fatalf("k=%d: AppendTopK rewrote the prefix: %v", k, got[:len(prefix)])
+		}
+		if want := sk.TopK(k); !reflect.DeepEqual(got[len(prefix):], want) {
+			t.Fatalf("k=%d: AppendTopK tail %v, TopK %v", k, got[len(prefix):], want)
+		}
+	}
+}
+
+// TestReportLoopDoesNotAllocate pins the steady state of one port's report
+// loop with warmed buffers: top-k into a reused slice, encode into a reused
+// frame, decode into a reused Report, and an Ingest that decides nothing.
+func TestReportLoopDoesNotAllocate(t *testing.T) {
+	sk := NewSketch(Params{Seed: 3})
+	stream := zipfStream(4, 200, 2000)
+	alloc := NewAllocator(AllocPolicy{Capacity: 4, PromoteAfter: 1000, DemoteAfter: 1000}, []netsim.EntryID{1})
+	var (
+		top   []EntryCount
+		frame []byte
+		rep   Report
+		seq   uint32
+	)
+	loop := func() {
+		for _, e := range stream {
+			sk.Observe(e)
+		}
+		top = sk.AppendTopK(top[:0], 8)
+		packets, recircs := sk.Window()
+		sk.Reset()
+		frame = AppendReport(frame[:0], &Report{Port: 2, Epoch: 1, Seq: seq, Packets: packets, Recircs: recircs, Entries: top})
+		seq++
+		if err := DecodeReportInto(&rep, frame); err != nil {
+			t.Fatal(err)
+		}
+		if acts := alloc.Ingest(&rep); len(acts) != 0 {
+			t.Fatalf("unexpected actions %v", acts)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		loop()
+	}
+	if avg := testing.AllocsPerRun(50, loop); avg != 0 {
+		t.Errorf("a warmed report loop allocates %.2f objects, want 0", avg)
+	}
+	if len(rep.Entries) != 8 || alloc.Stats().Reports != 55 {
+		t.Fatalf("loop did no work: %d entries, %d reports", len(rep.Entries), alloc.Stats().Reports)
+	}
 }
 
 // TestReportRoundTrip: canonical encode/decode is the identity.

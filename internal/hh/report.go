@@ -33,7 +33,13 @@ const maxReportEntries = 4096
 
 // EncodeReport serializes r in canonical form.
 func EncodeReport(r *Report) []byte {
-	w := codec.Writer{B: make([]byte, 0, 16+8*len(r.Entries))}
+	return AppendReport(make([]byte, 0, 16+8*len(r.Entries)), r)
+}
+
+// AppendReport appends r's canonical encoding to dst and returns the
+// extended buffer.
+func AppendReport(dst []byte, r *Report) []byte {
+	w := codec.Writer{B: dst}
 	w.Byte(reportVersion)
 	w.Uvarint(uint64(r.Port))
 	w.Byte(r.Epoch)
@@ -52,17 +58,27 @@ var errBadReport = errors.New("hh: malformed report")
 
 // DecodeReport parses and validates a canonical report frame.
 func DecodeReport(b []byte) (*Report, error) {
+	rep := &Report{}
+	if err := DecodeReportInto(rep, b); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// DecodeReportInto is DecodeReport into a caller's Report: every field is
+// overwritten and rep.Entries' storage is reused. On error rep holds an
+// unspecified partial decode.
+func DecodeReportInto(rep *Report, b []byte) error {
 	r := codec.NewReader(b)
 	if r.Byte() != reportVersion {
-		return nil, fmt.Errorf("%w: bad version", errBadReport)
+		return fmt.Errorf("%w: bad version", errBadReport)
 	}
-	rep := &Report{
-		Port:    r.U16(),
-		Epoch:   r.Byte(),
-		Seq:     r.U32(),
-		Packets: r.Uvarint(),
-		Recircs: r.Uvarint(),
-	}
+	rep.Port = r.U16()
+	rep.Epoch = r.Byte()
+	rep.Seq = r.U32()
+	rep.Packets = r.Uvarint()
+	rep.Recircs = r.Uvarint()
+	rep.Entries = rep.Entries[:0]
 	// Each entry costs at least two bytes on the wire, so Count's
 	// bytes-remaining bound already rejects a prefix that cannot fit.
 	n := r.Count()
@@ -79,14 +95,14 @@ func DecodeReport(b []byte) (*Report, error) {
 		// ties strictly ascending by entry (which also bans duplicates).
 		if i > 0 {
 			if ec.Count > prev.Count || (ec.Count == prev.Count && ec.Entry <= prev.Entry) {
-				return nil, fmt.Errorf("%w: entries out of canonical order", errBadReport)
+				return fmt.Errorf("%w: entries out of canonical order", errBadReport)
 			}
 		}
 		rep.Entries = append(rep.Entries, ec)
 		prev = ec
 	}
 	if !r.Done() {
-		return nil, errBadReport
+		return errBadReport
 	}
-	return rep, nil
+	return nil
 }

@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fancy/internal/fancy"
@@ -334,8 +335,26 @@ func (n *Network) paths(dst string) map[string]string {
 // InstallShortestPaths installs routes so that each entry's traffic reaches
 // its owning host over delay-weighted shortest paths, and each host's own
 // address is routable from everywhere (for reverse traffic and remote
-// FANcY control messages).
+// FANcY control messages). An entry owned by no known host is an error:
+// its traffic would have no route anywhere.
 func (n *Network) InstallShortestPaths(entryOwner map[netsim.EntryID]string) error {
+	ids := make([]netsim.EntryID, 0, len(entryOwner))
+	for e := range entryOwner {
+		ids = append(ids, e)
+	}
+	slices.Sort(ids)
+	// Each host's entries, ascending.
+	owned := make(map[string][]netsim.EntryID, len(n.hostAddr))
+	for _, e := range ids {
+		owner := entryOwner[e]
+		if _, ok := n.hostAddr[owner]; !ok {
+			return fmt.Errorf("topo: entry %d is owned by unknown host %q", e, owner)
+		}
+		owned[owner] = append(owned[owner], e)
+	}
+	for _, sw := range n.Switches {
+		sw.Routes.Grow(len(n.hostAddr) + len(ids))
+	}
 	for host := range n.hostAddr {
 		attach := n.hostAt[host]
 		next := n.paths(attach)
@@ -355,11 +374,7 @@ func (n *Network) InstallShortestPaths(entryOwner map[netsim.EntryID]string) err
 				netsim.Route{Port: port, Backup: -1}); err != nil {
 				return err
 			}
-			// Entries owned by this host.
-			for e, owner := range entryOwner {
-				if owner != host {
-					continue
-				}
+			for _, e := range owned[host] {
 				n.Switches[sw].Routes.InsertEntry(e, netsim.Route{Port: port, Backup: -1})
 			}
 		}

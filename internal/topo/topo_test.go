@@ -93,6 +93,28 @@ func TestShortestPathForwarding(t *testing.T) {
 	}
 }
 
+// TestInstallShortestPathsRejectsUnknownOwner: an entry owned by no host of
+// the topology would be black-holed, so installation fails and names the
+// lowest such entry whatever the map order.
+func TestInstallShortestPathsRejectsUnknownOwner(t *testing.T) {
+	n, err := Build(sim.New(1), lineSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := map[netsim.EntryID]string{10: "H2", 3: "H1", 40: "ghost", 7: "H3", 12: "ghost"}
+	want := `topo: entry 7 is owned by unknown host "H3"`
+	for i := 0; i < 20; i++ {
+		if err := n.InstallShortestPaths(owners); err == nil || err.Error() != want {
+			t.Fatalf("InstallShortestPaths = %v, want %s", err, want)
+		}
+	}
+	for sw, s := range n.Switches {
+		if s.Routes.Len() != 0 {
+			t.Fatalf("switch %s got %d routes from a rejected installation", sw, s.Routes.Len())
+		}
+	}
+}
+
 func TestShortestPathPicksLowDelay(t *testing.T) {
 	// Square with a fast diagonal: A—B slow (50ms), A—C—B fast (2×5ms).
 	s := sim.New(1)
@@ -475,5 +497,39 @@ func TestPathsMatchReference(t *testing.T) {
 		if n.paths("no-such-switch") != nil {
 			t.Errorf("%s: paths to an unknown switch is not empty", name)
 		}
+	}
+}
+
+// TestRouteInstallPerPrefixDoesNotAllocate: route installation allocates
+// per table and per host, not per prefix. Doubling the entries on a 12×12
+// grid puts 43 200 more prefixes into its 144 tables and may add at most
+// two objects per host (its entry list growing).
+func TestRouteInstallPerPrefixDoesNotAllocate(t *testing.T) {
+	spec := gridSpec(12)
+	install := func(entries int) float64 {
+		owners := make(map[netsim.EntryID]string, entries)
+		for e := 0; e < entries; e++ {
+			owners[netsim.EntryID(e)] = spec.Hosts[e%len(spec.Hosts)].Name
+		}
+		nets := make([]*Network, 2) // AllocsPerRun adds one warm-up call
+		for i := range nets {
+			n, err := Build(sim.New(1), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets[i] = n
+		}
+		next := 0
+		return testing.AllocsPerRun(1, func() {
+			if err := nets[next].InstallShortestPaths(owners); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	small, large := install(300), install(600)
+	if extra := large - small; extra > float64(2*len(spec.Hosts)) {
+		t.Errorf("installing 300 → 600 entries allocates %.0f → %.0f objects; want at most %d more",
+			small, large, 2*len(spec.Hosts))
 	}
 }

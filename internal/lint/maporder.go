@@ -45,6 +45,7 @@ var emissionMethods = map[string]bool{
 	"ScheduleTimer": true,
 	"After":         true,
 	"At":            true,
+	"Sequence":      true,
 }
 
 func runMapOrder(p *Package) []Finding {

@@ -61,3 +61,16 @@ func Values(m map[string]int) []int {
 	}
 	return vals
 }
+
+// launcher stands in for sim.Sim's Sequence entry point.
+type launcher interface {
+	Sequence(n int, at func(i int) int64, fn func(i int))
+}
+
+// Launch queues one sequence per map entry, and so reserves their sequence
+// numbers in iteration order (true positive).
+func Launch(s launcher, m map[string][]int64) {
+	for _, starts := range m {
+		s.Sequence(len(starts), func(i int) int64 { return starts[i] }, func(int) {})
+	}
+}

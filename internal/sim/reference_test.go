@@ -9,22 +9,34 @@ import (
 
 // refSched is the reference scheduler the engine is tested against: a slice
 // kept sorted by (at, seq) with linear insert and remove. It is the whole
-// contract of Sim in forty lines — no heap, no pool, no handles that can go
-// stale (a handle is the event's unique seq) — so any change to the real
-// queue (timer coalescing, a bucket ring ahead of the heap) has to keep
-// agreeing with it event for event.
+// contract of Sim in a few dozen lines — no heap, no pool, no handles that
+// can go stale (a handle is the event's unique seq) — so any change to the
+// real queue (timer coalescing, a bucket ring ahead of the heap) has to
+// keep agreeing with it event for event.
+//
+// A Sequence is n inserts made at call time. Only Pending sees that Sim
+// queues one element at a time: the reference marks each later element
+// hidden until its predecessor runs, and Pending does not count it.
 type refSched struct {
 	now     Time
 	seq     uint64
 	ran     uint64
 	stopped bool
 	q       []refEvent
+
+	// What the Sequence elements of a workload ran into, summed over its
+	// runs, so the property test can require each case to have occurred.
+	emptySeqs   int // n = 0
+	stoppedSeqs int // a Run ended by Stop with a sequence part-run
+	cutSeqs     int // a Run ended by its horizon with a sequence part-run
 }
 
 type refEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at     Time
+	seq    uint64
+	fn     func()
+	hidden bool   // a Sequence element whose predecessor has not run yet
+	succ   uint64 // the seq of the next element of its Sequence, or 0
 }
 
 func (r *refSched) insert(at Time, fn func()) uint64 {
@@ -37,6 +49,16 @@ func (r *refSched) insert(at Time, fn func()) uint64 {
 	r.q[i] = refEvent{at: at, seq: r.seq, fn: fn}
 	r.seq++
 	return r.q[i].seq
+}
+
+// partRun reports whether a Sequence has elements still hidden.
+func (r *refSched) partRun() bool {
+	for i := range r.q {
+		if r.q[i].hidden {
+			return true
+		}
+	}
+	return false
 }
 
 // find returns the queue position of the event with this seq, or -1.
@@ -54,13 +76,22 @@ func (r *refSched) Run(horizon Time) Time {
 	for len(r.q) > 0 && !r.stopped {
 		ev := r.q[0]
 		if horizon > 0 && ev.at > horizon {
+			if r.partRun() {
+				r.cutSeqs++
+			}
 			r.now = horizon
 			return r.now
 		}
 		r.q = append(r.q[:0], r.q[1:]...)
 		r.now = ev.at
 		r.ran++
+		if ev.succ != 0 {
+			r.q[r.find(ev.succ)].hidden = false
+		}
 		ev.fn()
+	}
+	if r.stopped && r.partRun() {
+		r.stoppedSeqs++
 	}
 	if !r.stopped && horizon > 0 && r.now < horizon {
 		r.now = horizon
@@ -68,10 +99,35 @@ func (r *refSched) Run(horizon Time) Time {
 	return r.now
 }
 
-func (r *refSched) Now() Time        { return r.now }
-func (r *refSched) Pending() int     { return len(r.q) }
-func (r *refSched) Stop()            { r.stopped = true }
+func (r *refSched) Now() Time { return r.now }
+func (r *refSched) Stop()     { r.stopped = true }
+
+func (r *refSched) Pending() int {
+	n := 0
+	for i := range r.q {
+		if !r.q[i].hidden {
+			n++
+		}
+	}
+	return n
+}
+
 func (r *refSched) executed() uint64 { return r.ran }
+
+func (r *refSched) sequence(at []Time, fn func(i int)) {
+	if len(at) == 0 {
+		r.emptySeqs++
+	}
+	var prev uint64
+	for i := range at {
+		seq := r.insert(at[i], func() { fn(i) })
+		if i > 0 {
+			r.q[r.find(seq)].hidden = true
+			r.q[r.find(prev)].succ = seq
+		}
+		prev = seq
+	}
+}
 
 func (r *refSched) schedule(kind int, delay Time, fn func()) handle {
 	seq := r.insert(r.now+delay, fn)
@@ -108,6 +164,8 @@ type engine interface {
 	// schedule picks the entry point by kind; kinds below firstHandleKind
 	// are the handle-free After/At and return nil.
 	schedule(kind int, delay Time, fn func()) handle
+	// sequence runs fn(i) at at[i], for a non-decreasing at.
+	sequence(at []Time, fn func(i int))
 }
 
 type handle interface {
@@ -141,6 +199,10 @@ func (e simEngine) schedule(kind int, delay Time, fn func()) handle {
 	return nil
 }
 
+func (e simEngine) sequence(at []Time, fn func(i int)) {
+	e.Sequence(len(at), func(i int) Time { return at[i] }, fn)
+}
+
 // transcript drives e with a pseudo-random operation stream and returns
 // everything observable: each execution with the clock, Pending and
 // Executed around it, every Timer.Stop and Active result, and every Run
@@ -155,6 +217,11 @@ func (e simEngine) schedule(kind int, delay Time, fn func()) handle {
 // ones whose pooled event has since been recycled for another schedule —
 // from inside callbacks and between runs. With cancel unset no handle is
 // ever stopped and the stream is pure ordering.
+//
+// One schedule in six is a Sequence of zero to five elements, its steps
+// drawn from the same small delays, so its elements tie with each other,
+// with events scheduled before and after it and with the children its own
+// elements schedule; Stop and horizons regularly fall inside one.
 func transcript(e engine, seed int64, cancel bool) string {
 	const unit = 10 * Microsecond
 	rng := rand.New(rand.NewSource(seed))
@@ -168,6 +235,20 @@ func transcript(e engine, seed int64, cancel bool) string {
 			return
 		}
 		budget--
+		if rng.Intn(6) == 0 {
+			at := make([]Time, min(rng.Intn(6), budget+1))
+			budget -= max(len(at)-1, 0)
+			t := e.Now()
+			for i := range at {
+				t += Time(rng.Intn(3)) * unit
+				at[i] = t
+			}
+			first := nextID
+			nextID += len(at)
+			fmt.Fprintf(&log, "  sequence #%d.. at %v\n", first, at)
+			e.sequence(at, func(i int) { fire(first + i)() })
+			return
+		}
 		kind, delay := rng.Intn(numKinds), Time(rng.Intn(6))*unit
 		fmt.Fprintf(&log, "  schedule #%d kind %d +%d\n", nextID, kind, delay)
 		if h := e.schedule(kind, delay, fire(nextID)); kind >= firstHandleKind {
@@ -235,11 +316,18 @@ func transcript(e engine, seed int64, cancel bool) string {
 
 // checkAgainstReference runs the same operation streams on Sim and on the
 // reference scheduler and requires identical transcripts.
+// Every workload has to have run Sequences into Stop, into a horizon and
+// with n = 0.
 func checkAgainstReference(t *testing.T, cancel bool) {
 	t.Helper()
+	var seen refSched
 	for seed := int64(1); seed <= 200; seed++ {
 		got := transcript(simEngine{New(seed)}, seed, cancel)
-		want := transcript(&refSched{}, seed, cancel)
+		ref := &refSched{}
+		want := transcript(ref, seed, cancel)
+		seen.emptySeqs += ref.emptySeqs
+		seen.stoppedSeqs += ref.stoppedSeqs
+		seen.cutSeqs += ref.cutSeqs
 		if got == want {
 			continue
 		}
@@ -253,12 +341,16 @@ func checkAgainstReference(t *testing.T, cancel bool) {
 		}
 		t.Fatalf("seed %d: Sim transcript is a strict prefix of the reference's", seed)
 	}
+	if seen.emptySeqs == 0 || seen.stoppedSeqs == 0 || seen.cutSeqs == 0 {
+		t.Fatalf("the workload missed a Sequence case: %d empty, %d stopped part-run, %d cut by a horizon",
+			seen.emptySeqs, seen.stoppedSeqs, seen.cutSeqs)
+	}
 }
 
 // Property: for any stream of schedules through After, At, Schedule,
-// ScheduleAt and ScheduleTimer — equal timestamps, zero delays, children
-// scheduled from callbacks, Stop mid-run, horizons on and between events —
-// Sim executes exactly what the reference scheduler does, in (time,
+// ScheduleAt, ScheduleTimer and Sequence — equal timestamps, zero delays,
+// children scheduled from callbacks, Stop mid-run, horizons on and between
+// events — Sim executes exactly what the reference scheduler does, in (time,
 // insertion) order, with the same clock, Pending, Executed and Run results.
 func TestPropertyEventOrdering(t *testing.T) { checkAgainstReference(t, false) }
 

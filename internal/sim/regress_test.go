@@ -5,9 +5,9 @@ import (
 	"unsafe"
 )
 
-// The grid workload runs at heap depth 13 k–36 k with cold caches
-// (sim.ns_per_event 680 there vs 78 in the hot-cache probe), so bytes per
-// event are a budget, not an accident: five words put an event in the
+// The large workloads run at heap depth in the tens of thousands with cold
+// caches (sim.ns_per_event several times the hot-cache probe's), so bytes
+// per event are a budget, not an accident: five words put an event in the
 // 48-byte size class. A new field has to earn its cache lines on
 // grid144-full first.
 func TestEventStaysSmall(t *testing.T) {
@@ -158,6 +158,53 @@ func TestAfterDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("handle-free schedule/run loop allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// ScheduleAt is small enough to inline, so a caller that drops its handle
+// keeps the handle on its own stack: only a kept handle costs an
+// allocation. Pinned because the benchmark's Abilene trials schedule this
+// way, and one more call inside ScheduleAt once cost them 448 objects a
+// pass.
+func TestScheduleAtDroppedHandleDoesNotAllocate(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	s.ScheduleAt(0, fn)
+	s.Run(0) // warm the event pool
+	if avg := testing.AllocsPerRun(100, func() {
+		s.ScheduleAt(s.Now(), fn)
+		s.Run(0)
+	}); avg != 0 {
+		t.Errorf("ScheduleAt with its handle dropped allocates %.1f objects, want 0", avg)
+	}
+}
+
+// A Sequence keeps one element queued and rearms it with one bound method
+// value, so its cost does not grow with n: a warmed 10 000-element run to
+// completion allocates exactly what a 10-element one does.
+func TestSequenceDoesNotAllocatePerElement(t *testing.T) {
+	s := New(1)
+	var base Time
+	ran := 0
+	at := func(i int) Time { return base + Time(i/3)*Microsecond } // ties, too
+	fn := func(int) { ran++ }
+	cost := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			base, ran = s.Now(), 0
+			s.Sequence(n, at, fn)
+			s.Run(0)
+			if ran != n {
+				t.Fatalf("a %d-element Sequence ran %d elements", n, ran)
+			}
+		})
+	}
+	cost(10) // warm the event pool
+	small, large := cost(10), cost(10_000)
+	if large != small {
+		t.Fatalf("a 10 000-element Sequence allocates %.1f objects, a 10-element one %.1f; want equal", large, small)
+	}
+	if small > 2 {
+		t.Errorf("a Sequence allocates %.1f objects, want ≤ 2 (its state and bound method value)", small)
 	}
 }
 

@@ -13,7 +13,9 @@
 // Events are pooled: executed and cancelled events are recycled through a
 // free list, so steady-state scheduling via At/After allocates nothing.
 // Schedule/ScheduleAt additionally allocate their *Timer handle; hot paths
-// that never cancel should prefer At/After.
+// that never cancel should prefer At/After. Sequence queues a long
+// time-ordered run of callbacks one at a time, so the run neither deepens
+// the queue nor allocates per element.
 //
 // A Sim is single-threaded. Parallelism lives one level up, where it is
 // deterministic for free: independent trials each own a Sim and run on
@@ -273,7 +275,7 @@ func (s *Sim) Schedule(delay Time, fn func()) *Timer {
 // ScheduleAt runs fn at the absolute virtual time at, which must not be in
 // the past, and returns a cancellable handle.
 func (s *Sim) ScheduleAt(at Time, fn func()) *Timer {
-	ev := s.schedule(at, fn)
+	ev := s.push(at, s.seq, fn)
 	return &Timer{s: s, ev: ev, gen: ev.gen}
 }
 
@@ -285,7 +287,7 @@ func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	ev := s.schedule(s.Now()+delay, fn)
+	ev := s.push(s.Now()+delay, s.seq, fn)
 	return Timer{s: s, ev: ev, gen: ev.gen}
 }
 
@@ -296,24 +298,75 @@ func (s *Sim) After(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	s.schedule(s.Now()+delay, fn)
+	s.push(s.Now()+delay, s.seq, fn)
 }
 
 // At runs fn at the absolute virtual time at (the handle-free ScheduleAt).
 func (s *Sim) At(at Time, fn func()) {
-	s.schedule(at, fn)
+	s.push(at, s.seq, fn)
 }
 
-// schedule is the common scheduling path.
-func (s *Sim) schedule(at Time, fn func()) *event {
+// push queues fn under the key (at, seq); it is the one insertion path. The
+// scheduling entry points pass s.seq, the next fresh number, which push then
+// advances; Sequence passes a number it reserved, which is below s.seq
+// already. Taking the bump inside push keeps each entry point at a single
+// call, and so ScheduleAt within the inlining budget: a caller that drops
+// its handle keeps the handle on its own stack.
+func (s *Sim) push(at Time, seq uint64, fn func()) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at=%v now=%v", at, s.now))
 	}
 	ev := s.alloc(at, fn)
-	ev.seq = s.seq
-	s.seq++
+	ev.seq = seq
+	if seq >= s.seq {
+		s.seq = seq + 1
+	}
 	heapPush(&s.queue, ev)
 	return ev
+}
+
+// Sequence runs fn(0), …, fn(n-1) at the times at(0), …, at(n-1), exactly
+// as n At calls made now would, but keeps only one of them queued. It
+// reserves n sequence numbers at once and queues element 0; when element i
+// runs it first queues element i+1 under its reserved number, then calls
+// fn(i). Every element thus keeps the (time, sequence) key the At calls
+// would have given it, so it runs in the same place relative to every other
+// event; and element i+1 is queued before it can be due, since its key is
+// larger than that of element i, which is running.
+//
+// at must be non-decreasing in i: an element earlier than its predecessor
+// panics when that predecessor runs, and element 0 in the past panics now,
+// as At does. The elements cannot be cancelled. A Sequence costs O(1)
+// allocations, whatever n.
+func (s *Sim) Sequence(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	q := &sequence{s: s, base: s.seq, n: n, at: at, fn: fn}
+	q.runFn = q.run
+	s.seq += uint64(n)
+	s.push(at(0), q.base, q.runFn)
+}
+
+// sequence is a Sequence in progress. Its elements run one after another,
+// so one bound method value serves them all.
+type sequence struct {
+	s     *Sim
+	base  uint64 // the sequence number of element 0
+	n     int
+	next  int // the element runFn runs next
+	at    func(i int) Time
+	fn    func(i int)
+	runFn func()
+}
+
+func (q *sequence) run() {
+	i := q.next
+	q.next++
+	if q.next < q.n {
+		q.s.push(q.at(q.next), q.base+uint64(q.next), q.runFn)
+	}
+	q.fn(i)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -350,5 +403,6 @@ func (s *Sim) Run(horizon Time) Time {
 }
 
 // Pending reports the number of events still queued. Cancelled events leave
-// the queue at once, so this is the heap's length.
+// the queue at once, so this is the heap's length. A Sequence counts once
+// while it has elements left to run.
 func (s *Sim) Pending() int { return len(s.queue) }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -175,6 +177,42 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	s.ScheduleAt(500*Millisecond, func() {})
+}
+
+// A Sequence whose element 0 is in the past panics at the call, as At does;
+// an element earlier than its predecessor panics when the predecessor runs,
+// which is when Sequence queues it, and before that predecessor's fn.
+func TestSequencePastPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: no panic", what)
+			} else if !strings.Contains(fmt.Sprint(r), "in the past") {
+				t.Errorf("%s: panic %q, want a schedule-in-the-past panic", what, r)
+			}
+		}()
+		f()
+	}
+
+	s := New(1)
+	s.At(Second, func() {})
+	s.Run(0)
+	mustPanic("element 0 in the past", func() {
+		s.Sequence(2, func(i int) Time { return Second - 1 + Time(i) }, func(int) {})
+	})
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after the refused Sequence, want 0", s.Pending())
+	}
+
+	s = New(1)
+	at := []Time{Second, 2 * Second, Second + 1}
+	var ran []int
+	s.Sequence(len(at), func(i int) Time { return at[i] }, func(i int) { ran = append(ran, i) })
+	mustPanic("decreasing at", func() { s.Run(0) })
+	if len(ran) != 1 || ran[0] != 0 || s.Now() != 2*Second {
+		t.Errorf("ran %v, now %v at the panic; want [0] at %v (element 1 queues element 2 first)", ran, s.Now(), 2*Second)
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {

@@ -103,19 +103,34 @@ type Sender struct {
 func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 	entry netsim.EntryID, srcAddr, dstAddr uint32, total int64, cfg Config) *Sender {
 	cfg.fill()
-	snd := &Sender{
-		cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
-		src: srcAddr, dst: dstAddr, total: total,
-		cwnd: cfg.initialCwnd, ssthresh: 1 << 20, rto: cfg.rto,
-		start: s.Now(),
+	c := &conn{
+		snd: Sender{
+			cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
+			src: srcAddr, dst: dstAddr, total: total,
+			cwnd: cfg.initialCwnd, ssthresh: 1 << 20, rto: cfg.rto,
+			start: s.Now(),
+		},
+		rcv: receiver{s: s, host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
 	}
+	snd := &c.snd
 	snd.onTimeoutFn, snd.trySendFn = snd.onTimeout, snd.trySend
-	rcv := &receiver{s: s, host: dstHost, flow: flow, src: dstAddr, dst: srcAddr,
-		segs: make(map[int64]int)}
-	srcHost.Bind(flow, netsim.PacketHandlerFunc(snd.onAck))
-	dstHost.Bind(flow, netsim.PacketHandlerFunc(rcv.onData))
+	srcHost.Bind(flow, (*ackHandler)(snd))
+	dstHost.Bind(flow, &c.rcv)
 	return snd
 }
+
+// conn holds both ends of a flow in one allocation.
+type conn struct {
+	snd Sender
+	rcv receiver
+}
+
+// ackHandler is the Sender as the source host's handler for its flow's
+// ACKs; a named conversion keeps HandlePacket out of Sender's API.
+type ackHandler Sender
+
+// HandlePacket implements netsim.PacketHandler.
+func (h *ackHandler) HandlePacket(pkt *netsim.Packet) { (*Sender)(h).onAck(pkt) }
 
 // Start begins transmission.
 func (t *Sender) Start() { t.trySend() }
@@ -281,12 +296,14 @@ type receiver struct {
 	dst  uint32 // sender address
 
 	rcvNxt int64
-	segs   map[int64]int // buffered out-of-order segments: seq → len
+	segs   map[int64]int // buffered out-of-order segments: seq → len; nil until the first
 
 	BytesReceived int64
 }
 
-func (r *receiver) onData(pkt *netsim.Packet) {
+// HandlePacket implements netsim.PacketHandler: the destination host hands
+// the receiver its flow's data segments.
+func (r *receiver) HandlePacket(pkt *netsim.Packet) {
 	if pkt.Len == 0 {
 		return
 	}
@@ -303,6 +320,9 @@ func (r *receiver) onData(pkt *netsim.Packet) {
 			r.rcvNxt += int64(l)
 		}
 	} else if pkt.Seq > r.rcvNxt {
+		if r.segs == nil {
+			r.segs = make(map[int64]int)
+		}
 		r.segs[pkt.Seq] = pkt.Len
 	}
 	// ACK every segment (no delayed ACKs).

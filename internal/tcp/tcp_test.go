@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 
 	"fancy/internal/netsim"
@@ -265,23 +266,72 @@ func TestInitialCwndLimitsBurst(t *testing.T) {
 
 func TestDuplicateDataReACKed(t *testing.T) {
 	// Out-of-order and duplicate segments must still elicit cumulative
-	// ACKs (the dup-ACK signal fast retransmit relies on).
+	// ACKs (the dup-ACK signal fast retransmit relies on). The flow is ten
+	// segments, all in the initial window; segment 3 is dropped on the
+	// wire, so segments 4–9 reach the receiver out of order and go to its
+	// reorder buffer.
 	s := sim.New(1)
 	a, b, l := pair(s, 10e6, 5*sim.Millisecond)
-	acks := 0
+	const mss, segs = 1460, 10
+	// 1500-byte frames serialize in 1.2 ms: segment k arrives at
+	// 5 ms + 1.2 ms·(k+1), so this window holds segment 3 (9.8 ms) alone.
+	drop := netsim.FailEntries(7, 9500*sim.Microsecond, 1.0, 100)
+	drop.End = 10 * sim.Millisecond
+	l.AB.SetFailure(drop)
+	var acks []int64
 	l.BA.SetCapture(func(ev netsim.CaptureEvent) {
 		if ev.Kind == netsim.CaptureSend {
-			acks++
+			acks = append(acks, ev.Pkt.Ack)
 		}
 	})
-	snd := NewSender(s, a, b, 1, 100, 1, 2, 14600, Config{})
+	snd := NewSender(s, a, b, 1, 100, 1, 2, mss*segs, Config{})
 	snd.Start()
 	s.Run(5 * sim.Second)
 	if !snd.Done() {
 		t.Fatal("flow did not complete")
 	}
-	if acks < 10 {
-		t.Errorf("acks = %d, want one per segment", acks)
+	if got := l.AB.Stats().FailureDrops; got != 1 {
+		t.Fatalf("%d data segments dropped, want exactly 1 (segment 3)", got)
+	}
+	// Segments 0–2 advance the ACK; each of the six later segments
+	// repeats it; the fast retransmission of segment 3 then drains the
+	// buffered run and the ACK jumps to the end in one step.
+	want := []int64{mss, 2 * mss, 3 * mss}
+	for i := 4; i < segs; i++ {
+		want = append(want, 3*mss)
+	}
+	want = append(want, mss*segs)
+	if !slices.Equal(acks, want) {
+		t.Errorf("ACKs %v, want %v", acks, want)
+	}
+	if snd.Stats.Retransmits != 1 || snd.Stats.FastRetransmits != 1 || snd.Stats.Timeouts != 0 {
+		t.Errorf("retransmits %d (fast %d, timeouts %d), want one fast retransmit",
+			snd.Stats.Retransmits, snd.Stats.FastRetransmits, snd.Stats.Timeouts)
+	}
+}
+
+// A connection is one allocation holding both ends, plus the two timer
+// callbacks bound once: the handlers are the ends themselves, and the
+// receiver's reorder buffer waits for the first out-of-order segment.
+func TestNewSenderAllocatesThreeObjects(t *testing.T) {
+	s := sim.New(1)
+	a, b, _ := pair(s, 10e6, sim.Millisecond)
+	flow := netsim.FlowID(0)
+	newSender := func() {
+		NewSender(s, a, b, flow, 100, 1, 2, 1000, Config{})
+		flow++
+	}
+	// Warm the hosts' handler maps, so their growth is not counted.
+	for i := 0; i < 1000; i++ {
+		newSender()
+	}
+	for i := 0; i < 1000; i++ {
+		a.Bind(netsim.FlowID(i), nil)
+		b.Bind(netsim.FlowID(i), nil)
+	}
+	flow = 0
+	if avg := testing.AllocsPerRun(100, newSender); avg > 3 {
+		t.Errorf("NewSender allocates %.1f objects, want ≤ 3 (the conn and two bound timer callbacks)", avg)
 	}
 }
 

@@ -12,8 +12,10 @@
 package traffic
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fancy/internal/netsim"
@@ -106,10 +108,10 @@ type Driver struct {
 	nextFlow netsim.FlowID
 	cfg      tcp.Config
 
+	// Senders holds every flow launched so far, in launch order.
 	Senders []*tcp.Sender
 
-	// ByEntry aggregates sender stats per entry, filled lazily by Stats.
-	started uint64
+	started uint64 // flows launched, reported by Started
 }
 
 // NewDriver builds a driver. The tcp.Config applies to every generated flow
@@ -118,12 +120,19 @@ func NewDriver(s *sim.Sim, src, dst *netsim.Host, cfg tcp.Config) *Driver {
 	return &Driver{s: s, src: src, dst: dst, cfg: cfg}
 }
 
-// Schedule arranges for every spec's flow to start at its Start time.
+// Schedule arranges for every spec's flow to start at its Start time. Flows
+// with equal Start times launch in the order of specs. The specs are copied,
+// so the caller may reuse the slice.
+//
+// The launches form one sim.Sequence over a copy stable-sorted by Start:
+// that is the order one ScheduleAt per spec would fire them in, at the same
+// places among other events, while only the next launch waits in the queue.
 func (d *Driver) Schedule(specs []FlowSpec) {
-	for _, spec := range specs {
-		spec := spec
-		d.s.ScheduleAt(spec.Start, func() { d.launch(spec) })
-	}
+	specs = slices.Clone(specs)
+	slices.SortStableFunc(specs, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+	d.s.Sequence(len(specs),
+		func(i int) sim.Time { return specs[i].Start },
+		func(i int) { d.launch(specs[i]) })
 }
 
 func (d *Driver) launch(spec FlowSpec) {

@@ -1,8 +1,11 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -262,5 +265,110 @@ func BenchmarkSynthesizeTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Synthesize(cfg)
+	}
+}
+
+// scheduleEach is the launch path Schedule replaced, kept as the reference
+// for its order: one ScheduleAt per spec, in the order of specs.
+func scheduleEach(d *Driver, specs []FlowSpec) {
+	for _, spec := range specs {
+		d.s.ScheduleAt(spec.Start, func() { d.launch(spec) })
+	}
+}
+
+// launchLog runs two overlapping Schedule calls through schedule, among
+// marker events that tie with the launches, and logs every launch as
+// (time, entry, flow ID) — the first packet of each flow on the source's
+// uplink, sent from inside launch — interleaved with the markers.
+func launchLog(t *testing.T, schedule func(*Driver, []FlowSpec)) (log string, pendingGrew int) {
+	t.Helper()
+	const ms = sim.Millisecond
+	s := sim.New(1)
+	src, dst := netsim.NewHost(s, "src"), netsim.NewHost(s, "dst")
+	l := netsim.Connect(s, src, 0, dst, 0, netsim.LinkConfig{Delay: ms, RateBps: 1e9, QueueBytes: 1 << 22})
+	var b strings.Builder
+	seen := make(map[netsim.FlowID]bool)
+	l.AB.SetCapture(func(ev netsim.CaptureEvent) {
+		if !seen[ev.Pkt.Flow] {
+			seen[ev.Pkt.Flow] = true
+			fmt.Fprintf(&b, "%v launch entry %d flow %d\n", ev.Time, ev.Pkt.Entry, ev.Pkt.Flow)
+		}
+	})
+	marker := func(name string, at sim.Time) {
+		s.At(at, func() {
+			fmt.Fprintf(&b, "%v marker %s\n", s.Now(), name)
+			// A child at the current instant runs after every launch
+			// already due now, whichever Schedule call queued it.
+			s.At(s.Now(), func() { fmt.Fprintf(&b, "%v marker %s child\n", s.Now(), name) })
+		})
+	}
+	spec := func(entry netsim.EntryID, start sim.Time) FlowSpec {
+		return FlowSpec{Entry: entry, Start: start * ms, Bytes: 500}
+	}
+
+	marker("before", 2*ms)
+	d := NewDriver(s, src, dst, tcp.Config{})
+	first := []FlowSpec{spec(1, 5), spec(2, 2), spec(3, 2), spec(4, 0), spec(5, 5), spec(6, 2), spec(7, 9)}
+	kept := slices.Clone(first)
+	pending := s.Pending()
+	schedule(d, first)
+	if !slices.Equal(first, kept) {
+		t.Error("Schedule reordered or changed the caller's specs")
+	}
+	grew := s.Pending() - pending
+	// The caller reuses its slice; the flows already scheduled must not see it.
+	first[0].Start, first[1].Entry = 0, 99
+	marker("between", 5*ms)
+	second := []FlowSpec{spec(11, 9), spec(12, 2), spec(13, 5), spec(14, 2), spec(15, 3)}
+	schedule(d, second)
+	marker("after", 2*ms)
+	marker("after", 9*ms)
+	s.Run(20 * ms)
+
+	if d.Started() != uint64(len(kept)+len(second)) {
+		t.Errorf("started %d flows, want %d", d.Started(), len(kept)+len(second))
+	}
+	return b.String(), grew
+}
+
+// Schedule keeps only the next launch queued, but every flow launches when
+// and where the per-spec ScheduleAt path launched it: at the same time,
+// with the same flow ID, in the same place among ties — within one call,
+// across two interleaved calls, and against events scheduled before,
+// between, after and from inside callbacks.
+func TestScheduleLaunchesInPerSpecOrder(t *testing.T) {
+	got, grew := launchLog(t, (*Driver).Schedule)
+	want, _ := launchLog(t, scheduleEach)
+	if got != want {
+		t.Fatalf("Schedule launches differently from one ScheduleAt per spec\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if grew != 1 {
+		t.Errorf("Schedule of 7 specs queued %d events, want 1", grew)
+	}
+}
+
+// Schedule costs O(1) objects beyond its copy of specs: no closure, timer
+// or event per spec.
+func TestScheduleDoesNotAllocatePerSpec(t *testing.T) {
+	s := sim.New(1)
+	// Warm the event pool and the heap's capacity for the queued heads.
+	for i := 0; i < 200; i++ {
+		s.At(0, func() {})
+	}
+	s.Run(0)
+	d := NewDriver(s, netsim.NewHost(s, "src"), netsim.NewHost(s, "dst"), tcp.Config{})
+	cost := func(n int) float64 {
+		specs := make([]FlowSpec, n)
+		for i := range specs {
+			specs[i] = FlowSpec{Entry: netsim.EntryID(i), Start: sim.Time(n-i) * sim.Millisecond, Bytes: 1}
+		}
+		return testing.AllocsPerRun(50, func() { d.Schedule(specs) })
+	}
+	small, large := cost(10), cost(10_000)
+	if large != small {
+		t.Fatalf("Schedule of 10 000 specs allocates %.1f objects, of 10 specs %.1f; want equal", large, small)
+	}
+	if small > 6 {
+		t.Errorf("Schedule allocates %.1f objects, want ≤ 6 (the copy, two closures, the sequence)", small)
 	}
 }

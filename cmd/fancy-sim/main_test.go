@@ -11,6 +11,12 @@ func TestGolden(t *testing.T) {
 	cmdtest.Golden(t, run, "testdata/default.golden")
 }
 
+// TestWatchGolden pins -watch, the telemetry SAMPLE streams interleaved
+// with the detector's events.
+func TestWatchGolden(t *testing.T) {
+	cmdtest.Golden(t, run, "testdata/watch.golden", "-watch")
+}
+
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	for args, msg := range map[string]string{
 		"-dedicated -1":    "-dedicated must be >= 0, got -1",

@@ -260,6 +260,52 @@ func TestRestartStillDetectsRealFailures(t *testing.T) {
 	}
 }
 
+func TestRestartMidFailureDropsStaleEpoch(t *testing.T) {
+	// A Restart in the middle of a detected failure bumps the epoch and
+	// wipes protocol state. No event may come from a stale-epoch session
+	// (an in-flight pre-restart Report, say): the only post-restart events
+	// come from fresh new-epoch sessions.
+	tb := newTestbed(t, testCfg, 36)
+	const restartAt = 2 * sim.Second
+	tb.udp(10, 2e6, 0, 5*sim.Second)
+	tb.failEntries(500*sim.Millisecond, 1.0, 10)
+	tb.s.Run(restartAt)
+	pre := len(tb.events)
+	if pre == 0 {
+		t.Fatal("no events before the restart")
+	}
+
+	tb.det.Restart()
+	if tb.det.Epoch() != 2 || tb.det.Stats().Restarts != 1 {
+		t.Errorf("epoch = %d restarts = %d after restart, want 2/1", tb.det.Epoch(), tb.det.Stats().Restarts)
+	}
+	if tb.det.Flagged(1, 10) {
+		t.Error("dedicated flag survived the restart")
+	}
+
+	// Within two link delays of the restart the only control messages that
+	// can arrive are in-flight pre-restart (stale-epoch) ones; they must be
+	// discarded, so no event may fire.
+	tb.s.Run(restartAt + 20*sim.Millisecond)
+	if got := tb.events[pre:]; len(got) != 0 {
+		t.Fatalf("%d event(s) from stale-epoch sessions right after restart: %v", len(got), got)
+	}
+
+	// The failure persists, so fresh new-epoch sessions re-detect it.
+	tb.s.Run(5 * sim.Second)
+	if len(tb.events) == pre {
+		t.Fatal("no event after the restart")
+	}
+	for _, ev := range tb.events[pre:] {
+		if ev.Time < restartAt {
+			t.Errorf("post-restart event stamped %v, before the restart", ev.Time)
+		}
+	}
+	if !tb.det.Flagged(1, 10) {
+		t.Error("entry not re-flagged by post-restart sessions")
+	}
+}
+
 func TestCorruptedControlCounted(t *testing.T) {
 	tb := newTestbed(t, testCfg, 35)
 	if consumed := tb.det.OnIngress(&netsim.Packet{

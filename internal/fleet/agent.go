@@ -1,11 +1,12 @@
 package fleet
 
-// The switch agent is the on-device half of the fleet control plane: it
-// owns the switch's telemetry server and reroute applications, forwards
-// detector events to the correlator as epoch-stamped reports, serves the
-// correlator's telemetry reads and gating commands, and — when the
-// management plane cuts it off — falls back to degraded-mode local
-// protection, the paper-level per-link reroute that needs no correlator.
+// The switch agent is the on-device half of the fleet control plane and the
+// only thing between a detector and the correlator: it owns the switch's
+// reroute applications, forwards detector events to the correlator as
+// epoch-stamped reports, serves the correlator's restart-counter reads and
+// gating commands, and — when the management plane cuts it off — falls back
+// to degraded-mode local protection, the paper-level per-link reroute that
+// needs no correlator.
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/reroute"
 	"fancy/internal/sim"
-	"fancy/internal/telemetry"
 )
 
 // eventReport carries one detector event to the correlator, stamped with
@@ -45,10 +45,9 @@ type reconcileReport struct {
 	Reroutes int
 }
 
-// getReq is the correlator's RPC read of a telemetry path.
-type getReq struct {
-	Path string
-}
+// restartsReq is the correlator's RPC read of the detector's restart
+// counter. A zero-size value boxes without allocating.
+type restartsReq struct{}
 
 // rerouteCmd is the correlator's gating command: replay one piece of
 // confirmed evidence into the switch's reroute application.
@@ -84,7 +83,6 @@ type repairCmd struct {
 type switchAgent struct {
 	f    *Fleet
 	sw   string
-	srv  *telemetry.Server
 	apps map[int]*reroute.App
 
 	client *mgmt.Client // nil in direct mode
@@ -102,8 +100,8 @@ type switchAgent struct {
 	hhRep   hh.Report // decode target, reused by every digest
 }
 
-func newSwitchAgent(f *Fleet, sw string, srv *telemetry.Server) *switchAgent {
-	a := &switchAgent{f: f, sw: sw, srv: srv, apps: make(map[int]*reroute.App),
+func newSwitchAgent(f *Fleet, sw string) *switchAgent {
+	a := &switchAgent{f: f, sw: sw, apps: make(map[int]*reroute.App),
 		hhAlloc: make(map[int]*hh.Allocator)}
 	if f.mgmtNet != nil {
 		// Leader discovery: the agent knows every replica endpoint and
@@ -121,8 +119,8 @@ func newSwitchAgent(f *Fleet, sw string, srv *telemetry.Server) *switchAgent {
 	return a
 }
 
-// onDetectorEvent receives every event of this switch's detector (already
-// published through the telemetry server) and ships it to the correlator.
+// onDetectorEvent receives every event of this switch's detector and ships
+// it to the correlator.
 // In degraded mode the event is also fed straight into the local reroute
 // applications: protection must not wait out a partition.
 func (a *switchAgent) onDetectorEvent(ev fancy.Event) {
@@ -163,11 +161,12 @@ func (a *switchAgent) onOnline(online bool) {
 	}
 }
 
-// onCall serves the correlator's RPCs: telemetry reads and gating commands.
+// onCall serves the correlator's RPCs: restart-counter reads and gating
+// commands.
 func (a *switchAgent) onCall(req any) (any, error) {
 	switch r := req.(type) {
-	case getReq:
-		return a.srv.Get(r.Path)
+	case restartsReq:
+		return a.restarts(), nil
 	case rerouteCmd:
 		if app, ok := a.apps[r.Port]; ok {
 			app.HandleEvent(r.Ev)
@@ -220,15 +219,17 @@ func (f *Fleet) command(sw string, cmd any) {
 	})
 }
 
-// remoteGet reads a telemetry path of sw: synchronous in direct mode, a
+// restarts is the switch detector's restart counter.
+func (a *switchAgent) restarts() int { return int(a.f.Detectors[a.sw].Stats().Restarts) }
+
+// remoteRestarts reads sw's restart counter: synchronous in direct mode, a
 // hardened RPC (timeout, bounded retries, backoff + jitter) otherwise. cb
 // fires exactly once either way.
-func (f *Fleet) remoteGet(sw, path string, cb func(any, error)) {
+func (f *Fleet) remoteRestarts(sw string, cb func(any, error)) {
 	a := f.agents[sw]
 	if a.client == nil {
-		v, err := f.Telemetry[sw].Get(path)
-		cb(v, err)
+		cb(a.restarts(), nil)
 		return
 	}
-	f.active().srv.Call(sw, getReq{Path: path}, cb)
+	f.active().srv.Call(sw, restartsReq{}, cb)
 }

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"fancy/internal/codec"
+	"fancy/internal/sim"
 	"fancy/internal/verify"
 )
 
@@ -43,7 +44,7 @@ func (f *Fleet) periodicCheckpoint() {
 	if !f.Crashed() {
 		f.persist()
 	}
-	f.ckptTimer = f.S.Schedule(checkpointInterval, f.periodicCheckpoint)
+	f.ckptTimer = f.S.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
 }
 
 // persist makes the current state durable at once: a commit with no effects
@@ -72,16 +73,11 @@ func (f *Fleet) CrashCorrelator() { f.CrashReplica(f.group.active) }
 func (f *Fleet) haltDuty() {
 	for _, key := range f.order {
 		ls := f.links[key]
-		if ls.verdictTimer != nil {
-			ls.verdictTimer.Stop()
-		}
+		ls.verdictTimer.Stop()
 	}
 	f.sweepTimer.Stop()
 	f.ckptTimer.Stop()
-	if f.verifyTimer != nil {
-		f.verifyTimer.Stop()
-		f.verifyTimer = nil
-	}
+	f.verifyTimer.Stop()
 }
 
 // resumeDuty reconciles with live telemetry and restarts the periodic
@@ -92,8 +88,8 @@ func (f *Fleet) resumeDuty() {
 	for _, sw := range f.switches {
 		f.refreshRestarts(sw, nil)
 	}
-	f.sweepTimer = f.S.Schedule(sweepInterval, f.sweep)
-	f.ckptTimer = f.S.Schedule(checkpointInterval, f.periodicCheckpoint)
+	f.sweepTimer = f.S.ScheduleTimer(sweepInterval, f.sweep)
+	f.ckptTimer = f.S.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
 }
 
 // RestartCorrelator restarts the most recently crashed replica (no-op if
@@ -132,7 +128,7 @@ func (f *Fleet) restoreState(frame []byte) string {
 	restored := 0
 	for _, key := range f.order {
 		ls := f.links[key]
-		ls.linkRecord, ls.verdictTimer = linkRecord{}, nil
+		ls.linkRecord, ls.verdictTimer = linkRecord{}, sim.Timer{}
 		if d, ok := st.links[key]; ok {
 			ls.linkRecord = d.linkRecord
 		}
@@ -140,7 +136,7 @@ func (f *Fleet) restoreState(frame []byte) string {
 			// Re-open the window in full: the crashed incarnation's
 			// partial wait cannot be trusted, and a fresh window gives
 			// retransmitted evidence time to land before the verdict.
-			ls.verdictTimer = f.S.Schedule(f.cfg.Window, func() { f.verdict(ls) })
+			ls.verdictTimer = f.S.ScheduleTimer(f.cfg.Window, func() { f.verdict(ls) })
 			restored++
 		}
 	}

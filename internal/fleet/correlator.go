@@ -345,7 +345,7 @@ func (f *Fleet) onAlarm(ls *linkState, ev fancy.Event) {
 	if !ls.verdictPending {
 		ls.verdictPending = true
 		ls.incidentStart = now
-		ls.verdictTimer = f.S.Schedule(f.cfg.Window, func() { f.verdict(ls) })
+		ls.verdictTimer = f.S.ScheduleTimer(f.cfg.Window, func() { f.verdict(ls) })
 	}
 	// Consumed reports are already acknowledged and will never be
 	// retransmitted: persist the accepted evidence now, or a crash before
@@ -518,7 +518,7 @@ func (f *Fleet) corroboration(ls *linkState) string {
 }
 
 // refreshRestarts reads a switch's restart counter through the management
-// plane (hardened Get: timeout, bounded retries, backoff) and records any
+// plane (hardened read: timeout, bounded retries, backoff) and records any
 // advance with an EventPeerRestart plus an observation timestamp that
 // finishVerdict checks against the incident window. done always fires
 // exactly once; an unreachable switch counts a GetFail and leaves the
@@ -526,7 +526,7 @@ func (f *Fleet) corroboration(ls *linkState) string {
 // so a wrong verdict self-corrects at the next incident).
 func (f *Fleet) refreshRestarts(sw string, done func()) {
 	gen := f.corrGen
-	f.remoteGet(sw, "/fancy/stats/restarts", func(v any, err error) {
+	f.remoteRestarts(sw, func(v any, err error) {
 		defer func() {
 			if done != nil {
 				done()
@@ -637,5 +637,5 @@ func (f *Fleet) sweep() {
 			}
 		}
 	}
-	f.sweepTimer = f.S.Schedule(sweepInterval, f.sweep)
+	f.sweepTimer = f.S.ScheduleTimer(sweepInterval, f.sweep)
 }

@@ -17,9 +17,9 @@
 //   - discrimination: alarms raised while the link (or the downstream
 //     switch's egress queues) were congested are discarded, as §4.3
 //     footnote 2 prescribes; alarms from a flapping or restarting peer
-//     (the PR-1 link-down/epoch signals, read through the same
-//     /fancy/stats telemetry paths operators use) are suppressed rather
-//     than misreported as gray links;
+//     (the detector's link-down events and restart counter, the latter
+//     read from each switch agent) are suppressed rather than misreported
+//     as gray links;
 //   - reaction: once a link is localized, the recorded evidence is replayed
 //     into the internal/reroute application of that link, diverting exactly
 //     the affected entries to their backup next hops (§6.1);
@@ -27,8 +27,8 @@
 //     per-link health, localization timestamps and robustness counters.
 //
 // Survivability (this layer's own gray-failure story): when Config.Mgmt is
-// set, every report and read between a switch's telemetry agent and the
-// correlator traverses a simulated management network (internal/mgmt) with
+// set, every report and read between a switch agent and the correlator
+// traverses a simulated management network (internal/mgmt) with
 // seed-deterministic loss, delay, duplication and partitions. Both ends are
 // hardened for it: agents ship sequence-numbered, epoch-stamped reports
 // with bounded retries and an offline spool; the correlator deduplicates,
@@ -51,7 +51,6 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/reroute"
 	"fancy/internal/sim"
-	"fancy/internal/telemetry"
 	"fancy/internal/topo"
 	"fancy/internal/verify"
 )
@@ -64,8 +63,8 @@ const correlatorEndpoint = "correlator"
 // The control plane's fixed cadences and thresholds; no scenario varies them.
 const (
 	// sweepInterval is the cadence of the correlator's health sweep, which
-	// reads each detector's /fancy/stats counters through telemetry and
-	// emits health-transition events.
+	// reads each switch's restart counter through its agent and emits
+	// health-transition events.
 	sweepInterval = 250 * sim.Millisecond
 
 	// checkpointInterval is the cadence of the correlator's periodic
@@ -99,9 +98,9 @@ type Config struct {
 	CongestionBytes int
 
 	// Mgmt, when non-nil, interposes a simulated management network
-	// between every switch's telemetry agent and the correlator. Nil is
-	// direct mode: the same agents and the same correlator lifecycle over a
-	// perfect in-process transport (reports deliver instantly and reads are
+	// between every switch agent and the correlator. Nil is direct mode:
+	// the same agents and the same correlator lifecycle over a perfect
+	// in-process transport (reports deliver instantly and reads are
 	// synchronous).
 	Mgmt *mgmt.Config
 
@@ -184,7 +183,7 @@ type linkState struct {
 	port  int    // monitored egress port at dl.From
 	guard *fancy.QueueGuard
 
-	verdictTimer *sim.Timer
+	verdictTimer sim.Timer
 
 	linkRecord // the durable part (state.go)
 }
@@ -198,8 +197,9 @@ type CorrelatorStats struct {
 	// EpochPurges counts evidence windows cleared because the upstream
 	// switch's epoch advanced mid-window.
 	EpochPurges uint64
-	// GetFails counts verdict- or sweep-time telemetry reads that exhausted
-	// their retry budget (switch unreachable over the management plane).
+	// GetFails counts verdict- or sweep-time restart-counter reads that
+	// exhausted their retry budget (switch unreachable over the management
+	// plane).
 	GetFails uint64
 	// RerouteCmdFails counts gating commands the correlator could not
 	// deliver to a switch agent.
@@ -229,10 +229,8 @@ type Fleet struct {
 	Net *topo.Network
 	cfg Config
 
-	// Detectors and Telemetry hold one FANcY instance and one telemetry
-	// server per switch.
+	// Detectors holds one FANcY instance per switch.
 	Detectors map[string]*fancy.Detector
-	Telemetry map[string]*telemetry.Server
 
 	switches []string // sorted switch names, the canonical iteration order
 	agents   map[string]*switchAgent
@@ -262,15 +260,15 @@ type Fleet struct {
 	aliveSeen map[string]bool // last sweep's per-switch liveness
 
 	corrGen    int // bumped by each crash; stale async callbacks check it
-	sweepTimer *sim.Timer
-	ckptTimer  *sim.Timer
+	sweepTimer sim.Timer
+	ckptTimer  sim.Timer
 
 	// Verified-commit gate (populated only with Config.Verify; see
 	// internal/fleet/verify.go).
 	verifier    *verify.Model
 	verifyDown  bool             // verify-unavailable fallback engaged
 	verifySeen  map[string]uint8 // decision key → outcome, indexes verifyLog
-	verifyTimer *sim.Timer
+	verifyTimer sim.Timer
 
 	// Verify tallies the gate's work (zero-valued without Config.Verify).
 	Verify VerifyStats
@@ -292,7 +290,6 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		S: s, Net: net, cfg: cfg,
 		Detectors:  make(map[string]*fancy.Detector),
-		Telemetry:  make(map[string]*telemetry.Server),
 		agents:     make(map[string]*switchAgent),
 		corrState:  corrState{links: make(map[string]*linkState)},
 		portLink:   make(map[string]map[int]*linkState),
@@ -334,37 +331,26 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	}
 	sort.Strings(f.order)
 	f.corrState.alloc()
-	// One telemetry server and one management agent per switch over its
-	// monitored ports; detector events flow through the telemetry server
-	// (so external subscribers share the stream), into the agent, and from
-	// there over the management plane into the correlator.
+	// One management agent per switch; detector events flow into the agent
+	// and from there over the management plane into the correlator.
 	for _, sw := range f.switches {
-		var ports []int
-		for port := range f.portLink[sw] {
-			ports = append(ports, port)
-		}
-		sort.Ints(ports)
-		srv := telemetry.NewServer(s, f.Detectors[sw], ports...)
-		f.Telemetry[sw] = srv
-		a := newSwitchAgent(f, sw, srv)
+		a := newSwitchAgent(f, sw)
 		f.agents[sw] = a
-		f.Detectors[sw].OnEvent = srv.AttachEvents(a.onDetectorEvent)
+		f.Detectors[sw].OnEvent = a.onDetectorEvent
 		if cfg.HH != nil {
 			f.Detectors[sw].OnHHReport = a.onHHReport
-			a.mountHHStats()
 		}
 	}
 	if cfg.Verify != nil {
 		f.verifier = verify.NewModel(net)
-		f.mountVerifyStats()
 	}
-	f.sweepTimer = s.Schedule(sweepInterval, f.sweep)
-	f.ckptTimer = s.Schedule(checkpointInterval, f.periodicCheckpoint)
+	f.sweepTimer = s.ScheduleTimer(sweepInterval, f.sweep)
+	f.ckptTimer = s.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
 	return f, nil
 }
 
-// PartitionSwitch cuts a switch's telemetry agent off the management
-// network; its detectors keep running and, if entries are protected there,
+// PartitionSwitch cuts a switch agent off the management network; its
+// detectors keep running and, if entries are protected there,
 // degraded-mode local protection takes over. No-op in direct mode.
 func (f *Fleet) PartitionSwitch(sw string) {
 	if f.mgmtNet != nil {

@@ -6,6 +6,7 @@ import (
 
 	"fancy/internal/fancy"
 	"fancy/internal/fancy/tree"
+	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/topo"
@@ -247,24 +248,65 @@ func TestFlappingSuppressed(t *testing.T) {
 	}
 }
 
-// TestPeerRestartSuppressed: evidence spanning a peer reboot is discarded
-// once; the persisting failure then re-alarms and localizes cleanly.
+// TestPeerRestartSuppressed: a downstream reboot inside the evidence window
+// suppresses that window's alarms, the restart-counter read surfaces the
+// reboot, and the persisting failure still localizes — whether the read is
+// a direct call or an RPC over a lossy management plane. With C cut off
+// across the reboot the reads fail until the heal, which then surfaces it.
 func TestPeerRestartSuppressed(t *testing.T) {
-	r := start(t, lineTrial(13, fleetCfg(entry), 2*sim.Second, 8*sim.Second))
-	f := r.Fleet
-	// Reboot the downstream switch inside the first evidence window.
-	r.Sim.ScheduleAt(2*sim.Second+100*sim.Millisecond, func() { f.Detectors["C"].Restart() })
-	r.Finish()
+	const (
+		restartAt = 2*sim.Second + 100*sim.Millisecond
+		cutAt     = 2 * sim.Second
+		healAt    = 3500 * sim.Millisecond
+	)
+	lossy := mgmt.Config{Loss: 0.2, Duplicate: 0.2, Jitter: sim.Millisecond}
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		partition bool
+	}{
+		{"direct", fleetCfg(entry), false},
+		{"mgmt", mgmtCfg(lossy, entry), false},
+		{"mgmt-partition", mgmtCfg(lossy, entry), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := start(t, lineTrial(13, tc.cfg, 2*sim.Second, 8*sim.Second))
+			f := r.Fleet
+			r.Sim.ScheduleAt(restartAt, func() { f.Detectors["C"].Restart() })
+			var cutFails, healFails uint64
+			if tc.partition {
+				r.Sim.ScheduleAt(cutAt, func() { f.PartitionSwitch("C"); cutFails = f.Corr.GetFails })
+				r.Sim.ScheduleAt(healAt, func() { f.HealSwitch("C"); healFails = f.Corr.GetFails })
+			}
+			r.Finish()
 
-	if !hasEvent(f, EventSuppressed, "peer-restart") {
-		t.Fatal("restart-window alarms were not suppressed")
-	}
-	if !hasEvent(f, EventPeerRestart, "") {
-		t.Fatal("peer restart never surfaced in the event log")
-	}
-	// The gray failure persists past the reboot, so it must still localize.
-	if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
-		t.Fatalf("localized %v, want [B->C] after the restart window", got)
+			var seen []sim.Time
+			for _, ev := range f.Events {
+				if ev.Kind == EventPeerRestart && ev.Link == "C" {
+					seen = append(seen, ev.Time)
+				}
+			}
+			if len(seen) == 0 {
+				t.Fatal("peer restart never surfaced in the event log")
+			}
+			if tc.partition {
+				if healFails <= cutFails {
+					t.Errorf("GetFails %d at the cut, %d at the heal: no read failed while C was cut off",
+						cutFails, healFails)
+				}
+				if seen[0] < healAt {
+					t.Errorf("peer restart surfaced at %v, before the heal at %v", seen[0], healAt)
+				}
+				return
+			}
+			if !hasEvent(f, EventSuppressed, "peer-restart") {
+				t.Fatal("restart-window alarms were not suppressed")
+			}
+			// The gray failure persists past the reboot, so it must still localize.
+			if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
+				t.Fatalf("localized %v, want [B->C] after the restart window", got)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 // hhAllocStats aggregates one agent's allocation-loop counters.
 type hhAllocStats struct {
-	Reports    uint64 // digests ingested
 	DecodeErrs uint64 // frames the strict decoder rejected
 	ApplyErrs  uint64 // allocator decisions the detector refused
 }
@@ -28,7 +27,6 @@ func (a *switchAgent) onHHReport(port int, frame []byte) {
 		a.hhStats.DecodeErrs++
 		return
 	}
-	a.hhStats.Reports++
 	alloc, ok := a.hhAlloc[port]
 	if !ok {
 		alloc = hh.NewAllocator(hh.AllocPolicy{Capacity: a.f.cfg.HH.DynamicSlots}, a.f.cfg.Fancy.HighPriority)
@@ -68,25 +66,4 @@ func (a *switchAgent) hhAllocTotals() (st hh.AllocStats, occupied, capacity int)
 		capacity += c
 	}
 	return st, occupied, capacity
-}
-
-// mountHHStats exposes the agent's allocation-loop counters through the
-// switch's telemetry server, next to the detector's own stats.
-func (a *switchAgent) mountHHStats() {
-	mount := func(name string, fn func() int) {
-		// The names cannot collide with built-ins; a failure here would be
-		// a programming error surfaced by the telemetry tests.
-		_ = a.srv.RegisterStat(name, fn)
-	}
-	mount("hh-agent-reports", func() int { return int(a.hhStats.Reports) })
-	mount("hh-decode-errors", func() int { return int(a.hhStats.DecodeErrs) })
-	mount("hh-apply-errors", func() int { return int(a.hhStats.ApplyErrs) })
-	mount("hh-flaps-suppressed", func() int {
-		st, _, _ := a.hhAllocTotals()
-		return int(st.FlapsSuppressed)
-	})
-	mount("hh-deferred", func() int {
-		st, _, _ := a.hhAllocTotals()
-		return int(st.Deferred)
-	})
 }

@@ -107,10 +107,8 @@ func TestHHFleetPromoteDetectDemote(t *testing.T) {
 	if snap.HH.DecodeErrors != 0 || snap.HH.ApplyErrors != 0 {
 		t.Fatalf("allocation loop errored: %+v", snap.HH)
 	}
-
-	// Agent counters are also served through telemetry.
-	if v, err := f.Telemetry["B"].Get("/fancy/stats/hh-agent-reports"); err != nil || v.(int) == 0 {
-		t.Errorf("hh-agent-reports = %v, %v", v, err)
+	if snap.HH.Reports == 0 {
+		t.Errorf("no digest reached an allocator: %+v", snap.HH)
 	}
 }
 

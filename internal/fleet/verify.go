@@ -115,21 +115,6 @@ func (f *Fleet) entryDelta(ls *linkState, entry netsim.EntryID, port int) *verif
 	return verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(ls.dl.From, entry, port)})
 }
 
-// mountVerifyStats exposes the gate counters through every switch's
-// telemetry server, next to the detector and hh-alloc stats.
-func (f *Fleet) mountVerifyStats() {
-	for _, sw := range f.switches {
-		srv := f.Telemetry[sw]
-		// Built-in names cannot collide; a failure would be a programming
-		// error surfaced by the telemetry tests.
-		_ = srv.RegisterStat("verify-checked", func() int { return int(f.Verify.Checked) })
-		_ = srv.RegisterStat("verify-committed", func() int { return int(f.Verify.Committed) })
-		_ = srv.RegisterStat("verify-rejected", func() int { return int(f.Verify.Rejected) })
-		_ = srv.RegisterStat("verify-repaired", func() int { return int(f.Verify.Repaired) })
-		_ = srv.RegisterStat("verify-fallbacks", func() int { return int(f.Verify.Fallbacks) })
-	}
-}
-
 // gatedReact is react with the verifier in the loop: the evidence is
 // resolved to its target entries centrally (reroute.App.Targets), each
 // entry's flip is checked, and only safe (or repaired) flips are issued as
@@ -349,14 +334,13 @@ func (f *Fleet) retryHeld(tick bool) {
 }
 
 func (f *Fleet) armVerifyTimer() {
-	if f.verifyTimer != nil || len(f.verifyHeld) == 0 || f.Crashed() {
+	if f.verifyTimer.Active() || len(f.verifyHeld) == 0 || f.Crashed() {
 		return
 	}
-	f.verifyTimer = f.S.Schedule(holdRetry, f.verifyRetryTick)
+	f.verifyTimer = f.S.ScheduleTimer(holdRetry, f.verifyRetryTick)
 }
 
 func (f *Fleet) verifyRetryTick() {
-	f.verifyTimer = nil
 	if f.Crashed() || f.verifier == nil {
 		return
 	}

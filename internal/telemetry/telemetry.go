@@ -1,16 +1,18 @@
 // Package telemetry exposes a FANcY detector's state through a
-// gNMI-inspired path-based interface: Get for point reads, Subscribe for
-// ON_CHANGE streams of detection updates and SAMPLE streams of counters.
+// gNMI-inspired path-based interface: Get for point reads and Sample for
+// periodic streams of a path's value (gNMI SAMPLE mode).
 //
 // The paper's Figure 1 frames FANcY as a component other applications
 // drive: operators push monitoring requirements in and consume mismatching
-// entries out. This package is that interface for the Go implementation —
-// the same role gNMI plays for production switch telemetry. Paths:
+// entries out. This package is the operator's string-path view of one
+// detector, the one `fancy-sim -watch` streams; the fleet control plane
+// reads its detectors directly. Paths:
 //
 //	/fancy/ports/<port>/flags/dedicated/<slot>   bool, dedicated flag bit
 //	/fancy/ports/<port>/flags/count              int, flagged slots
 //	/fancy/ports/<port>/bloom/inserted           int, flagged hash paths
 //	/fancy/ports/<port>/sessions/completed       int
+//	/fancy/ports/<port>/link/down                bool, link-down state
 //	/fancy/control/messages                      int
 //	/fancy/control/bytes                         int
 //	/fancy/layout                                string
@@ -27,10 +29,6 @@
 //	/fancy/ports/<port>/hh/occupied              int, dynamic slots in use
 //	/fancy/ports/<port>/hh/capacity              int, dynamic slots provisioned
 //
-// Components above the detector (the switch agent's counter-allocation
-// controller, for one) export their own counters through RegisterStat,
-// which mounts them under /fancy/stats/<name>.
-//
 // Paths are validated at Get/Sample time, so misspellings fail fast.
 package telemetry
 
@@ -44,7 +42,7 @@ import (
 	"fancy/internal/sim"
 )
 
-// Update is one telemetry notification.
+// Update is one sampled value.
 type Update struct {
 	Time  sim.Time
 	Path  string
@@ -57,20 +55,6 @@ type Server struct {
 	det *fancy.Detector
 
 	ports []int // monitored ports, for iteration
-
-	subs []*subscription
-
-	// extra holds RegisterStat-mounted counters, name → reader.
-	extra map[string]func() int
-
-	// Delivered counts updates pushed to subscribers.
-	Delivered uint64
-}
-
-type subscription struct {
-	prefix string
-	fn     func(Update)
-	timer  *sim.Timer
 }
 
 // NewServer builds a telemetry server over det. The monitored ports must
@@ -79,53 +63,6 @@ func NewServer(s *sim.Sim, det *fancy.Detector, monitoredPorts ...int) *Server {
 	srv := &Server{s: s, det: det, ports: monitoredPorts}
 	sort.Ints(srv.ports)
 	return srv
-}
-
-// AttachEvents chains the server into the detector's OnEvent callback and
-// returns the wrapped handler so callers can compose their own:
-//
-//	det.OnEvent = srv.AttachEvents(myHandler)
-func (srv *Server) AttachEvents(next func(fancy.Event)) func(fancy.Event) {
-	return func(ev fancy.Event) {
-		srv.publishEvent(ev)
-		if next != nil {
-			next(ev)
-		}
-	}
-}
-
-func (srv *Server) publishEvent(ev fancy.Event) {
-	var u Update
-	u.Time = ev.Time
-	switch ev.Kind {
-	case fancy.EventDedicated:
-		u.Path = fmt.Sprintf("/fancy/ports/%d/events/dedicated/%d", ev.Port, ev.Entry)
-		u.Value = ev.Diff
-	case fancy.EventTreeLeaf:
-		u.Path = fmt.Sprintf("/fancy/ports/%d/events/tree-leaf", ev.Port)
-		u.Value = fmt.Sprint(ev.Path)
-	case fancy.EventUniform:
-		u.Path = fmt.Sprintf("/fancy/ports/%d/events/uniform", ev.Port)
-		u.Value = true
-	case fancy.EventLinkDown:
-		u.Path = fmt.Sprintf("/fancy/ports/%d/events/link-down", ev.Port)
-		u.Value = true
-	case fancy.EventTreeZoomStart:
-		u.Path = fmt.Sprintf("/fancy/ports/%d/events/zooming", ev.Port)
-		u.Value = true
-	default:
-		return
-	}
-	srv.push(u)
-}
-
-func (srv *Server) push(u Update) {
-	for _, sub := range srv.subs {
-		if strings.HasPrefix(u.Path, sub.prefix) {
-			srv.Delivered++
-			sub.fn(u)
-		}
-	}
 }
 
 // Get reads one path.
@@ -175,9 +112,6 @@ func (srv *Server) Get(path string) (any, error) {
 		case "demotions":
 			return int(st.Demotions), nil
 		}
-		if fn, ok := srv.extra[parts[2]]; ok {
-			return fn(), nil
-		}
 		return nil, fmt.Errorf("telemetry: unknown path %q", path)
 	case "ports":
 		return srv.getPort(parts[2:], path)
@@ -226,69 +160,29 @@ func (srv *Server) getPort(parts []string, full string) (any, error) {
 	return nil, fmt.Errorf("telemetry: unknown path %q", full)
 }
 
-// RegisterStat mounts a component-owned counter at /fancy/stats/<name>,
-// read on demand through fn. Registering a name that collides with a
-// built-in stat is rejected; re-registering the same name replaces the
-// reader (a restarted component re-mounts its counters).
-func (srv *Server) RegisterStat(name string, fn func() int) error {
-	if name == "" || strings.Contains(name, "/") {
-		return fmt.Errorf("telemetry: invalid stat name %q", name)
-	}
-	if _, err := srv.Get("/fancy/stats/" + name); err == nil {
-		if _, ours := srv.extra[name]; !ours {
-			return fmt.Errorf("telemetry: stat %q shadows a built-in path", name)
-		}
-	}
-	if srv.extra == nil {
-		srv.extra = make(map[string]func() int)
-	}
-	srv.extra[name] = fn
-	return nil
-}
-
-// Subscribe delivers ON_CHANGE updates for every event path under prefix.
-// It returns a cancel function.
-func (srv *Server) Subscribe(prefix string, fn func(Update)) (cancel func()) {
-	sub := &subscription{prefix: prefix, fn: fn}
-	srv.subs = append(srv.subs, sub)
-	return func() { srv.unsubscribe(sub) }
-}
-
 // Sample delivers the value at path every interval (gNMI SAMPLE mode).
 // Sampling stops when cancel is called or the path becomes invalid.
 func (srv *Server) Sample(path string, interval sim.Time, fn func(Update)) (cancel func(), err error) {
 	if _, err := srv.Get(path); err != nil {
 		return nil, err
 	}
-	sub := &subscription{prefix: path, fn: fn}
+	var timer sim.Timer
 	var tick func()
 	tick = func() {
 		v, err := srv.Get(path)
 		if err != nil {
 			return
 		}
-		srv.Delivered++
 		fn(Update{Time: srv.s.Now(), Path: path, Value: v})
-		sub.timer = srv.s.Schedule(interval, tick)
+		timer = srv.s.ScheduleTimer(interval, tick)
 	}
-	sub.timer = srv.s.Schedule(interval, tick)
-	srv.subs = append(srv.subs, sub)
-	return func() { srv.unsubscribe(sub) }, nil
-}
-
-func (srv *Server) unsubscribe(sub *subscription) {
-	sub.timer.Stop()
-	for i, s := range srv.subs {
-		if s == sub {
-			srv.subs = append(srv.subs[:i], srv.subs[i+1:]...)
-			return
-		}
-	}
+	timer = srv.s.ScheduleTimer(interval, tick)
+	return func() { timer.Stop() }, nil
 }
 
 // StatsPaths lists the robustness-counter paths (Detector.Stats plus the
-// epoch), the signals fleet correlators and operators read to tell a gray
-// link from a lossy control plane, a flapping peer or a rebooted device.
+// epoch), the signals an operator reads to tell a gray link from a lossy
+// control plane, a flapping peer or a rebooted device.
 func StatsPaths() []string {
 	return []string{
 		"/fancy/stats/ctl-corrupted",
@@ -308,12 +202,6 @@ func StatsPaths() []string {
 func (srv *Server) Paths() []string {
 	paths := []string{"/fancy/layout", "/fancy/control/messages", "/fancy/control/bytes"}
 	paths = append(paths, StatsPaths()...)
-	extras := make([]string, 0, len(srv.extra))
-	for name := range srv.extra {
-		extras = append(extras, "/fancy/stats/"+name)
-	}
-	sort.Strings(extras)
-	paths = append(paths, extras...)
 	for _, p := range srv.ports {
 		paths = append(paths,
 			fmt.Sprintf("/fancy/ports/%d/flags/count", p),

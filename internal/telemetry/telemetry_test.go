@@ -43,7 +43,6 @@ func buildBed() (*bed, error) {
 	}
 	b := &bed{s: lb.Sim, src: lb.Src, link: lb.Link, det: pair.Upstream}
 	b.srv = NewServer(b.s, b.det, 1)
-	b.det.OnEvent = b.srv.AttachEvents(nil)
 	return b, nil
 }
 
@@ -96,58 +95,6 @@ func TestGetErrors(t *testing.T) {
 	}
 }
 
-func TestSubscribeOnChange(t *testing.T) {
-	b := newBed(t)
-	var got []Update
-	cancel := b.srv.Subscribe("/fancy/ports/1/events/", func(u Update) { got = append(got, u) })
-
-	b.traffic(10, 4*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 1.0, 10))
-	b.s.Run(4 * sim.Second)
-
-	if len(got) == 0 {
-		t.Fatal("no updates delivered")
-	}
-	first := got[0]
-	if !strings.HasPrefix(first.Path, "/fancy/ports/1/events/dedicated/10") {
-		t.Errorf("first update path = %q", first.Path)
-	}
-	if first.Time < sim.Second {
-		t.Errorf("update before the failure: %v", first.Time)
-	}
-	// Flag readable through Get after the event.
-	if v, _ := b.srv.Get("/fancy/ports/1/flags/dedicated/0"); v != true {
-		t.Error("flag not visible through Get after detection")
-	}
-
-	// After cancel, no more deliveries.
-	n := len(got)
-	cancel()
-	b.traffic(11, b.s.Now()+2*sim.Second)
-	b.s.Run(b.s.Now() + 2*sim.Second)
-	if len(got) != n {
-		t.Errorf("updates after cancel: %d → %d", n, len(got))
-	}
-}
-
-func TestSubscribePrefixFiltering(t *testing.T) {
-	b := newBed(t)
-	var uniform, dedicated int
-	b.srv.Subscribe("/fancy/ports/1/events/uniform", func(Update) { uniform++ })
-	b.srv.Subscribe("/fancy/ports/1/events/dedicated/", func(Update) { dedicated++ })
-
-	b.traffic(10, 4*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, sim.Second, 1.0, 10))
-	b.s.Run(4 * sim.Second)
-
-	if dedicated == 0 {
-		t.Error("dedicated subscription got nothing")
-	}
-	if uniform != 0 {
-		t.Errorf("uniform subscription got %d updates for a per-entry failure", uniform)
-	}
-}
-
 func TestSampleMode(t *testing.T) {
 	b := newBed(t)
 	var samples []Update
@@ -195,45 +142,6 @@ func TestPathsDiscovery(t *testing.T) {
 	}
 }
 
-func TestPublishAllEventKinds(t *testing.T) {
-	b := newBed(t)
-	var paths []string
-	b.srv.Subscribe("/fancy/ports/1/events/", func(u Update) { paths = append(paths, u.Path) })
-
-	// Chain a downstream consumer through AttachEvents.
-	chained := 0
-	b.det.OnEvent = b.srv.AttachEvents(func(fancy.Event) { chained++ })
-
-	for _, ev := range []fancy.Event{
-		{Port: 1, Kind: fancy.EventDedicated, Entry: 10, Diff: 3},
-		{Port: 1, Kind: fancy.EventTreeZoomStart},
-		{Port: 1, Kind: fancy.EventTreeLeaf, Path: []uint16{1, 2, 3}, Diff: 5},
-		{Port: 1, Kind: fancy.EventUniform},
-		{Port: 1, Kind: fancy.EventLinkDown},
-		{Port: 1, Kind: fancy.EventKind(200)}, // unknown kind: no update
-	} {
-		b.det.OnEvent(ev)
-	}
-	want := []string{
-		"/fancy/ports/1/events/dedicated/10",
-		"/fancy/ports/1/events/zooming",
-		"/fancy/ports/1/events/tree-leaf",
-		"/fancy/ports/1/events/uniform",
-		"/fancy/ports/1/events/link-down",
-	}
-	if len(paths) != len(want) {
-		t.Fatalf("published %v, want %v", paths, want)
-	}
-	for i := range want {
-		if paths[i] != want[i] {
-			t.Errorf("path[%d] = %q, want %q", i, paths[i], want[i])
-		}
-	}
-	if chained != 6 {
-		t.Errorf("chained handler saw %d events, want all 6", chained)
-	}
-}
-
 func TestStatsPaths(t *testing.T) {
 	b := newBed(t)
 	for _, p := range StatsPaths() {
@@ -268,60 +176,6 @@ func TestStatsPaths(t *testing.T) {
 	}
 }
 
-func TestSubscribeAcrossRestart(t *testing.T) {
-	// A Restart bumps the detector epoch and wipes protocol state. The
-	// subscription must survive it, and no update sourced from a stale-epoch
-	// session (e.g. an in-flight pre-restart Report) may be delivered: the
-	// only post-restart updates come from fresh new-epoch sessions.
-	b := newBed(t)
-	var got []Update
-	b.srv.Subscribe("/fancy/ports/1/events/", func(u Update) { got = append(got, u) })
-
-	const restartAt = 2 * sim.Second
-	b.traffic(10, 5*sim.Second)
-	b.link.AB.SetFailure(netsim.FailEntries(3, 500*sim.Millisecond, 1.0, 10))
-	b.s.Run(restartAt)
-	pre := len(got)
-	if pre == 0 {
-		t.Fatal("no updates before the restart")
-	}
-
-	b.det.Restart()
-	if v, _ := b.srv.Get("/fancy/stats/epoch"); v != 2 {
-		t.Errorf("epoch = %v after restart, want 2", v)
-	}
-	if v, _ := b.srv.Get("/fancy/stats/restarts"); v != 1 {
-		t.Errorf("restarts = %v, want 1", v)
-	}
-	if v, _ := b.srv.Get("/fancy/ports/1/flags/dedicated/0"); v != false {
-		t.Error("flag survived the restart")
-	}
-
-	// Within two link delays of the restart the only control messages that
-	// can arrive are in-flight pre-restart (stale-epoch) ones; they must be
-	// discarded, so no update may be delivered.
-	b.s.Run(restartAt + 20*sim.Millisecond)
-	if len(got) != pre {
-		t.Fatalf("%d update(s) from stale-epoch sessions right after restart: %v",
-			len(got)-pre, got[pre:])
-	}
-
-	// The failure persists, so fresh new-epoch sessions re-detect it and the
-	// subscription keeps delivering.
-	b.s.Run(5 * sim.Second)
-	if len(got) == pre {
-		t.Fatal("subscription delivered nothing after the restart")
-	}
-	for _, u := range got[pre:] {
-		if u.Time < restartAt {
-			t.Errorf("post-restart update timestamped %v, before the restart", u.Time)
-		}
-	}
-	if v, _ := b.srv.Get("/fancy/ports/1/flags/dedicated/0"); v != true {
-		t.Error("entry not re-flagged by post-restart sessions")
-	}
-}
-
 func TestLinkDownPath(t *testing.T) {
 	b := newBed(t)
 	if v, err := b.srv.Get("/fancy/ports/1/link/down"); err != nil || v != false {
@@ -336,7 +190,7 @@ func TestLinkDownPath(t *testing.T) {
 	}
 }
 
-func TestRegisterStatAndHHPaths(t *testing.T) {
+func TestHHPaths(t *testing.T) {
 	b := newBed(t)
 	// Built-in HH stats paths read zero on a detector without the stage.
 	for _, p := range []string{"/fancy/stats/hh-reports", "/fancy/stats/promotions",
@@ -350,38 +204,5 @@ func TestRegisterStatAndHHPaths(t *testing.T) {
 	}
 	if v, err := b.srv.Get("/fancy/ports/1/hh/capacity"); err != nil || v != 0 {
 		t.Errorf("hh/capacity = %v, %v", v, err)
-	}
-
-	// Component-owned counters mount under /fancy/stats/<name>.
-	n := 7
-	if err := b.srv.RegisterStat("hh-flaps-suppressed", func() int { return n }); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := b.srv.Get("/fancy/stats/hh-flaps-suppressed"); err != nil || v != 7 {
-		t.Fatalf("registered stat = %v, %v", v, err)
-	}
-	n = 9
-	if v, _ := b.srv.Get("/fancy/stats/hh-flaps-suppressed"); v != 9 {
-		t.Errorf("registered stat is not read live: %v", v)
-	}
-	// Re-registration replaces the reader; shadowing a built-in is refused.
-	if err := b.srv.RegisterStat("hh-flaps-suppressed", func() int { return 1 }); err != nil {
-		t.Errorf("re-registration refused: %v", err)
-	}
-	if err := b.srv.RegisterStat("epoch", func() int { return 0 }); err == nil {
-		t.Error("shadowing a built-in stat was accepted")
-	}
-	if err := b.srv.RegisterStat("a/b", func() int { return 0 }); err == nil {
-		t.Error("stat name with a slash was accepted")
-	}
-	// Registered stats appear in discovery, sorted.
-	var found bool
-	for _, p := range b.srv.Paths() {
-		if p == "/fancy/stats/hh-flaps-suppressed" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("registered stat missing from Paths()")
 	}
 }

@@ -107,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code, done := flagcheck.Parse(fs, args, "loss", "mgmt-loss", "mgmt-dup"); done {
 		return code
 	}
+	if !(*rate > 0) {
+		return fail("-rate must be > 0, got %v", *rate)
+	}
 	if *hhMode && *hhSlots < 1 {
 		return fail("-hh-slots must be >= 1 with -hh, got %d", *hhSlots)
 	}

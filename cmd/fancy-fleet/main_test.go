@@ -30,6 +30,9 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		"-mgmt-loss 1.5":                    "-mgmt-loss must be a probability in [0, 1], got 1.5",
 		"-mgmt-dup -1":                      "-mgmt-dup must be a probability in [0, 1], got -1",
 		"-loss NaN":                         "-loss must be a probability",
+		"-rate 0":                           "-rate must be > 0, got 0",
+		"-rate -5":                          "-rate must be > 0, got -5",
+		"-rate NaN":                         "-rate must be > 0, got NaN",
 		"-replicas -2":                      "-replicas must be >= 0, got -2",
 		"-duration -1s":                     "-duration must be >= 0, got -1s",
 		"-mgmt-delay -1s":                   "-mgmt-delay must be >= 0, got -1s",

@@ -23,7 +23,6 @@ import (
 	"fancy"
 	"fancy/cmd/internal/flagcheck"
 	"fancy/internal/fancy/tree"
-	"fancy/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -54,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		zoom      = fs.Duration("zoom", 200*time.Millisecond, "zooming interval")
 		exchange  = fs.Duration("exchange", 50*time.Millisecond, "dedicated exchange interval")
 		seed      = fs.Int64("seed", 1, "random seed")
-		watch     = fs.Bool("watch", false, "stream telemetry samples during the run")
+		watch     = fs.Bool("watch", false, "print the monitored port's flagged-slot count and completed sessions every simulated second")
 
 		chaosCorrupt = fs.Float64("chaos-corrupt", 0, "probability of flipping a bit in each control message (both directions)")
 		chaosDup     = fs.Float64("chaos-dup", 0, "probability of duplicating each delivered packet")
@@ -64,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if code, done := flagcheck.Parse(fs, args, "loss", "chaos-corrupt", "chaos-dup", "chaos-reorder"); done {
 		return code
+	}
+	if !(*rate > 0) {
+		return fail(2, "-rate must be > 0, got %v", *rate)
 	}
 	if *dedicated > *entries {
 		return fail(2, "-dedicated cannot exceed -entries")
@@ -97,17 +99,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "layout: %s\n", ml.Upstream.Layout)
 
 	if *watch {
-		srv := telemetry.NewServer(s, ml.Upstream, ml.MonitorPort())
-		for _, path := range []string{
-			fmt.Sprintf("/fancy/ports/%d/flags/count", ml.MonitorPort()),
-			fmt.Sprintf("/fancy/ports/%d/sessions/completed", ml.MonitorPort()),
-		} {
-			if _, err := srv.Sample(path, fancy.Second, func(u telemetry.Update) {
-				fmt.Fprintf(stdout, "[telemetry %v] %s = %v\n", u.Time, u.Path, u.Value)
-			}); err != nil {
-				return fail(1, "%v", err)
-			}
-		}
+		port := ml.MonitorPort()
+		every(s, fancy.Second, func() {
+			fmt.Fprintf(stdout, "[telemetry %v] /fancy/ports/%d/flags/count = %d\n",
+				s.Now(), port, ml.Upstream.Outputs(port).Flags.Count())
+		})
+		every(s, fancy.Second, func() {
+			fmt.Fprintf(stdout, "[telemetry %v] /fancy/ports/%d/sessions/completed = %d\n",
+				s.Now(), port, ml.Upstream.SessionsCompleted(port))
+		})
 	}
 
 	ml.OnEvent(func(ev fancy.Event) { fmt.Fprintln(stdout, ev) })
@@ -174,4 +174,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "chaos %s: %+v\n", dir, c.Stats)
 	}
 	return 0
+}
+
+// every runs fn once per interval of simulated time, the first time one
+// interval from now.
+func every(s *fancy.Sim, interval fancy.Time, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		s.After(interval, tick)
+	}
+	s.After(interval, tick)
 }

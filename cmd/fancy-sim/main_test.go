@@ -11,8 +11,9 @@ func TestGolden(t *testing.T) {
 	cmdtest.Golden(t, run, "testdata/default.golden")
 }
 
-// TestWatchGolden pins -watch, the telemetry SAMPLE streams interleaved
-// with the detector's events.
+// TestWatchGolden pins -watch, the once-a-second reads of the monitored
+// port's flag count and completed sessions interleaved with the detector's
+// events.
 func TestWatchGolden(t *testing.T) {
 	cmdtest.Golden(t, run, "testdata/watch.golden", "-watch")
 }
@@ -25,6 +26,9 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		"-fail 9":          `bad failing entry "9"`,
 		"-fail 0,x":        `bad failing entry "x"`,
 		"-loss 2":          "-loss must be a probability in [0, 1], got 2",
+		"-rate 0":          "-rate must be > 0, got 0",
+		"-rate -5":         "-rate must be > 0, got -5",
+		"-rate NaN":        "-rate must be > 0, got NaN",
 		"-chaos-corrupt 7": "-chaos-corrupt must be a probability in [0, 1], got 7",
 		"-chaos-dup -0.5":  "-chaos-dup must be a probability in [0, 1], got -0.5",
 		"-zoom -1s":        "-zoom must be >= 0, got -1s",

@@ -195,14 +195,13 @@ func NewMonitoredLinkOpts(s *Sim, cfg Config, opts MonitoredLinkOptions) (*Monit
 // OnEvent registers the detection event callback.
 func (ml *MonitoredLink) OnEvent(fn func(Event)) { ml.Upstream.OnEvent = fn }
 
-// UDP starts a constant-bit-rate UDP stream for entry between start and
-// stop virtual times.
+// UDP starts a constant-bit-rate UDP stream of 1000-byte packets for entry
+// between start and stop virtual times. It panics here, not mid-run, on a
+// rate that is not > 0 or too small or large to space packets in Time.
 func (ml *MonitoredLink) UDP(entry EntryID, rateBps float64, start, stop Time) {
-	ml.Sim.ScheduleAt(start, func() {
-		u := traffic.NewUDPSource(ml.Sim, ml.Src, netsim.FlowID(entry), entry,
-			netsim.EntryAddr(entry, 1), rateBps, 1000, stop)
-		u.Start()
-	})
+	u := traffic.NewUDPSource(ml.Sim, ml.Src, netsim.FlowID(entry), entry,
+		netsim.EntryAddr(entry, 1), rateBps, 1000, stop)
+	ml.Sim.ScheduleAt(start, u.Start)
 }
 
 // TCP schedules closed-loop TCP flows for entry: flowsPerSec arrivals

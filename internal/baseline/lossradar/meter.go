@@ -127,12 +127,3 @@ func (m *MeterPair) extract(id int64) {
 	}
 	m.s.Schedule(m.interval, func() { m.extract(id + 1) })
 }
-
-// DecodeFraction reports the share of traffic-carrying batches the
-// controller could decode.
-func (m *MeterPair) DecodeFraction() float64 {
-	if m.Batches == 0 {
-		return 1
-	}
-	return float64(m.DecodedBatches) / float64(m.Batches)
-}

@@ -100,22 +100,3 @@ func (p *Protocol) onNACK(seq uint64) {
 	}
 	p.Unattributable++
 }
-
-// Operational reports whether NetSeer could attribute at least the given
-// fraction of the NACKed losses.
-func (p *Protocol) Operational(minFraction float64) bool {
-	total := p.Attributed + p.Unattributable
-	if total == 0 {
-		return true
-	}
-	return float64(p.Attributed)/float64(total) >= minFraction
-}
-
-// AttributedFraction reports the share of NACKed losses still buffered.
-func (p *Protocol) AttributedFraction() float64 {
-	total := p.Attributed + p.Unattributable
-	if total == 0 {
-		return 1
-	}
-	return float64(p.Attributed) / float64(total)
-}

@@ -210,17 +210,6 @@ func (p *Probe) EntryFlaggedAt(e netsim.EntryID) (sim.Time, bool) {
 	return at, true
 }
 
-// FlaggedCells counts flagged cells.
-func (p *Probe) FlaggedCells() int {
-	n := 0
-	for _, f := range p.flagged {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
 // FalsePositives counts entries of a universe that are flagged but not in
 // the failed set.
 func (p *Probe) FalsePositives(universe []netsim.EntryID, failed map[netsim.EntryID]bool) int {

@@ -558,18 +558,18 @@ func TestOutputStructuresEdges(t *testing.T) {
 	}
 
 	pb := NewPathBloom(10) // below the 64-cell floor
-	if pb.MemoryBits() < 128 {
-		t.Errorf("MemoryBits = %d, want ≥128 (2×64 cells)", pb.MemoryBits())
+	if pb.cells != 64 {
+		t.Errorf("cells = %d, want the 64-cell floor", pb.cells)
 	}
 	if pb.Contains([]uint16{1}) {
 		t.Error("empty bloom contains something")
 	}
 	pb.Insert([]uint16{1, 2, 3})
-	if !pb.Contains([]uint16{1, 2, 3}) || pb.Inserted() != 1 {
+	if !pb.Contains([]uint16{1, 2, 3}) || pb.inserted != 1 {
 		t.Error("bloom insert/contains broken")
 	}
 	pb.Reset()
-	if pb.Contains([]uint16{1, 2, 3}) || pb.Inserted() != 0 {
+	if pb.Contains([]uint16{1, 2, 3}) || pb.inserted != 0 {
 		t.Error("bloom Reset ineffective")
 	}
 }
@@ -586,13 +586,13 @@ func TestPathBloomAllocatesOnFirstInsert(t *testing.T) {
 	lazy := NewPathBloom(cells)
 	probe := []uint16{7, 7, 7}
 	idle := func() {
-		if lazy.Contains(probe) || lazy.Inserted() != 0 || lazy.MemoryBits() != 2*cells {
+		if lazy.Contains(probe) || lazy.inserted != 0 || lazy.cells != cells {
 			t.Fatal("a never-inserted filter does not read as empty")
 		}
 		lazy.Reset()
 	}
 	if avg := testing.AllocsPerRun(10, idle); avg != 0 {
-		t.Errorf("Contains/Reset/MemoryBits on a never-inserted filter allocate %.1f objects, want 0", avg)
+		t.Errorf("Contains/Reset on a never-inserted filter allocate %.1f objects, want 0", avg)
 	}
 	if lazy.reg0 != nil || lazy.reg1 != nil {
 		t.Fatal("registers exist before the first Insert")
@@ -619,7 +619,7 @@ func TestPathBloomAllocatesOnFirstInsert(t *testing.T) {
 		}
 	}
 	lazy.Reset()
-	if lazy.Inserted() != 0 || lazy.Contains(probe) || lazy.MemoryBits() != 2*cells {
+	if lazy.inserted != 0 || lazy.Contains(probe) || lazy.cells != cells {
 		t.Error("Reset after inserts left the filter non-empty")
 	}
 }

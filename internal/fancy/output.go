@@ -104,9 +104,6 @@ func (b *PathBloom) Contains(path []uint16) bool {
 	return b.reg0[i0/64]&(1<<(i0%64)) != 0 && b.reg1[i1/64]&(1<<(i1%64)) != 0
 }
 
-// Inserted reports the number of inserted paths.
-func (b *PathBloom) Inserted() int { return b.inserted }
-
 // Reset clears the filter.
 func (b *PathBloom) Reset() {
 	for i := range b.reg0 {
@@ -115,6 +112,3 @@ func (b *PathBloom) Reset() {
 	}
 	b.inserted = 0
 }
-
-// MemoryBits reports the filter's register memory (2 × cells bits).
-func (b *PathBloom) MemoryBits() int { return 2 * b.cells }

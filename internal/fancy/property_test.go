@@ -39,7 +39,7 @@ func TestPropertyNoFalsePositivesLossless(t *testing.T) {
 				t.Errorf("seed %d: %v raised %d times on a lossless link", seed, kind, n)
 			}
 		}
-		if tb.out.Flags.Count() != 0 || tb.out.Bloom.Inserted() != 0 {
+		if tb.out.Flags.Count() != 0 || tb.out.Bloom.inserted != 0 {
 			t.Errorf("seed %d: outputs populated without loss", seed)
 		}
 	}

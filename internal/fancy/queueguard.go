@@ -99,6 +99,3 @@ func (g *QueueGuard) Congested(_ int, from, to sim.Time) bool {
 	}
 	return false
 }
-
-// CongestedWindows reports the recorded windows, for diagnostics.
-func (g *QueueGuard) CongestedWindows() int { return len(g.windows) }

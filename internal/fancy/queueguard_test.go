@@ -117,7 +117,7 @@ func TestQueueGuardSuppressesCongestionFalsePositives(t *testing.T) {
 	if gb.l2.AB.Stats().CongestionDrops == 0 {
 		t.Fatal("burst did not overflow the bottleneck queue; test is vacuous")
 	}
-	if gb.guard.CongestedWindows() == 0 || gb.guard.OverSamples == 0 {
+	if len(gb.guard.windows) == 0 || gb.guard.OverSamples == 0 {
 		t.Fatal("guard never saw the congested queue")
 	}
 	if got := gb.det.DiscardedSessions(); got == 0 {
@@ -162,8 +162,8 @@ func TestQueueGuardWithoutCongestionStaysOut(t *testing.T) {
 		2*sim.Second, 1.0, 10))
 	gb.s.Run(6 * sim.Second)
 
-	if gb.guard.CongestedWindows() != 0 {
-		t.Fatalf("phantom congestion windows: %d", gb.guard.CongestedWindows())
+	if len(gb.guard.windows) != 0 {
+		t.Fatalf("phantom congestion windows: %d", len(gb.guard.windows))
 	}
 	if gb.det.DiscardedSessions() != 0 {
 		t.Errorf("%d sessions discarded without congestion", gb.det.DiscardedSessions())

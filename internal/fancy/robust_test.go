@@ -212,7 +212,7 @@ func TestSenderRestartResync(t *testing.T) {
 	if n := tb.countEvents(EventDedicated); n != 0 {
 		t.Errorf("restart fabricated %d dedicated mismatches", n)
 	}
-	if tb.out.Flags.Count() != 0 || tb.out.Bloom.Inserted() != 0 {
+	if tb.out.Flags.Count() != 0 || tb.out.Bloom.inserted != 0 {
 		t.Error("restart left false positives in the outputs")
 	}
 }
@@ -239,7 +239,7 @@ func TestReceiverRestartResync(t *testing.T) {
 	if n := tb.countEvents(EventDedicated); n != 0 {
 		t.Errorf("peer restart fabricated %d dedicated mismatches", n)
 	}
-	if tb.out.Flags.Count() != 0 || tb.out.Bloom.Inserted() != 0 {
+	if tb.out.Flags.Count() != 0 || tb.out.Bloom.inserted != 0 {
 		t.Error("peer restart left false positives in the outputs")
 	}
 }

@@ -772,7 +772,3 @@ func (f *Fleet) KillLeader() int {
 // Leader returns the name of the replica currently driving the fleet
 // ("correlator" for a group of one).
 func (f *Fleet) Leader() string { return f.active().name }
-
-// QuorumDegraded reports whether the active leader is running without its
-// acknowledgment quorum (explicit single-instance degraded mode).
-func (f *Fleet) QuorumDegraded() bool { return f.group.quorumLost }

@@ -366,13 +366,6 @@ func (f *Fleet) HealSwitch(sw string) {
 	}
 }
 
-// Degraded reports whether a switch's agent is currently in degraded-mode
-// local protection (always false in direct mode).
-func (f *Fleet) Degraded(sw string) bool {
-	a, ok := f.agents[sw]
-	return ok && a.degraded
-}
-
 // Link returns the correlator's view of a directed link ("A->B" key),
 // primarily for tests and reporting.
 func (f *Fleet) link(key string) *linkState { return f.links[key] }

@@ -170,7 +170,12 @@ func TestAbileneGrayLocalization(t *testing.T) {
 	}
 
 	snap := f.Snapshot()
-	gray := snap.GrayLinks()
+	var gray []LinkReport
+	for _, lr := range snap.Links {
+		if lr.Health == HealthGray {
+			gray = append(gray, lr)
+		}
+	}
 	if len(gray) != 1 || gray[0].Link != "seattle->sunnyvale" {
 		t.Fatalf("snapshot gray links %v, want exactly seattle->sunnyvale", gray)
 	}

@@ -213,7 +213,7 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 	delivered := deliveries(r, "h-sunnyvale")
 
 	r.Sim.ScheduleAt(failAt-sim.Millisecond, func() {
-		if !f.Degraded("seattle") {
+		if !f.agents["seattle"].degraded {
 			t.Error("agent not degraded before the failure despite the partition")
 		}
 	})
@@ -230,7 +230,7 @@ func TestPartitionDegradedProtectionAndHandback(t *testing.T) {
 	})
 	r.Finish()
 
-	if f.Degraded("seattle") {
+	if f.agents["seattle"].degraded {
 		t.Fatal("agent still degraded after the heal")
 	}
 	if !hasEvent(f, EventDegradedHandback, "local reroute(s)") {

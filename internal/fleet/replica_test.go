@@ -159,7 +159,7 @@ func TestPartitionHealReconcileToNewLeader(t *testing.T) {
 	})
 	r.Finish()
 
-	if f.Degraded("seattle") {
+	if f.agents["seattle"].degraded {
 		t.Fatal("agent still degraded after the heal")
 	}
 	if f.Leader() == "corr0" {
@@ -210,7 +210,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 		f.CrashReplica(2)
 	})
 	s.ScheduleAt(3*sim.Second, func() {
-		if !f.QuorumDegraded() {
+		if !f.group.quorumLost {
 			t.Error("leader did not notice losing both followers")
 		}
 		if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
@@ -223,7 +223,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 	})
 	r.Finish()
 
-	if f.QuorumDegraded() {
+	if f.group.quorumLost {
 		t.Fatal("quorum not restored after both followers returned")
 	}
 	if f.Corr.QuorumLosses != 1 {
@@ -412,9 +412,9 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 			})
 			r.Finish()
 
-			if f.Leader() != correlatorEndpoint || f.QuorumDegraded() {
+			if f.Leader() != correlatorEndpoint || f.group.quorumLost {
 				t.Fatalf("leader %q, quorum degraded %v; want %q with nothing to lose",
-					f.Leader(), f.QuorumDegraded(), correlatorEndpoint)
+					f.Leader(), f.group.quorumLost, correlatorEndpoint)
 			}
 			if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 				t.Fatalf("%d localization events, want 1", nLoc)

@@ -283,14 +283,3 @@ func (s Snapshot) Report() string {
 	}
 	return b.String()
 }
-
-// GrayLinks filters the snapshot to links in gray (localized) state.
-func (s Snapshot) GrayLinks() []LinkReport {
-	var out []LinkReport
-	for _, lr := range s.Links {
-		if lr.Health == HealthGray {
-			out = append(out, lr)
-		}
-	}
-	return out
-}

@@ -81,7 +81,8 @@ type Run struct {
 // event. The order is the contract every transcript depends on: routes
 // before New (the verify gate snapshots them), protections after it, traffic
 // before failures, then the faults in slice order. A link, switch or host
-// the topology lacks is an error here, before the first event.
+// the topology lacks, or a flow rate that is not > 0, is an error here,
+// before the first event.
 func (t Trial) Start() (*Run, error) {
 	s := sim.New(t.Seed)
 	n, err := topo.Build(s, t.Spec)
@@ -121,6 +122,9 @@ func (t Trial) Start() (*Run, error) {
 	for _, fl := range t.Flows {
 		if n.Hosts[fl.From] == nil {
 			return nil, fmt.Errorf("fleet: trial: no host %q to send from", fl.From)
+		}
+		if !(fl.RateBps > 0) {
+			return nil, fmt.Errorf("fleet: trial: flow from %q at %v bps: rate must be > 0", fl.From, fl.RateBps)
 		}
 		traffic.NewUDPSource(s, n.Hosts[fl.From], netsim.FlowID(fl.Entry), fl.Entry,
 			netsim.EntryAddr(fl.Entry, 1), fl.RateBps, 1000, fl.Until).Start()

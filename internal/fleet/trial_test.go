@@ -8,8 +8,8 @@ import (
 )
 
 // TestTrialRejectsWhatTheTopologyLacks: a link, switch or host the topology
-// does not have is an error from Start — not a nil dereference or a silent
-// no-op once the run is under way.
+// does not have, or a flow rate that is not > 0, is an error from Start —
+// not a nil dereference, a flood or a silent no-op once the run is under way.
 func TestTrialRejectsWhatTheTopologyLacks(t *testing.T) {
 	for name, tc := range map[string]struct {
 		mutate func(*Trial)
@@ -20,6 +20,7 @@ func TestTrialRejectsWhatTheTopologyLacks(t *testing.T) {
 		"heal":           {func(tr *Trial) { tr.Faults = append(tr.Faults, Fault{Kind: FaultHeal, Switch: "Z"}) }, `no switch "Z"`},
 		"fault kind":     {func(tr *Trial) { tr.Faults = append(tr.Faults, Fault{}) }, "unknown fault kind 0"},
 		"flow host":      {func(tr *Trial) { tr.Flows[0].From = "H9" }, `no host "H9"`},
+		"flow rate":      {func(tr *Trial) { tr.Flows[0].RateBps = 0 }, "rate must be > 0"},
 		"protect switch": {func(tr *Trial) { tr.Protect = []Protection{{Switch: "Z", Entry: entry, PrimaryTo: "C"}} }, "no link Z->C to protect"},
 		"protect backup": {func(tr *Trial) { tr.Protect = []Protection{{Switch: "B", Entry: entry, PrimaryTo: "C", BackupTo: "Z"}} }, "no link B->Z"},
 		"route owner":    {func(tr *Trial) { tr.Spec.Hosts[1].Attach = "Z" }, `unknown switch "Z"`},

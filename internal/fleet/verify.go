@@ -482,7 +482,3 @@ func (f *Fleet) RestoreEntry(sw string, entry netsim.EntryID) {
 		f.retryHeld(false)
 	}
 }
-
-// HeldCommits reports how many flips are currently parked on the
-// hold-and-retry list.
-func (f *Fleet) HeldCommits() int { return len(f.verifyHeld) }

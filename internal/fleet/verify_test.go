@@ -156,9 +156,9 @@ func TestVerifiedHoldAndRetry(t *testing.T) {
 	if f.Rerouted("sunnyvale", entry) {
 		t.Fatal("sunnyvale committed despite having no safe next hop")
 	}
-	if !hasEvent(f, EventRerouteHeld, "") || f.HeldCommits() != 1 {
+	if !hasEvent(f, EventRerouteHeld, "") || len(f.verifyHeld) != 1 {
 		t.Fatalf("flip not held: held-events=%v pending=%d",
-			hasEvent(f, EventRerouteHeld, ""), f.HeldCommits())
+			hasEvent(f, EventRerouteHeld, ""), len(f.verifyHeld))
 	}
 	if audit := f.Verifier().Audit(); !audit.Safe() {
 		t.Fatalf("audit unsafe while holding: %s", audit)
@@ -182,8 +182,8 @@ func TestVerifiedHoldAndRetry(t *testing.T) {
 	if want := n.PortOf["sunnyvale"]["seattle"]; backupOf(r, "sunnyvale") != want {
 		t.Fatalf("sunnyvale diverted via port %d, want seattle (%d)", backupOf(r, "sunnyvale"), want)
 	}
-	if f.HeldCommits() != 0 && f.Verify.Abandoned == 0 {
-		t.Fatalf("hold list not drained: %d pending", f.HeldCommits())
+	if len(f.verifyHeld) != 0 && f.Verify.Abandoned == 0 {
+		t.Fatalf("hold list not drained: %d pending", len(f.verifyHeld))
 	}
 	if f.Verify.Held == 0 || f.Verify.Committed < 2 {
 		t.Fatalf("gate stats %+v, want a hold and two commits", f.Verify)
@@ -200,9 +200,9 @@ func TestVerifiedAbandonAfterRetries(t *testing.T) {
 	f := r.Fleet
 	r.Finish()
 
-	if f.Verify.Abandoned != 1 || f.HeldCommits() != 0 {
+	if f.Verify.Abandoned != 1 || len(f.verifyHeld) != 0 {
 		t.Fatalf("gate stats %+v pending=%d, want exactly one abandoned hold",
-			f.Verify, f.HeldCommits())
+			f.Verify, len(f.verifyHeld))
 	}
 	if f.Rerouted("sunnyvale", entry) {
 		t.Fatal("abandoned flip still committed")
@@ -256,8 +256,8 @@ func TestVerifiedHoldSurvivesRestart(t *testing.T) {
 	f, s := r.Fleet, r.Sim
 	r.Finish()
 
-	if f.HeldCommits() != 1 {
-		t.Fatalf("held flip lost across restart: pending=%d", f.HeldCommits())
+	if len(f.verifyHeld) != 1 {
+		t.Fatalf("held flip lost across restart: pending=%d", len(f.verifyHeld))
 	}
 	if f.Rerouted("sunnyvale", entry) {
 		t.Fatal("restarted correlator committed the rejected loop")

@@ -101,16 +101,6 @@ func NewAllocator(policy AllocPolicy, pinned []netsim.EntryID) *Allocator {
 // Stats returns the lifetime counters.
 func (a *Allocator) Stats() AllocStats { return a.stats }
 
-// Occupancy is the number of dynamic slots currently allocated.
-func (a *Allocator) Occupancy() int { return len(a.allocated) }
-
-// Allocated reports whether the controller currently holds a dynamic slot
-// for the entry.
-func (a *Allocator) Allocated(entry netsim.EntryID) bool {
-	_, ok := a.allocated[entry]
-	return ok
-}
-
 // appendSortedKeys appends m's keys to dst in ascending order.
 func appendSortedKeys[V any](dst []netsim.EntryID, m map[netsim.EntryID]V) []netsim.EntryID {
 	base := len(dst)

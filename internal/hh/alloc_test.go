@@ -25,7 +25,7 @@ func TestAllocPromoteHysteresis(t *testing.T) {
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("got %v, want %v", out, want)
 	}
-	if !a.Allocated(5) || a.Occupancy() != 1 {
+	if _, ok := a.allocated[5]; !ok || len(a.allocated) != 1 {
 		t.Fatal("allocation state not recorded")
 	}
 	// A streak broken by one absent report starts over.
@@ -58,7 +58,7 @@ func TestAllocDemoteHysteresisAndFlaps(t *testing.T) {
 	if !reflect.DeepEqual(out, []Action{{Kind: Demote, Entry: 5}}) {
 		t.Fatalf("got %v, want demote of 5", out)
 	}
-	if a.Occupancy() != 0 || a.Stats().Demotions != 1 {
+	if len(a.allocated) != 0 || a.Stats().Demotions != 1 {
 		t.Fatal("demotion state not recorded")
 	}
 }
@@ -100,7 +100,7 @@ func TestAllocPinnedAndMinCount(t *testing.T) {
 func TestAllocEpochReset(t *testing.T) {
 	a := NewAllocator(AllocPolicy{Capacity: 4, PromoteAfter: 1}, nil)
 	acts(a, rep(0, 0, EntryCount{Entry: 5, Count: 100}))
-	if a.Occupancy() != 1 {
+	if len(a.allocated) != 1 {
 		t.Fatal("setup failed")
 	}
 	out := acts(a, rep(1, 0, EntryCount{Entry: 5, Count: 100}))

@@ -17,7 +17,6 @@ var simFacingSegments = map[string]bool{
 	"tcp":       true,
 	"traffic":   true,
 	"exp":       true,
-	"telemetry": true,
 	"reroute":   true,
 	"hh":        true,
 	"dataplane": true,

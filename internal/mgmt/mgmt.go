@@ -224,10 +224,6 @@ func (n *Network) Partition(name string) { n.ep(name).partitioned = true }
 // Heal reconnects a previously partitioned endpoint.
 func (n *Network) Heal(name string) { n.ep(name).partitioned = false }
 
-// Partitioned reports whether the endpoint is currently cut off
-// (dynamically, or inside a SetChaos down window).
-func (n *Network) Partitioned(name string) bool { return n.ep(name).cut(n.s.Now()) }
-
 // SetChaos attaches a netsim.Chaos schedule to an endpoint: its
 // DownFor/UpFor window flaps the endpoint's management connectivity, its
 // CorruptData probability acts as extra datagram loss (a management

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"io"
 
 	"fancy/internal/sim"
 )
@@ -49,35 +48,3 @@ type CaptureEvent struct {
 // library's tcpdump. Pass nil to remove. Capturing costs one call per
 // packet event; uncaptured links pay only a nil check.
 func (e *LinkEnd) SetCapture(fn func(CaptureEvent)) { e.dir.capture = fn }
-
-// NewCaptureWriter returns a capture callback that renders one line per
-// event to w (a pcap-style text log).
-func NewCaptureWriter(w io.Writer) func(CaptureEvent) {
-	return func(ev CaptureEvent) {
-		fmt.Fprintf(w, "%-12v %-15s %s\n", ev.Time, ev.Kind, ev.Pkt)
-	}
-}
-
-// CaptureStats aggregates capture events into per-kind and per-entry
-// counters, a convenient ready-made observer for tests and tools.
-type CaptureStats struct {
-	ByKind  [5]uint64
-	ByEntry map[EntryID]uint64 // delivered data packets per entry
-	Bytes   uint64             // delivered bytes
-}
-
-// NewCaptureStats builds an empty aggregator.
-func NewCaptureStats() *CaptureStats {
-	return &CaptureStats{ByEntry: make(map[EntryID]uint64)}
-}
-
-// Observe implements the capture callback.
-func (cs *CaptureStats) Observe(ev CaptureEvent) {
-	cs.ByKind[ev.Kind]++
-	if ev.Kind == CaptureDeliver {
-		cs.Bytes += uint64(ev.Pkt.Size)
-		if ev.Pkt.Entry != InvalidEntry {
-			cs.ByEntry[ev.Pkt.Entry]++
-		}
-	}
-}

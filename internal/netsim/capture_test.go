@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,8 +13,16 @@ func TestCaptureObservesAllOutcomes(t *testing.T) {
 	a := &sinkNode{name: "a", s: s}
 	b := &sinkNode{name: "b", s: s}
 	l := Connect(s, a, 0, b, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6, QueueBytes: 3500})
-	cs := NewCaptureStats()
-	l.AB.SetCapture(cs.Observe)
+	var byKind [CaptureChaosDrop + 1]uint64
+	byEntry := make(map[EntryID]uint64) // delivered packets per entry
+	var bytes uint64                    // delivered bytes
+	l.AB.SetCapture(func(ev CaptureEvent) {
+		byKind[ev.Kind]++
+		if ev.Kind == CaptureDeliver {
+			byEntry[ev.Pkt.Entry]++
+			bytes += uint64(ev.Pkt.Size)
+		}
+	})
 	l.AB.SetFailure(FailEntries(1, 0, 1.0, 9))
 
 	a.tx.Send(&Packet{Entry: 5, Size: 1000}) // delivered
@@ -22,20 +31,20 @@ func TestCaptureObservesAllOutcomes(t *testing.T) {
 	a.tx.Send(&Packet{Entry: 5, Size: 1000}) // congestion drop (queue full at 3500B)
 	s.Run(0)
 
-	if cs.ByKind[CaptureSend] != 3 {
-		t.Errorf("sends = %d, want 3", cs.ByKind[CaptureSend])
+	if byKind[CaptureSend] != 3 {
+		t.Errorf("sends = %d, want 3", byKind[CaptureSend])
 	}
-	if cs.ByKind[CaptureDeliver] != 2 {
-		t.Errorf("delivers = %d, want 2", cs.ByKind[CaptureDeliver])
+	if byKind[CaptureDeliver] != 2 {
+		t.Errorf("delivers = %d, want 2", byKind[CaptureDeliver])
 	}
-	if cs.ByKind[CaptureFailureDrop] != 1 {
-		t.Errorf("failure drops = %d, want 1", cs.ByKind[CaptureFailureDrop])
+	if byKind[CaptureFailureDrop] != 1 {
+		t.Errorf("failure drops = %d, want 1", byKind[CaptureFailureDrop])
 	}
-	if cs.ByKind[CaptureCongestionDrop] != 1 {
-		t.Errorf("congestion drops = %d, want 1", cs.ByKind[CaptureCongestionDrop])
+	if byKind[CaptureCongestionDrop] != 1 {
+		t.Errorf("congestion drops = %d, want 1", byKind[CaptureCongestionDrop])
 	}
-	if cs.ByEntry[5] != 2 || cs.Bytes != 2000 {
-		t.Errorf("per-entry = %v bytes = %d", cs.ByEntry, cs.Bytes)
+	if byEntry[5] != 2 || bytes != 2000 {
+		t.Errorf("per-entry = %v bytes = %d", byEntry, bytes)
 	}
 }
 
@@ -45,7 +54,7 @@ func TestCaptureWriterFormat(t *testing.T) {
 	b := &sinkNode{name: "b", s: s}
 	l := Connect(s, a, 0, b, 0, LinkConfig{Delay: 0, RateBps: 1e9})
 	var buf strings.Builder
-	l.AB.SetCapture(NewCaptureWriter(&buf))
+	l.AB.SetCapture(func(ev CaptureEvent) { fmt.Fprintf(&buf, "%v %v %v\n", ev.Time, ev.Kind, ev.Pkt) })
 	a.tx.Send(&Packet{Entry: 7, Proto: ProtoUDP, Size: 100})
 	s.Run(0)
 	out := buf.String()

@@ -39,21 +39,12 @@ func (e *LinkEnd) Send(pkt *Packet) bool { return e.dir.send(pkt) }
 // this direction.
 func (e *LinkEnd) SetFailure(f *Failure) { e.dir.failure = f }
 
-// Failure returns the currently installed failure injector, if any.
-func (e *LinkEnd) Failure() *Failure { return e.dir.failure }
-
 // SetChaos installs (or clears, with nil) the adversarial link-condition
 // injector on this direction.
 func (e *LinkEnd) SetChaos(c *Chaos) { e.dir.chaos = c }
 
-// Chaos returns the currently installed chaos injector, if any.
-func (e *LinkEnd) Chaos() *Chaos { return e.dir.chaos }
-
 // Stats returns transmission statistics for this direction.
 func (e *LinkEnd) Stats() LinkStats { return e.dir.stats }
-
-// Busy reports whether the serializer currently has a backlog.
-func (e *LinkEnd) Busy() bool { return e.dir.busyUntil > e.dir.s.Now() }
 
 // QueueDepthBytes reports the bytes currently waiting or in serialization.
 func (e *LinkEnd) QueueDepthBytes() int { return e.dir.queuedBytes }

@@ -33,9 +33,6 @@ func TestIPv4Helpers(t *testing.T) {
 	if EntryAddr(e, 3) != addr {
 		t.Errorf("EntryAddr = %#x, want %#x", EntryAddr(e, 3), addr)
 	}
-	if AddrEntry(addr) != e {
-		t.Errorf("AddrEntry = %#x, want %#x", AddrEntry(addr), e)
-	}
 }
 
 func TestLinkDelayAndSerialization(t *testing.T) {
@@ -556,20 +553,20 @@ func TestAccessors(t *testing.T) {
 	}
 	a := &sinkNode{name: "a", s: s}
 	l := Connect(s, a, 0, sw, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e6})
-	if l.AB.Failure() != nil {
+	if l.AB.dir.failure != nil {
 		t.Error("fresh link has a failure")
 	}
 	fl := NewFailure(1)
 	l.AB.SetFailure(fl)
-	if l.AB.Failure() != fl {
-		t.Error("Failure accessor broken")
+	if l.AB.dir.failure != fl {
+		t.Error("SetFailure did not install the failure")
 	}
-	if l.AB.Busy() {
+	if l.AB.dir.busyUntil > s.Now() {
 		t.Error("idle link reports busy")
 	}
 	a.tx.Send(&Packet{Size: 10_000})
-	if !l.AB.Busy() || l.AB.QueueDepthBytes() != 10_000 {
-		t.Errorf("busy=%v depth=%d, want true/10000", l.AB.Busy(), l.AB.QueueDepthBytes())
+	if busy := l.AB.dir.busyUntil > s.Now(); !busy || l.AB.QueueDepthBytes() != 10_000 {
+		t.Errorf("busy=%v depth=%d, want true/10000", busy, l.AB.QueueDepthBytes())
 	}
 	s.Run(0)
 	if l.AB.QueueDepthBytes() != 0 {

@@ -132,7 +132,3 @@ func IPv4(a, b, c, d byte) uint32 {
 func EntryAddr(e EntryID, host byte) uint32 {
 	return uint32(e)<<8 | uint32(host)
 }
-
-// AddrEntry recovers the entry a destination address belongs to under the
-// EntryAddr scheme.
-func AddrEntry(addr uint32) EntryID { return EntryID(addr >> 8) }

@@ -101,7 +101,7 @@ func TestLifecycleLinkDropsRelease(t *testing.T) {
 			c := NewChaos(s, "x")
 			c.CorruptData = 1
 			l.AB.SetChaos(c)
-		}, func(l *Link) uint64 { return l.AB.Chaos().Stats.CorruptedData }},
+		}, func(l *Link) uint64 { return l.AB.dir.chaos.Stats.CorruptedData }},
 		{"congestion", 200, func(*sim.Sim, *Link) {},
 			func(l *Link) uint64 { return l.AB.Stats().CongestionDrops }},
 	}
@@ -238,7 +238,7 @@ func TestLifecycleCapturedPacketIsPinned(t *testing.T) {
 		}, []CaptureKind{CaptureSend, CaptureChaosDrop}},
 		{"congestion-drop", 200, func(*sim.Sim, *Link) {}, []CaptureKind{CaptureCongestionDrop}},
 	}
-	walked := NewCaptureStats()
+	var walked [CaptureChaosDrop + 1]uint64
 	for _, tc := range cases {
 		run := func(withCapture bool) (pool *PacketPool, sent *Packet, retained *Packet, seen []CaptureKind) {
 			s := sim.New(1)
@@ -253,7 +253,7 @@ func TestLifecycleCapturedPacketIsPinned(t *testing.T) {
 						t.Errorf("%s: observer handed a packet at %v with the free list holding %d", tc.name, ev.Kind, len(pool.free))
 					}
 					retained, seen = ev.Pkt, append(seen, ev.Kind)
-					walked.Observe(ev)
+					walked[ev.Kind]++
 				})
 			}
 			sent = pool.Get()
@@ -276,7 +276,7 @@ func TestLifecycleCapturedPacketIsPinned(t *testing.T) {
 			t.Errorf("%s: Get handed out the packet the capture observer holds", tc.name)
 		}
 	}
-	for kind, n := range walked.ByKind {
+	for kind, n := range walked {
 		if n == 0 {
 			t.Errorf("no case captures a %v", CaptureKind(kind))
 		}

@@ -51,9 +51,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the timestamp with time.Duration rules (e.g. "1.5s").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// FromDuration converts a wall-clock style duration to a virtual duration.
-func FromDuration(d time.Duration) Time { return Time(d) }
-
 // An event is a scheduled closure. Events with equal timestamps execute in
 // insertion order, which keeps simulations deterministic. Events are pooled:
 // after execution or cancellation they return to the owning Sim's free list,

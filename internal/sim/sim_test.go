@@ -15,9 +15,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := (1500 * Microsecond).Duration(); got != 1500*time.Microsecond {
 		t.Errorf("Duration() = %v, want 1.5ms", got)
 	}
-	if got := FromDuration(3 * time.Millisecond); got != 3*Millisecond {
-		t.Errorf("FromDuration = %v, want 3ms", got)
-	}
 	if got := (250 * Millisecond).String(); got != "250ms" {
 		t.Errorf("String() = %q, want 250ms", got)
 	}

@@ -39,9 +39,6 @@ func (a *Acc) Add(d Detection) {
 	}
 }
 
-// Trials reports the number of recorded trials.
-func (a *Acc) Trials() int { return a.trials }
-
 // TPR is the fraction of trials where the failure was detected.
 func (a *Acc) TPR() float64 {
 	if a.trials == 0 {
@@ -67,18 +64,6 @@ func (a *Acc) MeanLatency() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// MedianLatency is the median detection latency in seconds over detected
-// trials (Cap-charged misses included when Cap > 0).
-func (a *Acc) MedianLatency() float64 {
-	ls := append([]float64(nil), a.latencies...)
-	if a.Cap > 0 {
-		for i := 0; i < a.trials-a.detected; i++ {
-			ls = append(ls, a.Cap)
-		}
-	}
-	return Percentile(ls, 50)
 }
 
 // Percentile returns the p-th percentile (0–100) of xs, interpolating

@@ -138,9 +138,6 @@ func (t *Sender) Start() { t.trySend() }
 // Done reports whether every byte has been acknowledged.
 func (t *Sender) Done() bool { return t.done }
 
-// Outstanding reports unacknowledged bytes in flight.
-func (t *Sender) Outstanding() int64 { return t.sndNxt - t.sndUna }
-
 // available returns application bytes released by pacing at the current time.
 func (t *Sender) available() int64 {
 	if t.cfg.RateBps <= 0 {

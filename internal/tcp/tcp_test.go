@@ -208,7 +208,7 @@ func TestSlowPacedFlowNeverStalls(t *testing.T) {
 		s.Run(s.Now() + 60*sim.Second)
 		if !snd.Done() {
 			t.Fatalf("flow %d (total=%d) stalled: acked=%d outstanding=%d",
-				i, total, snd.Stats.BytesAcked, snd.Outstanding())
+				i, total, snd.Stats.BytesAcked, snd.sndNxt-snd.sndUna)
 		}
 	}
 }

@@ -183,14 +183,6 @@ func (n *Network) LinkDelay(a, b string) (sim.Time, bool) {
 	return c.Delay, ok
 }
 
-// LinkRateBps reports the line rate of the a—b link (either order),
-// defaults already applied. The second result is false if no such link
-// exists.
-func (n *Network) LinkRateBps(a, b string) (float64, bool) {
-	c, ok := n.linkConfig(a, b)
-	return c.RateBps, ok
-}
-
 // Neighbors lists the switches adjacent to sw, sorted for determinism.
 func (n *Network) Neighbors(sw string) []string {
 	var out []string

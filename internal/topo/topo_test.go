@@ -265,8 +265,8 @@ func TestLinkAccessors(t *testing.T) {
 		if d, ok := n.LinkDelay(order[0], order[1]); !ok || d != 5*sim.Millisecond {
 			t.Errorf("LinkDelay(%s,%s) = %v, %v; want 5ms", order[0], order[1], d, ok)
 		}
-		if r, ok := n.LinkRateBps(order[0], order[1]); !ok || r != 100e9 {
-			t.Errorf("LinkRateBps(%s,%s) = %v, %v; want default 100e9", order[0], order[1], r, ok)
+		if c, ok := n.linkConfig(order[0], order[1]); !ok || c.RateBps != 100e9 {
+			t.Errorf("linkConfig(%s,%s).RateBps = %v, %v; want default 100e9", order[0], order[1], c.RateBps, ok)
 		}
 	}
 	if _, ok := n.LinkDelay("A", "C"); ok {

@@ -186,16 +186,6 @@ func (cs *ChurnSchedule) Rate(e int, entry netsim.EntryID) float64 {
 	return rate
 }
 
-// EmittedBps returns the aggregate rate actually emitted during epoch e
-// (AggregateBps minus the sub-MinEntryBps tail).
-func (cs *ChurnSchedule) EmittedBps(e int) float64 {
-	var total float64
-	for _, entry := range cs.ranks[e] {
-		total += cs.Rate(e, entry)
-	}
-	return total
-}
-
 // Top returns epoch e's k hottest entries, sorted ascending (the natural
 // HighPriority form for a static-allocation baseline).
 func (cs *ChurnSchedule) Top(e, k int) []netsim.EntryID {

@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -187,14 +188,16 @@ type UDPSource struct {
 }
 
 // NewUDPSource creates a CBR source sending pktSize-byte packets at rateBps
-// until stop (0 = forever).
+// until stop (0 = forever). Like sim.After on a negative delay, it panics
+// on a rate that is not > 0 or whose packet gap is under a nanosecond or
+// too long for sim.Time.
 func NewUDPSource(s *sim.Sim, host *netsim.Host, flow netsim.FlowID, entry netsim.EntryID,
 	dst uint32, rateBps float64, pktSize int, stop sim.Time) *UDPSource {
-	u := &UDPSource{s: s, host: host, flow: flow, entry: entry, dst: dst, size: pktSize, stop: stop}
-	u.gap = sim.Time(float64(pktSize*8) / rateBps * float64(sim.Second))
-	if u.gap <= 0 {
-		u.gap = sim.Microsecond
+	gap := float64(pktSize*8) / rateBps * float64(sim.Second)
+	if !(rateBps > 0 && gap >= 1 && gap < math.MaxInt64) {
+		panic(fmt.Sprintf("traffic: UDP rate %v bps at %d-byte packets gives no packet gap sim.Time can hold", rateBps, pktSize))
 	}
+	u := &UDPSource{s: s, host: host, flow: flow, entry: entry, dst: dst, size: pktSize, gap: sim.Time(gap), stop: stop}
 	u.tickFn = u.tick
 	return u
 }

@@ -170,6 +170,27 @@ func TestUDPSourceRate(t *testing.T) {
 	}
 }
 
+// TestUDPSourceRejectsRatesWithoutAGap: a rate that is not > 0, or whose
+// gap is under a nanosecond or past sim.Time's range, panics at
+// construction instead of flooding the link at a clamped gap.
+func TestUDPSourceRejectsRatesWithoutAGap(t *testing.T) {
+	s := sim.New(1)
+	h := netsim.NewHost(s, "h")
+	for _, rate := range []float64{0, -5, math.NaN(), math.Inf(-1), math.Inf(1), 1e-9, 1e13} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewUDPSource at %v bps did not panic", rate)
+				}
+			}()
+			NewUDPSource(s, h, 1, 1, netsim.EntryAddr(1, 1), rate, 1000, sim.Second)
+		}()
+	}
+	if u := NewUDPSource(s, h, 1, 1, netsim.EntryAddr(1, 1), 8e12, 1000, sim.Second); u.gap != sim.Nanosecond {
+		t.Errorf("gap at 8 Tb/s = %v, want 1ns", u.gap)
+	}
+}
+
 func TestSynthesizeMatchesTargets(t *testing.T) {
 	cfg := TraceConfig{
 		Name: "test", BitRateBps: 50e6, PacketRate: 6000, FlowRate: 250,

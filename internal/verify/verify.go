@@ -214,9 +214,6 @@ func (m *Model) resolvePort(si, port int) int32 {
 // Atoms reports how many atoms the model tracks.
 func (m *Model) Atoms() int { return len(m.atoms) }
 
-// Switches returns the modeled switch names, sorted.
-func (m *Model) Switches() []string { return append([]string(nil), m.switches...) }
-
 // overlay computes the per-atom next-hop overrides a delta induces, plus
 // the sorted list of dirty atom indices. A flip applies to an atom only
 // when the flipped prefix is that atom's LPM winner at the flip's switch —

@@ -74,9 +74,9 @@ func grid(t *testing.T, side int) *topo.Network {
 // its ports and to a dead one.
 func sameModel(t *testing.T, n *topo.Network, got, want *Model) {
 	t.Helper()
-	if got.Atoms() != want.Atoms() || !slices.Equal(got.Switches(), want.Switches()) {
+	if got.Atoms() != want.Atoms() || !slices.Equal(got.switches, want.switches) {
 		t.Fatalf("%d atoms over %d switches, want %d over %d",
-			got.Atoms(), len(got.Switches()), want.Atoms(), len(want.Switches()))
+			got.Atoms(), len(got.switches), want.Atoms(), len(want.switches))
 	}
 	if g, w := got.Audit().String(), want.Audit().String(); g != w {
 		t.Fatalf("audit %q, want %q", g, w)
@@ -89,7 +89,7 @@ func sameModel(t *testing.T, n *topo.Network, got, want *Model) {
 		return v.String()
 	}
 	flips := 0
-	for _, sw := range want.Switches() {
+	for _, sw := range want.switches {
 		ports := []int{999}
 		for _, p := range n.PortOf[sw] {
 			ports = append(ports, p)
@@ -121,7 +121,7 @@ func TestReloadEqualsNewModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := build(t)
 			m := NewModel(n)
-			sws := m.Switches()
+			sws := slices.Clone(m.switches)
 			var e netsim.EntryID = entry
 			if name != "abilene" {
 				e = 1
@@ -180,7 +180,7 @@ func TestReloadDoesNotAllocate(t *testing.T) {
 	n := grid(t, 12)
 	m := NewModel(n)
 	atoms := m.Atoms()
-	sw := m.Switches()[0]
+	sw := m.switches[0]
 	flip := NewDelta("c", []Flip{EntryFlip(sw, 1, n.PortOf[sw][n.Neighbors(sw)[0]])})
 	if got := testing.AllocsPerRun(20, func() {
 		m.Reload(n)
@@ -408,7 +408,7 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(n)
-	sws := m.Switches()
+	sws := slices.Clone(m.switches)
 
 	rng := rand.New(rand.NewSource(20220822))
 	for trial := 0; trial < 400; trial++ {

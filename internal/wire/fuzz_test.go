@@ -115,23 +115,3 @@ func TestSingleBitFlipsDetected(t *testing.T) {
 		}
 	}
 }
-
-// FuzzParseTag: the 2-byte tag parser must never panic and always round
-// trip.
-func FuzzParseTag(f *testing.F) {
-	f.Add([]byte{0, 0})
-	f.Add([]byte{255, 255})
-	f.Add([]byte{1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tag, err := ParseTag(data)
-		if err != nil {
-			if len(data) >= TagSize {
-				t.Fatal("well-sized tag rejected")
-			}
-			return
-		}
-		if !bytes.Equal(AppendTag(nil, tag), data[:TagSize]) {
-			t.Fatal("tag round trip failed")
-		}
-	})
-}

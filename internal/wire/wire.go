@@ -103,17 +103,6 @@ func (t Tag) DedicatedID() uint16 { return uint16(t.Node)<<8 | uint16(t.Counter)
 // on a 1500 B packet).
 const TagSize = 2
 
-// AppendTag appends the tag encoding to b.
-func AppendTag(b []byte, t Tag) []byte { return append(b, t.Node, t.Counter) }
-
-// ParseTag decodes a tag from the first TagSize bytes of b.
-func ParseTag(b []byte) (Tag, error) {
-	if len(b) < TagSize {
-		return Tag{}, ErrShort
-	}
-	return Tag{Node: b[0], Counter: b[1]}, nil
-}
-
 // ZoomTarget describes one active zoom in a tree session's Start message:
 // the partial hash path being explored. The downstream switch uses the list
 // of targets to map tag node IDs back to tree positions, so it never has to

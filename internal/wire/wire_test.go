@@ -43,24 +43,6 @@ func TestTagDedicatedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTagWireRoundTrip(t *testing.T) {
-	tag := Tag{Node: 7, Counter: 130}
-	b := AppendTag(nil, tag)
-	if len(b) != TagSize {
-		t.Fatalf("encoded tag size = %d, want %d", len(b), TagSize)
-	}
-	got, err := ParseTag(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tag {
-		t.Errorf("ParseTag = %+v, want %+v", got, tag)
-	}
-	if _, err := ParseTag(b[:1]); err != ErrShort {
-		t.Errorf("short tag: err = %v, want ErrShort", err)
-	}
-}
-
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Header: Header{Type: MsgStart, Kind: KindDedicated, Session: 1, Link: 3, Unit: 499}},

@@ -8,7 +8,8 @@ import (
 )
 
 // TestTrialRejectsWhatTheTopologyLacks: a link, switch or host the topology
-// does not have, or a flow rate that is not > 0, is an error from Start —
+// does not have, a link with a negative delay, or a flow rate that is not
+// > 0, is an error from Start —
 // not a nil dereference, a flood or a silent no-op once the run is under way.
 func TestTrialRejectsWhatTheTopologyLacks(t *testing.T) {
 	for name, tc := range map[string]struct {
@@ -24,6 +25,7 @@ func TestTrialRejectsWhatTheTopologyLacks(t *testing.T) {
 		"protect switch": {func(tr *Trial) { tr.Protect = []Protection{{Switch: "Z", Entry: entry, PrimaryTo: "C"}} }, "no link Z->C to protect"},
 		"protect backup": {func(tr *Trial) { tr.Protect = []Protection{{Switch: "B", Entry: entry, PrimaryTo: "C", BackupTo: "Z"}} }, "no link B->Z"},
 		"route owner":    {func(tr *Trial) { tr.Spec.Hosts[1].Attach = "Z" }, `unknown switch "Z"`},
+		"link delay":     {func(tr *Trial) { tr.Spec.Links[0].Delay = -sim.Millisecond }, "negative delay -1ms"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := lineTrial(1, fleetCfg(entry), sim.Second, 2*sim.Second)

@@ -46,6 +46,8 @@ var emissionMethods = map[string]bool{
 	"After":         true,
 	"At":            true,
 	"Sequence":      true,
+	"Reserve":       true,
+	"Queue":         true,
 }
 
 func runMapOrder(p *Package) []Finding {

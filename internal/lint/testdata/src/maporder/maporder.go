@@ -74,3 +74,35 @@ func Launch(s launcher, m map[string][]int64) {
 		s.Sequence(len(starts), func(i int) int64 { return starts[i] }, func(int) {})
 	}
 }
+
+// slot stands in for sim.Slot: queueing one fixes an event's position.
+type slot interface {
+	Queue(fn func())
+}
+
+// reserver stands in for sim.Sim's Reserve entry point.
+type reserver interface {
+	Reserve(at int64) slot
+}
+
+// ReserveAll reserves one slot per map entry, and so takes their sequence
+// numbers in iteration order, though it only writes them into a map (true
+// positive).
+func ReserveAll(s reserver, m map[string]int64) map[string]slot {
+	slots := make(map[string]slot, len(m))
+	for k, at := range m {
+		slots[k] = s.Reserve(at)
+	}
+	return slots
+}
+
+// QueueAll hands the callbacks out to the slots in iteration order, so
+// which callback runs at which slot changes from run to run (true
+// positive).
+func QueueAll(slots map[string]slot, fns []func()) {
+	i := 0
+	for _, sl := range slots {
+		sl.Queue(fns[i])
+		i++
+	}
+}

@@ -99,3 +99,35 @@ func TestLinkSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Error("pool never recycled a packet")
 	}
 }
+
+// TestBusyLaneSendDoesNotAllocate pins the lone-packet fold: on a warmed
+// link that always has a packet in flight, each send goes straight to the
+// busy receive lane, so a packet costs one event (its arrival) and no
+// allocation.
+func TestBusyLaneSendDoesNotAllocate(t *testing.T) {
+	s := sim.New(1)
+	a := &sinkNode{name: "a", s: s}
+	b := NewHost(s, "b") // no handler: delivered packets die here
+	Connect(s, a, 0, b, 0, LinkConfig{Delay: sim.Millisecond, RateBps: 1e9})
+	pool := NewPacketPool()
+	// 1000 B at 1 Gbps serialize in 8 µs; ten packets are in flight.
+	cycle := func() {
+		pkt := pool.Get()
+		pkt.Proto = ProtoUDP
+		pkt.Size = 1000
+		a.tx.Send(pkt)
+		s.Run(s.Now() + 100*sim.Microsecond)
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	ran := s.Executed
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
+		t.Errorf("a send on a busy lane allocates %.1f objects, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	if per := float64(s.Executed-ran) / (runs + 1); per != 1 {
+		t.Errorf("%.2f events per packet on a busy lane, want 1", per)
+	}
+}

@@ -47,7 +47,7 @@ func (e *LinkEnd) SetChaos(c *Chaos) { e.dir.chaos = c }
 func (e *LinkEnd) Stats() LinkStats { return e.dir.stats }
 
 // QueueDepthBytes reports the bytes currently waiting or in serialization.
-func (e *LinkEnd) QueueDepthBytes() int { return e.dir.queuedBytes }
+func (e *LinkEnd) QueueDepthBytes() int { return e.dir.depth() }
 
 // LinkStats counts per-direction outcomes.
 type LinkStats struct {
@@ -67,6 +67,15 @@ type LinkStats struct {
 // keeps at most ONE recurring event in the simulator heap, armed for its
 // head packet, so a send costs O(1) lane appends instead of two or three
 // heap pushes with escaping closures.
+//
+// A send into an idle serializer whose receive lane is busy past its
+// serialization end skips the transmit lane: its drain would only append
+// it to a lane already armed and release its queue bytes. The packet goes
+// to the receive lane at once, as the lone packet, and the drain's place
+// in the event order is reserved instead of queued (sim.Slot). Its bytes
+// count until the slot has passed; a send that has to queue behind it
+// queues the drain in that slot. Every event thus keeps the (time,
+// sequence) key it has without the fold, and runs in the same order.
 type direction struct {
 	s *sim.Sim
 
@@ -83,16 +92,22 @@ type direction struct {
 	egressHook func(*Packet)
 
 	// Transmit lane: packets in (or waiting for) the serializer, laneAt =
-	// serialization end. txArmed tells whether the drain event is in the
-	// heap.
+	// serialization end.
 	txHead, txTail *Packet
-	txArmed        bool
 	drainFn        func()
+
+	// Lone packet: lone is its drain's slot, loneBytes its queue bytes
+	// until that slot has passed. The zero slot has passed: no lone packet.
+	lone      sim.Slot
+	loneBytes int
 
 	// Receive lane: packets in flight, laneAt = arrival time.
 	rxHead, rxTail *Packet
-	rxArmed        bool
 	arriveFn       func()
+
+	// txArmed and rxArmed tell whether a lane's event is in the heap;
+	// loneQueued that the drain is, in the lone packet's slot.
+	txArmed, rxArmed, loneQueued bool
 
 	busyUntil   sim.Time
 	queuedBytes int
@@ -127,9 +142,19 @@ func (d *direction) serialization(size int) sim.Time {
 	return sim.Time((bits*int64(sim.Second) + d.rateBps - 1) / d.rateBps)
 }
 
+// depth returns the bytes waiting or in serialization, first releasing
+// the lone packet's once its serialization end has passed.
+func (d *direction) depth() int {
+	if d.loneBytes != 0 && d.lone.Passed() {
+		d.queuedBytes -= d.loneBytes
+		d.loneBytes = 0
+	}
+	return d.queuedBytes
+}
+
 func (d *direction) send(pkt *Packet) bool {
 	now := d.s.Now()
-	if d.queuedBytes+pkt.Size > d.queueCap {
+	if d.depth()+pkt.Size > d.queueCap {
 		d.stats.CongestionDrops++
 		d.captureEvent(CaptureCongestionDrop, pkt, now)
 		pkt.release()
@@ -148,7 +173,6 @@ func (d *direction) send(pkt *Packet) bool {
 	serEnd := txStart + d.serialization(pkt.Size)
 	d.busyUntil = serEnd
 
-	pkt.laneAt = serEnd
 	pkt.laneNext = nil
 	pkt.laneEgressed = false
 	if d.egressHook != nil && txStart == now {
@@ -158,6 +182,13 @@ func (d *direction) send(pkt *Packet) bool {
 		d.egressHook(pkt)
 		pkt.laneEgressed = true
 	}
+	if txStart == now && d.txHead == nil && d.rxArmed && d.rxTail.laneAt > serEnd && d.lone.Passed() {
+		d.lone = d.s.Reserve(serEnd)
+		d.loneBytes = pkt.Size
+		d.handoff(pkt, serEnd+d.delay) // the lane is armed: pushes nothing
+		return true
+	}
+	pkt.laneAt = serEnd
 	if d.txTail == nil {
 		d.txHead = pkt
 	} else {
@@ -169,7 +200,12 @@ func (d *direction) send(pkt *Packet) bool {
 		if d.drainFn == nil {
 			d.drainFn = d.drain
 		}
-		d.s.At(serEnd, d.drainFn)
+		if d.lone.Passed() {
+			d.s.At(serEnd, d.drainFn)
+		} else {
+			d.loneQueued = true
+			d.lone.Queue(d.drainFn)
+		}
 	}
 	return true
 }
@@ -180,6 +216,17 @@ func (d *direction) send(pkt *Packet) bool {
 // one propagation delay out. It then re-arms for the new head.
 func (d *direction) drain() {
 	d.txArmed = false
+	if d.loneQueued {
+		// The lone packet's drain, queued by a send that found it still
+		// serializing. The packet is on the receive lane already, and its
+		// bytes go at the next depth read: start the next packet's
+		// serialization.
+		d.loneQueued = false
+		if next := d.txHead; d.egressHook != nil && !next.laneEgressed {
+			d.egressHook(next)
+			next.laneEgressed = true
+		}
+	}
 	now := d.s.Now()
 	for d.txHead != nil && d.txHead.laneAt <= now {
 		pkt := d.txHead
@@ -296,6 +343,12 @@ func Connect(s *sim.Sim, a Node, aPort int, b Node, bPort int, cfg LinkConfig) *
 	}
 	if cfg.RateBps < 0 {
 		panic(fmt.Sprintf("netsim: negative rate %v", cfg.RateBps))
+	}
+	if cfg.Delay < 0 {
+		panic(fmt.Sprintf("netsim: negative delay %v", cfg.Delay))
+	}
+	if cfg.QueueBytes < 0 {
+		panic(fmt.Sprintf("netsim: negative queue size %d", cfg.QueueBytes))
 	}
 	rate := int64(cfg.RateBps)
 	ab := &direction{s: s, delay: cfg.Delay, rateBps: rate, queueCap: cfg.QueueBytes, dst: b, dstPort: bPort}

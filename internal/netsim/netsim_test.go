@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -571,6 +573,31 @@ func TestAccessors(t *testing.T) {
 	s.Run(0)
 	if l.AB.QueueDepthBytes() != 0 {
 		t.Error("queue did not drain")
+	}
+}
+
+// TestConnectRejectsNegativeParameters: a negative rate, delay or queue
+// size panics at Connect, not mid-run (a negative delay would schedule in
+// the past, or put a packet ahead of the lane it joins) and not as a link
+// that silently drops everything (a negative queue).
+func TestConnectRejectsNegativeParameters(t *testing.T) {
+	for _, c := range []struct {
+		cfg  LinkConfig
+		want string
+	}{
+		{LinkConfig{RateBps: -1}, "negative rate"},
+		{LinkConfig{Delay: -sim.Millisecond}, "negative delay"},
+		{LinkConfig{QueueBytes: -1}, "negative queue"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("Connect(%+v) panicked with %v, want %q", c.cfg, r, c.want)
+				}
+			}()
+			s := sim.New(1)
+			Connect(s, &sinkNode{s: s}, 0, &sinkNode{s: s}, 0, c.cfg)
+		}()
 	}
 }
 

@@ -17,6 +17,11 @@ import (
 // A Sequence is n inserts made at call time. Only Pending sees that Sim
 // queues one element at a time: the reference marks each later element
 // hidden until its predecessor runs, and Pending does not count it.
+//
+// A Reserve is an insert too: a marker that runs nothing unless a Queue
+// fills it. Execution passes an empty marker without moving the clock,
+// once the clock or an event after it gets there; a slot has passed when
+// its marker has left the queue.
 type refSched struct {
 	now     Time
 	seq     uint64
@@ -24,17 +29,15 @@ type refSched struct {
 	stopped bool
 	q       []refEvent
 
-	// What the Sequence elements of a workload ran into, summed over its
-	// runs, so the property test can require each case to have occurred.
-	emptySeqs   int // n = 0
-	stoppedSeqs int // a Run ended by Stop with a sequence part-run
-	cutSeqs     int // a Run ended by its horizon with a sequence part-run
+	// seen counts the cases a workload ran into, summed over its runs, so
+	// the property test can require each to have occurred.
+	seen map[string]int
 }
 
 type refEvent struct {
 	at     Time
 	seq    uint64
-	fn     func()
+	fn     func() // nil: a reserved slot nobody has queued
 	hidden bool   // a Sequence element whose predecessor has not run yet
 	succ   uint64 // the seq of the next element of its Sequence, or 0
 }
@@ -71,18 +74,35 @@ func (r *refSched) find(seq uint64) int {
 	return -1
 }
 
+// queued reports whether the queue holds an event that runs something.
+func (r *refSched) queued() bool {
+	for i := range r.q {
+		if r.q[i].fn != nil {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *refSched) Run(horizon Time) Time {
 	r.stopped = false
 	for len(r.q) > 0 && !r.stopped {
 		ev := r.q[0]
 		if horizon > 0 && ev.at > horizon {
 			if r.partRun() {
-				r.cutSeqs++
+				r.seen["sequence cut by a horizon"]++
 			}
 			r.now = horizon
 			return r.now
 		}
+		if ev.fn == nil && ev.at > r.now && horizon == 0 && !r.queued() {
+			break // nothing left to carry the clock to the slot
+		}
 		r.q = append(r.q[:0], r.q[1:]...)
+		if ev.fn == nil {
+			r.seen["slot never queued"]++
+			continue
+		}
 		r.now = ev.at
 		r.ran++
 		if ev.succ != 0 {
@@ -91,7 +111,7 @@ func (r *refSched) Run(horizon Time) Time {
 		ev.fn()
 	}
 	if r.stopped && r.partRun() {
-		r.stoppedSeqs++
+		r.seen["sequence stopped part-run"]++
 	}
 	if !r.stopped && horizon > 0 && r.now < horizon {
 		r.now = horizon
@@ -105,7 +125,7 @@ func (r *refSched) Stop()     { r.stopped = true }
 func (r *refSched) Pending() int {
 	n := 0
 	for i := range r.q {
-		if !r.q[i].hidden {
+		if !r.q[i].hidden && r.q[i].fn != nil {
 			n++
 		}
 	}
@@ -116,7 +136,7 @@ func (r *refSched) executed() uint64 { return r.ran }
 
 func (r *refSched) sequence(at []Time, fn func(i int)) {
 	if len(at) == 0 {
-		r.emptySeqs++
+		r.seen["empty sequence"]++
 	}
 	var prev uint64
 	for i := range at {
@@ -135,6 +155,25 @@ func (r *refSched) schedule(kind int, delay Time, fn func()) handle {
 		return nil
 	}
 	return refTimer{r, seq}
+}
+
+func (r *refSched) reserve(delay Time) slot {
+	return refSlot{r, r.insert(r.now+delay, nil)}
+}
+
+type refSlot struct {
+	r   *refSched
+	seq uint64
+}
+
+func (sl refSlot) Passed() bool { return sl.r.find(sl.seq) < 0 }
+
+func (sl refSlot) Queue(fn func()) {
+	i := sl.r.find(sl.seq)
+	if i < 0 {
+		panic("queue on a passed slot")
+	}
+	sl.r.q[i].fn = fn
 }
 
 type refTimer struct {
@@ -166,11 +205,17 @@ type engine interface {
 	schedule(kind int, delay Time, fn func()) handle
 	// sequence runs fn(i) at at[i], for a non-decreasing at.
 	sequence(at []Time, fn func(i int))
+	reserve(delay Time) slot
 }
 
 type handle interface {
 	Stop() bool
 	Active() bool
+}
+
+type slot interface {
+	Queue(fn func())
+	Passed() bool
 }
 
 const (
@@ -203,12 +248,14 @@ func (e simEngine) sequence(at []Time, fn func(i int)) {
 	e.Sequence(len(at), func(i int) Time { return at[i] }, fn)
 }
 
+func (e simEngine) reserve(delay Time) slot { return e.Reserve(e.Now() + delay) }
+
 // transcript drives e with a pseudo-random operation stream and returns
 // everything observable: each execution with the clock, Pending and
-// Executed around it, every Timer.Stop and Active result, and every Run
-// return value. The stream is a function of the seed and of the order in
-// which the engine invokes callbacks, so two engines produce the same
-// transcript only if they execute the same events in the same order.
+// Executed around it, every Timer.Stop, Active and Slot.Passed result, and
+// every Run return value. The stream is a function of the seed and of the
+// order in which the engine invokes callbacks, so two engines produce the
+// same transcript only if they execute the same events in the same order.
 //
 // Delays are small multiples of one unit, so timestamps collide constantly
 // (FIFO ties, children scheduled at the current instant) and Run horizons
@@ -222,12 +269,25 @@ func (e simEngine) sequence(at []Time, fn func(i int)) {
 // drawn from the same small delays, so its elements tie with each other,
 // with events scheduled before and after it and with the children its own
 // elements schedule; Stop and horizons regularly fall inside one.
-func transcript(e engine, seed int64, cancel bool) string {
+//
+// One in five of the rest reserves a slot instead, tying with events on
+// both sides of it. Slots are kept forever too: their Passed is read, and
+// the ones not passed are queued, before the first Run, from callbacks
+// (half the time picking one at the current instant) and between runs.
+// Some are never queued. seen counts the cases the stream ran into.
+func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
 	const unit = 10 * Microsecond
 	rng := rand.New(rand.NewSource(seed))
 	var log strings.Builder
 	var handles []handle
+	type slotAt struct {
+		slot
+		at     Time
+		queued bool
+	}
+	var slots []*slotAt
 	budget, nextID := 400, 0
+	phase := "before the first Run"
 
 	var fire func(id int) func()
 	spawn := func() {
@@ -250,6 +310,11 @@ func transcript(e engine, seed int64, cancel bool) string {
 			return
 		}
 		kind, delay := rng.Intn(numKinds), Time(rng.Intn(6))*unit
+		if rng.Intn(5) == 0 {
+			fmt.Fprintf(&log, "  reserve s%d +%d\n", len(slots), delay)
+			slots = append(slots, &slotAt{slot: e.reserve(delay), at: e.Now() + delay})
+			return
+		}
 		fmt.Fprintf(&log, "  schedule #%d kind %d +%d\n", nextID, kind, delay)
 		if h := e.schedule(kind, delay, fire(nextID)); kind >= firstHandleKind {
 			handles = append(handles, h)
@@ -271,19 +336,57 @@ func transcript(e engine, seed int64, cancel bool) string {
 			fmt.Fprintf(&log, "  stop h%d = %v pending %d\n", i, handles[i].Stop(), e.Pending())
 		}
 	}
+	touch := func() {
+		if len(slots) == 0 {
+			return
+		}
+		i := rng.Intn(len(slots))
+		if rng.Intn(2) == 0 {
+			for j := len(slots) - 1; j >= 0; j-- {
+				if slots[j].at == e.Now() {
+					i = j
+					break
+				}
+			}
+		}
+		sl := slots[i]
+		passed := sl.Passed()
+		where := "after"
+		if sl.at > e.Now() {
+			where = "before"
+		} else if sl.at == e.Now() {
+			where = "at"
+		}
+		seen[fmt.Sprintf("passed %v %s, %s", passed, where, phase)]++
+		fmt.Fprintf(&log, "  passed s%d = %v\n", i, passed)
+		if !passed && !sl.queued && rng.Intn(2) == 0 {
+			if where == "at" {
+				seen["queued at the slot's own instant"]++
+			}
+			fmt.Fprintf(&log, "  queue s%d #%d\n", i, nextID)
+			sl.Queue(fire(nextID))
+			sl.queued = true
+			nextID++
+		}
+	}
 	fire = func(id int) func() {
 		return func() {
+			phase = "in a callback"
 			fmt.Fprintf(&log, "run #%d at %d pending %d executed %d\n", id, e.Now(), e.Pending(), e.executed())
 			for n := rng.Intn(4); n > 0; n-- {
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					poke()
-				} else {
+				case 1:
+					touch()
+				default:
 					spawn()
 				}
 			}
 			if rng.Intn(40) == 0 {
 				log.WriteString("  Stop\n")
 				e.Stop()
+				phase = "after Stop"
 			}
 			fmt.Fprintf(&log, "  done pending %d\n", e.Pending())
 		}
@@ -291,6 +394,9 @@ func transcript(e engine, seed int64, cancel bool) string {
 
 	for i := 0; i < 64; i++ {
 		spawn()
+		if rng.Intn(4) == 0 {
+			touch()
+		}
 	}
 	for segment := 0; e.Pending() > 0; segment++ {
 		if segment > 10_000 {
@@ -300,8 +406,16 @@ func transcript(e engine, seed int64, cancel bool) string {
 		end := e.Run(horizon)
 		fmt.Fprintf(&log, "Run(%d) = %d now %d pending %d executed %d\n",
 			horizon, end, e.Now(), e.Pending(), e.executed())
+		if phase != "after Stop" {
+			phase = "after a drained Run"
+			if e.Pending() > 0 {
+				phase = "after a horizon return"
+			}
+		}
 		// Between runs: schedule at the current instant or later, cancel,
-		// and call Stop where it must have no effect on the next Run.
+		// read and queue slots, and call Stop where it must have no effect
+		// on the next Run.
+		touch()
 		switch rng.Intn(4) {
 		case 0:
 			spawn()
@@ -317,17 +431,13 @@ func transcript(e engine, seed int64, cancel bool) string {
 // checkAgainstReference runs the same operation streams on Sim and on the
 // reference scheduler and requires identical transcripts.
 // Every workload has to have run Sequences into Stop, into a horizon and
-// with n = 0.
+// with n = 0, and read slots before, at and after the clock in every phase.
 func checkAgainstReference(t *testing.T, cancel bool) {
 	t.Helper()
-	var seen refSched
+	seen := map[string]int{}
 	for seed := int64(1); seed <= 200; seed++ {
-		got := transcript(simEngine{New(seed)}, seed, cancel)
-		ref := &refSched{}
-		want := transcript(ref, seed, cancel)
-		seen.emptySeqs += ref.emptySeqs
-		seen.stoppedSeqs += ref.stoppedSeqs
-		seen.cutSeqs += ref.cutSeqs
+		got := transcript(simEngine{New(seed)}, seed, cancel, map[string]int{})
+		want := transcript(&refSched{seen: seen}, seed, cancel, seen)
 		if got == want {
 			continue
 		}
@@ -341,17 +451,29 @@ func checkAgainstReference(t *testing.T, cancel bool) {
 		}
 		t.Fatalf("seed %d: Sim transcript is a strict prefix of the reference's", seed)
 	}
-	if seen.emptySeqs == 0 || seen.stoppedSeqs == 0 || seen.cutSeqs == 0 {
-		t.Fatalf("the workload missed a Sequence case: %d empty, %d stopped part-run, %d cut by a horizon",
-			seen.emptySeqs, seen.stoppedSeqs, seen.cutSeqs)
+	cases := []string{
+		"empty sequence", "sequence stopped part-run", "sequence cut by a horizon",
+		"slot never queued", "queued at the slot's own instant",
+		"passed false at, before the first Run", "passed false before, before the first Run",
+	}
+	for _, phase := range []string{"in a callback", "after a horizon return", "after Stop"} {
+		cases = append(cases, "passed true after, "+phase, "passed false before, "+phase)
+	}
+	cases = append(cases, "passed true at, in a callback", "passed false at, in a callback",
+		"passed true at, after a horizon return", "passed true at, after Stop", "passed false at, after Stop")
+	for _, c := range cases {
+		if seen[c] == 0 {
+			t.Errorf("the workload never ran into %q; seen %v", c, seen)
+		}
 	}
 }
 
 // Property: for any stream of schedules through After, At, Schedule,
-// ScheduleAt, ScheduleTimer and Sequence — equal timestamps, zero delays,
-// children scheduled from callbacks, Stop mid-run, horizons on and between
-// events — Sim executes exactly what the reference scheduler does, in (time,
-// insertion) order, with the same clock, Pending, Executed and Run results.
+// ScheduleAt, ScheduleTimer, Sequence and Reserve — equal timestamps, zero
+// delays, children scheduled and slots queued from callbacks, Stop mid-run,
+// horizons on and between events — Sim executes exactly what the reference
+// scheduler does, in (time, insertion) order, with the same clock,
+// Pending, Executed, Slot.Passed and Run results.
 func TestPropertyEventOrdering(t *testing.T) { checkAgainstReference(t, false) }
 
 // Property: the same with timers cancelled at random — pending, already

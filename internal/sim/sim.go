@@ -15,7 +15,9 @@
 // Schedule/ScheduleAt additionally allocate their *Timer handle; hot paths
 // that never cancel should prefer At/After. Sequence queues a long
 // time-ordered run of callbacks one at a time, so the run neither deepens
-// the queue nor allocates per element.
+// the queue nor allocates per element. Reserve holds an event's place in
+// the order without queueing it, for a caller that learns only later
+// whether anything has to run there.
 //
 // A Sim is single-threaded. Parallelism lives one level up, where it is
 // deterministic for free: independent trials each own a Sim and run on
@@ -203,6 +205,11 @@ type Sim struct {
 	stopped bool
 	free    []*event // event pool
 
+	// passed bounds what execution has reached at now: keys (now, q) with
+	// q < passed. Run keeps it one past the running event's sequence
+	// number and raises it to seq on every return but Stop's.
+	passed uint64
+
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
 }
@@ -305,10 +312,10 @@ func (s *Sim) At(at Time, fn func()) {
 
 // push queues fn under the key (at, seq); it is the one insertion path. The
 // scheduling entry points pass s.seq, the next fresh number, which push then
-// advances; Sequence passes a number it reserved, which is below s.seq
-// already. Taking the bump inside push keeps each entry point at a single
-// call, and so ScheduleAt within the inlining budget: a caller that drops
-// its handle keeps the handle on its own stack.
+// advances; Sequence and Slot.Queue pass a number reserved earlier, which
+// is below s.seq already. Taking the bump inside push keeps each entry
+// point at a single call, and so ScheduleAt within the inlining budget: a
+// caller that drops its handle keeps the handle on its own stack.
 func (s *Sim) push(at Time, seq uint64, fn func()) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at=%v now=%v", at, s.now))
@@ -366,6 +373,49 @@ func (q *sequence) run() {
 	q.fn(i)
 }
 
+// Slot is a place in the event order taken by Reserve: the (time,
+// sequence) key an At call made at reservation time would have given its
+// event. The zero Slot has passed.
+type Slot struct {
+	s   *Sim
+	at  Time
+	seq uint64
+}
+
+// Reserve takes the key that At(at, ·) called now would get and queues
+// nothing. It consumes that sequence number, so every later key is the
+// one it would be had the At call been made. at in the past panics, as At
+// does.
+func (s *Sim) Reserve(at Time) Slot {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: reserve in the past: at=%v now=%v", at, s.now))
+	}
+	sl := Slot{s: s, at: at, seq: s.seq}
+	s.seq++
+	return sl
+}
+
+// Queue runs fn at the slot: exactly where the At call made at
+// reservation time would have run it. A slot takes one fn; queueing a
+// slot that has passed panics.
+func (sl Slot) Queue(fn func()) {
+	if sl.Passed() {
+		panic(fmt.Sprintf("sim: queue on a passed slot: at=%v", sl.at))
+	}
+	sl.s.push(sl.at, sl.seq, fn)
+}
+
+// Passed reports whether execution is at or beyond the slot: an event
+// queued there would have run, or would be running now. Between runs that
+// is everything up to the clock, unless the last Run ended by Stop.
+func (sl Slot) Passed() bool {
+	s := sl.s
+	if s == nil {
+		return true
+	}
+	return sl.at < s.now || sl.at == s.now && sl.seq < s.passed
+}
+
 // Stop makes Run return after the currently executing event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
@@ -381,10 +431,12 @@ func (s *Sim) Run(horizon Time) Time {
 		ev := s.queue[0]
 		if horizon > 0 && ev.at > horizon {
 			s.now = horizon
+			s.passed = s.seq
 			return s.now
 		}
 		heapPop(&s.queue)
 		s.now = ev.at
+		s.passed = ev.seq + 1
 		s.Executed++
 		fn := ev.fn
 		s.release(ev)
@@ -393,6 +445,7 @@ func (s *Sim) Run(horizon Time) Time {
 	if s.stopped {
 		return s.now
 	}
+	s.passed = s.seq
 	if horizon > 0 && s.now < horizon {
 		s.now = horizon
 	}

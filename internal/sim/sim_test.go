@@ -212,6 +212,35 @@ func TestSequencePastPanics(t *testing.T) {
 	}
 }
 
+// A slot in the past panics at Reserve, as At does; queueing a slot that
+// execution has passed panics at Queue, whether the slot's instant is over
+// or the clock is still at it.
+func TestSlotPanics(t *testing.T) {
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: no panic", what)
+			} else if !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: panic %q, want one containing %q", what, r, want)
+			}
+		}()
+		f()
+	}
+
+	s := New(1)
+	s.At(Second, func() {})
+	early, same := s.Reserve(Second/2), s.Reserve(Second)
+	s.Run(0)
+	mustPanic("reserve in the past", "in the past", func() { s.Reserve(Second - 1) })
+	mustPanic("queue after the slot's instant", "passed slot", func() { early.Queue(func() {}) })
+	mustPanic("queue at the slot's instant", "passed slot", func() { same.Queue(func() {}) })
+	mustPanic("queue the zero slot", "passed slot", func() { Slot{}.Queue(func() {}) })
+	if s.Pending() != 0 || s.Executed != 1 {
+		t.Errorf("Pending() = %d, Executed = %d after the refused calls, want 0 and 1", s.Pending(), s.Executed)
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	s := New(1)
 	defer func() {

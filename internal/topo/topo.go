@@ -112,6 +112,12 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 		if !okA || !okB {
 			return nil, fmt.Errorf("topo: link %s—%s references unknown switch", l.A, l.B)
 		}
+		if l.Delay < 0 {
+			return nil, fmt.Errorf("topo: link %s—%s has negative delay %v", l.A, l.B, l.Delay)
+		}
+		if l.RateBps < 0 {
+			return nil, fmt.Errorf("topo: link %s—%s has negative rate %v", l.A, l.B, l.RateBps)
+		}
 		pa, pb := alloc(l.A), alloc(l.B)
 		cfg := netsim.LinkConfig{Delay: l.Delay, RateBps: l.RateBps}
 		if cfg.RateBps == 0 {

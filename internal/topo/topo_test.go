@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"fancy/internal/fancy"
@@ -64,6 +65,15 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(s, Spec{Switches: []string{"A"},
 		Hosts: []HostSpec{{Name: "H", Attach: "ZZ"}}}); err == nil {
 		t.Error("host on unknown switch accepted")
+	}
+	// A negative delay or rate is an error here, not a panic in Connect.
+	for want, l := range map[string]LinkSpec{
+		"negative delay -1ns": {A: "A", B: "B", Delay: -1},
+		"negative rate -1":    {A: "A", B: "B", RateBps: -1},
+	} {
+		if _, err := Build(s, Spec{Switches: []string{"A", "B"}, Links: []LinkSpec{l}}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("link %+v: error %v, want one containing %q", l, err, want)
+		}
 	}
 }
 

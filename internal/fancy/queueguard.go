@@ -8,10 +8,13 @@ package fancy
 // FANcY's counter placement (after the upstream TM, before the downstream
 // one) already excludes local congestion drops; the guard matters for
 // remote sessions whose tagged packets cross other switches' queues. A
-// QueueGuard samples those queues and records congested windows; the
-// detector then discards any counting session overlapping one.
+// QueueGuard samples those queues and records congested windows per
+// direction; the detector then discards any counting session overlapping
+// one.
 
 import (
+	"fmt"
+
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
@@ -30,30 +33,39 @@ func (d *Detector) SetCongestionGuard(g CongestionGuard) { d.guard = g }
 // DiscardedSessions reports sessions dropped by the congestion guard.
 func (d *Detector) DiscardedSessions() uint64 { return d.discarded }
 
-// QueueGuard implements CongestionGuard by sampling transmit-queue depths
-// of watched link directions and remembering windows where any exceeded
-// the threshold.
+// QueueGuard samples the transmit-queue depth of every watched link
+// direction in one event per interval: the paper's one periodic read of
+// the queues on all devices.
 type QueueGuard struct {
 	s         *sim.Sim
 	threshold int
 	interval  sim.Time
 	sampleFn  func() // bound once so resampling does not allocate
 
-	watched []*netsim.LinkEnd
-	windows []guardWindow
+	watched []*QueueWatch
+}
 
-	Samples     uint64
-	OverSamples uint64
+// QueueWatch is one watched direction's record: the windows in which its
+// queue was deeper than the guard's threshold. It implements
+// CongestionGuard.
+type QueueWatch struct {
+	end         *netsim.LinkEnd
+	windows     []guardWindow
+	overSamples uint64
 }
 
 type guardWindow struct{ from, to sim.Time }
 
-// NewQueueGuard starts sampling every interval; queues deeper than
-// thresholdBytes taint the surrounding window (one interval of slack on
-// each side, since queues can have peaked between samples).
+// NewQueueGuard starts sampling every interval; a queue deeper than
+// thresholdBytes taints its direction's surrounding window (one interval
+// of slack on each side, since queues can have peaked between samples).
+// A non-positive interval or a negative threshold panics.
 func NewQueueGuard(s *sim.Sim, thresholdBytes int, interval sim.Time) *QueueGuard {
 	if interval <= 0 {
-		interval = 5 * sim.Millisecond
+		panic(fmt.Sprintf("fancy: queue guard interval %v must be positive", interval))
+	}
+	if thresholdBytes < 0 {
+		panic(fmt.Sprintf("fancy: queue guard threshold %d bytes is negative", thresholdBytes))
 	}
 	g := &QueueGuard{s: s, threshold: thresholdBytes, interval: interval}
 	g.sampleFn = g.sample
@@ -61,35 +73,34 @@ func NewQueueGuard(s *sim.Sim, thresholdBytes int, interval sim.Time) *QueueGuar
 	return g
 }
 
-// Watch adds a link direction to the sampled set.
-func (g *QueueGuard) Watch(end *netsim.LinkEnd) { g.watched = append(g.watched, end) }
+// Watch adds a link direction to the sampled set and returns its record.
+func (g *QueueGuard) Watch(end *netsim.LinkEnd) *QueueWatch {
+	w := &QueueWatch{end: end}
+	g.watched = append(g.watched, w)
+	return w
+}
 
 func (g *QueueGuard) sample() {
-	g.Samples++
-	over := false
-	for _, end := range g.watched {
-		if end.QueueDepthBytes() > g.threshold {
-			over = true
-			break
+	now := g.s.Now()
+	w := guardWindow{from: now - g.interval, to: now + g.interval}
+	for _, q := range g.watched {
+		if q.end.QueueDepthBytes() <= g.threshold {
+			continue
 		}
-	}
-	if over {
-		g.OverSamples++
-		now := g.s.Now()
-		w := guardWindow{from: now - g.interval, to: now + g.interval}
-		if n := len(g.windows); n > 0 && g.windows[n-1].to >= w.from {
-			g.windows[n-1].to = w.to // merge adjacent windows
+		q.overSamples++
+		if n := len(q.windows); n > 0 && q.windows[n-1].to >= w.from {
+			q.windows[n-1].to = w.to // merge adjacent windows
 		} else {
-			g.windows = append(g.windows, w)
+			q.windows = append(q.windows, w)
 		}
 	}
 	g.s.After(g.interval, g.sampleFn)
 }
 
 // Congested implements CongestionGuard.
-func (g *QueueGuard) Congested(_ int, from, to sim.Time) bool {
-	for i := len(g.windows) - 1; i >= 0; i-- {
-		w := g.windows[i]
+func (q *QueueWatch) Congested(_ int, from, to sim.Time) bool {
+	for i := len(q.windows) - 1; i >= 0; i-- {
+		w := q.windows[i]
 		if w.to < from {
 			return false // windows are time-ordered
 		}

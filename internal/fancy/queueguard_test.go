@@ -22,7 +22,7 @@ type guardBed struct {
 	a, b, c  *netsim.Switch
 	l1, l2   *netsim.Link
 	det      *Detector
-	guard    *QueueGuard
+	guard    *QueueWatch
 	events   []Event
 }
 
@@ -71,8 +71,7 @@ func newGuardBed(t *testing.T, seed int64) *guardBed {
 
 	// Guard: sample the bottleneck queue every millisecond; anything beyond
 	// 10 KB counts as congested.
-	gb.guard = NewQueueGuard(s, 10_000, sim.Millisecond)
-	gb.guard.Watch(gb.l2.AB)
+	gb.guard = NewQueueGuard(s, 10_000, sim.Millisecond).Watch(gb.l2.AB)
 	gb.det.SetCongestionGuard(gb.guard)
 	return gb
 }
@@ -117,7 +116,7 @@ func TestQueueGuardSuppressesCongestionFalsePositives(t *testing.T) {
 	if gb.l2.AB.Stats().CongestionDrops == 0 {
 		t.Fatal("burst did not overflow the bottleneck queue; test is vacuous")
 	}
-	if len(gb.guard.windows) == 0 || gb.guard.OverSamples == 0 {
+	if len(gb.guard.windows) == 0 || gb.guard.overSamples == 0 {
 		t.Fatal("guard never saw the congested queue")
 	}
 	if got := gb.det.DiscardedSessions(); got == 0 {

@@ -104,8 +104,7 @@ func TestQueueGuardWindows(t *testing.T) {
 	link := netsim.Connect(s, a, 0, b, 0, netsim.LinkConfig{Delay: 0, RateBps: 1e6, QueueBytes: 1 << 20})
 	b.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
 
-	g := NewQueueGuard(s, 10_000, 5*sim.Millisecond)
-	g.Watch(link.AB)
+	g := NewQueueGuard(s, 10_000, 5*sim.Millisecond).Watch(link.AB)
 
 	// Burst at t=1s: 100 KB into a 1 Mbps link ≈ 800 ms of backlog.
 	s.Schedule(sim.Second, func() {
@@ -148,8 +147,7 @@ func TestCongestionGuardDiscardsSessions(t *testing.T) {
 
 func TestCongestionGuardCleanWindowsStillDetect(t *testing.T) {
 	tb := newTestbed(t, testCfg, 32)
-	g := NewQueueGuard(tb.s, 1<<20, 5*sim.Millisecond) // nothing exceeds 1 MB
-	g.Watch(tb.link.AB)
+	g := NewQueueGuard(tb.s, 1<<20, 5*sim.Millisecond).Watch(tb.link.AB) // nothing exceeds 1 MB
 	tb.det.SetCongestionGuard(g)
 	tb.udp(10, 2e6, 0, 4*sim.Second)
 	tb.failEntries(1*sim.Second, 1.0, 10)

@@ -76,7 +76,7 @@ const (
 	flapWindow    = 5 * sim.Second
 	flapThreshold = 2
 
-	// guardInterval is the queue-sampling cadence of the per-link guards.
+	// guardInterval is the queue-sampling cadence of the fleet's guard.
 	guardInterval = 5 * sim.Millisecond
 )
 
@@ -92,7 +92,7 @@ type Config struct {
 	Window sim.Time
 
 	// CongestionBytes is the per-direction transmit-queue depth above
-	// which the link's queue guard marks the surrounding window congested
+	// which the fleet's queue guard marks the surrounding window congested
 	// (suppressing gray verdicts, §4.3 footnote 2). Default 256 KB;
 	// negative disables congestion guarding.
 	CongestionBytes int
@@ -181,7 +181,7 @@ type linkState struct {
 	dl    topo.DirectedLink
 	key   string // "from->to"
 	port  int    // monitored egress port at dl.From
-	guard *fancy.QueueGuard
+	guard *fancy.QueueWatch
 
 	verdictTimer sim.Timer
 
@@ -321,15 +321,20 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		f.Detectors[dl.From].MonitorPort(port)
 		f.Detectors[dl.To].ListenPort(net.PortOf[dl.To][dl.From])
 		ls := &linkState{dl: dl, key: dl.String(), port: port}
-		if cfg.CongestionBytes >= 0 {
-			ls.guard = fancy.NewQueueGuard(s, cfg.CongestionBytes, guardInterval)
-			ls.guard.Watch(net.Direction(dl.From, dl.To))
-		}
 		f.links[ls.key] = ls
 		f.order = append(f.order, ls.key)
 		f.portLink[dl.From][port] = ls
 	}
 	sort.Strings(f.order)
+	if cfg.CongestionBytes >= 0 {
+		// One sampler for every direction, queued after the monitors'
+		// first sessions (DESIGN.md §11).
+		g := fancy.NewQueueGuard(s, cfg.CongestionBytes, guardInterval)
+		for _, key := range f.order {
+			ls := f.links[key]
+			ls.guard = g.Watch(net.Direction(ls.dl.From, ls.dl.To))
+		}
+	}
 	f.corrState.alloc()
 	// One management agent per switch; detector events flow into the agent
 	// and from there over the management plane into the correlator.

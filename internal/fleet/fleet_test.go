@@ -228,6 +228,27 @@ func TestCongestionSuppressed(t *testing.T) {
 	}
 }
 
+// TestFleetGuardOneEventPerInterval: the congestion guard costs the fleet
+// one event per guard interval, however many directions it watches — 200
+// in a simulated second, not one per directed link (5 600 on Abilene).
+func TestFleetGuardOneEventPerInterval(t *testing.T) {
+	executed := func(congestionBytes int) uint64 {
+		cfg := fleetCfg(entry)
+		cfg.CongestionBytes = congestionBytes
+		r := start(t, Trial{
+			Seed: 22, Config: cfg, Duration: sim.Second,
+			Spec:   abileneSpec("seattle", "sunnyvale"),
+			Routes: map[netsim.EntryID]string{entry: "h-sunnyvale"},
+			Flows:  []Flow{{From: "h-seattle", Entry: entry, RateBps: 2e6}},
+		})
+		r.Finish()
+		return r.Sim.Executed
+	}
+	if got := executed(0) - executed(-1); got != uint64(sim.Second/guardInterval) {
+		t.Fatalf("the guard ran %d events in 1 s, want one per %v: %d", got, guardInterval, sim.Second/guardInterval)
+	}
+}
+
 // TestFlappingSuppressed: a flapping link is classified as flapping and its
 // counter-mismatch alarms are not misreported as a gray failure.
 func TestFlappingSuppressed(t *testing.T) {

@@ -66,8 +66,8 @@ const (
 	// EventRerouteHeld: no safe next hop exists right now; the flip is
 	// parked and re-checked as the forwarding state evolves.
 	EventRerouteHeld
-	// EventVerifyFallback: a commit went through unverified — the verifier
-	// is unavailable, errored, or a degraded agent rerouted autonomously.
+	// EventVerifyFallback: a commit went through unverified — the model
+	// could not evaluate it, or a degraded agent rerouted autonomously.
 	EventVerifyFallback
 )
 

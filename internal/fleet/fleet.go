@@ -266,7 +266,6 @@ type Fleet struct {
 	// Verified-commit gate (populated only with Config.Verify; see
 	// internal/fleet/verify.go).
 	verifier    *verify.Model
-	verifyDown  bool             // verify-unavailable fallback engaged
 	verifySeen  map[string]uint8 // decision key → outcome, indexes verifyLog
 	verifyTimer sim.Timer
 

@@ -29,7 +29,7 @@ func (a *switchAgent) onHHReport(port int, frame []byte) {
 	}
 	alloc, ok := a.hhAlloc[port]
 	if !ok {
-		alloc = hh.NewAllocator(hh.AllocPolicy{Capacity: a.f.cfg.HH.DynamicSlots}, a.f.cfg.Fancy.HighPriority)
+		alloc = hh.NewAllocator(a.f.cfg.HH.DynamicSlots, a.f.cfg.Fancy.HighPriority)
 		a.hhAlloc[port] = alloc
 	}
 	det := a.f.Detectors[a.sw]

@@ -45,7 +45,7 @@ func hotLineTrial(seed int64, cfg Config, stop, duration sim.Time) Trial {
 // is then detected at dedicated-counter speed, and once the flow stops
 // the slot is demoted and returned.
 func TestHHFleetPromoteDetectDemote(t *testing.T) {
-	// Heavy flow from t=0; with 100 ms digests and PromoteAfter=2 the
+	// Heavy flow from t=0; with 100 ms digests and promoteAfter=2 the
 	// B->C agent promotes it by ~300 ms, well before the failure.
 	r := start(t, hotLineTrial(21, hhFleetCfg(2), 1500*sim.Millisecond, 1200*sim.Millisecond))
 	f, s := r.Fleet, r.Sim
@@ -91,7 +91,7 @@ func TestHHFleetPromoteDetectDemote(t *testing.T) {
 		t.Fatal("Report() lacks the hh-alloc line")
 	}
 
-	// The flow stops at 1.5 s; DemoteAfter=3 empty digests later every
+	// The flow stops at 1.5 s; demoteAfter=3 empty digests later every
 	// agent lets go of the slot.
 	s.Run(2500 * sim.Millisecond)
 	if _, ok := f.Detectors["B"].Promoted(bPort, hot); ok {

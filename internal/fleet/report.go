@@ -75,9 +75,8 @@ type Snapshot struct {
 	// Verified-commit gate (populated only with Config.Verify).
 	VerifyEnabled     bool
 	Verify            VerifyStats
-	VerifyHeldPending int  // flips currently parked on the hold-and-retry list
-	VerifyAtoms       int  // atoms in the forwarding model
-	VerifyUnavailable bool // verify-unavailable fallback engaged
+	VerifyHeldPending int // flips currently parked on the hold-and-retry list
+	VerifyAtoms       int // atoms in the forwarding model
 
 	// Management plane (populated only when the fleet runs over a
 	// simulated management network).
@@ -191,7 +190,6 @@ func (f *Fleet) Snapshot() Snapshot {
 		snap.Verify = f.Verify
 		snap.VerifyHeldPending = len(f.verifyHeld)
 		snap.VerifyAtoms = f.verifier.Atoms()
-		snap.VerifyUnavailable = f.verifyDown
 	}
 	return snap
 }
@@ -212,12 +210,8 @@ func (s Snapshot) Report() string {
 			s.HH.DecodeErrors, s.HH.ApplyErrors)
 	}
 	if s.VerifyEnabled {
-		avail := "on"
-		if s.VerifyUnavailable {
-			avail = "UNAVAILABLE"
-		}
-		fmt.Fprintf(&b, "  verify: %s checked=%d committed=%d rejected=%d repaired=%d held=%d retries=%d abandoned=%d fallbacks=%d errors=%d atoms-checked=%d pending-holds=%d model-atoms=%d\n",
-			avail, s.Verify.Checked, s.Verify.Committed, s.Verify.Rejected,
+		fmt.Fprintf(&b, "  verify: on checked=%d committed=%d rejected=%d repaired=%d held=%d retries=%d abandoned=%d fallbacks=%d errors=%d atoms-checked=%d pending-holds=%d model-atoms=%d\n",
+			s.Verify.Checked, s.Verify.Committed, s.Verify.Rejected,
 			s.Verify.Repaired, s.Verify.Held, s.Verify.Retries, s.Verify.Abandoned,
 			s.Verify.Fallbacks, s.Verify.Errors, s.Verify.AtomsChecked,
 			s.VerifyHeldPending, s.VerifyAtoms)

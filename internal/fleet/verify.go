@@ -13,10 +13,9 @@ package fleet
 // Graceful degradation is the design anchor — verification must never make
 // recovery strictly worse than not having it:
 //
-//   - SetVerifierAvailable(false) enters verify-unavailable fallback:
-//     commits revert to today's unverified behavior, counted and logged.
 //   - A model error (e.g. a prefix installed after the model snapshot)
-//     degrades that one commit to the same fallback.
+//     degrades that one commit to the unverified behavior, counted and
+//     logged.
 //   - Degraded-mode local protection bypasses the gate by design — the
 //     agent cannot reach the correlator — and its reroutes are checked
 //     when the report arrives at handback: a safe one is adopted into the
@@ -88,19 +87,8 @@ type VerifyStats struct {
 	Held         uint64 // rejections parked for hold-and-retry
 	Retries      uint64 // hold-and-retry passes over parked flips
 	Abandoned    uint64 // parked flips dropped after MaxRetries
-	Fallbacks    uint64 // unverified commits (gate down, error, degraded)
+	Fallbacks    uint64 // unverified commits (model error, degraded)
 	Errors       uint64 // model errors (treated as per-commit fallback)
-}
-
-// SetVerifierAvailable toggles the gate's verifier. While unavailable,
-// commits fall back to today's unverified behavior — counted in
-// VerifyStats.Fallbacks and still synced into the model — so verification
-// can never make recovery strictly worse. No-op without Config.Verify.
-func (f *Fleet) SetVerifierAvailable(ok bool) {
-	if f.verifier == nil {
-		return
-	}
-	f.verifyDown = !ok
 }
 
 // Verifier exposes the gate's forwarding model (nil without Config.Verify),
@@ -162,10 +150,6 @@ func (f *Fleet) gateEntry(ls *linkState, app *reroute.App, entry netsim.EntryID)
 		}
 		return
 	}
-	if f.verifyDown {
-		f.fallbackCommit(ls, entry, route.Backup, key, "verifier unavailable")
-		return
-	}
 	f.tryCommit(ls, app, entry, key, true)
 }
 
@@ -182,9 +166,6 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 	d := f.entryDelta(ls, entry, route.Backup)
 	v, err := f.verifier.Check(d)
 	if err != nil {
-		// The model cannot evaluate this flip (e.g. the prefix was
-		// installed after the model snapshot): degrade this one commit to
-		// the unverified behavior rather than blocking recovery.
 		f.Verify.Errors++
 		f.fallbackCommit(ls, entry, route.Backup, key, "verifier error: "+err.Error())
 		return true
@@ -249,22 +230,15 @@ func (f *Fleet) repairCandidates(ls *linkState, route *netsim.Route) []int {
 	return out
 }
 
-// fallbackCommit is the verify-unavailable path: commit unverified exactly
-// as the ungated fleet would, but keep the model in sync and the decision
-// replicated so the gate resumes from true state.
+// fallbackCommit is the model-error path: the model cannot evaluate the
+// flip (e.g. its prefix was installed after the model snapshot), so it
+// commits unverified exactly as the ungated fleet would rather than block
+// recovery. The model cannot hold the flip either, so it stays as it was
+// and the replicated decision carries no frame.
 func (f *Fleet) fallbackCommit(ls *linkState, entry netsim.EntryID, port int, key, why string) {
-	d := f.entryDelta(ls, entry, port)
-	if _, err := f.verifier.Commit(d); err != nil {
-		f.Verify.Errors++
-		d = nil
-	}
 	f.Verify.Fallbacks++
 	f.emit(Event{Time: f.S.Now(), Kind: EventVerifyFallback, Link: ls.key, Entry: entry, Detail: why})
-	dec := VerifyDecision{Key: key, Outcome: verifyFallback}
-	if d != nil {
-		dec.Frame = verify.EncodeDelta(d)
-	}
-	f.record(dec)
+	f.record(VerifyDecision{Key: key, Outcome: verifyFallback})
 	f.command(ls.dl.From, repairCmd{Port: ls.port, Entry: entry, Backup: port})
 }
 
@@ -351,8 +325,8 @@ func (f *Fleet) verifyRetryTick() {
 // syncDegradedReroute settles an agent's autonomous reroute at handback.
 // Degraded-mode local protection bypasses the gate by design — the agent
 // cannot reach the correlator, and protection must not wait — so the flip is
-// checked when its report arrives. A safe flip is a verify-unavailable
-// fallback, adopted into the model as made. An unsafe one is refused like a
+// checked when its report arrives. A safe flip is an unverified fallback,
+// adopted into the model as made. An unsafe one is refused like a
 // gate rejection: logged as rejected, so a takeover meets the refusal again,
 // and the agent is commanded back to its primary next hop. seen is the
 // report's rerouteSeen key.

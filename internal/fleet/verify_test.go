@@ -4,7 +4,7 @@ package fleet
 // flips are rejected and repaired via an alternate next hop, unrepairable
 // flips hold until a conflicting reroute rolls back, the gate survives
 // correlator crash/restart and leader failover without double-committing,
-// and verify-unavailable fallback preserves the unverified behavior.
+// and a flip the model cannot evaluate falls back to the unverified behavior.
 
 import (
 	"strings"
@@ -216,30 +216,29 @@ func TestVerifiedAbandonAfterRetries(t *testing.T) {
 	}
 }
 
-// TestVerifyFallbackUnavailable: with the verifier marked unavailable the
-// gate must not block recovery — the commit goes through unverified, is
-// counted as a fallback, and the model stays in sync for when verification
-// resumes.
-func TestVerifyFallbackUnavailable(t *testing.T) {
-	r := start(t, grayTrial(42, seattleSunnyvale, verifiedCfg(entry), 2*sim.Second, 8*sim.Second))
+// TestVerifyFallbackModelError: a flip the model cannot evaluate — the
+// protected prefix is installed after the model snapshot — must not block
+// recovery. The commit goes through unverified, counted as one model error
+// and one fallback, and the model keeps the state it can hold.
+func TestVerifyFallbackModelError(t *testing.T) {
+	tr := grayTrial(42, seattleSunnyvale, verifiedCfg(entry), 2*sim.Second, 8*sim.Second)
+	tr.Routes = nil // the entry's only route is the protection, installed after New
+	r := start(t, tr)
 	f := r.Fleet
-	f.SetVerifierAvailable(false)
 	r.Finish()
 
 	if !f.Rerouted("seattle", entry) {
-		t.Fatal("fallback mode blocked the reroute — verification made recovery worse")
+		t.Fatal("model error blocked the reroute — verification made recovery worse")
 	}
-	if f.Verify.Fallbacks != 1 || f.Verify.Checked != 0 {
-		t.Fatalf("gate stats %+v, want one unchecked fallback commit", f.Verify)
+	if f.Verify.Errors != 1 || f.Verify.Fallbacks != 1 || f.Verify.Checked != 0 || f.Verify.Committed != 0 {
+		t.Fatalf("gate stats %+v, want one model error committed as one unchecked fallback", f.Verify)
 	}
-	if !hasEvent(f, EventVerifyFallback, "unavailable") {
-		t.Fatal("no verify-fallback event")
+	if !hasEvent(f, EventVerifyFallback, "model predates it") {
+		t.Fatal("no verify-fallback event naming the model error")
 	}
-	if !f.Snapshot().VerifyUnavailable {
-		t.Fatal("snapshot does not flag the unavailable verifier")
+	if got := f.Snapshot().Report(); !strings.Contains(got, "verify: on ") || !strings.Contains(got, "fallbacks=1 errors=1") {
+		t.Fatalf("report does not show the fallback:\n%s", got)
 	}
-	// The model tracked the unverified commit: the audit sees the diverted
-	// state, not the stale pre-commit one.
 	if audit := f.Verifier().Audit(); !audit.Safe() {
 		t.Fatalf("model out of sync after fallback: %s", audit)
 	}

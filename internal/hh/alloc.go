@@ -6,30 +6,16 @@ import (
 	"fancy/internal/netsim"
 )
 
-// AllocPolicy tunes the counter-allocation controller. The hysteresis pair
-// (PromoteAfter, DemoteAfter) is the flap damper: a prefix must be hot in
-// PromoteAfter consecutive reports to earn a dedicated counter and absent
-// from DemoteAfter consecutive reports to lose it, so a prefix oscillating
+// The controller's hysteresis is fixed; no experiment varies it. The pair
+// (promoteAfter, demoteAfter) is the flap damper: a prefix must be hot in
+// promoteAfter consecutive reports to earn a dedicated counter and absent
+// from demoteAfter consecutive reports to lose it, so a prefix oscillating
 // around the top-k boundary cannot churn the dedicated table every window.
-type AllocPolicy struct {
-	Capacity     int    // dynamic dedicated slots available on the port
-	PromoteAfter int    // consecutive hot reports before promotion (default 2)
-	DemoteAfter  int    // consecutive absent reports before demotion (default 3)
-	MinCount     uint32 // ignore reported prefixes below this window count (default 2)
-}
-
-func (p AllocPolicy) withDefaults() AllocPolicy {
-	if p.PromoteAfter <= 0 {
-		p.PromoteAfter = 2
-	}
-	if p.DemoteAfter <= 0 {
-		p.DemoteAfter = 3
-	}
-	if p.MinCount == 0 {
-		p.MinCount = 2
-	}
-	return p
-}
+const (
+	promoteAfter = 2 // consecutive hot reports before promotion
+	demoteAfter  = 3 // consecutive absent reports before demotion
+	minCount     = 2 // reported prefixes below this window count are ignored
+)
 
 // ActionKind discriminates allocator decisions.
 type ActionKind uint8
@@ -53,7 +39,7 @@ type AllocStats struct {
 	Reports         uint64 // reports ingested
 	Promotions      uint64
 	Demotions       uint64
-	FlapsSuppressed uint64 // cold streaks broken before DemoteAfter fired
+	FlapsSuppressed uint64 // cold streaks broken before demoteAfter fired
 	Deferred        uint64 // promotion-ready prefixes parked on a full table
 	EpochResets     uint64 // detector restarts that wiped the dynamic table
 }
@@ -64,7 +50,7 @@ type AllocStats struct {
 // order and promotion priority follows the report's canonical
 // heaviest-first order.
 type Allocator struct {
-	policy AllocPolicy
+	capacity int // dynamic dedicated slots available on the port
 	// pinned prefixes hold static (Table 3) dedicated counters already;
 	// the controller never manages them.
 	pinned map[netsim.EntryID]bool
@@ -82,11 +68,12 @@ type Allocator struct {
 	keys    []netsim.EntryID
 }
 
-// NewAllocator builds a controller for one port. pinned lists the
-// statically assigned high-priority prefixes.
-func NewAllocator(policy AllocPolicy, pinned []netsim.EntryID) *Allocator {
+// NewAllocator builds a controller for one port with capacity dynamic
+// dedicated slots. pinned lists the statically assigned high-priority
+// prefixes.
+func NewAllocator(capacity int, pinned []netsim.EntryID) *Allocator {
 	a := &Allocator{
-		policy:    policy.withDefaults(),
+		capacity:  capacity,
 		pinned:    make(map[netsim.EntryID]bool, len(pinned)),
 		hot:       make(map[netsim.EntryID]int),
 		allocated: make(map[netsim.EntryID]int),
@@ -131,7 +118,7 @@ func (a *Allocator) Ingest(rep *Report) []Action {
 	present := a.present
 	clear(present)
 	for _, ec := range rep.Entries {
-		if ec.Count >= a.policy.MinCount && !a.pinned[ec.Entry] {
+		if ec.Count >= minCount && !a.pinned[ec.Entry] {
 			present[ec.Entry] = ec.Count
 		}
 	}
@@ -149,7 +136,7 @@ func (a *Allocator) Ingest(rep *Report) []Action {
 			continue
 		}
 		a.allocated[e]++
-		if a.allocated[e] >= a.policy.DemoteAfter {
+		if a.allocated[e] >= demoteAfter {
 			delete(a.allocated, e)
 			a.stats.Demotions++
 			actions = append(actions, Action{Kind: Demote, Entry: e})
@@ -160,16 +147,16 @@ func (a *Allocator) Ingest(rep *Report) []Action {
 	// resolved toward the bigger prefix.
 	for _, ec := range rep.Entries {
 		if _, ok := present[ec.Entry]; !ok {
-			continue // pinned or under MinCount
+			continue // pinned or under minCount
 		}
 		if _, ok := a.allocated[ec.Entry]; ok {
 			continue
 		}
 		a.hot[ec.Entry]++
-		if a.hot[ec.Entry] < a.policy.PromoteAfter {
+		if a.hot[ec.Entry] < promoteAfter {
 			continue
 		}
-		if len(a.allocated) >= a.policy.Capacity {
+		if len(a.allocated) >= a.capacity {
 			// Keep the streak: the prefix promotes the moment a slot
 			// frees up.
 			a.stats.Deferred++

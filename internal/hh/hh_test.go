@@ -159,16 +159,18 @@ func TestTopKCanonicalOrder(t *testing.T) {
 
 // TestReportLoopDoesNotAllocate pins the steady state of one port's report
 // loop with warmed buffers: top-k into a reused slice, encode into a reused
-// frame, decode into a reused Report, and an Ingest that decides nothing.
+// frame, decode into a reused Report, and an Ingest that decides nothing
+// once warm-up has promoted the four heaviest prefixes.
 func TestReportLoopDoesNotAllocate(t *testing.T) {
 	sk := NewSketch(Params{Seed: 3})
 	stream := zipfStream(4, 200, 2000)
-	alloc := NewAllocator(AllocPolicy{Capacity: 4, PromoteAfter: 1000, DemoteAfter: 1000}, []netsim.EntryID{1})
+	alloc := NewAllocator(4, []netsim.EntryID{1})
 	var (
-		top   []EntryCount
-		frame []byte
-		rep   Report
-		seq   uint32
+		top    []EntryCount
+		frame  []byte
+		rep    Report
+		seq    uint32
+		steady bool
 	)
 	loop := func() {
 		for _, e := range stream {
@@ -182,13 +184,17 @@ func TestReportLoopDoesNotAllocate(t *testing.T) {
 		if err := DecodeReportInto(&rep, frame); err != nil {
 			t.Fatal(err)
 		}
-		if acts := alloc.Ingest(&rep); len(acts) != 0 {
+		if acts := alloc.Ingest(&rep); steady && len(acts) != 0 {
 			t.Fatalf("unexpected actions %v", acts)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		loop()
 	}
+	if st := alloc.Stats(); st.Promotions != 4 || st.Deferred == 0 {
+		t.Fatalf("warm-up stats %+v, want four promotions and a full table deferring the rest", st)
+	}
+	steady = true
 	if avg := testing.AllocsPerRun(50, loop); avg != 0 {
 		t.Errorf("a warmed report loop allocates %.2f objects, want 0", avg)
 	}

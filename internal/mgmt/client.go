@@ -43,7 +43,6 @@ type Client struct {
 	lastProbeAck uint64 // highest probe id ever acknowledged
 	inflight     map[uint64]*pendingReport
 	spool        []spooled // seq-ordered reports awaiting a reachable server
-	spoolLimit   int
 
 	online bool
 	misses int // consecutive unacked probes/reports
@@ -92,7 +91,7 @@ type spooled struct {
 func NewClient(s *sim.Sim, net *Network, name, srv string) *Client {
 	c := &Client{
 		s: s, net: net, name: name, srv: srv,
-		nextSeq: 1, online: true, spoolLimit: net.cfg.SpoolLimit,
+		nextSeq: 1, online: true,
 		inflight: make(map[uint64]*pendingReport),
 	}
 	c.heartbeatFn = c.heartbeat
@@ -221,7 +220,7 @@ func (c *Client) park(seq uint64, payload any) {
 	c.spool = append(c.spool, spooled{})
 	copy(c.spool[i+1:], c.spool[i:])
 	c.spool[i] = spooled{seq: seq, payload: payload}
-	if len(c.spool) > c.spoolLimit {
+	if len(c.spool) > spoolLimit {
 		c.spool = c.spool[1:]
 		c.Stats.SpoolDrops++
 	}

@@ -6,9 +6,9 @@
 // management planes are IP networks that degrade exactly when the data
 // plane does: reports are lost, delayed, duplicated and reordered, and
 // whole sites are partitioned away from the NOC. This package models that
-// channel with the same seed-deterministic knob vocabulary as
-// netsim.Chaos (loss, duplication, jitter, down/up partition windows) and
-// layers a small reliable protocol on top:
+// channel with seed-deterministic loss, duplication and jitter plus
+// partitions that cut a site off until healed, and layers a small reliable
+// protocol on top:
 //
 //   - Client (switch side): sequence-numbered reports with per-attempt
 //     timeouts and bounded retries under exponential backoff + jitter,
@@ -28,12 +28,11 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
 
-// Config is the management network's weather plus the one protocol bound a
-// caller sizes. The zero value is a perfect, near-instant network.
+// Config is the management network's weather. The zero value is a perfect,
+// near-instant network.
 type Config struct {
 	// Delay is the base one-way datagram delay (default 500 µs).
 	Delay sim.Time
@@ -44,11 +43,6 @@ type Config struct {
 	// Duplicate is the per-datagram probability of delivering a second
 	// copy within dupDelayMax of the original.
 	Duplicate float64
-
-	// SpoolLimit bounds the offline spool (default 512 reports); overflow
-	// evicts the oldest report, which the server will observe as a
-	// sequence hole.
-	SpoolLimit int
 }
 
 // The reliability protocol's timing is fixed; no scenario varies it (the
@@ -68,6 +62,9 @@ const (
 	// exhausted report is parked in the spool rather than silently lost; an
 	// exhausted RPC fails with an error.
 	maxAttempts = 5
+	// spoolLimit bounds the offline spool; overflow evicts the oldest
+	// report, which the server will observe as a sequence hole.
+	spoolLimit = 512
 
 	// HeartbeatInterval is the client's liveness-probe cadence and the
 	// replica group's tick; offlineAfter consecutive unacknowledged probes
@@ -86,9 +83,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Delay == 0 {
 		c.Delay = 500 * sim.Microsecond
-	}
-	if c.SpoolLimit == 0 {
-		c.SpoolLimit = 512
 	}
 	return c
 }
@@ -130,7 +124,7 @@ type NetStats struct {
 	Delivered      uint64
 	Lost           uint64 // random loss
 	Duplicated     uint64 // extra copies delivered
-	PartitionDrops uint64 // dropped by a partition (static chaos window or dynamic)
+	PartitionDrops uint64 // dropped by a partition
 }
 
 // Network is the lossy management fabric. Endpoints register by name; any
@@ -163,8 +157,8 @@ type fabric interface {
 
 // FaultHook decides datagram fates in place of the network's draws, so a
 // test can script what happens to one chosen message. Fate sees every
-// datagram that passed the partition check, with the loss probability and
-// jitter bound in effect after chaos windows. It returns whether to drop
+// datagram that passed the partition check, with the configured loss
+// probability and jitter bound. It returns whether to drop
 // the datagram, the extra delay on top of Config.Delay, and, if positive,
 // how long after the original a duplicate lands. Retransmission backoff
 // keeps drawing from the pair streams either way.
@@ -183,12 +177,8 @@ type endpoint struct {
 	name        string
 	id          int // creation order, the index into Network.streams
 	handler     func(Dgram)
-	partitioned bool          // dynamically cut off (Partition/Heal)
-	chaos       *netsim.Chaos // windowed impairments, nil without SetChaos
+	partitioned bool // cut off by Partition until Heal
 }
-
-// cut reports whether the endpoint is off the network at now.
-func (e *endpoint) cut(now sim.Time) bool { return e.partitioned || e.chaos.DownAt(now) }
 
 // flight is one datagram in flight. The network owns the record: deliver
 // fills it, land puts it back on the free list, fn is land bound once — so
@@ -224,14 +214,6 @@ func (n *Network) Partition(name string) { n.ep(name).partitioned = true }
 // Heal reconnects a previously partitioned endpoint.
 func (n *Network) Heal(name string) { n.ep(name).partitioned = false }
 
-// SetChaos attaches a netsim.Chaos schedule to an endpoint: its
-// DownFor/UpFor window flaps the endpoint's management connectivity, its
-// CorruptData probability acts as extra datagram loss (a management
-// datagram with a corrupted payload is discarded whole), and
-// Reorder/JitterMax add extra delivery jitter — the same knob semantics
-// the data plane's chaos injector uses, applied at the management layer.
-func (n *Network) SetChaos(name string, c *netsim.Chaos) { n.ep(name).chaos = c }
-
 // stream is the from→to pair's generator, derived from the pair label on
 // its first draw and kept for the network's life. Deriving is pure, so when
 // a pair first draws does not change what it draws. A sender's row starts
@@ -265,33 +247,17 @@ func (n *Network) backoff(from, to string, attempt int) sim.Time {
 // for a later event; Send itself never invokes the receiver synchronously.
 func (n *Network) Send(d Dgram) {
 	n.Stats.Sent++
-	now := n.s.Now()
 	from, to := n.ep(d.From), n.ep(d.To)
-	if from.cut(now) || to.cut(now) {
+	if from.partitioned || to.partitioned {
 		n.Stats.PartitionDrops++
-		if from.chaos.DownAt(now) {
-			from.chaos.Stats.FlapDrops++
-		} else if to.chaos.DownAt(now) {
-			to.chaos.Stats.FlapDrops++
-		}
 		return
-	}
-	loss := n.cfg.Loss
-	jitterMax := n.cfg.Jitter
-	for _, c := range [2]*netsim.Chaos{from.chaos, to.chaos} {
-		if c.ActiveAt(now) {
-			loss = 1 - (1-loss)*(1-c.CorruptData)
-			if c.JitterMax > jitterMax {
-				jitterMax = c.JitterMax
-			}
-		}
 	}
 	var drop bool
 	var extra, dup sim.Time
 	if n.hook != nil {
-		drop, extra, dup = n.hook.Fate(d, loss, jitterMax)
-	} else if loss > 0 || jitterMax > 0 || n.cfg.Duplicate > 0 {
-		drop, extra, dup = n.draw(n.stream(from, to), loss, jitterMax)
+		drop, extra, dup = n.hook.Fate(d, n.cfg.Loss, n.cfg.Jitter)
+	} else if n.cfg.Loss > 0 || n.cfg.Jitter > 0 || n.cfg.Duplicate > 0 {
+		drop, extra, dup = n.draw(n.stream(from, to))
 	}
 	if drop {
 		n.Stats.Lost++
@@ -307,12 +273,12 @@ func (n *Network) Send(d Dgram) {
 
 // draw is a datagram's fate from its pair's stream, in the order every seed
 // replays: loss, jitter, then duplication and the duplicate's lag.
-func (n *Network) draw(r *rand.Rand, loss float64, jitterMax sim.Time) (drop bool, extra, dup sim.Time) {
-	if loss > 0 && r.Float64() < loss {
+func (n *Network) draw(r *rand.Rand) (drop bool, extra, dup sim.Time) {
+	if n.cfg.Loss > 0 && r.Float64() < n.cfg.Loss {
 		return true, 0, 0
 	}
-	if jitterMax > 0 {
-		extra = sim.Time(r.Int64N(int64(jitterMax)))
+	if n.cfg.Jitter > 0 {
+		extra = sim.Time(r.Int64N(int64(n.cfg.Jitter)))
 	}
 	if n.cfg.Duplicate > 0 && r.Float64() < n.cfg.Duplicate {
 		dup = 1 + sim.Time(r.Int64N(int64(dupDelayMax)))
@@ -339,7 +305,7 @@ func (f *flight) land() {
 	n, to, d := f.n, f.to, f.d
 	f.d = Dgram{}
 	n.free = append(n.free, f)
-	if to.cut(n.s.Now()) { // partition started while in flight
+	if to.partitioned { // partition started while in flight
 		n.Stats.PartitionDrops++
 		return
 	}

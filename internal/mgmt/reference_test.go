@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
 
@@ -24,7 +23,6 @@ type closureNet struct {
 	handlers    map[string]func(Dgram)
 	rngs        map[string]*rand.Rand
 	partitioned map[string]bool
-	chaos       map[string]*netsim.Chaos
 
 	Stats NetStats
 }
@@ -35,21 +33,13 @@ func newClosureNet(s *sim.Sim, cfg Config) *closureNet {
 		handlers:    make(map[string]func(Dgram)),
 		rngs:        make(map[string]*rand.Rand),
 		partitioned: make(map[string]bool),
-		chaos:       make(map[string]*netsim.Chaos),
 	}
 }
 
 func (n *closureNet) Register(name string, handler func(Dgram)) { n.handlers[name] = handler }
 func (n *closureNet) Partition(name string)                     { n.partitioned[name] = true }
 func (n *closureNet) Heal(name string)                          { delete(n.partitioned, name) }
-func (n *closureNet) SetChaos(name string, c *netsim.Chaos)     { n.chaos[name] = c }
-
-func (n *closureNet) Partitioned(name string) bool {
-	if n.partitioned[name] {
-		return true
-	}
-	return n.chaos[name].DownAt(n.s.Now())
-}
+func (n *closureNet) Partitioned(name string) bool              { return n.partitioned[name] }
 
 // rng is the pair's stream from the constructor Network uses, so both
 // networks make the same draws by construction.
@@ -69,34 +59,18 @@ func (n *closureNet) backoff(from, to string, attempt int) sim.Time {
 
 func (n *closureNet) Send(d Dgram) {
 	n.Stats.Sent++
-	now := n.s.Now()
 	if n.Partitioned(d.From) || n.Partitioned(d.To) {
 		n.Stats.PartitionDrops++
-		if c := n.chaos[d.From]; c.DownAt(now) {
-			c.Stats.FlapDrops++
-		} else if c := n.chaos[d.To]; c.DownAt(now) {
-			c.Stats.FlapDrops++
-		}
 		return
 	}
 	rng := n.rng(d.From, d.To)
-	loss := n.cfg.Loss
-	jitterMax := n.cfg.Jitter
-	for _, c := range []*netsim.Chaos{n.chaos[d.From], n.chaos[d.To]} {
-		if c != nil && c.ActiveAt(now) {
-			loss = 1 - (1-loss)*(1-c.CorruptData)
-			if c.JitterMax > jitterMax {
-				jitterMax = c.JitterMax
-			}
-		}
-	}
-	if loss > 0 && rng.Float64() < loss {
+	if n.cfg.Loss > 0 && rng.Float64() < n.cfg.Loss {
 		n.Stats.Lost++
 		return
 	}
 	delay := n.cfg.Delay
-	if jitterMax > 0 {
-		delay += sim.Time(rng.Int64N(int64(jitterMax)))
+	if n.cfg.Jitter > 0 {
+		delay += sim.Time(rng.Int64N(int64(n.cfg.Jitter)))
 	}
 	n.deliver(d, delay)
 	if n.cfg.Duplicate > 0 && rng.Float64() < n.cfg.Duplicate {
@@ -139,7 +113,7 @@ func closureProbe(c *Client, seq uint64, attempt int) {
 func newClosureClient(s *sim.Sim, net *closureNet, name, srv string) *Client {
 	c := &Client{
 		s: s, net: net, name: name, srv: srv,
-		nextSeq: 1, online: true, spoolLimit: net.cfg.SpoolLimit,
+		nextSeq: 1, online: true,
 		inflight: make(map[uint64]*pendingReport),
 	}
 	c.heartbeatFn = func() {
@@ -179,7 +153,6 @@ type fleetRun struct {
 	Net      NetStats
 	Clients  []ClientStats
 	Servers  []ServerStats
-	Chaos    netsim.ChaosStats
 	Reports  int // unique reports the servers passed up
 	Calls    int // RPC callbacks run
 	Executed uint64
@@ -188,8 +161,7 @@ type fleetRun struct {
 // runFleet drives 3 servers and 11 clients for a simulated second over a
 // lossy, duplicating, jittery channel: every client reports every 7 ms and
 // rotates over the three servers; the first server is partitioned away for
-// 300 ms, one client for 250 ms, another flaps under a chaos schedule, and
-// the second server polls a client by RPC. closures selects the reference
+// 300 ms and one client for 250 ms, and the second server polls a client by RPC. closures selects the reference
 // network and heartbeat.
 func runFleet(seed int64, closures bool) fleetRun {
 	const servers, clients = 3, 11
@@ -202,7 +174,6 @@ func runFleet(seed int64, closures bool) fleetRun {
 		Register(string, func(Dgram))
 		Partition(string)
 		Heal(string)
-		SetChaos(string, *netsim.Chaos)
 	}
 	var live *Network
 	var ref *closureNet
@@ -259,11 +230,6 @@ func runFleet(seed int64, closures bool) fleetRun {
 	s.After(600*sim.Millisecond, func() { net.Heal("corr0") })
 	s.After(400*sim.Millisecond, func() { net.Partition("sw3") })
 	s.After(650*sim.Millisecond, func() { net.Heal("sw3") })
-	ch := netsim.NewChaos(s, "mgmt-flap")
-	ch.Start, ch.End = 200*sim.Millisecond, 800*sim.Millisecond
-	ch.DownFor, ch.UpFor = 40*sim.Millisecond, 60*sim.Millisecond
-	ch.CorruptData, ch.JitterMax = 0.2, 3*sim.Millisecond
-	net.SetChaos("sw5", ch)
 	var poll func()
 	poll = func() {
 		srvs[1].Call("sw2", "poll", func(any, error) { out.Calls++ })
@@ -283,7 +249,6 @@ func runFleet(seed int64, closures bool) fleetRun {
 	for _, srv := range srvs {
 		out.Servers = append(out.Servers, srv.Stats)
 	}
-	out.Chaos = ch.Stats
 	out.Executed = s.Executed
 	return out
 }
@@ -318,7 +283,7 @@ func TestRecycledRunEqualsClosureReference(t *testing.T) {
 			rotations += c.Rotations
 			offline += c.Offline
 		}
-		if n.Lost == 0 || n.Duplicated == 0 || n.PartitionDrops == 0 || got.Chaos.FlapDrops == 0 ||
+		if n.Lost == 0 || n.Duplicated == 0 || n.PartitionDrops == 0 ||
 			retries == 0 || probeRetries == 0 || rotations == 0 || offline == 0 || got.Calls == 0 || got.Reports == 0 {
 			t.Fatalf("scenario too tame: %+v, %d retries, %d probe retries, %d rotations, %d offline, %d calls, %d reports",
 				n, retries, probeRetries, rotations, offline, got.Calls, got.Reports)

@@ -7,7 +7,7 @@
 // (making detection *harder* than at 50 % loss, see Table 3 discussion),
 // while moderate loss keeps flows sending. This package reproduces exactly
 // those dynamics. The paper's simulations use a 200 ms retransmission
-// timeout, which is this package's default.
+// timeout, and so does this package.
 package tcp
 
 import (
@@ -23,29 +23,19 @@ type Config struct {
 	// at this rate, emulating a flow with a target bitrate. Zero means
 	// unpaced (bulk transfer limited only by cwnd).
 	RateBps float64
-
-	// The remaining knobs keep their defaults outside this package's tests.
-	headerBytes int      // header overhead per packet (default 40)
-	rto         sim.Time // initial retransmission timeout (default 200 ms)
-	maxRTO      sim.Time // backoff cap (default 60 s)
-	initialCwnd float64  // initial window in segments (default 10)
 }
+
+// The rest of the sender is fixed; no experiment varies it.
+const (
+	headerBytes = 40                    // header overhead per packet
+	initialRTO  = 200 * sim.Millisecond // initial retransmission timeout
+	maxRTO      = 60 * sim.Second       // backoff cap
+	initialCwnd = 10                    // initial window in segments
+)
 
 func (c *Config) fill() {
 	if c.MSS == 0 {
 		c.MSS = 1460
-	}
-	if c.headerBytes == 0 {
-		c.headerBytes = 40
-	}
-	if c.rto == 0 {
-		c.rto = 200 * sim.Millisecond
-	}
-	if c.maxRTO == 0 {
-		c.maxRTO = 60 * sim.Second
-	}
-	if c.initialCwnd == 0 {
-		c.initialCwnd = 10
 	}
 }
 
@@ -91,9 +81,6 @@ type Sender struct {
 	done bool
 
 	Stats Stats
-
-	// OnComplete, if set, fires once when all bytes are acknowledged.
-	OnComplete func()
 }
 
 // NewSender creates a flow sending total bytes from srcHost to dstAddr, and
@@ -107,7 +94,7 @@ func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 		snd: Sender{
 			cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
 			src: srcAddr, dst: dstAddr, total: total,
-			cwnd: cfg.initialCwnd, ssthresh: 1 << 20, rto: cfg.rto,
+			cwnd: initialCwnd, ssthresh: 1 << 20, rto: initialRTO,
 			start: s.Now(),
 		},
 		rcv: receiver{s: s, host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
@@ -189,7 +176,7 @@ func (t *Sender) trySend() {
 func (t *Sender) emit(seq int64, segLen int, isRtx bool) {
 	pkt := t.host.Pool().Get()
 	pkt.Flow, pkt.Entry, pkt.Src, pkt.Dst = t.flow, t.entry, t.src, t.dst
-	pkt.Proto, pkt.Size = netsim.ProtoTCP, segLen+t.cfg.headerBytes
+	pkt.Proto, pkt.Size = netsim.ProtoTCP, segLen+headerBytes
 	pkt.Seq, pkt.Len = seq, segLen
 	t.Stats.SegmentsSent++
 	if isRtx {
@@ -218,8 +205,8 @@ func (t *Sender) onTimeout() {
 	t.cwnd = 1
 	t.dupAcks = 0
 	t.rto *= 2
-	if t.rto > t.cfg.maxRTO {
-		t.rto = t.cfg.maxRTO
+	if t.rto > maxRTO {
+		t.rto = maxRTO
 	}
 	// Retransmit the first unacknowledged segment.
 	segLen := int(min64(int64(t.cfg.MSS), t.total-t.sndUna))
@@ -239,7 +226,7 @@ func (t *Sender) onAck(pkt *netsim.Packet) {
 		t.Stats.BytesAcked = ack
 		t.sndUna = ack
 		t.dupAcks = 0
-		t.rto = t.cfg.rto // fresh RTT estimate proxy
+		t.rto = initialRTO // fresh RTT estimate proxy
 		t.rtoTimer.Stop()
 		if ack >= t.recover {
 			// Exit recovery: congestion avoidance or slow start resumes.
@@ -261,9 +248,6 @@ func (t *Sender) onAck(pkt *netsim.Packet) {
 			t.Stats.CompletedAt = t.s.Now()
 			t.rtoTimer.Stop()
 			t.payTimer.Stop()
-			if t.OnComplete != nil {
-				t.OnComplete()
-			}
 			return
 		}
 		t.trySend()

@@ -38,19 +38,6 @@ func TestBulkTransferCompletes(t *testing.T) {
 	}
 }
 
-func TestOnCompleteFires(t *testing.T) {
-	s := sim.New(1)
-	a, b, _ := pair(s, 10e6, sim.Millisecond)
-	snd := NewSender(s, a, b, 1, 100, 1, 2, 10_000, Config{})
-	fired := 0
-	snd.OnComplete = func() { fired++ }
-	snd.Start()
-	s.Run(10 * sim.Second)
-	if fired != 1 {
-		t.Errorf("OnComplete fired %d times, want 1", fired)
-	}
-}
-
 func TestPacedFlowDuration(t *testing.T) {
 	// A 125 KB flow paced at 1 Mbps should take ≈1 s, like the ≈1 s flows
 	// in the paper's synthetic workloads.
@@ -231,20 +218,20 @@ func TestRTOBackoffCapped(t *testing.T) {
 	s := sim.New(1)
 	a, b, l := pair(s, 10e6, sim.Millisecond)
 	l.AB.SetFailure(netsim.FailEntries(7, 0, 1.0, 100))
-	snd := NewSender(s, a, b, 1, 100, 1, 2, 50_000,
-		Config{rto: 100 * sim.Millisecond, maxRTO: 400 * sim.Millisecond})
+	snd := NewSender(s, a, b, 1, 100, 1, 2, 50_000, Config{})
 	snd.Start()
-	s.Run(10 * sim.Second)
-	// With doubling capped at 400ms: timeouts at 0.1, 0.3, 0.7, then
-	// every 0.4s → ≈25 timeouts in 10s. Uncapped doubling would give ≈7.
-	if snd.Stats.Timeouts < 15 {
-		t.Errorf("timeouts = %d; MaxRTO cap not applied", snd.Stats.Timeouts)
+	s.Run(600 * sim.Second)
+	// Doubling from 200 ms times out at 0.2, 0.6, 1.4, … 51.0 and 102.2 s;
+	// capped at 60 s it then fires every minute, 17 times in all by 600 s.
+	// Uncapped doubling would give 11.
+	if snd.Stats.Timeouts != 17 || snd.rto != maxRTO {
+		t.Errorf("timeouts = %d, rto = %v; want 17 and the %v cap", snd.Stats.Timeouts, snd.rto, maxRTO)
 	}
 }
 
 func TestInitialCwndLimitsBurst(t *testing.T) {
-	// With cwnd=2 and a long RTT, only two segments leave before the
-	// first ACK returns.
+	// With the initial window of ten segments and a long RTT, only ten
+	// leave before the first ACK returns.
 	s := sim.New(1)
 	a, b, l := pair(s, 10e9, 50*sim.Millisecond)
 	var firstBurst int
@@ -253,11 +240,11 @@ func TestInitialCwndLimitsBurst(t *testing.T) {
 			firstBurst++
 		}
 	})
-	snd := NewSender(s, a, b, 1, 100, 1, 2, 100_000, Config{initialCwnd: 2})
+	snd := NewSender(s, a, b, 1, 100, 1, 2, 100_000, Config{})
 	snd.Start()
 	s.Run(5 * sim.Second)
-	if firstBurst != 2 {
-		t.Errorf("initial burst = %d segments, want 2 (InitialCwnd)", firstBurst)
+	if firstBurst != initialCwnd {
+		t.Errorf("initial burst = %d segments, want %d (initialCwnd)", firstBurst, initialCwnd)
 	}
 	if !snd.Done() {
 		t.Error("flow did not complete")

@@ -20,9 +20,8 @@ type ChurnConfig struct {
 	Entries int
 
 	// AggregateBps is the total offered load, split across the entry set
-	// by a Zipf distribution with exponent ZipfS (default 1.1).
+	// by a Zipf distribution with exponent churnZipfS.
 	AggregateBps float64
-	ZipfS        float64
 
 	// ShiftInterval is the epoch length; Epochs is how many epochs the
 	// schedule covers. At every epoch boundary after the first,
@@ -39,33 +38,26 @@ type ChurnConfig struct {
 	// it to k.
 	HotRanks int
 
-	// MinEntryBps drops entries whose epoch rate falls below it (default
-	// 10 kbps): the deep tail would otherwise cost thousands of sources
-	// without moving any result.
-	MinEntryBps float64
-
-	// PktSize is the UDP packet size (default 1000 B).
-	PktSize int
-
 	// Seed drives the rank-shift schedule. Same seed, same schedule.
 	Seed int64
 }
 
+// The workload's shape is fixed; no experiment varies it.
+const (
+	churnZipfS = 1.1 // Zipf exponent of the popularity split
+	// minEntryBps drops entries whose epoch rate falls below it: the deep
+	// tail would otherwise cost thousands of sources without moving any
+	// result.
+	minEntryBps  = 10e3
+	churnPktSize = 1000 // UDP packet size in bytes
+)
+
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
-	}
 	if c.ShiftCount <= 0 {
 		c.ShiftCount = 4
 	}
 	if c.HotRanks <= 0 { // a negative head would slice perm[:HotRanks]
 		c.HotRanks = c.ShiftCount
-	}
-	if c.MinEntryBps == 0 {
-		c.MinEntryBps = 10e3
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
 	}
 	return c
 }
@@ -91,7 +83,7 @@ type ChurnSchedule struct {
 // owns its rand.Rand, so equal configs yield equal schedules.
 func NewChurnSchedule(cfg ChurnConfig) *ChurnSchedule {
 	cfg = cfg.withDefaults()
-	cs := &ChurnSchedule{cfg: cfg, shares: ZipfShares(cfg.Entries, cfg.ZipfS)}
+	cs := &ChurnSchedule{cfg: cfg, shares: ZipfShares(cfg.Entries, churnZipfS)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	perm := make([]netsim.EntryID, cfg.Entries)
@@ -173,14 +165,14 @@ func (cs *ChurnSchedule) Ranks(e int) []netsim.EntryID { return cs.ranks[e] }
 func (cs *ChurnSchedule) NewlyHot(e int) []netsim.EntryID { return cs.newlyHot[e] }
 
 // Rate returns entry's offered load during epoch e (0 when it falls under
-// MinEntryBps and is not emitted).
+// minEntryBps and is not emitted).
 func (cs *ChurnSchedule) Rate(e int, entry netsim.EntryID) float64 {
 	r, ok := cs.rank[e][entry]
 	if !ok {
 		return 0
 	}
 	rate := cs.cfg.AggregateBps * cs.shares[r]
-	if rate < cs.cfg.MinEntryBps {
+	if rate < minEntryBps {
 		return 0
 	}
 	return rate
@@ -210,7 +202,7 @@ func (cs *ChurnSchedule) Launch(s *sim.Sim, host *netsim.Host) int {
 				continue
 			}
 			src := NewUDPSource(s, host, netsim.FlowID(n+1), entry,
-				netsim.EntryAddr(entry, 1), rate, cs.cfg.PktSize, stop)
+				netsim.EntryAddr(entry, 1), rate, churnPktSize, stop)
 			s.ScheduleAt(start, src.Start)
 			n++
 		}

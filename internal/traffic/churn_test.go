@@ -152,7 +152,7 @@ func TestChurnLaunch(t *testing.T) {
 }
 
 // emittedBps is the aggregate rate Launch emits during epoch e:
-// AggregateBps minus the sub-MinEntryBps tail.
+// AggregateBps minus the sub-minEntryBps tail.
 func emittedBps(cs *ChurnSchedule, e int) float64 {
 	var total float64
 	for _, entry := range cs.ranks[e] {

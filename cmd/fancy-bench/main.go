@@ -122,7 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	if *workers < 1 {
-		*workers = 1
+		fmt.Fprintf(stderr, "fancy-bench: -workers must be >= 1, got %d\n", *workers)
+		return 2
 	}
 
 	all := experiments(*workers)

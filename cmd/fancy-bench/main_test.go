@@ -29,4 +29,5 @@ func TestFleetFullGolden(t *testing.T) {
 func TestRejectsBadInput(t *testing.T) {
 	cmdtest.Rejects(t, run, "fancy-bench", "unknown experiments: nope (use -list)", "-exp", "fig7,nope")
 	cmdtest.Rejects(t, run, "fancy-bench", "-workers must be >= 0, got -1", "-workers", "-1")
+	cmdtest.Rejects(t, run, "fancy-bench", "-workers must be >= 1, got 0", "-workers", "0")
 }

@@ -4,9 +4,10 @@
 // of its links, so a gray failure anywhere is both detected AND localized
 // to the exact switch port. This program builds the 11-node Abilene
 // research backbone, routes traffic between Seattle and Atlanta over
-// shortest paths, injects a gray failure on the Kansas City → Houston
-// link for one prefix, and shows that precisely that port flags it while
-// every other monitored port on the path stays silent.
+// shortest paths, deploys FANcY on every link with the fleet control plane,
+// injects a gray failure on the Kansas City → Indianapolis link for one
+// prefix, and shows that precisely that port flags it while every other
+// monitored port on the path stays silent.
 //
 //	go run ./examples/full_deployment
 package main
@@ -15,9 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"fancy"
 	"fancy/internal/fancy/tree"
+	"fancy/internal/fleet"
 	"fancy/internal/netsim"
 	"fancy/internal/topo"
 )
@@ -49,17 +52,17 @@ func run(_ []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	dep, err := n.DeployFancy(fancy.Config{
+	f, err := fleet.New(s, n, fleet.Config{Fancy: fancy.Config{
 		HighPriority: []fancy.EntryID{pfxVideo},
 		Tree:         tree.Params{Width: 64, Depth: 3, Split: 2, Pipelined: true},
 		TreeSeed:     5,
-	})
+	}})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "deployed FANcY on %d switches, %d links monitored in both directions\n\n",
-		len(dep.Detectors), len(spec.Links))
+		len(f.Detectors), len(spec.Links))
 
 	// Seattle → Atlanta traffic crosses denver→kansascity→{indianapolis|houston}→atlanta.
 	send := func(entry fancy.EntryID, pps int, stop fancy.Time) {
@@ -72,9 +75,9 @@ func run(_ []string, stdout, stderr io.Writer) int {
 			}
 			host.Send(&fancy.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Src: n.HostAddr("cust-west"), Proto: netsim.ProtoUDP, Size: 1200})
-			s.Schedule(gap, tick)
+			s.After(gap, tick)
 		}
-		s.Schedule(0, tick)
+		s.After(0, tick)
 	}
 	send(pfxVideo, 400, 10*fancy.Second)
 	send(pfxBulk, 400, 10*fancy.Second)
@@ -89,15 +92,24 @@ func run(_ []string, stdout, stderr io.Writer) int {
 
 	s.Run(10 * fancy.Second)
 
-	// Where was it flagged?
-	flagged := n.FlaggedAt(dep, pfxVideo)
-	fmt.Fprintf(stdout, "prefix %d flagged at: %v\n", pfxVideo, flagged)
-	fmt.Fprintf(stdout, "prefix %d flagged at: %v (healthy: must be empty)\n\n", pfxBulk, n.FlaggedAt(dep, pfxBulk))
+	// Where was it flagged? Each link's upstream detector holds the flags.
+	flaggedAt := func(entry fancy.EntryID) []string {
+		var out []string
+		for _, dl := range n.DirectedLinks() {
+			if f.Detectors[dl.From].Flagged(n.PortOf[dl.From][dl.To], entry) {
+				out = append(out, dl.String())
+			}
+		}
+		return out
+	}
+	fmt.Fprintf(stdout, "prefix %d flagged at: %v\n", pfxVideo, flaggedAt(pfxVideo))
+	fmt.Fprintf(stdout, "prefix %d flagged at: %v (healthy: must be empty)\n\n", pfxBulk, flaggedAt(pfxBulk))
 
-	for _, de := range dep.Events {
-		if de.Event.Kind == fancy.EventDedicated {
+	for _, ev := range f.Events {
+		if ev.Kind == fleet.EventAlarm && ev.Entry == pfxVideo {
+			sw, _, _ := strings.Cut(ev.Link, "->")
 			fmt.Fprintf(stdout, "first detection: switch %s at %.2fs (%.0f ms after failure)\n",
-				de.Switch, de.Event.Time.Seconds(), (de.Event.Time-3*fancy.Second).Seconds()*1000)
+				sw, ev.Time.Seconds(), (ev.Time-3*fancy.Second).Seconds()*1000)
 			break
 		}
 	}

@@ -98,9 +98,9 @@ func run(_ []string, stdout, stderr io.Writer) int {
 			}
 			customers.Send(&fancy.Packet{Entry: entry,
 				Dst: netsim.EntryAddr(entry, 1), Proto: netsim.ProtoUDP, Size: 1200})
-			s.Schedule(gap, tick)
+			s.After(gap, tick)
 		}
-		s.Schedule(0, tick)
+		s.After(0, tick)
 	}
 	send(100, 400)
 	send(101, 400)

@@ -55,9 +55,9 @@ func run(_ []string, stdout, stderr io.Writer) int {
 			}
 			ml.Src.Send(&fancy.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Proto: netsim.ProtoUDP, Size: sz})
-			s.Schedule(3*fancy.Millisecond, tick)
+			s.After(3*fancy.Millisecond, tick)
 		}
-		s.Schedule(fancy.Time(i)*fancy.Millisecond, tick)
+		s.After(fancy.Time(i)*fancy.Millisecond, tick)
 	}
 
 	// The bug: packets of 800–900 bytes silently dropped from t=2s.

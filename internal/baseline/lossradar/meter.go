@@ -54,7 +54,7 @@ func NewMeterPair(s *sim.Sim, cells int, interval sim.Time) *MeterPair {
 			entryOf: make(map[uint64]netsim.EntryID)}
 	}
 	// Batch 0 closes at interval; extract it one interval later.
-	s.Schedule(2*interval, func() { m.extract(0) })
+	s.After(2*interval, func() { m.extract(0) })
 	return m
 }
 
@@ -125,5 +125,5 @@ func (m *MeterPair) extract(id int64) {
 			}
 		}
 	}
-	m.s.Schedule(m.interval, func() { m.extract(id + 1) })
+	m.s.After(m.interval, func() { m.extract(id + 1) })
 }

@@ -80,7 +80,7 @@ func (p *Protocol) OnIngress(pkt *netsim.Packet, port int) bool {
 		// Packets expect..seq-1 were lost: NACK each.
 		for missing := p.expect; missing < seq; missing++ {
 			m := missing
-			p.s.Schedule(p.delay, func() { p.onNACK(m) })
+			p.s.After(p.delay, func() { p.onNACK(m) })
 		}
 	}
 	if seq >= p.expect {

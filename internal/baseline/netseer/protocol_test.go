@@ -31,9 +31,9 @@ func (b *protoBed) cbr(entry netsim.EntryID, pps int, stop sim.Time) {
 		}
 		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 500})
-		b.Sim.Schedule(gap, tick)
+		b.Sim.After(gap, tick)
 	}
-	b.Sim.Schedule(0, tick)
+	b.Sim.After(0, tick)
 }
 
 func TestProtocolAttributesAtDataCenterBDP(t *testing.T) {

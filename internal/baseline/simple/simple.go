@@ -120,7 +120,7 @@ func NewProbe(s *sim.Sim, d Design, interval sim.Time) *Probe {
 	}
 	p.started = s.Now()
 	// Window 0 closes at interval; compare it one interval later.
-	s.Schedule(2*interval, func() { p.compare(0) })
+	s.After(2*interval, func() { p.compare(0) })
 	return p
 }
 
@@ -178,7 +178,7 @@ func (p *Probe) compare(w int64) {
 		up[i] = 0
 		down[i] = 0
 	}
-	p.s.Schedule(p.Interval, func() { p.compare(w + 1) })
+	p.s.After(p.Interval, func() { p.compare(w + 1) })
 }
 
 // EntryFlagged reports whether all the entry's cells have been flagged —

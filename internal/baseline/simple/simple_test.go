@@ -27,9 +27,9 @@ func (b *bed) cbr(entry netsim.EntryID, pps int, stop sim.Time) {
 		}
 		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 500})
-		b.Sim.Schedule(gap, tick)
+		b.Sim.After(gap, tick)
 	}
-	b.Sim.Schedule(0, tick)
+	b.Sim.After(0, tick)
 }
 
 func TestSingleCounterDetectsButCannotLocalize(t *testing.T) {
@@ -160,7 +160,7 @@ func TestProbeIgnoresControlAndUnclassified(t *testing.T) {
 	b.AttachProbe(p)
 	// Control and unclassified packets dropped by a failure must not
 	// show up as mismatches (they are not counted at all).
-	b.Sim.Schedule(0, func() {
+	b.Sim.After(0, func() {
 		b.Src.Send(&netsim.Packet{Proto: netsim.ProtoFancy, Entry: netsim.InvalidEntry,
 			Dst: netsim.EntryAddr(1, 1), Size: 64})
 	})

@@ -19,9 +19,9 @@ func (tb *testbed) udpSized(entry netsim.EntryID, size, pps int, stop sim.Time) 
 			Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Src: netsim.IPv4(172, 16, 0, 1), Proto: netsim.ProtoUDP, Size: size,
 		})
-		tb.s.Schedule(gap, tick)
+		tb.s.After(gap, tick)
 	}
-	tb.s.Schedule(0, tick)
+	tb.s.After(0, tick)
 }
 
 // customBed extends the testbed with a size-histogram custom session that
@@ -56,9 +56,9 @@ func TestSizeHistogramLocalizesSizeSpecificBug(t *testing.T) {
 			}
 			src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Proto: netsim.ProtoUDP, Size: sz})
-			s.Schedule(gap, tick)
+			s.After(gap, tick)
 		}
-		s.Schedule(sim.Time(i)*sim.Millisecond, tick)
+		s.After(sim.Time(i)*sim.Millisecond, tick)
 	}
 
 	// The CSCtc33158-style bug: drop packets of 760–900 bytes.

@@ -64,7 +64,7 @@ func (tb *testbed) udp(entry netsim.EntryID, rateBps float64, start, stop sim.Ti
 			Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Src: netsim.IPv4(172, 16, 0, 1), Proto: netsim.ProtoUDP, Size: size,
 		})
-		tb.s.Schedule(gap, tick)
+		tb.s.After(gap, tick)
 	}
 	tb.s.ScheduleAt(start, tick)
 }

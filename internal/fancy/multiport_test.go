@@ -61,9 +61,9 @@ func TestMonitorMultipleDownstreams(t *testing.T) {
 			}
 			src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Proto: netsim.ProtoUDP, Size: 800})
-			s.Schedule(gap, tick)
+			s.After(gap, tick)
 		}
-		s.Schedule(0, tick)
+		s.After(0, tick)
 	}
 
 	// Fail only the up→d1 link for entry 10.

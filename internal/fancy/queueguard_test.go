@@ -89,7 +89,7 @@ func (gb *guardBed) udp(entry netsim.EntryID, rateBps float64, start, stop sim.T
 			Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: size,
 		})
-		gb.s.Schedule(gap, tick)
+		gb.s.After(gap, tick)
 	}
 	gb.s.ScheduleAt(start, tick)
 }

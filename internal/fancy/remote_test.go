@@ -64,9 +64,9 @@ func TestPartialDeployment(t *testing.T) {
 			}
 			src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Proto: netsim.ProtoUDP, Size: 1000})
-			s.Schedule(gap, tick)
+			s.After(gap, tick)
 		}
-		s.Schedule(0, tick)
+		s.After(0, tick)
 
 		// The failure sits on either hop of the A→C path.
 		failed := l1

@@ -107,7 +107,7 @@ func TestQueueGuardWindows(t *testing.T) {
 	g := NewQueueGuard(s, 10_000, 5*sim.Millisecond).Watch(link.AB)
 
 	// Burst at t=1s: 100 KB into a 1 Mbps link ≈ 800 ms of backlog.
-	s.Schedule(sim.Second, func() {
+	s.After(sim.Second, func() {
 		for i := 0; i < 100; i++ {
 			a.Send(&netsim.Packet{Size: 1000, Proto: netsim.ProtoUDP})
 		}

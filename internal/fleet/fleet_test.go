@@ -35,7 +35,7 @@ func burstUDP(n *topo.Network, from string, entry netsim.EntryID, count int, int
 			host.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 				Src: n.HostAddr(from), Proto: netsim.ProtoUDP, Size: 1000})
 		}
-		n.Sim.Schedule(interval, tick)
+		n.Sim.After(interval, tick)
 	}
 	n.Sim.ScheduleAt(start, tick)
 }

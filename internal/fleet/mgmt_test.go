@@ -161,7 +161,7 @@ func whenVerdictPending(r *Run, act func()) *bool {
 			*done = true
 			act()
 		} else if r.Sim.Now() < 4*sim.Second {
-			r.Sim.Schedule(10*sim.Millisecond, poll)
+			r.Sim.After(10*sim.Millisecond, poll)
 		}
 	}
 	r.Sim.ScheduleAt(2*sim.Second, poll)
@@ -178,7 +178,7 @@ func TestCrashMidEvidenceWindow(t *testing.T) {
 	f := r.Fleet
 	crashed := whenVerdictPending(r, func() {
 		f.CrashCorrelator()
-		r.Sim.Schedule(200*sim.Millisecond, f.RestartCorrelator)
+		r.Sim.After(200*sim.Millisecond, f.RestartCorrelator)
 	})
 	r.Finish()
 

@@ -63,7 +63,7 @@ func runWalltime(p *Package) []Finding {
 				Pos:      p.Fset.Position(sel.Pos()),
 				Analyzer: "walltime",
 				Message: "time." + sel.Sel.Name + " reads the wall clock; simulation code must use " +
-					"the event-loop clock (sim.Sim.Now / sim.Sim.Schedule)",
+					"the event-loop clock (sim.Sim.Now / sim.Sim.After)",
 			})
 			return true
 		})

@@ -61,7 +61,7 @@ func TestLossyChannelRetriesToCompletion(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		i := i
-		r.s.Schedule(sim.Time(i)*2*sim.Millisecond, func() { r.cl.Send(i) })
+		r.s.After(sim.Time(i)*2*sim.Millisecond, func() { r.cl.Send(i) })
 	}
 	r.s.Run(5 * sim.Second)
 	if len(r.got) != n {
@@ -141,7 +141,7 @@ func TestFaultHookScriptsOneReportAndOneAck(t *testing.T) {
 	log("corr", r.srv.onDgram)
 	const n = 8
 	for i := 0; i < n; i++ {
-		r.s.Schedule(sim.Millisecond+sim.Time(i)*10*sim.Millisecond, func() { r.cl.Send(i) })
+		r.s.After(sim.Millisecond+sim.Time(i)*10*sim.Millisecond, func() { r.cl.Send(i) })
 	}
 	r.s.Run(205 * sim.Millisecond) // between heartbeats: nothing in flight
 
@@ -187,7 +187,7 @@ func TestDeterministicReplay(t *testing.T) {
 		cl := NewClient(s, net, "sw", "corr")
 		for i := 0; i < 30; i++ {
 			i := i
-			s.Schedule(sim.Time(i)*sim.Millisecond, func() { cl.Send(i) })
+			s.After(sim.Time(i)*sim.Millisecond, func() { cl.Send(i) })
 		}
 		s.Run(2 * sim.Second)
 		return log, net.Stats
@@ -225,17 +225,17 @@ func TestPartitionOfflineSpoolAndHeal(t *testing.T) {
 	var transitions []bool
 	r.cl.OnOnline = func(on bool) { transitions = append(transitions, on) }
 
-	r.s.Schedule(100*sim.Millisecond, func() { r.net.Partition("sw") })
+	r.s.After(100*sim.Millisecond, func() { r.net.Partition("sw") })
 	for i := 0; i < 20; i++ {
 		i := i
-		r.s.Schedule(sim.Time(100+i*10)*sim.Millisecond, func() { r.cl.Send(i) })
+		r.s.After(sim.Time(100+i*10)*sim.Millisecond, func() { r.cl.Send(i) })
 	}
-	r.s.Schedule(400*sim.Millisecond, func() {
+	r.s.After(400*sim.Millisecond, func() {
 		if r.cl.Online() {
 			t.Error("client still online mid-partition")
 		}
 	})
-	r.s.Schedule(500*sim.Millisecond, func() { r.net.Heal("sw") })
+	r.s.After(500*sim.Millisecond, func() { r.net.Heal("sw") })
 	r.s.Run(2 * sim.Second)
 
 	if len(transitions) < 2 || transitions[0] != false || transitions[len(transitions)-1] != true {
@@ -258,12 +258,12 @@ func TestSpoolOverflowCreatesHoles(t *testing.T) {
 	r := newRig(t, 5, Config{})
 	r.net.Partition("sw")
 	// Force offline first so sends spool directly.
-	r.s.Schedule(100*sim.Millisecond, func() {
+	r.s.After(100*sim.Millisecond, func() {
 		for i := 0; i < spoolLimit+6; i++ {
 			r.cl.Send(i)
 		}
 	})
-	r.s.Schedule(200*sim.Millisecond, func() { r.net.Heal("sw") })
+	r.s.After(200*sim.Millisecond, func() { r.net.Heal("sw") })
 	r.s.Run(sim.Second)
 	if r.cl.Stats.SpoolDrops != 6 {
 		t.Fatalf("SpoolDrops=%d, want 6", r.cl.Stats.SpoolDrops)
@@ -290,7 +290,7 @@ func TestCallRPCAndUnavailable(t *testing.T) {
 		return "value:" + req.(string), nil
 	}
 	okCalls, errCalls, unavail := 0, 0, 0
-	r.s.Schedule(0, func() {
+	r.s.After(0, func() {
 		r.srv.Call("sw", "x", func(v any, err error) {
 			if err != nil || v != "value:x" {
 				t.Errorf("call: v=%v err=%v", v, err)
@@ -305,7 +305,7 @@ func TestCallRPCAndUnavailable(t *testing.T) {
 		})
 	})
 	// A partitioned peer yields ErrUnavailable after bounded attempts.
-	r.s.Schedule(300*sim.Millisecond, func() {
+	r.s.After(300*sim.Millisecond, func() {
 		r.net.Partition("sw")
 		r.srv.Call("sw", "y", func(v any, err error) {
 			if err != ErrUnavailable {
@@ -322,12 +322,12 @@ func TestCallRPCAndUnavailable(t *testing.T) {
 
 func TestCrashWindowBehavesLikePartition(t *testing.T) {
 	r := newRig(t, 13, Config{})
-	r.s.Schedule(100*sim.Millisecond, func() { r.srv.SetAccepting(false) })
+	r.s.After(100*sim.Millisecond, func() { r.srv.SetAccepting(false) })
 	for i := 0; i < 10; i++ {
 		i := i
-		r.s.Schedule(sim.Time(110+i*10)*sim.Millisecond, func() { r.cl.Send(i) })
+		r.s.After(sim.Time(110+i*10)*sim.Millisecond, func() { r.cl.Send(i) })
 	}
-	r.s.Schedule(400*sim.Millisecond, func() {
+	r.s.After(400*sim.Millisecond, func() {
 		if r.cl.Online() {
 			t.Error("client did not notice the crashed correlator")
 		}

@@ -49,9 +49,9 @@ func (b *fig10bed) udp(entry netsim.EntryID, pps int, stop sim.Time) {
 		}
 		b.Src.Send(&netsim.Packet{Entry: entry, Dst: netsim.EntryAddr(entry, 1),
 			Proto: netsim.ProtoUDP, Size: 1000})
-		b.Sim.Schedule(gap, tick)
+		b.Sim.After(gap, tick)
 	}
-	b.Sim.Schedule(0, tick)
+	b.Sim.After(0, tick)
 }
 
 var cfg = fancy.Config{

@@ -220,7 +220,7 @@ type slot interface {
 
 const (
 	firstHandleKind = 2
-	numKinds        = 5
+	numKinds        = 4
 )
 
 type simEngine struct{ *Sim }
@@ -234,9 +234,8 @@ func (e simEngine) schedule(kind int, delay Time, fn func()) handle {
 	case 1:
 		e.At(e.Now()+delay, fn)
 	case 2:
-		return e.Schedule(delay, fn)
-	case 3:
-		return e.ScheduleAt(e.Now()+delay, fn)
+		tm := e.ScheduleAt(e.Now()+delay, fn)
+		return &tm
 	default:
 		tm := e.ScheduleTimer(delay, fn)
 		return &tm
@@ -468,8 +467,8 @@ func checkAgainstReference(t *testing.T, cancel bool) {
 	}
 }
 
-// Property: for any stream of schedules through After, At, Schedule,
-// ScheduleAt, ScheduleTimer, Sequence and Reserve — equal timestamps, zero
+// Property: for any stream of schedules through After, At, ScheduleAt,
+// ScheduleTimer, Sequence and Reserve — equal timestamps, zero
 // delays, children scheduled and slots queued from callbacks, Stop mid-run,
 // horizons on and between events — Sim executes exactly what the reference
 // scheduler does, in (time, insertion) order, with the same clock,

@@ -51,7 +51,7 @@ func TestRunReturnsStopTime(t *testing.T) {
 func TestTimerStopReleasesEvent(t *testing.T) {
 	s := New(1)
 	payload := make([]byte, 1<<20)
-	tm := s.Schedule(1000*Second, func() { _ = payload })
+	tm := s.ScheduleTimer(1000*Second, func() { _ = payload })
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1", got)
 	}
@@ -84,7 +84,7 @@ func TestTimerStopReleasesEvent(t *testing.T) {
 	// event's callback at the same timestamp: the pending sibling leaves the
 	// queue at once, never runs, and its event is reusable immediately.
 	s = New(1)
-	var sibling *Timer
+	var sibling Timer
 	siblingRan := false
 	s.At(Second, func() {
 		ev, before := sibling.ev, s.Pending()
@@ -117,7 +117,7 @@ func TestTimerStopReleasesEvent(t *testing.T) {
 // must not cancel the new event.
 func TestStaleTimerHandleIsInert(t *testing.T) {
 	s := New(1)
-	tm := s.Schedule(1*Second, func() {})
+	tm := s.ScheduleTimer(1*Second, func() {})
 	s.Run(2 * Second) // fires; event returns to the pool
 	ran := false
 	s.After(1*Second, func() { ran = true }) // reuses the pooled event
@@ -161,11 +161,9 @@ func TestAfterDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// ScheduleAt is small enough to inline, so a caller that drops its handle
-// keeps the handle on its own stack: only a kept handle costs an
-// allocation. Pinned because the benchmark's Abilene trials schedule this
-// way, and one more call inside ScheduleAt once cost them 448 objects a
-// pass.
+// ScheduleAt returns its handle by value, so a caller that drops it
+// allocates nothing. Pinned because the benchmark's Abilene trials schedule
+// this way.
 func TestScheduleAtDroppedHandleDoesNotAllocate(t *testing.T) {
 	s := New(1)
 	fn := func() {}
@@ -210,9 +208,9 @@ func TestSequenceDoesNotAllocatePerElement(t *testing.T) {
 
 func TestPendingCountsStoppedCorrectly(t *testing.T) {
 	s := New(1)
-	var timers []*Timer
+	var timers []Timer
 	for i := 0; i < 10; i++ {
-		timers = append(timers, s.Schedule(Time(i+1)*Second, func() {}))
+		timers = append(timers, s.ScheduleTimer(Time(i+1)*Second, func() {}))
 	}
 	if got := s.Pending(); got != 10 {
 		t.Fatalf("Pending() = %d, want 10", got)

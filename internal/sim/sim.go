@@ -11,13 +11,12 @@
 // horizon is reached.
 //
 // Events are pooled: executed and cancelled events are recycled through a
-// free list, so steady-state scheduling via At/After allocates nothing.
-// Schedule/ScheduleAt additionally allocate their *Timer handle; hot paths
-// that never cancel should prefer At/After. Sequence queues a long
-// time-ordered run of callbacks one at a time, so the run neither deepens
-// the queue nor allocates per element. Reserve holds an event's place in
-// the order without queueing it, for a caller that learns only later
-// whether anything has to run there.
+// free list, and a Timer handle is a value, so steady-state scheduling
+// allocates nothing. Sequence queues a long time-ordered run of callbacks
+// one at a time, so the run neither deepens the queue nor allocates per
+// element. Reserve holds an event's place in the order without queueing
+// it, for a caller that learns only later whether anything has to run
+// there.
 //
 // A Sim is single-threaded. Parallelism lives one level up, where it is
 // deterministic for free: independent trials each own a Sim and run on
@@ -265,27 +264,18 @@ func (s *Sim) release(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// Schedule runs fn after delay virtual nanoseconds and returns a cancellable
-// handle. A negative delay is an error in the caller; Schedule panics to
-// surface it immediately. Prefer After when the handle is not needed: the
-// handle is the only allocation on this path.
-func (s *Sim) Schedule(delay Time, fn func()) *Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	return s.ScheduleAt(s.Now()+delay, fn)
-}
-
 // ScheduleAt runs fn at the absolute virtual time at, which must not be in
 // the past, and returns a cancellable handle.
-func (s *Sim) ScheduleAt(at Time, fn func()) *Timer {
+func (s *Sim) ScheduleAt(at Time, fn func()) Timer {
 	ev := s.push(at, s.seq, fn)
-	return &Timer{s: s, ev: ev, gen: ev.gen}
+	return Timer{s: s, ev: ev, gen: ev.gen}
 }
 
-// ScheduleTimer is Schedule returning the handle by value, for callers
-// that keep the handle in a struct field: rearming a recurring timer then
-// allocates nothing (the zero Timer is inert, so the field needs no
+// ScheduleTimer runs fn after delay virtual nanoseconds and returns a
+// cancellable handle. A negative delay is an error in the caller;
+// ScheduleTimer panics to surface it immediately. The handle is a value, so
+// a caller that keeps it in a struct field rearms a recurring timer without
+// allocating (the zero Timer is inert, so the field needs no
 // initialization).
 func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
 	if delay < 0 {
@@ -295,9 +285,9 @@ func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
 	return Timer{s: s, ev: ev, gen: ev.gen}
 }
 
-// After runs fn after delay virtual nanoseconds. It is Schedule without the
-// cancellation handle — and therefore without its allocation: with a warm
-// event pool this path does not allocate at all.
+// After runs fn after delay virtual nanoseconds. It is ScheduleTimer
+// without the cancellation handle: with a warm event pool this path does
+// not allocate at all.
 func (s *Sim) After(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))

@@ -23,9 +23,9 @@ func TestTimeConversions(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.Schedule(30*Millisecond, func() { order = append(order, 3) })
-	s.Schedule(10*Millisecond, func() { order = append(order, 1) })
-	s.Schedule(20*Millisecond, func() { order = append(order, 2) })
+	s.After(30*Millisecond, func() { order = append(order, 3) })
+	s.After(10*Millisecond, func() { order = append(order, 1) })
+	s.After(20*Millisecond, func() { order = append(order, 2) })
 	s.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("execution order = %v, want [1 2 3]", order)
@@ -40,7 +40,7 @@ func TestFIFOAtSameTimestamp(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.Schedule(5*Millisecond, func() { order = append(order, i) })
+		s.After(5*Millisecond, func() { order = append(order, i) })
 	}
 	s.Run(0)
 	if !sort.IntsAreSorted(order) {
@@ -55,10 +55,10 @@ func TestNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, s.Now())
 		if len(ticks) < 5 {
-			s.Schedule(100*Millisecond, tick)
+			s.After(100*Millisecond, tick)
 		}
 	}
-	s.Schedule(0, tick)
+	s.After(0, tick)
 	s.Run(0)
 	want := []Time{0, 100 * Millisecond, 200 * Millisecond, 300 * Millisecond, 400 * Millisecond}
 	if len(ticks) != len(want) {
@@ -74,8 +74,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestHorizonStopsExecution(t *testing.T) {
 	s := New(1)
 	ran := 0
-	s.Schedule(1*Second, func() { ran++ })
-	s.Schedule(3*Second, func() { ran++ })
+	s.After(1*Second, func() { ran++ })
+	s.After(3*Second, func() { ran++ })
 	end := s.Run(2 * Second)
 	if ran != 1 {
 		t.Errorf("ran %d events, want 1", ran)
@@ -104,7 +104,7 @@ func TestHorizonAdvancesClockWhenQueueEmpty(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := New(1)
 	ran := false
-	tm := s.Schedule(1*Second, func() { ran = true })
+	tm := s.ScheduleTimer(1*Second, func() { ran = true })
 	if !tm.Active() {
 		t.Fatal("timer should be active after scheduling")
 	}
@@ -125,7 +125,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	s := New(1)
-	tm := s.Schedule(1*Millisecond, func() {})
+	tm := s.ScheduleTimer(1*Millisecond, func() {})
 	s.Run(0)
 	if tm.Active() {
 		t.Error("timer should be inactive after firing")
@@ -152,8 +152,8 @@ func TestZeroTimerIsInert(t *testing.T) {
 func TestStopHaltsRun(t *testing.T) {
 	s := New(1)
 	ran := 0
-	s.Schedule(1*Millisecond, func() { ran++; s.Stop() })
-	s.Schedule(2*Millisecond, func() { ran++ })
+	s.After(1*Millisecond, func() { ran++; s.Stop() })
+	s.After(2*Millisecond, func() { ran++ })
 	s.Run(0)
 	if ran != 1 {
 		t.Errorf("ran = %d, want 1 (Stop should halt the loop)", ran)
@@ -166,7 +166,7 @@ func TestStopHaltsRun(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := New(1)
-	s.Schedule(1*Second, func() {})
+	s.After(1*Second, func() {})
 	s.Run(0)
 	defer func() {
 		if recover() == nil {
@@ -248,7 +248,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay should panic")
 		}
 	}()
-	s.Schedule(-1, func() {})
+	s.After(-1, func() {})
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -257,7 +257,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		var out []int64
 		for i := 0; i < 50; i++ {
 			d := Time(s.Rand().Intn(1000)) * Microsecond
-			s.Schedule(d, func() { out = append(out, int64(s.Now())) })
+			s.After(d, func() { out = append(out, int64(s.Now())) })
 		}
 		s.Run(0)
 		return out
@@ -278,19 +278,19 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New(1)
 		for j := 0; j < 1000; j++ {
-			s.Schedule(Time(j)*Microsecond, func() {})
+			s.After(Time(j)*Microsecond, func() {})
 		}
 		s.Run(0)
 	}
 }
 
 func BenchmarkTimerWheelChurn(b *testing.B) {
-	// Schedule/cancel churn, the pattern FANcY retransmission timers create.
+	// ScheduleTimer/Stop churn, the pattern FANcY retransmission timers create.
 	s := New(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm := s.Schedule(Time(i+1), func() {})
+		tm := s.ScheduleTimer(Time(i+1), func() {})
 		tm.Stop()
 	}
 	s.Run(0)

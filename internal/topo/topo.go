@@ -1,9 +1,8 @@
 // Package topo builds multi-switch ISP topologies on the netsim substrate:
 // named switches and hosts, links with per-link characteristics,
-// shortest-path (Dijkstra) route installation, and one-call FANcY
-// deployment at every switch — the full deployment of §4.3 in which FANcY
-// "monitors all links, one by one", maximizing detection and localization
-// accuracy.
+// shortest-path (Dijkstra) route installation and the loop-free backup
+// rule. It knows nothing of FANcY: internal/fleet deploys a detector on
+// every link of a Network (the full deployment of §4.3).
 package topo
 
 import (
@@ -11,7 +10,6 @@ import (
 	"slices"
 	"sort"
 
-	"fancy/internal/fancy"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
@@ -378,74 +376,4 @@ func (n *Network) InstallShortestPaths(entryOwner map[netsim.EntryID]string) err
 		}
 	}
 	return nil
-}
-
-// Deployment is a full FANcY deployment: one detector per switch, every
-// inter-switch link monitored in both directions.
-type Deployment struct {
-	Detectors map[string]*fancy.Detector
-
-	// Events records every event with the switch that raised it.
-	Events []DeployEvent
-}
-
-// DeployEvent pairs an event with its reporting switch.
-type DeployEvent struct {
-	Switch string
-	Event  fancy.Event
-}
-
-// DeployFancy attaches a detector to every switch and opens counting
-// sessions on both directions of every inter-switch link.
-func (n *Network) DeployFancy(cfg fancy.Config) (*Deployment, error) {
-	d := &Deployment{Detectors: make(map[string]*fancy.Detector)}
-	var names []string
-	for sw := range n.Switches {
-		names = append(names, sw)
-	}
-	sort.Strings(names)
-	for _, sw := range names {
-		det, err := fancy.NewDetector(n.Sim, n.Switches[sw], cfg)
-		if err != nil {
-			return nil, fmt.Errorf("topo: detector at %q: %w", sw, err)
-		}
-		name := sw
-		det.OnEvent = func(ev fancy.Event) {
-			d.Events = append(d.Events, DeployEvent{Switch: name, Event: ev})
-		}
-		d.Detectors[sw] = det
-	}
-	// Monitor/listen both directions of each link.
-	for key, l := range n.links {
-		_ = l
-		var a, b string
-		for i := 0; i < len(key); i++ {
-			if key[i] == '|' {
-				a, b = key[:i], key[i+1:]
-			}
-		}
-		d.Detectors[a].MonitorPort(n.PortOf[a][b])
-		d.Detectors[b].ListenPort(n.PortOf[b][a])
-		d.Detectors[b].MonitorPort(n.PortOf[b][a])
-		d.Detectors[a].ListenPort(n.PortOf[a][b])
-	}
-	return d, nil
-}
-
-// FlaggedAt reports the switches that flagged entry on any monitored port,
-// with the port names resolved back to neighbors.
-func (n *Network) FlaggedAt(d *Deployment, entry netsim.EntryID) []string {
-	var out []string
-	for sw, det := range d.Detectors {
-		for nb, port := range n.PortOf[sw] {
-			if _, isHost := n.Hosts[nb]; isHost {
-				continue
-			}
-			if det.Outputs(port) != nil && det.Flagged(port, entry) {
-				out = append(out, sw+"->"+nb)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

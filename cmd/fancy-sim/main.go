@@ -67,6 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*rate > 0) {
 		return fail(2, "-rate must be > 0, got %v", *rate)
 	}
+	if *delay <= 0 {
+		return fail(2, "-delay must be > 0, got %v", *delay)
+	}
+	if *chaosFlapAt > 0 && *chaosFlapFor <= 0 {
+		return fail(2, "-chaos-flap-for must be > 0 with -chaos-flap-at, got %v", *chaosFlapFor)
+	}
 	if *dedicated > *entries {
 		return fail(2, "-dedicated cannot exceed -entries")
 	}

@@ -33,6 +33,9 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		"-chaos-dup -0.5":  "-chaos-dup must be a probability in [0, 1], got -0.5",
 		"-zoom -1s":        "-zoom must be >= 0, got -1s",
 		"-delay -1s":       "-delay must be >= 0, got -1s",
+		"-delay 0":         "-delay must be > 0, got 0s",
+
+		"-chaos-flap-at 1s -chaos-flap-for 0": "-chaos-flap-for must be > 0 with -chaos-flap-at, got 0s",
 	} {
 		t.Run(args, func(t *testing.T) {
 			cmdtest.Rejects(t, run, "fancy-sim", msg, strings.Fields(args)...)

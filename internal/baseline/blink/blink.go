@@ -17,34 +17,19 @@ import (
 	"fancy/internal/sim"
 )
 
-// Config parameterizes the detector.
-type Config struct {
-	// MaxFlows is the number of flows monitored per prefix (paper: 64).
-	MaxFlows int
-	// Window is the retransmission vote window (paper: 800 ms).
-	Window sim.Time
-	// Majority is the fraction of monitored flows that must retransmit
-	// within Window to infer a failure (paper: majority, 0.5).
-	Majority float64
-	// EvictAfter replaces flows idle longer than this, keeping the
+// The detector runs on the paper's parameters.
+const (
+	// maxFlows is the number of flows monitored per prefix.
+	maxFlows = 64
+	// window is the retransmission vote window.
+	window = 800 * sim.Millisecond
+	// majority is the fraction of monitored flows that must retransmit
+	// within window to infer a failure.
+	majority = 0.5
+	// evictAfter replaces flows idle longer than this, keeping the
 	// monitored set populated with active flows.
-	EvictAfter sim.Time
-}
-
-func (c *Config) fill() {
-	if c.MaxFlows == 0 {
-		c.MaxFlows = 64
-	}
-	if c.Window == 0 {
-		c.Window = 800 * sim.Millisecond
-	}
-	if c.Majority == 0 {
-		c.Majority = 0.5
-	}
-	if c.EvictAfter == 0 {
-		c.EvictAfter = 2 * sim.Second
-	}
-}
+	evictAfter = 2 * sim.Second
+)
 
 // flowState tracks one monitored flow.
 type flowState struct {
@@ -56,7 +41,6 @@ type flowState struct {
 // Detector monitors one prefix's flows through a switch ingress. Attach
 // with sw.AddIngressHook.
 type Detector struct {
-	cfg   Config
 	s     *sim.Sim
 	entry netsim.EntryID
 
@@ -72,9 +56,8 @@ type Detector struct {
 }
 
 // New creates a Blink detector for one prefix.
-func New(s *sim.Sim, entry netsim.EntryID, cfg Config) *Detector {
-	cfg.fill()
-	return &Detector{cfg: cfg, s: s, entry: entry, flows: make(map[netsim.FlowID]*flowState)}
+func New(s *sim.Sim, entry netsim.EntryID) *Detector {
+	return &Detector{s: s, entry: entry, flows: make(map[netsim.FlowID]*flowState)}
 }
 
 // OnIngress implements netsim.IngressHook: it observes forward TCP data
@@ -86,7 +69,7 @@ func (d *Detector) OnIngress(pkt *netsim.Packet, port int) bool {
 	now := d.s.Now()
 	st, ok := d.flows[pkt.Flow]
 	if !ok {
-		if len(d.flows) >= d.cfg.MaxFlows {
+		if len(d.flows) >= maxFlows {
 			if !d.evictIdle(now) {
 				return false // monitored set full of active flows
 			}
@@ -112,7 +95,7 @@ func (d *Detector) OnIngress(pkt *netsim.Packet, port int) bool {
 
 func (d *Detector) evictIdle(now sim.Time) bool {
 	for id, st := range d.flows {
-		if now-st.lastSeen > d.cfg.EvictAfter {
+		if now-st.lastSeen > evictAfter {
 			delete(d.flows, id)
 			return true
 		}
@@ -127,11 +110,11 @@ func (d *Detector) vote(now sim.Time) {
 	}
 	retrans := 0
 	for _, st := range d.flows {
-		if st.lastRetrans > 0 && now-st.lastRetrans <= d.cfg.Window {
+		if st.lastRetrans > 0 && now-st.lastRetrans <= window {
 			retrans++
 		}
 	}
-	if float64(retrans) > d.cfg.Majority*float64(len(d.flows)) {
+	if float64(retrans) > majority*float64(len(d.flows)) {
 		d.Votes++
 		if d.FailureAt == 0 {
 			d.FailureAt = now

@@ -18,11 +18,11 @@ type blinkBed struct {
 	drv *traffic.Driver
 }
 
-func newBed(t *testing.T, seed int64, cfg Config) *blinkBed {
+func newBed(t *testing.T, seed int64) *blinkBed {
 	t.Helper()
 	lc := netsim.LinkConfig{Delay: 5 * sim.Millisecond, RateBps: 10e9}
 	b := &blinkBed{LinkBed: netsim.NewLinkBed(sim.New(seed), lc, lc, false)}
-	b.det = New(b.Sim, 100, cfg)
+	b.det = New(b.Sim, 100)
 	b.Up.AddIngressHook(b.det)
 	b.drv = traffic.NewDriver(b.Sim, b.Src, b.Dst, tcp.Config{})
 	return b
@@ -43,7 +43,7 @@ func (b *blinkBed) flows(n int, duration sim.Time) {
 }
 
 func TestBlinkDetectsFullLinkFailure(t *testing.T) {
-	b := newBed(t, 1, Config{MaxFlows: 64})
+	b := newBed(t, 1)
 	b.flows(40, 10*sim.Second)
 	b.Link.AB.SetFailure(netsim.FailEntries(3, 2*sim.Second, 1.0, 100))
 	b.Sim.Run(10 * sim.Second)
@@ -65,7 +65,7 @@ func TestBlinkDetectsFullLinkFailure(t *testing.T) {
 func TestBlinkMissesMinorityGrayFailure(t *testing.T) {
 	// §2.3: "Blink fundamentally cannot detect a gray failure that does
 	// not affect the majority of the flows crossing a link."
-	b := newBed(t, 2, Config{MaxFlows: 64})
+	b := newBed(t, 2)
 	b.flows(40, 10*sim.Second)
 	// Blackhole 20% of the flows: a severe gray failure, well below the
 	// majority vote.
@@ -81,7 +81,7 @@ func TestBlinkMissesMinorityGrayFailure(t *testing.T) {
 }
 
 func TestBlinkNoFalsePositivesOnCleanTraffic(t *testing.T) {
-	b := newBed(t, 3, Config{MaxFlows: 64})
+	b := newBed(t, 3)
 	b.flows(40, 6*sim.Second)
 	b.Sim.Run(6 * sim.Second)
 	if b.det.Detected() {
@@ -90,32 +90,35 @@ func TestBlinkNoFalsePositivesOnCleanTraffic(t *testing.T) {
 }
 
 func TestBlinkFlowEviction(t *testing.T) {
-	b := newBed(t, 4, Config{MaxFlows: 4, EvictAfter: 500 * sim.Millisecond})
-	// First wave of 4 short flows, then a second wave after they finish.
-	rng := rand.New(rand.NewSource(5))
-	_ = rng
+	b := newBed(t, 4)
+	// A first wave of maxFlows short flows fills the monitored set; a
+	// second wave starts once they have been idle longer than evictAfter.
+	const second = 4 * sim.Second
 	var specs []traffic.FlowSpec
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxFlows; i++ {
 		specs = append(specs, traffic.FlowSpec{Entry: 100, Start: 0, Bytes: 20_000, RateBps: 200e3})
 	}
-	for i := 0; i < 4; i++ {
-		specs = append(specs, traffic.FlowSpec{Entry: 100, Start: 3 * sim.Second, Bytes: 20_000, RateBps: 200e3})
+	for i := 0; i < maxFlows; i++ {
+		specs = append(specs, traffic.FlowSpec{Entry: 100, Start: second, Bytes: 20_000, RateBps: 200e3})
 	}
 	b.drv.Schedule(specs)
-	b.Sim.Run(6 * sim.Second)
+	b.Sim.Run(second + 2*sim.Second)
 	// The second wave must have been admitted after the first went idle.
+	if b.det.MonitoredFlows != maxFlows {
+		t.Fatalf("monitored set peaked at %d flows, want %d", b.det.MonitoredFlows, maxFlows)
+	}
 	if len(b.det.flows) == 0 {
 		t.Fatal("no flows monitored after eviction cycle")
 	}
 	for id, st := range b.det.flows {
-		if st.lastSeen < 3*sim.Second {
+		if st.lastSeen < second {
 			t.Errorf("flow %d from the first wave still monitored after eviction", id)
 		}
 	}
 }
 
 func TestBlinkIgnoresOtherPrefixesAndACKs(t *testing.T) {
-	b := newBed(t, 6, Config{})
+	b := newBed(t, 6)
 	// Traffic on a different prefix only.
 	var specs []traffic.FlowSpec
 	for i := 0; i < 10; i++ {

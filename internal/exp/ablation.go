@@ -73,7 +73,7 @@ func AblationStrawman(scale Scale, seed int64) *StrawmanResult {
 		res.Rows = append(res.Rows, fancyRow)
 
 		for _, k := range []int{1, 2, 4} {
-			cfg := core.StrawmanConfig{Entry: 7, Interval: 50 * sim.Millisecond, History: k}
+			cfg := core.StrawmanConfig{Entry: 7, History: k}
 			row := StrawmanRow{
 				Protocol:    fmt.Sprintf("strawman-k%d", k),
 				ReverseLoss: revLoss,
@@ -278,7 +278,7 @@ func runBlinkVsFancy(seed int64, fraction float64, duration sim.Time) (bool, flo
 	bed := netsim.NewLinkBed(s, lc, lc, false)
 
 	const entry = netsim.EntryID(100)
-	bd := blink.New(s, entry, blink.Config{})
+	bd := blink.New(s, entry)
 	bed.Up.AddIngressHook(bd)
 
 	cfg := core.Config{

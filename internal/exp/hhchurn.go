@@ -68,7 +68,6 @@ func HHChurn(scale Scale, seed int64) *HHChurnResult {
 		AggregateBps:  20e6,
 		ShiftInterval: pick(scale, 2*sim.Second, 3*sim.Second),
 		Epochs:        pick(scale, 3, 5),
-		ShiftCount:    4,
 		HotRanks:      res.Slots, // churned-in prefixes are outside the static top-k
 		Seed:          seed,
 	}

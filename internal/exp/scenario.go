@@ -102,8 +102,7 @@ type Scenario struct {
 	Duration sim.Time // total simulated time
 	FailAt   sim.Time
 	LossRate float64
-	Failed   []netsim.EntryID
-	Uniform  bool // uniform loss instead of per-entry
+	Failed   []netsim.EntryID // each loses LossRate of its packets from FailAt
 	Loads    []EntryLoad
 
 	// StopWhenDetected ends the run as soon as every failed entry is
@@ -197,9 +196,6 @@ func (sc *Scenario) Run() *Outcome {
 			for _, e := range sc.Failed {
 				markDetected(e)
 			}
-			if sc.Uniform && sc.StopWhenDetected {
-				s.Stop()
-			}
 		}
 	}
 
@@ -222,13 +218,7 @@ func (sc *Scenario) Run() *Outcome {
 	}
 
 	// Failure.
-	var failure *netsim.Failure
-	if sc.Uniform {
-		failure = netsim.FailUniform(sc.Seed+2, sc.FailAt, sc.LossRate)
-	} else {
-		failure = netsim.FailEntries(sc.Seed+2, sc.FailAt, sc.LossRate, sc.Failed...)
-	}
-	bed.Link.AB.SetFailure(failure)
+	bed.Link.AB.SetFailure(netsim.FailEntries(sc.Seed+2, sc.FailAt, sc.LossRate, sc.Failed...))
 	if sc.ReverseLoss > 0 {
 		bed.Link.BA.SetFailure(netsim.FailUniform(sc.Seed+3, 0, sc.ReverseLoss))
 	}

@@ -307,12 +307,12 @@ func TestPartialLossDetected(t *testing.T) {
 }
 
 func TestControlLossResilience(t *testing.T) {
-	// Drop 30% of control messages too: stop-and-wait retransmission must
-	// still close sessions and detect the failure.
+	// Drop half of the control messages too: stop-and-wait retransmission
+	// must still close sessions and detect the failure. Entry 10 is the only
+	// traffic, so uniform loss hits its data and the control messages alike.
 	tb := newTestbed(t, testCfg, 7)
 	tb.udp(10, 2e6, 0, 10*sim.Second)
-	f := tb.failEntries(1*sim.Second, 0.5, 10)
-	f.DropsControl = true
+	tb.link.AB.SetFailure(netsim.FailUniform(tb.s.DeriveSeed("testbed/fail"), 1*sim.Second, 0.5))
 	tb.s.Run(10 * sim.Second)
 	if _, ok := tb.firstEvent(EventDedicated); !ok {
 		t.Fatal("failure not detected despite control-plane retransmissions")
@@ -426,9 +426,8 @@ func TestAcknowledgeLifecycle(t *testing.T) {
 	tb.udp(10, 2e6, 0, 8*sim.Second)
 	tb.udp(300, 2e6, 0, 8*sim.Second)
 	// Failure heals at 3s.
-	f := netsim.FailEntries(99, 1*sim.Second, 1.0, 10, 300)
-	f.End = 3 * sim.Second
-	tb.link.AB.SetFailure(f)
+	tb.link.AB.SetFailure(netsim.FailEntries(99, 1*sim.Second, 1.0, 10, 300))
+	tb.s.ScheduleAt(3*sim.Second, func() { tb.link.AB.SetFailure(nil) })
 	tb.s.Run(4 * sim.Second)
 	if !tb.det.Flagged(1, 10) || !tb.det.Flagged(1, 300) {
 		t.Fatal("precondition: both entries flagged")
@@ -480,10 +479,12 @@ func TestIntermittentFailureDetected(t *testing.T) {
 	// any burst overlapping a counting window produces a mismatch.
 	tb := newTestbed(t, testCfg, 61)
 	tb.udp(10, 2e6, 0, 10*sim.Second)
+	// Bursts of 80 ms, shorter than a session, once a second from 1 s on.
 	f := netsim.FailEntries(5, 1*sim.Second, 1.0, 10)
-	f.BurstOn = 80 * sim.Millisecond // bursts shorter than a session
-	f.BurstOff = 920 * sim.Millisecond
-	tb.link.AB.SetFailure(f)
+	for on := 1 * sim.Second; on < 10*sim.Second; on += sim.Second {
+		tb.s.ScheduleAt(on, func() { tb.link.AB.SetFailure(f) })
+		tb.s.ScheduleAt(on+80*sim.Millisecond, func() { tb.link.AB.SetFailure(nil) })
+	}
 	tb.s.Run(10 * sim.Second)
 
 	ev, ok := tb.firstEvent(EventDedicated)

@@ -95,11 +95,10 @@ func TestPropertyDetectionUnderRandomProtocolLoss(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rev := float64(rng.Intn(40)) / 100 // up to 40% reverse loss
 		tb.link.BA.SetFailure(netsim.FailUniform(seed+9, 0, rev))
-		// 70% data loss whose bug also eats control messages at the same
-		// rate (a total control blackhole would correctly surface as
+		// 70% loss on data and control messages alike: entry 10 is the only
+		// traffic (a total control blackhole would correctly surface as
 		// EventLinkDown instead).
-		f := tb.failEntries(1*sim.Second, 0.7, 10)
-		f.DropsControl = true
+		tb.link.AB.SetFailure(netsim.FailUniform(tb.s.DeriveSeed("testbed/fail"), 1*sim.Second, 0.7))
 		tb.s.Run(12 * sim.Second)
 		if _, ok := tb.firstEvent(EventDedicated); !ok {
 			t.Errorf("seed %d (rev=%.2f): failure never detected", seed, rev)

@@ -151,9 +151,9 @@ func TestFlapDownUpRecovery(t *testing.T) {
 	for i, end := range []*netsim.LinkEnd{tb.link.AB, tb.link.BA} {
 		c := netsim.NewChaos(tb.s, "flap/"+string(rune('a'+i)))
 		c.Start = 1 * sim.Second
-		c.End = 2500 * sim.Millisecond
 		c.DownFor = sim.Millisecond // UpFor 0: down for the whole window
 		end.SetChaos(c)
+		tb.s.ScheduleAt(2500*sim.Millisecond, func() { end.SetChaos(nil) })
 	}
 	tb.s.Run(6 * sim.Second)
 

@@ -25,17 +25,16 @@ import (
 	"fancy/internal/wire"
 )
 
+// strawmanInterval is the strawman's session rollover period.
+const strawmanInterval = 50 * sim.Millisecond
+
 // StrawmanConfig parameterizes the continuous-counting strawman.
 type StrawmanConfig struct {
-	Entry    netsim.EntryID
-	Interval sim.Time // session rollover period
-	History  int      // K: counter sets kept on each side (≥1)
+	Entry   netsim.EntryID
+	History int // K: counter sets kept on each side (≥1)
 }
 
 func (c *StrawmanConfig) fill() {
-	if c.Interval == 0 {
-		c.Interval = 50 * sim.Millisecond
-	}
 	if c.History < 1 {
 		c.History = 1
 	}
@@ -66,8 +65,6 @@ type StrawmanSender struct {
 	Lost       uint64 // sessions evicted unverified (measurement lost)
 	Mismatches uint64 // verified sessions with upstream > downstream
 	FlaggedAt  sim.Time
-
-	OnMismatch func(session uint32, diff uint64)
 }
 
 type strawSession struct {
@@ -83,7 +80,7 @@ func NewStrawmanSender(s *sim.Sim, sw *netsim.Switch, port int, cfg StrawmanConf
 	snd.history = append(snd.history, strawSession{id: snd.session})
 	sw.AddEgressHook(snd)
 	sw.RefreshEgressHooks()
-	s.After(cfg.Interval, snd.rollover)
+	s.After(strawmanInterval, snd.rollover)
 	return snd
 }
 
@@ -113,7 +110,7 @@ func (snd *StrawmanSender) rollover() {
 			snd.Lost++
 		}
 	}
-	snd.s.After(snd.cfg.Interval, snd.rollover)
+	snd.s.After(strawmanInterval, snd.rollover)
 }
 
 // HandleReport processes a downstream counter report for a session.
@@ -129,9 +126,6 @@ func (snd *StrawmanSender) HandleReport(session uint32, downstream uint64) {
 			snd.Mismatches++
 			if snd.FlaggedAt == 0 {
 				snd.FlaggedAt = snd.s.Now()
-			}
-			if snd.OnMismatch != nil {
-				snd.OnMismatch(session, ses.count-downstream)
 			}
 		}
 		return

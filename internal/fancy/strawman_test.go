@@ -37,7 +37,7 @@ func TestStrawmanMemoryScalesWithHistory(t *testing.T) {
 }
 
 func TestStrawmanDetectsPartialLossLossless(t *testing.T) {
-	cfg := StrawmanConfig{Entry: 7, Interval: 50 * sim.Millisecond, History: 2}
+	cfg := StrawmanConfig{Entry: 7, History: 2}
 	sb := newStrawBed(t, cfg, nil, 1)
 	sb.udp(7, 2e6, 0, 5*sim.Second)
 	sb.failEntries(1*sim.Second, 0.5, 7)
@@ -60,7 +60,7 @@ func TestStrawmanLosesMeasurementsUnderReverseLoss(t *testing.T) {
 	// §4.1's core criticism: a lost report permanently loses the session;
 	// with 50% reverse loss and history 1, about half the measurements
 	// are gone.
-	cfg := StrawmanConfig{Entry: 7, Interval: 50 * sim.Millisecond, History: 1}
+	cfg := StrawmanConfig{Entry: 7, History: 1}
 	reverse := netsim.FailUniform(3, 0, 0.5)
 	sb := newStrawBed(t, cfg, reverse, 2)
 	sb.udp(7, 2e6, 0, 5*sim.Second)
@@ -80,7 +80,7 @@ func TestStrawmanBlindDuringBlackhole(t *testing.T) {
 	// blackhole starves it of packets entirely, so sessions go
 	// unverified and the strawman cannot even flag the failure. FANcY's
 	// control-driven Stop/Report does not have this problem.
-	cfg := StrawmanConfig{Entry: 7, Interval: 50 * sim.Millisecond, History: 2}
+	cfg := StrawmanConfig{Entry: 7, History: 2}
 	sb := newStrawBed(t, cfg, nil, 3)
 	sb.udp(7, 2e6, 0, 6*sim.Second)
 	sb.failEntries(1*sim.Second, 1.0, 7)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"fancy/internal/lint"
@@ -188,19 +189,34 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// loadRepo type-checks every non-test package of the real module once; the
+// repo-wide tests share the result.
+var loadRepo = func() func(*testing.T) []*lint.Package {
+	var (
+		once sync.Once
+		pkgs []*lint.Package
+		err  error
+	)
+	return func(t *testing.T) []*lint.Package {
+		t.Helper()
+		once.Do(func() {
+			var mod *lint.Module
+			if mod, err = lint.FindModule("."); err == nil {
+				pkgs, err = lint.Load(mod)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs
+	}
+}()
+
 // TestRepoClean runs the suite over the real module: the tree must stay
 // vet-clean, which is the tentpole's acceptance criterion and keeps the
 // gate local to go test (CI runs the driver binary as well).
 func TestRepoClean(t *testing.T) {
-	mod, err := lint.FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.Load(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := lint.Run(pkgs, lint.Analyzers())
+	findings := lint.Run(loadRepo(t), lint.Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 	}

@@ -22,9 +22,9 @@ import (
 // Install it with LinkEnd.SetChaos. Fields may be combined freely; each is
 // evaluated independently per delivered packet.
 type Chaos struct {
-	// Start and End bound the active window (End == 0 means "until the end
-	// of the simulation"), like Failure.
-	Start, End sim.Time
+	// Start opens the active window, which lasts until the end of the
+	// simulation or until LinkEnd.SetChaos(nil), like a Failure's.
+	Start sim.Time
 
 	// CorruptCtl is the per-packet probability of flipping a random bit in
 	// a FANcY control message's wire bytes. The corrupted message is still
@@ -82,17 +82,14 @@ func NewChaos(s *sim.Sim, stream string) *Chaos {
 	return &Chaos{rng: s.DeriveRand("chaos/" + stream)}
 }
 
-// ActiveAt reports whether the chaos window covers time t.
-func (c *Chaos) ActiveAt(t sim.Time) bool {
-	if c == nil {
-		return false
-	}
-	return t >= c.Start && (c.End == 0 || t < c.End)
+// activeAt reports whether the chaos window covers time t.
+func (c *Chaos) activeAt(t sim.Time) bool {
+	return c != nil && t >= c.Start
 }
 
-// DownAt reports whether the link direction is flapped down at time t.
-func (c *Chaos) DownAt(t sim.Time) bool {
-	if !c.ActiveAt(t) || c.DownFor <= 0 {
+// downAt reports whether the link direction is flapped down at time t.
+func (c *Chaos) downAt(t sim.Time) bool {
+	if !c.activeAt(t) || c.DownFor <= 0 {
 		return false
 	}
 	if c.UpFor <= 0 {
@@ -125,10 +122,10 @@ const (
 // packet (control-byte corruption) and reports an optional extra delay and
 // whether an extra copy must be scheduled.
 func (c *Chaos) apply(pkt *Packet, t sim.Time) (v chaosVerdict, extraDelay sim.Time, dup bool) {
-	if !c.ActiveAt(t) {
+	if !c.activeAt(t) {
 		return chaosDeliver, 0, false
 	}
-	if c.DownAt(t) {
+	if c.downAt(t) {
 		c.Stats.FlapDrops++
 		return chaosDrop, 0, false
 	}

@@ -33,7 +33,6 @@ func (p *chaosPair) sendEvery(gap sim.Time, n int, mk func(i int) *Packet) {
 func TestChaosFlapWindows(t *testing.T) {
 	c := NewChaos(sim.New(1), "flap")
 	c.Start = 100 * sim.Millisecond
-	c.End = 500 * sim.Millisecond
 	c.DownFor = 50 * sim.Millisecond
 	c.UpFor = 150 * sim.Millisecond
 	cases := []struct {
@@ -48,19 +47,19 @@ func TestChaosFlapWindows(t *testing.T) {
 		{300 * sim.Millisecond, true},   // second cycle down
 		{349 * sim.Millisecond, true},   //
 		{350 * sim.Millisecond, false},  //
-		{500 * sim.Millisecond, false},  // window ended
+		{500 * sim.Millisecond, true},   // the window has no end
 		{1200 * sim.Millisecond, false}, //
 	}
 	for _, tc := range cases {
-		if got := c.DownAt(tc.t); got != tc.down {
-			t.Errorf("DownAt(%v) = %v, want %v", tc.t, got, tc.down)
+		if got := c.downAt(tc.t); got != tc.down {
+			t.Errorf("downAt(%v) = %v, want %v", tc.t, got, tc.down)
 		}
 	}
 	// Permanent outage: DownFor without UpFor.
 	solid := NewChaos(sim.New(1), "solid")
 	solid.Start = sim.Second
 	solid.DownFor = sim.Millisecond
-	if !solid.DownAt(5*sim.Second) || solid.DownAt(0) {
+	if !solid.downAt(5*sim.Second) || solid.downAt(0) {
 		t.Error("DownFor without UpFor should hold the link down for the whole window")
 	}
 }
@@ -214,8 +213,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 		c.UpFor = 80 * sim.Millisecond
 		c.Start = 100 * sim.Millisecond
 		p.link.AB.SetChaos(c)
-		f := NewFailure(p.s.DeriveSeed("failure"))
-		f.Uniform = 0.1
+		f := FailUniform(p.s.DeriveSeed("failure"), 0, 0.1)
 		p.link.AB.SetFailure(f)
 
 		var trace string

@@ -7,53 +7,42 @@ import (
 )
 
 // Failure injects gray-failure packet drops into one link direction. It
-// reproduces the failure classes of Table 1 in the paper:
+// reproduces the failure classes of Table 1 in the paper, one constructor
+// each:
 //
 //   - per-entry loss (some or all packets of one or a few IP prefixes):
-//     PerEntry maps each affected entry to its drop probability;
+//     FailEntries;
 //   - uniform loss (all entries, a fraction of packets — e.g. CRC
-//     corruption on a link): Uniform > 0;
-//   - blackholes: probability 1 in either mode.
+//     corruption on a link): FailUniform;
+//   - per-flow and per-size loss: FailFlows and FailSizes;
+//   - blackholes: probability 1 in any of them.
 //
-// A Failure is active between Start and End (End == 0 means "until the end
-// of the simulation"). Control-plane packets (ProtoFancy) are only affected
-// by Uniform loss: entry-selective hardware bugs match on header fields the
+// A Failure is active from its start time on; LinkEnd.SetFailure(nil) heals
+// the direction. Control-plane packets (ProtoFancy) are only affected by
+// uniform loss: entry-selective hardware bugs match on header fields the
 // control messages do not carry, whereas link-level corruption hits
 // everything — exactly the property that makes gray failures invisible to
 // hello protocols like BFD yet detectable by FANcY.
 type Failure struct {
-	Start sim.Time
-	End   sim.Time
+	start sim.Time
 
-	Uniform  float64
-	PerEntry map[EntryID]float64
+	uniform  float64
+	perEntry map[EntryID]float64
 
-	// FlowFraction selects a deterministic subset of flows (by flow-ID
-	// hash) whose packets are dropped with probability FlowLoss. This
+	// flowFraction selects a deterministic subset of flows (by flow-ID
+	// hash) whose packets are dropped with probability flowLoss. This
 	// models the Table 1 bugs that hit specific packets — e.g. specific
 	// sizes or header values — which map to specific flows: the failure
 	// class hello protocols and Blink-style retransmission detectors
 	// fundamentally miss when the subset is a minority.
-	FlowFraction float64
-	FlowLoss     float64
+	flowFraction float64
+	flowLoss     float64
 
-	// SizeMin/SizeMax select packets by wire size, dropped with
-	// probability SizeLoss — the Table 1 bug "drops random sized L2TPv3
+	// sizeMin/sizeMax select packets by wire size, dropped with
+	// probability sizeLoss — the Table 1 bug "drops random sized L2TPv3
 	// packets" / "packets with specific sizes" class.
-	SizeMin, SizeMax int
-	SizeLoss         float64
-
-	// BurstOn/BurstOff make the failure intermittent: within the active
-	// window it cycles BurstOn dropping, BurstOff healthy, repeating.
-	// §2.1's operators report that intermittent gray failures are the
-	// hardest to diagnose — "many gray failures are never diagnosed,
-	// e.g., because they appear intermittently".
-	BurstOn, BurstOff sim.Time
-
-	// DropsControl optionally extends per-entry failures to control
-	// packets as well, to test the counting protocol's stop-and-wait
-	// reliability in isolation.
-	DropsControl bool
+	sizeMin, sizeMax int
+	sizeLoss         float64
 
 	rng *rand.Rand
 
@@ -64,65 +53,42 @@ type Failure struct {
 	}
 }
 
-// NewFailure returns a failure with its own deterministic drop RNG.
-func NewFailure(seed int64) *Failure {
-	return &Failure{rng: rand.New(rand.NewSource(seed))}
+// newFailure returns a failure active from start with its own
+// deterministic drop RNG.
+func newFailure(seed int64, start sim.Time) *Failure {
+	return &Failure{start: start, rng: rand.New(rand.NewSource(seed))}
 }
 
-// ActiveAt reports whether the failure window covers time t, including the
-// intermittent duty cycle when configured.
-func (f *Failure) ActiveAt(t sim.Time) bool {
-	if f == nil {
-		return false
-	}
-	if t < f.Start || (f.End != 0 && t >= f.End) {
-		return false
-	}
-	if f.BurstOn > 0 && f.BurstOff > 0 {
-		phase := (t - f.Start) % (f.BurstOn + f.BurstOff)
-		return phase < f.BurstOn
-	}
-	return true
+// activeAt reports whether the failure is in force at time t.
+func (f *Failure) activeAt(t sim.Time) bool {
+	return f != nil && t >= f.start
 }
 
 // Drop decides whether to drop pkt at time t.
 func (f *Failure) Drop(pkt *Packet, t sim.Time) bool {
-	if !f.ActiveAt(t) {
+	if !f.activeAt(t) {
 		return false
 	}
 	if pkt.Proto == ProtoFancy {
-		if f.Uniform > 0 && f.roll(f.Uniform) {
+		if f.uniform > 0 && f.roll(f.uniform) {
 			f.Dropped.Control++
 			return true
 		}
-		if f.DropsControl && len(f.PerEntry) > 0 {
-			// Apply the maximum per-entry rate to control traffic.
-			max := 0.0
-			for _, p := range f.PerEntry {
-				if p > max {
-					max = p
-				}
-			}
-			if f.roll(max) {
-				f.Dropped.Control++
-				return true
-			}
-		}
 		return false
 	}
-	if f.Uniform > 0 && f.roll(f.Uniform) {
+	if f.uniform > 0 && f.roll(f.uniform) {
 		f.Dropped.Data++
 		return true
 	}
-	if p, ok := f.PerEntry[pkt.Entry]; ok && f.roll(p) {
+	if p, ok := f.perEntry[pkt.Entry]; ok && f.roll(p) {
 		f.Dropped.Data++
 		return true
 	}
-	if f.FlowFraction > 0 && flowSelected(pkt.Flow, f.FlowFraction) && f.roll(f.FlowLoss) {
+	if f.flowFraction > 0 && flowSelected(pkt.Flow, f.flowFraction) && f.roll(f.flowLoss) {
 		f.Dropped.Data++
 		return true
 	}
-	if f.SizeLoss > 0 && pkt.Size >= f.SizeMin && pkt.Size <= f.SizeMax && f.roll(f.SizeLoss) {
+	if f.sizeLoss > 0 && pkt.Size >= f.sizeMin && pkt.Size <= f.sizeMax && f.roll(f.sizeLoss) {
 		f.Dropped.Data++
 		return true
 	}
@@ -132,10 +98,9 @@ func (f *Failure) Drop(pkt *Packet, t sim.Time) bool {
 // FailSizes builds a failure dropping rate of the packets whose wire size
 // lies in [min, max] bytes, from start onward.
 func FailSizes(seed int64, start sim.Time, min, max int, rate float64) *Failure {
-	f := NewFailure(seed)
-	f.Start = start
-	f.SizeMin, f.SizeMax = min, max
-	f.SizeLoss = rate
+	f := newFailure(seed, start)
+	f.sizeMin, f.sizeMax = min, max
+	f.sizeLoss = rate
 	return f
 }
 
@@ -152,10 +117,9 @@ func flowSelected(flow FlowID, fraction float64) bool {
 // FailFlows builds a failure dropping rate of the packets of a fraction
 // of flows, from start onward.
 func FailFlows(seed int64, start sim.Time, fraction, rate float64) *Failure {
-	f := NewFailure(seed)
-	f.Start = start
-	f.FlowFraction = fraction
-	f.FlowLoss = rate
+	f := newFailure(seed, start)
+	f.flowFraction = fraction
+	f.flowLoss = rate
 	return f
 }
 
@@ -171,19 +135,17 @@ func (f *Failure) roll(p float64) bool {
 
 // FailEntries builds a per-entry failure dropping rate of each listed entry.
 func FailEntries(seed int64, start sim.Time, rate float64, entries ...EntryID) *Failure {
-	f := NewFailure(seed)
-	f.Start = start
-	f.PerEntry = make(map[EntryID]float64, len(entries))
+	f := newFailure(seed, start)
+	f.perEntry = make(map[EntryID]float64, len(entries))
 	for _, e := range entries {
-		f.PerEntry[e] = rate
+		f.perEntry[e] = rate
 	}
 	return f
 }
 
 // FailUniform builds a uniform random-loss failure starting at start.
 func FailUniform(seed int64, start sim.Time, rate float64) *Failure {
-	f := NewFailure(seed)
-	f.Start = start
-	f.Uniform = rate
+	f := newFailure(seed, start)
+	f.uniform = rate
 	return f
 }

@@ -114,19 +114,13 @@ func TestLinkFullDuplex(t *testing.T) {
 }
 
 func TestFailureWindow(t *testing.T) {
-	f := NewFailure(1)
-	f.Start = 1 * sim.Second
-	f.End = 2 * sim.Second
-	f.Uniform = 1
+	f := FailUniform(1, 1*sim.Second, 1)
 	pkt := &Packet{Entry: 5}
 	if f.Drop(pkt, 500*sim.Millisecond) {
-		t.Error("dropped before window")
+		t.Error("dropped before start")
 	}
-	if !f.Drop(pkt, 1500*sim.Millisecond) {
-		t.Error("not dropped inside window")
-	}
-	if f.Drop(pkt, 2500*sim.Millisecond) {
-		t.Error("dropped after window")
+	if !f.Drop(pkt, 1500*sim.Millisecond) || !f.Drop(pkt, 100*sim.Second) {
+		t.Error("not dropped from start on")
 	}
 	var nilF *Failure
 	if nilF.Drop(pkt, 0) {
@@ -147,17 +141,6 @@ func TestFailurePerEntrySelectivity(t *testing.T) {
 	}
 	if f.Dropped.Data != 1 {
 		t.Errorf("data drop count = %d, want 1", f.Dropped.Data)
-	}
-}
-
-func TestFailureControlDropsOption(t *testing.T) {
-	f := FailEntries(1, 0, 1.0, 7)
-	f.DropsControl = true
-	if !f.Drop(&Packet{Proto: ProtoFancy, Entry: InvalidEntry}, 1) {
-		t.Error("DropsControl failure should drop control packets")
-	}
-	if f.Dropped.Control != 1 {
-		t.Errorf("control drop count = %d, want 1", f.Dropped.Control)
 	}
 }
 
@@ -558,7 +541,7 @@ func TestAccessors(t *testing.T) {
 	if l.AB.dir.failure != nil {
 		t.Error("fresh link has a failure")
 	}
-	fl := NewFailure(1)
+	fl := newFailure(1, 0)
 	l.AB.SetFailure(fl)
 	if l.AB.dir.failure != fl {
 		t.Error("SetFailure did not install the failure")
@@ -638,29 +621,7 @@ func TestSwitchAttachPanics(t *testing.T) {
 	sw.Attach(0, nil)
 }
 
-func TestFailureIntermittentDutyCycle(t *testing.T) {
-	f := FailEntries(1, sim.Second, 1.0, 5)
-	f.BurstOn = 100 * sim.Millisecond
-	f.BurstOff = 300 * sim.Millisecond
-	pkt := &Packet{Entry: 5}
-	cases := []struct {
-		at   sim.Time
-		drop bool
-	}{
-		{500 * sim.Millisecond, false},  // before Start
-		{1050 * sim.Millisecond, true},  // first burst
-		{1200 * sim.Millisecond, false}, // off phase
-		{1450 * sim.Millisecond, true},  // second burst
-		{1700 * sim.Millisecond, false}, // off phase
-	}
-	for _, c := range cases {
-		if got := f.Drop(pkt, c.at); got != c.drop {
-			t.Errorf("Drop at %v = %v, want %v", c.at, got, c.drop)
-		}
-	}
-}
-
-func TestSwitchTapsAndLocalDeliv(t *testing.T) {
+func TestSwitchTapsAndNoRoute(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, "sw", 2)
 	src := &sinkNode{name: "src", s: s}
@@ -676,20 +637,14 @@ func TestSwitchTapsAndLocalDeliv(t *testing.T) {
 		}
 		taps++
 	})
-	var local int
-	sw.LocalDeliv = func(p *Packet, port int) { local++ }
-
 	src.tx.Send(&Packet{Dst: EntryAddr(1, 1), Entry: 1, Size: 100})
-	src.tx.Send(&Packet{Dst: EntryAddr(9, 1), Entry: 9, Size: 100}) // no route → local
+	src.tx.Send(&Packet{Dst: EntryAddr(9, 1), Entry: 9, Size: 100}) // no route
 	s.Run(0)
 	if taps != 1 {
 		t.Errorf("forward taps = %d, want 1", taps)
 	}
-	if local != 1 {
-		t.Errorf("local deliveries = %d, want 1", local)
-	}
-	if sw.NoRoute != 0 {
-		t.Errorf("NoRoute = %d with LocalDeliv set, want 0", sw.NoRoute)
+	if sw.NoRoute != 1 {
+		t.Errorf("NoRoute = %d, want 1", sw.NoRoute)
 	}
 	// Port accessor bounds.
 	if sw.Port(-1) != nil || sw.Port(5) != nil {

@@ -46,8 +46,8 @@ type TCPFlags uint8
 const FlagACK TCPFlags = 1 << 1
 
 // Packet is the unit of transmission. Packets are passed by pointer and are
-// borrowed for the duration of HandlePacket/OnIngress/OnEgress/OnForwarded/
-// LocalDeliv; copy to retain. netsim recycles a pool-issued packet at the
+// borrowed for the duration of HandlePacket/OnIngress/OnEgress/OnForwarded;
+// copy to retain. netsim recycles a pool-issued packet at the
 // point where it dies (see PacketPool), so a pointer kept past the call may
 // be a different packet by the time it is read; copy the fields — or the
 // struct, and Ctl's bytes — instead. Handing a packet to Send or Inject

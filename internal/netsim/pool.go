@@ -9,8 +9,7 @@ package netsim
 //   - Host.Receive, after the flow or Default handler returns (or when
 //     there is none);
 //   - Switch.Receive, when an ingress hook consumes the packet or there is
-//     no route (after LocalDeliv, if set), and Switch.Inject on an
-//     unattached port;
+//     no route, and Switch.Inject on an unattached port;
 //   - the link's congestion-drop (Send reports false), failure-drop and
 //     chaos-drop paths.
 //

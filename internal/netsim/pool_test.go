@@ -134,8 +134,8 @@ type consumeHook struct{}
 func (consumeHook) OnIngress(*Packet, int) bool { return true }
 
 // TestLifecycleNodeDeathPoints: a host releases after its handler (or
-// without one), a switch on ingress consumption, no route, LocalDeliv and
-// an Inject on an unattached port.
+// without one), a switch on ingress consumption, no route and an Inject on
+// an unattached port.
 func TestLifecycleNodeDeathPoints(t *testing.T) {
 	s := sim.New(1)
 	p := NewPacketPool()
@@ -190,17 +190,6 @@ func TestLifecycleNodeDeathPoints(t *testing.T) {
 		if sw.NoRoute != 1 {
 			t.Fatal("NoRoute not counted")
 		}
-		released(t, pkt)
-	})
-	t.Run("switch-local-deliv", func(t *testing.T) {
-		sw := NewSwitch(s, "sw", 1)
-		sw.LocalDeliv = func(pkt *Packet, _ int) {
-			if pkt.home == nil {
-				t.Error("packet released before LocalDeliv ran")
-			}
-		}
-		pkt := p.Get()
-		sw.Receive(pkt, 0)
 		released(t, pkt)
 	})
 	t.Run("switch-inject-unattached", func(t *testing.T) {

@@ -40,7 +40,6 @@ type Switch struct {
 	Forwarded   uint64
 	NoRoute     uint64
 	Consumed    uint64
-	LocalDeliv  func(pkt *Packet, port int) // optional sink for packets with no route
 	onForwarded func(pkt *Packet, inPort, outPort int)
 }
 
@@ -97,11 +96,7 @@ func (sw *Switch) Receive(pkt *Packet, port int) {
 	}
 	route := sw.Routes.Lookup(pkt.Dst)
 	if route == nil {
-		if sw.LocalDeliv != nil {
-			sw.LocalDeliv(pkt, port)
-		} else {
-			sw.NoRoute++
-		}
+		sw.NoRoute++
 		pkt.release()
 		return
 	}

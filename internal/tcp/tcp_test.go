@@ -102,9 +102,8 @@ func TestBlackholeBacksOffExponentially(t *testing.T) {
 func TestBlackholeHealsAndCompletes(t *testing.T) {
 	s := sim.New(1)
 	a, b, l := pair(s, 10e6, 5*sim.Millisecond)
-	f := netsim.FailEntries(7, 0, 1.0, 100)
-	f.End = 1 * sim.Second
-	l.AB.SetFailure(f)
+	l.AB.SetFailure(netsim.FailEntries(7, 0, 1.0, 100))
+	s.ScheduleAt(1*sim.Second, func() { l.AB.SetFailure(nil) })
 	snd := NewSender(s, a, b, 1, 100, 1, 2, 50_000, Config{})
 	snd.Start()
 	s.Run(60 * sim.Second)
@@ -262,9 +261,8 @@ func TestDuplicateDataReACKed(t *testing.T) {
 	const mss, segs = 1460, 10
 	// 1500-byte frames serialize in 1.2 ms: segment k arrives at
 	// 5 ms + 1.2 ms·(k+1), so this window holds segment 3 (9.8 ms) alone.
-	drop := netsim.FailEntries(7, 9500*sim.Microsecond, 1.0, 100)
-	drop.End = 10 * sim.Millisecond
-	l.AB.SetFailure(drop)
+	l.AB.SetFailure(netsim.FailEntries(7, 9500*sim.Microsecond, 1.0, 100))
+	s.ScheduleAt(10*sim.Millisecond, func() { l.AB.SetFailure(nil) })
 	var acks []int64
 	l.BA.SetCapture(func(ev netsim.CaptureEvent) {
 		if ev.Kind == netsim.CaptureSend {

@@ -25,16 +25,15 @@ type ChurnConfig struct {
 
 	// ShiftInterval is the epoch length; Epochs is how many epochs the
 	// schedule covers. At every epoch boundary after the first,
-	// ShiftCount never-before-hot entries (default 4) move from the cold
-	// tail to the top ranks.
+	// churnShiftCount never-before-hot entries move from the cold tail to
+	// the top ranks.
 	ShiftInterval sim.Time
 	Epochs        int
-	ShiftCount    int
 
 	// HotRanks defines the "hot head": entries that ever ranked within
 	// the top HotRanks are excluded from later shift batches, so every
 	// shifted-in entry is genuinely new to the head. Defaults to
-	// ShiftCount; experiments comparing against a static top-k should set
+	// churnShiftCount; experiments comparing against a static top-k should set
 	// it to k.
 	HotRanks int
 
@@ -50,14 +49,13 @@ const (
 	// result.
 	minEntryBps  = 10e3
 	churnPktSize = 1000 // UDP packet size in bytes
+	// churnShiftCount entries move into the head at each epoch boundary.
+	churnShiftCount = 4
 )
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.ShiftCount <= 0 {
-		c.ShiftCount = 4
-	}
 	if c.HotRanks <= 0 { // a negative head would slice perm[:HotRanks]
-		c.HotRanks = c.ShiftCount
+		c.HotRanks = churnShiftCount
 	}
 	return c
 }
@@ -105,7 +103,7 @@ func NewChurnSchedule(cfg ChurnConfig) *ChurnSchedule {
 					cold = append(cold, entry)
 				}
 			}
-			for i := 0; i < cfg.ShiftCount && len(cold) > 0; i++ {
+			for i := 0; i < churnShiftCount && len(cold) > 0; i++ {
 				j := rng.Intn(len(cold))
 				fresh = append(fresh, cold[j])
 				cold = append(cold[:j], cold[j+1:]...)

@@ -14,7 +14,6 @@ func churnCfg(seed int64) ChurnConfig {
 		AggregateBps:  20e6,
 		ShiftInterval: 2 * sim.Second,
 		Epochs:        4,
-		ShiftCount:    4,
 		Seed:          seed,
 	}
 }
@@ -41,11 +40,11 @@ func TestChurnDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// A negative HotRanks or ShiftCount means "unset": the schedule equals the
-// defaulted one instead of slicing perm with it.
+// A negative HotRanks means "unset": the schedule equals the defaulted one
+// instead of slicing perm with it.
 func TestChurnNegativeCountsMeanDefault(t *testing.T) {
 	neg := churnCfg(7)
-	neg.HotRanks, neg.ShiftCount = -3, -1
+	neg.HotRanks = -3
 	got, want := NewChurnSchedule(neg), NewChurnSchedule(churnCfg(7))
 	if got.Config() != want.Config() {
 		t.Fatalf("config %+v, want %+v", got.Config(), want.Config())
@@ -69,8 +68,8 @@ func TestChurnNewlyHotIsGenuinelyNew(t *testing.T) {
 	}
 	for e := 1; e < cs.Epochs(); e++ {
 		fresh := cs.NewlyHot(e)
-		if len(fresh) != cs.Config().ShiftCount {
-			t.Fatalf("epoch %d promoted %d entries, want %d", e, len(fresh), cs.Config().ShiftCount)
+		if len(fresh) != churnShiftCount {
+			t.Fatalf("epoch %d promoted %d entries, want %d", e, len(fresh), churnShiftCount)
 		}
 		for i, entry := range fresh {
 			if everHot[entry] {

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			HighPriority: hp,
 			Tree:         tree.Params{Width: *width, Depth: 3, Split: 1, Pipelined: false},
 		}
-		src, err := p4gen.Generate(cfg, p4gen.Options{Ports: *ports, Reroute: true})
+		src, err := p4gen.Generate(cfg, p4gen.Options{Ports: *ports})
 		if err != nil {
 			return fail(1, "%v", err)
 		}

@@ -11,8 +11,8 @@ import (
 // kept sorted by (at, seq) with linear insert and remove. It is the whole
 // contract of Sim in a few dozen lines — no heap, no pool, no handles that
 // can go stale (a handle is the event's unique seq) — so any change to the
-// real queue (timer coalescing, a bucket ring ahead of the heap) has to
-// keep agreeing with it event for event.
+// real queue (timer coalescing, another queue structure) has to keep
+// agreeing with it event for event.
 //
 // A Sequence is n inserts made at call time. Only Pending sees that Sim
 // queues one element at a time: the reference marks each later element
@@ -274,9 +274,21 @@ func (e simEngine) reserve(delay Time) slot { return e.Reserve(e.Now() + delay) 
 // the ones not passed are queued, before the first Run, from callbacks
 // (half the time picking one at the current instant) and between runs.
 // Some are never queued. seen counts the cases the stream ran into.
-func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
+//
+// With wide set, one delay and one horizon in three are instead drawn
+// log-uniform from 1 ns to 2^40 ns (about 18 minutes), so timestamps
+// differ from each other in every bit up to bit 39, not only in the low
+// bits that a run of 10 µs units reaches in a few milliseconds.
+func transcript(e engine, seed int64, cancel, wide bool, seen map[string]int) string {
 	const unit = 10 * Microsecond
 	rng := rand.New(rand.NewSource(seed))
+	widen := func(d Time) Time {
+		if !wide || rng.Intn(3) != 0 {
+			return d
+		}
+		d = Time(1) << rng.Intn(40)
+		return d + Time(rng.Int63n(int64(d)))
+	}
 	var log strings.Builder
 	var handles []handle
 	type slotAt struct {
@@ -299,7 +311,7 @@ func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
 			budget -= max(len(at)-1, 0)
 			t := e.Now()
 			for i := range at {
-				t += Time(rng.Intn(3)) * unit
+				t += widen(Time(rng.Intn(3)) * unit)
 				at[i] = t
 			}
 			first := nextID
@@ -308,7 +320,7 @@ func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
 			e.sequence(at, func(i int) { fire(first + i)() })
 			return
 		}
-		kind, delay := rng.Intn(numKinds), Time(rng.Intn(6))*unit
+		kind, delay := rng.Intn(numKinds), widen(Time(rng.Intn(6))*unit)
 		if rng.Intn(5) == 0 {
 			fmt.Fprintf(&log, "  reserve s%d +%d\n", len(slots), delay)
 			slots = append(slots, &slotAt{slot: e.reserve(delay), at: e.Now() + delay})
@@ -401,7 +413,7 @@ func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
 		if segment > 10_000 {
 			panic("differential workload does not terminate")
 		}
-		horizon := e.Now() + Time(rng.Intn(6))*unit
+		horizon := e.Now() + widen(Time(rng.Intn(6))*unit)
 		end := e.Run(horizon)
 		fmt.Fprintf(&log, "Run(%d) = %d now %d pending %d executed %d\n",
 			horizon, end, e.Now(), e.Pending(), e.executed())
@@ -427,28 +439,38 @@ func transcript(e engine, seed int64, cancel bool, seen map[string]int) string {
 	return log.String()
 }
 
+// againstReference runs one operation stream on Sim and on the reference
+// scheduler and reports where Sim's transcript first departs from the
+// reference's, or "" when the two agree. seen collects the cases the
+// stream ran into.
+func againstReference(seed int64, cancel, wide bool, seen map[string]int) string {
+	got := transcript(simEngine{New(seed)}, seed, cancel, wide, map[string]int{})
+	want := transcript(&refSched{seen: seen}, seed, cancel, wide, seen)
+	if got == want {
+		return ""
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range g {
+		if i >= len(w) || g[i] != w[i] {
+			lo := max(0, i-5)
+			return fmt.Sprintf("Sim diverges from the reference scheduler at line %d\nSim:\n%s\nreference:\n%s",
+				i+1, strings.Join(g[lo:i+1], "\n"), strings.Join(w[lo:min(i+1, len(w))], "\n"))
+		}
+	}
+	return "Sim transcript is a strict prefix of the reference's"
+}
+
 // checkAgainstReference runs the same operation streams on Sim and on the
 // reference scheduler and requires identical transcripts.
 // Every workload has to have run Sequences into Stop, into a horizon and
 // with n = 0, and read slots before, at and after the clock in every phase.
-func checkAgainstReference(t *testing.T, cancel bool) {
+func checkAgainstReference(t *testing.T, cancel, wide bool) {
 	t.Helper()
 	seen := map[string]int{}
 	for seed := int64(1); seed <= 200; seed++ {
-		got := transcript(simEngine{New(seed)}, seed, cancel, map[string]int{})
-		want := transcript(&refSched{seen: seen}, seed, cancel, seen)
-		if got == want {
-			continue
+		if d := againstReference(seed, cancel, wide, seen); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
-		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-		for i := range g {
-			if i >= len(w) || g[i] != w[i] {
-				lo := max(0, i-5)
-				t.Fatalf("seed %d: Sim diverges from the reference scheduler at line %d\nSim:\n%s\nreference:\n%s",
-					seed, i+1, strings.Join(g[lo:i+1], "\n"), strings.Join(w[lo:min(i+1, len(w))], "\n"))
-			}
-		}
-		t.Fatalf("seed %d: Sim transcript is a strict prefix of the reference's", seed)
 	}
 	cases := []string{
 		"empty sequence", "sequence stopped part-run", "sequence cut by a horizon",
@@ -473,11 +495,32 @@ func checkAgainstReference(t *testing.T, cancel bool) {
 // horizons on and between events — Sim executes exactly what the reference
 // scheduler does, in (time, insertion) order, with the same clock,
 // Pending, Executed, Slot.Passed and Run results.
-func TestPropertyEventOrdering(t *testing.T) { checkAgainstReference(t, false) }
+func TestPropertyEventOrdering(t *testing.T) { checkAgainstReference(t, false, false) }
 
 // Property: the same with timers cancelled at random — pending, already
 // fired, and stale handles whose event was recycled; from inside callbacks
 // (including siblings due at the current instant) and between runs. Every
 // Stop and Active result matches the reference, a cancelled event never
 // runs, and Pending drops at the moment of the Stop.
-func TestPropertyCancellation(t *testing.T) { checkAgainstReference(t, true) }
+func TestPropertyCancellation(t *testing.T) { checkAgainstReference(t, true, false) }
+
+// Property: the same over wide timestamps. The two tests above draw every
+// delay from a few 10 µs units, so their timestamps stay within a few
+// milliseconds and never reach the queue's upper buckets: a bucket index
+// computed from the low 32 bits of the time alone passes both of them and
+// fails here.
+func TestPropertyWideTimes(t *testing.T) { checkAgainstReference(t, true, true) }
+
+// FuzzEngineAgainstReference runs the differential transcript on Sim and
+// on the reference scheduler for any seed, with or without cancellation
+// and wide timestamps.
+func FuzzEngineAgainstReference(f *testing.F) {
+	f.Add(int64(1), false, false)
+	f.Add(int64(2), true, false)
+	f.Add(int64(3), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, cancel, wide bool) {
+		if d := againstReference(seed, cancel, wide, map[string]int{}); d != "" {
+			t.Fatalf("seed %d, cancel %v, wide %v: %s", seed, cancel, wide, d)
+		}
+	})
+}

@@ -1,18 +1,19 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"unsafe"
 )
 
-// The large workloads run at heap depth in the tens of thousands with cold
-// caches (sim.ns_per_event several times the hot-cache probe's), so bytes
-// per event are a budget, not an accident: five words put an event in the
-// 48-byte size class. A new field has to earn its cache lines on
+// The large workloads run at queue depth in the tens of thousands with
+// cold caches (sim.ns_per_event several times the hot-cache probe's), so
+// bytes per event are a budget, not an accident: five words put an event
+// in the 48-byte size class. A new field has to earn its cache lines on
 // grid144-full first.
 func TestEventStaysSmall(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
-		t.Fatalf("sizeof(event) = %d bytes, want 40 (at, seq, fn, gen, index)", got)
+		t.Fatalf("sizeof(event) = %d bytes, want 40 (at, seq, fn, next, prev)", got)
 	}
 }
 
@@ -46,7 +47,7 @@ func TestRunReturnsStopTime(t *testing.T) {
 }
 
 // Timer.Stop used to only mark the event dead, leaving the closure (and
-// anything it captured) referenced by the heap until its timestamp popped,
+// anything it captured) referenced by the queue until its timestamp popped,
 // and Pending was an O(n) scan over the corpses.
 func TestTimerStopReleasesEvent(t *testing.T) {
 	s := New(1)
@@ -59,18 +60,22 @@ func TestTimerStopReleasesEvent(t *testing.T) {
 		t.Fatal("Stop() = false for a pending timer")
 	}
 	// The event must be gone from the queue immediately, not at pop time...
-	if len(s.queue) != 0 {
-		t.Fatalf("queue holds %d events after Stop, want 0", len(s.queue))
+	if s.mask != 0 {
+		t.Fatalf("queue buckets %b hold events after Stop, want none", s.mask)
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after Stop, want 0", got)
 	}
 	// ...and recycled into the pool with its closure cleared, so the
 	// captured payload is unreachable from the Sim.
-	if len(s.free) != 1 {
-		t.Fatalf("free list holds %d events, want 1", len(s.free))
+	free := 0
+	for ev := s.free; ev != nil; ev = ev.next {
+		free++
 	}
-	if s.free[0].fn != nil {
+	if free != 1 {
+		t.Fatalf("free list holds %d events, want 1", free)
+	}
+	if s.free.fn != nil {
 		t.Fatal("released event still references its closure")
 	}
 	if tm.Stop() {
@@ -95,7 +100,7 @@ func TestTimerStopReleasesEvent(t *testing.T) {
 			t.Errorf("Pending() = %d after stopping the sibling, want %d", got, before-1)
 		}
 		s.After(0, func() {})
-		if ev.index == indexFree {
+		if ev.prev == nil {
 			t.Error("the stopped sibling's event was not recycled for the next schedule")
 		}
 		if sibling.Active() || sibling.Stop() {
@@ -144,7 +149,7 @@ func TestAfterDoesNotAllocate(t *testing.T) {
 			s.After(Millisecond, fn)
 		}
 	}
-	// Warm the pool and the heap; a self-rescheduling chain runs every one
+	// Warm the pool and the queue; a self-rescheduling chain runs every one
 	// of its ticks.
 	s.After(Millisecond, fn)
 	s.Run(0)
@@ -227,5 +232,54 @@ func TestPendingCountsStoppedCorrectly(t *testing.T) {
 	}
 	if s.Executed != 5 {
 		t.Fatalf("Executed = %d, want 5", s.Executed)
+	}
+}
+
+// churnQueue holds s at depth pending events spread log-uniformly from
+// 1 ns to 268 ms ahead: each reschedules itself as far ahead when it runs,
+// and stops the Run that ran it. The returned step arms a timer at such a
+// delay, stops it, and pops one event.
+func churnQueue(s *Sim, depth int) (step func()) {
+	rng := rand.New(rand.NewSource(1))
+	delay := func() Time {
+		d := Time(1) << rng.Intn(28)
+		return d + Time(rng.Int63n(int64(d)))
+	}
+	var refill func()
+	refill = func() {
+		s.After(delay(), refill)
+		s.Stop()
+	}
+	for i := 0; i < depth; i++ {
+		s.After(delay(), refill)
+	}
+	nop := func() {}
+	return func() {
+		tm := s.ScheduleTimer(delay(), nop)
+		tm.Stop()
+		s.Run(0)
+	}
+}
+
+// The queue's steady state allocates nothing at link-trace-tcp's depth
+// either: arming, cancelling and popping among 16 k pending events spread
+// over every bucket from 1 ns to 268 ms moves events between buckets and
+// through the pool, never into new memory.
+func TestDeepQueueChurnDoesNotAllocate(t *testing.T) {
+	const depth = 16_000
+	s := New(1)
+	step := churnQueue(s, depth)
+	for i := 0; i < 1000; i++ {
+		step() // warm the pool: the timer needs one event beyond the depth
+	}
+	before := s.Executed
+	if avg := testing.AllocsPerRun(10_000, step); avg != 0 {
+		t.Errorf("schedule/stop/pop churn at depth %d allocates %.3f objects per step, want 0", depth, avg)
+	}
+	if got := s.Executed - before; got != 10_001 {
+		t.Errorf("10 001 steps popped %d events, want one each", got)
+	}
+	if got := s.Pending(); got != depth {
+		t.Errorf("Pending() = %d after the churn, want %d", got, depth)
 	}
 }

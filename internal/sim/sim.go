@@ -10,6 +10,11 @@
 // timestamp, and the simulation runs until the queue drains or a configured
 // horizon is reached.
 //
+// The queue is a radix heap over event times: since nothing is ever
+// scheduled behind the clock, scheduling and cancelling are O(1) and
+// popping O(1) amortized, with no comparisons on the common path, and the
+// events due at one instant run in sequence order.
+//
 // Events are pooled: executed and cancelled events are recycled through a
 // free list, and a Timer handle is a value, so steady-state scheduling
 // allocates nothing. Sequence queues a long time-ordered run of callbacks
@@ -26,6 +31,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -54,142 +60,127 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // An event is a scheduled closure. Events with equal timestamps execute in
 // insertion order, which keeps simulations deterministic. Events are pooled:
-// after execution or cancellation they return to the owning Sim's free list,
-// and gen is bumped so stale Timer handles can detect the recycling.
+// after execution or cancellation they return to the owning Sim's free list.
+// A queued event is a link in its bucket's circular list (next, prev); a
+// pooled one links the free list through next, and prev is nil whenever the
+// event is not queued.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	gen   uint64 // incremented on every release to the pool
-	index int    // heap index, or indexFree
+	at   Time
+	seq  uint64
+	fn   func()
+	next *event
+	prev *event
 }
 
-const indexFree = -1 // not in the heap: pooled or executing
+// The queue is a radix heap over event times (Ahuja, Mehlhorn, Orlin and
+// Tarjan, 1990), which fits because nothing is ever scheduled behind the
+// clock. Bucket b holds the events whose time differs from last, the time
+// of the most recent refill, first in bit b-1: bucket 0 holds exactly the
+// events at last, in sequence order, and every other bucket holds later
+// ones in no particular order. last never passes the clock, so a new event
+// is never filed below it. Times are not negative, so 64 buckets suffice.
+//
+// Pop takes the head of bucket 0. When bucket 0 is empty, refill moves the
+// earliest events there: it raises last to the minimum of the lowest
+// non-empty bucket b and re-files that bucket's events. They all land in
+// buckets below b, which are empty, while the events in buckets above b
+// stay where they are, since the new last differs from the old one only in
+// bits below b. So an event's bucket is always the one its time names, and
+// an event is re-filed at most 63 times in its life.
+//
+// Each bucket is a circular list through a sentinel event in the Sim,
+// whose seq is 0: no event's seq is below it, so bucket 0's ordered insert
+// stops there without a test of its own.
 
-// eventQueue is a 4-ary min-heap of events ordered by (at, seq), hand
-// rolled instead of container/heap: the event loop spends most of its time
-// here, and a direct implementation avoids the interface dispatch per
-// comparison, halves the tree depth, and moves each displaced event once
-// (hole-based sifting) instead of swapping pairwise.
-type eventQueue []*event
-
-// before is the heap order: time, ties broken by insertion sequence.
-func before(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// siftUp moves the hole at i toward the root until ev fits, then plants ev.
-func (q eventQueue) siftUp(i int, ev *event) {
-	for i > 0 {
-		p := (i - 1) >> 2
-		pe := q[p]
-		if !before(ev, pe) {
-			break
-		}
-		q[i] = pe
-		pe.index = i
-		i = p
-	}
-	q[i] = ev
-	ev.index = i
-}
-
-// siftDown moves the hole at i toward the leaves until ev fits.
-func (q eventQueue) siftDown(i int, ev *event) {
-	n := len(q)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		min, me := c, q[c]
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if ke := q[k]; before(ke, me) {
-				min, me = k, ke
-			}
-		}
-		if !before(me, ev) {
-			break
-		}
-		q[i] = me
-		me.index = i
-		i = min
-	}
-	q[i] = ev
-	ev.index = i
-}
-
-func heapPush(qp *eventQueue, ev *event) {
-	*qp = append(*qp, nil)
-	(*qp).siftUp(len(*qp)-1, ev)
-}
-
-func heapPop(qp *eventQueue) *event {
-	q := *qp
-	top := q[0]
-	top.index = indexFree
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	*qp = q[:n]
-	if n > 0 {
-		q[:n].siftDown(0, last)
-	}
-	return top
-}
-
-// heapRemove removes the event at index i (Timer.Stop's O(log n) path).
-func heapRemove(qp *eventQueue, i int) *event {
-	q := *qp
-	ev := q[i]
-	ev.index = indexFree
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	*qp = q[:n]
-	if i < n {
-		q = q[:n]
-		if before(last, ev) {
-			q.siftUp(i, last)
-		} else {
-			q.siftDown(i, last)
+// file links ev into its bucket: at the tail, so each bucket keeps the
+// order its events arrived in, or in bucket 0 at its place in sequence
+// order, scanning from the tail because a reserved sequence number
+// (Sequence, Slot.Queue) can be lower than one already queued there.
+func (s *Sim) file(ev *event) {
+	b := bits.Len64(uint64(ev.at ^ s.last))
+	p := s.buckets[b].prev
+	if b == 0 {
+		for p.seq > ev.seq {
+			p = p.prev
 		}
 	}
-	return ev
+	n := p.next
+	ev.prev, ev.next = p, n
+	p.next = ev
+	n.prev = ev
+	s.mask |= 1 << b
+}
+
+// unlink takes a queued event out of its bucket.
+func (s *Sim) unlink(ev *event) {
+	p, n := ev.prev, ev.next
+	p.next = n
+	n.prev = p
+	if p == n { // only the sentinel is left
+		s.mask &^= 1 << bits.Len64(uint64(ev.at^s.last))
+	}
+	ev.prev = nil
+	s.pending--
+}
+
+// earliest returns the lowest non-empty bucket and the minimum time in it,
+// which is the time of the next event when bucket 0 is empty.
+func (s *Sim) earliest() (int, Time) {
+	b := bits.TrailingZeros64(s.mask)
+	h := &s.buckets[b]
+	ev := h.next
+	min := ev.at
+	for ev = ev.next; ev != h; ev = ev.next {
+		if ev.at < min {
+			min = ev.at
+		}
+	}
+	return b, min
+}
+
+// refill re-files bucket b, whose minimum time is min, with last raised to
+// min; bucket 0 must be empty. The minimum's events go to bucket 0.
+func (s *Sim) refill(b int, min Time) {
+	h := &s.buckets[b]
+	ev := h.next
+	h.next, h.prev = h, h
+	s.mask &^= 1 << b
+	s.last = min
+	for ev != h {
+		next := ev.next
+		s.file(ev)
+		ev = next
+	}
 }
 
 // Timer is a handle to a scheduled event. Its zero value is an inert timer:
-// Stop and Active are safe to call and report false.
+// Stop and Active are safe to call and report false. It names its event by
+// pointer and sequence number: no two events of a Sim are ever queued under
+// the same number, so an event recycled for another schedule no longer
+// matches a stale handle.
 type Timer struct {
 	s   *Sim
 	ev  *event
-	gen uint64
+	seq uint64
 }
 
 // Stop cancels the timer. It reports whether the event had still been
 // pending (i.e. the cancellation prevented an execution). Cancellation
-// removes the event from the queue immediately (O(log n)), so a stopped
+// unlinks the event from the queue immediately (O(1)), so a stopped
 // long-horizon timer holds no memory and does not inflate the queue.
 func (t *Timer) Stop() bool {
 	if !t.Active() {
 		return false
 	}
 	s := t.s
-	heapRemove(&s.queue, t.ev.index)
+	s.unlink(t.ev)
 	s.release(t.ev)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index != indexFree
+	return t != nil && t.ev != nil && t.ev.seq == t.seq && t.ev.prev != nil
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable;
@@ -198,11 +189,18 @@ func (t *Timer) Active() bool {
 type Sim struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
 	seed    int64
 	rng     *rand.Rand
 	stopped bool
-	free    []*event // event pool
+	free    *event // event pool, linked through next
+
+	// The event queue (see file): the bucket sentinels, the non-empty
+	// buckets as a bit mask, the time of the most recent refill and the
+	// number of events queued.
+	buckets [64]event
+	mask    uint64
+	last    Time
+	pending int
 
 	// passed bounds what execution has reached at now: keys (now, q) with
 	// q < passed. Run keeps it one past the running event's sequence
@@ -215,7 +213,12 @@ type Sim struct {
 
 // New returns a simulator whose random generator is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	s := &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	for b := range s.buckets {
+		h := &s.buckets[b]
+		h.next, h.prev = h, h
+	}
+	return s
 }
 
 // Now returns the current virtual time.
@@ -242,33 +245,29 @@ func (s *Sim) DeriveRand(stream string) *rand.Rand {
 
 // alloc takes an event from the pool (or allocates one) and resets it.
 func (s *Sim) alloc(at Time, fn func()) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	ev := s.free
+	if ev != nil {
+		s.free = ev.next
 	} else {
 		ev = &event{}
 	}
 	ev.at = at
 	ev.fn = fn
-	ev.index = indexFree
 	return ev
 }
 
-// release returns an event to the pool. Bumping gen invalidates any Timer
-// handle still pointing at it.
+// release returns an unlinked event to the pool.
 func (s *Sim) release(ev *event) {
 	ev.fn = nil
-	ev.gen++
-	s.free = append(s.free, ev)
+	ev.next = s.free
+	s.free = ev
 }
 
 // ScheduleAt runs fn at the absolute virtual time at, which must not be in
 // the past, and returns a cancellable handle.
 func (s *Sim) ScheduleAt(at Time, fn func()) Timer {
 	ev := s.push(at, s.seq, fn)
-	return Timer{s: s, ev: ev, gen: ev.gen}
+	return Timer{s: s, ev: ev, seq: ev.seq}
 }
 
 // ScheduleTimer runs fn after delay virtual nanoseconds and returns a
@@ -282,7 +281,7 @@ func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	ev := s.push(s.Now()+delay, s.seq, fn)
-	return Timer{s: s, ev: ev, gen: ev.gen}
+	return Timer{s: s, ev: ev, seq: ev.seq}
 }
 
 // After runs fn after delay virtual nanoseconds. It is ScheduleTimer
@@ -315,7 +314,8 @@ func (s *Sim) push(at Time, seq uint64, fn func()) *event {
 	if seq >= s.seq {
 		s.seq = seq + 1
 	}
-	heapPush(&s.queue, ev)
+	s.file(ev)
+	s.pending++
 	return ev
 }
 
@@ -414,17 +414,27 @@ func (s *Sim) Stop() { s.stopped = true }
 // It returns the virtual time at which the run ended: the horizon when the
 // horizon bounded the run, otherwise the time of the last executed event.
 // In particular, after Stop() the clock is NOT advanced to the horizon —
-// the stop time is the end time.
+// the stop time is the end time. A horizon behind the clock panics, as
+// scheduling in the past does.
 func (s *Sim) Run(horizon Time) Time {
+	if horizon > 0 && horizon < s.now {
+		panic(fmt.Sprintf("sim: run to a horizon in the past: horizon=%v now=%v", horizon, s.now))
+	}
 	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		ev := s.queue[0]
-		if horizon > 0 && ev.at > horizon {
-			s.now = horizon
-			s.passed = s.seq
-			return s.now
+	for s.mask != 0 && !s.stopped {
+		if s.mask&1 == 0 {
+			// Read the next time before refilling: last must not pass
+			// the horizon, where the clock stops.
+			b, min := s.earliest()
+			if horizon > 0 && min > horizon {
+				s.now = horizon
+				s.passed = s.seq
+				return s.now
+			}
+			s.refill(b, min)
 		}
-		heapPop(&s.queue)
+		ev := s.buckets[0].next
+		s.unlink(ev)
 		s.now = ev.at
 		s.passed = ev.seq + 1
 		s.Executed++
@@ -443,6 +453,6 @@ func (s *Sim) Run(horizon Time) Time {
 }
 
 // Pending reports the number of events still queued. Cancelled events leave
-// the queue at once, so this is the heap's length. A Sequence counts once
-// while it has elements left to run.
-func (s *Sim) Pending() int { return len(s.queue) }
+// the queue at once, so this is a count kept on insert and unlink. A
+// Sequence counts once while it has elements left to run.
+func (s *Sim) Pending() int { return s.pending }

@@ -56,7 +56,7 @@ const customUnitBase uint16 = 0xf000
 // more unit of the port: it survives Restart like the others, and its
 // packets are not counted by the dedicated or tree units.
 func (d *Detector) MonitorCustom(port int, interval sim.Time, cs CustomSender) {
-	m := d.monitors[port]
+	m := d.monitor(port)
 	if m == nil {
 		panic(fmt.Sprintf("fancy: MonitorCustom before MonitorPort(%d)", port))
 	}
@@ -72,7 +72,7 @@ func (d *Detector) MonitorCustom(port int, interval sim.Time, cs CustomSender) {
 // on an ingress port.
 func (d *Detector) ListenCustom(port int, cr CustomReceiver) {
 	d.ListenPort(port)
-	d.listeners[port].custom = cr
+	d.listeners[port].customRecv = cr
 }
 
 // customSenderAdapter bridges CustomSender onto the senderCounters

@@ -2,7 +2,6 @@ package fancy
 
 import (
 	"fmt"
-	"sort"
 
 	"fancy/internal/hh"
 	"fancy/internal/netsim"
@@ -33,15 +32,18 @@ type Detector struct {
 	// portMonitor.slots is what the data path reads.
 	slotByEntry map[netsim.EntryID]int
 
-	monitors  map[int]*portMonitor
-	listeners map[int]*portListener
+	// monitors, listeners and peerAddr are indexed by port, one element
+	// per port of the switch; a nil monitor or listener is a port the
+	// detector does not watch on that side.
+	monitors  []*portMonitor
+	listeners []*portListener
 
 	// ownAddr and peerAddr support partial deployments (§4.3): when the
 	// counterpart switch is several hops away, control messages carry a
 	// destination address so non-FANcY transit switches forward them, and
 	// this detector only consumes control packets addressed to it.
 	ownAddr  uint32
-	peerAddr map[int]uint32
+	peerAddr []uint32
 
 	guard     CongestionGuard
 	discarded uint64
@@ -81,20 +83,65 @@ type Detector struct {
 	CtlBytesSent uint64
 }
 
-// portMonitor is the sender side for one monitored egress port: one
-// sub-state-machine per unit (Appendix B.2), reached through unit.
-type portMonitor struct {
+// unitTable holds one port's sub-state-machines (Appendix B.2) on either
+// side of a session, found by wire unit number without a hash lookup.
+type unitTable[F any] struct {
 	// dedicated is indexed by slot, which is also the wire unit number:
-	// the static slots, then cfg.DynamicSlots promoted ones (nil when free).
-	dedicated []*senderFSM
+	// the static slots, then cfg.DynamicSlots promoted ones (nil when
+	// free, or on the receiver side before the unit's first Start).
+	dedicated []*F
+	tree      *F
+	custom    *F // the custom session's unit, or nil
+}
+
+// cell returns where unit u's FSM is held, or nil if u names no unit of
+// the table.
+func (t *unitTable[F]) cell(u uint16) **F {
+	switch {
+	case u == wire.TreeUnit:
+		return &t.tree
+	case u == customUnitBase:
+		return &t.custom
+	case int(u) < len(t.dedicated):
+		return &t.dedicated[u]
+	}
+	return nil
+}
+
+// unit returns the FSM of wire unit u, or nil (no such unit, or an empty
+// cell such as a free dynamic slot).
+func (t *unitTable[F]) unit(u uint16) *F {
+	if c := t.cell(u); c != nil {
+		return *c
+	}
+	return nil
+}
+
+// each calls fn for every FSM in the table: the dedicated slots in order,
+// then the tree unit, then the custom unit.
+func (t *unitTable[F]) each(fn func(*F)) {
+	for _, f := range t.dedicated {
+		if f != nil {
+			fn(f)
+		}
+	}
+	if t.tree != nil {
+		fn(t.tree)
+	}
+	if t.custom != nil {
+		fn(t.custom)
+	}
+}
+
+// portMonitor is the sender side for one monitored egress port.
+type portMonitor struct {
+	unitTable[senderFSM]
 	// slots maps every entry holding a dedicated slot on this port, static
 	// and promoted alike; free lists the free dynamic slots in ascending
 	// order.
 	slots   map[netsim.EntryID]int
 	free    []int
-	tree    *senderFSM
 	treeCnt *treeSender
-	custom  *senderFSM // MonitorCustom's session, or nil
 	out     Outputs
 
 	// Heavy-hitter stage state (cfg.HH != nil). hhRep and hhFrame are the
@@ -112,25 +159,12 @@ type portMonitor struct {
 	downUnits int
 }
 
-// unit returns the sender FSM of wire unit u, or nil (no such unit, or a
-// free dynamic slot).
-func (m *portMonitor) unit(u uint16) *senderFSM {
-	switch {
-	case u == wire.TreeUnit:
-		return m.tree
-	case u == customUnitBase:
-		return m.custom
-	case int(u) < len(m.dedicated):
-		return m.dedicated[u]
-	}
-	return nil
-}
-
 // portListener is the receiver side for one ingress port. FSMs are created
-// on demand when the first Start for a unit arrives.
+// on demand when the first Start for a unit arrives; a Start for a unit the
+// table has no cell for is ignored.
 type portListener struct {
-	units  map[uint16]*receiverFSM
-	custom CustomReceiver // ListenCustom's downstream half, or nil
+	unitTable[receiverFSM]
+	customRecv CustomReceiver // ListenCustom's downstream half, or nil
 }
 
 // NewDetector validates cfg (running the §4.3 input translation) and hooks
@@ -145,9 +179,9 @@ func NewDetector(s *sim.Sim, sw *netsim.Switch, cfg Config) (*Detector, error) {
 	d := &Detector{
 		s: s, sw: sw, cfg: cfg, Layout: layout, epoch: 1,
 		slotByEntry: make(map[netsim.EntryID]int, len(cfg.HighPriority)),
-		monitors:    make(map[int]*portMonitor),
-		listeners:   make(map[int]*portListener),
-		peerAddr:    make(map[int]uint32),
+		monitors:    make([]*portMonitor, sw.NumPorts()),
+		listeners:   make([]*portListener, sw.NumPorts()),
+		peerAddr:    make([]uint32, sw.NumPorts()),
 	}
 	for i, e := range cfg.HighPriority {
 		if _, dup := d.slotByEntry[e]; dup {
@@ -172,6 +206,34 @@ func NewDetector(s *sim.Sim, sw *netsim.Switch, cfg Config) (*Detector, error) {
 // Config returns the effective configuration (defaults filled, tree sized).
 func (d *Detector) Config() Config { return d.cfg }
 
+// checkPort panics unless the switch has port. A session on a port the
+// switch lacks would lose every control message to Switch.forward's
+// NoRoute count without a word, so the mistake is reported where it is
+// made, as Switch.Attach reports it.
+func (d *Detector) checkPort(port int) {
+	if port < 0 || port >= len(d.monitors) {
+		panic(fmt.Sprintf("fancy: switch %s has no port %d", d.sw.Name(), port))
+	}
+}
+
+// monitor returns the sender side of port, or nil if the port is not
+// monitored (or not a port of the switch).
+func (d *Detector) monitor(port int) *portMonitor {
+	if uint(port) < uint(len(d.monitors)) {
+		return d.monitors[port]
+	}
+	return nil
+}
+
+// listener returns the receiver side of port, or nil if nobody listens
+// there.
+func (d *Detector) listener(port int) *portListener {
+	if uint(port) < uint(len(d.listeners)) {
+		return d.listeners[port]
+	}
+	return nil
+}
+
 // SetOwnAddr gives the detector an address for remote (multi-hop) counting
 // sessions: it then consumes only control packets destined to that address
 // and forwards the rest, so it can sit on the transit path of other
@@ -182,13 +244,17 @@ func (d *Detector) SetOwnAddr(addr uint32) { d.ownAddr = addr }
 // listening port. Zero (the default) addresses the adjacent switch
 // directly; a non-zero address lets non-FANcY transit switches route the
 // messages in a partial deployment (§4.3).
-func (d *Detector) SetPeerAddr(port int, addr uint32) { d.peerAddr[port] = addr }
+func (d *Detector) SetPeerAddr(port int, addr uint32) {
+	d.checkPort(port)
+	d.peerAddr[port] = addr
+}
 
 // MonitorPort starts sender FSMs for an egress port: one per dedicated
 // entry plus one for the tree. Session starts are staggered across the
 // exchange interval so control messages do not burst.
 func (d *Detector) MonitorPort(port int) *Outputs {
-	if m, ok := d.monitors[port]; ok {
+	d.checkPort(port)
+	if m := d.monitors[port]; m != nil {
 		return &m.out
 	}
 	m := &portMonitor{
@@ -267,47 +333,43 @@ func (d *Detector) Restart() {
 		d.epoch = 1 // zero is reserved
 	}
 	d.stats.Restarts++
-	// Restarted sender FSMs are scheduled below; visit the ports in a
-	// fixed order so event sequence numbers stay reproducible.
-	ports := make([]int, 0, len(d.monitors))
-	for port := range d.monitors {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
-		m := d.monitors[port]
-		for _, f := range m.dedicated {
-			if f != nil {
-				f.kill()
-			}
+	// Restarted sender FSMs are scheduled below, port by port in
+	// ascending order, so event sequence numbers stay reproducible.
+	for port, m := range d.monitors {
+		if m == nil {
+			continue
 		}
-		m.tree.kill()
-		if m.custom != nil {
-			m.custom.kill()
-		}
+		m.each((*senderFSM).kill)
 		m.downUnits = 0
 		d.Acknowledge(port) // a reboot wipes the output registers too
 		d.startMonitor(m, port)
 	}
 	for _, l := range d.listeners {
-		for _, f := range l.units {
-			f.kill()
+		if l == nil {
+			continue
 		}
-		l.units = make(map[uint16]*receiverFSM)
+		l.each((*receiverFSM).kill)
+		clear(l.dedicated)
+		l.tree, l.custom = nil, nil
 	}
 }
 
-// ListenPort enables receiver FSMs for an ingress port.
+// ListenPort enables receiver FSMs for an ingress port. The port accepts
+// the units a sender with this detector's configuration opens: its
+// dedicated slots, the tree unit and the custom unit.
 func (d *Detector) ListenPort(port int) {
-	if _, ok := d.listeners[port]; !ok {
-		d.listeners[port] = &portListener{units: make(map[uint16]*receiverFSM)}
+	d.checkPort(port)
+	if d.listeners[port] == nil {
+		l := &portListener{}
+		l.dedicated = make([]*receiverFSM, len(d.cfg.HighPriority)+d.cfg.DynamicSlots)
+		d.listeners[port] = l
 	}
 }
 
 // Outputs returns the result structures of a monitored port (nil if the
 // port is not monitored).
 func (d *Detector) Outputs(port int) *Outputs {
-	if m, ok := d.monitors[port]; ok {
+	if m := d.monitor(port); m != nil {
 		return &m.out
 	}
 	return nil
@@ -323,8 +385,8 @@ func (d *Detector) outputs(port int) *Outputs {
 // once the faulty hardware is repaired or the traffic rerouted. Ongoing
 // mismatches will re-flag within a session.
 func (d *Detector) Acknowledge(port int) {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return
 	}
 	for i := 0; i < m.out.Flags.Len(); i++ {
@@ -337,8 +399,8 @@ func (d *Detector) Acknowledge(port int) {
 // through its dedicated flag bit if the entry is high priority, otherwise
 // through the hash-path Bloom filter.
 func (d *Detector) Flagged(port int, entry netsim.EntryID) bool {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return false
 	}
 	if slot, ok := m.slots[entry]; ok {
@@ -350,7 +412,7 @@ func (d *Detector) Flagged(port int, entry netsim.EntryID) bool {
 // EntryPath exposes the tree hash path of an entry on a monitored port,
 // for evaluation tooling.
 func (d *Detector) EntryPath(port int, entry netsim.EntryID) []uint16 {
-	if m, ok := d.monitors[port]; ok {
+	if m := d.monitor(port); m != nil {
 		return m.treeCnt.EntryPath(entry)
 	}
 	return nil
@@ -364,8 +426,8 @@ func (d *Detector) DedicatedSlot(entry netsim.EntryID) (int, bool) {
 
 // SessionsCompleted sums completed counting sessions across a port's units.
 func (d *Detector) SessionsCompleted(port int) uint64 {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return 0
 	}
 	var n uint64
@@ -449,8 +511,8 @@ func (d *Detector) reportLinkUp(port int) {
 // LinkDown reports whether any of the port's units currently considers the
 // link unresponsive.
 func (d *Detector) LinkDown(port int) bool {
-	m, ok := d.monitors[port]
-	return ok && m.downUnits > 0
+	m := d.monitor(port)
+	return m != nil && m.downUnits > 0
 }
 
 // sendControl marshals a control message into a recycled packet's Ctl buffer
@@ -500,8 +562,8 @@ func (d *Detector) OnIngress(pkt *netsim.Packet, port int) bool {
 		return true
 	}
 	if pkt.Tagged {
-		if l, ok := d.listeners[port]; ok {
-			if fsm, ok := l.units[unitOf(pkt)]; ok {
+		if l := d.listener(port); l != nil {
+			if fsm := l.unit(unitOf(pkt)); fsm != nil {
 				fsm.onIngress(pkt)
 			}
 			// Strip the tag: it is meaningful on this link only.
@@ -527,12 +589,16 @@ func unitOf(pkt *netsim.Packet) uint16 {
 func (d *Detector) handleControl(m *wire.Message, port int) {
 	switch m.Type {
 	case wire.MsgStart, wire.MsgStop:
-		l, ok := d.listeners[port]
-		if !ok {
+		l := d.listener(port)
+		if l == nil {
 			return // not listening on this port
 		}
-		fsm, ok := l.units[m.Unit]
-		if !ok {
+		c := l.cell(m.Unit)
+		if c == nil {
+			return // a unit beyond this detector's slots
+		}
+		fsm := *c
+		if fsm == nil {
 			if m.Type != wire.MsgStart {
 				return // Stop for an unknown session
 			}
@@ -540,13 +606,13 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 			if fsm == nil {
 				return // custom session without a registered receiver
 			}
-			l.units[m.Unit] = fsm
+			*c = fsm
 		}
 		fsm.onControl(m)
 	case wire.MsgStartACK, wire.MsgReport:
 		// A free dynamic slot has no unit: a straggler ACK or Report for
 		// a demoted entry's dead session is simply stale.
-		if mon, ok := d.monitors[port]; ok {
+		if mon := d.monitor(port); mon != nil {
 			if fsm := mon.unit(m.Unit); fsm != nil {
 				fsm.onControl(m)
 			}
@@ -560,10 +626,10 @@ func (d *Detector) newReceiverFSM(l *portListener, port int, m *wire.Message) *r
 	case wire.KindTree:
 		fsm.counters = newTreeReceiver(d.cfg.Tree)
 	case wire.KindCustom:
-		if l.custom == nil || m.Unit != customUnitBase {
+		if l.customRecv == nil || m.Unit != customUnitBase {
 			return nil
 		}
-		fsm.counters = &customReceiverAdapter{l.custom}
+		fsm.counters = &customReceiverAdapter{l.customRecv}
 	default:
 		fsm.counters = &dedicatedReceiver{}
 	}
@@ -576,8 +642,8 @@ func (d *Detector) OnEgress(pkt *netsim.Packet, port int) {
 	if pkt.Proto == netsim.ProtoFancy {
 		return
 	}
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return
 	}
 	if pkt.Entry == netsim.InvalidEntry {

@@ -199,7 +199,7 @@ func (h *recvHarness) deliverEpoch(typ wire.MsgType, session uint32, epoch uint8
 }
 
 func (h *recvHarness) unitFSM() *receiverFSM {
-	return h.det.listeners[0].units[0]
+	return h.det.listeners[0].dedicated[0]
 }
 
 // TestDispatchReceiverIgnoresStartOfOtherKind: once a unit number has a
@@ -223,10 +223,38 @@ func TestDispatchReceiverIgnoresStartOfOtherKind(t *testing.T) {
 	}
 }
 
+// TestReceiverStartBeyondSlotsIgnored: a listening port has a receiver cell
+// for each dedicated slot of the detector's own configuration, the tree
+// unit and the custom unit. A Start for any other unit number creates no
+// FSM and is not ACKed, as a Stop for an unknown session is ignored.
+func TestReceiverStartBeyondSlotsIgnored(t *testing.T) {
+	h := newRecvHarness(t)
+	slots := len(testCfg.HighPriority) + testCfg.DynamicSlots
+	for _, unit := range []uint16{uint16(slots), uint16(slots) + 1, customUnitBase - 1, customUnitBase + 1, wire.TreeUnit - 1} {
+		h.det.handleControl(&wire.Message{Header: wire.Header{
+			Type: wire.MsgStart, Kind: wire.KindDedicated, Epoch: 1, Session: 1, Unit: unit,
+		}}, 0)
+	}
+	n := 0
+	h.det.listeners[0].each(func(*receiverFSM) { n++ })
+	if n != 0 || h.det.CtlMsgsSent != 0 {
+		t.Fatalf("Starts beyond %d slots made %d receiver FSMs and %d control messages, want none", slots, n, h.det.CtlMsgsSent)
+	}
+	// The last slot is still a unit.
+	h.det.handleControl(&wire.Message{Header: wire.Header{
+		Type: wire.MsgStart, Kind: wire.KindDedicated, Epoch: 1, Session: 1, Unit: uint16(slots - 1),
+	}}, 0)
+	if f := h.det.listeners[0].dedicated[slots-1]; f == nil || f.state != rCounting || h.det.CtlMsgsSent != 1 {
+		t.Fatalf("a Start for the last slot %d was not adopted and ACKed", slots-1)
+	}
+}
+
 func TestReceiverStopBeforeStartIgnored(t *testing.T) {
 	h := newRecvHarness(t)
 	h.deliver(wire.MsgStop, 5)
-	if len(h.det.listeners[0].units) != 0 {
+	n := 0
+	h.det.listeners[0].each(func(*receiverFSM) { n++ })
+	if n != 0 {
 		t.Fatal("Stop without a Start created a receiver FSM")
 	}
 }

@@ -40,8 +40,8 @@ func (d *Detector) hhTick(m *portMonitor, port int) {
 // coordination: the first Start for the slot's unit number instantiates a
 // fresh receiver FSM there, exactly as for a static entry.
 func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return 0, fmt.Errorf("fancy: port %d is not monitored", port)
 	}
 	if slot, ok := m.slots[entry]; ok {
@@ -67,8 +67,8 @@ func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 // messages for the dead session are ignored (a free slot has no unit) and a
 // later reuse of the slot resynchronizes the receiver on its first Start.
 func (d *Detector) Demote(port int, entry netsim.EntryID) error {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return fmt.Errorf("fancy: port %d is not monitored", port)
 	}
 	slot, ok := d.promotedSlot(m, entry)
@@ -100,7 +100,7 @@ func (d *Detector) promotedSlot(m *portMonitor, entry netsim.EntryID) (int, bool
 // Promoted reports whether entry currently holds a dynamic slot on the
 // port, and which.
 func (d *Detector) Promoted(port int, entry netsim.EntryID) (int, bool) {
-	if m, ok := d.monitors[port]; ok {
+	if m := d.monitor(port); m != nil {
 		return d.promotedSlot(m, entry)
 	}
 	return 0, false
@@ -108,8 +108,8 @@ func (d *Detector) Promoted(port int, entry netsim.EntryID) (int, bool) {
 
 // DynamicOccupancy returns the used and total dynamic slots of a port.
 func (d *Detector) DynamicOccupancy(port int) (used, capacity int) {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return 0, 0
 	}
 	return d.cfg.DynamicSlots - len(m.free), d.cfg.DynamicSlots
@@ -118,8 +118,8 @@ func (d *Detector) DynamicOccupancy(port int) (used, capacity int) {
 // PromotedEntries lists a port's dynamically promoted entries in
 // ascending order (deterministic for reports and tests).
 func (d *Detector) PromotedEntries(port int) []netsim.EntryID {
-	m, ok := d.monitors[port]
-	if !ok {
+	m := d.monitor(port)
+	if m == nil {
 		return nil
 	}
 	out := make([]netsim.EntryID, 0, d.cfg.DynamicSlots-len(m.free))

@@ -150,6 +150,46 @@ func TestLifecycleRecycledRunEqualsPinnedRun(t *testing.T) {
 	}
 }
 
+// TestTaggedPacketPathDoesNotAllocate pins the per-packet detector work on
+// an open session: the upstream's OnEgress counts and tags a packet, the
+// downstream's OnIngress counts and strips the tag, for a dedicated entry
+// and for an entry the tree counts, without allocating.
+func TestTaggedPacketPathDoesNotAllocate(t *testing.T) {
+	tb := newTestbed(t, testCfg, 44)
+	up, down := tb.det.monitors[1], tb.downDet.listeners[0]
+	for i := 0; up.dedicated[0].state != sCounting || up.tree.state != sCounting ||
+		down.dedicated[0] == nil || down.dedicated[0].state != rCounting ||
+		down.tree == nil || down.tree.state != rCounting; i++ {
+		if i == 1000 {
+			t.Fatal("the dedicated and tree sessions never counted at the same time")
+		}
+		tb.s.Run(tb.s.Now() + sim.Millisecond)
+	}
+	for _, c := range []struct {
+		name  string
+		entry netsim.EntryID
+		rx    *receiverFSM
+	}{
+		{"dedicated", testCfg.HighPriority[0], down.dedicated[0]},
+		{"tree", 500, down.tree},
+	} {
+		pkt := &netsim.Packet{Proto: netsim.ProtoUDP, Size: 1000}
+		hop := func() {
+			pkt.Entry, pkt.Dst = c.entry, netsim.EntryAddr(c.entry, 1)
+			tb.det.OnEgress(pkt, 1)
+			tb.downDet.OnIngress(pkt, 0)
+		}
+		before := c.rx.tagged
+		if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+			t.Errorf("%s: a tagged packet's egress and ingress allocate %.2f objects, want 0", c.name, avg)
+		}
+		if c.rx.tagged-before != 101 || pkt.Tagged || pkt.Size != 1000 {
+			t.Errorf("%s: receiver counted %d of 101 tagged packets (tag left %v, size %d)",
+				c.name, c.rx.tagged-before, pkt.Tagged, pkt.Size)
+		}
+	}
+}
+
 // TestLifecycleDedicatedSessionDoesNotAllocate pins the counting protocol's
 // steady state: a dedicated-counter session — Start, StartACK, Stop, Report,
 // each marshalled into a recycled packet's Ctl buffer, parsed from it at the

@@ -1,6 +1,8 @@
 package fancy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fancy/internal/netsim"
@@ -119,3 +121,48 @@ func benchDetector(b *testing.B, entry netsim.EntryID) {
 
 func BenchmarkEgressDedicatedCounter(b *testing.B) { benchDetector(b, 10) }
 func BenchmarkEgressTreeHashing(b *testing.B)      { benchDetector(b, 5000) }
+
+// TestPortRangePanics: every call that opens sessions on a port, or
+// addresses a port's control messages, panics on a port the switch does
+// not have, naming the switch and the port. Otherwise the sessions would
+// lose every control message to the switch's NoRoute count unreported.
+func TestPortRangePanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func(d *Detector, port int)
+	}{
+		{"MonitorPort", func(d *Detector, port int) { d.MonitorPort(port) }},
+		{"ListenPort", func(d *Detector, port int) { d.ListenPort(port) }},
+		{"ListenCustom", func(d *Detector, port int) { d.ListenCustom(port, NewSizeHistogramUnit()) }},
+		{"SetPeerAddr", func(d *Detector, port int) { d.SetPeerAddr(port, netsim.IPv4(10, 0, 0, 2)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, port := range []int{2, 99, -1} {
+				s := sim.New(1)
+				det, err := NewDetector(s, netsim.NewSwitch(s, "sw7", 2), testCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := func() (msg any) {
+					defer func() { msg = recover() }()
+					c.call(det, port)
+					return nil
+				}()
+				want := fmt.Sprintf("switch sw7 has no port %d", port)
+				if s, _ := got.(string); !strings.Contains(s, want) {
+					t.Errorf("%s(%d) on a 2-port switch: panic %v, want one containing %q", c.name, port, got, want)
+				}
+				if s.Pending() != 0 {
+					t.Errorf("%s(%d) scheduled %d events before panicking", c.name, port, s.Pending())
+				}
+			}
+			// The last port is a port.
+			s := sim.New(1)
+			det, err := NewDetector(s, netsim.NewSwitch(s, "sw7", 2), testCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.call(det, 1)
+		})
+	}
+}

@@ -22,11 +22,11 @@ func TestEpochStampedAndEchoed(t *testing.T) {
 		t.Fatalf("fresh detectors have epochs %d/%d, want 1/1", tb.det.Epoch(), tb.downDet.Epoch())
 	}
 	// The receiver FSMs adopted the upstream's epoch.
-	for unit, fsm := range tb.downDet.listeners[0].units {
+	tb.downDet.listeners[0].each(func(fsm *receiverFSM) {
 		if fsm.epoch != 1 {
-			t.Errorf("receiver unit %d adopted epoch %d, want 1", unit, fsm.epoch)
+			t.Errorf("receiver unit %d adopted epoch %d, want 1", fsm.unit, fsm.epoch)
 		}
-	}
+	})
 }
 
 func TestSenderEpochMismatchIgnored(t *testing.T) {
@@ -200,11 +200,11 @@ func TestSenderRestartResync(t *testing.T) {
 	}
 	// The downstream adopted the new epoch from the first post-restart
 	// Starts and the pair kept counting.
-	for unit, fsm := range tb.downDet.listeners[0].units {
+	tb.downDet.listeners[0].each(func(fsm *receiverFSM) {
 		if !fsm.dead && fsm.epoch != 2 {
-			t.Errorf("receiver unit %d still on epoch %d", unit, fsm.epoch)
+			t.Errorf("receiver unit %d still on epoch %d", fsm.unit, fsm.epoch)
 		}
-	}
+	})
 	if got := tb.det.SessionsCompleted(1); got < 20 {
 		t.Errorf("only %d sessions completed across a restart", got)
 	}

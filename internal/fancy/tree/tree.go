@@ -119,45 +119,66 @@ func ipow(b, e int) int {
 // Hasher maps entry keys to per-level counter indices. Both FANcY switches
 // of a session never need to agree on hashes (the downstream learns indices
 // from packet tags), but a deterministic seeded hash keeps experiments
-// reproducible.
+// reproducible. H_level(entry) is 64-bit FNV-1a over the bytes of (seed,
+// level, entry), low byte first, then a splitmix64 avalanche to decorrelate
+// the low bits, reduced modulo the width.
 type Hasher struct {
 	width uint64
-	depth int
-	seed  uint64
+	// levels holds, per tree level, the hash state after the seed and the
+	// level number: the part of every packet's hash that is the same for
+	// all packets, folded once here instead of on every packet.
+	levels []uint64
 }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime4 = fnvPrime * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
+)
 
 // NewHasher builds a hasher for a tree of the given width and depth.
 func NewHasher(p Params, seed uint64) *Hasher {
-	return &Hasher{width: uint64(p.Width), depth: p.Depth, seed: seed}
+	h := &Hasher{width: uint64(p.Width), levels: make([]uint64, p.Depth)}
+	for l := range h.levels {
+		h.levels[l] = fold(fold(fnvOffset, seed), uint64(l))
+	}
+	return h
 }
 
-// Index returns H_level(entry) ∈ [0, width).
+// Index returns H_level(entry) ∈ [0, width) for a level below the depth.
 func (h *Hasher) Index(entry uint64, level int) uint16 {
-	return uint16(h.mix(entry, uint64(level)) % h.width)
+	return uint16(avalanche(fold(h.levels[level], entry)) % h.width)
 }
 
 // Path appends the full hash path of entry (one index per level) to dst.
 func (h *Hasher) Path(entry uint64, dst []uint16) []uint16 {
-	for l := 0; l < h.depth; l++ {
-		dst = append(dst, h.Index(entry, l))
+	for _, x := range h.levels {
+		dst = append(dst, uint16(avalanche(fold(x, entry))%h.width))
 	}
 	return dst
 }
 
-// mix is a 64-bit FNV-1a-style hash over (seed, level, entry).
-func (h *Hasher) mix(entry, level uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	x := uint64(offset)
-	for _, v := range [3]uint64{h.seed, level, entry} {
-		for i := 0; i < 8; i++ {
-			x ^= (v >> (8 * i)) & 0xff
-			x *= prime
-		}
+// fold feeds the 8 bytes of v into FNV state x. A zero byte only
+// multiplies the state by the prime, so when the high four bytes are zero
+// (every 32-bit entry ID) their four steps are one multiplication by
+// prime^4.
+func fold(x, v uint64) uint64 {
+	n := 8
+	if v>>32 == 0 {
+		n = 4
 	}
-	// Final avalanche (splitmix64 tail) to decorrelate low bits.
+	for i := 0; i < n; i++ {
+		x ^= (v >> (8 * i)) & 0xff
+		x *= fnvPrime
+	}
+	if n == 4 {
+		x *= fnvPrime4
+	}
+	return x
+}
+
+// avalanche is the splitmix64 finalizer.
+func avalanche(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

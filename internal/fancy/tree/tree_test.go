@@ -111,6 +111,76 @@ func TestHasherDeterminism(t *testing.T) {
 	}
 }
 
+// unfactoredMix is the hasher's mix as it was before NewHasher folded the
+// seed and level once: FNV-1a over all 24 bytes of (seed, level, entry) on
+// every call, then the splitmix64 avalanche.
+func unfactoredMix(seed, level, entry uint64) uint64 {
+	x := uint64(14695981039346656037)
+	for _, v := range [3]uint64{seed, level, entry} {
+		for i := 0; i < 8; i++ {
+			x ^= (v >> (8 * i)) & 0xff
+			x *= 1099511628211
+		}
+	}
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// TestHasherMatchesUnfactoredMix holds Index and Path to the unfactored
+// mix over random seeds and entries (32- and 64-bit), widths 2–256 and
+// depths 1–5, and over levels 0–7 of a depth-8 tree, and pins three paths
+// of the paper's tree shape, so a change to the hash fails here before it
+// moves any golden.
+func TestHasherMatchesUnfactoredMix(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 2000; i++ {
+		p := Params{Width: 2 + rng.Intn(255), Depth: 1 + rng.Intn(5), Split: 2}
+		seed, entry := rng.Uint64(), rng.Uint64()
+		if i%2 == 0 {
+			entry >>= 32 // a 32-bit entry ID: fold's short path
+		}
+		if i%3 == 0 {
+			seed >>= 32
+		}
+		h := NewHasher(p, seed)
+		path := h.Path(entry, nil)
+		if len(path) != p.Depth {
+			t.Fatalf("Path has %d levels, want %d", len(path), p.Depth)
+		}
+		for l := 0; l < p.Depth; l++ {
+			want := uint16(unfactoredMix(seed, uint64(l), entry) % uint64(p.Width))
+			if got := h.Index(entry, l); got != want || path[l] != want {
+				t.Fatalf("seed %#x width %d entry %#x level %d: Index %d, Path %d, unfactored %d",
+					seed, p.Width, entry, l, got, path[l], want)
+			}
+		}
+	}
+	h := NewHasher(Params{Width: 256, Depth: 8, Split: 1}, 3)
+	for l := 0; l < 8; l++ {
+		if got, want := h.Index(99, l), uint16(unfactoredMix(3, uint64(l), 99)%256); got != want {
+			t.Fatalf("depth 8, level %d: Index %d, unfactored %d", l, got, want)
+		}
+	}
+
+	pinned := NewHasher(Params{Width: 190, Depth: 3, Split: 2}, 13)
+	for _, c := range []struct {
+		entry uint64
+		path  [3]uint16
+	}{
+		{1, [3]uint16{81, 161, 58}},
+		{0xdeadbeef, [3]uint16{176, 158, 35}},
+		{1 << 63, [3]uint16{51, 112, 124}},
+	} {
+		if got := pinned.Path(c.entry, nil); [3]uint16(got) != c.path {
+			t.Errorf("seed 13, width 190: Path(%#x) = %v, want %v", c.entry, got, c.path)
+		}
+	}
+}
+
 func TestHasherSeedsDiffer(t *testing.T) {
 	p := Params{Width: 190, Depth: 3, Split: 2}
 	a := NewHasher(p, 1)

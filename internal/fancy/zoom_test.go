@@ -406,7 +406,7 @@ func TestControlScratchNotRetained(t *testing.T) {
 				t.Fatalf("scratch targets %v: the second message did not reuse the scratch", got)
 			}
 		}
-		rcv := det.listeners[1].units[wire.TreeUnit].counters.(*treeReceiver)
+		rcv := det.listeners[1].tree.counters.(*treeReceiver)
 		// One tag per node: the root, target {3} and target {3,5} — the last
 		// implies root[3] and {3}'s counter 5 through its ancestor list.
 		for _, tag := range []wire.Tag{tagFor(0, 2), tagFor(1, 6), tagFor(2, 4)} {

@@ -34,11 +34,37 @@ func (r *Route) Egress() int {
 // /0). Route handles are carved from per-table blocks, not allocated one
 // by one; a handle stays valid, and its UseBackup bit live, across later
 // inserts.
+//
+// In front of the trie sits a direct-mapped memo of recent lookups, keyed
+// by the full address. Insert, the only mutation, clears it, so a memoized
+// answer is always the one the trie would give. The memo is held inline,
+// so a copied table never shares it with the original.
 type RouteTable struct {
 	nodes  []trieNode // nodes[0] is the root once the table is non-empty
 	routes []Route    // the block new handles are carved from
 	n      int
+	memo   [memoSlots]memoSlot
+	// memoized is set when a lookup fills a memo slot, so the inserts
+	// that install a table before it forwards skip clearing an empty memo.
+	memoized bool
 }
+
+// memoSlots is the memo's size: a power of two, and enough for the
+// destinations a switch forwards to in the bundled topologies.
+const memoSlots = 64
+
+// memoSlot is one memoized lookup: the address and the route Lookup
+// returned for it (nil when no prefix covers it).
+type memoSlot struct {
+	addr  uint32
+	valid bool
+	route *Route
+}
+
+// memoIndex picks addr's memo slot from the top bits of a multiplicative
+// hash, which spreads addresses that differ only in a middle byte (the
+// per-entry /24s) as well as those that differ in the last.
+func memoIndex(addr uint32) uint32 { return addr * 0x9e3779b1 >> 26 }
 
 // trieNode is one trie node; addr is masked to plen.
 type trieNode struct {
@@ -149,15 +175,30 @@ func (t *RouteTable) Insert(addr uint32, plen int, route Route) (*Route, error) 
 		t.n++
 	}
 	nd.route = t.newRoute(route)
+	if t.memoized {
+		t.memo, t.memoized = [memoSlots]memoSlot{}, false
+	}
 	return nd.route, nil
 }
 
 // Lookup returns the longest-prefix-match route for addr, or nil if no
-// prefix covers it. Only nodes that hold a route are checked against addr:
-// a node whose prefix does not cover addr has no descendant that does, so
-// the first such route node ends the descent, and branch nodes above it
-// need no check of their own.
+// prefix covers it, answering from the memo when it holds addr.
 func (t *RouteTable) Lookup(addr uint32) *Route {
+	s := &t.memo[memoIndex(addr)]
+	if s.valid && s.addr == addr {
+		return s.route
+	}
+	r := t.lookup(addr)
+	*s = memoSlot{addr: addr, valid: true, route: r}
+	t.memoized = true
+	return r
+}
+
+// lookup walks the trie. Only nodes that hold a route are checked against
+// addr: a node whose prefix does not cover addr has no descendant that
+// does, so the first such route node ends the descent, and branch nodes
+// above it need no check of their own.
+func (t *RouteTable) lookup(addr uint32) *Route {
 	nodes := t.nodes
 	if len(nodes) == 0 {
 		return nil

@@ -150,7 +150,8 @@ func TestRouteTableMatchesReference(t *testing.T) {
 
 // FuzzRouteTable runs a byte-coded insert sequence (4 address bytes and one
 // length byte per insert; lengths above 32 must be refused) against the
-// linear reference.
+// linear reference, checking the table after every insert so that a lookup
+// memoized before an insert is asked again after it.
 func FuzzRouteTable(f *testing.F) {
 	f.Add([]byte{10, 0, 0, 0, 8, 10, 1, 0, 0, 16, 0, 0, 0, 0, 0, 10, 1, 2, 3, 32}, uint8(0))
 	f.Add([]byte{10, 1, 0, 0, 16, 12, 0, 0, 0, 8, 10, 1, 0, 0, 16, 0, 0, 0, 0, 33}, uint8(4))
@@ -175,9 +176,79 @@ func FuzzRouteTable(f *testing.F) {
 				t.Fatal(err)
 			}
 			ref.insert(addr, plen, i, h)
+			checkTable(t, &rt, ref, ref.probes(extra...))
 		}
 		checkTable(t, &rt, ref, ref.probes(extra...))
 	})
+}
+
+// TestRouteLookupSeesLaterInsert: a memoized answer, hit or miss, is
+// forgotten by the next insert — a longer covering prefix, a re-insert of
+// the same prefix (whose fresh handle replaces the memoized one), and a
+// default route over a memoized miss.
+func TestRouteLookupSeesLaterInsert(t *testing.T) {
+	var rt RouteTable
+	host := IPv4(10, 1, 2, 3)
+	r24, _ := rt.Insert(IPv4(10, 1, 2, 0), 24, Route{Port: 1, Backup: -1})
+	for i := 0; i < 2; i++ { // the second lookup is answered by the memo
+		if got := rt.Lookup(host); got != r24 {
+			t.Fatalf("lookup %d: got %p, want the /24 %p", i, got, r24)
+		}
+	}
+	r32, _ := rt.Insert(host, 32, Route{Port: 2, Backup: -1})
+	if got := rt.Lookup(host); got != r32 {
+		t.Fatalf("after inserting the /32: got %p %+v, want the /32 %p", got, got, r32)
+	}
+	if got := rt.Lookup(host + 1); got != r24 {
+		t.Fatalf("a neighbour of the /32: got %p, want the /24 %p", got, r24)
+	}
+	again, _ := rt.Insert(IPv4(10, 1, 2, 0), 24, Route{Port: 3, Backup: -1})
+	if got := rt.Lookup(host + 1); got != again || got.Port != 3 {
+		t.Fatalf("after re-inserting the /24: got %p %+v, want the fresh handle %p", got, got, again)
+	}
+
+	var empty RouteTable
+	for i := 0; i < 2; i++ {
+		if got := empty.Lookup(host); got != nil {
+			t.Fatalf("empty table, lookup %d: got %+v, want nil", i, got)
+		}
+	}
+	def, _ := empty.Insert(0, 0, Route{Port: 4, Backup: -1})
+	if got := empty.Lookup(host); got != def {
+		t.Fatalf("after inserting a /0 over a memoized miss: got %p, want %p", got, def)
+	}
+}
+
+// TestRouteLookupDoesNotAllocate pins a lookup on a grid-sized table (144
+// host /32s and 300 entry /24s), memo hits and misses alike.
+func TestRouteLookupDoesNotAllocate(t *testing.T) {
+	const hosts, entries = 144, 300
+	var rt RouteTable
+	rt.Grow(hosts + entries)
+	for h := 0; h < hosts; h++ {
+		rt.Insert(IPv4(172, 16, byte(h>>8), byte(h)), 32, Route{Port: h % 5, Backup: -1})
+	}
+	for e := 0; e < entries; e++ {
+		rt.InsertEntry(EntryID(e), Route{Port: e % 5, Backup: -1})
+	}
+	i, misses := 0, 0
+	lookups := func() {
+		for k := 0; k < 64; k++ {
+			i++
+			if rt.Lookup(EntryAddr(EntryID(i*7%entries), byte(i))) == nil {
+				misses++
+			}
+			if rt.Lookup(IPv4(172, 16, 0, byte(i%hosts))) == nil {
+				misses++
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, lookups); avg != 0 {
+		t.Errorf("128 lookups allocate %.1f objects, want 0", avg)
+	}
+	if misses != 0 {
+		t.Errorf("%d lookups of installed prefixes missed", misses)
+	}
 }
 
 // TestGrownTableInsertDoesNotAllocate pins Grow's promise on a grid-sized

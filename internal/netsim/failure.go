@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 
 	"fancy/internal/sim"
 )
@@ -26,8 +27,12 @@ import (
 type Failure struct {
 	start sim.Time
 
-	uniform  float64
-	perEntry map[EntryID]float64
+	uniform float64
+
+	// entries is the per-entry failure's entry set, one bit per EntryID;
+	// each member loses entryLoss of its packets.
+	entries   []uint64
+	entryLoss float64
 
 	// flowFraction selects a deterministic subset of flows (by flow-ID
 	// hash) whose packets are dropped with probability flowLoss. This
@@ -80,7 +85,7 @@ func (f *Failure) Drop(pkt *Packet, t sim.Time) bool {
 		f.Dropped.Data++
 		return true
 	}
-	if p, ok := f.perEntry[pkt.Entry]; ok && f.roll(p) {
+	if f.hasEntry(pkt.Entry) && f.roll(f.entryLoss) {
 		f.Dropped.Data++
 		return true
 	}
@@ -134,13 +139,24 @@ func (f *Failure) roll(p float64) bool {
 }
 
 // FailEntries builds a per-entry failure dropping rate of each listed entry.
+// The entry set is a bitset as long as the largest listed entry ID (8 KiB
+// per 65 536 IDs).
 func FailEntries(seed int64, start sim.Time, rate float64, entries ...EntryID) *Failure {
 	f := newFailure(seed, start)
-	f.perEntry = make(map[EntryID]float64, len(entries))
+	f.entryLoss = rate
+	if len(entries) > 0 {
+		f.entries = make([]uint64, slices.Max(entries)/64+1)
+	}
 	for _, e := range entries {
-		f.perEntry[e] = rate
+		f.entries[e/64] |= 1 << (e % 64)
 	}
 	return f
+}
+
+// hasEntry reports whether e is in the per-entry failure's set.
+func (f *Failure) hasEntry(e EntryID) bool {
+	w := int(e / 64)
+	return w < len(f.entries) && f.entries[w]&(1<<(e%64)) != 0
 }
 
 // FailUniform builds a uniform random-loss failure starting at start.

@@ -26,7 +26,7 @@ type Host struct {
 	name string
 	tx   *LinkEnd
 
-	handlers map[FlowID]PacketHandler
+	handlers []PacketHandler // by FlowID; nil where no flow is bound
 
 	// Default, when set, receives packets with no per-flow handler.
 	Default PacketHandler
@@ -35,12 +35,11 @@ type Host struct {
 	pool PacketPool
 
 	Received uint64
-	Dropped  uint64 // no handler
 }
 
 // NewHost creates a host.
 func NewHost(s *sim.Sim, name string) *Host {
-	return &Host{s: s, name: name, handlers: make(map[FlowID]PacketHandler)}
+	return &Host{s: s, name: name}
 }
 
 // Name implements Node.
@@ -67,12 +66,15 @@ func (h *Host) SetPool(*PacketPool) {}
 // once its handler (if any) has returned.
 func (h *Host) Receive(pkt *Packet, port int) {
 	h.Received++
-	if hd, ok := h.handlers[pkt.Flow]; ok {
+	var hd PacketHandler
+	if int(pkt.Flow) < len(h.handlers) {
+		hd = h.handlers[pkt.Flow]
+	}
+	if hd == nil {
+		hd = h.Default
+	}
+	if hd != nil {
 		hd.HandlePacket(pkt)
-	} else if h.Default != nil {
-		h.Default.HandlePacket(pkt)
-	} else {
-		h.Dropped++
 	}
 	pkt.release()
 }
@@ -89,10 +91,17 @@ func (h *Host) Send(pkt *Packet) bool {
 }
 
 // Bind registers handler for a flow. Binding nil removes the handler.
+//
+// The handlers are a table indexed by flow ID, so a host's table is as long
+// as the largest flow ID ever bound on it: bind dense IDs. traffic.Driver
+// numbers its flows from 0, and it is the only binder outside tests
+// (through tcp.NewSender); UDP sources bind nothing.
 func (h *Host) Bind(flow FlowID, handler PacketHandler) {
-	if handler == nil {
-		delete(h.handlers, flow)
-		return
+	if int(flow) >= len(h.handlers) {
+		if handler == nil {
+			return
+		}
+		h.handlers = append(h.handlers, make([]PacketHandler, int(flow)+1-len(h.handlers))...)
 	}
 	h.handlers[flow] = handler
 }

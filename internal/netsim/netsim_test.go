@@ -426,28 +426,64 @@ func TestSwitchReroute(t *testing.T) {
 	}
 }
 
+// TestHostDemux pins the host's per-flow handler table: a bound flow reaches
+// its handler, anything else — a flow never bound, unbound again, or beyond
+// the table — reaches Default, and unbinding a flow beyond the table does
+// not grow it.
 func TestHostDemux(t *testing.T) {
-	s := sim.New(1)
-	h := NewHost(s, "h")
-	peer := &sinkNode{name: "peer", s: s}
-	Connect(s, peer, 0, h, 0, LinkConfig{Delay: 0, RateBps: 1e9})
-
-	var flowPkts, defPkts int
-	h.Bind(7, PacketHandlerFunc(func(p *Packet) { flowPkts++ }))
-	h.Default = PacketHandlerFunc(func(p *Packet) { defPkts++ })
-
-	peer.tx.Send(&Packet{Flow: 7, Size: 10})
-	peer.tx.Send(&Packet{Flow: 8, Size: 10})
-	s.Run(0)
-	if flowPkts != 1 || defPkts != 1 {
-		t.Errorf("flow=%d default=%d, want 1/1", flowPkts, defPkts)
+	type bind struct {
+		flow    FlowID
+		handler int // 0 binds nil
 	}
+	for _, tc := range []struct {
+		name    string
+		binds   []bind
+		send    []FlowID
+		want    []int // handler per packet; 0 is Default
+		wantLen int   // len(h.handlers) after the binds
+	}{
+		{"bound and unbound", []bind{{7, 1}}, []FlowID{7, 8}, []int{1, 0}, 8},
+		{"flow 0", []bind{{0, 1}}, []FlowID{0, 1}, []int{1, 0}, 1},
+		{"rebind replaces", []bind{{7, 1}, {7, 2}}, []FlowID{7}, []int{2}, 8},
+		{"unbind returns to default", []bind{{7, 1}, {3, 2}, {7, 0}}, []FlowID{7, 3}, []int{0, 2}, 8},
+		{"unbind then rebind", []bind{{4, 1}, {4, 0}, {4, 3}}, []FlowID{4}, []int{3}, 5},
+		{"unbind beyond the table", []bind{{3, 1}, {1000, 0}}, []FlowID{1000, 3}, []int{0, 1}, 4},
+		{"unbind on an empty host", []bind{{5, 0}}, []FlowID{5}, []int{0}, 0},
+		{"beyond the table", []bind{{2, 1}}, []FlowID{3, 1 << 20, ^FlowID(0)}, []int{0, 0, 0}, 3},
+		{"a lower flow after a higher one", []bind{{9, 1}, {2, 2}}, []FlowID{2, 9, 5}, []int{2, 1, 0}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			h := NewHost(s, "h")
+			peer := &sinkNode{name: "peer", s: s}
+			Connect(s, peer, 0, h, 0, LinkConfig{Delay: 0, RateBps: 1e9})
 
-	h.Bind(7, nil)
-	peer.tx.Send(&Packet{Flow: 7, Size: 10})
-	s.Run(0)
-	if defPkts != 2 {
-		t.Errorf("unbound flow should fall to default, defPkts=%d", defPkts)
+			var got []int
+			handler := func(id int) PacketHandler {
+				return PacketHandlerFunc(func(*Packet) { got = append(got, id) })
+			}
+			h.Default = handler(0)
+			for _, b := range tc.binds {
+				if b.handler == 0 {
+					h.Bind(b.flow, nil)
+				} else {
+					h.Bind(b.flow, handler(b.handler))
+				}
+			}
+			if len(h.handlers) != tc.wantLen {
+				t.Errorf("handler table length %d, want %d", len(h.handlers), tc.wantLen)
+			}
+			for _, f := range tc.send {
+				peer.tx.Send(&Packet{Flow: f, Size: 10})
+			}
+			s.Run(0)
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("packets reached handlers %v, want %v", got, tc.want)
+			}
+			if h.Received != uint64(len(tc.send)) {
+				t.Errorf("Received = %d, want %d", h.Received, len(tc.send))
+			}
+		})
 	}
 }
 

@@ -11,6 +11,9 @@
 package tcp
 
 import (
+	"cmp"
+	"slices"
+
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
@@ -97,7 +100,7 @@ func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 			cwnd: initialCwnd, ssthresh: 1 << 20, rto: initialRTO,
 			start: s.Now(),
 		},
-		rcv: receiver{s: s, host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
+		rcv: receiver{host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
 	}
 	snd := &c.snd
 	snd.onTimeoutFn, snd.trySendFn = snd.onTimeout, snd.trySend
@@ -270,16 +273,19 @@ func (t *Sender) onAck(pkt *netsim.Packet) {
 
 // receiver implements cumulative ACKs with out-of-order buffering.
 type receiver struct {
-	s    *sim.Sim
 	host *netsim.Host
 	flow netsim.FlowID
 	src  uint32 // our address (ACK source)
 	dst  uint32 // sender address
 
 	rcvNxt int64
-	segs   map[int64]int // buffered out-of-order segments: seq → len; nil until the first
+	segs   []seg // buffered out-of-order segments in ascending seq; nil until the first
+}
 
-	BytesReceived int64
+// seg is one buffered out-of-order segment.
+type seg struct {
+	seq int64
+	len int
 }
 
 // HandlePacket implements netsim.PacketHandler: the destination host hands
@@ -288,29 +294,39 @@ func (r *receiver) HandlePacket(pkt *netsim.Packet) {
 	if pkt.Len == 0 {
 		return
 	}
-	r.BytesReceived += int64(pkt.Len)
 	if pkt.Seq == r.rcvNxt {
 		r.rcvNxt += int64(pkt.Len)
-		// Drain any buffered continuation.
-		for {
-			l, ok := r.segs[r.rcvNxt]
-			if !ok {
-				break
+		// Drain the buffered continuation. A segment the advance has
+		// passed could never be the next in order again: drop it too.
+		n := 0
+		for ; n < len(r.segs) && r.segs[n].seq <= r.rcvNxt; n++ {
+			if r.segs[n].seq == r.rcvNxt {
+				r.rcvNxt += int64(r.segs[n].len)
 			}
-			delete(r.segs, r.rcvNxt)
-			r.rcvNxt += int64(l)
 		}
+		r.segs = slices.Delete(r.segs, 0, n)
 	} else if pkt.Seq > r.rcvNxt {
-		if r.segs == nil {
-			r.segs = make(map[int64]int)
-		}
-		r.segs[pkt.Seq] = pkt.Len
+		r.buffer(pkt.Seq, pkt.Len)
 	}
 	// ACK every segment (no delayed ACKs).
 	ack := r.host.Pool().Get()
 	ack.Flow, ack.Entry, ack.Src, ack.Dst = r.flow, netsim.InvalidEntry, r.src, r.dst
 	ack.Proto, ack.Size, ack.Ack, ack.Flags = netsim.ProtoTCP, 40, r.rcvNxt, netsim.FlagACK
 	r.host.Send(ack)
+}
+
+// buffer keeps an out-of-order segment in seq order; a segment already
+// buffered at seq takes the new length.
+func (r *receiver) buffer(seq int64, n int) {
+	if r.segs == nil {
+		r.segs = make([]seg, 0, 8)
+	}
+	i, found := slices.BinarySearchFunc(r.segs, seq, func(s seg, seq int64) int { return cmp.Compare(s.seq, seq) })
+	if found {
+		r.segs[i].len = n
+		return
+	}
+	r.segs = slices.Insert(r.segs, i, seg{seq, n})
 }
 
 func min64(a, b int64) int64 {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -306,7 +307,8 @@ func TestNewSenderAllocatesThreeObjects(t *testing.T) {
 		NewSender(s, a, b, flow, 100, 1, 2, 1000, Config{})
 		flow++
 	}
-	// Warm the hosts' handler maps, so their growth is not counted.
+	// Grow the hosts' handler tables to 1000 flows first, so their growth is
+	// not counted; unbinding keeps a table's length.
 	for i := 0; i < 1000; i++ {
 		newSender()
 	}
@@ -317,6 +319,157 @@ func TestNewSenderAllocatesThreeObjects(t *testing.T) {
 	flow = 0
 	if avg := testing.AllocsPerRun(100, newSender); avg > 3 {
 		t.Errorf("NewSender allocates %.1f objects, want ≤ 3 (the conn and two bound timer callbacks)", avg)
+	}
+}
+
+// mapReceiver is the receiver's reorder buffer as it was before it became a
+// sorted run: a map from seq to length, drained by exact-key lookups at the
+// next expected byte. handle returns the ACK the receiver sends, if any.
+type mapReceiver struct {
+	rcvNxt int64
+	segs   map[int64]int
+}
+
+func (r *mapReceiver) handle(seq int64, n int) (int64, bool) {
+	if n == 0 {
+		return 0, false
+	}
+	if seq == r.rcvNxt {
+		r.rcvNxt += int64(n)
+		for {
+			l, ok := r.segs[r.rcvNxt]
+			if !ok {
+				break
+			}
+			delete(r.segs, r.rcvNxt)
+			r.rcvNxt += int64(l)
+		}
+	} else if seq > r.rcvNxt {
+		if r.segs == nil {
+			r.segs = make(map[int64]int)
+		}
+		r.segs[seq] = n
+	}
+	return r.rcvNxt, true
+}
+
+// TestReorderRunMatchesMapReference holds the sorted reorder run to the map
+// it replaced: random arrival orders of an MSS-aligned flow, with duplicates
+// and retransmissions of delivered segments, give the same ACK sequence. Half
+// the trials also send segments cut at another length (some spanning two or
+// three segments), so a buffered segment can be replaced at its seq or passed
+// over by the in-order point.
+func TestReorderRunMatchesMapReference(t *testing.T) {
+	const mss = 1460
+	s := sim.New(1)
+	_, b, l := pair(s, 10e9, sim.Millisecond)
+	var acks []int64
+	l.BA.SetCapture(func(ev netsim.CaptureEvent) {
+		if ev.Kind == netsim.CaptureSend {
+			acks = append(acks, ev.Pkt.Ack)
+		}
+	})
+	for trial := 0; trial < 500; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 1 + rng.Intn(30)
+		total := int64(n*mss - rng.Intn(mss)) // a short last segment
+		segment := func(k int) (int64, int) {
+			seq := int64(k * mss)
+			return seq, int(min64(mss, total-seq))
+		}
+		type arrival struct {
+			seq int64
+			len int
+		}
+		var arrivals []arrival
+		for _, k := range rng.Perm(n) {
+			seq, l := segment(k)
+			arrivals = append(arrivals, arrival{seq, l})
+			for rng.Intn(4) == 0 { // a duplicate
+				seq, l := segment(rng.Intn(n))
+				arrivals = append(arrivals, arrival{seq, l})
+			}
+			if trial%2 == 1 && rng.Intn(6) == 0 { // a segment cut at another length
+				arrivals = append(arrivals, arrival{seq, []int{rng.Intn(2 * mss), 2 * mss, 3 * mss}[rng.Intn(3)]})
+			}
+		}
+		for i := rng.Intn(5); i > 0; i-- { // retransmissions of delivered data
+			seq, l := segment(rng.Intn(n))
+			arrivals = append(arrivals, arrival{seq, l})
+		}
+
+		rcv := &receiver{host: b, flow: 1, src: 2, dst: 1}
+		ref := &mapReceiver{}
+		var want []int64
+		acks = acks[:0]
+		for _, a := range arrivals {
+			rcv.HandlePacket(&netsim.Packet{Seq: a.seq, Len: a.len})
+			if ack, ok := ref.handle(a.seq, a.len); ok {
+				want = append(want, ack)
+			}
+		}
+		s.Run(0)
+		if !slices.Equal(acks, want) {
+			t.Fatalf("trial %d, arrivals %v: ACKs %v, reference %v", trial, arrivals, acks, want)
+		}
+	}
+}
+
+// TestReorderRunAllocatesOnFirstGap pins the reorder run's one allocation: a
+// receiver allocates nothing until its first out-of-order segment, then one
+// object that holds up to 8 buffered segments without growing.
+func TestReorderRunAllocatesOnFirstGap(t *testing.T) {
+	const mss, runs = 1460, 100
+	s := sim.New(1)
+	_, b, _ := pair(s, 10e9, sim.Millisecond)
+	var data [10]netsim.Packet
+	for k := range data {
+		data[k] = netsim.Packet{Seq: int64(k * mss), Len: mss}
+	}
+	// Each step starts a new connection's receiver in the same memory, so
+	// only the reorder run can allocate.
+	var rcv receiver
+	fresh := func() *receiver {
+		rcv = receiver{host: b, flow: 1, src: 2, dst: 1}
+		return &rcv
+	}
+	// Each step ends with the ACKs delivered, so they return to b's pool.
+	inOrder := func() {
+		r := fresh()
+		for k := range data {
+			r.HandlePacket(&data[k])
+		}
+		s.Run(0)
+	}
+	firstGap := func() {
+		fresh().HandlePacket(&data[1])
+		s.Run(0)
+	}
+	eightGaps := func() {
+		r := fresh()
+		for _, k := range []int{8, 2, 6, 4, 1, 7, 3, 5} {
+			r.HandlePacket(&data[k])
+		}
+		if len(r.segs) != 8 {
+			t.Fatalf("%d segments buffered, want 8", len(r.segs))
+		}
+		r.HandlePacket(&data[0])
+		if r.rcvNxt != 9*mss || len(r.segs) != 0 {
+			t.Fatalf("after the hole: rcvNxt %d with %d buffered, want %d and 0", r.rcvNxt, len(r.segs), 9*mss)
+		}
+		s.Run(0)
+	}
+	for i := 0; i < 3; i++ { // warm b's packet pool and the event pool
+		eightGaps()
+	}
+	if avg := testing.AllocsPerRun(runs, inOrder); avg != 0 {
+		t.Errorf("an in-order flow allocates %.2f objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(runs, firstGap); avg != 1 {
+		t.Errorf("the first out-of-order segment allocates %.2f objects, want 1", avg)
+	}
+	if avg := testing.AllocsPerRun(runs, eightGaps); avg != 1 {
+		t.Errorf("8 buffered out-of-order segments allocate %.2f objects, want 1", avg)
 	}
 }
 

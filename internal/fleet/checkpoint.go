@@ -2,17 +2,18 @@ package fleet
 
 // Correlator checkpoint/restart. The correlator encodes its durable state
 // (state.go: evidence windows, verdicts, health bookkeeping) into a byte
-// frame, periodically and on every durable change; crashing the active
-// replica (consensus.go: CrashReplica) abandons the live state (and stops
-// its management server from acknowledging anything, so agents observe the
-// crash as a partition and fall back to degraded-mode local protection);
-// restarting it with no successor elected — always, in a group of one —
-// decodes the last frame back into the live state and reconciles with live
-// telemetry: pending evidence windows re-open with a fresh full window,
-// restart counters are re-read, and the transport-level sequence state plus
-// the fleet-level alarm and reroute dedup maps guarantee no duplicate
-// confirmed verdicts and no duplicate reroute accounting, while confirmed
-// verdicts survive verbatim.
+// frame, periodically and on every durable change, and the frame becomes
+// the active replica's accepted entry (consensus.go: commit); crashing the
+// active replica (consensus.go: CrashReplica) abandons the live state (and
+// stops its management server from acknowledging anything, so agents
+// observe the crash as a partition and fall back to degraded-mode local
+// protection); restarting it with no successor elected — always, in a group
+// of one — decodes that entry's frame back into the live state and
+// reconciles with live telemetry: pending evidence windows re-open with a
+// fresh full window, restart counters are re-read, and the transport-level
+// sequence state plus the fleet-level alarm and reroute dedup maps
+// guarantee no duplicate confirmed verdicts and no duplicate reroute
+// accounting, while confirmed verdicts survive verbatim.
 
 import (
 	"fmt"
@@ -24,18 +25,18 @@ import (
 )
 
 // checkpoint encodes the live durable state into a fresh frame. It is the
-// one place a frame is built: lastCkpt, log entries and every datagram that
-// carries one hold or copy these bytes, never the state.
+// one place a frame is built: log entries and every datagram that carries
+// one hold or copy these bytes, never the state.
 func (f *Fleet) checkpoint() []byte {
 	f.savedAt = f.S.Now()
-	if srv := f.active().srv; srv != nil {
-		f.seq = srv.SeqCheckpoint(f.seq)
+	r := f.active()
+	if r.srv != nil {
+		f.seq = r.srv.SeqCheckpoint(f.seq)
 	}
 	// Consecutive frames differ by an alarm or a timestamp: the previous
 	// length plus slack sizes the buffer in one allocation.
-	w := codec.Writer{B: make([]byte, 0, len(f.lastCkpt)+256)}
+	w := codec.Writer{B: make([]byte, 0, len(r.frame())+256)}
 	f.corrState.encode(&w, &f.ckptKeys)
-	f.lastCkpt = w.B
 	f.Corr.Checkpoints++
 	return w.B
 }
@@ -57,14 +58,6 @@ func (f *Fleet) periodicCheckpoint() {
 // that would otherwise re-alarm. With peers the frame is also a log entry,
 // so followers track every durable state change, not just verdicts.
 func (f *Fleet) persist() { f.commit("window", func() {}) }
-
-// CrashCorrelator fails whichever replica drives the fleet: all in-memory
-// state since the last checkpoint is lost, every pending timer and
-// in-flight read is abandoned, and — over a management network — inbound
-// reports go unacknowledged, so switch agents observe the crash exactly
-// like a partition and engage degraded-mode local protection. Detectors and
-// agents keep running throughout.
-func (f *Fleet) CrashCorrelator() { f.CrashReplica(f.group.active) }
 
 // haltDuty stops every timer the current correlator incarnation owns:
 // pending verdict windows, the liveness sweep and the checkpoint cadence.
@@ -91,17 +84,6 @@ func (f *Fleet) resumeDuty() {
 	f.sweepTimer = f.S.ScheduleTimer(sweepInterval, f.sweep)
 	f.ckptTimer = f.S.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
 }
-
-// RestartCorrelator restarts the most recently crashed replica (no-op if
-// none ever crashed). If it was the active one and nobody took over, the
-// correlator comes back from its last checkpoint (or from scratch if none
-// was taken) and reconciles with live telemetry: confirmed verdicts and the
-// alarm/reroute dedup maps are restored, evidence windows that were pending
-// at the crash re-open with a fresh full window, the management server
-// resumes accepting with the checkpointed sequence state, and every
-// switch's restart counter is re-read so reboots during the outage are not
-// misdiagnosed.
-func (f *Fleet) RestartCorrelator() { f.RestartReplica(f.group.lastCrashed) }
 
 // restoreState replaces the correlator's durable state with the one frame
 // decodes to (nil restores from scratch) and re-arms everything that hangs

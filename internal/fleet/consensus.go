@@ -14,7 +14,7 @@ package fleet
 // endpoint-name pair), has no server in direct mode, and does not do the
 // three things that need a peer — it arms no tick (nobody to beat, no
 // quorum to audit), replicates nothing (a commit is its effects plus a
-// checkpoint) and never elects.
+// self-accept of the new frame) and never elects.
 //
 // Design, and how it maps onto classic Multi-Paxos with a stable leader:
 //
@@ -40,12 +40,16 @@ package fleet
 //     locally (checkpoint/restart semantics) until quorum returns. If the
 //     leader itself dies with no electable quorum, agents get no acks,
 //     go offline, and fall back to degraded-mode local protection.
-//   - Exactly one replica — group.active — drives the shared Fleet state
-//     machine; takeover halts the previous incarnation's timers, restores
-//     from the best accepted entry and so re-aims the server agents report
-//     to (Fleet.active), which excludes split-brain by construction.
-//     Deposed or non-active replicas answer agent traffic with redirects
-//     instead of consuming it.
+//   - The replicas share nothing but the simulated process: each owns its
+//     acceptor slot, its log position, its pending proposals and its one
+//     durable frame (the accepted entry), and learns the others' only from
+//     messages. What they do share is the Fleet state machine itself — the
+//     live correlator state, its timers and the agents' reports — which
+//     exactly one replica, group.active, drives at a time; takeover halts
+//     the previous incarnation's timers, restores from the best accepted
+//     entry and so re-aims the server agents report to (Fleet.active),
+//     which excludes split-brain by construction. Deposed or non-active
+//     replicas answer agent traffic with redirects instead of consuming it.
 
 import (
 	"fmt"
@@ -67,24 +71,20 @@ const electionRetryTicks = 5
 
 // pendingEntry is an uncommitted proposal at the leader.
 type pendingEntry struct {
-	entry *logEntry
 	cb    func()       // commit closure (verdict announce, reroute replay)
 	acked map[int]bool // peer ids that acknowledged this index
 }
 
-// corrGroup is the correlator: N >= 1 replicas, one active.
+// corrGroup is the correlator: N >= 1 replicas, one active. It is wiring
+// and which replica drives the Fleet; every protocol fact lives in the
+// replica that owns it.
 type corrGroup struct {
 	f        *Fleet
 	n        int
 	quorum   int
 	replicas []*replica
 
-	active      int // replica currently driving the Fleet state machine
-	nextIndex   uint64
-	commitIndex uint64
-	pending     map[uint64]*pendingEntry
-	quorumLost  bool // active leader is in degraded single-instance mode
-	lastCrashed int  // most recently crashed replica, -1 if none (RestartCorrelator)
+	active int // replica currently driving the Fleet state machine
 }
 
 // The group rides the management plane's clock: the leader beats (and every
@@ -100,13 +100,19 @@ type replica struct {
 
 	crashed bool
 
-	// Acceptor state — survives a replica crash (stable storage).
+	// Acceptor state — survives a replica crash (stable storage). acc, the
+	// highest accepted entry, is the replica's one durable frame: what it
+	// answers a Prepare with and what a restart or an election restores.
 	promised uint64
-	acc      *logEntry // highest accepted entry
+	acc      *logEntry
 
 	// Leader state (volatile).
 	isLeader     bool
 	ballot       uint64
+	nextIndex    uint64 // index of the last entry this replica proposed
+	commitIndex  uint64 // highest index this replica knows committed
+	pending      map[uint64]*pendingEntry
+	quorumLost   bool                // leading in degraded single-instance mode
 	lastAcked    []uint64            // per-peer highest acknowledged index
 	peerPhi      []*mgmt.PhiDetector // per-peer liveness from acks
 	quorumMisses int
@@ -141,11 +147,7 @@ type sentMsg struct {
 // with peers every replica ticks, staggered by replica id so same-tick
 // elections resolve deterministically.
 func newCorrGroup(f *Fleet, n int) *corrGroup {
-	g := &corrGroup{
-		f: f, n: n, quorum: n/2 + 1,
-		pending:     make(map[uint64]*pendingEntry),
-		lastCrashed: -1,
-	}
+	g := &corrGroup{f: f, n: n, quorum: n/2 + 1}
 	for i := 0; i < n; i++ {
 		name := correlatorEndpoint
 		if n > 1 {
@@ -153,6 +155,7 @@ func newCorrGroup(f *Fleet, n int) *corrGroup {
 		}
 		r := &replica{
 			g: g, id: i, name: name,
+			pending:   make(map[uint64]*pendingEntry),
 			lastAcked: make([]uint64, n),
 			peerPhi:   make([]*mgmt.PhiDetector, n),
 			leaderPhi: mgmt.NewPhi(),
@@ -196,43 +199,36 @@ func (g *corrGroup) leader() *replica {
 // replicating reports whether commits should travel the log: the group has
 // peers and a live active leader with its quorum intact.
 func (f *Fleet) replicating() bool {
-	g := f.group
-	return g.n > 1 && !g.quorumLost && g.leader() != nil
+	r := f.group.leader()
+	return f.group.n > 1 && r != nil && !r.quorumLost
 }
 
 // commit is the one place a decision's external effects (operator alert,
 // gating reroute commands) meet durability; the caller has already applied
-// the state change. While replicating, the state rides a log entry and the
-// effects wait for the acknowledgment quorum, so nothing externally visible
-// is lost to a leader crash. Otherwise — a group of one, a leader without
-// its quorum, or one a stale ballot deposed while it still drives the fleet —
-// the effects run now and the checkpoint that follows is the commit.
+// the state change. Every commit is a self-accept: the new frame becomes the
+// active replica's accepted entry, its one durable home — a frame kept
+// anywhere else would let a restart or an election restore state from
+// before effects that already ran, and run them again. While
+// replicating, the entry also goes out in Accepts and the effects wait for
+// the acknowledgment quorum, so nothing externally visible is lost to a
+// leader crash. Otherwise — a group of one, a leader without its quorum, or
+// one a stale ballot deposed while it still drives the fleet — the effects
+// run first and the self-accept is the commit.
 func (f *Fleet) commit(note string, effects func()) {
-	if f.replicating() {
-		f.group.replicate(f.checkpoint(), note, effects)
+	replicated := f.replicating()
+	if !replicated {
+		effects()
+	}
+	cp := f.checkpoint()
+	r := f.active()
+	r.nextIndex++
+	e := &logEntry{Index: r.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
+	r.acc = e
+	if !replicated {
 		return
 	}
-	effects()
-	cp := f.checkpoint()
-	if g := f.group; g.n > 1 {
-		// One home for durable state: what the active replica checkpoints
-		// alone is also its accepted entry, or its next election win restores
-		// a frame that predates effects already run — and runs them again.
-		r := f.active()
-		g.nextIndex++
-		r.acc = &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
-	}
-}
-
-// replicate appends the state frame cp to the log and sends Accepts; cb runs
-// at quorum. Only commit calls it, holding replicating().
-func (g *corrGroup) replicate(cp []byte, note string, cb func()) {
-	r := g.leader()
-	g.nextIndex++
-	e := &logEntry{Index: g.nextIndex, Ballot: r.ballot, Note: []byte(note), Cp: cp}
-	r.acc = e // self-accept
-	g.pending[e.Index] = &pendingEntry{entry: e, cb: cb, acked: make(map[int]bool)}
-	for j := 0; j < g.n; j++ {
+	r.pending[e.Index] = &pendingEntry{cb: effects, acked: make(map[int]bool)}
+	for j := 0; j < r.g.n; j++ {
 		if j != r.id {
 			r.sendTo(j, consMsg{Kind: consAccept, Ballot: r.ballot, Index: e.Index, Entry: e})
 		}
@@ -340,7 +336,7 @@ func (r *replica) beatPeers() {
 		if j == r.id {
 			continue
 		}
-		m := consMsg{Kind: consBeat, Ballot: r.ballot, Index: g.commitIndex}
+		m := consMsg{Kind: consBeat, Ballot: r.ballot, Index: r.commitIndex}
 		if r.acc != nil && r.lastAcked[j] < r.acc.Index {
 			m.Entry = r.acc
 		}
@@ -361,8 +357,8 @@ func (r *replica) checkQuorum(now sim.Time) {
 	}
 	if alive >= g.quorum {
 		r.quorumMisses = 0
-		if g.quorumLost {
-			g.quorumLost = false
+		if r.quorumLost {
+			r.quorumLost = false
 			g.f.emit(Event{Time: now, Kind: EventQuorumRestored, Link: r.name,
 				Entry:  netsim.InvalidEntry,
 				Detail: fmt.Sprintf("%d/%d replicas reachable, resuming replicated commits", alive, g.n)})
@@ -371,39 +367,40 @@ func (r *replica) checkQuorum(now sim.Time) {
 		return
 	}
 	r.quorumMisses++
-	if !g.quorumLost && r.quorumMisses >= quorumGraceTicks {
-		g.quorumLost = true
+	if !r.quorumLost && r.quorumMisses >= quorumGraceTicks {
+		r.quorumLost = true
 		g.f.Corr.QuorumLosses++
 		g.f.emit(Event{Time: now, Kind: EventQuorumLost, Link: r.name,
 			Entry:  netsim.InvalidEntry,
 			Detail: fmt.Sprintf("%d/%d replicas reachable, degrading to single-instance checkpoints", alive, g.n)})
-		g.flushPending()
-	}
-}
-
-// flushPending commits every outstanding proposal locally, in index order:
-// degraded mode commits like a group of one, where a persisted checkpoint
-// is the commit.
-func (g *corrGroup) flushPending() {
-	for _, idx := range g.pendingIndexes() {
-		p := g.pending[idx]
-		delete(g.pending, idx)
-		if idx > g.commitIndex {
-			g.commitIndex = idx
-		}
-		p.cb()
+		r.commitThrough(r.pendingIndexes(), ^uint64(0))
 	}
 }
 
 // pendingIndexes returns the outstanding proposal indexes in ascending
 // order (map iteration order must never reach commit order).
-func (g *corrGroup) pendingIndexes() []uint64 {
-	idxs := make([]uint64, 0, len(g.pending))
-	for idx := range g.pending {
+func (r *replica) pendingIndexes() []uint64 {
+	idxs := make([]uint64, 0, len(r.pending))
+	for idx := range r.pending {
 		idxs = append(idxs, idx)
 	}
 	slices.Sort(idxs)
 	return idxs
+}
+
+// commitThrough commits, in index order, every pending proposal among idxs
+// (ascending) up to frontier. Degraded mode commits them all locally, like
+// a group of one, where the self-accept is the commit.
+func (r *replica) commitThrough(idxs []uint64, frontier uint64) {
+	for _, i := range idxs {
+		if i > frontier {
+			break
+		}
+		p := r.pending[i]
+		delete(r.pending, i)
+		r.commitIndex = max(r.commitIndex, i)
+		p.cb()
+	}
 }
 
 // checkLeader is the follower side: feed suspicion, campaign when the
@@ -505,8 +502,7 @@ func (r *replica) handle(m *consMsg, from int) {
 			r.stepDown()
 		}
 		r.observeLeader(m.Ballot, now)
-		if m.Entry != nil && (r.acc == nil || m.Entry.Index > r.acc.Index ||
-			(m.Entry.Index == r.acc.Index && m.Entry.Ballot >= r.acc.Ballot)) {
+		if m.Entry != nil && m.Entry.follows(r.acc) {
 			r.acc = m.Entry.keep()
 		}
 		ackIdx := uint64(0)
@@ -545,7 +541,7 @@ func (r *replica) handle(m *consMsg, from int) {
 				r.stepDown() // equal-or-higher ballot from a peer: not mine
 			}
 			r.observeLeader(m.Ballot, now)
-			if m.Entry != nil && (r.acc == nil || m.Entry.Index > r.acc.Index) {
+			if m.Entry != nil && m.Entry.follows(r.acc) {
 				r.acc = m.Entry.keep()
 			}
 			ackIdx := uint64(0)
@@ -579,59 +575,42 @@ func (r *replica) observeLeader(ballot uint64, now sim.Time) {
 // ackFrom advances a peer's acknowledged index at the leader and commits
 // every pending entry the quorum now covers, in index order.
 func (r *replica) ackFrom(from int, idx uint64, now sim.Time) {
-	g := r.g
 	r.peerPhi[from].Observe(now)
 	if idx > r.lastAcked[from] {
 		r.lastAcked[from] = idx
 	}
-	if len(g.pending) == 0 {
+	if len(r.pending) == 0 {
 		return // the common beat-ack: nothing to order, nothing to commit
 	}
-	idxs := g.pendingIndexes()
+	idxs := r.pendingIndexes()
 	frontier := uint64(0)
 	for _, i := range idxs {
 		if i <= idx {
-			g.pending[i].acked[from] = true
+			r.pending[i].acked[from] = true
 		}
-		if len(g.pending[i].acked)+1 >= g.quorum && i > frontier {
+		if len(r.pending[i].acked)+1 >= r.g.quorum && i > frontier {
 			frontier = i
 		}
 	}
-	if frontier == 0 {
-		return
-	}
 	// Entry `frontier` carries a checkpoint subsuming everything below it,
 	// so all lower pending entries commit with it.
-	for _, i := range idxs {
-		if i > frontier {
-			break
-		}
-		p := g.pending[i]
-		delete(g.pending, i)
-		if i > g.commitIndex {
-			g.commitIndex = i
-		}
-		p.cb()
-	}
+	r.commitThrough(idxs, frontier)
 }
 
-// stepDown demotes a deposed leader to follower. If it was still the
-// active replica its outstanding commit closures are dropped: their state
-// rides the checkpoints the new leader recovers, and announcePending
-// re-derives the external effects. A deposed ex-leader that already lost
-// the active role must not touch its successor's pending commits.
+// stepDown demotes a deposed leader to follower and drops its outstanding
+// commit closures: their state rides the checkpoints the next leader
+// recovers, and announcePending re-derives the external effects. A
+// follower therefore never holds a pending proposal or a degraded flag.
 func (r *replica) stepDown() {
 	r.isLeader = false
 	r.quorumMisses = 0
-	if r.g.active == r.id {
-		r.g.quorumLost = false
-		r.g.pending = make(map[uint64]*pendingEntry)
-	}
+	r.quorumLost = false
+	clear(r.pending)
 }
 
 // win completes an election: adopt the best accepted entry the promise
-// quorum reported (Paxos's value-choice rule, with full-checkpoint entries
-// compared by index then ballot) and take over the fleet state machine.
+// quorum reported, its own included (Paxos's value-choice rule: highest
+// ballot, then highest index), and take over the fleet state machine.
 func (r *replica) win(now sim.Time) {
 	g := r.g
 	b := r.campaign
@@ -651,8 +630,7 @@ func (r *replica) win(now sim.Time) {
 		if !ok || pm.Entry == nil {
 			continue
 		}
-		if best == nil || pm.Entry.Index > best.Index ||
-			(pm.Entry.Index == best.Index && pm.Entry.Ballot > best.Ballot) {
+		if pm.Entry.follows(best) {
 			best = pm.Entry
 		}
 	}
@@ -662,31 +640,25 @@ func (r *replica) win(now sim.Time) {
 
 // takeover switches the fleet state machine to a newly elected leader: the
 // previous incarnation's timers are halted, state is restored from the best
-// accepted entry's checkpoint, the transport sequence state follows it to
-// the new server, and verdicts the dead leader confirmed but never
-// announced are finished.
+// accepted entry's checkpoint — which becomes the winner's own frame; with
+// none the winner starts from scratch — the transport sequence state
+// follows it to the new server, and verdicts the dead leader confirmed but
+// never announced are finished.
 func (g *corrGroup) takeover(r *replica, best *logEntry) {
 	f := g.f
 	now := f.S.Now()
 	g.active = r.id
-	g.quorumLost = false
-	g.pending = make(map[uint64]*pendingEntry)
 	if best != nil {
 		r.acc = best
-		if best.Index >= g.nextIndex {
-			g.nextIndex = best.Index
-		}
-		if best.Index > g.commitIndex {
-			// The entry had been accepted somewhere; re-proposing it as our
-			// fresh checkpoint below re-commits it under the new ballot.
-			g.commitIndex = best.Index
-		}
-		f.lastCkpt = best.Cp
+		r.nextIndex = max(r.nextIndex, best.Index)
+		// The entry had been accepted somewhere; re-proposing it as our
+		// fresh checkpoint below re-commits it under the new ballot.
+		r.commitIndex = max(r.commitIndex, best.Index)
 	}
 	f.corrGen++
 	f.haltDuty()
 	f.Corr.Failovers++
-	detail := f.restoreState(f.lastCkpt)
+	detail := f.restoreState(r.frame())
 	f.emit(Event{Time: now, Kind: EventLeaderElected, Link: r.name,
 		Entry: netsim.InvalidEntry, Detail: fmt.Sprintf("ballot %d, %s", r.ballot, detail)})
 	f.announcePending()
@@ -694,10 +666,23 @@ func (g *corrGroup) takeover(r *replica, best *logEntry) {
 	f.persist() // replicate the recovered state under the new ballot
 }
 
-// CrashReplica fails one correlator replica. Crashing the active replica is
-// a correlator outage (agents observe silence, followers elect); crashing a
-// follower only thins the quorum. Acceptor state (promised ballot, accepted
-// entry) survives, as Paxos requires of stable storage.
+// frame is the state frame the replica holds: its accepted entry's, or nil
+// before its first.
+func (r *replica) frame() []byte {
+	if r.acc == nil {
+		return nil
+	}
+	return r.acc.Cp
+}
+
+// CrashReplica fails one correlator replica. Crashing the active replica —
+// the only one a group of one has — is a correlator outage: all in-memory
+// state since the last frame is lost, every pending timer and in-flight
+// read is abandoned, and inbound reports go unacknowledged, so switch agents
+// observe the crash exactly like a partition and engage degraded-mode local
+// protection while followers elect. Crashing a follower only thins the
+// quorum. Acceptor state (promised ballot, accepted entry) survives, as
+// Paxos requires of stable storage.
 func (f *Fleet) CrashReplica(id int) {
 	g := f.group
 	if id < 0 || id >= g.n {
@@ -708,7 +693,6 @@ func (f *Fleet) CrashReplica(id int) {
 		return
 	}
 	r.crashed = true
-	g.lastCrashed = id
 	if r.srv != nil {
 		r.srv.SetAccepting(false)
 	}
@@ -728,10 +712,16 @@ func (f *Fleet) CrashReplica(id int) {
 		Entry: netsim.InvalidEntry, Detail: detail})
 }
 
-// RestartReplica brings a crashed replica back. A restarted non-active
-// replica rejoins as a follower and catches up from the leader's beats; the
-// active replica restarting with no successor elected — the only case in a
-// group of one — restores from its last checkpoint.
+// RestartReplica brings a crashed replica back (no-op for an id that is not
+// a crashed replica). A restarted non-active replica rejoins as a follower
+// and catches up from the leader's beats. The active replica restarting
+// with no successor elected — the only case in a group of one — restores
+// from its own accepted entry (or from scratch before its first) and
+// reconciles with live telemetry: confirmed verdicts and the alarm/reroute
+// dedup maps come back, pending evidence windows re-open in full, the
+// server resumes with the frame's sequence state, and every switch's
+// restart counter is re-read so reboots during the outage are not
+// misdiagnosed.
 func (f *Fleet) RestartReplica(id int) {
 	g := f.group
 	if id < 0 || id >= g.n {
@@ -749,20 +739,20 @@ func (f *Fleet) RestartReplica(id int) {
 	r.leaderPhi.Reset(now)
 	if id == g.active {
 		// Nobody took over while we were down: checkpoint recovery.
-		detail := f.restoreState(f.lastCkpt)
+		detail := f.restoreState(r.frame())
 		f.emit(Event{Time: now, Kind: EventCorrelatorRestart, Link: r.name,
 			Entry: netsim.InvalidEntry, Detail: detail})
 		f.resumeDuty()
 		return
 	}
-	r.isLeader = false
+	r.stepDown()
 	f.emit(Event{Time: now, Kind: EventCorrelatorRestart, Link: r.name,
 		Entry: netsim.InvalidEntry, Detail: "rejoined as follower"})
 }
 
 // KillLeader crashes whichever replica currently drives the fleet (the
-// failover drill; CrashCorrelator by another name), returning its id for
-// RestartReplica.
+// failover drill, and the correlator crash of a group of one), returning
+// its id for RestartReplica.
 func (f *Fleet) KillLeader() int {
 	id := f.group.active
 	f.CrashReplica(id)

@@ -249,10 +249,10 @@ type Fleet struct {
 
 	// corrState is the correlator's durable state — the aggregate counters
 	// (Alarms, Suppressed, Localizations, Reroutes), the per-link records
-	// and the dedup maps. A crash loses whatever changed since lastCkpt; a
-	// restart or takeover decodes lastCkpt back into it (restoreState).
+	// and the dedup maps. A crash loses whatever changed since the active
+	// replica's last frame (its accepted entry); a restart or takeover
+	// decodes the restoring replica's frame back into it (restoreState).
 	corrState
-	lastCkpt []byte   // the latest state frame (nil before the first)
 	ckptKeys []string // checkpoint's scratch stack for sorting map keys (encodeMap)
 
 	order     []string // sorted link keys, the canonical iteration order
@@ -463,7 +463,7 @@ func (f *Fleet) Acknowledge(key string) {
 	}
 	f.Detectors[ls.dl.From].Acknowledge(ls.port)
 	if f.Crashed() {
-		return // no correlator to tell; its state comes back from lastCkpt
+		return // no correlator to tell; its state comes back from its frame
 	}
 	ls.localized = false
 	ls.localizedAt = 0

@@ -123,13 +123,13 @@ func TestCorrelatorCrashRestart(t *testing.T) {
 		if len(f.Localized()) != 1 {
 			t.Fatal("failure not localized before the crash — timing assumption broken")
 		}
-		f.CrashCorrelator()
+		f.KillLeader()
 		if !f.Crashed() {
-			t.Fatal("CrashCorrelator did not take")
+			t.Fatal("KillLeader did not take")
 		}
 	})
 	r.Sim.ScheduleAt(3200*sim.Millisecond, func() {
-		f.RestartCorrelator()
+		f.RestartReplica(0)
 		// The confirmed verdict must survive the restart verbatim.
 		if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 			t.Fatalf("verdict lost across crash/restart: %v", got)
@@ -177,8 +177,8 @@ func TestCrashMidEvidenceWindow(t *testing.T) {
 	r := start(t, lineTrial(29, cfg, 2*sim.Second, 8*sim.Second))
 	f := r.Fleet
 	crashed := whenVerdictPending(r, func() {
-		f.CrashCorrelator()
-		r.Sim.After(200*sim.Millisecond, f.RestartCorrelator)
+		id := f.KillLeader()
+		r.Sim.After(200*sim.Millisecond, func() { f.RestartReplica(id) })
 	})
 	r.Finish()
 
@@ -307,7 +307,7 @@ func TestAcknowledgeSurvivesCrash(t *testing.T) {
 		wantEvt EventKind
 	}{
 		"single-instance": {cfg: mgmtCfg(mgmt.Config{}, entry), wantEvt: EventCorrelatorRestart,
-			outage: func(f *Fleet) { f.CrashCorrelator(); f.RestartCorrelator() }},
+			outage: func(f *Fleet) { f.RestartReplica(f.KillLeader()) }},
 		"3-replica KillLeader": {cfg: replicatedCfg(0, entry), settle: 2 * sim.Second, wantEvt: EventLeaderElected,
 			outage: func(f *Fleet) { f.KillLeader() }},
 	} {

@@ -210,7 +210,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 		f.CrashReplica(2)
 	})
 	s.ScheduleAt(3*sim.Second, func() {
-		if !f.group.quorumLost {
+		if !f.active().quorumLost {
 			t.Error("leader did not notice losing both followers")
 		}
 		if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
@@ -223,7 +223,7 @@ func TestQuorumLossDegradedFallback(t *testing.T) {
 	})
 	r.Finish()
 
-	if f.group.quorumLost {
+	if f.active().quorumLost {
 		t.Fatal("quorum not restored after both followers returned")
 	}
 	if f.Corr.QuorumLosses != 1 {
@@ -377,11 +377,22 @@ func TestReplicasRequireMgmt(t *testing.T) {
 	}
 }
 
+// consensusCounter is a fault hook over a perfect management network that
+// counts the consensus datagrams offered to it and decides nothing.
+type consensusCounter struct{ n int }
+
+func (c *consensusCounter) Fate(d mgmt.Dgram, _ float64, _ sim.Time) (bool, sim.Time, sim.Time) {
+	if d.Kind == mgmt.DgramConsensus {
+		c.n++
+	}
+	return false, 0, 0
+}
+
 // TestLoneReplicaLifecycle: a single-instance correlator is a replica group
-// of one, so the replica API is the correlator API — KillLeader is
-// CrashCorrelator, RestartReplica(0) restores from the last frame — over the
-// management plane and in direct mode alike, and nothing that needs a peer
-// (tick, replication, election) ever happens.
+// of one, so the replica API is the correlator API — KillLeader crashes it,
+// RestartReplica(0) restores from its frame — over the management plane and
+// in direct mode alike, and nothing that needs a peer (tick, replication,
+// election) ever happens: no consensus datagram is sent, no tick is armed.
 func TestLoneReplicaLifecycle(t *testing.T) {
 	for name, mg := range map[string]*mgmt.Config{"mgmt": {}, "direct": nil} {
 		t.Run(name, func(t *testing.T) {
@@ -389,6 +400,10 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 			cfg.Mgmt = mg
 			r := start(t, lineTrial(19, cfg, 2*sim.Second, 8*sim.Second))
 			f, s := r.Fleet, r.Sim
+			var sent consensusCounter
+			if f.mgmtNet != nil {
+				f.mgmtNet.SetFaultHook(&sent)
+			}
 
 			// Crash after the verdict (~2.2 s) and the 2.5 s checkpoint.
 			s.ScheduleAt(2600*sim.Millisecond, func() {
@@ -398,7 +413,7 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 				if id := f.KillLeader(); id != 0 || !f.Crashed() {
 					t.Fatalf("KillLeader = %d, crashed=%v; want replica 0 down", id, f.Crashed())
 				}
-				f.CrashCorrelator() // already down: must not count a second crash
+				f.CrashReplica(0) // already down: must not count a second crash
 			})
 			s.ScheduleAt(3200*sim.Millisecond, func() {
 				f.RestartReplica(0)
@@ -408,13 +423,13 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 				if got := f.Localized(); len(got) != 1 || got[0] != "B->C" {
 					t.Fatalf("verdict lost across crash/restart: %v", got)
 				}
-				f.RestartCorrelator() // already up: must not restore again
+				f.RestartReplica(0) // already up: must not restore again
 			})
 			r.Finish()
 
-			if f.Leader() != correlatorEndpoint || f.group.quorumLost {
+			if f.Leader() != correlatorEndpoint || f.active().quorumLost {
 				t.Fatalf("leader %q, quorum degraded %v; want %q with nothing to lose",
-					f.Leader(), f.group.quorumLost, correlatorEndpoint)
+					f.Leader(), f.active().quorumLost, correlatorEndpoint)
 			}
 			if nLoc := r.Verdicts("B->C"); nLoc != 1 {
 				t.Fatalf("%d localization events, want 1", nLoc)
@@ -434,9 +449,8 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 			if !hasEvent(f, EventCorrelatorRestart, "checkpoint at") {
 				t.Fatal("restart did not restore from the last frame")
 			}
-			g := f.group
-			if r := g.replicas[0]; r.tickFn != nil || r.tickTimer.Active() || r.acc != nil || g.nextIndex != 0 {
-				t.Fatalf("lone replica ticked or replicated: timer armed %v, acc %v, next index %d", r.tickTimer.Active(), r.acc, g.nextIndex)
+			if r := f.group.replicas[0]; r.tickFn != nil || r.tickTimer.Active() || sent.n != 0 {
+				t.Fatalf("lone replica ticked or replicated: timer armed %v, %d consensus datagrams sent", r.tickTimer.Active(), sent.n)
 			}
 			if snap := f.Snapshot(); snap.Replicated || snap.Leader != "" || snap.CommitIndex != 0 || snap.Replicas != nil {
 				t.Fatalf("snapshot carries a replication block for a group of one: %+v", snap)
@@ -575,8 +589,8 @@ func TestConsensusReceiptDoesNotAllocate(t *testing.T) {
 	}
 	ack := consMsg{Kind: consBeat, Ballot: leader.ballot, Index: leader.acc.Index}
 	deliver(ack)() // commits whatever the run left pending
-	if len(g.pending) != 0 {
-		t.Fatalf("%d entries still pending after an ack covering them", len(g.pending))
+	if len(leader.pending) != 0 {
+		t.Fatalf("%d entries still pending after an ack covering them", len(leader.pending))
 	}
 	for _, name := range []string{g.replicas[peer].name, g.replicas[lagging].name} {
 		f.mgmtNet.Partition(name)

@@ -141,8 +141,8 @@ func (f *Fleet) Snapshot() Snapshot {
 		if g := f.group; g.n > 1 {
 			snap.Replicated = true
 			snap.Leader = f.Leader()
-			snap.CommitIndex = g.commitIndex
-			snap.QuorumDegraded = g.quorumLost
+			snap.CommitIndex = f.active().commitIndex
+			snap.QuorumDegraded = f.active().quorumLost
 			for _, r := range g.replicas {
 				rr := ReplicaReport{
 					Name: r.name, Active: g.active == r.id,

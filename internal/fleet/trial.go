@@ -50,7 +50,7 @@ type FaultKind uint8
 const (
 	FaultGrayLink      FaultKind = iota + 1 // Link drops each of Entries with probability Loss from At on
 	FaultKillLeader                         // crash the replica driving the fleet (the lone correlator, in a group of one)
-	FaultRestartKilled                      // restart the most recently crashed replica
+	FaultRestartKilled                      // restart the replica the last FaultKillLeader crashed
 	FaultPartition                          // cut Switch off the management plane
 	FaultHeal                               // reconnect it
 )
@@ -129,7 +129,7 @@ func (t Trial) Start() (*Run, error) {
 		traffic.NewUDPSource(s, n.Hosts[fl.From], netsim.FlowID(fl.Entry), fl.Entry,
 			netsim.EntryAddr(fl.Entry, 1), fl.RateBps, 1000, fl.Until).Start()
 	}
-	gray := int64(0)
+	gray, killed := int64(0), -1 // killed: the replica the last FaultKillLeader crashed
 	for _, ft := range t.Faults {
 		switch ft.Kind {
 		case FaultGrayLink:
@@ -140,9 +140,9 @@ func (t Trial) Start() (*Run, error) {
 			gray++
 			dir.SetFailure(netsim.FailEntries(t.Seed+gray, ft.At, ft.Loss, ft.Entries...))
 		case FaultKillLeader:
-			s.ScheduleAt(ft.At, f.CrashCorrelator)
+			s.ScheduleAt(ft.At, func() { killed = f.KillLeader() })
 		case FaultRestartKilled:
-			s.ScheduleAt(ft.At, f.RestartCorrelator)
+			s.ScheduleAt(ft.At, func() { f.RestartReplica(killed) })
 		case FaultPartition, FaultHeal:
 			if n.Switches[ft.Switch] == nil {
 				return nil, fmt.Errorf("fleet: trial: no switch %q to partition or heal", ft.Switch)

@@ -89,6 +89,14 @@ func (e *logEntry) keep() *logEntry {
 	return &c
 }
 
+// follows reports whether e comes after o in the order Paxos ranks accepted
+// values by: higher ballot first, then higher index within a ballot. Every
+// entry follows nil. A new leader may reuse an index at which an acceptor
+// still holds an older ballot's entry, so the index alone cannot decide.
+func (e *logEntry) follows(o *logEntry) bool {
+	return o == nil || e.Ballot > o.Ballot || e.Ballot == o.Ballot && e.Index > o.Index
+}
+
 // consMsg is one consensus datagram payload.
 type consMsg struct {
 	Kind   consKind

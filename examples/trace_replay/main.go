@@ -45,7 +45,6 @@ func run(_ []string, stdout, stderr io.Writer) int {
 	})
 
 	detectedAt := map[fancy.EntryID]fancy.Time{}
-	pathOf := map[string]fancy.EntryID{}
 
 	// Fail four prefixes that actually carry traffic in this slice: the
 	// two biggest dedicated ones and the two biggest best-effort ones.
@@ -67,22 +66,10 @@ func run(_ []string, stdout, stderr io.Writer) int {
 			break
 		}
 	}
-	for _, e := range failed {
-		if _, ok := ml.Upstream.DedicatedSlot(e); !ok {
-			pathOf[fmt.Sprint(ml.Upstream.EntryPath(ml.MonitorPort(), e))] = e
-		}
-	}
 	ml.OnEvent(func(ev fancy.Event) {
-		switch ev.Kind {
-		case fancy.EventDedicated:
-			if _, seen := detectedAt[ev.Entry]; !seen {
-				detectedAt[ev.Entry] = ev.Time
-			}
-		case fancy.EventTreeLeaf:
-			if e, ok := pathOf[fmt.Sprint(ev.Path)]; ok {
-				if _, seen := detectedAt[e]; !seen {
-					detectedAt[e] = ev.Time
-				}
+		for _, e := range failed {
+			if _, seen := detectedAt[e]; !seen && ml.Upstream.Implicates(ev, e) {
+				detectedAt[e] = ev.Time
 			}
 		}
 	})

@@ -152,32 +152,22 @@ func runHHChurn(seed int64, sched *traffic.ChurnSchedule, targets []netsim.Entry
 	// handler; chain ours in front) so both modes are measured at the
 	// same point, before any correlator policy.
 	det := f.Detectors["up"]
-	port := n.PortOf["up"]["down"]
 	out := make(map[int]stats.Detection, len(targets))
 	epochOf := make(map[netsim.EntryID]int, len(targets))
 	failAt := make(map[netsim.EntryID]sim.Time, len(targets))
-	pathOf := make(map[string][]netsim.EntryID)
 	prev := det.OnEvent
 	mark := func(entry netsim.EntryID) {
-		e, ok := epochOf[entry]
-		if !ok || out[e].Detected {
+		e := epochOf[entry]
+		if out[e].Detected {
 			return
 		}
 		out[e] = stats.Detection{Detected: true, Latency: s.Now() - failAt[entry]}
 	}
+	var failed []netsim.EntryID // the targets whose failure has begun
 	det.OnEvent = func(ev fancy.Event) {
-		switch ev.Kind {
-		case fancy.EventDedicated:
-			mark(ev.Entry)
-		case fancy.EventTreeLeaf:
-			for _, entry := range pathOf[pathKey(ev.Path)] {
+		for _, entry := range failed {
+			if det.Implicates(ev, entry) {
 				mark(entry)
-			}
-		case fancy.EventUniform:
-			for entry := range epochOf {
-				if s.Now() >= failAt[entry] {
-					mark(entry)
-				}
 			}
 		}
 		prev(ev)
@@ -186,15 +176,12 @@ func runHHChurn(seed int64, sched *traffic.ChurnSchedule, targets []netsim.Entry
 	// Failure schedule: at every epoch's fail time the link's per-entry
 	// blackhole is replaced with the cumulative target set, so earlier
 	// failures persist across epoch boundaries.
-	var failed []netsim.EntryID
 	for e, entry := range targets {
 		e, entry := e, entry
 		at := sched.EpochStart(e) + hhChurnFailDelay
 		s.ScheduleAt(at, func() {
 			epochOf[entry] = e
 			failAt[entry] = at
-			k := pathKey(det.EntryPath(port, entry))
-			pathOf[k] = append(pathOf[k], entry)
 			failed = append(failed, entry)
 			n.Direction("up", "down").SetFailure(
 				netsim.FailEntries(seed+int64(e)+2, at, 1.0, failed...))

@@ -155,13 +155,6 @@ func (sc *Scenario) Run() *Outcome {
 	for _, e := range sc.Failed {
 		failedSet[e] = true
 	}
-	pathOf := make(map[string][]netsim.EntryID)
-	for _, e := range sc.Failed {
-		if _, dedicated := det.DedicatedSlot(e); !dedicated {
-			k := pathKey(det.EntryPath(1, e))
-			pathOf[k] = append(pathOf[k], e)
-		}
-	}
 	detected := 0
 	markDetected := func(e netsim.EntryID) {
 		if d := out.PerEntry[e]; d.Detected {
@@ -178,22 +171,12 @@ func (sc *Scenario) Run() *Outcome {
 		if s.Now() < sc.FailAt {
 			return // spurious pre-failure event (should not happen)
 		}
-		switch ev.Kind {
-		case fancy.EventDedicated:
-			if failedSet[ev.Entry] {
-				markDetected(ev.Entry)
-			}
-		case fancy.EventTreeLeaf:
-			for _, e := range pathOf[pathKey(ev.Path)] {
-				markDetected(e)
-			}
-		case fancy.EventUniform:
-			if !out.UniformDetected {
-				out.UniformDetected = true
-				out.UniformLatency = s.Now() - sc.FailAt
-			}
-			// A uniform report localizes the failure to all entries.
-			for _, e := range sc.Failed {
+		if ev.Kind == fancy.EventUniform && !out.UniformDetected {
+			out.UniformDetected = true
+			out.UniformLatency = s.Now() - sc.FailAt
+		}
+		for _, e := range sc.Failed {
+			if det.Implicates(ev, e) {
 				markDetected(e)
 			}
 		}
@@ -245,12 +228,3 @@ func tcpCfg() tcp.Config { return tcp.Config{} }
 
 // simRand builds a deterministic RNG for workload generation.
 func simRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func pathKey(p []uint16) string {
-	b := make([]byte, 2*len(p))
-	for i, v := range p {
-		b[2*i] = byte(v >> 8)
-		b[2*i+1] = byte(v)
-	}
-	return string(b)
-}

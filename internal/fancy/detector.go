@@ -409,6 +409,36 @@ func (d *Detector) Flagged(port int, entry netsim.EntryID) bool {
 	return m.out.Bloom.Contains(m.treeCnt.EntryPath(entry))
 }
 
+// Implicates reports whether ev names entry — the one reading of a report
+// every consumer shares. A dedicated mismatch names its own entry; a tree
+// leaf names the entries whose hash path on ev.Port is ev.Path and which the
+// tree still counts there (an entry in a static or promoted slot is counted
+// by its own unit instead); a uniform failure names every entry. An event
+// on an unmonitored port, or of any other kind, names none.
+func (d *Detector) Implicates(ev Event, entry netsim.EntryID) bool {
+	m := d.monitor(ev.Port)
+	if m == nil {
+		return false
+	}
+	switch ev.Kind {
+	case EventDedicated:
+		return ev.Entry == entry
+	case EventTreeLeaf:
+		if _, dedicated := m.slots[entry]; dedicated || len(ev.Path) != d.cfg.Tree.Depth {
+			return false
+		}
+		for l, idx := range ev.Path {
+			if m.treeCnt.hasher.Index(uint64(entry), l) != idx {
+				return false
+			}
+		}
+		return true
+	case EventUniform:
+		return true
+	}
+	return false
+}
+
 // EntryPath exposes the tree hash path of an entry on a monitored port,
 // for evaluation tooling.
 func (d *Detector) EntryPath(port int, entry netsim.EntryID) []uint16 {

@@ -56,13 +56,6 @@ type rerouteCmd struct {
 	Ev   fancy.Event
 }
 
-// divertCmd is the verified gate's per-entry commit: flip exactly this
-// entry to its (already safe-checked) backup next hop.
-type divertCmd struct {
-	Port  int
-	Entry netsim.EntryID
-}
-
 // restoreCmd is the gate's refusal of a degraded-mode flip it found unsafe at
 // handback: put the entry back on its primary next hop.
 type restoreCmd struct {
@@ -70,9 +63,9 @@ type restoreCmd struct {
 	Entry netsim.EntryID
 }
 
-// repairCmd is the gate's repair commit: rewrite the entry's backup next
-// hop to the verified alternate, then flip. Also used to re-issue logged
-// decisions after a failover (idempotent either way).
+// repairCmd is the gate's per-entry commit: set the entry's backup next hop
+// to the verified one (configured or repaired), then flip. Also used to
+// re-issue logged decisions after a failover (idempotent either way).
 type repairCmd struct {
 	Port   int
 	Entry  netsim.EntryID
@@ -172,11 +165,6 @@ func (a *switchAgent) onCall(req any) (any, error) {
 			app.HandleEvent(r.Ev)
 		}
 		return true, nil
-	case divertCmd:
-		if app, ok := a.apps[r.Port]; ok {
-			app.Divert(r.Entry)
-		}
-		return true, nil
 	case restoreCmd:
 		if app, ok := a.apps[r.Port]; ok {
 			app.Restore(r.Entry)
@@ -203,8 +191,8 @@ func (a *switchAgent) onLocalReroute(port int, entry netsim.EntryID, at sim.Time
 	a.send(rerouteReport{Port: port, Entry: entry, At: at, Degraded: a.degraded})
 }
 
-// command delivers a correlator gating command (rerouteCmd, divertCmd,
-// restoreCmd or repairCmd) to this agent: a plain call in direct mode, a
+// command delivers a correlator gating command (rerouteCmd, restoreCmd or
+// repairCmd) to this agent: a plain call in direct mode, a
 // hardened RPC over the management plane otherwise.
 func (f *Fleet) command(sw string, cmd any) {
 	a := f.agents[sw]

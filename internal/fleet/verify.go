@@ -176,7 +176,7 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 		f.verifier.Commit(d)
 		f.Verify.Committed++
 		f.record(VerifyDecision{Key: key, Outcome: verifyCommitted, Frame: verify.EncodeDelta(d)})
-		f.command(sw, divertCmd{Port: ls.port, Entry: entry})
+		f.command(sw, repairCmd{Port: ls.port, Entry: entry, Backup: route.Backup})
 		return true
 	}
 	if announce {

@@ -6,7 +6,7 @@
 package reroute
 
 import (
-	"sort"
+	"slices"
 
 	"fancy/internal/fancy"
 	"fancy/internal/netsim"
@@ -20,7 +20,7 @@ type App struct {
 
 	port    int
 	entries map[netsim.EntryID]*netsim.Route
-	byPath  map[string][]netsim.EntryID // tree hash path → protected entries
+	order   []netsim.EntryID // the protected entries, ascending
 
 	// ReroutedAt records when each entry was diverted to its backup.
 	ReroutedAt map[netsim.EntryID]sim.Time
@@ -35,7 +35,6 @@ func New(s *sim.Sim, det *fancy.Detector, port int) *App {
 	return &App{
 		s: s, det: det, port: port,
 		entries:    make(map[netsim.EntryID]*netsim.Route),
-		byPath:     make(map[string][]netsim.EntryID),
 		ReroutedAt: make(map[netsim.EntryID]sim.Time),
 	}
 }
@@ -43,32 +42,27 @@ func New(s *sim.Sim, det *fancy.Detector, port int) *App {
 // Protect registers an entry and its route handle. The route must have a
 // valid Backup port.
 func (a *App) Protect(entry netsim.EntryID, route *netsim.Route) {
-	a.entries[entry] = route
-	if _, dedicated := a.det.DedicatedSlot(entry); !dedicated {
-		k := pathKey(a.det.EntryPath(a.port, entry))
-		a.byPath[k] = append(a.byPath[k], entry)
+	if i, found := slices.BinarySearch(a.order, entry); !found {
+		a.order = slices.Insert(a.order, i, entry)
 	}
+	a.entries[entry] = route
 }
 
-// HandleEvent reacts to a detector event. Wire it into the detector's
-// OnEvent callback (possibly alongside other consumers):
+// names reports whether ev diverts entry: the detector's reading of the
+// event on this app's port, where a link-down also compromises the whole
+// link — the selective equivalent of a BFD-triggered reroute.
+func (a *App) names(ev fancy.Event, entry netsim.EntryID) bool {
+	return ev.Port == a.port && (ev.Kind == fancy.EventLinkDown || a.det.Implicates(ev, entry))
+}
+
+// HandleEvent reacts to a detector event, diverting the entries Targets
+// lists in the same ascending order. Wire it into the detector's OnEvent
+// callback (possibly alongside other consumers):
 //
 //	det.OnEvent = func(ev fancy.Event) { app.HandleEvent(ev); ... }
 func (a *App) HandleEvent(ev fancy.Event) {
-	if ev.Port != a.port {
-		return
-	}
-	switch ev.Kind {
-	case fancy.EventDedicated:
-		a.reroute(ev.Entry)
-	case fancy.EventTreeLeaf:
-		for _, e := range a.byPath[pathKey(ev.Path)] {
-			a.reroute(e)
-		}
-	case fancy.EventUniform, fancy.EventLinkDown:
-		// The whole link is compromised: divert every protected entry,
-		// the selective equivalent of a BFD-triggered reroute.
-		for e := range a.entries {
+	for _, e := range a.order {
+		if a.names(ev, e) {
 			a.reroute(e)
 		}
 	}
@@ -86,27 +80,16 @@ func (a *App) reroute(entry netsim.EntryID) {
 	}
 }
 
-// Targets lists the protected entries ev would divert, sorted — the same
-// dispatch as HandleEvent without the side effect, so a correlator-side
-// commit gate can verify each flip before issuing it.
+// Targets lists the protected entries ev would divert, ascending — the
+// same dispatch as HandleEvent without the side effect, so a
+// correlator-side commit gate can verify each flip before issuing it.
 func (a *App) Targets(ev fancy.Event) []netsim.EntryID {
-	if ev.Port != a.port {
-		return nil
-	}
 	var out []netsim.EntryID
-	switch ev.Kind {
-	case fancy.EventDedicated:
-		if _, ok := a.entries[ev.Entry]; ok {
-			out = append(out, ev.Entry)
-		}
-	case fancy.EventTreeLeaf:
-		out = append(out, a.byPath[pathKey(ev.Path)]...)
-	case fancy.EventUniform, fancy.EventLinkDown:
-		for e := range a.entries {
+	for _, e := range a.order {
+		if a.names(ev, e) {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -147,13 +130,4 @@ func (a *App) Restore(entry netsim.EntryID) {
 func (a *App) Rerouted(entry netsim.EntryID) bool {
 	r, ok := a.entries[entry]
 	return ok && r.UseBackup
-}
-
-func pathKey(p []uint16) string {
-	b := make([]byte, 2*len(p))
-	for i, v := range p {
-		b[2*i] = byte(v >> 8)
-		b[2*i+1] = byte(v)
-	}
-	return string(b)
 }

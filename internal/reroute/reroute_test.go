@@ -252,3 +252,32 @@ func TestGateCommands(t *testing.T) {
 		t.Fatalf("ReroutedAt = %v, want entry 77 only", b.app.ReroutedAt)
 	}
 }
+
+// A link-wide event diverts every protected entry, and the order matters
+// beyond the app: in the fleet each OnReroute sends a report, so the order
+// reaches the management sequence numbers and the fleet event log. The
+// entries are protected out of order, so an app that walked its entry map
+// would show a rotation of the protect order, never the ascending one.
+func TestHandleEventDivertsInEntryOrder(t *testing.T) {
+	protectOrder := []netsim.EntryID{40, 11, 75, 23, 62, 8}
+	want := []netsim.EntryID{8, 11, 23, 40, 62, 75}
+	for _, kind := range []fancy.EventKind{fancy.EventUniform, fancy.EventLinkDown} {
+		for run := 0; run < 20; run++ {
+			b := newFig10(t, cfg)
+			var got []netsim.EntryID
+			b.app.OnReroute = func(e netsim.EntryID, _ sim.Time) { got = append(got, e) }
+			for _, e := range protectOrder {
+				b.protect(e)
+			}
+			b.app.HandleEvent(fancy.Event{Kind: kind, Port: 1})
+			if len(got) != len(want) {
+				t.Fatalf("%v, run %d: OnReroute order %v, want %v", kind, run, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v, run %d: OnReroute order %v, want %v", kind, run, got, want)
+				}
+			}
+		}
+	}
+}

@@ -201,7 +201,7 @@ func (ml *MonitoredLink) OnEvent(fn func(Event)) { ml.Upstream.OnEvent = fn }
 func (ml *MonitoredLink) UDP(entry EntryID, rateBps float64, start, stop Time) {
 	u := traffic.NewUDPSource(ml.Sim, ml.Src, netsim.FlowID(entry), entry,
 		netsim.EntryAddr(entry, 1), rateBps, 1000, stop)
-	ml.Sim.ScheduleAt(start, u.Start)
+	u.StartAt(start)
 }
 
 // TCP schedules closed-loop TCP flows for entry: flowsPerSec arrivals

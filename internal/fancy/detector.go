@@ -145,13 +145,15 @@ type portMonitor struct {
 	out     Outputs
 
 	// Heavy-hitter stage state (cfg.HH != nil). hhRep and hhFrame are the
-	// report and its encoding, refilled by every tick.
-	hh       *hh.Sketch
-	hhTimer  sim.Timer
-	hhTickFn func()
-	hhSeq    uint32
-	hhRep    hh.Report
-	hhFrame  []byte
+	// report and its encoding, refilled by every tick; det and port are
+	// what the tick, an hhTicker, reads its monitor by.
+	hh      *hh.Sketch
+	hhTimer sim.Timer
+	hhSeq   uint32
+	hhRep   hh.Report
+	hhFrame []byte
+	det     *Detector
+	port    int
 
 	// downUnits counts sub-state-machines currently reporting the link as
 	// unresponsive; EventLinkDown fires on the 0→1 transition only, so a
@@ -258,6 +260,7 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 		return &m.out
 	}
 	m := &portMonitor{
+		det: d, port: port,
 		out: Outputs{
 			Flags: NewFlagArray(len(d.cfg.HighPriority) + d.cfg.DynamicSlots),
 			Bloom: NewPathBloom(DefaultBloomCells),
@@ -295,10 +298,7 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 		p.Seed = hh.PortSeed(p.Seed, port)
 		m.hh = hh.NewSketch(p)
 		m.hhTimer.Stop()
-		if m.hhTickFn == nil {
-			m.hhTickFn = func() { d.hhTick(m, port) }
-		}
-		m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
+		m.hhTimer = d.s.ScheduleTimerActor(hhReportInterval, (*hhTicker)(m))
 	}
 	m.treeCnt = newTreeSender(d, port, d.cfg.Tree, d.cfg.TreeSeed)
 	m.tree = d.startUnit(port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, m.treeCnt)
@@ -311,7 +311,7 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 // after delay.
 func (d *Detector) startUnit(port int, kind wire.SessionKind, unit uint16, interval, delay sim.Time, c senderCounters) *senderFSM {
 	fsm := &senderFSM{det: d, port: port, kind: kind, unit: unit, interval: interval, counters: c}
-	d.s.After(delay, fsm.startSession)
+	d.s.AfterActor(delay, (*sessionOpen)(fsm))
 	return fsm
 }
 

@@ -14,6 +14,14 @@ import (
 	"fancy/internal/netsim"
 )
 
+// hhTicker is a portMonitor as the sim.Actor of its heavy-hitter timer.
+type hhTicker portMonitor
+
+func (t *hhTicker) Fire() {
+	m := (*portMonitor)(t)
+	m.det.hhTick(m, m.port)
+}
+
 // hhTick closes one heavy-hitter measurement window on a port: encode the
 // top-k digest, reset the sketch, deliver the frame, re-arm the timer. The
 // report and the frame are the port's own buffers, refilled every window.
@@ -32,7 +40,7 @@ func (d *Detector) hhTick(m *portMonitor, port int) {
 		m.hhFrame = hh.AppendReport(m.hhFrame[:0], rep)
 		d.OnHHReport(port, m.hhFrame)
 	}
-	m.hhTimer = d.s.ScheduleTimer(hhReportInterval, m.hhTickFn)
+	m.hhTimer = d.s.ScheduleTimerActor(hhReportInterval, (*hhTicker)(m))
 }
 
 // Promote assigns entry a dynamic dedicated-counter slot on the monitored

@@ -15,6 +15,7 @@ import (
 	"fancy/internal/sim"
 	"fancy/internal/tcp"
 	"fancy/internal/traffic"
+	"fancy/internal/wire"
 )
 
 // lifecycleTranscript is everything a run lets an observer see.
@@ -187,6 +188,49 @@ func TestTaggedPacketPathDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: receiver counted %d of 101 tagged packets (tag left %v, size %d)",
 				c.name, c.rx.tagged-before, pkt.Tagged, pkt.Size)
 		}
+	}
+}
+
+// TestUnitStartAllocatesOnlyItsFSM pins what a unit costs to bring up. Its
+// timers fire the FSM itself (sessionOpen, rtxFire, countingEnd,
+// reportWait), so starting a sender FSM allocates the FSM alone, and
+// creating a receiver FSM and arming its Twait allocates the FSM and its
+// counters; a method value bound for a timer would add one object each.
+func TestUnitStartAllocatesOnlyItsFSM(t *testing.T) {
+	tb := newTestbed(t, testCfg, 44)
+	// Warm the event pool past what the runs below queue.
+	var held []sim.Timer
+	for i := 0; i < 300; i++ {
+		held = append(held, tb.s.ScheduleTimer(sim.Second, func() {}))
+	}
+	for i := range held {
+		held[i].Stop()
+	}
+
+	up := tb.det
+	counters := &dedicatedSender{det: up, port: 1, slot: 0, entry: testCfg.HighPriority[0]}
+	startSender := func() {
+		up.startUnit(1, wire.KindDedicated, 0, up.cfg.ExchangeInterval, sim.Millisecond, counters)
+	}
+	if avg := testing.AllocsPerRun(100, startSender); avg != 1 {
+		t.Errorf("starting a sender FSM allocates %.2f objects, want 1 (the FSM)", avg)
+	}
+
+	down := tb.downDet
+	l := down.listeners[0]
+	start := &wire.Message{Header: wire.Header{Type: wire.MsgStart, Kind: wire.KindDedicated, Session: 1}}
+	stop := &wire.Message{Header: wire.Header{Type: wire.MsgStop, Kind: wire.KindDedicated, Session: 1}}
+	var rx *receiverFSM
+	startReceiver := func() {
+		rx = down.newReceiverFSM(l, 0, start)
+		rx.session, rx.haveSess, rx.state = 1, true, rCounting // as a Start leaves it
+		rx.onControl(stop)
+	}
+	if avg := testing.AllocsPerRun(100, startReceiver); avg != 2 {
+		t.Errorf("creating a receiver FSM and arming its Twait allocates %.2f objects, want 2 (the FSM and its counters)", avg)
+	}
+	if rx.state != rWaitToSend || !rx.twait.Active() {
+		t.Errorf("the receiver FSM is in state %v with Twait armed %v, want waiting to send", rx.state, rx.twait.Active())
 	}
 }
 

@@ -40,7 +40,6 @@ type QueueGuard struct {
 	s         *sim.Sim
 	threshold int
 	interval  sim.Time
-	sampleFn  func() // bound once so resampling does not allocate
 
 	watched []*QueueWatch
 }
@@ -68,8 +67,7 @@ func NewQueueGuard(s *sim.Sim, thresholdBytes int, interval sim.Time) *QueueGuar
 		panic(fmt.Sprintf("fancy: queue guard threshold %d bytes is negative", thresholdBytes))
 	}
 	g := &QueueGuard{s: s, threshold: thresholdBytes, interval: interval}
-	g.sampleFn = g.sample
-	s.After(interval, g.sampleFn)
+	s.AfterActor(interval, (*guardSample)(g))
 	return g
 }
 
@@ -79,6 +77,11 @@ func (g *QueueGuard) Watch(end *netsim.LinkEnd) *QueueWatch {
 	g.watched = append(g.watched, w)
 	return w
 }
+
+// guardSample is the QueueGuard as the sim.Actor of its sampling timer.
+type guardSample QueueGuard
+
+func (g *guardSample) Fire() { (*QueueGuard)(g).sample() }
 
 func (g *QueueGuard) sample() {
 	now := g.s.Now()
@@ -94,7 +97,7 @@ func (g *QueueGuard) sample() {
 			q.windows = append(q.windows, w)
 		}
 	}
-	g.s.After(g.interval, g.sampleFn)
+	g.s.AfterActor(g.interval, (*guardSample)(g))
 }
 
 // Congested implements CongestionGuard.

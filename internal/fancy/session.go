@@ -60,11 +60,6 @@ type senderFSM struct {
 	sessEnd    sim.Timer
 	countStart sim.Time
 
-	// Bound once, lazily: rearming the recurring timers with prebound
-	// callbacks keeps the steady-state session loop allocation-free.
-	onRtxFn       func()
-	endCountingFn func()
-
 	lastTargets []wire.ZoomTarget
 	linkDown    bool
 	// backoff is the current probe interval of the degraded state entered
@@ -80,6 +75,22 @@ type senderFSM struct {
 	CtlSent      uint64
 	CtlBytesSent uint64
 }
+
+// sessionOpen, rtxFire and countingEnd are the senderFSM as the sim.Actor
+// of its session start, retransmission and counting-end timers, and
+// reportWait the receiverFSM as that of its Twait timer: a timer armed with
+// a converted pointer allocates nothing.
+type (
+	sessionOpen senderFSM
+	rtxFire     senderFSM
+	countingEnd senderFSM
+	reportWait  receiverFSM
+)
+
+func (f *sessionOpen) Fire() { (*senderFSM)(f).startSession() }
+func (f *rtxFire) Fire()     { (*senderFSM)(f).onRtx() }
+func (f *countingEnd) Fire() { (*senderFSM)(f).endCounting() }
+func (f *reportWait) Fire()  { (*receiverFSM)(f).sendReport() }
 
 func (f *senderFSM) startSession() {
 	if f.dead {
@@ -121,11 +132,8 @@ func (f *senderFSM) sendCtl(m *wire.Message) {
 }
 
 func (f *senderFSM) armRtx() {
-	if f.onRtxFn == nil {
-		f.onRtxFn = f.onRtx
-	}
 	f.rtx.Stop()
-	f.rtx = f.det.s.ScheduleTimer(DefaultTrtx, f.onRtxFn)
+	f.rtx = f.det.s.ScheduleTimerActor(DefaultTrtx, (*rtxFire)(f))
 }
 
 func (f *senderFSM) onRtx() {
@@ -154,7 +162,7 @@ func (f *senderFSM) onRtx() {
 		}
 		f.sendStart()
 		f.rtx.Stop()
-		f.rtx = f.det.s.ScheduleTimer(f.backoff, f.onRtxFn)
+		f.rtx = f.det.s.ScheduleTimerActor(f.backoff, (*rtxFire)(f))
 		return
 	}
 	switch f.state {
@@ -198,10 +206,7 @@ func (f *senderFSM) onControl(m *wire.Message) {
 		f.attempts = 0
 		f.state = sCounting
 		f.countStart = f.det.s.Now()
-		if f.endCountingFn == nil {
-			f.endCountingFn = f.endCounting
-		}
-		f.sessEnd = f.det.s.ScheduleTimer(f.interval, f.endCountingFn)
+		f.sessEnd = f.det.s.ScheduleTimerActor(f.interval, (*countingEnd)(f))
 	case wire.MsgReport:
 		if f.state != sWaitReport {
 			return
@@ -277,15 +282,14 @@ type receiverFSM struct {
 	unit     uint16
 	counters receiverCounters
 
-	state        receiverState
-	session      uint32
-	epoch        uint8 // adopted from the upstream's Start, echoed back
-	haveSess     bool
-	tagged       uint64 // tagged packets counted this session
-	lastReport   []uint64
-	twait        sim.Timer
-	sendReportFn func()
-	dead         bool
+	state      receiverState
+	session    uint32
+	epoch      uint8 // adopted from the upstream's Start, echoed back
+	haveSess   bool
+	tagged     uint64 // tagged packets counted this session
+	lastReport []uint64
+	twait      sim.Timer
+	dead       bool
 }
 
 // kill retires the FSM (device restart).
@@ -336,10 +340,7 @@ func (f *receiverFSM) onControl(m *wire.Message) {
 			// Keep counting for Twait to absorb delayed or reordered
 			// tagged packets (the WaitToSendCounter state of §4.1).
 			f.state = rWaitToSend
-			if f.sendReportFn == nil {
-				f.sendReportFn = f.sendReport
-			}
-			f.twait = f.det.s.ScheduleTimer(DefaultTwait, f.sendReportFn)
+			f.twait = f.det.s.ScheduleTimerActor(DefaultTwait, (*reportWait)(f))
 		case rIdle:
 			// Retransmitted Stop: our Report was lost; resend it.
 			f.resendReport()

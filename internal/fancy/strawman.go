@@ -80,7 +80,7 @@ func NewStrawmanSender(s *sim.Sim, sw *netsim.Switch, port int, cfg StrawmanConf
 	snd.history = append(snd.history, strawSession{id: snd.session})
 	sw.AddEgressHook(snd)
 	sw.RefreshEgressHooks()
-	s.After(strawmanInterval, snd.rollover)
+	s.AfterActor(strawmanInterval, (*strawRollover)(snd))
 	return snd
 }
 
@@ -97,6 +97,12 @@ func (snd *StrawmanSender) OnEgress(pkt *netsim.Packet, port int) {
 	pkt.Size += wire.TagSize
 }
 
+// strawRollover is the StrawmanSender as the sim.Actor of its session
+// rollover timer.
+type strawRollover StrawmanSender
+
+func (r *strawRollover) Fire() { (*StrawmanSender)(r).rollover() }
+
 func (snd *StrawmanSender) rollover() {
 	snd.Sessions++
 	snd.session++
@@ -110,7 +116,7 @@ func (snd *StrawmanSender) rollover() {
 			snd.Lost++
 		}
 	}
-	snd.s.After(strawmanInterval, snd.rollover)
+	snd.s.AfterActor(strawmanInterval, (*strawRollover)(snd))
 }
 
 // HandleReport processes a downstream counter report for a session.

@@ -45,7 +45,7 @@ func (f *Fleet) periodicCheckpoint() {
 	if !f.Crashed() {
 		f.persist()
 	}
-	f.ckptTimer = f.S.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
+	f.ckptTimer = f.S.ScheduleTimerActor(checkpointInterval, (*checkpointTick)(f))
 }
 
 // persist makes the current state durable at once: a commit with no effects
@@ -81,8 +81,8 @@ func (f *Fleet) resumeDuty() {
 	for _, sw := range f.switches {
 		f.refreshRestarts(sw, nil)
 	}
-	f.sweepTimer = f.S.ScheduleTimer(sweepInterval, f.sweep)
-	f.ckptTimer = f.S.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
+	f.sweepTimer = f.S.ScheduleTimerActor(sweepInterval, (*sweepTick)(f))
+	f.ckptTimer = f.S.ScheduleTimerActor(checkpointInterval, (*checkpointTick)(f))
 }
 
 // restoreState replaces the correlator's durable state with the one frame
@@ -118,7 +118,7 @@ func (f *Fleet) restoreState(frame []byte) string {
 			// Re-open the window in full: the crashed incarnation's
 			// partial wait cannot be trusted, and a fresh window gives
 			// retransmitted evidence time to land before the verdict.
-			ls.verdictTimer = f.S.ScheduleTimer(f.cfg.Window, func() { f.verdict(ls) })
+			ls.verdictTimer = f.S.ScheduleTimerActor(f.cfg.Window, (*verdictDue)(ls))
 			restored++
 		}
 	}

@@ -125,7 +125,6 @@ type replica struct {
 	promises      map[int]*consMsg
 
 	tickTimer sim.Timer
-	tickFn    func() // tick bound once: re-arming allocates nothing
 
 	// rx holds the entry of the message being handled: decodeConsensus
 	// decodes into it (the network never delivers reentrantly), and a
@@ -174,8 +173,7 @@ func newCorrGroup(f *Fleet, n int) *corrGroup {
 	g.replicas[0].isLeader = true
 	if n > 1 {
 		for i, r := range g.replicas {
-			r.tickFn = r.tick
-			r.tickTimer = f.S.ScheduleTimer(beat+sim.Time(i)*(beat/4+1), r.tickFn)
+			r.tickTimer = f.S.ScheduleTimerActor(beat+sim.Time(i)*(beat/4+1), (*replicaTick)(r))
 		}
 	}
 	return g
@@ -306,10 +304,15 @@ func (r *replica) leaderHint() string {
 	return r.g.replicas[int(r.leaderBallot)%r.g.n].name
 }
 
+// replicaTick is the replica as the sim.Actor of its tick timer.
+type replicaTick replica
+
+func (r *replicaTick) Fire() { (*replica)(r).tick() }
+
 // tick is a replica's periodic duty: leaders beat peers and audit their
 // quorum, followers audit the leader and campaign on suspicion.
 func (r *replica) tick() {
-	r.tickTimer = r.g.f.S.ScheduleTimer(beat, r.tickFn)
+	r.tickTimer = r.g.f.S.ScheduleTimerActor(beat, (*replicaTick)(r))
 	if r.crashed {
 		return
 	}

@@ -345,7 +345,7 @@ func (f *Fleet) onAlarm(ls *linkState, ev fancy.Event) {
 	if !ls.verdictPending {
 		ls.verdictPending = true
 		ls.incidentStart = now
-		ls.verdictTimer = f.S.ScheduleTimer(f.cfg.Window, func() { f.verdict(ls) })
+		ls.verdictTimer = f.S.ScheduleTimerActor(f.cfg.Window, (*verdictDue)(ls))
 	}
 	// Consumed reports are already acknowledged and will never be
 	// retransmitted: persist the accepted evidence now, or a crash before
@@ -602,6 +602,21 @@ func (f *Fleet) healthOf(ls *linkState, now sim.Time) Health {
 	return HealthUnknown
 }
 
+// sweepTick, checkpointTick and verifyRetry are the Fleet as the sim.Actor
+// of its sweep, periodic checkpoint and held-verification retry timers, and
+// verdictDue a linkState as that of its verdict window.
+type (
+	sweepTick      Fleet
+	checkpointTick Fleet
+	verifyRetry    Fleet
+	verdictDue     linkState
+)
+
+func (f *sweepTick) Fire()      { (*Fleet)(f).sweep() }
+func (f *checkpointTick) Fire() { (*Fleet)(f).periodicCheckpoint() }
+func (f *verifyRetry) Fire()    { (*Fleet)(f).verifyRetryTick() }
+func (ls *verdictDue) Fire()    { ls.f.verdict((*linkState)(ls)) }
+
 // sweep is the correlator's periodic pass: it refreshes flap state, samples
 // the per-switch restart counters over the management plane, tracks agent
 // liveness from heartbeats, and emits health-transition events.
@@ -637,5 +652,5 @@ func (f *Fleet) sweep() {
 			}
 		}
 	}
-	f.sweepTimer = f.S.ScheduleTimer(sweepInterval, f.sweep)
+	f.sweepTimer = f.S.ScheduleTimerActor(sweepInterval, (*sweepTick)(f))
 }

@@ -178,12 +178,13 @@ func (c Config) withDefaults() Config {
 // linkState is the correlator's per-directed-link record: the link's fixed
 // wiring plus its durable record.
 type linkState struct {
+	f     *Fleet
 	dl    topo.DirectedLink
 	key   string // "from->to"
 	port  int    // monitored egress port at dl.From
 	guard *fancy.QueueWatch
 
-	verdictTimer sim.Timer
+	verdictTimer sim.Timer // fires a verdictDue
 
 	linkRecord // the durable part (state.go)
 }
@@ -319,7 +320,7 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 		port := net.PortOf[dl.From][dl.To]
 		f.Detectors[dl.From].MonitorPort(port)
 		f.Detectors[dl.To].ListenPort(net.PortOf[dl.To][dl.From])
-		ls := &linkState{dl: dl, key: dl.String(), port: port}
+		ls := &linkState{f: f, dl: dl, key: dl.String(), port: port}
 		f.links[ls.key] = ls
 		f.order = append(f.order, ls.key)
 		f.portLink[dl.From][port] = ls
@@ -348,8 +349,8 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	if cfg.Verify != nil {
 		f.verifier = verify.NewModel(net)
 	}
-	f.sweepTimer = s.ScheduleTimer(sweepInterval, f.sweep)
-	f.ckptTimer = s.ScheduleTimer(checkpointInterval, f.periodicCheckpoint)
+	f.sweepTimer = s.ScheduleTimerActor(sweepInterval, (*sweepTick)(f))
+	f.ckptTimer = s.ScheduleTimerActor(checkpointInterval, (*checkpointTick)(f))
 	return f, nil
 }
 

@@ -449,8 +449,8 @@ func TestLoneReplicaLifecycle(t *testing.T) {
 			if !hasEvent(f, EventCorrelatorRestart, "checkpoint at") {
 				t.Fatal("restart did not restore from the last frame")
 			}
-			if r := f.group.replicas[0]; r.tickFn != nil || r.tickTimer.Active() || sent.n != 0 {
-				t.Fatalf("lone replica ticked or replicated: timer armed %v, %d consensus datagrams sent", r.tickTimer.Active(), sent.n)
+			if r := f.group.replicas[0]; r.tickTimer != (sim.Timer{}) || sent.n != 0 {
+				t.Fatalf("lone replica ticked or replicated: tick ever armed %v, %d consensus datagrams sent", r.tickTimer != (sim.Timer{}), sent.n)
 			}
 			if snap := f.Snapshot(); snap.Replicated || snap.Leader != "" || snap.CommitIndex != 0 || snap.Replicas != nil {
 				t.Fatalf("snapshot carries a replication block for a group of one: %+v", snap)

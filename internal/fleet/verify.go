@@ -311,7 +311,7 @@ func (f *Fleet) armVerifyTimer() {
 	if f.verifyTimer.Active() || len(f.verifyHeld) == 0 || f.Crashed() {
 		return
 	}
-	f.verifyTimer = f.S.ScheduleTimer(holdRetry, f.verifyRetryTick)
+	f.verifyTimer = f.S.ScheduleTimerActor(holdRetry, (*verifyRetry)(f))
 }
 
 func (f *Fleet) verifyRetryTick() {

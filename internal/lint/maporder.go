@@ -35,19 +35,23 @@ type mapEffect struct {
 // ordered output: stream writers, encoders and the simulator's scheduling
 // entry points.
 var emissionMethods = map[string]bool{
-	"Write":         true,
-	"WriteString":   true,
-	"WriteByte":     true,
-	"WriteRune":     true,
-	"Encode":        true,
-	"Schedule":      true,
-	"ScheduleAt":    true,
-	"ScheduleTimer": true,
-	"After":         true,
-	"At":            true,
-	"Sequence":      true,
-	"Reserve":       true,
-	"Queue":         true,
+	"Write":              true,
+	"WriteString":        true,
+	"WriteByte":          true,
+	"WriteRune":          true,
+	"Encode":             true,
+	"Schedule":           true,
+	"ScheduleAt":         true,
+	"ScheduleTimer":      true,
+	"ScheduleTimerActor": true,
+	"After":              true,
+	"AfterActor":         true,
+	"At":                 true,
+	"AtActor":            true,
+	"Sequence":           true,
+	"Reserve":            true,
+	"Queue":              true,
+	"QueueActor":         true,
 }
 
 func runMapOrder(p *Package) []Finding {

@@ -106,3 +106,19 @@ func QueueAll(slots map[string]slot, fns []func()) {
 		i++
 	}
 }
+
+// actor stands in for sim.Actor.
+type actor interface{ Fire() }
+
+// timers stands in for sim.Sim's Actor entry points.
+type timers interface {
+	AfterActor(delay int64, a actor)
+}
+
+// ArmAll arms one timer per map entry through the Actor form, and so gives
+// them sequence numbers in iteration order (true positive).
+func ArmAll(s timers, m map[string]actor) {
+	for _, a := range m {
+		s.AfterActor(1, a)
+	}
+}

@@ -58,28 +58,36 @@ type Client struct {
 
 	Stats ClientStats
 
-	// heartbeatFn is the bound heartbeat method, allocated once so the
-	// recurring self-reschedule is allocation-free.
-	heartbeatFn func()
-	waits       []*probeWait // probe-wait records with no timeout pending
+	waits []*probeWait // probe-wait records with no timeout pending
 }
 
+// heartbeatTick is the Client as the sim.Actor of its recurring
+// heartbeat, so the self-reschedule allocates nothing.
+type heartbeatTick Client
+
+func (c *heartbeatTick) Fire() { (*Client)(c).heartbeat() }
+
+// pendingReport is one report awaiting its ack; it is the sim.Actor of
+// its own ack timeout.
 type pendingReport struct {
+	c       *Client
 	seq     uint64
 	payload any
 	attempt int
 	timer   sim.Timer
-	expire  func() // the ack timeout, bound once per report
 }
 
-// probeWait is one pending ack timeout of a heartbeat probe. The client owns
-// the record: probe fills it, expire recycles it before acting, fn is expire
-// bound once — a few exist per client, one per retry chain still running.
+// Fire is the report's ack timeout.
+func (p *pendingReport) Fire() { p.c.expire(p) }
+
+// probeWait is one pending ack timeout of a heartbeat probe, and the
+// sim.Actor of it. The client owns the record: probe fills it, Fire
+// recycles it before acting — a few exist per client, one per retry chain
+// still running.
 type probeWait struct {
 	c       *Client
 	seq     uint64
 	attempt int
-	fn      func()
 }
 
 type spooled struct {
@@ -94,9 +102,8 @@ func NewClient(s *sim.Sim, net *Network, name, srv string) *Client {
 		nextSeq: 1, online: true,
 		inflight: make(map[uint64]*pendingReport),
 	}
-	c.heartbeatFn = c.heartbeat
 	net.Register(name, c.onDgram)
-	s.After(HeartbeatInterval, c.heartbeatFn)
+	s.AfterActor(HeartbeatInterval, (*heartbeatTick)(c))
 	return c
 }
 
@@ -182,15 +189,14 @@ func (c *Client) Send(payload any) uint64 {
 }
 
 func (c *Client) transmit(seq uint64, payload any) {
-	p := &pendingReport{seq: seq, payload: payload}
-	p.expire = func() { c.expire(p) }
+	p := &pendingReport{c: c, seq: seq, payload: payload}
 	c.inflight[seq] = p
 	c.send(p)
 }
 
 func (c *Client) send(p *pendingReport) {
 	c.net.Send(Dgram{From: c.name, To: c.srv, Kind: DgramReport, Seq: p.seq, Payload: p.payload})
-	p.timer = c.s.ScheduleTimer(c.net.backoff(c.name, c.srv, p.attempt), p.expire)
+	p.timer = c.s.ScheduleTimerActor(c.net.backoff(c.name, c.srv, p.attempt), p)
 }
 
 func (c *Client) expire(p *pendingReport) {
@@ -230,7 +236,7 @@ func (c *Client) heartbeat() {
 	c.Stats.Heartbeats++
 	c.probeSeq++
 	c.probe(c.probeSeq, 0)
-	c.s.After(HeartbeatInterval, c.heartbeatFn)
+	c.s.AfterActor(HeartbeatInterval, (*heartbeatTick)(c))
 }
 
 // probe transmits one liveness probe with fast, fixed-interval retries (no
@@ -246,13 +252,13 @@ func (c *Client) probe(seq uint64, attempt int) {
 		w, c.waits = c.waits[k-1], c.waits[:k-1]
 	} else {
 		w = &probeWait{c: c}
-		w.fn = w.expire
 	}
 	w.seq, w.attempt = seq, attempt
-	c.s.After(ackTimeout, w.fn)
+	c.s.AfterActor(ackTimeout, w)
 }
 
-func (w *probeWait) expire() {
+// Fire is the probe's ack timeout.
+func (w *probeWait) Fire() {
 	c, seq, attempt := w.c, w.seq, w.attempt
 	c.waits = append(c.waits, w)
 	if c.lastProbeAck >= seq {

@@ -180,14 +180,14 @@ type endpoint struct {
 	partitioned bool // cut off by Partition until Heal
 }
 
-// flight is one datagram in flight. The network owns the record: deliver
-// fills it, land puts it back on the free list, fn is land bound once — so
-// once the list holds as many as were ever in flight, a Send allocates nothing.
+// flight is one datagram in flight, and the sim.Actor of its landing. The
+// network owns the record: deliver fills it, Fire puts it back on the free
+// list — so once the list holds as many as were ever in flight, a Send
+// allocates nothing.
 type flight struct {
 	n  *Network
 	to *endpoint
 	d  Dgram
-	fn func()
 }
 
 // NewNetwork builds a management network over s.
@@ -293,15 +293,15 @@ func (n *Network) deliver(to *endpoint, d Dgram, after sim.Time) {
 		f, n.free = n.free[k-1], n.free[:k-1]
 	} else {
 		f = &flight{n: n}
-		f.fn = f.land
 	}
 	f.to, f.d = to, d
-	n.s.After(after, f.fn)
+	n.s.AfterActor(after, f)
 }
 
-// land ends a flight. The record is recycled before the handler runs, so a
-// handler that sends re-uses it, and keeps no reference to the payload.
-func (f *flight) land() {
+// Fire lands the flight. The record is recycled before the handler runs,
+// so a handler that sends re-uses it, and keeps no reference to the
+// payload.
+func (f *flight) Fire() {
 	n, to, d := f.n, f.to, f.d
 	f.d = Dgram{}
 	n.free = append(n.free, f)

@@ -116,14 +116,15 @@ func newClosureClient(s *sim.Sim, net *closureNet, name, srv string) *Client {
 		nextSeq: 1, online: true,
 		inflight: make(map[uint64]*pendingReport),
 	}
-	c.heartbeatFn = func() {
+	var heartbeat func()
+	heartbeat = func() {
 		c.Stats.Heartbeats++
 		c.probeSeq++
 		closureProbe(c, c.probeSeq, 0)
-		c.s.After(HeartbeatInterval, c.heartbeatFn)
+		c.s.After(HeartbeatInterval, heartbeat)
 	}
 	net.Register(name, c.onDgram)
-	s.After(HeartbeatInterval, c.heartbeatFn)
+	s.After(HeartbeatInterval, heartbeat)
 	return c
 }
 

@@ -27,11 +27,11 @@ type clientTrack struct {
 	phi    *PhiDetector        // the one liveness record: accrual over datagram arrivals
 }
 
-// pendingCall is one in-flight RPC attempt cycle. The server owns the
-// record: Call fills it, each of its three ends (a response, exhaustion,
-// SetAccepting(false)) puts it back on the free list before the callback
-// runs, and expire is onExpire bound once — so a late response or a stale
-// timeout can only ever find the id gone from calls.
+// pendingCall is one in-flight RPC attempt cycle, and the sim.Actor of its
+// attempt timeout. The server owns the record: Call fills it, and each of
+// its three ends (a response, exhaustion, SetAccepting(false)) puts it
+// back on the free list before the callback runs — so a late response or a
+// stale timeout can only ever find the id gone from calls.
 type pendingCall struct {
 	srv     *Server
 	id      uint64
@@ -39,7 +39,6 @@ type pendingCall struct {
 	req     any
 	attempt int
 	timer   sim.Timer
-	expire  func() // the attempt timeout, bound once per record
 	cb      func(any, error)
 }
 
@@ -183,7 +182,6 @@ func (srv *Server) Call(to string, req any, cb func(any, error)) {
 		pc, srv.free = srv.free[k-1], srv.free[:k-1]
 	} else {
 		pc = &pendingCall{srv: srv}
-		pc.expire = pc.onExpire
 	}
 	srv.nextID++
 	pc.id, pc.to, pc.req, pc.cb, pc.attempt = srv.nextID, to, req, cb, 0
@@ -191,9 +189,9 @@ func (srv *Server) Call(to string, req any, cb func(any, error)) {
 	srv.attempt(pc)
 }
 
-// onExpire is one attempt's timeout. Every end stops the timer first, so it
+// Fire is one attempt's timeout. Every end stops the timer first, so it
 // only fires for a call still in calls.
-func (pc *pendingCall) onExpire() {
+func (pc *pendingCall) Fire() {
 	srv := pc.srv
 	pc.attempt++
 	if pc.attempt >= maxAttempts {
@@ -207,7 +205,7 @@ func (pc *pendingCall) onExpire() {
 func (srv *Server) attempt(pc *pendingCall) {
 	srv.Stats.Calls++
 	srv.net.Send(Dgram{From: srv.name, To: pc.to, Kind: DgramCallReq, Seq: pc.id, Payload: pc.req})
-	pc.timer = srv.s.ScheduleTimer(srv.net.backoff(srv.name, pc.to, pc.attempt), pc.expire)
+	pc.timer = srv.s.ScheduleTimerActor(srv.net.backoff(srv.name, pc.to, pc.attempt), pc)
 }
 
 // Alive reports whether the client is believed reachable: phi-accrual

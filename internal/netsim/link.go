@@ -94,7 +94,6 @@ type direction struct {
 	// Transmit lane: packets in (or waiting for) the serializer, laneAt =
 	// serialization end.
 	txHead, txTail *Packet
-	drainFn        func()
 
 	// Lone packet: lone is its drain's slot, loneBytes its queue bytes
 	// until that slot has passed. The zero slot has passed: no lone packet.
@@ -103,7 +102,6 @@ type direction struct {
 
 	// Receive lane: packets in flight, laneAt = arrival time.
 	rxHead, rxTail *Packet
-	arriveFn       func()
 
 	// txArmed and rxArmed tell whether a lane's event is in the heap;
 	// loneQueued that the drain is, in the lone packet's slot.
@@ -197,18 +195,25 @@ func (d *direction) send(pkt *Packet) bool {
 	d.txTail = pkt
 	if !d.txArmed {
 		d.txArmed = true
-		if d.drainFn == nil {
-			d.drainFn = d.drain
-		}
 		if d.lone.Passed() {
-			d.s.At(serEnd, d.drainFn)
+			d.s.AtActor(serEnd, (*laneDrain)(d))
 		} else {
 			d.loneQueued = true
-			d.lone.Queue(d.drainFn)
+			d.lone.QueueActor((*laneDrain)(d))
 		}
 	}
 	return true
 }
+
+// laneDrain and laneArrive are the direction as the sim.Actor of its
+// transmit and receive lanes' events.
+type (
+	laneDrain  direction
+	laneArrive direction
+)
+
+func (d *laneDrain) Fire()  { (*direction)(d).drain() }
+func (d *laneArrive) Fire() { (*direction)(d).arriveLane() }
 
 // drain retires every transmit-lane packet whose serialization has
 // finished: it releases the queue bytes, starts the next packet's
@@ -244,7 +249,7 @@ func (d *direction) drain() {
 	}
 	if d.txHead != nil && !d.txArmed {
 		d.txArmed = true
-		d.s.At(d.txHead.laneAt, d.drainFn)
+		d.s.AtActor(d.txHead.laneAt, (*laneDrain)(d))
 	}
 }
 
@@ -260,10 +265,7 @@ func (d *direction) handoff(pkt *Packet, at sim.Time) {
 	d.rxTail = pkt
 	if !d.rxArmed {
 		d.rxArmed = true
-		if d.arriveFn == nil {
-			d.arriveFn = d.arriveLane
-		}
-		d.s.At(at, d.arriveFn)
+		d.s.AtActor(at, (*laneArrive)(d))
 	}
 }
 
@@ -284,7 +286,7 @@ func (d *direction) arriveLane() {
 	}
 	if d.rxHead != nil && !d.rxArmed {
 		d.rxArmed = true
-		d.s.At(d.rxHead.laneAt, d.arriveFn)
+		d.s.AtActor(d.rxHead.laneAt, (*laneArrive)(d))
 	}
 }
 

@@ -168,7 +168,7 @@ type refSlot struct {
 
 func (sl refSlot) Passed() bool { return sl.r.find(sl.seq) < 0 }
 
-func (sl refSlot) Queue(fn func()) {
+func (sl refSlot) Queue(fn func(), _ bool) {
 	i := sl.r.find(sl.seq)
 	if i < 0 {
 		panic("queue on a passed slot")
@@ -201,7 +201,7 @@ type engine interface {
 	Run(horizon Time) Time
 	executed() uint64
 	// schedule picks the entry point by kind; kinds below firstHandleKind
-	// are the handle-free After/At and return nil.
+	// are the handle-free After/At and their Actor forms, and return nil.
 	schedule(kind int, delay Time, fn func()) handle
 	// sequence runs fn(i) at at[i], for a non-decreasing at.
 	sequence(at []Time, fn func(i int))
@@ -213,15 +213,32 @@ type handle interface {
 	Active() bool
 }
 
+// Queue's actor picks Slot.QueueActor over Slot.Queue on Sim.
 type slot interface {
-	Queue(fn func())
+	Queue(fn func(), actor bool)
 	Passed() bool
 }
 
+// The scheduling entry points, handle-free ones first: the closure forms
+// and their Actor twins.
 const (
-	firstHandleKind = 2
-	numKinds        = 4
+	kindAfter = iota
+	kindAt
+	kindAfterActor
+	kindAtActor
+	kindScheduleAt
+	kindScheduleTimer
+	kindScheduleTimerActor
+	numKinds
+
+	firstHandleKind = kindScheduleAt
 )
+
+// fireFn is an Actor that is not a closure: Sim's Actor entry points
+// dispatch through it, its closure entry points through funcActor.
+type fireFn struct{ fn func() }
+
+func (f *fireFn) Fire() { f.fn() }
 
 type simEngine struct{ *Sim }
 
@@ -229,15 +246,22 @@ func (e simEngine) executed() uint64 { return e.Executed }
 
 func (e simEngine) schedule(kind int, delay Time, fn func()) handle {
 	switch kind {
-	case 0:
+	case kindAfter:
 		e.After(delay, fn)
-	case 1:
+	case kindAt:
 		e.At(e.Now()+delay, fn)
-	case 2:
+	case kindAfterActor:
+		e.AfterActor(delay, &fireFn{fn})
+	case kindAtActor:
+		e.AtActor(e.Now()+delay, &fireFn{fn})
+	case kindScheduleAt:
 		tm := e.ScheduleAt(e.Now()+delay, fn)
 		return &tm
-	default:
+	case kindScheduleTimer:
 		tm := e.ScheduleTimer(delay, fn)
+		return &tm
+	default:
+		tm := e.ScheduleTimerActor(delay, &fireFn{fn})
 		return &tm
 	}
 	return nil
@@ -247,7 +271,17 @@ func (e simEngine) sequence(at []Time, fn func(i int)) {
 	e.Sequence(len(at), func(i int) Time { return at[i] }, fn)
 }
 
-func (e simEngine) reserve(delay Time) slot { return e.Reserve(e.Now() + delay) }
+func (e simEngine) reserve(delay Time) slot { return simSlot{e.Reserve(e.Now() + delay)} }
+
+type simSlot struct{ Slot }
+
+func (sl simSlot) Queue(fn func(), actor bool) {
+	if actor {
+		sl.QueueActor(&fireFn{fn})
+	} else {
+		sl.Slot.Queue(fn)
+	}
+}
 
 // transcript drives e with a pseudo-random operation stream and returns
 // everything observable: each execution with the clock, Pending and
@@ -374,8 +408,9 @@ func transcript(e engine, seed int64, cancel, wide bool, seen map[string]int) st
 			if where == "at" {
 				seen["queued at the slot's own instant"]++
 			}
-			fmt.Fprintf(&log, "  queue s%d #%d\n", i, nextID)
-			sl.Queue(fire(nextID))
+			actor := rng.Intn(2) == 0
+			fmt.Fprintf(&log, "  queue s%d #%d actor %v\n", i, nextID, actor)
+			sl.Queue(fire(nextID), actor)
 			sl.queued = true
 			nextID++
 		}
@@ -490,7 +525,8 @@ func checkAgainstReference(t *testing.T, cancel, wide bool) {
 }
 
 // Property: for any stream of schedules through After, At, ScheduleAt,
-// ScheduleTimer, Sequence and Reserve — equal timestamps, zero
+// ScheduleTimer, their Actor forms, Sequence and Reserve (its slots
+// queued with a closure or an Actor) — equal timestamps, zero
 // delays, children scheduled and slots queued from callbacks, Stop mid-run,
 // horizons on and between events — Sim executes exactly what the reference
 // scheduler does, in (time, insertion) order, with the same clock,

@@ -6,9 +6,20 @@
 // generator so that every experiment is exactly reproducible from its seed.
 //
 // The design mirrors the scheduling core of ns-3, which the FANcY paper used
-// for its software evaluation: events are closures executed at a virtual
+// for its software evaluation: an event runs a target at a virtual
 // timestamp, and the simulation runs until the queue drains or a configured
-// horizon is reached.
+// horizon is reached. The target is an Actor, a value with a Fire method;
+// After, At, ScheduleTimer, ScheduleAt and Slot.Queue take a closure and
+// wrap it as one, and AfterActor, AtActor, ScheduleTimerActor and
+// Slot.QueueActor take the Actor itself. A type that re-arms a timer
+// fires through a named conversion of itself,
+//
+//	type rtoFire Sender
+//	func (t *rtoFire) Fire() { (*Sender)(t).onTimeout() }
+//
+// armed as ScheduleTimerActor(rto, (*rtoFire)(snd)): a pointer converted
+// to an interface allocates nothing, where a method value bound to snd is
+// one heap object per receiver.
 //
 // The queue is a radix heap over event times: since nothing is ever
 // scheduled behind the clock, scheduling and cancelling are O(1) and
@@ -16,10 +27,10 @@
 // events due at one instant run in sequence order.
 //
 // Events are pooled: executed and cancelled events are recycled through a
-// free list, and a Timer handle is a value, so steady-state scheduling
-// allocates nothing. Sequence queues a long time-ordered run of callbacks
-// one at a time, so the run neither deepens the queue nor allocates per
-// element. Reserve holds an event's place in the order without queueing
+// free list, which grows by chunks of events (see grow), and a Timer handle
+// is a value, so steady-state scheduling allocates nothing. Sequence queues
+// a long time-ordered run of callbacks one at a time, so the run neither
+// deepens the queue nor allocates per element. Reserve holds an event's place in the order without queueing
 // it, for a caller that learns only later whether anything has to run
 // there.
 //
@@ -58,16 +69,25 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the timestamp with time.Duration rules (e.g. "1.5s").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// An event is a scheduled closure. Events with equal timestamps execute in
+// Actor is an event target: Fire runs when the event is due.
+type Actor interface{ Fire() }
+
+// funcActor is a closure as an event target. A func value is one pointer,
+// so converting it to an Actor allocates nothing.
+type funcActor func()
+
+func (f funcActor) Fire() { f() }
+
+// An event is a scheduled Actor. Events with equal timestamps execute in
 // insertion order, which keeps simulations deterministic. Events are pooled:
-// after execution or cancellation they return to the owning Sim's free list.
-// A queued event is a link in its bucket's circular list (next, prev); a
-// pooled one links the free list through next, and prev is nil whenever the
-// event is not queued.
+// after execution or cancellation they return to the owning Sim's free list,
+// with act cleared so the pool holds on to no target. A queued event is a
+// link in its bucket's circular list (next, prev); a pooled one links the
+// free list through next, and prev is nil whenever the event is not queued.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
+	act  Actor
 	next *event
 	prev *event
 }
@@ -193,6 +213,7 @@ type Sim struct {
 	rng     *rand.Rand
 	stopped bool
 	free    *event // event pool, linked through next
+	chunk   int    // events in the pool's last chunk (see grow)
 
 	// The event queue (see file): the bucket sentinels, the non-empty
 	// buckets as a bit mask, the time of the most recent refill and the
@@ -243,22 +264,46 @@ func (s *Sim) DeriveRand(stream string) *rand.Rand {
 	return rand.New(rand.NewSource(s.DeriveSeed(stream)))
 }
 
-// alloc takes an event from the pool (or allocates one) and resets it.
-func (s *Sim) alloc(at Time, fn func()) *event {
+// alloc takes an event from the pool, growing it if it is empty, and
+// resets it.
+func (s *Sim) alloc(at Time, act Actor) *event {
 	ev := s.free
-	if ev != nil {
-		s.free = ev.next
-	} else {
-		ev = &event{}
+	if ev == nil {
+		ev = s.grow()
 	}
+	s.free = ev.next
 	ev.at = at
-	ev.fn = fn
+	ev.act = act
 	return ev
+}
+
+// The pool grows by chunks: one allocation of minChunk events first, each
+// later one twice the last, up to maxChunk. A Sim that queues N events at
+// once thus allocates O(log N) objects up to maxChunk events and one per
+// maxChunk after that, rather than one per event. Events never move: a
+// chunk is an array that stays where it is for the life of the Sim, so a
+// Timer's pointer stays valid and only its sequence number can go stale.
+// 16 events of 48 bytes are 768 bytes and 1024 are 48 KiB, and every
+// chunk size in between is an exact malloc size class.
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
+// grow links a new chunk into the empty free list and returns its head.
+func (s *Sim) grow() *event {
+	s.chunk = min(max(2*s.chunk, minChunk), maxChunk)
+	c := make([]event, s.chunk)
+	for i := range c[:len(c)-1] {
+		c[i].next = &c[i+1]
+	}
+	s.free = &c[0]
+	return s.free
 }
 
 // release returns an unlinked event to the pool.
 func (s *Sim) release(ev *event) {
-	ev.fn = nil
+	ev.act = nil
 	ev.next = s.free
 	s.free = ev
 }
@@ -266,7 +311,7 @@ func (s *Sim) release(ev *event) {
 // ScheduleAt runs fn at the absolute virtual time at, which must not be in
 // the past, and returns a cancellable handle.
 func (s *Sim) ScheduleAt(at Time, fn func()) Timer {
-	ev := s.push(at, s.seq, fn)
+	ev := s.push(at, s.seq, funcActor(fn))
 	return Timer{s: s, ev: ev, seq: ev.seq}
 }
 
@@ -277,10 +322,16 @@ func (s *Sim) ScheduleAt(at Time, fn func()) Timer {
 // allocating (the zero Timer is inert, so the field needs no
 // initialization).
 func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
+	return s.ScheduleTimerActor(delay, funcActor(fn))
+}
+
+// ScheduleTimerActor fires a after delay virtual nanoseconds and returns a
+// cancellable handle: ScheduleTimer with an Actor for the closure.
+func (s *Sim) ScheduleTimerActor(delay Time, a Actor) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	ev := s.push(s.Now()+delay, s.seq, fn)
+	ev := s.push(s.Now()+delay, s.seq, a)
 	return Timer{s: s, ev: ev, seq: ev.seq}
 }
 
@@ -288,28 +339,40 @@ func (s *Sim) ScheduleTimer(delay Time, fn func()) Timer {
 // without the cancellation handle: with a warm event pool this path does
 // not allocate at all.
 func (s *Sim) After(delay Time, fn func()) {
+	s.AfterActor(delay, funcActor(fn))
+}
+
+// AfterActor fires a after delay virtual nanoseconds: After with an Actor
+// for the closure.
+func (s *Sim) AfterActor(delay Time, a Actor) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	s.push(s.Now()+delay, s.seq, fn)
+	s.push(s.Now()+delay, s.seq, a)
 }
 
 // At runs fn at the absolute virtual time at (the handle-free ScheduleAt).
 func (s *Sim) At(at Time, fn func()) {
-	s.push(at, s.seq, fn)
+	s.push(at, s.seq, funcActor(fn))
 }
 
-// push queues fn under the key (at, seq); it is the one insertion path. The
+// AtActor fires a at the absolute virtual time at: At with an Actor for
+// the closure.
+func (s *Sim) AtActor(at Time, a Actor) {
+	s.push(at, s.seq, a)
+}
+
+// push queues a under the key (at, seq); it is the one insertion path. The
 // scheduling entry points pass s.seq, the next fresh number, which push then
 // advances; Sequence and Slot.Queue pass a number reserved earlier, which
 // is below s.seq already. Taking the bump inside push keeps each entry
 // point at a single call, and so ScheduleAt within the inlining budget: a
 // caller that drops its handle keeps the handle on its own stack.
-func (s *Sim) push(at Time, seq uint64, fn func()) *event {
+func (s *Sim) push(at Time, seq uint64, a Actor) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at=%v now=%v", at, s.now))
 	}
-	ev := s.alloc(at, fn)
+	ev := s.alloc(at, a)
 	ev.seq = seq
 	if seq >= s.seq {
 		s.seq = seq + 1
@@ -330,35 +393,33 @@ func (s *Sim) push(at Time, seq uint64, fn func()) *event {
 //
 // at must be non-decreasing in i: an element earlier than its predecessor
 // panics when that predecessor runs, and element 0 in the past panics now,
-// as At does. The elements cannot be cancelled. A Sequence costs O(1)
-// allocations, whatever n.
+// as At does. The elements cannot be cancelled. A Sequence allocates one
+// object, whatever n.
 func (s *Sim) Sequence(n int, at func(i int) Time, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	q := &sequence{s: s, base: s.seq, n: n, at: at, fn: fn}
-	q.runFn = q.run
 	s.seq += uint64(n)
-	s.push(at(0), q.base, q.runFn)
+	s.push(at(0), q.base, q)
 }
 
-// sequence is a Sequence in progress. Its elements run one after another,
-// so one bound method value serves them all.
+// sequence is a Sequence in progress, and the Actor of its queued element.
 type sequence struct {
-	s     *Sim
-	base  uint64 // the sequence number of element 0
-	n     int
-	next  int // the element runFn runs next
-	at    func(i int) Time
-	fn    func(i int)
-	runFn func()
+	s    *Sim
+	base uint64 // the sequence number of element 0
+	n    int
+	next int // the element Fire runs next
+	at   func(i int) Time
+	fn   func(i int)
 }
 
-func (q *sequence) run() {
+// Fire runs the next element, queueing the one after it first.
+func (q *sequence) Fire() {
 	i := q.next
 	q.next++
 	if q.next < q.n {
-		q.s.push(q.at(q.next), q.base+uint64(q.next), q.runFn)
+		q.s.push(q.at(q.next), q.base+uint64(q.next), q)
 	}
 	q.fn(i)
 }
@@ -388,11 +449,14 @@ func (s *Sim) Reserve(at Time) Slot {
 // Queue runs fn at the slot: exactly where the At call made at
 // reservation time would have run it. A slot takes one fn; queueing a
 // slot that has passed panics.
-func (sl Slot) Queue(fn func()) {
+func (sl Slot) Queue(fn func()) { sl.QueueActor(funcActor(fn)) }
+
+// QueueActor fires a at the slot: Queue with an Actor for the closure.
+func (sl Slot) QueueActor(a Actor) {
 	if sl.Passed() {
 		panic(fmt.Sprintf("sim: queue on a passed slot: at=%v", sl.at))
 	}
-	sl.s.push(sl.at, sl.seq, fn)
+	sl.s.push(sl.at, sl.seq, a)
 }
 
 // Passed reports whether execution is at or beyond the slot: an event
@@ -438,9 +502,9 @@ func (s *Sim) Run(horizon Time) Time {
 		s.now = ev.at
 		s.passed = ev.seq + 1
 		s.Executed++
-		fn := ev.fn
+		a := ev.act
 		s.release(ev)
-		fn()
+		a.Fire()
 	}
 	if s.stopped {
 		return s.now

@@ -73,13 +73,11 @@ type Sender struct {
 	dupAcks  int
 	recover  int64 // highest seq sent when loss was detected (NewReno-lite)
 
-	// Timers are held by value and armed with the two method values bound
-	// once in NewSender, so re-arming allocates nothing.
-	rto         sim.Time
-	rtoTimer    sim.Timer
-	payTimer    sim.Timer // pending pacing wakeup
-	onTimeoutFn func()
-	trySendFn   func()
+	// Timers are held by value and fire the Sender through the named
+	// conversions rtoFire and payFire, so arming one allocates nothing.
+	rto      sim.Time
+	rtoTimer sim.Timer
+	payTimer sim.Timer // pending pacing wakeup
 
 	done bool
 
@@ -103,7 +101,6 @@ func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 		rcv: receiver{host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
 	}
 	snd := &c.snd
-	snd.onTimeoutFn, snd.trySendFn = snd.onTimeout, snd.trySend
 	srcHost.Bind(flow, (*ackHandler)(snd))
 	dstHost.Bind(flow, &c.rcv)
 	return snd
@@ -121,6 +118,16 @@ type ackHandler Sender
 
 // HandlePacket implements netsim.PacketHandler.
 func (h *ackHandler) HandlePacket(pkt *netsim.Packet) { (*Sender)(h).onAck(pkt) }
+
+// rtoFire and payFire are the Sender as the sim.Actor of its
+// retransmission and pacing timers.
+type (
+	rtoFire Sender
+	payFire Sender
+)
+
+func (t *rtoFire) Fire() { (*Sender)(t).onTimeout() }
+func (t *payFire) Fire() { (*Sender)(t).trySend() }
 
 // Start begins transmission.
 func (t *Sender) Start() { t.trySend() }
@@ -170,7 +177,7 @@ func (t *Sender) trySend() {
 			if next <= 0 {
 				next = sim.Microsecond
 			}
-			t.payTimer = t.s.ScheduleTimer(next, t.trySendFn)
+			t.payTimer = t.s.ScheduleTimerActor(next, (*payFire)(t))
 		}
 	}
 	t.armRTO()
@@ -196,7 +203,7 @@ func (t *Sender) armRTO() {
 	if t.rtoTimer.Active() {
 		return
 	}
-	t.rtoTimer = t.s.ScheduleTimer(t.rto, t.onTimeoutFn)
+	t.rtoTimer = t.s.ScheduleTimerActor(t.rto, (*rtoFire)(t))
 }
 
 func (t *Sender) onTimeout() {
@@ -216,7 +223,7 @@ func (t *Sender) onTimeout() {
 	if segLen > 0 {
 		t.emit(t.sndUna, segLen, true)
 	}
-	t.rtoTimer = t.s.ScheduleTimer(t.rto, t.onTimeoutFn)
+	t.rtoTimer = t.s.ScheduleTimerActor(t.rto, (*rtoFire)(t))
 }
 
 func (t *Sender) onAck(pkt *netsim.Packet) {

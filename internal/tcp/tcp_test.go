@@ -296,10 +296,10 @@ func TestDuplicateDataReACKed(t *testing.T) {
 	}
 }
 
-// A connection is one allocation holding both ends, plus the two timer
-// callbacks bound once: the handlers are the ends themselves, and the
-// receiver's reorder buffer waits for the first out-of-order segment.
-func TestNewSenderAllocatesThreeObjects(t *testing.T) {
+// A connection is one allocation holding both ends: the handlers and the
+// timer Actors are the ends themselves, and the receiver's reorder buffer
+// waits for the first out-of-order segment.
+func TestNewSenderAllocatesOneObject(t *testing.T) {
 	s := sim.New(1)
 	a, b, _ := pair(s, 10e6, sim.Millisecond)
 	flow := netsim.FlowID(0)
@@ -317,8 +317,8 @@ func TestNewSenderAllocatesThreeObjects(t *testing.T) {
 		b.Bind(netsim.FlowID(i), nil)
 	}
 	flow = 0
-	if avg := testing.AllocsPerRun(100, newSender); avg > 3 {
-		t.Errorf("NewSender allocates %.1f objects, want ≤ 3 (the conn and two bound timer callbacks)", avg)
+	if avg := testing.AllocsPerRun(100, newSender); avg > 1 {
+		t.Errorf("NewSender allocates %.1f objects, want ≤ 1 (the conn)", avg)
 	}
 }
 

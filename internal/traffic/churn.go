@@ -201,7 +201,7 @@ func (cs *ChurnSchedule) Launch(s *sim.Sim, host *netsim.Host) int {
 			}
 			src := NewUDPSource(s, host, netsim.FlowID(n+1), entry,
 				netsim.EntryAddr(entry, 1), rate, churnPktSize, stop)
-			s.ScheduleAt(start, src.Start)
+			src.StartAt(start)
 			n++
 		}
 	}

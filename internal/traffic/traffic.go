@@ -169,15 +169,14 @@ func (d *Driver) Completed() int {
 // UDPSource emits constant-bit-rate UDP packets for one entry, as in the
 // Figure 10 testbed (50 Mbps UDP alongside TCP).
 type UDPSource struct {
-	s      *sim.Sim
-	host   *netsim.Host
-	flow   netsim.FlowID
-	entry  netsim.EntryID
-	dst    uint32
-	size   int
-	gap    sim.Time
-	stop   sim.Time
-	tickFn func() // bound once: the tick→tick reschedule must not allocate
+	s     *sim.Sim
+	host  *netsim.Host
+	flow  netsim.FlowID
+	entry netsim.EntryID
+	dst   uint32
+	size  int
+	gap   sim.Time
+	stop  sim.Time
 
 	// Pool supplies the emitted packets; Start defaults it to the host's
 	// pool. Set it beforehand to draw from (and count reuse on) a pool
@@ -197,10 +196,22 @@ func NewUDPSource(s *sim.Sim, host *netsim.Host, flow netsim.FlowID, entry netsi
 	if !(rateBps > 0 && gap >= 1 && gap < math.MaxInt64) {
 		panic(fmt.Sprintf("traffic: UDP rate %v bps at %d-byte packets gives no packet gap sim.Time can hold", rateBps, pktSize))
 	}
-	u := &UDPSource{s: s, host: host, flow: flow, entry: entry, dst: dst, size: pktSize, gap: sim.Time(gap), stop: stop}
-	u.tickFn = u.tick
-	return u
+	return &UDPSource{s: s, host: host, flow: flow, entry: entry, dst: dst, size: pktSize, gap: sim.Time(gap), stop: stop}
 }
+
+// udpStart and udpTick are the UDPSource as the sim.Actor of its start
+// and of its per-packet tick, so neither allocates when armed.
+type (
+	udpStart UDPSource
+	udpTick  UDPSource
+)
+
+func (u *udpStart) Fire() { (*UDPSource)(u).Start() }
+func (u *udpTick) Fire()  { (*UDPSource)(u).tick() }
+
+// StartAt schedules Start at the absolute virtual time at, exactly where
+// an At(at, ·) call made now would run it.
+func (u *UDPSource) StartAt(at sim.Time) { u.s.AtActor(at, (*udpStart)(u)) }
 
 // Start begins emission.
 func (u *UDPSource) Start() {
@@ -219,5 +230,5 @@ func (u *UDPSource) tick() {
 	pkt.Proto, pkt.Size = netsim.ProtoUDP, u.size
 	u.host.Send(pkt)
 	u.Sent++
-	u.s.After(u.gap, u.tickFn)
+	u.s.AfterActor(u.gap, (*udpTick)(u))
 }

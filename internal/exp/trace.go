@@ -72,7 +72,6 @@ func (r *Table3Result) Render() string {
 // traceScenario holds the pieces shared by Table 3 and the baseline
 // comparison: a synthesized trace replayed through the two-switch topology.
 type traceScenario struct {
-	scale     Scale
 	trace     *traffic.Trace
 	dedicated []netsim.EntryID
 	cfg       fancy.Config
@@ -92,7 +91,6 @@ func buildTraceScenario(scale Scale, seed int64) *traceScenario {
 		dedicated[i] = netsim.EntryID(i) // historical top-N by construction
 	}
 	return &traceScenario{
-		scale:     scale,
 		trace:     tr,
 		dedicated: dedicated,
 		cfg: fancy.Config{

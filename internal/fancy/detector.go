@@ -454,7 +454,9 @@ func (d *Detector) DedicatedSlot(entry netsim.EntryID) (int, bool) {
 	return s, ok
 }
 
-// SessionsCompleted sums completed counting sessions across a port's units.
+// SessionsCompleted sums completed counting sessions across a port's live
+// units. It is not monotone: a demoted dynamic slot's sessions leave the
+// sum with its unit, and Restart starts every unit's count again at zero.
 func (d *Detector) SessionsCompleted(port int) uint64 {
 	m := d.monitor(port)
 	if m == nil {

@@ -21,7 +21,7 @@ func newPathIndex(det *Detector, port int, entries []netsim.EntryID) *pathIndex 
 	x := &pathIndex{port: port, byPath: make(map[string][]netsim.EntryID)}
 	for _, e := range entries {
 		if _, dedicated := det.DedicatedSlot(e); !dedicated {
-			k := pathKey(det.EntryPath(port, e))
+			k := pathKeyTest(det.EntryPath(port, e))
 			x.byPath[k] = append(x.byPath[k], e)
 		}
 	}
@@ -36,7 +36,7 @@ func (x *pathIndex) implicates(ev Event, entry netsim.EntryID) bool {
 	case EventDedicated:
 		return ev.Entry == entry
 	case EventTreeLeaf:
-		for _, e := range x.byPath[pathKey(ev.Path)] {
+		for _, e := range x.byPath[pathKeyTest(ev.Path)] {
 			if e == entry {
 				return true
 			}

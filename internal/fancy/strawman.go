@@ -53,7 +53,6 @@ func (c StrawmanConfig) MemoryBits() int {
 type StrawmanSender struct {
 	cfg  StrawmanConfig
 	s    *sim.Sim
-	sw   *netsim.Switch
 	port int
 
 	session uint32
@@ -76,7 +75,7 @@ type strawSession struct {
 // NewStrawmanSender installs the sender on sw's egress port.
 func NewStrawmanSender(s *sim.Sim, sw *netsim.Switch, port int, cfg StrawmanConfig) *StrawmanSender {
 	cfg.fill()
-	snd := &StrawmanSender{cfg: cfg, s: s, sw: sw, port: port}
+	snd := &StrawmanSender{cfg: cfg, s: s, port: port}
 	snd.history = append(snd.history, strawSession{id: snd.session})
 	sw.AddEgressHook(snd)
 	sw.RefreshEgressHooks()
@@ -154,7 +153,6 @@ func (snd *StrawmanSender) VerifiedFraction() float64 {
 type StrawmanReceiver struct {
 	cfg  StrawmanConfig
 	s    *sim.Sim
-	sw   *netsim.Switch
 	port int
 	peer *StrawmanSender // report delivery, subject to reverse-path loss
 
@@ -176,7 +174,7 @@ func NewStrawmanReceiver(s *sim.Sim, sw *netsim.Switch, port int, peer *Strawman
 	reverse *netsim.Failure, cfg StrawmanConfig) *StrawmanReceiver {
 	cfg.fill()
 	rcv := &StrawmanReceiver{
-		cfg: cfg, s: s, sw: sw, port: port, peer: peer, reverse: reverse,
+		cfg: cfg, s: s, port: port, peer: peer, reverse: reverse,
 		counts: make(map[uint32]uint64),
 	}
 	sw.AddIngressHook(rcv)

@@ -27,6 +27,12 @@ type zoomNode struct {
 }
 
 // treeSender runs the sender side of the tree session for one port.
+//
+// Pipelined zooms never nest: a wave starts only on a root counter no
+// surviving zoom has as its head, and each zoom moves down one level per
+// session, so a wave's zooms share a depth and have distinct paths. No
+// target prefixes another; a packet counts at the root and in at most one
+// zoom, and the receiver needs only each target's head to mirror that.
 type treeSender struct {
 	det    *Detector
 	port   int
@@ -102,19 +108,14 @@ func (t *treeSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
 		return t.tagNonPipelined(path)
 	}
 	t.root[path[0]]++
-	var deepest *zoomNode
 	for _, z := range t.zooms {
 		if isPrefix(z.path, path) {
-			z.counters[path[len(z.path)]]++
-			if deepest == nil || len(z.path) > len(deepest.path) {
-				deepest = z
-			}
+			c := path[len(z.path)]
+			z.counters[c]++
+			return wire.Tag{Node: z.nodeID, Counter: uint8(c)}, true
 		}
 	}
-	if deepest == nil {
-		return wire.Tag{Node: 0, Counter: uint8(path[0])}, true
-	}
-	return wire.Tag{Node: deepest.nodeID, Counter: uint8(path[len(deepest.path)])}, true
+	return wire.Tag{Node: 0, Counter: uint8(path[0])}, true
 }
 
 func (t *treeSender) tagNonPipelined(path []uint16) (wire.Tag, bool) {
@@ -194,7 +195,6 @@ func (t *treeSender) handleReport(counters []uint64) {
 	hadZooms := len(t.zooms) > 0
 	k := t.params.Split
 	var next []*zoomNode
-	taken := make(map[string]bool, len(t.zooms)) // paths active next session
 
 	// Ablation hook: explore mismatching counters in random order instead
 	// of largest-difference-first.
@@ -234,20 +234,11 @@ func (t *treeSender) handleReport(counters []uint64) {
 			t.localized[z.path[0]] = true
 			continue
 		}
-		children := 0
-		for _, m := range mis {
-			if children >= k {
-				break
-			}
+		for _, m := range mis[:min(k, len(mis))] {
 			p := make([]uint16, len(z.path)+1)
 			copy(p, z.path)
 			p[len(z.path)] = m.idx
-			if taken[pathKey(p)] {
-				continue
-			}
-			taken[pathKey(p)] = true
 			next = append(next, &zoomNode{path: p, counters: make([]uint64, w)})
-			children++
 		}
 	}
 
@@ -343,15 +334,6 @@ func (t *treeSender) handleReportNonPipelined(counters []uint64) {
 	}
 }
 
-func pathKey(p []uint16) string {
-	b := make([]byte, 2*len(p))
-	for i, v := range p {
-		b[2*i] = byte(v >> 8)
-		b[2*i+1] = byte(v)
-	}
-	return string(b)
-}
-
 // EntryPath returns the hash path the tree assigns to an entry, used by
 // evaluations to check the output Bloom filter.
 func (t *treeSender) EntryPath(entry netsim.EntryID) []uint16 {
@@ -364,17 +346,10 @@ type treeReceiver struct {
 
 	root  []uint64
 	nodes [][]uint64
-	// ancestors[i] lists (nodeIdx, counterIdx) increments implied by a tag
-	// for target i, precomputed from the prefix-closed target list.
-	ancestors [][]ancestorRef
+	heads []uint16 // heads[i]: target i's root counter, also counted by its tags
 
 	// Non-pipelined: single reused node.
 	node []uint64
-}
-
-type ancestorRef struct {
-	node    int // -1 = root
-	counter uint16
 }
 
 func newTreeReceiver(params tree.Params) *treeReceiver {
@@ -399,24 +374,14 @@ func (r *treeReceiver) resetSession(targets []wire.ZoomTarget) {
 	}
 	// The zoom configuration outlives this call (tag decoding reads it all
 	// session), while targets is borrowed from the control-message parse
-	// scratch: nodes and ancestors are derived from it by value (pathKey
-	// copies), so no slice of it may be kept. Healthy ports carry no zooms,
-	// so this allocates only while a failure is being chased.
+	// scratch: only each target's head is copied out, so no slice of it is
+	// kept. Healthy ports carry no zooms, so this allocates only while a
+	// failure is being chased.
 	r.nodes = make([][]uint64, len(targets))
-	r.ancestors = make([][]ancestorRef, len(targets))
-	idxByPath := make(map[string]int, len(targets))
+	r.heads = r.heads[:0]
 	for i, tg := range targets {
 		r.nodes[i] = make([]uint64, r.params.Width)
-		idxByPath[pathKey(tg.Path)] = i
-	}
-	for i, tg := range targets {
-		refs := []ancestorRef{{node: -1, counter: tg.Path[0]}}
-		for l := 1; l < len(tg.Path); l++ {
-			if pi, ok := idxByPath[pathKey(tg.Path[:l])]; ok {
-				refs = append(refs, ancestorRef{node: pi, counter: tg.Path[l]})
-			}
-		}
-		r.ancestors[i] = refs
+		r.heads = append(r.heads, tg.Path[0])
 	}
 }
 
@@ -437,13 +402,7 @@ func (r *treeReceiver) countTag(tag wire.Tag) {
 	if i >= len(r.nodes) {
 		return // stale tag from a previous session layout
 	}
-	for _, ref := range r.ancestors[i] {
-		if ref.node < 0 {
-			r.root[ref.counter]++
-		} else {
-			r.nodes[ref.node][ref.counter]++
-		}
-	}
+	r.root[r.heads[i]]++
 	if int(tag.Counter) < len(r.nodes[i]) {
 		r.nodes[i][tag.Counter]++
 	}

@@ -257,32 +257,20 @@ func TestZoomUniformClearsWaves(t *testing.T) {
 	}
 }
 
-func TestZoomReceiverAncestorCounting(t *testing.T) {
-	// A tag for the deepest node must increment the whole ancestor chain
-	// advertised in the zoom targets.
+func TestZoomReceiverHeadCounting(t *testing.T) {
+	// Targets never nest, so a node tag counts in its own node and in the
+	// root counter its target descends from, and nowhere else.
 	params := tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}
 	rcv := newTreeReceiver(params)
-	rcv.resetSession(wire2ZoomTargets([][]uint16{{3}, {3, 5}}))
+	rcv.resetSession(wire2ZoomTargets([][]uint16{{3, 5}, {4, 1}}))
 
-	// Tag: deepest node = target 1 (path [3,5]), counter 2.
-	rcv.countTag(tagFor(2, 2))
-	snap := rcv.appendSnapshot(nil)
-	// Layout: root(8) | node0(8) | node1(8).
-	if snap[3] != 1 {
-		t.Errorf("root[3] = %d, want 1", snap[3])
-	}
-	if snap[8+5] != 1 {
-		t.Errorf("node0[5] = %d, want 1 (ancestor)", snap[8+5])
-	}
-	if snap[16+2] != 1 {
-		t.Errorf("node1[2] = %d, want 1 (deepest)", snap[16+2])
-	}
-	var total uint64
-	for _, v := range snap {
-		total += v
-	}
-	if total != 3 {
-		t.Errorf("total increments = %d, want 3", total)
+	rcv.countTag(tagFor(2, 6)) // target {4,1}, counter 6
+	// Layout: root(8) | {3,5}(8) | {4,1}(8).
+	want := make([]uint64, 24)
+	want[4] = 1    // root: the target's head
+	want[16+6] = 1 // {4,1}: own counter
+	if got := rcv.appendSnapshot(nil); !slices.Equal(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
 	}
 }
 
@@ -396,30 +384,30 @@ func TestControlScratchNotRetained(t *testing.T) {
 				t.Fatal("control message was not consumed")
 			}
 		}
-		deliver(wire.MsgStart, 1, [][]uint16{{3}, {3, 5}})
+		deliver(wire.MsgStart, 1, [][]uint16{{3, 5}, {4, 1}})
 		if overwrite {
 			// A Stop for a session the receiver does not know: ignored by the
 			// FSM, but decoded — into the arrays the Start's targets were
 			// parsed into.
-			deliver(wire.MsgStop, 99, [][]uint16{{7}, {7, 1}})
-			if got := det.ctlScratch.Targets; len(got) != 2 || got[1].Path[0] != 7 {
+			deliver(wire.MsgStop, 99, [][]uint16{{7, 1}, {6, 2}})
+			if got := det.ctlScratch.Targets; len(got) != 2 || got[1].Path[0] != 6 {
 				t.Fatalf("scratch targets %v: the second message did not reuse the scratch", got)
 			}
 		}
 		rcv := det.listeners[1].tree.counters.(*treeReceiver)
-		// One tag per node: the root, target {3} and target {3,5} — the last
-		// implies root[3] and {3}'s counter 5 through its ancestor list.
+		// One tag per node: the root, target {3,5} and target {4,1}; each
+		// target's tag also counts at its head, root[3] or root[4].
 		for _, tag := range []wire.Tag{tagFor(0, 2), tagFor(1, 6), tagFor(2, 4)} {
 			rcv.countTag(tag)
 		}
 		return rcv.appendSnapshot(nil)
 	}
 	plain, overwritten := count(false), count(true)
-	// root ‖ node {3} ‖ node {3,5}, 8 counters each.
+	// root ‖ node {3,5} ‖ node {4,1}, 8 counters each.
 	want := make([]uint64, 24)
-	want[2], want[3] = 1, 2     // root: own tag; ancestor of both targets
-	want[8+6], want[8+5] = 1, 1 // {3}: own tag; ancestor of {3,5}
-	want[16+4] = 1              // {3,5}: own tag
+	want[2], want[3], want[4] = 1, 1, 1 // root: own tag; both targets' heads
+	want[8+6] = 1                       // {3,5}: own tag
+	want[16+4] = 1                      // {4,1}: own tag
 	if !slices.Equal(plain, want) {
 		t.Fatalf("counters without the overwrite = %v, want %v", plain, want)
 	}

@@ -84,9 +84,6 @@ type switchAgent struct {
 	degradedSince sim.Time
 	localReroutes int // reroutes performed during the current degraded spell
 
-	// Engagements counts offline→degraded transitions, for reporting.
-	engagements uint64
-
 	// Heavy-hitter allocation loop (populated only with Config.HH).
 	hhAlloc map[int]*hh.Allocator // per monitored port
 	hhStats hhAllocStats
@@ -144,7 +141,6 @@ func (a *switchAgent) onOnline(online bool) {
 			a.degraded = true
 			a.degradedSince = a.f.S.Now()
 			a.localReroutes = 0
-			a.engagements++
 		}
 		return
 	}

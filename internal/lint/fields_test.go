@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -13,7 +14,10 @@ import (
 // writes and that stay settable anyway, because a test needs a value
 // production does not use. Each has a row in DESIGN.md §2.2.
 var fieldKeepers = []string{
+	"fleet.Config.CongestionBytes",
+	"fleet.Config.Window",
 	"fleet.Flow.Until",
+	"fleet.VerifyConfig.MaxRetries",
 	"netsim.Chaos.CorruptData",
 	"netsim.Chaos.DupDelayMax",
 	"netsim.Chaos.JitterMax",
@@ -65,9 +69,16 @@ func TestExportedFieldsAreSet(t *testing.T) {
 // markWrites records every struct field f writes: a keyed or positional
 // composite-literal element, the target of an assignment or ++/--, the
 // operand of &, a field a nested selector or index writes through, and
-// a field a pointer-receiver method is called on.
+// a field a pointer-receiver method is called on. A default is not a
+// write: `x.F = <constant>` directly inside `if x.F == 0 { … }` only
+// fills in the value a field nobody set runs at.
 func markWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
 	mark := func(fv *types.Var) { written[fv.Origin()] = true }
+	defaults := make(map[*ast.AssignStmt]bool)
+	isZero := func(e ast.Expr) bool {
+		v := info.Types[e].Value
+		return v != nil && (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0
+	}
 	var target func(e ast.Expr)
 	target = func(e ast.Expr) {
 		switch x := e.(type) {
@@ -106,7 +117,21 @@ func markWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
 					mark(st.Field(i))
 				}
 			}
+		case *ast.IfStmt:
+			cond, ok := x.Cond.(*ast.BinaryExpr)
+			if !ok || cond.Op != token.EQL || !isZero(cond.Y) {
+				break
+			}
+			for _, st := range x.Body.List {
+				if as, ok := st.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 &&
+					info.Types[as.Rhs[0]].Value != nil && types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
+					defaults[as] = true
+				}
+			}
 		case *ast.AssignStmt:
+			if defaults[x] {
+				break
+			}
 			for _, l := range x.Lhs {
 				target(l)
 			}

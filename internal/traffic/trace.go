@@ -19,7 +19,6 @@ type TraceConfig struct {
 	FlowRate   float64 // aggregate flow arrivals/s
 	Prefixes   int     // number of /24 prefixes carrying traffic
 	Duration   sim.Time
-	Zipf       float64 // per-prefix byte-share skew exponent (default 1.05)
 	Seed       int64
 
 	// Scale divides all three rates and the prefix count, so tests can run
@@ -34,11 +33,11 @@ func (c TraceConfig) scaled() TraceConfig {
 		c.FlowRate /= c.Scale
 		c.Prefixes = int(float64(c.Prefixes)/c.Scale) + 1
 	}
-	if c.Zipf == 0 {
-		c.Zipf = 1.05
-	}
 	return c
 }
+
+// traceZipf is the per-prefix byte-share skew exponent of every trace.
+const traceZipf = 1.05
 
 // Trace is a synthesized workload slice.
 type Trace struct {
@@ -62,7 +61,7 @@ func Synthesize(cfg TraceConfig) *Trace {
 	cfg = cfg.scaled()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Config: cfg}
-	tr.HistoricalShare = ZipfShares(cfg.Prefixes, cfg.Zipf)
+	tr.HistoricalShare = ZipfShares(cfg.Prefixes, traceZipf)
 
 	// Jitter the slice shares log-normally and renormalize.
 	tr.SliceShare = make([]float64, cfg.Prefixes)

@@ -84,8 +84,9 @@ var (
 //
 // For dedicated counters, Node and Counter together hold the 16-bit entry
 // counter ID (Node is the high byte). For tree sessions, Node identifies the
-// deepest tree node the packet maps to in the current zoom configuration and
-// Counter the index within that node.
+// tree node the packet maps to in the current zoom configuration (pipelined:
+// the one zoom whose path prefixes the packet's, else 0, the root;
+// non-pipelined: the zooming stage) and Counter the index within that node.
 type Tag struct {
 	Node    uint8
 	Counter uint8

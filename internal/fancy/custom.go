@@ -65,7 +65,7 @@ func (d *Detector) MonitorCustom(port int, interval sim.Time, cs CustomSender) {
 		// the receiver supports one custom unit per port.
 		panic(fmt.Sprintf("fancy: port %d already has a custom session", port))
 	}
-	m.custom = d.startUnit(port, wire.KindCustom, customUnitBase, interval, 0, &customSenderAdapter{cs})
+	m.custom = d.startUnit(new(senderFSM), port, wire.KindCustom, customUnitBase, interval, 0, &customSenderAdapter{cs})
 }
 
 // ListenCustom registers the downstream half of the custom session arriving

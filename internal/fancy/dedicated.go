@@ -10,6 +10,21 @@ import (
 	"fancy/internal/wire"
 )
 
+// senderUnit and receiverUnit are a dedicated unit's FSM and counter in one
+// record, with the receiver's one-counter Report buffer: an element of a
+// port's block for a static slot, or a promoted slot's own object.
+type (
+	senderUnit struct {
+		fsm senderFSM
+		ctr dedicatedSender
+	}
+	receiverUnit struct {
+		fsm    receiverFSM
+		ctr    dedicatedReceiver
+		report [1]uint64
+	}
+)
+
 // dedicatedSender is the sender-side counter for one high-priority entry.
 type dedicatedSender struct {
 	det   *Detector

@@ -63,7 +63,10 @@ type Detector struct {
 
 	// ctlPkts issues the control packets this detector sends; netsim brings
 	// each one back, Ctl buffer included, when the peer has consumed it.
+	// ctlMax is the largest message marshalled so far: the capacity a new
+	// Ctl buffer gets.
 	ctlPkts netsim.PacketPool
+	ctlMax  int
 
 	// OnEvent receives every detection event (required for experiments;
 	// may be nil).
@@ -88,7 +91,12 @@ type Detector struct {
 type unitTable[F any] struct {
 	// dedicated is indexed by slot, which is also the wire unit number:
 	// the static slots, then cfg.DynamicSlots promoted ones (nil when
-	// free, or on the receiver side before the unit's first Start).
+	// free, or on the receiver side before the unit's first Start). A
+	// static slot's FSM lives in its port's block (senderUnit,
+	// receiverUnit), one allocation per port; a promoted one is its own
+	// object. A record serves one incarnation: a killed sender FSM's
+	// sessionOpen cannot be cancelled and may still be queued, so Restart
+	// and Promote build fresh records rather than reset old ones.
 	dedicated []*F
 	tree      *F
 	custom    *F // the custom session's unit, or nil
@@ -167,6 +175,9 @@ type portMonitor struct {
 type portListener struct {
 	unitTable[receiverFSM]
 	customRecv CustomReceiver // ListenCustom's downstream half, or nil
+	// block holds the static slots' receiver records; the first Start of
+	// any of them allocates it, and Restart drops it.
+	block []receiverUnit
 }
 
 // NewDetector validates cfg (running the §4.3 input translation) and hooks
@@ -259,13 +270,16 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 	if m := d.monitors[port]; m != nil {
 		return &m.out
 	}
+	total := len(d.cfg.HighPriority) + d.cfg.DynamicSlots
 	m := &portMonitor{
 		det: d, port: port,
 		out: Outputs{
-			Flags: NewFlagArray(len(d.cfg.HighPriority) + d.cfg.DynamicSlots),
+			Flags: NewFlagArray(total),
 			Bloom: NewPathBloom(DefaultBloomCells),
 		},
+		free: make([]int, 0, d.cfg.DynamicSlots),
 	}
+	m.dedicated = make([]*senderFSM, total)
 	d.startMonitor(m, port)
 	d.monitors[port] = m
 	return &m.out
@@ -274,14 +288,14 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 // startMonitor (re)builds and launches a port's sender FSMs. Session starts
 // are staggered across the exchange interval so control messages do not
 // burst. Restart reuses it with the existing portMonitor so caller-held
-// *Outputs pointers stay valid.
+// *Outputs pointers stay valid; the static slots get a new block each call.
 func (d *Detector) startMonitor(m *portMonitor, port int) {
-	n := len(d.cfg.HighPriority)
-	m.dedicated = m.dedicated[:0]
-	m.slots = make(map[netsim.EntryID]int, n)
+	n, total := len(d.cfg.HighPriority), len(m.dedicated)
+	m.slots = make(map[netsim.EntryID]int, total)
+	block := make([]senderUnit, n)
 	for slot, entry := range d.cfg.HighPriority {
 		delay := sim.Time(int64(d.cfg.ExchangeInterval) * int64(slot) / int64(max(n, 1)))
-		m.dedicated = append(m.dedicated, d.startDedicated(port, slot, entry, delay))
+		m.dedicated[slot] = d.startDedicated(&block[slot], port, slot, entry, delay)
 		m.slots[entry] = slot
 	}
 	// Dynamic slots start free; Promote fills them. After a restart the
@@ -289,8 +303,8 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 	// the allocation controller relearns from fresh reports (it notices
 	// the epoch change).
 	m.free = m.free[:0]
-	for slot := n; slot < n+d.cfg.DynamicSlots; slot++ {
-		m.dedicated = append(m.dedicated, nil)
+	for slot := n; slot < total; slot++ {
+		m.dedicated[slot] = nil
 		m.free = append(m.free, slot)
 	}
 	if d.cfg.HH != nil {
@@ -301,24 +315,25 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 		m.hhTimer = d.s.ScheduleTimerActor(hhReportInterval, (*hhTicker)(m))
 	}
 	m.treeCnt = newTreeSender(d, port, d.cfg.Tree, d.cfg.TreeSeed)
-	m.tree = d.startUnit(port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, m.treeCnt)
+	m.tree = d.startUnit(new(senderFSM), port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, m.treeCnt)
 	if c := m.custom; c != nil {
-		m.custom = d.startUnit(port, wire.KindCustom, customUnitBase, c.interval, 0, c.counters)
+		m.custom = d.startUnit(new(senderFSM), port, wire.KindCustom, customUnitBase, c.interval, 0, c.counters)
 	}
 }
 
-// startUnit builds the sender FSM of one unit and opens its first session
-// after delay.
-func (d *Detector) startUnit(port int, kind wire.SessionKind, unit uint16, interval, delay sim.Time, c senderCounters) *senderFSM {
-	fsm := &senderFSM{det: d, port: port, kind: kind, unit: unit, interval: interval, counters: c}
+// startUnit makes fsm, a record no queued event refers to, the sender FSM
+// of one unit and opens its first session after delay.
+func (d *Detector) startUnit(fsm *senderFSM, port int, kind wire.SessionKind, unit uint16, interval, delay sim.Time, c senderCounters) *senderFSM {
+	*fsm = senderFSM{det: d, port: port, kind: kind, unit: unit, interval: interval, counters: c}
 	d.s.AfterActor(delay, (*sessionOpen)(fsm))
 	return fsm
 }
 
-// startDedicated starts the unit counting entry in a dedicated slot.
-func (d *Detector) startDedicated(port, slot int, entry netsim.EntryID, delay sim.Time) *senderFSM {
-	return d.startUnit(port, wire.KindDedicated, uint16(slot), d.cfg.ExchangeInterval, delay,
-		&dedicatedSender{det: d, port: port, slot: slot, entry: entry})
+// startDedicated starts, in the fresh record u, the unit counting entry in
+// a dedicated slot.
+func (d *Detector) startDedicated(u *senderUnit, port, slot int, entry netsim.EntryID, delay sim.Time) *senderFSM {
+	u.ctr = dedicatedSender{det: d, port: port, slot: slot, entry: entry}
+	return d.startUnit(&u.fsm, port, wire.KindDedicated, uint16(slot), d.cfg.ExchangeInterval, delay, &u.ctr)
 }
 
 // Restart models a device reboot: all protocol and counter state is wiped,
@@ -350,7 +365,7 @@ func (d *Detector) Restart() {
 		}
 		l.each((*receiverFSM).kill)
 		clear(l.dedicated)
-		l.tree, l.custom = nil, nil
+		l.tree, l.custom, l.block = nil, nil, nil
 	}
 }
 
@@ -553,9 +568,13 @@ func (d *Detector) LinkDown(port int) bool {
 // paper's overhead analysis uses.
 func (d *Detector) sendControl(port int, m *wire.Message) int {
 	pkt := d.ctlPkts.Get()
-	if n := m.WireSize(); cap(pkt.Ctl) < n {
-		// One exact allocation, not Marshal's header-then-payload growth.
-		pkt.Ctl = make([]byte, 0, n)
+	n := m.WireSize()
+	d.ctlMax = max(d.ctlMax, n)
+	if cap(pkt.Ctl) < n {
+		// One allocation, not Marshal's header-then-payload growth, sized
+		// so a recycled packet later carrying the biggest Report seen (a
+		// tree snapshot) is not re-allocated.
+		pkt.Ctl = make([]byte, 0, d.ctlMax)
 	}
 	pkt.Ctl = m.Marshal(pkt.Ctl)
 	size := len(pkt.Ctl)
@@ -652,19 +671,33 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 	}
 }
 
+// newReceiverFSM builds the receiver FSM of m's unit, whose cell is empty.
+// A static dedicated unit takes its record from the port's block: each cell
+// is filled once per incarnation, so no record is handed out twice.
 func (d *Detector) newReceiverFSM(l *portListener, port int, m *wire.Message) *receiverFSM {
-	fsm := &receiverFSM{det: d, port: port, kind: m.Kind, unit: m.Unit}
+	var fsm *receiverFSM
 	switch m.Kind {
 	case wire.KindTree:
-		fsm.counters = newTreeReceiver(d.cfg.Tree)
+		fsm = &receiverFSM{counters: newTreeReceiver(d.cfg.Tree)}
 	case wire.KindCustom:
 		if l.customRecv == nil || m.Unit != customUnitBase {
 			return nil
 		}
-		fsm.counters = &customReceiverAdapter{l.customRecv}
+		fsm = &receiverFSM{counters: &customReceiverAdapter{l.customRecv}}
 	default:
-		fsm.counters = &dedicatedReceiver{}
+		var u *receiverUnit
+		if n := len(d.cfg.HighPriority); int(m.Unit) < n {
+			if l.block == nil {
+				l.block = make([]receiverUnit, n)
+			}
+			u = &l.block[m.Unit]
+		} else {
+			u = new(receiverUnit)
+		}
+		u.fsm.counters, u.fsm.lastReport = &u.ctr, u.report[:0]
+		fsm = &u.fsm
 	}
+	fsm.det, fsm.port, fsm.kind, fsm.unit = d, port, m.Kind, m.Unit
 	return fsm
 }
 

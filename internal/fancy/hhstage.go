@@ -64,7 +64,7 @@ func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 	slot := m.free[0]
 	m.free = m.free[1:]
 	m.slots[entry] = slot
-	m.dedicated[slot] = d.startDedicated(port, slot, entry, 0)
+	m.dedicated[slot] = d.startDedicated(new(senderUnit), port, slot, entry, 0)
 	d.stats.Promotions++
 	return slot, nil
 }

@@ -191,13 +191,19 @@ func TestTaggedPacketPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestUnitStartAllocatesOnlyItsFSM pins what a unit costs to bring up. Its
-// timers fire the FSM itself (sessionOpen, rtxFire, countingEnd,
-// reportWait), so starting a sender FSM allocates the FSM alone, and
-// creating a receiver FSM and arming its Twait allocates the FSM and its
-// counters; a method value bound for a timer would add one object each.
+// TestUnitStartAllocatesOnlyItsFSM pins what a promoted unit costs to bring
+// up. Its timers fire the FSM itself (sessionOpen, rtxFire, countingEnd,
+// reportWait), so starting a promoted slot's sender allocates its record
+// (FSM and counter) alone, and so does creating its receiver and arming
+// Twait (FSM, counter and Report buffer); a method value bound for a timer
+// would add one object each. A record serves one incarnation, so the
+// receiver is built for the dynamic slot, which takes a fresh record every
+// time: a static slot takes its port block's record once (see
+// TestDedicatedFirstStartAllocatesNothing).
 func TestUnitStartAllocatesOnlyItsFSM(t *testing.T) {
-	tb := newTestbed(t, testCfg, 44)
+	cfg := testCfg
+	cfg.DynamicSlots = 1
+	tb := newTestbed(t, cfg, 44)
 	// Warm the event pool past what the runs below queue.
 	var held []sim.Timer
 	for i := 0; i < 300; i++ {
@@ -208,29 +214,130 @@ func TestUnitStartAllocatesOnlyItsFSM(t *testing.T) {
 	}
 
 	up := tb.det
-	counters := &dedicatedSender{det: up, port: 1, slot: 0, entry: testCfg.HighPriority[0]}
+	dynamic := len(cfg.HighPriority)
 	startSender := func() {
-		up.startUnit(1, wire.KindDedicated, 0, up.cfg.ExchangeInterval, sim.Millisecond, counters)
+		up.startDedicated(new(senderUnit), 1, dynamic, 500, sim.Millisecond)
 	}
 	if avg := testing.AllocsPerRun(100, startSender); avg != 1 {
-		t.Errorf("starting a sender FSM allocates %.2f objects, want 1 (the FSM)", avg)
+		t.Errorf("starting a promoted sender allocates %.2f objects, want 1 (its record)", avg)
 	}
 
 	down := tb.downDet
 	l := down.listeners[0]
-	start := &wire.Message{Header: wire.Header{Type: wire.MsgStart, Kind: wire.KindDedicated, Session: 1}}
-	stop := &wire.Message{Header: wire.Header{Type: wire.MsgStop, Kind: wire.KindDedicated, Session: 1}}
+	start := &wire.Message{Header: wire.Header{Type: wire.MsgStart, Kind: wire.KindDedicated, Session: 1, Unit: uint16(dynamic)}}
+	stop := &wire.Message{Header: wire.Header{Type: wire.MsgStop, Kind: wire.KindDedicated, Session: 1, Unit: uint16(dynamic)}}
 	var rx *receiverFSM
 	startReceiver := func() {
 		rx = down.newReceiverFSM(l, 0, start)
 		rx.session, rx.haveSess, rx.state = 1, true, rCounting // as a Start leaves it
 		rx.onControl(stop)
 	}
-	if avg := testing.AllocsPerRun(100, startReceiver); avg != 2 {
-		t.Errorf("creating a receiver FSM and arming its Twait allocates %.2f objects, want 2 (the FSM and its counters)", avg)
+	if avg := testing.AllocsPerRun(100, startReceiver); avg != 1 {
+		t.Errorf("creating a promoted receiver and arming its Twait allocates %.2f objects, want 1 (its record)", avg)
 	}
 	if rx.state != rWaitToSend || !rx.twait.Active() {
 		t.Errorf("the receiver FSM is in state %v with Twait armed %v, want waiting to send", rx.state, rx.twait.Active())
+	}
+}
+
+// TestMonitorPortAllocatesPerPort pins the per-port sender block: the
+// static slots' FSMs and counters are one allocation, so MonitorPort
+// allocates as many objects for 1 static slot as for 16. Both carry the
+// 8 dynamic slots of the grid deployment; the slot map is sized for static
+// and dynamic slots together, and a map of up to 8 entries is 2 objects
+// where a larger one is 4, whatever its size.
+func TestMonitorPortAllocatesPerPort(t *testing.T) {
+	const ports = 12
+	allocs := func(static int) float64 {
+		cfg := testCfg
+		cfg.DynamicSlots = 8
+		cfg.HighPriority = make([]netsim.EntryID, static)
+		for i := range cfg.HighPriority {
+			cfg.HighPriority[i] = netsim.EntryID(10 + i)
+		}
+		s := sim.New(1)
+		det, err := NewDetector(s, netsim.NewSwitch(s, "up", ports), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the event pool past what the runs below queue.
+		var held []sim.Timer
+		for i := 0; i < ports*(static+1)+100; i++ {
+			held = append(held, s.ScheduleTimer(sim.Second, func() {}))
+		}
+		for i := range held {
+			held[i].Stop()
+		}
+		port := 0
+		avg := testing.AllocsPerRun(ports-1, func() {
+			det.MonitorPort(port)
+			port++
+		})
+		if port != ports {
+			t.Fatalf("monitored %d ports, want %d", port, ports)
+		}
+		for p := 0; p < ports; p++ {
+			m := det.monitors[p]
+			if m == nil || len(m.dedicated) != static+8 || len(m.free) != 8 || m.tree == nil {
+				t.Fatalf("port %d: monitor %+v not fully built", p, m)
+			}
+			for slot := 1; slot < static; slot++ {
+				if m.dedicated[slot] == m.dedicated[0] || m.dedicated[slot].unit != uint16(slot) {
+					t.Fatalf("port %d slot %d: FSM %p is not its own unit", p, slot, m.dedicated[slot])
+				}
+			}
+		}
+		return avg
+	}
+	one, sixteen := allocs(1), allocs(16)
+	if one != sixteen {
+		t.Errorf("MonitorPort allocates %.2f objects with 1 static slot and %.2f with 16, want the same", one, sixteen)
+	}
+}
+
+// TestDedicatedFirstStartAllocatesNothing pins the per-port receiver block:
+// once a listener's block exists, a static unit's first Start takes its
+// record from it, and the unit's first Report marshals its counter from
+// the record's own one-counter buffer into a recycled control packet, so
+// neither allocates.
+func TestDedicatedFirstStartAllocatesNothing(t *testing.T) {
+	cfg := testCfg
+	cfg.HighPriority = make([]netsim.EntryID, 16)
+	for i := range cfg.HighPriority {
+		cfg.HighPriority[i] = netsim.EntryID(10 + i)
+	}
+	s := sim.New(1)
+	// Port 0 has no link: every control message dies at Inject and goes
+	// straight back to the detector's pool.
+	det, err := NewDetector(s, netsim.NewSwitch(s, "down", 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.ListenPort(0)
+	l := det.listeners[0]
+	start := &wire.Message{Header: wire.Header{Type: wire.MsgStart, Kind: wire.KindDedicated, Epoch: 1, Session: 1}}
+	stop := &wire.Message{Header: wire.Header{Type: wire.MsgStop, Kind: wire.KindDedicated, Epoch: 1, Session: 1}}
+	unit := 0
+	firstSession := func() {
+		start.Unit, stop.Unit = uint16(unit), uint16(unit)
+		det.handleControl(start, 0)
+		det.handleControl(stop, 0)
+		s.Run(s.Now() + DefaultTwait) // Twait fires the Report
+		unit++
+	}
+	firstSession() // allocates the block, the pooled packet and the event pool
+	if avg := testing.AllocsPerRun(10, firstSession); avg != 0 {
+		t.Errorf("a dedicated unit's first Start and Report allocate %.2f objects, want 0", avg)
+	}
+	for u := 0; u < unit; u++ {
+		f := l.dedicated[u]
+		if f != &l.block[u].fsm || f.state != rIdle || len(f.lastReport) != 1 {
+			t.Fatalf("unit %d: FSM %p (block record %p) in state %v with report %v, want its record, idle, reported",
+				u, f, &l.block[u].fsm, f.state, f.lastReport)
+		}
+	}
+	if want := uint64(2 * unit); det.CtlMsgsSent != want {
+		t.Errorf("sent %d control messages, want %d (an ACK and a Report per unit)", det.CtlMsgsSent, want)
 	}
 }
 

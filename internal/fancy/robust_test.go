@@ -244,6 +244,68 @@ func TestReceiverRestartResync(t *testing.T) {
 	}
 }
 
+// TestStaleIncarnationOpensNoSession pins "one record, one incarnation". A
+// killed sender FSM's sessionOpen cannot be cancelled, so it may still be
+// queued when its unit is rebuilt: by Restart before the staggered starts
+// have fired, or by Demote then Promote of the same dynamic slot within one
+// instant. That event must fire on the killed record, never open a second
+// session on the new unit — which it would if the record were reused.
+func TestStaleIncarnationOpensNoSession(t *testing.T) {
+	// fresh checks that every new unit opened exactly one session and sent
+	// one Start, and that no killed unit opened any.
+	fresh := func(t *testing.T, killed, live []*senderFSM) {
+		t.Helper()
+		for i, f := range live {
+			if f == killed[i] {
+				t.Errorf("unit %d: the rebuilt unit reuses its killed record", f.unit)
+			}
+			if f.session != 1 || f.CtlSent != 1 {
+				t.Errorf("unit %d: session %d after %d control messages, want 1 and 1", f.unit, f.session, f.CtlSent)
+			}
+			if killed[i].session != 0 {
+				t.Errorf("unit %d: the killed record opened session %d", f.unit, killed[i].session)
+			}
+		}
+	}
+
+	t.Run("restart", func(t *testing.T) {
+		tb := newTestbed(t, testCfg, 35)
+		m := tb.det.monitors[1]
+		// Nothing has run: every static unit's sessionOpen is queued, at
+		// 0, 1/3 and 2/3 of the exchange interval.
+		killed := append([]*senderFSM(nil), m.dedicated...)
+		tb.det.Restart()
+		tb.downDet.Restart()
+		if l := tb.downDet.listeners[0]; l.block != nil {
+			t.Error("a restarted listener kept its receiver block")
+		}
+		// Every start has fired; the first session closes at about 90 ms.
+		tb.s.Run(DefaultExchangeInterval * 4 / 5)
+		fresh(t, killed, m.dedicated)
+	})
+
+	t.Run("demote-promote", func(t *testing.T) {
+		cfg := testCfg
+		cfg.DynamicSlots = 2
+		tb := newTestbed(t, cfg, 36)
+		tb.s.Run(100 * sim.Millisecond)
+		slot, err := tb.det.Promote(1, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		killed := []*senderFSM{tb.det.monitors[1].dedicated[slot]}
+		if err := tb.det.Demote(1, 500); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := tb.det.Promote(1, 500); err != nil || again != slot {
+			t.Fatalf("re-promotion took slot %d (%v), want %d", again, err, slot)
+		}
+		// Both sessionOpens fire now; the Start ACK is 20 ms away.
+		tb.s.Run(tb.s.Now() + sim.Millisecond)
+		fresh(t, killed, tb.det.monitors[1].dedicated[slot:slot+1])
+	})
+}
+
 func TestRestartStillDetectsRealFailures(t *testing.T) {
 	// A restart must reset, not lobotomize: a gray failure present after
 	// the reboot is still caught.

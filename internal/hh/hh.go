@@ -108,12 +108,12 @@ type Sketch struct {
 func NewSketch(p Params) *Sketch {
 	p = p.withDefaults()
 	sk := &Sketch{p: p, rnd: RandInit(p.Seed)}
-	sk.keys = make([][]uint32, p.Stages)
-	sk.counts = make([][]uint32, p.Stages)
-	for i := range sk.keys {
-		sk.keys[i] = make([]uint32, p.Width)
-		sk.counts[i] = make([]uint32, p.Width)
+	// The 2 × Stages rows share one array: one allocation, not one per row.
+	rows, cells := make([][]uint32, 2*p.Stages), make([]uint32, 2*p.Stages*p.Width)
+	for i := range rows {
+		rows[i] = cells[i*p.Width : (i+1)*p.Width]
 	}
+	sk.keys, sk.counts = rows[:p.Stages], rows[p.Stages:]
 	return sk
 }
 

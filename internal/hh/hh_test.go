@@ -275,3 +275,28 @@ func TestReportRejects(t *testing.T) {
 		t.Error("non-minimal varint decoded without error")
 	}
 }
+
+// TestNewSketchAllocatesThreeObjects pins the sketch's layout: the Sketch,
+// its row headers and one array behind all 2 × Stages rows, whatever the
+// depth. Rows sharing that array must still not overlap.
+func TestNewSketchAllocatesThreeObjects(t *testing.T) {
+	for _, stages := range []int{1, 3, 8} {
+		p := Params{Stages: stages, Width: 16, Seed: 3}
+		if avg := testing.AllocsPerRun(20, func() { NewSketch(p) }); avg != 3 {
+			t.Errorf("%d stages: NewSketch allocates %.2f objects, want 3", stages, avg)
+		}
+		sk := NewSketch(p)
+		for i := 0; i < stages; i++ {
+			for j := 0; j < p.Width; j++ {
+				sk.keys[i][j], sk.counts[i][j] = uint32(1+i*p.Width+j), uint32(1000+i*p.Width+j)
+			}
+		}
+		for i := 0; i < stages; i++ {
+			for j := 0; j < p.Width; j++ {
+				if k, c := sk.Slot(i, j); k != uint32(1+i*p.Width+j) || c != uint32(1000+i*p.Width+j) {
+					t.Fatalf("%d stages: slot %d/%d reads %d/%d after every cell was written", stages, i, j, k, c)
+				}
+			}
+		}
+	}
+}

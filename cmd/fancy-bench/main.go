@@ -5,13 +5,13 @@
 //
 //	fancy-bench -list
 //	fancy-bench -exp fig7,table3
-//	fancy-bench -exp all -full                # paper-scale parameters (slow)
-//	fancy-bench -exp fleet -full -workers 4   # parallel fleet trials
+//	fancy-bench -exp all -full   # paper-scale parameters (slow)
 //
 // Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record. Stdout is the artifact:
-// byte-identical for a seed at any -workers value, and pinned by
-// testdata/*.golden (refresh one with `go run ./cmd/fancy-bench [args] >
+// EXPERIMENTS.md for the paper-vs-measured record. An experiment's
+// independent trials run on GOMAXPROCS goroutines. Stdout is the artifact:
+// byte-identical for a seed at any GOMAXPROCS, and pinned by testdata/*.golden
+// (refresh one with `go run ./cmd/fancy-bench [args] >
 // cmd/fancy-bench/testdata/<name>.golden` in the change that explains why a
 // number moved). The per-experiment host-time footers go to stderr.
 package main
@@ -35,10 +35,8 @@ type experiment struct {
 	run  func(scale exp.Scale, seed int64) string
 }
 
-// experiments builds the registry. workers sets the trial-level
-// parallelism of the fleet sweeps (1 = sequential; results are
-// byte-identical for every value).
-func experiments(workers int) []experiment {
+// experiments builds the registry.
+func experiments() []experiment {
 	return []experiment{
 		{"table2", "LossRadar requirements vs switch capabilities (§2.3)",
 			func(exp.Scale, int64) string { return exp.Table2() }},
@@ -75,13 +73,13 @@ func experiments(workers int) []experiment {
 			func(s exp.Scale, seed int64) string { return exp.Figure10(s, seed).Render() }},
 		{"fleet", "ISP-wide fleet: Abilene gray-link localization + gated reroute",
 			func(s exp.Scale, seed int64) string {
-				return exp.FleetAbileneWorkers(s, seed, false, workers).Render()
+				return exp.FleetAbilene(s, seed, false).Render()
 			}},
 		{"fleet-chaos", "fleet survivability: localization vs mgmt-plane loss + correlator crash",
 			func(s exp.Scale, seed int64) string { return exp.FleetChaos(s, seed).Render() }},
 		{"fleet-verified", "fleet localization sweep with the verified-commit gate on",
 			func(s exp.Scale, seed int64) string {
-				return exp.FleetAbileneWorkers(s, seed, true, workers).Render()
+				return exp.FleetAbilene(s, seed, true).Render()
 			}},
 		{"verified-reroute", "verified reroute: concurrent-failure chaos suite",
 			func(s exp.Scale, seed int64) string { return exp.VerifiedReroute(s, seed).Render() }},
@@ -112,21 +110,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fancy-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list    = fs.Bool("list", false, "list experiments and exit")
-		expt    = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		full    = fs.Bool("full", false, "paper-scale parameters (slow)")
-		seed    = fs.Int64("seed", 20220822, "random seed")
-		workers = fs.Int("workers", 1, "trial-level parallelism of the fleet sweeps (same results at any value)")
+		list = fs.Bool("list", false, "list experiments and exit")
+		expt = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		full = fs.Bool("full", false, "paper-scale parameters (slow)")
+		seed = fs.Int64("seed", 20220822, "random seed")
 	)
 	if code, done := flagcheck.Parse(fs, args); done {
 		return code
 	}
-	if *workers < 1 {
-		fmt.Fprintf(stderr, "fancy-bench: -workers must be >= 1, got %d\n", *workers)
-		return 2
-	}
-
-	all := experiments(*workers)
+	all := experiments()
 	if *list {
 		for _, e := range all {
 			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)

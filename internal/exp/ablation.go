@@ -61,30 +61,29 @@ func (r *StrawmanResult) Render() string {
 // without reverse-path loss.
 func AblationStrawman(scale Scale, seed int64) *StrawmanResult {
 	duration := pick(scale, 6*sim.Second, 20*sim.Second)
-	res := &StrawmanResult{}
-
-	for _, revLoss := range []float64{0, 0.3} {
-		// FANcY stop-and-wait: one dedicated entry = 80 bits.
-		fancyRow := StrawmanRow{Protocol: "fancy-stop-and-wait", ReverseLoss: revLoss,
-			MemoryBits: core.DedicatedEntryBits}
-		fancyRow.DetectedPartial = runFancyOnce(seed, revLoss, 0.5, duration)
-		fancyRow.DetectedBlackhole = runFancyOnce(seed+1, revLoss, 1.0, duration)
-		fancyRow.Verified = 1 // retransmissions make every session usable
-		res.Rows = append(res.Rows, fancyRow)
-
-		for _, k := range []int{1, 2, 4} {
-			cfg := core.StrawmanConfig{Entry: 7, History: k}
-			row := StrawmanRow{
-				Protocol:    fmt.Sprintf("strawman-k%d", k),
-				ReverseLoss: revLoss,
-				MemoryBits:  cfg.MemoryBits(),
-			}
-			row.Verified, row.DetectedPartial = runStrawmanOnce(seed+int64(k), cfg, revLoss, 0.5, duration)
-			_, row.DetectedBlackhole = runStrawmanOnce(seed+int64(k)+10, cfg, revLoss, 1.0, duration)
-			res.Rows = append(res.Rows, row)
+	// Per reverse-loss level, one row for FANcY (k = 0) and one per
+	// strawman history depth.
+	ks := []int{0, 1, 2, 4}
+	return &StrawmanResult{Rows: trials(2*len(ks), func(c int) StrawmanRow {
+		revLoss, k := []float64{0, 0.3}[c/len(ks)], ks[c%len(ks)]
+		if k == 0 {
+			// FANcY stop-and-wait: one dedicated entry = 80 bits;
+			// retransmissions make every session usable.
+			return StrawmanRow{Protocol: "fancy-stop-and-wait", ReverseLoss: revLoss,
+				MemoryBits: core.DedicatedEntryBits, Verified: 1,
+				DetectedPartial:   runFancyOnce(seed, revLoss, 0.5, duration),
+				DetectedBlackhole: runFancyOnce(seed+1, revLoss, 1.0, duration)}
 		}
-	}
-	return res
+		cfg := core.StrawmanConfig{Entry: 7, History: k}
+		row := StrawmanRow{
+			Protocol:    fmt.Sprintf("strawman-k%d", k),
+			ReverseLoss: revLoss,
+			MemoryBits:  cfg.MemoryBits(),
+		}
+		row.Verified, row.DetectedPartial = runStrawmanOnce(seed+int64(k), cfg, revLoss, 0.5, duration)
+		_, row.DetectedBlackhole = runStrawmanOnce(seed+int64(k)+10, cfg, revLoss, 1.0, duration)
+		return row
+	})}
 }
 
 func runFancyOnce(seed int64, revLoss, failRate float64, duration sim.Time) bool {
@@ -97,16 +96,9 @@ func runFancyOnce(seed int64, revLoss, failRate float64, duration sim.Time) bool
 		FailAt: 1 * sim.Second, LossRate: failRate,
 		Failed: []netsim.EntryID{7},
 		Loads:  []EntryLoad{{Entry: 7, RateBps: 2e6}},
-		UDP:    true, StopWhenDetected: true,
+		UDP:    true, StopWhenDetected: true, ReverseLoss: revLoss,
 	}
-	out := runWithReverseLoss(sc, revLoss)
-	return out.PerEntry[7].Detected
-}
-
-// runWithReverseLoss wraps Scenario.Run with reverse-direction loss.
-func runWithReverseLoss(sc *Scenario, revLoss float64) *Outcome {
-	sc.ReverseLoss = revLoss
-	return sc.Run()
+	return sc.Run().PerEntry[7].Detected
 }
 
 func runStrawmanOnce(seed int64, cfg core.StrawmanConfig, revLoss, failRate float64,
@@ -166,11 +158,11 @@ func AblationSelection(scale Scale, seed int64) *SelectionResult {
 	reps := pick(scale, 3, 10)
 	nFailed := 8
 
-	res := &SelectionResult{}
-	for _, policy := range []core.ZoomSelection{core.SelectMaxDiff, core.SelectRandom} {
+	policies := []core.ZoomSelection{core.SelectMaxDiff, core.SelectRandom}
+	return &SelectionResult{Rows: trials(len(policies), func(i int) SelectionRow {
+		policy := policies[i]
 		var heavy []float64
-		var acc stats.Acc
-		acc.Cap = duration.Seconds()
+		acc := stats.Acc{Cap: duration.Seconds()}
 		for rep := 0; rep < reps; rep++ {
 			failed := make([]netsim.EntryID, nFailed)
 			loads := make([]EntryLoad, nFailed)
@@ -207,13 +199,12 @@ func AblationSelection(scale Scale, seed int64) *SelectionResult {
 		if policy == core.SelectRandom {
 			name = "random"
 		}
-		res.Rows = append(res.Rows, SelectionRow{
+		return SelectionRow{
 			Policy:            name,
 			HeavyDetectedSecs: stats.Mean(heavy),
 			TPR:               acc.TPR(),
-		})
-	}
-	return res
+		}
+	})}
 }
 
 // BlinkRow is one detector's outcome in the Blink comparison.
@@ -256,20 +247,19 @@ func (r *BlinkResult) Render() string {
 // former; FANcY detects both.
 func AblationBlink(scale Scale, seed int64) *BlinkResult {
 	duration := pick(scale, 10*sim.Second, 20*sim.Second)
-	res := &BlinkResult{}
-	for _, c := range []struct {
+	cases := []struct {
 		name     string
 		fraction float64
 	}{
 		{"all flows (hard failure)", 1.0},
 		{"20% of flows (gray)", 0.20},
-	} {
-		row := BlinkRow{Scenario: c.name}
-		row.BlinkDetected, row.BlinkSecs, row.FancyDetected, row.FancySecs =
-			runBlinkVsFancy(seed, c.fraction, duration)
-		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return &BlinkResult{Rows: trials(len(cases), func(i int) BlinkRow {
+		row := BlinkRow{Scenario: cases[i].name}
+		row.BlinkDetected, row.BlinkSecs, row.FancyDetected, row.FancySecs =
+			runBlinkVsFancy(seed, cases[i].fraction, duration)
+		return row
+	})}
 }
 
 func runBlinkVsFancy(seed int64, fraction float64, duration sim.Time) (bool, float64, bool, float64) {

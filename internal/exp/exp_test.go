@@ -435,7 +435,7 @@ func TestDelaySweep(t *testing.T) {
 }
 
 func TestFleetAbileneQuick(t *testing.T) {
-	r := FleetAbileneWorkers(Quick, 20220822, false, 1)
+	r := FleetAbilene(Quick, 20220822, false)
 	if len(r.Rows) != len(quickFleetLinks) {
 		t.Fatalf("got %d rows, want %d", len(r.Rows), len(quickFleetLinks))
 	}

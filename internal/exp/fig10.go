@@ -16,6 +16,7 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/reroute"
 	"fancy/internal/sim"
+	"fancy/internal/tcp"
 	"fancy/internal/traffic"
 )
 
@@ -56,13 +57,10 @@ func (r *Fig10Result) Render() string {
 // three loss rates. The testbed ran 50 Gbps; the simulation runs a scaled
 // rate, which preserves the plot's shape (throughput dip and recovery).
 func Figure10(scale Scale, seed int64) *Fig10Result {
-	res := &Fig10Result{}
-	for _, dedicated := range []bool{true, false} {
-		for _, loss := range []float64{1.0, 0.10, 0.01} {
-			res.Series = append(res.Series, runFig10(scale, seed, dedicated, loss))
-		}
-	}
-	return res
+	losses := []float64{1.0, 0.10, 0.01}
+	return &Fig10Result{Series: trials(2*len(losses), func(i int) Fig10Series {
+		return runFig10(scale, seed, i < len(losses), losses[i%len(losses)])
+	})}
 }
 
 func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series {
@@ -112,7 +110,7 @@ func runFig10(scale Scale, seed int64, dedicated bool, loss float64) Fig10Series
 
 	// Workload: TCP flows plus a UDP stream, as in the testbed.
 	rateBps := pick(scale, 50e6, 500e6)
-	drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcpCfg())
+	drv := traffic.NewDriver(s, bed.Src, bed.Dst, tcp.Config{})
 	rng := simRand(seed)
 	drv.Schedule(traffic.SteadyEntry(entry, rateBps, 50, duration, rng))
 	traffic.NewUDPSource(s, bed.Src, 9999, entry, netsim.EntryAddr(entry, 2),

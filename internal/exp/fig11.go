@@ -15,6 +15,7 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/stats"
+	"fancy/internal/tcp"
 	"fancy/internal/traffic"
 )
 
@@ -85,76 +86,72 @@ func Figure11(scale Scale, seed int64) *Fig11Result {
 		configs = []TreeConfig{configs[1], configs[3], configs[6]} // 3/2/190, 4/3/32, 3/1/110
 	}
 
-	res := &Fig11Result{}
-	for _, tc := range configs {
-		for _, burst := range bursts {
-			var acc stats.Acc
-			acc.Cap = duration.Seconds()
-			var detBytes, totBytes float64
-			var fps int
-			var lat []float64
-			for rep := 0; rep < reps; rep++ {
-				s := seed + int64(rep)*7907
-				rng := simRand(s)
-				// As in Appendix D, only fail prefixes detectable at the
-				// configured zooming speed and depth: the head prefixes
-				// with enough packets per counting session.
-				head := nPrefixes / 10
-				if head < 3*burst {
-					head = 3 * burst
-				}
-				var failed []netsim.EntryID
-				for len(failed) < burst {
-					e := netsim.EntryID(rng.Intn(head))
-					dup := false
-					for _, f := range failed {
-						if f == e {
-							dup = true
-						}
-					}
-					if !dup {
-						failed = append(failed, e)
+	shares := traffic.ZipfShares(nPrefixes, 1.05)
+	return &Fig11Result{Rows: trials(len(configs)*len(bursts), func(c int) Fig11Row {
+		tc, burst := configs[c/len(bursts)], bursts[c%len(bursts)]
+		acc := stats.Acc{Cap: duration.Seconds()}
+		var detBytes, totBytes float64
+		var fps int
+		var lat []float64
+		for rep := 0; rep < reps; rep++ {
+			s := seed + int64(rep)*7907
+			rng := simRand(s)
+			// As in Appendix D, only fail prefixes detectable at the
+			// configured zooming speed and depth: the head prefixes
+			// with enough packets per counting session.
+			head := nPrefixes / 10
+			if head < 3*burst {
+				head = 3 * burst
+			}
+			var failed []netsim.EntryID
+			for len(failed) < burst {
+				e := netsim.EntryID(rng.Intn(head))
+				dup := false
+				for _, f := range failed {
+					if f == e {
+						dup = true
 					}
 				}
-				cfg := fancy.Config{
-					HighPriority: []netsim.EntryID{netsim.EntryID(nPrefixes + 1)},
-					Tree:         tc.Params,
-					TreeSeed:     23,
+				if !dup {
+					failed = append(failed, e)
 				}
-				sc := &Scenario{
-					Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
-					Duration: duration, FailAt: 2 * sim.Second, LossRate: 1.0,
-					Failed: failed, StopWhenDetected: true,
-				}
-				specs := traffic.ZipfWorkload(nPrefixes, aggregate, float64(nPrefixes)/5, 1.05, duration, rng)
-				sc.InstallTraffic = func(sm *sim.Sim, src, dst *netsim.Host) {
-					drv := traffic.NewDriver(sm, src, dst, tcpCfg())
-					drv.Schedule(specs)
-				}
-				shares := traffic.ZipfShares(nPrefixes, 1.05)
-				out := sc.Run()
-				for _, e := range failed {
-					d := out.PerEntry[e]
-					acc.Add(d)
-					totBytes += shares[e]
-					if d.Detected {
-						detBytes += shares[e]
-						lat = append(lat, d.Latency.Seconds())
-					}
-				}
-				fps += out.FalseEntries
 			}
-			row := Fig11Row{
-				Config: tc.Label, Burst: burst,
-				TPR:           acc.TPR(),
-				MedianDetSecs: stats.Percentile(lat, 50),
-				FalsePos:      float64(fps) / float64(reps),
+			cfg := fancy.Config{
+				HighPriority: []netsim.EntryID{netsim.EntryID(nPrefixes + 1)},
+				Tree:         tc.Params,
+				TreeSeed:     23,
 			}
-			if totBytes > 0 {
-				row.DetectedBytes = detBytes / totBytes
+			sc := &Scenario{
+				Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
+				Duration: duration, FailAt: 2 * sim.Second, LossRate: 1.0,
+				Failed: failed, StopWhenDetected: true,
 			}
-			res.Rows = append(res.Rows, row)
+			specs := traffic.ZipfWorkload(nPrefixes, aggregate, float64(nPrefixes)/5, 1.05, duration, rng)
+			sc.InstallTraffic = func(sm *sim.Sim, src, dst *netsim.Host) {
+				drv := traffic.NewDriver(sm, src, dst, tcp.Config{})
+				drv.Schedule(specs)
+			}
+			out := sc.Run()
+			for _, e := range failed {
+				d := out.PerEntry[e]
+				acc.Add(d)
+				totBytes += shares[e]
+				if d.Detected {
+					detBytes += shares[e]
+					lat = append(lat, d.Latency.Seconds())
+				}
+			}
+			fps += out.FalseEntries
 		}
-	}
-	return res
+		row := Fig11Row{
+			Config: tc.Label, Burst: burst,
+			TPR:           acc.TPR(),
+			MedianDetSecs: stats.Percentile(lat, 50),
+			FalsePos:      float64(fps) / float64(reps),
+		}
+		if totBytes > 0 {
+			row.DetectedBytes = detBytes / totBytes
+		}
+		return row
+	})}
 }

@@ -33,8 +33,8 @@ func (r *HeatmapResult) Render() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", r.Name)
-	tpr := stats.Heatmap{Title: "Avg TPR", RowLabel: "Entry Size", Rows: rows, Cols: cols, Cells: r.TPR, Format: "%5.2f"}
-	det := stats.Heatmap{Title: "Avg Detection Time (s)", RowLabel: "Entry Size", Rows: rows, Cols: cols, Cells: r.DetTime, Format: "%5.2f"}
+	tpr := stats.Heatmap{Title: "Avg TPR", RowLabel: "Entry Size", Rows: rows, Cols: cols, Cells: r.TPR}
+	det := stats.Heatmap{Title: "Avg Detection Time (s)", RowLabel: "Entry Size", Rows: rows, Cols: cols, Cells: r.DetTime}
 	b.WriteString(tpr.Render())
 	b.WriteByte('\n')
 	b.WriteString(det.Render())
@@ -48,29 +48,31 @@ func grid(name string, rows []GridRow, losses []float64, reps int,
 	build func(row GridRow) ([]netsim.EntryID, []EntryLoad, fancy.Config)) *HeatmapResult {
 
 	r := &HeatmapResult{Name: name, Rows: rows, Loss: losses}
-	capSecs := duration.Seconds()
-	for _, row := range rows {
+	cells := trials(len(rows)*len(losses), func(c int) stats.Acc {
+		row, li := rows[c/len(losses)], c%len(losses)
+		acc := stats.Acc{Cap: duration.Seconds()}
+		for rep := 0; rep < reps; rep++ {
+			failed, loads, cfg := build(row)
+			s := seed + int64(rep)*7919 + int64(li)*104729
+			failAt := sim.Time(1+s%int64(failWindow/sim.Millisecond)) * sim.Millisecond
+			sc := &Scenario{
+				Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
+				Duration: duration, FailAt: failAt, LossRate: losses[li],
+				Failed: failed, Loads: loads, StopWhenDetected: true,
+			}
+			out := sc.Run()
+			for _, e := range failed {
+				acc.Add(out.PerEntry[e])
+			}
+		}
+		return acc
+	})
+	for ri := range rows {
 		tprRow := make([]float64, len(losses))
 		detRow := make([]float64, len(losses))
-		for li, loss := range losses {
-			var acc stats.Acc
-			acc.Cap = capSecs
-			for rep := 0; rep < reps; rep++ {
-				failed, loads, cfg := build(row)
-				s := seed + int64(rep)*7919 + int64(li)*104729
-				failAt := sim.Time(1+s%int64(failWindow/sim.Millisecond)) * sim.Millisecond
-				sc := &Scenario{
-					Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
-					Duration: duration, FailAt: failAt, LossRate: loss,
-					Failed: failed, Loads: loads, StopWhenDetected: true,
-				}
-				out := sc.Run()
-				for _, e := range failed {
-					acc.Add(out.PerEntry[e])
-				}
-			}
-			tprRow[li] = acc.TPR()
-			detRow[li] = acc.MeanLatency()
+		for li := range losses {
+			acc := &cells[ri*len(losses)+li]
+			tprRow[li], detRow[li] = acc.TPR(), acc.MeanLatency()
 		}
 		r.TPR = append(r.TPR, tprRow)
 		r.DetTime = append(r.DetTime, detRow)

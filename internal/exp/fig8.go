@@ -62,40 +62,41 @@ func Figure8(scale Scale, seed int64) *Fig8Result {
 	duration := pick(scale, 12*sim.Second, 30*sim.Second)
 	const entry = netsim.EntryID(1000)
 
-	res := &Fig8Result{Zooming: zooms, Loss: losses, Grid: rows}
-	for zi, zoom := range zooms {
-		ranks := make([]int, len(losses))
-		for li, loss := range losses {
-			// Scan from the smallest entry (last grid row) upward; the
-			// first row reaching the TPR target gives the minimum size.
-			for ri := len(rows) - 1; ri >= 0; ri-- {
-				row := rows[ri]
-				var acc stats.Acc
-				for rep := 0; rep < reps; rep++ {
-					cfg := fancy.Config{
-						HighPriority:    []netsim.EntryID{1},
-						Tree:            tree.Params{Width: 190, Depth: 3, Split: 2, Pipelined: true},
-						TreeSeed:        13,
-						ZoomingInterval: zoom,
-					}
-					s := seed + int64(zi)*31 + int64(li)*7919 + int64(rep)*104729 + int64(ri)
-					sc := &Scenario{
-						Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
-						Duration: duration, FailAt: sim.Time(1+s%1500) * sim.Millisecond,
-						LossRate: loss, Failed: []netsim.EntryID{entry},
-						Loads:            []EntryLoad{{Entry: entry, RateBps: row.RateBps, FlowsPerSec: row.FlowsPerSec}},
-						StopWhenDetected: true,
-					}
-					out := sc.Run()
-					acc.Add(out.PerEntry[entry])
+	// One cell per (zooming speed, loss rate): scan from the smallest entry
+	// (last grid row) upward; the first row reaching the TPR target gives
+	// the minimum size.
+	ranks := trials(len(zooms)*len(losses), func(c int) int {
+		zi, li := c/len(losses), c%len(losses)
+		for ri := len(rows) - 1; ri >= 0; ri-- {
+			row := rows[ri]
+			var acc stats.Acc
+			for rep := 0; rep < reps; rep++ {
+				cfg := fancy.Config{
+					HighPriority:    []netsim.EntryID{1},
+					Tree:            tree.Params{Width: 190, Depth: 3, Split: 2, Pipelined: true},
+					TreeSeed:        13,
+					ZoomingInterval: zooms[zi],
 				}
-				if acc.TPR() >= 0.95 {
-					ranks[li] = len(rows) - ri
-					break
+				s := seed + int64(zi)*31 + int64(li)*7919 + int64(rep)*104729 + int64(ri)
+				sc := &Scenario{
+					Seed: s, Cfg: cfg, Delay: 10 * sim.Millisecond,
+					Duration: duration, FailAt: sim.Time(1+s%1500) * sim.Millisecond,
+					LossRate: losses[li], Failed: []netsim.EntryID{entry},
+					Loads:            []EntryLoad{{Entry: entry, RateBps: row.RateBps, FlowsPerSec: row.FlowsPerSec}},
+					StopWhenDetected: true,
 				}
+				out := sc.Run()
+				acc.Add(out.PerEntry[entry])
+			}
+			if acc.TPR() >= 0.95 {
+				return len(rows) - ri
 			}
 		}
-		res.MinRank = append(res.MinRank, ranks)
+		return 0
+	})
+	res := &Fig8Result{Zooming: zooms, Loss: losses, Grid: rows}
+	for zi := range zooms {
+		res.MinRank = append(res.MinRank, ranks[zi*len(losses):(zi+1)*len(losses)])
 	}
 	return res
 }

@@ -102,7 +102,7 @@ func UniformFailures(scale Scale, seed int64) *UniformResult {
 	perEntry := pick(scale, 2e6, 20e6) // 2 Mbps ≈ 250 pps per entry
 
 	res := &UniformResult{LossRates: losses}
-	for i, loss := range losses {
+	outs := trials(len(losses), func(i int) *Outcome {
 		loads := make([]EntryLoad, nEntries)
 		failed := make([]netsim.EntryID, nEntries)
 		for j := range loads {
@@ -113,10 +113,12 @@ func UniformFailures(scale Scale, seed int64) *UniformResult {
 		sc := &Scenario{
 			Seed: seed + int64(i), Cfg: fig9Cfg(), Delay: 10 * sim.Millisecond,
 			Duration: pick(scale, 8*sim.Second, 30*sim.Second),
-			FailAt:   2 * sim.Second, LossRate: loss,
+			FailAt:   2 * sim.Second, LossRate: losses[i],
 			Failed: failed, Loads: loads, UDP: true, StopWhenDetected: true,
 		}
-		out := sc.Run()
+		return sc.Run()
+	})
+	for _, out := range outs {
 		res.Detected = append(res.Detected, out.UniformDetected)
 		res.Latency = append(res.Latency, out.UniformLatency.Seconds())
 	}

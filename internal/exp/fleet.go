@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"fancy/internal/fancy"
 	"fancy/internal/fancy/tree"
@@ -110,37 +108,19 @@ func abileneTargets(scale Scale) []topo.DirectedLink {
 	return targets
 }
 
-// FleetAbileneWorkers runs the fleet scenario — Quick targets a 3-link
-// subsample, Full every directed link of Abilene (28 trials) — with its
-// independent trials on up to workers OS threads. With verified set every
-// fleet runs the verified-commit gate, and the single-failure localization
-// and reroute results must be indistinguishable from the ungated sweep:
-// verification is free when the requested backup is safe. Each trial is its own simulator, seeded from the trial index
-// alone and written to its own result slot, so the sweep is byte-identical
-// for every worker count — parallelism here is pure wall-clock.
-func FleetAbileneWorkers(scale Scale, seed int64, verified bool, workers int) *FleetResult {
+// FleetAbilene runs the fleet scenario — Quick targets a 3-link subsample,
+// Full every directed link of Abilene (28 trials), one trial per target.
+// With verified set every fleet runs the verified-commit gate, and the
+// single-failure localization and reroute results must be indistinguishable
+// from the ungated sweep: verification is free when the requested backup is
+// safe.
+func FleetAbilene(scale Scale, seed int64, verified bool) *FleetResult {
 	targets := abileneTargets(scale)
-	res := &FleetResult{Scale: scale, Verified: verified}
 	duration := pick(scale, 3*sim.Second, 5*sim.Second)
-	res.Rows = make([]FleetRow, len(targets))
-	workers = min(max(workers, 1), len(targets))
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(targets) {
-					return
-				}
-				res.Rows[i] = fleetTrial(seed+int64(i), targets[i], duration, verified)
-			}
-		}()
-	}
-	wg.Wait()
-	return res
+	return &FleetResult{Scale: scale, Verified: verified,
+		Rows: trials(len(targets), func(i int) FleetRow {
+			return fleetTrial(seed+int64(i), targets[i], duration, verified)
+		})}
 }
 
 // fleetTrial injects one gray link into a fresh Abilene fleet.

@@ -137,15 +137,12 @@ func (r *ChaosFleetResult) Render() string {
 // subsample or, at Full scale, over all 28 directed links of Abilene.
 func FleetChaos(scale Scale, seed int64) *ChaosFleetResult {
 	targets := abileneTargets(scale)
-	res := &ChaosFleetResult{Scale: scale}
+	configs := fleetChaosConfigs()
 	duration := pick(scale, 3*sim.Second, 5*sim.Second)
-	for ci, cfg := range fleetChaosConfigs() {
-		for i, dl := range targets {
-			res.Rows = append(res.Rows,
-				fleetChaosTrial(seed+int64(ci*1000+i), dl, duration, cfg))
-		}
-	}
-	return res
+	return &ChaosFleetResult{Scale: scale, Rows: trials(len(configs)*len(targets), func(c int) ChaosFleetRow {
+		ci, i := c/len(targets), c%len(targets)
+		return fleetChaosTrial(seed+int64(ci*1000+i), targets[i], duration, configs[ci])
+	})}
 }
 
 // chaosTrial is one gray link under one impairment configuration, as a value.

@@ -84,8 +84,13 @@ func HHChurn(scale Scale, seed int64) *HHChurnResult {
 		}
 	}
 
-	static := runHHChurn(seed, sched, targets, res.Slots, false, nil)
-	dynamic := runHHChurn(seed, sched, targets, res.Slots, true, &res.HH)
+	runs := trials(2, func(i int) map[int]stats.Detection {
+		if i == 0 {
+			return runHHChurn(seed, sched, targets, res.Slots, false, nil)
+		}
+		return runHHChurn(seed, sched, targets, res.Slots, true, &res.HH)
+	})
+	static, dynamic := runs[0], runs[1]
 
 	var staticTTLs, dynamicTTLs []sim.Time
 	for e, entry := range targets {

@@ -223,8 +223,5 @@ func (sc *Scenario) Run() *Outcome {
 	return out
 }
 
-// tcpCfg is the default TCP configuration used by experiment workloads.
-func tcpCfg() tcp.Config { return tcp.Config{} }
-
 // simRand builds a deterministic RNG for workload generation.
 func simRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

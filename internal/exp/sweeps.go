@@ -60,10 +60,9 @@ func ExchangeFrequencySweep(scale Scale, seed int64) *FreqResult {
 	duration := pick(scale, 8*sim.Second, 30*sim.Second)
 	const entry = netsim.EntryID(42)
 
-	res := &FreqResult{}
-	for _, interval := range intervals {
-		var acc stats.Acc
-		acc.Cap = duration.Seconds()
+	return &FreqResult{Rows: trials(len(intervals), func(i int) FreqRow {
+		interval := intervals[i]
+		acc := stats.Acc{Cap: duration.Seconds()}
 		var ctl uint64
 		for rep := 0; rep < reps; rep++ {
 			cfg := fancy.Config{
@@ -83,14 +82,13 @@ func ExchangeFrequencySweep(scale Scale, seed int64) *FreqResult {
 			acc.Add(out.PerEntry[entry])
 			ctl += out.CtlBytes
 		}
-		res.Rows = append(res.Rows, FreqRow{
+		return FreqRow{
 			Interval:    interval,
 			TPR:         acc.TPR(),
 			MeanDetSecs: acc.MeanLatency(),
 			CtlBytes:    ctl / uint64(reps),
-		})
-	}
-	return res
+		}
+	})}
 }
 
 // DelayRow is one link-delay setting's outcome.
@@ -127,43 +125,39 @@ func DelaySweep(scale Scale, seed int64) *DelayResult {
 	reps := pick(scale, 16, 40)
 	duration := pick(scale, 8*sim.Second, 30*sim.Second)
 
-	res := &DelayResult{}
-	for _, delay := range delays {
-		row := DelayRow{Delay: delay}
-		for _, dedicated := range []bool{true, false} {
-			entry := netsim.EntryID(42)
-			hp := []netsim.EntryID{entry}
-			if !dedicated {
-				hp = []netsim.EntryID{1}
-			}
-			var acc stats.Acc
-			acc.Cap = duration.Seconds()
-			// Failure times must sample the session cycle uniformly or the
-			// phase-dependent part of the latency is aliased away.
-			rng := simRand(seed + int64(delay))
-			for rep := 0; rep < reps; rep++ {
-				s := seed + int64(rep)*104729
-				sc := &Scenario{
-					Seed: s, Cfg: fancy.Config{
-						HighPriority: hp,
-						Tree:         tree.Params{Width: 64, Depth: 3, Split: 2, Pipelined: true},
-					},
-					Delay: delay, Duration: duration,
-					FailAt:   sim.Time(1000+rng.Intn(2000)) * sim.Millisecond,
-					LossRate: 1.0, Failed: []netsim.EntryID{entry},
-					Loads:            []EntryLoad{{Entry: entry, RateBps: 2e6, FlowsPerSec: 50}},
-					StopWhenDetected: true,
-				}
-				out := sc.Run()
-				acc.Add(out.PerEntry[entry])
-			}
-			if dedicated {
-				row.DedicatedSecs = acc.MeanLatency()
-			} else {
-				row.TreeSecs = acc.MeanLatency()
-			}
+	// One cell per (delay, dedicated or tree entry).
+	secs := trials(2*len(delays), func(c int) float64 {
+		delay, dedicated := delays[c/2], c%2 == 0
+		entry := netsim.EntryID(42)
+		hp := []netsim.EntryID{entry}
+		if !dedicated {
+			hp = []netsim.EntryID{1}
 		}
-		res.Rows = append(res.Rows, row)
+		acc := stats.Acc{Cap: duration.Seconds()}
+		// Failure times must sample the session cycle uniformly or the
+		// phase-dependent part of the latency is aliased away.
+		rng := simRand(seed + int64(delay))
+		for rep := 0; rep < reps; rep++ {
+			s := seed + int64(rep)*104729
+			sc := &Scenario{
+				Seed: s, Cfg: fancy.Config{
+					HighPriority: hp,
+					Tree:         tree.Params{Width: 64, Depth: 3, Split: 2, Pipelined: true},
+				},
+				Delay: delay, Duration: duration,
+				FailAt:   sim.Time(1000+rng.Intn(2000)) * sim.Millisecond,
+				LossRate: 1.0, Failed: []netsim.EntryID{entry},
+				Loads:            []EntryLoad{{Entry: entry, RateBps: 2e6, FlowsPerSec: 50}},
+				StopWhenDetected: true,
+			}
+			out := sc.Run()
+			acc.Add(out.PerEntry[entry])
+		}
+		return acc.MeanLatency()
+	})
+	res := &DelayResult{}
+	for i, delay := range delays {
+		res.Rows = append(res.Rows, DelayRow{Delay: delay, DedicatedSecs: secs[2*i], TreeSecs: secs[2*i+1]})
 	}
 	return res
 }

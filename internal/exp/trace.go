@@ -172,7 +172,8 @@ func Table3(scale Scale, seed int64) *Table3Result {
 	samples := ts.samplePrefixes(nSamples, rng)
 
 	res := &Table3Result{Scale: scale}
-	for _, loss := range losses {
+	res.Rows = trials(len(losses), func(li int) Table3Row {
+		loss := losses[li]
 		row := Table3Row{LossRate: loss}
 		var detBytes, totBytes float64
 		var det, tot, dedDet, dedTot, treeDet, treeTot int
@@ -221,8 +222,8 @@ func Table3(scale Scale, seed int64) *Table3Result {
 			row.TPRTree = float64(treeDet) / float64(treeTot)
 		}
 		row.DetTimeSecs = stats.Mean(lat)
-		res.Rows = append(res.Rows, row)
-	}
+		return row
+	})
 	return res
 }
 
@@ -306,18 +307,18 @@ func BaselineComparison(scale Scale, seed int64) *BaselineResult {
 		simple.PerEntry{N: prefixes},
 		simple.CountingBloom{M: bloomCells, K: 2, Seed: 5},
 	}
-	res := &BaselineResult{LossRate: loss}
-
 	// The §2.3 systems, executable on the same trials. LossRadar gets the
 	// IBF cells that fit FANcY's 20 KB budget at 36 B/cell (≈560);
 	// NetSeer gets a buffer of the signatures that fit 20 KB at 16 B each
 	// (1250 packets — far below this link's bandwidth-delay product).
-	res.Rows = append(res.Rows,
-		runLossRadarTrials(ts, samples, loss, seed),
-		runNetSeerTrials(ts, samples, loss, seed),
-	)
-
-	for _, design := range designs {
+	rows := trials(2+len(designs), func(d int) BaselineRow {
+		switch d {
+		case 0:
+			return runLossRadarTrials(ts, samples, loss, seed)
+		case 1:
+			return runNetSeerTrials(ts, samples, loss, seed)
+		}
+		design := designs[d-2]
 		var det, tot, fps int
 		var lat []float64
 		for i, prefix := range samples {
@@ -346,9 +347,9 @@ func BaselineComparison(scale Scale, seed int64) *BaselineResult {
 		default:
 			row.MemoryBytes = 8
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
+		return row
+	})
+	return &BaselineResult{LossRate: loss, Rows: rows}
 }
 
 // newBaselineBed builds the bare link the §2.3/§2.4 baseline trials run on:

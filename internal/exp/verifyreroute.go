@@ -87,14 +87,20 @@ func VerifiedReroute(scale Scale, seed int64) *VerifiedRerouteResult {
 	res := &VerifiedRerouteResult{Scale: scale, Seed: seed}
 	duration := pick(scale, 4*sim.Second, 6*sim.Second)
 
-	base := verifiedChaosTrial(seed, duration, false)
+	// Trial 0 is the unverified baseline, trial i the verified seed+i-1.
+	outs := trials(1+pick(scale, 8, 40), func(i int) chaosOut {
+		if i == 0 {
+			return verifiedChaosTrial(seed, duration, false)
+		}
+		return verifiedChaosTrial(seed+int64(i-1), duration, true)
+	})
+	base := outs[0]
 	res.BaselineLoopAtoms = base.loopAtoms
 	res.BaselineHoleAtoms = base.holeAtoms
 	res.BaselineDelivered = base.delivered
 	res.BaselineTTL = ttlMedian(base.locTTLs)
-
-	for i := 0; i < pick(scale, 8, 40); i++ {
-		res.Rows = append(res.Rows, verifiedChaosTrial(seed+int64(i), duration, true).row())
+	for _, out := range outs[1:] {
+		res.Rows = append(res.Rows, out.row())
 	}
 	return res
 }

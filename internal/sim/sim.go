@@ -36,7 +36,7 @@
 //
 // A Sim is single-threaded. Parallelism lives one level up, where it is
 // deterministic for free: independent trials each own a Sim and run on
-// separate goroutines (exp.FleetAbileneWorkers).
+// separate goroutines (internal/exp's trial runner).
 package sim
 
 import (

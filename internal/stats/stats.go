@@ -109,15 +109,13 @@ type Heatmap struct {
 	Rows     []string
 	Cols     []string
 	Cells    [][]float64 // [row][col]
-	Format   string      // cell format, default "%5.2f"
 }
+
+// heatmapCell is the format of every heatmap cell.
+const heatmapCell = "%5.2f"
 
 // Render returns the heatmap as a text table.
 func (h *Heatmap) Render() string {
-	format := h.Format
-	if format == "" {
-		format = "%5.2f"
-	}
 	var b strings.Builder
 	if h.Title != "" {
 		fmt.Fprintf(&b, "%s\n", h.Title)
@@ -134,7 +132,7 @@ func (h *Heatmap) Render() string {
 			cellW = len(c)
 		}
 	}
-	if w := len(fmt.Sprintf(format, 0.0)); w > cellW {
+	if w := len(fmt.Sprintf(heatmapCell, 0.0)); w > cellW {
 		cellW = w
 	}
 	fmt.Fprintf(&b, "%-*s", rowW+2, h.RowLabel)
@@ -152,7 +150,7 @@ func (h *Heatmap) Render() string {
 			if math.IsNaN(v) {
 				fmt.Fprintf(&b, " %*s", cellW, "-")
 			} else {
-				fmt.Fprintf(&b, " %*s", cellW, fmt.Sprintf(format, v))
+				fmt.Fprintf(&b, " %*s", cellW, fmt.Sprintf(heatmapCell, v))
 			}
 		}
 		b.WriteByte('\n')

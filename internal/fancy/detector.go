@@ -3,6 +3,7 @@ package fancy
 import (
 	"fmt"
 
+	"fancy/internal/fancy/tree"
 	"fancy/internal/hh"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
@@ -27,6 +28,10 @@ type Detector struct {
 
 	// Layout is the memory plan computed from the config.
 	Layout Layout
+
+	// hasher maps entries to tree hash paths; every monitored port's tree
+	// unit, in every incarnation, hashes with it.
+	hasher *tree.Hasher
 
 	// slotByEntry holds the static slots for DedicatedSlot; each port's
 	// portMonitor.slots is what the data path reads.
@@ -102,24 +107,24 @@ type unitTable[F any] struct {
 	custom    *F // the custom session's unit, or nil
 }
 
-// cell returns where unit u's FSM is held, or nil if u names no unit of
-// the table.
-func (t *unitTable[F]) cell(u uint16) **F {
+// cell returns where unit u's FSM is held and the unit's session kind, or
+// nil if u names no unit of the table.
+func (t *unitTable[F]) cell(u uint16) (**F, wire.SessionKind) {
 	switch {
 	case u == wire.TreeUnit:
-		return &t.tree
+		return &t.tree, wire.KindTree
 	case u == customUnitBase:
-		return &t.custom
+		return &t.custom, wire.KindCustom
 	case int(u) < len(t.dedicated):
-		return &t.dedicated[u]
+		return &t.dedicated[u], wire.KindDedicated
 	}
-	return nil
+	return nil, 0
 }
 
 // unit returns the FSM of wire unit u, or nil (no such unit, or an empty
 // cell such as a free dynamic slot).
 func (t *unitTable[F]) unit(u uint16) *F {
-	if c := t.cell(u); c != nil {
+	if c, _ := t.cell(u); c != nil {
 		return *c
 	}
 	return nil
@@ -147,10 +152,9 @@ type portMonitor struct {
 	// slots maps every entry holding a dedicated slot on this port, static
 	// and promoted alike; free lists the free dynamic slots in ascending
 	// order.
-	slots   map[netsim.EntryID]int
-	free    []int
-	treeCnt *treeSender
-	out     Outputs
+	slots map[netsim.EntryID]int
+	free  []int
+	out   Outputs
 
 	// Heavy-hitter stage state (cfg.HH != nil). hhRep and hhFrame are the
 	// report and its encoding, refilled by every tick; det and port are
@@ -191,6 +195,7 @@ func NewDetector(s *sim.Sim, sw *netsim.Switch, cfg Config) (*Detector, error) {
 	cfg.Tree = layout.Tree
 	d := &Detector{
 		s: s, sw: sw, cfg: cfg, Layout: layout, epoch: 1,
+		hasher:      tree.NewHasher(cfg.Tree, cfg.TreeSeed),
 		slotByEntry: make(map[netsim.EntryID]int, len(cfg.HighPriority)),
 		monitors:    make([]*portMonitor, sw.NumPorts()),
 		listeners:   make([]*portListener, sw.NumPorts()),
@@ -314,8 +319,7 @@ func (d *Detector) startMonitor(m *portMonitor, port int) {
 		m.hhTimer.Stop()
 		m.hhTimer = d.s.ScheduleTimerActor(hhReportInterval, (*hhTicker)(m))
 	}
-	m.treeCnt = newTreeSender(d, port, d.cfg.Tree, d.cfg.TreeSeed)
-	m.tree = d.startUnit(new(senderFSM), port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, m.treeCnt)
+	m.tree = d.startUnit(new(senderFSM), port, wire.KindTree, wire.TreeUnit, d.cfg.ZoomingInterval, 0, d.newTreeSender(port))
 	if c := m.custom; c != nil {
 		m.custom = d.startUnit(new(senderFSM), port, wire.KindCustom, customUnitBase, c.interval, 0, c.counters)
 	}
@@ -421,7 +425,7 @@ func (d *Detector) Flagged(port int, entry netsim.EntryID) bool {
 	if slot, ok := m.slots[entry]; ok {
 		return m.out.Flags.Get(slot)
 	}
-	return m.out.Bloom.Contains(m.treeCnt.EntryPath(entry))
+	return m.out.Bloom.Contains(d.hasher.Path(uint64(entry), nil))
 }
 
 // Implicates reports whether ev names entry — the one reading of a report
@@ -443,7 +447,7 @@ func (d *Detector) Implicates(ev Event, entry netsim.EntryID) bool {
 			return false
 		}
 		for l, idx := range ev.Path {
-			if m.treeCnt.hasher.Index(uint64(entry), l) != idx {
+			if d.hasher.Index(uint64(entry), l) != idx {
 				return false
 			}
 		}
@@ -457,8 +461,8 @@ func (d *Detector) Implicates(ev Event, entry netsim.EntryID) bool {
 // EntryPath exposes the tree hash path of an entry on a monitored port,
 // for evaluation tooling.
 func (d *Detector) EntryPath(port int, entry netsim.EntryID) []uint16 {
-	if m := d.monitor(port); m != nil {
-		return m.treeCnt.EntryPath(entry)
+	if d.monitor(port) != nil {
+		return d.hasher.Path(uint64(entry), nil)
 	}
 	return nil
 }
@@ -491,7 +495,9 @@ func (d *Detector) SessionsCompleted(port int) uint64 {
 // it raises. They complement the per-unit accuracy outputs.
 type DetectorStats struct {
 	// CtlCorrupted counts control messages dropped at ingress because they
-	// failed wire validation (checksum, version, framing).
+	// failed wire validation (checksum, version, framing), and Starts the
+	// addressed unit cannot hold (another unit's kind, zoom targets outside
+	// the configured tree).
 	CtlCorrupted uint64
 	// Retransmits counts control retransmission timer firings across all
 	// sender units, including degraded-state probes.
@@ -597,9 +603,9 @@ func (d *Detector) OnIngress(pkt *netsim.Packet, port int) bool {
 			return false // someone else's session in transit: forward it
 		}
 		// Parse into the per-detector scratch message: control handling is
-		// synchronous and the one retaining consumer (treeReceiver's zoom
-		// configuration) copies what it keeps, so the scratch — and its
-		// Counters/Targets capacity — is reused for every message.
+		// synchronous and the one retaining consumer (pipelinedReceiver's
+		// zoom configuration) copies what it keeps, so the scratch — and
+		// its Counters/Targets capacity — is reused for every message.
 		m := &d.ctlScratch
 		_, err := wire.UnmarshalInto(pkt.Ctl, m)
 		if err != nil {
@@ -644,16 +650,23 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 		if l == nil {
 			return // not listening on this port
 		}
-		c := l.cell(m.Unit)
+		c, kind := l.cell(m.Unit)
 		if c == nil {
 			return // a unit beyond this detector's slots
+		}
+		if m.Type == wire.MsgStart && (m.Kind != kind || kind == wire.KindTree && !d.treeHolds(m.Targets)) {
+			// A Start its unit cannot hold — another unit's kind, or zoom
+			// targets outside the configured tree — is dropped like one
+			// that fails wire validation.
+			d.stats.CtlCorrupted++
+			return
 		}
 		fsm := *c
 		if fsm == nil {
 			if m.Type != wire.MsgStart {
 				return // Stop for an unknown session
 			}
-			fsm = d.newReceiverFSM(l, port, m)
+			fsm = d.newReceiverFSM(l, port, m.Unit, kind)
 			if fsm == nil {
 				return // custom session without a registered receiver
 			}
@@ -671,33 +684,34 @@ func (d *Detector) handleControl(m *wire.Message, port int) {
 	}
 }
 
-// newReceiverFSM builds the receiver FSM of m's unit, whose cell is empty.
-// A static dedicated unit takes its record from the port's block: each cell
-// is filled once per incarnation, so no record is handed out twice.
-func (d *Detector) newReceiverFSM(l *portListener, port int, m *wire.Message) *receiverFSM {
+// newReceiverFSM builds the receiver FSM of unit, whose cell is empty; kind
+// is the cell's, and it alone picks the counters. A static dedicated unit
+// takes its record from the port's block: each cell is filled once per
+// incarnation, so no record is handed out twice.
+func (d *Detector) newReceiverFSM(l *portListener, port int, unit uint16, kind wire.SessionKind) *receiverFSM {
 	var fsm *receiverFSM
-	switch m.Kind {
+	switch kind {
 	case wire.KindTree:
-		fsm = &receiverFSM{counters: newTreeReceiver(d.cfg.Tree)}
+		fsm = &receiverFSM{counters: d.newTreeReceiver()}
 	case wire.KindCustom:
-		if l.customRecv == nil || m.Unit != customUnitBase {
+		if l.customRecv == nil {
 			return nil
 		}
 		fsm = &receiverFSM{counters: &customReceiverAdapter{l.customRecv}}
 	default:
 		var u *receiverUnit
-		if n := len(d.cfg.HighPriority); int(m.Unit) < n {
+		if n := len(d.cfg.HighPriority); int(unit) < n {
 			if l.block == nil {
 				l.block = make([]receiverUnit, n)
 			}
-			u = &l.block[m.Unit]
+			u = &l.block[unit]
 		} else {
 			u = new(receiverUnit)
 		}
 		u.fsm.counters, u.fsm.lastReport = &u.ctr, u.report[:0]
 		fsm = &u.fsm
 	}
-	fsm.det, fsm.port, fsm.kind, fsm.unit = d, port, m.Kind, m.Unit
+	fsm.det, fsm.port, fsm.kind, fsm.unit = d, port, kind, unit
 	return fsm
 }
 

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fancy/internal/fancy/tree"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/tcp"
@@ -224,11 +225,10 @@ func TestUnitStartAllocatesOnlyItsFSM(t *testing.T) {
 
 	down := tb.downDet
 	l := down.listeners[0]
-	start := &wire.Message{Header: wire.Header{Type: wire.MsgStart, Kind: wire.KindDedicated, Session: 1, Unit: uint16(dynamic)}}
 	stop := &wire.Message{Header: wire.Header{Type: wire.MsgStop, Kind: wire.KindDedicated, Session: 1, Unit: uint16(dynamic)}}
 	var rx *receiverFSM
 	startReceiver := func() {
-		rx = down.newReceiverFSM(l, 0, start)
+		rx = down.newReceiverFSM(l, 0, uint16(dynamic), wire.KindDedicated)
 		rx.session, rx.haveSess, rx.state = 1, true, rCounting // as a Start leaves it
 		rx.onControl(stop)
 	}
@@ -292,6 +292,46 @@ func TestMonitorPortAllocatesPerPort(t *testing.T) {
 	one, sixteen := allocs(1), allocs(16)
 	if one != sixteen {
 		t.Errorf("MonitorPort allocates %.2f objects with 1 static slot and %.2f with 16, want the same", one, sixteen)
+	}
+}
+
+// TestTreeUnitsShareDetectorHasher pins one tree hasher per detector:
+// every monitored port's tree counters, pipelined or staged, hash with the
+// one NewDetector built, and so do the counters Restart builds in their
+// place.
+func TestTreeUnitsShareDetectorHasher(t *testing.T) {
+	for _, pipelined := range []bool{true, false} {
+		cfg := testCfg
+		cfg.Tree.Pipelined = pipelined
+		s := sim.New(1)
+		det, err := NewDetector(s, netsim.NewSwitch(s, "up", 4), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for port := range det.monitors {
+			det.MonitorPort(port)
+		}
+		check := func(when string) {
+			for port, m := range det.monitors {
+				var h *tree.Hasher
+				switch c := m.tree.counters.(type) {
+				case *pipelinedSender:
+					h = c.hasher
+				case *stagedSender:
+					h = c.hasher
+				}
+				if h == nil || h != det.hasher {
+					t.Errorf("pipelined=%v, %s: port %d's tree counters %T hash with %p, not the detector's %p", pipelined, when, port, m.tree.counters, h, det.hasher)
+				}
+			}
+		}
+		check("monitored")
+		before := det.monitors[0].tree.counters
+		det.Restart()
+		if det.monitors[0].tree.counters == before {
+			t.Fatalf("pipelined=%v: Restart kept port 0's tree counters", pipelined)
+		}
+		check("restarted")
 	}
 }
 

@@ -29,14 +29,15 @@ const (
 	sWaitReport               // Stop sent, waiting for Report
 )
 
-// senderCounters abstracts the two counting machineries on the sender side.
+// senderCounters abstracts a unit's counting machinery on the sender side: a
+// dedicated counter, a pipelined or staged tree, or a custom unit.
 type senderCounters interface {
 	// resetSession zeroes the counters for a new session and returns the
 	// zoom targets to advertise in the Start message (nil for dedicated).
 	resetSession() []wire.ZoomTarget
 	// tagPacket counts a packet offered to this unit and returns its
 	// wire tag. ok=false means the packet is not counted this session
-	// (non-pipelined zoom stages only count matching packets; a custom
+	// (a staged tree's zoom stages only count matching packets; a custom
 	// unit picks the packets it analyzes).
 	tagPacket(pkt *netsim.Packet) (tag wire.Tag, ok bool)
 	// handleReport compares the downstream counters against the local

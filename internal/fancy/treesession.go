@@ -1,13 +1,18 @@
 package fancy
 
 // Tree sessions: the hash-based tree counters and the zooming algorithm
-// (§4.2). The pipelined variant counts the root node plus every active zoom
-// node simultaneously, exploring up to split^(depth-1) paths in parallel;
-// the non-pipelined variant (the Tofino prototype's, Appendix B.1) reuses a
-// single node's memory and cycles a zooming-stage register through the
-// levels, counting only packets that match the current partial path.
+// (§4.2), in two variants; a tree unit is built as one or the other and
+// never tests which it is again. The pipelined tree counts the root node
+// plus every active zoom node simultaneously, exploring up to
+// split^(depth-1) paths in parallel; the staged tree (the Tofino
+// prototype's, Appendix B.1) reuses a single node's memory and cycles a
+// zooming-stage register through the levels, counting only packets that
+// match the current partial path. Every tree sender of a detector hashes
+// with the detector's one tree.Hasher; the receivers learn indices from
+// the tags.
 
 import (
+	"slices"
 	"sort"
 
 	"fancy/internal/fancy/tree"
@@ -15,134 +20,95 @@ import (
 	"fancy/internal/wire"
 )
 
-// zoomNode is one active exploration: a partial hash path and the counter
-// node at its tip. Explorations move down one level per counting session
-// like a wave (the pipelining of §4.2): a zoom at level L either advances
-// into up to k children at level L+1 or retires, so its node slot frees
-// every session and the root can start k new explorations per session.
-type zoomNode struct {
-	path     []uint16
-	counters []uint64
-	nodeID   uint8 // tag node ID this session (1-based; 0 is the root)
-}
-
-// treeSender runs the sender side of the tree session for one port.
-//
-// Pipelined zooms never nest: a wave starts only on a root counter no
-// surviving zoom has as its head, and each zoom moves down one level per
-// session, so a wave's zooms share a depth and have distinct paths. No
-// target prefixes another; a packet counts at the root and in at most one
-// zoom, and the receiver needs only each target's head to mirror that.
-type treeSender struct {
-	det    *Detector
-	port   int
-	params tree.Params
-	hasher *tree.Hasher
-
-	root    []uint64
-	zooms   []*zoomNode
-	pathBuf []uint16
-
-	// Non-pipelined state (zooming stage register, max0/max1/... indices).
-	stage int
-	maxes []uint16
-	node  []uint64 // the single reused node
-
-	// Uniform-failure bookkeeping: emit one event per failure episode.
-	uniformActive bool
-
-	// localized marks root counters whose exploration already reached a
-	// reported leaf during the current mismatch episode. New waves prefer
-	// unexplored counters so a single persistent heavy failure cannot
-	// starve the others; an entry is cleared once its counter goes clean
-	// (the failure healed or was rerouted away).
-	localized map[uint16]bool
-
-	selection ZoomSelection
-}
-
-func newTreeSender(det *Detector, port int, params tree.Params, seed uint64) *treeSender {
-	t := &treeSender{
-		det: det, port: port, params: params,
-		hasher:    tree.NewHasher(params, seed),
-		root:      make([]uint64, params.Width),
-		pathBuf:   make([]uint16, 0, params.Depth),
-		localized: make(map[uint16]bool),
-		selection: det.cfg.ZoomSelection,
-	}
-	if !params.Pipelined {
-		t.maxes = make([]uint16, params.Depth-1)
-		t.node = make([]uint64, params.Width)
-	}
-	return t
-}
-
-func (t *treeSender) resetSession() []wire.ZoomTarget {
-	if !t.params.Pipelined {
-		for i := range t.node {
-			t.node[i] = 0
-		}
-		if t.stage == 0 {
-			return nil
-		}
-		return []wire.ZoomTarget{{Path: append([]uint16(nil), t.maxes[:t.stage]...)}}
-	}
-	for i := range t.root {
-		t.root[i] = 0
-	}
-	targets := make([]wire.ZoomTarget, len(t.zooms))
-	for i, z := range t.zooms {
-		for j := range z.counters {
-			z.counters[j] = 0
-		}
-		z.nodeID = uint8(i + 1)
-		targets[i] = wire.ZoomTarget{Path: z.path}
-	}
-	return targets
-}
-
-func (t *treeSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
-	t.pathBuf = t.hasher.Path(uint64(pkt.Entry), t.pathBuf[:0])
-	path := t.pathBuf
-	if !t.params.Pipelined {
-		return t.tagNonPipelined(path)
-	}
-	t.root[path[0]]++
-	for _, z := range t.zooms {
-		if isPrefix(z.path, path) {
-			c := path[len(z.path)]
-			z.counters[c]++
-			return wire.Tag{Node: z.nodeID, Counter: uint8(c)}, true
+// newTreeSender builds the sender counters of port's tree unit in the
+// configured variant.
+func (d *Detector) newTreeSender(port int) senderCounters {
+	p, base := d.cfg.Tree, treeReporter{det: d, port: port, hasher: d.hasher}
+	if !p.Pipelined {
+		return &stagedSender{
+			treeReporter: base,
+			maxes:        make([]uint16, p.Depth-1),
+			node:         make([]uint64, p.Width),
 		}
 	}
-	return wire.Tag{Node: 0, Counter: uint8(path[0])}, true
-}
-
-func (t *treeSender) tagNonPipelined(path []uint16) (wire.Tag, bool) {
-	if t.stage > 0 {
-		for l := 0; l < t.stage; l++ {
-			if path[l] != t.maxes[l] {
-				// Not under the zoomed partial path: not counted this
-				// session (root counting pauses while zooming).
-				return wire.Tag{}, false
-			}
-		}
+	return &pipelinedSender{
+		treeReporter: base,
+		root:         make([]uint64, p.Width),
+		pathBuf:      make([]uint16, 0, p.Depth),
+		localized:    make(map[uint16]bool),
+		selection:    d.cfg.ZoomSelection,
 	}
-	idx := path[t.stage]
-	t.node[idx]++
-	return wire.Tag{Node: uint8(t.stage), Counter: uint8(idx)}, true
 }
 
-func isPrefix(p, full []uint16) bool {
-	if len(p) >= len(full) {
+// newTreeReceiver builds the receiver counters of a tree unit in the
+// configured variant.
+func (d *Detector) newTreeReceiver() receiverCounters {
+	if !d.cfg.Tree.Pipelined {
+		return &stagedReceiver{node: make([]uint64, d.cfg.Tree.Width)}
+	}
+	return &pipelinedReceiver{root: make([]uint64, d.cfg.Tree.Width)}
+}
+
+// treeHolds reports whether the configured tree can hold the zoom targets
+// of a tree Start: at most maxZoomTargets, each a path of 1 to Depth-1
+// indices below Width.
+func (d *Detector) treeHolds(targets []wire.ZoomTarget) bool {
+	p := d.cfg.Tree
+	if len(targets) > maxZoomTargets {
 		return false
 	}
-	for i := range p {
-		if p[i] != full[i] {
+	for _, tg := range targets {
+		if len(tg.Path) == 0 || len(tg.Path) >= p.Depth || int(slices.Max(tg.Path)) >= p.Width {
 			return false
 		}
 	}
 	return true
+}
+
+// treeReporter is what both tree senders share: the port they compare and
+// report for, the detector's hasher, and the uniform-failure episode.
+type treeReporter struct {
+	det    *Detector
+	port   int
+	hasher *tree.Hasher
+
+	// uniformActive is set while a uniform failure lasts: one event per
+	// episode.
+	uniformActive bool
+}
+
+// uniform is the uniform-failure test on a root comparison: more than
+// half of the width root counters mismatch. It raises EventUniform once
+// per episode; a root without a mismatch ends the episode.
+func (t *treeReporter) uniform(mis []mismatch, width int) bool {
+	if len(mis) > width/2 {
+		if !t.uniformActive {
+			t.uniformActive = true
+			t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventUniform})
+		}
+		return true
+	}
+	if len(mis) == 0 {
+		t.uniformActive = false
+	}
+	return false
+}
+
+// flagLeaves flags each mismatching leaf counter of the leaf node at
+// prefix (Fig. 6c): its path goes into the output Bloom filter and is
+// reported in an EventTreeLeaf.
+func (t *treeReporter) flagLeaves(prefix []uint16, mis []mismatch) {
+	out := t.det.outputs(t.port)
+	for _, m := range mis {
+		leafPath := make([]uint16, len(prefix)+1)
+		copy(leafPath, prefix)
+		leafPath[len(prefix)] = m.idx
+		out.Bloom.Insert(leafPath)
+		t.det.emit(Event{
+			Time: t.det.s.Now(), Port: t.port, Kind: EventTreeLeaf,
+			Path: leafPath, Diff: m.diff,
+		})
+	}
 }
 
 // mismatch is one counter with more local than downstream packets.
@@ -167,33 +133,88 @@ func diffs(local, remote []uint64) []mismatch {
 	return out
 }
 
-func (t *treeSender) handleReport(counters []uint64) {
-	if !t.params.Pipelined {
-		t.handleReportNonPipelined(counters)
-		return
+// zoomNode is one active exploration: a partial hash path and the counter
+// node at its tip. Explorations move down one level per counting session
+// like a wave (the pipelining of §4.2): a zoom at level L either advances
+// into up to k children at level L+1 or retires, so its node slot frees
+// every session and the root can start k new explorations per session.
+type zoomNode struct {
+	path     []uint16
+	counters []uint64
+	nodeID   uint8 // tag node ID this session (1-based; 0 is the root)
+}
+
+// pipelinedSender is the sender side of a pipelined tree.
+//
+// Zooms never nest: a wave starts only on a root counter no surviving zoom
+// has as its head, and each zoom moves down one level per session, so a
+// wave's zooms share a depth and have distinct paths. No target prefixes
+// another; a packet counts at the root and in at most one zoom, and the
+// receiver needs only each target's head to mirror that.
+type pipelinedSender struct {
+	treeReporter
+
+	root    []uint64
+	zooms   []*zoomNode
+	pathBuf []uint16
+
+	// localized marks root counters whose exploration already reached a
+	// reported leaf during the current mismatch episode. New waves prefer
+	// unexplored counters so a single persistent heavy failure cannot
+	// starve the others; an entry is cleared once its counter goes clean
+	// (the failure healed or was rerouted away).
+	localized map[uint16]bool
+
+	selection ZoomSelection
+}
+
+func (t *pipelinedSender) resetSession() []wire.ZoomTarget {
+	clear(t.root)
+	targets := make([]wire.ZoomTarget, len(t.zooms))
+	for i, z := range t.zooms {
+		clear(z.counters)
+		z.nodeID = uint8(i + 1)
+		targets[i] = wire.ZoomTarget{Path: z.path}
 	}
-	w := t.params.Width
+	return targets
+}
+
+func (t *pipelinedSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
+	t.pathBuf = t.hasher.Path(uint64(pkt.Entry), t.pathBuf[:0])
+	path := t.pathBuf
+	t.root[path[0]]++
+	for _, z := range t.zooms {
+		if isPrefix(z.path, path) {
+			c := path[len(z.path)]
+			z.counters[c]++
+			return wire.Tag{Node: z.nodeID, Counter: uint8(c)}, true
+		}
+	}
+	return wire.Tag{Node: 0, Counter: uint8(path[0])}, true
+}
+
+func isPrefix(p, full []uint16) bool {
+	return len(p) < len(full) && slices.Equal(p, full[:len(p)])
+}
+
+func (t *pipelinedSender) handleReport(counters []uint64) {
+	p := t.det.cfg.Tree
+	w := p.Width
 	if len(counters) < w {
 		return // malformed
 	}
-	rootRemote := counters[:w]
-	rootMis := diffs(t.root, rootRemote)
-
-	// Uniform-failure test: more than half the root counters mismatch.
-	if len(rootMis) > w/2 {
-		if !t.uniformActive {
-			t.uniformActive = true
-			t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventUniform})
-		}
+	rootMis := diffs(t.root, counters[:w])
+	if t.uniform(rootMis, w) {
 		t.zooms = nil // per-entry localization is meaningless here
 		return
 	}
-	if len(rootMis) == 0 {
-		t.uniformActive = false
+	if p.Depth == 1 {
+		t.flagLeaves(nil, rootMis) // a one-level tree's root is its leaf node
+		return
 	}
 
 	hadZooms := len(t.zooms) > 0
-	k := t.params.Split
+	k := p.Split
 	var next []*zoomNode
 
 	// Ablation hook: explore mismatching counters in random order instead
@@ -218,27 +239,16 @@ func (t *treeSender) handleReport(counters []uint64) {
 		if len(mis) == 0 {
 			continue // transient or collision dead end
 		}
-		if len(z.path) == t.params.Depth-1 {
-			// Leaf level: flag each mismatching leaf counter (Fig. 6c).
-			out := t.det.outputs(t.port)
-			for _, m := range mis {
-				leafPath := make([]uint16, len(z.path)+1)
-				copy(leafPath, z.path)
-				leafPath[len(z.path)] = m.idx
-				out.Bloom.Insert(leafPath)
-				t.det.emit(Event{
-					Time: t.det.s.Now(), Port: t.port, Kind: EventTreeLeaf,
-					Path: leafPath, Diff: m.diff,
-				})
-			}
+		if len(z.path) == p.Depth-1 {
+			t.flagLeaves(z.path, mis)
 			t.localized[z.path[0]] = true
 			continue
 		}
 		for _, m := range mis[:min(k, len(mis))] {
-			p := make([]uint16, len(z.path)+1)
-			copy(p, z.path)
-			p[len(z.path)] = m.idx
-			next = append(next, &zoomNode{path: p, counters: make([]uint64, w)})
+			c := make([]uint16, len(z.path)+1)
+			copy(c, z.path)
+			c[len(z.path)] = m.idx
+			next = append(next, &zoomNode{path: c, counters: make([]uint64, w)})
 		}
 	}
 
@@ -279,9 +289,9 @@ func (t *treeSender) handleReport(counters []uint64) {
 		}
 	}
 
-	if len(next) > 254 {
+	if len(next) > maxZoomTargets {
 		// Tag node IDs are one byte; unreachable with sane split/depth.
-		next = next[:254]
+		next = next[:maxZoomTargets]
 	}
 	t.zooms = next
 
@@ -290,88 +300,76 @@ func (t *treeSender) handleReport(counters []uint64) {
 	}
 }
 
-func (t *treeSender) handleReportNonPipelined(counters []uint64) {
-	if len(counters) < t.params.Width {
+// maxZoomTargets bounds a pipelined tree's zooms: tag node IDs are one
+// byte, 0 the root's.
+const maxZoomTargets = 254
+
+// stagedSender is the sender side of a staged tree: one node register,
+// reused at every level, and the zooming stage register with the index
+// chosen at each level above it (the max0/max1/... registers).
+type stagedSender struct {
+	treeReporter
+
+	stage int
+	maxes []uint16 // Depth-1 indices; maxes[:stage] is the zoomed path
+	node  []uint64
+}
+
+func (t *stagedSender) resetSession() []wire.ZoomTarget {
+	clear(t.node)
+	if t.stage == 0 {
+		return nil
+	}
+	return []wire.ZoomTarget{{Path: append([]uint16(nil), t.maxes[:t.stage]...)}}
+}
+
+func (t *stagedSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
+	e := uint64(pkt.Entry)
+	for l, idx := range t.maxes[:t.stage] {
+		if t.hasher.Index(e, l) != idx {
+			// Not under the zoomed partial path: not counted this
+			// session (root counting pauses while zooming).
+			return wire.Tag{}, false
+		}
+	}
+	idx := t.hasher.Index(e, t.stage)
+	t.node[idx]++
+	return wire.Tag{Node: uint8(t.stage), Counter: uint8(idx)}, true
+}
+
+func (t *stagedSender) handleReport(counters []uint64) {
+	w := len(t.node)
+	if len(counters) < w {
 		return
 	}
-	mis := diffs(t.node, counters[:t.params.Width])
+	mis := diffs(t.node, counters[:w])
+	if t.stage == 0 && t.uniform(mis, w) {
+		return
+	}
 	switch {
-	case t.stage == 0:
-		if len(mis) > t.params.Width/2 {
-			if !t.uniformActive {
-				t.uniformActive = true
-				t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventUniform})
-			}
-			return
-		}
-		if len(mis) == 0 {
-			t.uniformActive = false
-			return
-		}
-		t.maxes[0] = mis[0].idx
-		t.stage = 1
-		t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventTreeZoomStart})
-	case t.stage < t.params.Depth-1:
-		if len(mis) == 0 {
-			t.stage = 0 // dead end; restart at the root
-			return
-		}
+	case len(mis) == 0:
+		t.stage = 0 // nothing to chase, or a dead end: restart at the root
+	case t.stage == len(t.maxes): // leaf level
+		t.flagLeaves(t.maxes[:t.stage], mis)
+		t.stage = 0
+	default:
 		t.maxes[t.stage] = mis[0].idx
 		t.stage++
-	default: // leaf level
-		out := t.det.outputs(t.port)
-		for _, m := range mis {
-			leafPath := make([]uint16, t.stage+1)
-			copy(leafPath, t.maxes[:t.stage])
-			leafPath[t.stage] = m.idx
-			out.Bloom.Insert(leafPath)
-			t.det.emit(Event{
-				Time: t.det.s.Now(), Port: t.port, Kind: EventTreeLeaf,
-				Path: leafPath, Diff: m.diff,
-			})
+		if t.stage == 1 {
+			t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventTreeZoomStart})
 		}
-		t.stage = 0
 	}
 }
 
-// EntryPath returns the hash path the tree assigns to an entry, used by
-// evaluations to check the output Bloom filter.
-func (t *treeSender) EntryPath(entry netsim.EntryID) []uint16 {
-	return t.hasher.Path(uint64(entry), nil)
-}
-
-// treeReceiver is the downstream side of the tree session.
-type treeReceiver struct {
-	params tree.Params
-
+// pipelinedReceiver is the downstream side of a pipelined tree.
+type pipelinedReceiver struct {
 	root  []uint64
 	nodes [][]uint64
 	heads []uint16 // heads[i]: target i's root counter, also counted by its tags
-
-	// Non-pipelined: single reused node.
-	node []uint64
 }
 
-func newTreeReceiver(params tree.Params) *treeReceiver {
-	r := &treeReceiver{params: params}
-	if params.Pipelined {
-		r.root = make([]uint64, params.Width)
-	} else {
-		r.node = make([]uint64, params.Width)
-	}
-	return r
-}
-
-func (r *treeReceiver) resetSession(targets []wire.ZoomTarget) {
-	if !r.params.Pipelined {
-		for i := range r.node {
-			r.node[i] = 0
-		}
-		return
-	}
-	for i := range r.root {
-		r.root[i] = 0
-	}
+func (r *pipelinedReceiver) resetSession(targets []wire.ZoomTarget) {
+	clear(r.root)
 	// The zoom configuration outlives this call (tag decoding reads it all
 	// session), while targets is borrowed from the control-message parse
 	// scratch: only each target's head is copied out, so no slice of it is
@@ -380,18 +378,12 @@ func (r *treeReceiver) resetSession(targets []wire.ZoomTarget) {
 	r.nodes = make([][]uint64, len(targets))
 	r.heads = r.heads[:0]
 	for i, tg := range targets {
-		r.nodes[i] = make([]uint64, r.params.Width)
+		r.nodes[i] = make([]uint64, len(r.root))
 		r.heads = append(r.heads, tg.Path[0])
 	}
 }
 
-func (r *treeReceiver) countTag(tag wire.Tag) {
-	if !r.params.Pipelined {
-		if int(tag.Counter) < len(r.node) {
-			r.node[tag.Counter]++
-		}
-		return
-	}
+func (r *pipelinedReceiver) countTag(tag wire.Tag) {
 	if tag.Node == 0 {
 		if int(tag.Counter) < len(r.root) {
 			r.root[tag.Counter]++
@@ -408,13 +400,26 @@ func (r *treeReceiver) countTag(tag wire.Tag) {
 	}
 }
 
-func (r *treeReceiver) appendSnapshot(dst []uint64) []uint64 {
-	if !r.params.Pipelined {
-		return append(dst, r.node...)
-	}
+func (r *pipelinedReceiver) appendSnapshot(dst []uint64) []uint64 {
 	dst = append(dst, r.root...)
 	for _, n := range r.nodes {
 		dst = append(dst, n...)
 	}
 	return dst
 }
+
+// stagedReceiver is the downstream side of a staged tree: the one node
+// register, whatever the stage.
+type stagedReceiver struct {
+	node []uint64
+}
+
+func (r *stagedReceiver) resetSession([]wire.ZoomTarget) { clear(r.node) }
+
+func (r *stagedReceiver) countTag(tag wire.Tag) {
+	if int(tag.Counter) < len(r.node) {
+		r.node[tag.Counter]++
+	}
+}
+
+func (r *stagedReceiver) appendSnapshot(dst []uint64) []uint64 { return append(dst, r.node...) }

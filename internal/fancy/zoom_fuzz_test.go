@@ -9,15 +9,18 @@ import (
 	"fancy/internal/netsim"
 )
 
-// FuzzZoomWaves drives a pipelined tree sender through fuzz-chosen
-// per-session loss patterns and checks, after every report, the invariant
-// the tree receiver is built on: the advertised targets are distinct and
-// none prefixes another, and targets sharing a head share a depth. It then
-// checks that a receiver reset with those targets and fed the sender's tags
-// for random entries reports exactly the sender's counters.
+// FuzzZoomWaves drives a tree sender, pipelined or staged, through
+// fuzz-chosen per-session loss patterns. After every report it checks, for
+// a pipelined tree, the invariant its receiver is built on: the advertised
+// targets are distinct and none prefixes another, and targets sharing a
+// head share a depth. For both variants it then checks that a receiver
+// reset with the sender's targets and fed the sender's tags for random
+// entries reports exactly the sender's counters: the root and zoom nodes,
+// or the staged tree's one node at whatever stage it has reached.
 //
-// config picks the tree (bit 0: w8/d3/k2 or w8/d4/k3) and the selection
-// policy (bit 1); each two bytes of losses are one session, bit e marking
+// config picks the tree (bit 0: w8/d3/k2 or w8/d4/k3; staged, w8/d3 or
+// w8/d4), the selection policy (bit 1, pipelined only) and the variant
+// (bit 2: staged); each two bytes of losses are one session, bit e marking
 // entry e of zoomFuzzEntries as lossy.
 func FuzzZoomWaves(f *testing.F) {
 	f.Add(uint8(0), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x01, 0})
@@ -25,14 +28,19 @@ func FuzzZoomWaves(f *testing.F) {
 	f.Add(uint8(2), []byte{0x11, 0x01, 0x22, 0x02, 0x11, 0x01, 0, 0, 0x11, 0x01})
 	f.Add(uint8(3), []byte{0xff, 0xff, 0x0f, 0, 0x0f, 0, 0x0f, 0, 0x0f, 0})
 	f.Add(uint8(1), []byte{0x55, 0x05, 0x55, 0x05, 0xaa, 0x0a, 0x55, 0x05, 0x55, 0x05, 0x55, 0x05})
+	f.Add(uint8(4), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x01, 0, 0, 0, 0x01, 0})
+	f.Add(uint8(5), []byte{0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0xff, 0xff, 0x03, 0x80})
 	f.Fuzz(func(t *testing.T, config uint8, losses []byte) {
 		params := tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}
 		if config&1 != 0 {
 			params = tree.Params{Width: 8, Depth: 4, Split: 3, Pipelined: true}
 		}
+		if config&4 != 0 {
+			params.Split, params.Pipelined = 1, false
+		}
 		h := newZoomHarness(t, params, int64(config)+1)
-		if config&2 != 0 {
-			h.snd.selection = SelectRandom
+		if snd, ok := h.snd.(*pipelinedSender); ok && config&2 != 0 {
+			snd.selection = SelectRandom
 		}
 		rng := rand.New(rand.NewSource(int64(len(losses))))
 		for s := 0; s+1 < len(losses) && s < 128; s += 2 {
@@ -47,7 +55,9 @@ func FuzzZoomWaves(f *testing.F) {
 				}
 			}
 			h.session(sent, delivered)
-			checkZoomTargets(t, s/2, h.snd.zooms)
+			if snd, ok := h.snd.(*pipelinedSender); ok {
+				checkZoomTargets(t, s/2, snd.zooms)
+			}
 			checkReceiverMirrors(t, s/2, h, rng)
 		}
 	})
@@ -81,7 +91,7 @@ func checkZoomTargets(t *testing.T, session int, zooms []*zoomNode) {
 func checkReceiverMirrors(t *testing.T, session int, h *zoomHarness, rng *rand.Rand) {
 	t.Helper()
 	targets := h.snd.resetSession()
-	rcv := newTreeReceiver(h.snd.params)
+	rcv := h.det.newTreeReceiver()
 	rcv.resetSession(targets)
 	for i := 0; i < 256; i++ {
 		pkt := &netsim.Packet{Entry: netsim.EntryID(rng.Intn(1 << 16))}
@@ -89,9 +99,15 @@ func checkReceiverMirrors(t *testing.T, session int, h *zoomHarness, rng *rand.R
 			rcv.countTag(tag)
 		}
 	}
-	want := append([]uint64(nil), h.snd.root...)
-	for _, z := range h.snd.zooms {
-		want = append(want, z.counters...)
+	var want []uint64
+	switch snd := h.snd.(type) {
+	case *pipelinedSender:
+		want = append(want, snd.root...)
+		for _, z := range snd.zooms {
+			want = append(want, z.counters...)
+		}
+	case *stagedSender:
+		want = append(want, snd.node...)
 	}
 	if got := rcv.appendSnapshot(nil); !slices.Equal(got, want) {
 		t.Fatalf("session %d, targets %v: receiver counted %v, sender %v", session, targets, got, want)

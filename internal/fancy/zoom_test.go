@@ -1,8 +1,8 @@
 package fancy
 
-// White-box tests of the zooming algorithm: drive treeSender/treeReceiver
-// session by session without a network, controlling exactly which packets
-// the "downstream" sees.
+// White-box tests of the zooming algorithm: drive a tree unit's sender and
+// receiver counters, pipelined or staged, session by session without a
+// network, controlling exactly which packets the "downstream" sees.
 
 import (
 	"slices"
@@ -31,8 +31,8 @@ func tagFor(node, counter uint8) wire.Tag { return wire.Tag{Node: node, Counter:
 type zoomHarness struct {
 	t      *testing.T
 	det    *Detector
-	snd    *treeSender
-	rcv    *treeReceiver
+	snd    senderCounters
+	rcv    receiverCounters
 	events *[]Event
 }
 
@@ -51,11 +51,19 @@ func newZoomHarness(t *testing.T, params tree.Params, seed int64) *zoomHarness {
 	return &zoomHarness{
 		t:      t,
 		det:    det,
-		snd:    det.monitors[1].treeCnt,
-		rcv:    newTreeReceiver(params),
+		snd:    det.monitors[1].tree.counters,
+		rcv:    det.newTreeReceiver(),
 		events: &events,
 	}
 }
+
+// pipelined and staged return the harness's sender as the variant its
+// tree was built as.
+func (h *zoomHarness) pipelined() *pipelinedSender { return h.snd.(*pipelinedSender) }
+func (h *zoomHarness) staged() *stagedSender       { return h.snd.(*stagedSender) }
+
+// path is entry's tree hash path on the harness's port.
+func (h *zoomHarness) path(entry netsim.EntryID) []uint16 { return h.det.EntryPath(1, entry) }
 
 // session runs one counting session: sent maps entries to packets offered;
 // delivered maps entries to how many of those reach the receiver.
@@ -94,8 +102,8 @@ func TestZoomLosslessSessionsSpawnNothing(t *testing.T) {
 	h := newZoomHarness(t, zoomParams, 1)
 	for i := 0; i < 5; i++ {
 		h.session(map[netsim.EntryID]int{100: 10, 200: 7}, map[netsim.EntryID]int{100: 10, 200: 7})
-		if len(h.snd.zooms) != 0 {
-			t.Fatalf("session %d: %d zooms active without loss", i, len(h.snd.zooms))
+		if len(h.pipelined().zooms) != 0 {
+			t.Fatalf("session %d: %d zooms active without loss", i, len(h.pipelined().zooms))
 		}
 	}
 	if len(*h.events) != 0 {
@@ -106,21 +114,21 @@ func TestZoomLosslessSessionsSpawnNothing(t *testing.T) {
 func TestZoomReachesLeafInDepthSessions(t *testing.T) {
 	h := newZoomHarness(t, zoomParams, 2)
 	const victim = netsim.EntryID(100)
-	path := h.snd.EntryPath(victim)
+	path := h.path(victim)
 
 	// Session 1: loss observed at the root; one zoom spawns at level 1.
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 5})
-	if len(h.snd.zooms) != 1 {
-		t.Fatalf("after session 1: %d zooms, want 1", len(h.snd.zooms))
+	if len(h.pipelined().zooms) != 1 {
+		t.Fatalf("after session 1: %d zooms, want 1", len(h.pipelined().zooms))
 	}
-	if got := h.snd.zooms[0].path; len(got) != 1 || got[0] != path[0] {
+	if got := h.pipelined().zooms[0].path; len(got) != 1 || got[0] != path[0] {
 		t.Fatalf("zoom path %v, want [%d]", got, path[0])
 	}
 
 	// Session 2: the wave advances to level 2 (the leaf level for d=3).
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 5})
-	if len(h.snd.zooms) != 1 || len(h.snd.zooms[0].path) != 2 {
-		t.Fatalf("after session 2: zooms %+v, want one at depth 2", h.snd.zooms)
+	if len(h.pipelined().zooms) != 1 || len(h.pipelined().zooms[0].path) != 2 {
+		t.Fatalf("after session 2: zooms %+v, want one at depth 2", h.pipelined().zooms)
 	}
 
 	// Session 3: the leaf mismatch is reported with the entry's full path.
@@ -151,7 +159,7 @@ func TestZoomParallelWaves(t *testing.T) {
 	// Find two entries with distinct root indices.
 	a := netsim.EntryID(100)
 	b := a + 1
-	for h.snd.EntryPath(a)[0] == h.snd.EntryPath(b)[0] {
+	for h.path(a)[0] == h.path(b)[0] {
 		b++
 	}
 	traffic := map[netsim.EntryID]int{a: 10, b: 10}
@@ -164,7 +172,7 @@ func TestZoomParallelWaves(t *testing.T) {
 	for _, ev := range leaves {
 		found[pathKeyTest(ev.Path)] = true
 	}
-	if !found[pathKeyTest(h.snd.EntryPath(a))] || !found[pathKeyTest(h.snd.EntryPath(b))] {
+	if !found[pathKeyTest(h.path(a))] || !found[pathKeyTest(h.path(b))] {
 		t.Fatalf("parallel waves did not localize both entries: %v", leaves)
 	}
 }
@@ -177,7 +185,7 @@ func TestZoomPipelineStaggeredEntries(t *testing.T) {
 	h := newZoomHarness(t, params, 4)
 	a := netsim.EntryID(100)
 	b := a + 1
-	for h.snd.EntryPath(a)[0] == h.snd.EntryPath(b)[0] {
+	for h.path(a)[0] == h.path(b)[0] {
 		b++
 	}
 	// Make A's mismatch strictly bigger so the first wave picks it.
@@ -185,12 +193,12 @@ func TestZoomPipelineStaggeredEntries(t *testing.T) {
 	lossy := map[netsim.EntryID]int{a: 5, b: 4}
 
 	h.session(traffic, lossy) // wave 1 starts on A's counter
-	if len(h.snd.zooms) != 1 || h.snd.zooms[0].path[0] != h.snd.EntryPath(a)[0] {
-		t.Fatalf("wave 1 = %+v, want A's root index %d", h.snd.zooms, h.snd.EntryPath(a)[0])
+	if len(h.pipelined().zooms) != 1 || h.pipelined().zooms[0].path[0] != h.path(a)[0] {
+		t.Fatalf("wave 1 = %+v, want A's root index %d", h.pipelined().zooms, h.path(a)[0])
 	}
 	h.session(traffic, lossy) // wave 1 advances; wave 2 starts on B
-	if len(h.snd.zooms) != 2 {
-		t.Fatalf("after session 2: %d zooms, want 2 (pipelined)", len(h.snd.zooms))
+	if len(h.pipelined().zooms) != 2 {
+		t.Fatalf("after session 2: %d zooms, want 2 (pipelined)", len(h.pipelined().zooms))
 	}
 	h.session(traffic, lossy) // wave 1 reports A's leaf
 	h.session(traffic, lossy) // wave 2 reports B's leaf
@@ -199,7 +207,7 @@ func TestZoomPipelineStaggeredEntries(t *testing.T) {
 	for _, ev := range leaves {
 		found[pathKeyTest(ev.Path)] = true
 	}
-	if !found[pathKeyTest(h.snd.EntryPath(a))] || !found[pathKeyTest(h.snd.EntryPath(b))] {
+	if !found[pathKeyTest(h.path(a))] || !found[pathKeyTest(h.path(b))] {
 		t.Fatalf("pipelining failed to localize both entries")
 	}
 }
@@ -209,13 +217,13 @@ func TestZoomDeadEndRetires(t *testing.T) {
 	const victim = netsim.EntryID(100)
 	// One lossy session starts a wave...
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 5})
-	if len(h.snd.zooms) != 1 {
+	if len(h.pipelined().zooms) != 1 {
 		t.Fatal("wave did not start")
 	}
 	// ...then the loss disappears (transient): the wave dies out.
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 10})
-	if len(h.snd.zooms) != 0 {
-		t.Fatalf("dead-end wave still active: %+v", h.snd.zooms)
+	if len(h.pipelined().zooms) != 0 {
+		t.Fatalf("dead-end wave still active: %+v", h.pipelined().zooms)
 	}
 	if len(h.leafEvents()) != 0 {
 		t.Error("transient loss reported a leaf")
@@ -241,7 +249,7 @@ func TestZoomUniformClearsWaves(t *testing.T) {
 	if uniform != 1 {
 		t.Fatalf("uniform events = %d, want 1", uniform)
 	}
-	if len(h.snd.zooms) != 0 {
+	if len(h.pipelined().zooms) != 0 {
 		t.Error("uniform classification must clear per-entry waves")
 	}
 	// The episode does not re-fire while it persists.
@@ -260,8 +268,7 @@ func TestZoomUniformClearsWaves(t *testing.T) {
 func TestZoomReceiverHeadCounting(t *testing.T) {
 	// Targets never nest, so a node tag counts in its own node and in the
 	// root counter its target descends from, and nowhere else.
-	params := tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}
-	rcv := newTreeReceiver(params)
+	rcv := &pipelinedReceiver{root: make([]uint64, 8)} // width 8
 	rcv.resetSession(wire2ZoomTargets([][]uint16{{3, 5}, {4, 1}}))
 
 	rcv.countTag(tagFor(2, 6)) // target {4,1}, counter 6
@@ -274,29 +281,30 @@ func TestZoomReceiverHeadCounting(t *testing.T) {
 	}
 }
 
-// Non-pipelined (Tofino-style) zooming: a single reused node register and a
-// stage counter that cycles root → level 1 → ... → leaves → root.
+// Staged (Tofino-style, non-pipelined) zooming: a single reused node
+// register and a stage counter that cycles root → level 1 → ... → leaves →
+// root.
 func TestZoomNonPipelinedStageCycle(t *testing.T) {
 	params := tree.Params{Width: 16, Depth: 3, Split: 1, Pipelined: false}
 	h := newZoomHarness(t, params, 7)
 	const victim = netsim.EntryID(321)
-	path := h.snd.EntryPath(victim)
+	path := h.path(victim)
 	traffic := map[netsim.EntryID]int{victim: 10, victim + 1: 10}
 	lossy := map[netsim.EntryID]int{victim: 5, victim + 1: 10}
 
 	// Stage 0: root counting; mismatch selects max0 and advances.
-	if h.snd.stage != 0 {
-		t.Fatalf("initial stage = %d", h.snd.stage)
+	if h.staged().stage != 0 {
+		t.Fatalf("initial stage = %d", h.staged().stage)
 	}
 	h.session(traffic, lossy)
-	if h.snd.stage != 1 || h.snd.maxes[0] != path[0] {
-		t.Fatalf("after stage 0: stage=%d max0=%d, want 1/%d", h.snd.stage, h.snd.maxes[0], path[0])
+	if h.staged().stage != 1 || h.staged().maxes[0] != path[0] {
+		t.Fatalf("after stage 0: stage=%d max0=%d, want 1/%d", h.staged().stage, h.staged().maxes[0], path[0])
 	}
 	// Stage 1: only packets under max0 are counted at all; the healthy
 	// entry is invisible this session.
 	h.session(traffic, lossy)
-	if h.snd.stage != 2 || h.snd.maxes[1] != path[1] {
-		t.Fatalf("after stage 1: stage=%d max1=%d, want 2/%d", h.snd.stage, h.snd.maxes[1], path[1])
+	if h.staged().stage != 2 || h.staged().maxes[1] != path[1] {
+		t.Fatalf("after stage 1: stage=%d max1=%d, want 2/%d", h.staged().stage, h.staged().maxes[1], path[1])
 	}
 	// Stage 2 (leaf): report and wrap back to the root.
 	h.session(traffic, lossy)
@@ -309,8 +317,8 @@ func TestZoomNonPipelinedStageCycle(t *testing.T) {
 			t.Fatalf("leaf path %v, want %v", leaves[0].Path, path)
 		}
 	}
-	if h.snd.stage != 0 {
-		t.Fatalf("stage = %d after leaves, want 0 (wrap)", h.snd.stage)
+	if h.staged().stage != 0 {
+		t.Fatalf("stage = %d after leaves, want 0 (wrap)", h.staged().stage)
 	}
 }
 
@@ -319,13 +327,13 @@ func TestZoomNonPipelinedDeadEndResets(t *testing.T) {
 	h := newZoomHarness(t, params, 8)
 	const victim = netsim.EntryID(321)
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 5})
-	if h.snd.stage != 1 {
+	if h.staged().stage != 1 {
 		t.Fatal("zoom did not start")
 	}
 	// Loss vanishes: the stage machine resets to the root.
 	h.session(map[netsim.EntryID]int{victim: 10}, map[netsim.EntryID]int{victim: 10})
-	if h.snd.stage != 0 {
-		t.Fatalf("stage = %d after clean session, want 0", h.snd.stage)
+	if h.staged().stage != 0 {
+		t.Fatalf("stage = %d after clean session, want 0", h.staged().stage)
 	}
 	if len(h.leafEvents()) != 0 {
 		t.Error("transient loss reported a leaf")
@@ -351,8 +359,29 @@ func TestZoomNonPipelinedUniform(t *testing.T) {
 	if !uniform {
 		t.Fatal("non-pipelined tree missed a uniform failure")
 	}
-	if h.snd.stage != 0 {
+	if h.staged().stage != 0 {
 		t.Error("uniform classification must not start zooming")
+	}
+}
+
+// TestZoomOneLevelTreeFlagsRoot: a tree of depth 1 is its root node
+// alone, so a mismatching root counter is a leaf. Both variants flag the
+// lossy entry's one-index path after one session and advertise no zoom
+// target (a receiver drops a target as long as the tree is deep). Before,
+// the staged sender indexed its empty max register, and the pipelined one
+// started waves that could never reach a leaf.
+func TestZoomOneLevelTreeFlagsRoot(t *testing.T) {
+	for _, pipelined := range []bool{true, false} {
+		h := newZoomHarness(t, tree.Params{Width: 16, Depth: 1, Split: 1, Pipelined: pipelined}, 10)
+		const victim = netsim.EntryID(321)
+		h.session(map[netsim.EntryID]int{victim: 10, victim + 1: 10}, map[netsim.EntryID]int{victim: 5, victim + 1: 10})
+		leaves := h.leafEvents()
+		if len(leaves) != 1 || !slices.Equal(leaves[0].Path, h.path(victim)) || leaves[0].Diff != 5 || !h.det.Flagged(1, victim) {
+			t.Errorf("pipelined=%v: leaf events %+v, want one for %v with diff 5", pipelined, leaves, h.path(victim))
+		}
+		if targets := h.snd.resetSession(); len(targets) != 0 {
+			t.Errorf("pipelined=%v: a one-level tree advertises zoom targets %v", pipelined, targets)
+		}
 	}
 }
 
@@ -360,7 +389,7 @@ func TestZoomNonPipelinedUniform(t *testing.T) {
 // path: OnIngress decodes every control message into one per-detector
 // scratch (wire.UnmarshalInto reuses its Targets and Path arrays), and the
 // one consumer whose zoom configuration outlives the call — a pipelined
-// treeReceiver — must keep nothing that aliases it. A pipelined Start
+// pipelinedReceiver — must keep nothing that aliases it. A pipelined Start
 // configures the receiver; a second message of the same shape but other
 // contents is then decoded into the same scratch; tags counted afterwards
 // must land exactly where they land in a run without the overwrite.
@@ -394,7 +423,7 @@ func TestControlScratchNotRetained(t *testing.T) {
 				t.Fatalf("scratch targets %v: the second message did not reuse the scratch", got)
 			}
 		}
-		rcv := det.listeners[1].tree.counters.(*treeReceiver)
+		rcv := det.listeners[1].tree.counters.(*pipelinedReceiver)
 		// One tag per node: the root, target {3,5} and target {4,1}; each
 		// target's tag also counts at its head, root[3] or root[4].
 		for _, tag := range []wire.Tag{tagFor(0, 2), tagFor(1, 6), tagFor(2, 4)} {

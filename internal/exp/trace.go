@@ -171,23 +171,29 @@ func Table3(scale Scale, seed int64) *Table3Result {
 	rng := rand.New(rand.NewSource(seed + 99))
 	samples := ts.samplePrefixes(nSamples, rng)
 
-	res := &Table3Result{Scale: scale}
-	res.Rows = trials(len(losses), func(li int) Table3Row {
-		loss := losses[li]
+	// Each (loss, sample) trial is one cell of the runner; a row then
+	// reduces its loss's cells in sample order.
+	n := len(samples)
+	cells := trials(len(losses)*n, func(c int) stats.Detection {
+		li, i := c/n, c%n
+		prefix := samples[i]
+		sc := &Scenario{
+			Seed: seed + int64(i)*131, Cfg: ts.cfg, Delay: 10 * sim.Millisecond,
+			Duration: ts.duration, FailAt: ts.failAt, LossRate: losses[li],
+			Failed:           []netsim.EntryID{prefix},
+			Loads:            nil, // loads come from the trace below
+			StopWhenDetected: true,
+		}
+		return runTrace(sc, ts.trace).PerEntry[prefix]
+	})
+	res := &Table3Result{Scale: scale, Rows: make([]Table3Row, len(losses))}
+	for li, loss := range losses {
 		row := Table3Row{LossRate: loss}
 		var detBytes, totBytes float64
 		var det, tot, dedDet, dedTot, treeDet, treeTot int
 		var lat []float64
 		for i, prefix := range samples {
-			sc := &Scenario{
-				Seed: seed + int64(i)*131, Cfg: ts.cfg, Delay: 10 * sim.Millisecond,
-				Duration: ts.duration, FailAt: ts.failAt, LossRate: loss,
-				Failed:           []netsim.EntryID{prefix},
-				Loads:            nil, // loads come from the trace below
-				StopWhenDetected: true,
-			}
-			out := runTrace(sc, ts.trace)
-			d := out.PerEntry[prefix]
+			d := cells[li*n+i]
 			tot++
 			totBytes += float64(bytesOf[prefix])
 			if dedSet[prefix] {
@@ -222,8 +228,8 @@ func Table3(scale Scale, seed int64) *Table3Result {
 			row.TPRTree = float64(treeDet) / float64(treeTot)
 		}
 		row.DetTimeSecs = stats.Mean(lat)
-		return row
-	})
+		res.Rows[li] = row
+	}
 	return res
 }
 
@@ -311,33 +317,12 @@ func BaselineComparison(scale Scale, seed int64) *BaselineResult {
 	// IBF cells that fit FANcY's 20 KB budget at 36 B/cell (≈560);
 	// NetSeer gets a buffer of the signatures that fit 20 KB at 16 B each
 	// (1250 packets — far below this link's bandwidth-delay product).
-	rows := trials(2+len(designs), func(d int) BaselineRow {
-		switch d {
-		case 0:
-			return runLossRadarTrials(ts, samples, loss, seed)
-		case 1:
-			return runNetSeerTrials(ts, samples, loss, seed)
-		}
-		design := designs[d-2]
-		var det, tot, fps int
-		var lat []float64
-		for i, prefix := range samples {
-			outcome := runBaselineTrial(ts, design, prefix, loss, seed+int64(i)*17)
-			tot++
-			if outcome.detected {
-				det++
-				lat = append(lat, outcome.latency.Seconds())
-			}
-			fps += outcome.falsePositives
-		}
-		row := BaselineRow{
-			Design:      design.Name(),
-			DetTimeSecs: stats.Mean(lat),
-		}
-		if tot > 0 {
-			row.TPRPrefixes = float64(det) / float64(tot)
-			row.FalsePerTrial = float64(fps) / float64(tot)
-		}
+	rows := []BaselineRow{
+		{Design: "lossradar-20KB", MemoryBytes: lossRadarCells * lossradar.CellBytes * 2},
+		{Design: "netseer-20KB", MemoryBytes: netSeerBufferPkts * netseer.RecordBytes},
+	}
+	for _, design := range designs {
+		row := BaselineRow{Design: design.Name()}
 		switch d := design.(type) {
 		case simple.PerEntry:
 			// Report at ISP scale: one counter for each of 250K prefixes.
@@ -347,8 +332,43 @@ func BaselineComparison(scale Scale, seed int64) *BaselineResult {
 		default:
 			row.MemoryBytes = 8
 		}
-		return row
+		rows = append(rows, row)
+	}
+
+	// Each (design, sample) trial is one cell of the runner; a row then
+	// reduces its design's cells in sample order.
+	n := len(samples)
+	cells := trials(len(rows)*n, func(c int) baselineOutcome {
+		d, i := c/n, c%n
+		switch d {
+		case 0:
+			return runLossRadarTrial(ts, samples[i], loss, seed+int64(i)*23, seed+2)
+		case 1:
+			return runNetSeerTrial(ts, samples[i], loss, seed+int64(i)*29, seed+2)
+		}
+		return runBaselineTrial(ts, designs[d-2], samples[i], loss, seed+int64(i)*17)
 	})
+	for d := range rows {
+		var det, fps int
+		var lat []float64
+		for _, o := range cells[d*n : (d+1)*n] {
+			if o.detected {
+				det++
+				lat = append(lat, o.latency.Seconds())
+			}
+			fps += o.falsePositives
+		}
+		if n > 0 {
+			rows[d].TPRPrefixes = float64(det) / float64(n)
+		}
+		if d < 2 {
+			continue // LossRadar and NetSeer report losses, not a detection time
+		}
+		rows[d].DetTimeSecs = stats.Mean(lat)
+		if n > 0 {
+			rows[d].FalsePerTrial = float64(fps) / float64(n)
+		}
+	}
 	return &BaselineResult{LossRate: loss, Rows: rows}
 }
 
@@ -368,49 +388,32 @@ func (ts *traceScenario) replayOn(b *netsim.LinkBed, failSeed int64, loss float6
 	b.Sim.Run(ts.duration)
 }
 
-// runLossRadarTrials runs the executable LossRadar meter pair, budgeted to
-// FANcY's per-port memory, on the same failure trials.
-func runLossRadarTrials(ts *traceScenario, samples []netsim.EntryID, loss float64, seed int64) BaselineRow {
-	const cells = 20_000 / lossradar.CellBytes
-	var det, tot int
-	for i, prefix := range samples {
-		b := newBaselineBed(seed + int64(i)*23)
-		m := lossradar.NewMeterPair(b.Sim, cells, 10*sim.Millisecond)
-		b.AttachProbe(m)
-		ts.replayOn(b, seed+2, loss, prefix)
-		tot++
-		if m.LostRecovered[prefix] > 0 {
-			det++
-		}
-	}
-	row := BaselineRow{Design: "lossradar-20KB", MemoryBytes: cells * lossradar.CellBytes * 2}
-	if tot > 0 {
-		row.TPRPrefixes = float64(det) / float64(tot)
-	}
-	return row
+// The §2.3 systems' budgets: FANcY's 20 KB per port in LossRadar IBF
+// cells and in NetSeer packet signatures.
+const (
+	lossRadarCells    = 20_000 / lossradar.CellBytes
+	netSeerBufferPkts = 20_000 / netseer.RecordBytes
+)
+
+// runLossRadarTrial runs the executable LossRadar meter pair, budgeted to
+// FANcY's per-port memory, on one failure trial.
+func runLossRadarTrial(ts *traceScenario, prefix netsim.EntryID, loss float64, seed, failSeed int64) baselineOutcome {
+	b := newBaselineBed(seed)
+	m := lossradar.NewMeterPair(b.Sim, lossRadarCells, 10*sim.Millisecond)
+	b.AttachProbe(m)
+	ts.replayOn(b, failSeed, loss, prefix)
+	return baselineOutcome{detected: m.LostRecovered[prefix] > 0}
 }
 
-// runNetSeerTrials runs the executable NetSeer protocol with a buffer that
+// runNetSeerTrial runs the executable NetSeer protocol with a buffer that
 // fits FANcY's per-port memory — far below the link's BDP, so most losses
-// are unattributable (the Figure 2 regime).
-func runNetSeerTrials(ts *traceScenario, samples []netsim.EntryID, loss float64, seed int64) BaselineRow {
-	const bufferPkts = 20_000 / netseer.RecordBytes
-	var det, tot int
-	for i, prefix := range samples {
-		b := newBaselineBed(seed + int64(i)*29)
-		p := netseer.NewProtocol(b.Sim, bufferPkts, 10*sim.Millisecond)
-		b.AttachProbe(p)
-		ts.replayOn(b, seed+2, loss, prefix)
-		tot++
-		if p.LossByEntry[prefix] > 0 {
-			det++
-		}
-	}
-	row := BaselineRow{Design: "netseer-20KB", MemoryBytes: bufferPkts * netseer.RecordBytes}
-	if tot > 0 {
-		row.TPRPrefixes = float64(det) / float64(tot)
-	}
-	return row
+// are unattributable (the Figure 2 regime) — on one failure trial.
+func runNetSeerTrial(ts *traceScenario, prefix netsim.EntryID, loss float64, seed, failSeed int64) baselineOutcome {
+	b := newBaselineBed(seed)
+	p := netseer.NewProtocol(b.Sim, netSeerBufferPkts, 10*sim.Millisecond)
+	b.AttachProbe(p)
+	ts.replayOn(b, failSeed, loss, prefix)
+	return baselineOutcome{detected: p.LossByEntry[prefix] > 0}
 }
 
 type baselineOutcome struct {

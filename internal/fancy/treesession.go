@@ -23,7 +23,7 @@ import (
 // newTreeSender builds the sender counters of port's tree unit in the
 // configured variant.
 func (d *Detector) newTreeSender(port int) senderCounters {
-	p, base := d.cfg.Tree, treeReporter{det: d, port: port, hasher: d.hasher}
+	p, base := d.cfg.Tree, treeReporter{det: d, port: port, hasher: d.hasher, selection: d.cfg.ZoomSelection}
 	if !p.Pipelined {
 		return &stagedSender{
 			treeReporter: base,
@@ -36,7 +36,6 @@ func (d *Detector) newTreeSender(port int) senderCounters {
 		root:         make([]uint64, p.Width),
 		pathBuf:      make([]uint16, 0, p.Depth),
 		localized:    make(map[uint16]bool),
-		selection:    d.cfg.ZoomSelection,
 	}
 }
 
@@ -66,11 +65,13 @@ func (d *Detector) treeHolds(targets []wire.ZoomTarget) bool {
 }
 
 // treeReporter is what both tree senders share: the port they compare and
-// report for, the detector's hasher, and the uniform-failure episode.
+// report for, the detector's hasher, the counter-selection policy, and the
+// uniform-failure episode.
 type treeReporter struct {
-	det    *Detector
-	port   int
-	hasher *tree.Hasher
+	det       *Detector
+	port      int
+	hasher    *tree.Hasher
+	selection ZoomSelection
 
 	// uniformActive is set while a uniform failure lasts: one event per
 	// episode.
@@ -92,6 +93,16 @@ func (t *treeReporter) uniform(mis []mismatch, width int) bool {
 		t.uniformActive = false
 	}
 	return false
+}
+
+// reorder puts mismatches in the order the zooming explores them: as diffs
+// sorts them (largest difference first), or shuffled under SelectRandom,
+// the ablation's policy.
+func (t *treeReporter) reorder(mis []mismatch) []mismatch {
+	if t.selection == SelectRandom && len(mis) > 1 {
+		t.det.s.Rand().Shuffle(len(mis), func(a, b int) { mis[a], mis[b] = mis[b], mis[a] })
+	}
+	return mis
 }
 
 // flagLeaves flags each mismatching leaf counter of the leaf node at
@@ -164,8 +175,6 @@ type pipelinedSender struct {
 	// starve the others; an entry is cleared once its counter goes clean
 	// (the failure healed or was rerouted away).
 	localized map[uint16]bool
-
-	selection ZoomSelection
 }
 
 func (t *pipelinedSender) resetSession() []wire.ZoomTarget {
@@ -217,15 +226,6 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 	k := p.Split
 	var next []*zoomNode
 
-	// Ablation hook: explore mismatching counters in random order instead
-	// of largest-difference-first.
-	reorder := func(mis []mismatch) []mismatch {
-		if t.selection == SelectRandom && len(mis) > 1 {
-			t.det.s.Rand().Shuffle(len(mis), func(a, b int) { mis[a], mis[b] = mis[b], mis[a] })
-		}
-		return mis
-	}
-
 	// Advance the waves: each zoom either reports (leaf level), splits
 	// into up to k children one level deeper, or retires as a dead end.
 	// Its own node slot frees either way — that is what lets the pipeline
@@ -235,7 +235,7 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 		if lo+w > len(counters) {
 			continue // malformed report; drop this wave
 		}
-		mis := reorder(diffs(z.counters, counters[lo:lo+w]))
+		mis := t.reorder(diffs(z.counters, counters[lo:lo+w]))
 		if len(mis) == 0 {
 			continue // transient or collision dead end
 		}
@@ -271,7 +271,7 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 		}
 	}
 	started := 0
-	rootMis = reorder(rootMis)
+	rootMis = t.reorder(rootMis)
 	// Two passes: fresh (never-localized) counters first, then — if wave
 	// slots remain — already-localized ones, so persistent heavy failures
 	// keep being monitored without starving undiagnosed ones.
@@ -346,6 +346,7 @@ func (t *stagedSender) handleReport(counters []uint64) {
 	if t.stage == 0 && t.uniform(mis, w) {
 		return
 	}
+	mis = t.reorder(mis)
 	switch {
 	case len(mis) == 0:
 		t.stage = 0 // nothing to chase, or a dead end: restart at the root

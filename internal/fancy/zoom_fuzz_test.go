@@ -19,7 +19,7 @@ import (
 // or the staged tree's one node at whatever stage it has reached.
 //
 // config picks the tree (bit 0: w8/d3/k2 or w8/d4/k3; staged, w8/d3 or
-// w8/d4), the selection policy (bit 1, pipelined only) and the variant
+// w8/d4), the selection policy (bit 1: SelectRandom) and the variant
 // (bit 2: staged); each two bytes of losses are one session, bit e marking
 // entry e of zoomFuzzEntries as lossy.
 func FuzzZoomWaves(f *testing.F) {
@@ -29,6 +29,7 @@ func FuzzZoomWaves(f *testing.F) {
 	f.Add(uint8(3), []byte{0xff, 0xff, 0x0f, 0, 0x0f, 0, 0x0f, 0, 0x0f, 0})
 	f.Add(uint8(1), []byte{0x55, 0x05, 0x55, 0x05, 0xaa, 0x0a, 0x55, 0x05, 0x55, 0x05, 0x55, 0x05})
 	f.Add(uint8(4), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x01, 0, 0, 0, 0x01, 0})
+	f.Add(uint8(6), []byte{0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0x03, 0x80})
 	f.Add(uint8(5), []byte{0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0x03, 0x80, 0xff, 0xff, 0x03, 0x80})
 	f.Fuzz(func(t *testing.T, config uint8, losses []byte) {
 		params := tree.Params{Width: 8, Depth: 3, Split: 2, Pipelined: true}
@@ -39,8 +40,13 @@ func FuzzZoomWaves(f *testing.F) {
 			params.Split, params.Pipelined = 1, false
 		}
 		h := newZoomHarness(t, params, int64(config)+1)
-		if snd, ok := h.snd.(*pipelinedSender); ok && config&2 != 0 {
-			snd.selection = SelectRandom
+		if config&2 != 0 {
+			switch snd := h.snd.(type) {
+			case *pipelinedSender:
+				snd.selection = SelectRandom
+			case *stagedSender:
+				snd.selection = SelectRandom
+			}
 		}
 		rng := rand.New(rand.NewSource(int64(len(losses))))
 		for s := 0; s+1 < len(losses) && s < 128; s += 2 {

@@ -364,6 +364,53 @@ func TestZoomNonPipelinedUniform(t *testing.T) {
 	}
 }
 
+// TestZoomNonPipelinedRandomSelection: under SelectRandom a staged tree
+// picks the index it zooms into through the same shuffle as a pipelined
+// one, so it can descend a mismatch that is not the largest and flag that
+// entry's leaf; under SelectMaxDiff it always takes the largest.
+func TestZoomNonPipelinedRandomSelection(t *testing.T) {
+	params := tree.Params{Width: 16, Depth: 3, Split: 1, Pipelined: false}
+	for _, sel := range []ZoomSelection{SelectMaxDiff, SelectRandom} {
+		h := newZoomHarness(t, params, 11)
+		h.staged().selection = sel
+		const heavy = netsim.EntryID(321)
+		light := heavy + 1
+		for h.path(light)[0] == h.path(heavy)[0] {
+			light++
+		}
+		sent := map[netsim.EntryID]int{heavy: 20, light: 20}
+		lossy := map[netsim.EntryID]int{heavy: 10, light: 18}
+		// Start a zoom from the root until it takes the light entry's
+		// counter; a clean session sends the tree back to the root.
+		tries := 0
+		for ; tries < 40; tries++ {
+			h.session(sent, lossy)
+			if h.staged().stage != 1 {
+				t.Fatalf("%v: stage %d after a lossy root session, want 1", sel, h.staged().stage)
+			}
+			if h.staged().maxes[0] == h.path(light)[0] {
+				break
+			}
+			h.session(sent, sent)
+		}
+		if sel == SelectMaxDiff {
+			if tries != 40 {
+				t.Errorf("max-diff selection zoomed into the smaller mismatch")
+			}
+			continue
+		}
+		if tries == 40 {
+			t.Fatal("random selection never zoomed into the smaller mismatch in 40 root sessions")
+		}
+		h.session(sent, lossy)
+		h.session(sent, lossy)
+		leaves := h.leafEvents()
+		if len(leaves) != 1 || !slices.Equal(leaves[0].Path, h.path(light)) {
+			t.Errorf("leaf events %+v, want one for the light entry's path %v", leaves, h.path(light))
+		}
+	}
+}
+
 // TestZoomOneLevelTreeFlagsRoot: a tree of depth 1 is its root node
 // alone, so a mismatching root counter is a leaf. Both variants flag the
 // lossy entry's one-index path after one session and advertise no zoom

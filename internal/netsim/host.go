@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"fancy/internal/sim"
 )
@@ -94,16 +95,28 @@ func (h *Host) Send(pkt *Packet) bool {
 //
 // The handlers are a table indexed by flow ID, so a host's table is as long
 // as the largest flow ID ever bound on it: bind dense IDs. traffic.Driver
-// numbers its flows from 0, and it is the only binder outside tests
-// (through tcp.NewSender); UDP sources bind nothing.
+// numbers its flows from 0 and reserves the table once per Schedule; it and
+// benchmark/'s TCP probe are the only binders outside tests (through tcp's
+// NewSender); UDP sources bind nothing.
 func (h *Host) Bind(flow FlowID, handler PacketHandler) {
 	if int(flow) >= len(h.handlers) {
 		if handler == nil {
 			return
 		}
-		h.handlers = append(h.handlers, make([]PacketHandler, int(flow)+1-len(h.handlers))...)
+		// Within a Reserved capacity this allocates nothing, also in a
+		// race build, where append(s, make(...)...) always allocates.
+		h.handlers = slices.Grow(h.handlers, int(flow)+1-len(h.handlers))[:flow+1]
 	}
 	h.handlers[flow] = handler
+}
+
+// Reserve makes room in the handler table for the flow IDs below flows, so
+// that binding them allocates nothing more. The room at least doubles, so
+// a driver that reserves batch after batch copies the table O(log n) times.
+func (h *Host) Reserve(flows int) {
+	if flows > cap(h.handlers) {
+		h.handlers = append(make([]PacketHandler, 0, max(flows, 2*cap(h.handlers))), h.handlers...)
+	}
 }
 
 // Sim returns the simulator the host is running on.

@@ -433,7 +433,7 @@ func TestSwitchReroute(t *testing.T) {
 func TestHostDemux(t *testing.T) {
 	type bind struct {
 		flow    FlowID
-		handler int // 0 binds nil
+		handler int // 0 binds nil; -1 reserves the flows below flow
 	}
 	for _, tc := range []struct {
 		name    string
@@ -451,6 +451,8 @@ func TestHostDemux(t *testing.T) {
 		{"unbind on an empty host", []bind{{5, 0}}, []FlowID{5}, []int{0}, 0},
 		{"beyond the table", []bind{{2, 1}}, []FlowID{3, 1 << 20, ^FlowID(0)}, []int{0, 0, 0}, 3},
 		{"a lower flow after a higher one", []bind{{9, 1}, {2, 2}}, []FlowID{2, 9, 5}, []int{2, 1, 0}, 10},
+		{"reserve keeps the length", []bind{{2, 1}, {100, -1}}, []FlowID{2, 50}, []int{1, 0}, 3},
+		{"bind into a reserved table", []bind{{100, -1}, {60, 1}, {1, 0}}, []FlowID{60, 1}, []int{1, 0}, 61},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(1)
@@ -464,9 +466,12 @@ func TestHostDemux(t *testing.T) {
 			}
 			h.Default = handler(0)
 			for _, b := range tc.binds {
-				if b.handler == 0 {
+				switch b.handler {
+				case -1:
+					h.Reserve(int(b.flow))
+				case 0:
 					h.Bind(b.flow, nil)
-				} else {
+				default:
 					h.Bind(b.flow, handler(b.handler))
 				}
 			}

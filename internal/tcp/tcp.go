@@ -88,28 +88,71 @@ type Sender struct {
 // installs the matching receiver on dstHost. Data packets carry entry so
 // that link failure models and FANcY can classify them; ACKs carry
 // netsim.InvalidEntry (they flow on the reverse path).
+//
+// The flow is one allocation holding both ends; its receiver keeps its own
+// reorder buffer once it has one. Block.NewSender opens the flows of a batch
+// in one allocation instead.
 func NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
 	entry netsim.EntryID, srcAddr, dstAddr uint32, total int64, cfg Config) *Sender {
-	cfg.fill()
-	c := &conn{
-		snd: Sender{
-			cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
-			src: srcAddr, dst: dstAddr, total: total,
-			cwnd: initialCwnd, ssthresh: 1 << 20, rto: initialRTO,
-			start: s.Now(),
-		},
-		rcv: receiver{host: dstHost, flow: flow, src: dstAddr, dst: srcAddr},
-	}
-	snd := &c.snd
-	srcHost.Bind(flow, (*ackHandler)(snd))
-	dstHost.Bind(flow, &c.rcv)
-	return snd
+	c := new(conn)
+	c.open(s, srcHost, dstHost, flow, entry, srcAddr, dstAddr, total, cfg, nil)
+	return &c.snd
 }
 
-// conn holds both ends of a flow in one allocation.
+// conn holds both ends of a flow.
 type conn struct {
 	snd Sender
 	rcv receiver
+}
+
+// open starts both ends of a flow in c and binds them to their hosts; blk
+// is the block c belongs to, nil for a flow of its own.
+func (c *conn) open(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
+	entry netsim.EntryID, srcAddr, dstAddr uint32, total int64, cfg Config, blk *Block) {
+	cfg.fill()
+	c.snd = Sender{
+		cfg: cfg, s: s, host: srcHost, flow: flow, entry: entry,
+		src: srcAddr, dst: dstAddr, total: total,
+		cwnd: initialCwnd, ssthresh: 1 << 20, rto: initialRTO,
+		start: s.Now(),
+	}
+	c.rcv = receiver{host: dstHost, flow: flow, src: dstAddr, dst: srcAddr, blk: blk}
+	srcHost.Bind(flow, (*ackHandler)(&c.snd))
+	dstHost.Bind(flow, &c.rcv)
+}
+
+// Block holds the connection records of a batch of flows in one
+// allocation, in the order they are opened, so flows opened close together
+// in time sit together in memory. Its receivers share the reorder buffers
+// they have drained: a receiver takes one at a gap and hands it back once
+// the gap fills, so a block allocates a buffer only when more of its flows
+// are out of order at once than ever before.
+type Block struct {
+	flows int     // records the block holds
+	conns []conn  // nil until the first flow opens; len: records opened so far
+	spare [][]seg // drained reorder buffers, each empty
+}
+
+// NewBlock makes a block for n flows. Their records are allocated together
+// when the first flow opens, so a trace scheduled ahead holds no memory
+// until it starts.
+func NewBlock(n int) *Block { return &Block{flows: n} }
+
+// NewSender is NewSender on the block's next record. It panics once the
+// block's n records are taken.
+func (b *Block) NewSender(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowID,
+	entry netsim.EntryID, srcAddr, dstAddr uint32, total int64, cfg Config) *Sender {
+	if b.conns == nil {
+		b.conns = make([]conn, 0, b.flows)
+	}
+	n := len(b.conns)
+	if n == cap(b.conns) {
+		panic("tcp: NewSender on a full Block")
+	}
+	b.conns = b.conns[:n+1]
+	c := &b.conns[n]
+	c.open(s, srcHost, dstHost, flow, entry, srcAddr, dstAddr, total, cfg, b)
+	return &c.snd
 }
 
 // ackHandler is the Sender as the source host's handler for its flow's
@@ -286,7 +329,8 @@ type receiver struct {
 	dst  uint32 // sender address
 
 	rcvNxt int64
-	segs   []seg // buffered out-of-order segments in ascending seq; nil until the first
+	segs   []seg  // buffered out-of-order segments in ascending seq; nil until the first
+	blk    *Block // the block whose spare buffers segs comes from and returns to; nil: segs is kept
 }
 
 // seg is one buffered out-of-order segment.
@@ -312,6 +356,10 @@ func (r *receiver) HandlePacket(pkt *netsim.Packet) {
 			}
 		}
 		r.segs = slices.Delete(r.segs, 0, n)
+		if len(r.segs) == 0 && r.segs != nil && r.blk != nil {
+			r.blk.spare = append(r.blk.spare, r.segs)
+			r.segs = nil
+		}
 	} else if pkt.Seq > r.rcvNxt {
 		r.buffer(pkt.Seq, pkt.Len)
 	}
@@ -326,7 +374,12 @@ func (r *receiver) HandlePacket(pkt *netsim.Packet) {
 // buffered at seq takes the new length.
 func (r *receiver) buffer(seq int64, n int) {
 	if r.segs == nil {
-		r.segs = make([]seg, 0, 8)
+		if b := r.blk; b != nil && len(b.spare) > 0 {
+			r.segs = b.spare[len(b.spare)-1]
+			b.spare = b.spare[:len(b.spare)-1]
+		} else {
+			r.segs = make([]seg, 0, 8)
+		}
 	}
 	i, found := slices.BinarySearchFunc(r.segs, seq, func(s seg, seq int64) int { return cmp.Compare(s.seq, seq) })
 	if found {

@@ -473,6 +473,54 @@ func TestReorderRunAllocatesOnFirstGap(t *testing.T) {
 	}
 }
 
+// TestBlockSecondGapDoesNotAllocate pins the reorder buffers a block's
+// receivers share: a receiver's first out-of-order segment takes a buffer
+// from the block, and once the gap fills the buffer goes back, so the next
+// gap — in the same flow or another of the block — allocates nothing.
+func TestBlockSecondGapDoesNotAllocate(t *testing.T) {
+	const mss, runs = 1460, 100
+	s := sim.New(1)
+	_, b, _ := pair(s, 10e9, sim.Millisecond)
+	var gap, fill netsim.Packet
+	// episode opens a gap one segment past r's next byte and fills it.
+	episode := func(r *receiver) {
+		next := r.rcvNxt
+		gap, fill = netsim.Packet{Seq: next + mss, Len: mss}, netsim.Packet{Seq: next, Len: mss}
+		r.HandlePacket(&gap)
+		if len(r.segs) != 1 {
+			t.Fatalf("%d segments buffered after the gap, want 1", len(r.segs))
+		}
+		r.HandlePacket(&fill)
+		if r.rcvNxt != next+2*mss || r.segs != nil {
+			t.Fatalf("after the fill: rcvNxt %d, buffer %v; want %d and none held", r.rcvNxt, r.segs, next+2*mss)
+		}
+		s.Run(0) // deliver the ACKs, so they return to b's pool
+	}
+	// Each step starts a new block with two receivers in the same memory.
+	var blk Block
+	var rcv [2]receiver
+	fresh := func() {
+		blk = Block{}
+		for i := range rcv {
+			rcv[i] = receiver{host: b, flow: netsim.FlowID(i), src: 2, dst: 1, blk: &blk}
+		}
+	}
+	one := func() { fresh(); episode(&rcv[0]) }
+	two := func() { fresh(); episode(&rcv[0]); episode(&rcv[1]) }
+	for i := 0; i < 3; i++ { // warm b's packet pool and the event pool
+		two()
+	}
+	first, both := testing.AllocsPerRun(runs, one), testing.AllocsPerRun(runs, two)
+	if first == 0 || both != first {
+		t.Errorf("a block's first gap allocates %.2f objects and its first two %.2f; want the second to add 0", first, both)
+	}
+	i := 0
+	steady := func() { episode(&rcv[i%2]); i++ }
+	if avg := testing.AllocsPerRun(runs, steady); avg != 0 {
+		t.Errorf("a warmed block's gaps allocate %.2f objects, want 0", avg)
+	}
+}
+
 func BenchmarkBulkTransfer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -94,6 +94,10 @@ func Synthesize(cfg TraceConfig) *Trace {
 		}
 		return mss
 	}
+	// A prefix draws at most ⌊expected⌋+1 flows and the expectations sum
+	// to FlowRate·Duration, so this bound holds every flow; the +1 absorbs
+	// the rounding of the shares' sum.
+	tr.Specs = make([]FlowSpec, 0, int(cfg.FlowRate*cfg.Duration.Seconds())+cfg.Prefixes+1)
 	for i, share := range tr.SliceShare {
 		prefixBps := cfg.BitRateBps * share
 		fps := cfg.FlowRate * share

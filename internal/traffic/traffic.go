@@ -106,13 +106,13 @@ func ZipfWorkload(numEntries int, aggregateBps, flowsPerSec float64, s float64,
 type Driver struct {
 	s        *sim.Sim
 	src, dst *netsim.Host
-	nextFlow netsim.FlowID
 	cfg      tcp.Config
 
-	// Senders holds every flow launched so far, in launch order.
+	// Senders holds every flow launched so far, in launch order; a flow's
+	// ID is its index here.
 	Senders []*tcp.Sender
 
-	started uint64 // flows launched, reported by Started
+	scheduled int // flows scheduled so far; every flow ID is below it
 }
 
 // NewDriver builds a driver. The tcp.Config applies to every generated flow
@@ -128,32 +128,40 @@ func NewDriver(s *sim.Sim, src, dst *netsim.Host, cfg tcp.Config) *Driver {
 // The launches form one sim.Sequence over a copy stable-sorted by Start:
 // that is the order one ScheduleAt per spec would fire them in, at the same
 // places among other events, while only the next launch waits in the queue.
+// Each launch opens its flow on the next record of one tcp.Block, and
+// Senders and both hosts' handler tables are sized for every flow here, so
+// only the first launch allocates: the block's records, all at once.
 func (d *Driver) Schedule(specs []FlowSpec) {
 	specs = slices.Clone(specs)
 	slices.SortStableFunc(specs, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+	blk := tcp.NewBlock(len(specs))
+	d.scheduled += len(specs)
+	if d.scheduled > cap(d.Senders) { // at least doubling, as Host.Reserve
+		d.Senders = append(make([]*tcp.Sender, 0, max(d.scheduled, 2*cap(d.Senders))), d.Senders...)
+	}
+	d.src.Reserve(d.scheduled)
+	d.dst.Reserve(d.scheduled)
 	d.s.Sequence(len(specs),
 		func(i int) sim.Time { return specs[i].Start },
-		func(i int) { d.launch(specs[i]) })
+		func(i int) { d.launch(blk, specs[i]) })
 }
 
-func (d *Driver) launch(spec FlowSpec) {
-	flow := d.nextFlow
-	d.nextFlow++
+func (d *Driver) launch(blk *tcp.Block, spec FlowSpec) {
+	flow := netsim.FlowID(len(d.Senders))
 	cfg := d.cfg
 	cfg.RateBps = spec.RateBps
 	if spec.MSS > 0 {
 		cfg.MSS = spec.MSS
 	}
-	snd := tcp.NewSender(d.s, d.src, d.dst, flow, spec.Entry,
+	snd := blk.NewSender(d.s, d.src, d.dst, flow, spec.Entry,
 		netsim.IPv4(172, 16, 0, 1), netsim.EntryAddr(spec.Entry, 1),
 		spec.Bytes, cfg)
 	d.Senders = append(d.Senders, snd)
-	d.started++
 	snd.Start()
 }
 
 // Started reports the number of flows launched so far.
-func (d *Driver) Started() uint64 { return d.started }
+func (d *Driver) Started() uint64 { return uint64(len(d.Senders)) }
 
 // Completed reports the number of finished flows.
 func (d *Driver) Completed() int {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -281,6 +282,29 @@ func TestSliceRankingDiffersFromHistorical(t *testing.T) {
 	}
 }
 
+// TestSynthesizeSpecsNeverGrow: Synthesize allocates Specs once, at its
+// bound FlowRate·Duration + Prefixes + 1, and never appends past it (an
+// append past the capacity would move Specs to a larger array).
+func TestSynthesizeSpecsNeverGrow(t *testing.T) {
+	for _, scale := range []float64{1000, 100, 10} {
+		for _, cfg := range StandardTraces(scale) {
+			for _, dur := range []sim.Time{sim.Second, 6 * sim.Second} {
+				for _, seed := range []int64{cfg.Seed, cfg.Seed + 1000, cfg.Seed + 2000} {
+					cfg := cfg
+					cfg.Duration, cfg.Seed = dur, seed
+					tr := Synthesize(cfg)
+					c := tr.Config
+					bound := int(c.FlowRate*c.Duration.Seconds()) + c.Prefixes + 1
+					if cap(tr.Specs) != bound || len(tr.Specs) == 0 {
+						t.Fatalf("%s at 1/%v, %v, seed %d: %d specs in capacity %d, want capacity %d",
+							c.Name, scale, dur, c.Seed, len(tr.Specs), cap(tr.Specs), bound)
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkSynthesizeTrace(b *testing.B) {
 	cfg := StandardTraces(100)[0]
 	b.ReportAllocs()
@@ -292,8 +316,9 @@ func BenchmarkSynthesizeTrace(b *testing.B) {
 // scheduleEach is the launch path Schedule replaced, kept as the reference
 // for its order: one ScheduleAt per spec, in the order of specs.
 func scheduleEach(d *Driver, specs []FlowSpec) {
+	blk := tcp.NewBlock(len(specs))
 	for _, spec := range specs {
-		d.s.ScheduleAt(spec.Start, func() { d.launch(spec) })
+		d.s.ScheduleAt(spec.Start, func() { d.launch(blk, spec) })
 	}
 }
 
@@ -390,6 +415,108 @@ func TestScheduleDoesNotAllocatePerSpec(t *testing.T) {
 		t.Fatalf("Schedule of 10 000 specs allocates %.1f objects, of 10 specs %.1f; want equal", large, small)
 	}
 	if small > 6 {
-		t.Errorf("Schedule allocates %.1f objects, want ≤ 6 (the copy, two closures, the sequence)", small)
+		t.Errorf("Schedule allocates %.1f objects, want ≤ 6 (the copy, the block, two closures, the sequence; Senders and the hosts' tables grow by doubling)", small)
+	}
+}
+
+// TestScheduledFlowsAllocatePerBatch pins a Schedule's flows at one cost
+// per batch: on a fresh simulation, 10 flows and 1 000, scheduled and run
+// to completion, allocate the same number of objects, because every flow's
+// connection record comes from the batch's one block and Senders and the
+// hosts' handler tables are sized once. The flows do not overlap, so the
+// event and packet pools grow no further than one flow needs.
+func TestScheduledFlowsAllocatePerBatch(t *testing.T) {
+	const gap = 5 * sim.Millisecond // well past one flow's 2 ms round trip
+	cost := func(n int) float64 {
+		specs := make([]FlowSpec, n)
+		for i := range specs {
+			specs[i] = FlowSpec{Entry: netsim.EntryID(i), Start: sim.Time(i) * gap, Bytes: 3000}
+		}
+		return testing.AllocsPerRun(5, func() {
+			s := sim.New(1)
+			src, dst := netsim.NewHost(s, "src"), netsim.NewHost(s, "dst")
+			netsim.Connect(s, src, 0, dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9, QueueBytes: 1 << 22})
+			d := NewDriver(s, src, dst, tcp.Config{})
+			d.Schedule(specs)
+			s.Run(sim.Time(n) * gap)
+			if d.Completed() != n {
+				t.Fatalf("%d of %d flows completed", d.Completed(), n)
+			}
+		})
+	}
+	small, large := cost(10), cost(1000)
+	if large != small {
+		t.Errorf("scheduling and running 1 000 flows allocates %.1f objects, 10 flows %.1f; want equal", large, small)
+	}
+}
+
+// TestBlockFlowsMatchStandalone holds the flows of one Schedule, opened on
+// one tcp.Block whose receivers share reorder buffers, to the same flows
+// each opened by tcp.NewSender at the same instants: on a link that loses
+// and reorders data segments, every ACK (time, flow, value) and every
+// sender's Stats are the same.
+func TestBlockFlowsMatchStandalone(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var specs []FlowSpec
+	for e := netsim.EntryID(0); e < 8; e++ {
+		specs = append(specs, SteadyEntry(e, 8e6, 40, 2*sim.Second, rng)...)
+	}
+	for i := range specs {
+		specs[i].MSS = 500 + 100*(i%9)
+	}
+	run := func(block bool) (acks []string, stats []tcp.Stats, reordered uint64) {
+		s := sim.New(7)
+		src, dst := netsim.NewHost(s, "src"), netsim.NewHost(s, "dst")
+		l := netsim.Connect(s, src, 0, dst, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9, QueueBytes: 1 << 22})
+		l.AB.SetFailure(netsim.FailUniform(3, 0, 0.02))
+		chaos := netsim.NewChaos(s, "ab")
+		chaos.Reorder, chaos.JitterMax = 0.1, 500*sim.Microsecond
+		l.AB.SetChaos(chaos)
+		l.BA.SetCapture(func(ev netsim.CaptureEvent) {
+			if ev.Kind == netsim.CaptureSend {
+				acks = append(acks, fmt.Sprintf("%v %d %d", ev.Time, ev.Pkt.Flow, ev.Pkt.Ack))
+			}
+		})
+		d := NewDriver(s, src, dst, tcp.Config{})
+		senders := &d.Senders
+		if !block {
+			var own []*tcp.Sender
+			senders = &own
+			sorted := slices.Clone(specs)
+			slices.SortStableFunc(sorted, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+			for i, spec := range sorted {
+				s.ScheduleAt(spec.Start, func() {
+					snd := tcp.NewSender(s, src, dst, netsim.FlowID(i), spec.Entry,
+						netsim.IPv4(172, 16, 0, 1), netsim.EntryAddr(spec.Entry, 1),
+						spec.Bytes, tcp.Config{RateBps: spec.RateBps, MSS: spec.MSS})
+					own = append(own, snd)
+					snd.Start()
+				})
+			}
+		} else {
+			d.Schedule(specs)
+		}
+		s.Run(10 * sim.Second)
+		for _, snd := range *senders {
+			stats = append(stats, snd.Stats)
+		}
+		return acks, stats, chaos.Stats.Reordered
+	}
+	acks, stats, reordered := run(true)
+	wantAcks, wantStats, _ := run(false)
+	var retransmits uint64
+	for _, st := range stats {
+		retransmits += st.Retransmits
+	}
+	if len(stats) != len(specs) || reordered < 100 || retransmits < 100 {
+		t.Fatalf("%d flows, %d segments reordered, %d retransmitted: want %d flows and ≥ 100 of each", len(stats), reordered, retransmits, len(specs))
+	}
+	if !slices.Equal(stats, wantStats) {
+		t.Errorf("block flows' Stats differ from standalone flows'")
+	}
+	for i := range max(len(acks), len(wantAcks)) {
+		if i >= len(acks) || i >= len(wantAcks) || acks[i] != wantAcks[i] {
+			t.Fatalf("block flows send %d ACKs, standalone flows %d; ACK %d differs", len(acks), len(wantAcks), i)
+		}
 	}
 }

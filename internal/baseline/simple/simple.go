@@ -15,8 +15,10 @@ import (
 type Design interface {
 	// Cells is the number of counter cells per side.
 	Cells() int
-	// Index returns the cells an entry's packets increment.
-	Index(entry netsim.EntryID) []int
+	// AppendIndex appends the cells an entry's packets increment to dst
+	// and returns the extended slice, so a caller that passes a scratch
+	// buffer allocates nothing per packet.
+	AppendIndex(dst []int, entry netsim.EntryID) []int
 	// Name identifies the design in reports.
 	Name() string
 }
@@ -25,9 +27,9 @@ type Design interface {
 // loses packets but cannot localize anything — every entry is implicated.
 type SingleCounter struct{}
 
-func (SingleCounter) Cells() int                 { return 1 }
-func (SingleCounter) Index(netsim.EntryID) []int { return []int{0} }
-func (SingleCounter) Name() string               { return "single-counter" }
+func (SingleCounter) Cells() int                                    { return 1 }
+func (SingleCounter) AppendIndex(dst []int, _ netsim.EntryID) []int { return append(dst, 0) }
+func (SingleCounter) Name() string                                  { return "single-counter" }
 
 // PerEntry dedicates one counter to each of n entries (entries must be
 // 0..n-1). It is exact but needs memory proportional to the routing table:
@@ -35,11 +37,11 @@ func (SingleCounter) Name() string               { return "single-counter" }
 type PerEntry struct{ N int }
 
 func (p PerEntry) Cells() int { return p.N }
-func (p PerEntry) Index(e netsim.EntryID) []int {
+func (p PerEntry) AppendIndex(dst []int, e netsim.EntryID) []int {
 	if int(e) >= p.N {
-		return nil
+		return dst
 	}
-	return []int{int(e)}
+	return append(dst, int(e))
 }
 func (p PerEntry) Name() string { return "per-entry" }
 
@@ -59,8 +61,7 @@ type CountingBloom struct {
 
 func (c CountingBloom) Cells() int { return c.M }
 
-func (c CountingBloom) Index(e netsim.EntryID) []int {
-	out := make([]int, c.K)
+func (c CountingBloom) AppendIndex(dst []int, e netsim.EntryID) []int {
 	h := uint64(e) ^ c.Seed
 	for i := 0; i < c.K; i++ {
 		h ^= h >> 30
@@ -69,9 +70,9 @@ func (c CountingBloom) Index(e netsim.EntryID) []int {
 		h *= 0x94d049bb133111eb
 		h ^= h >> 31
 		h += uint64(i) * 0x9e3779b97f4a7c15
-		out[i] = int(h % uint64(c.M))
+		dst = append(dst, int(h%uint64(c.M)))
 	}
-	return out
+	return dst
 }
 
 func (c CountingBloom) Name() string { return "counting-bloom" }
@@ -105,6 +106,9 @@ type Probe struct {
 	flaggedAt   []sim.Time
 	started     sim.Time
 	ComparesRun uint64
+
+	// cells is the scratch buffer every Design.AppendIndex call fills.
+	cells []int
 }
 
 // NewProbe builds a probe and starts its comparison cycle.
@@ -148,7 +152,7 @@ func (p *Probe) OnEgress(pkt *netsim.Packet, port int) {
 		return
 	}
 	pkt.ProbeWindow = w + 1 // 0 means unstamped
-	for _, i := range p.Design.Index(pkt.Entry) {
+	for _, i := range p.index(pkt.Entry) {
 		p.up[w%probeRing][i]++
 	}
 }
@@ -160,10 +164,17 @@ func (p *Probe) OnIngress(pkt *netsim.Packet, port int) bool {
 	}
 	w := pkt.ProbeWindow - 1
 	pkt.ProbeWindow = 0 // stamp is per-link
-	for _, i := range p.Design.Index(pkt.Entry) {
+	for _, i := range p.index(pkt.Entry) {
 		p.down[w%probeRing][i]++
 	}
 	return false
+}
+
+// index is the entry's cells, in the probe's scratch buffer: valid until
+// the next call.
+func (p *Probe) index(e netsim.EntryID) []int {
+	p.cells = p.Design.AppendIndex(p.cells[:0], e)
+	return p.cells
 }
 
 func (p *Probe) compare(w int64) {
@@ -184,7 +195,7 @@ func (p *Probe) compare(w int64) {
 // EntryFlagged reports whether all the entry's cells have been flagged —
 // the design's claim that the entry is failing.
 func (p *Probe) EntryFlagged(e netsim.EntryID) bool {
-	cells := p.Design.Index(e)
+	cells := p.index(e)
 	if len(cells) == 0 {
 		return false
 	}
@@ -202,7 +213,7 @@ func (p *Probe) EntryFlaggedAt(e netsim.EntryID) (sim.Time, bool) {
 		return 0, false
 	}
 	var at sim.Time
-	for _, i := range p.Design.Index(e) {
+	for _, i := range p.index(e) {
 		if p.flaggedAt[i] > at {
 			at = p.flaggedAt[i]
 		}

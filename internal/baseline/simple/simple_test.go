@@ -122,7 +122,7 @@ func TestCountingBloomIndexProperties(t *testing.T) {
 	cb := CountingBloom{M: 128, K: 3, Seed: 1}
 	seen := make(map[int]bool)
 	for e := netsim.EntryID(0); e < 500; e++ {
-		idx := cb.Index(e)
+		idx := cb.AppendIndex(nil, e)
 		if len(idx) != 3 {
 			t.Fatalf("K=3 but got %d indices", len(idx))
 		}
@@ -172,7 +172,32 @@ func TestProbeIgnoresControlAndUnclassified(t *testing.T) {
 
 func TestPerEntryOutOfRange(t *testing.T) {
 	p := PerEntry{N: 10}
-	if got := p.Index(netsim.EntryID(20)); got != nil {
+	if got := p.AppendIndex(nil, netsim.EntryID(20)); len(got) != 0 {
 		t.Errorf("out-of-range entry got cells %v", got)
+	}
+}
+
+// TestProbeHooksDoNotAllocate: once the probe's scratch buffer has grown, a
+// data packet costs no allocation on either side, for every design.
+func TestProbeHooksDoNotAllocate(t *testing.T) {
+	for _, d := range []Design{SingleCounter{}, PerEntry{N: 10}, CountingBloom{M: 64, K: 3, Seed: 1}} {
+		t.Run(d.Name(), func(t *testing.T) {
+			s := sim.New(1)
+			p := NewProbe(s, d, 50*sim.Millisecond)
+			pkt := &netsim.Packet{Entry: 7, Proto: netsim.ProtoUDP, Size: 500}
+			e := netsim.EntryID(0)
+			allocs := testing.AllocsPerRun(1000, func() {
+				pkt.Entry = e % 10
+				e++
+				p.OnEgress(pkt, 0)
+				p.OnIngress(pkt, 0)
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocations per packet, want 0", allocs)
+			}
+			if !slices.ContainsFunc(p.up[0], func(n uint64) bool { return n > 0 }) || !slices.Equal(p.up[0], p.down[0]) {
+				t.Fatalf("egress counted %v, ingress %v; want the same nonzero cells", p.up[0], p.down[0])
+			}
+		})
 	}
 }

@@ -50,9 +50,6 @@ type Detector struct {
 	ownAddr  uint32
 	peerAddr []uint32
 
-	guard     CongestionGuard
-	discarded uint64
-
 	// epoch is this detector incarnation's generation number, stamped into
 	// every control message (wire.Header.Epoch). Restart increments it, so
 	// control messages referring to pre-restart counter state are
@@ -508,8 +505,10 @@ type DetectorStats struct {
 	LinkUpEvents   uint64
 	// Restarts counts Restart calls (device reboots).
 	Restarts uint64
-	// SessionsDiscarded counts sessions whose comparison was skipped by the
-	// congestion guard (§4.3 footnote 2).
+	// SessionsDiscarded is always zero: the detector compares every
+	// session, and the fleet's correlator discards congested evidence
+	// instead (§4.3 footnote 2). It stays while benchmark/ and pinned
+	// outputs print it.
 	SessionsDiscarded uint64
 	// HHReports counts heavy-hitter report windows closed across all ports.
 	HHReports uint64
@@ -520,11 +519,7 @@ type DetectorStats struct {
 }
 
 // Stats returns a snapshot of the detector's robustness counters.
-func (d *Detector) Stats() DetectorStats {
-	st := d.stats
-	st.SessionsDiscarded = d.discarded
-	return st
-}
+func (d *Detector) Stats() DetectorStats { return d.stats }
 
 // Epoch returns the detector's current generation number (bumped by
 // Restart).
@@ -569,10 +564,10 @@ func (d *Detector) LinkDown(port int) bool {
 }
 
 // sendControl marshals a control message into a recycled packet's Ctl buffer
-// and injects it out of port, returning its wire size. Control packets
-// occupy at least a minimum-size Ethernet frame (64 B), the figure the
-// paper's overhead analysis uses.
-func (d *Detector) sendControl(port int, m *wire.Message) int {
+// and injects it out of port. Control packets occupy at least a
+// minimum-size Ethernet frame (64 B), the figure the paper's overhead
+// analysis uses.
+func (d *Detector) sendControl(port int, m *wire.Message) {
 	pkt := d.ctlPkts.Get()
 	n := m.WireSize()
 	d.ctlMax = max(d.ctlMax, n)
@@ -592,7 +587,6 @@ func (d *Detector) sendControl(port int, m *wire.Message) int {
 	d.CtlMsgsSent++
 	d.CtlBytesSent += uint64(size)
 	d.sw.Inject(pkt, port)
-	return size
 }
 
 // OnIngress implements netsim.IngressHook: it consumes FANcY control

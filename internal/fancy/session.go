@@ -54,12 +54,11 @@ type senderFSM struct {
 	interval sim.Time
 	counters senderCounters
 
-	state      senderState
-	session    uint32
-	attempts   int
-	rtx        sim.Timer
-	sessEnd    sim.Timer
-	countStart sim.Time
+	state    senderState
+	session  uint32
+	attempts int
+	rtx      sim.Timer
+	sessEnd  sim.Timer
 
 	lastTargets []wire.ZoomTarget
 	linkDown    bool
@@ -73,8 +72,7 @@ type senderFSM struct {
 	// SessionsCompleted counts fully closed sessions, for tests.
 	SessionsCompleted uint64
 	// CtlSent counts control messages (overhead accounting, §5.3).
-	CtlSent      uint64
-	CtlBytesSent uint64
+	CtlSent uint64
 }
 
 // sessionOpen, rtxFire and countingEnd are the senderFSM as the sim.Actor
@@ -129,7 +127,7 @@ func (f *senderFSM) sendStop() {
 
 func (f *senderFSM) sendCtl(m *wire.Message) {
 	f.CtlSent++
-	f.CtlBytesSent += uint64(f.det.sendControl(f.port, m))
+	f.det.sendControl(f.port, m)
 }
 
 func (f *senderFSM) armRtx() {
@@ -206,7 +204,6 @@ func (f *senderFSM) onControl(m *wire.Message) {
 		f.recover()
 		f.attempts = 0
 		f.state = sCounting
-		f.countStart = f.det.s.Now()
 		f.sessEnd = f.det.s.ScheduleTimerActor(f.interval, (*countingEnd)(f))
 	case wire.MsgReport:
 		if f.state != sWaitReport {
@@ -216,13 +213,7 @@ func (f *senderFSM) onControl(m *wire.Message) {
 		f.recover()
 		f.state = sIdle
 		f.SessionsCompleted++
-		if g := f.det.guard; g != nil && g.Congested(f.port, f.countStart, f.det.s.Now()) {
-			// Footnote 2 of §4.3: measurements overlapping a congested
-			// period are discarded rather than compared.
-			f.det.discarded++
-		} else {
-			f.counters.handleReport(m.Counters)
-		}
+		f.counters.handleReport(m.Counters)
 		// "opening a new session as soon as the previous one is closed".
 		f.startSession()
 	}

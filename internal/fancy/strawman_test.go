@@ -95,72 +95,3 @@ func TestStrawmanBlindDuringBlackhole(t *testing.T) {
 		t.Error("expected lost measurements while the receiver is starved")
 	}
 }
-
-func TestQueueGuardWindows(t *testing.T) {
-	s := sim.New(1)
-	a := netsim.NewHost(s, "a")
-	b := netsim.NewHost(s, "b")
-	// Slow link with a deep queue: bursts congest it.
-	link := netsim.Connect(s, a, 0, b, 0, netsim.LinkConfig{Delay: 0, RateBps: 1e6, QueueBytes: 1 << 20})
-	b.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
-
-	g := NewQueueGuard(s, 10_000, 5*sim.Millisecond).Watch(link.AB)
-
-	// Burst at t=1s: 100 KB into a 1 Mbps link ≈ 800 ms of backlog.
-	s.After(sim.Second, func() {
-		for i := 0; i < 100; i++ {
-			a.Send(&netsim.Packet{Size: 1000, Proto: netsim.ProtoUDP})
-		}
-	})
-	s.Run(3 * sim.Second)
-
-	if len(g.windows) == 0 {
-		t.Fatal("burst did not register any congested window")
-	}
-	if !g.Congested(0, 1100*sim.Millisecond, 1200*sim.Millisecond) {
-		t.Error("window during the burst not reported congested")
-	}
-	if g.Congested(0, 0, 500*sim.Millisecond) {
-		t.Error("pre-burst window reported congested")
-	}
-	if g.Congested(0, 2500*sim.Millisecond, 2600*sim.Millisecond) {
-		t.Error("post-drain window reported congested")
-	}
-}
-
-func TestCongestionGuardDiscardsSessions(t *testing.T) {
-	// A guard that flags everything congested must suppress all detection
-	// and count discarded sessions.
-	tb := newTestbed(t, testCfg, 31)
-	tb.det.SetCongestionGuard(alwaysCongested{})
-	tb.udp(10, 2e6, 0, 4*sim.Second)
-	tb.failEntries(1*sim.Second, 1.0, 10)
-	tb.s.Run(4 * sim.Second)
-
-	if n := tb.countEvents(EventDedicated); n != 0 {
-		t.Errorf("%d events despite congestion discard", n)
-	}
-	if tb.det.DiscardedSessions() == 0 {
-		t.Error("no sessions recorded as discarded")
-	}
-}
-
-func TestCongestionGuardCleanWindowsStillDetect(t *testing.T) {
-	tb := newTestbed(t, testCfg, 32)
-	g := NewQueueGuard(tb.s, 1<<20, 5*sim.Millisecond).Watch(tb.link.AB) // nothing exceeds 1 MB
-	tb.det.SetCongestionGuard(g)
-	tb.udp(10, 2e6, 0, 4*sim.Second)
-	tb.failEntries(1*sim.Second, 1.0, 10)
-	tb.s.Run(4 * sim.Second)
-
-	if _, ok := tb.firstEvent(EventDedicated); !ok {
-		t.Fatal("uncongested guard suppressed a real detection")
-	}
-	if tb.det.DiscardedSessions() != 0 {
-		t.Errorf("%d sessions discarded without congestion", tb.det.DiscardedSessions())
-	}
-}
-
-type alwaysCongested struct{}
-
-func (alwaysCongested) Congested(int, sim.Time, sim.Time) bool { return true }

@@ -49,13 +49,6 @@ type reconcileReport struct {
 // counter. A zero-size value boxes without allocating.
 type restartsReq struct{}
 
-// rerouteCmd is the correlator's gating command: replay one piece of
-// confirmed evidence into the switch's reroute application.
-type rerouteCmd struct {
-	Port int
-	Ev   fancy.Event
-}
-
 // restoreCmd is the gate's refusal of a degraded-mode flip it found unsafe at
 // handback: put the entry back on its primary next hop.
 type restoreCmd struct {
@@ -63,9 +56,10 @@ type restoreCmd struct {
 	Entry netsim.EntryID
 }
 
-// repairCmd is the gate's per-entry commit: set the entry's backup next hop
-// to the verified one (configured or repaired), then flip. Also used to
-// re-issue logged decisions after a failover (idempotent either way).
+// repairCmd is the correlator's per-entry reaction: set the entry's backup
+// next hop (the configured one, or the gate's verified repair), then flip.
+// Also used to re-issue logged decisions after a failover (idempotent
+// either way: an entry already on its backup stays put).
 type repairCmd struct {
 	Port   int
 	Entry  netsim.EntryID
@@ -156,11 +150,6 @@ func (a *switchAgent) onCall(req any) (any, error) {
 	switch r := req.(type) {
 	case restartsReq:
 		return a.restarts(), nil
-	case rerouteCmd:
-		if app, ok := a.apps[r.Port]; ok {
-			app.HandleEvent(r.Ev)
-		}
-		return true, nil
 	case restoreCmd:
 		if app, ok := a.apps[r.Port]; ok {
 			app.Restore(r.Entry)
@@ -187,9 +176,9 @@ func (a *switchAgent) onLocalReroute(port int, entry netsim.EntryID, at sim.Time
 	a.send(rerouteReport{Port: port, Entry: entry, At: at, Degraded: a.degraded})
 }
 
-// command delivers a correlator gating command (rerouteCmd, restoreCmd or
-// repairCmd) to this agent: a plain call in direct mode, a
-// hardened RPC over the management plane otherwise.
+// command delivers a correlator command (repairCmd or restoreCmd) to this
+// agent: a plain call in direct mode, a hardened RPC over the management
+// plane otherwise.
 func (f *Fleet) command(sw string, cmd any) {
 	a := f.agents[sw]
 	if a.client == nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"fancy/internal/fancy"
 	"fancy/internal/netsim"
@@ -473,21 +474,35 @@ func (f *Fleet) recordEvidence(ls *linkState, ev fancy.Event) {
 	}
 }
 
-// react replays the confirmed evidence into the link's reroute application
-// at the upstream switch — a gating command over the management plane.
+// react is the only code that turns confirmed evidence into commands: it
+// resolves the evidence to its target entries once (reroute.App.Targets,
+// deduplicated, ascending) and sends the link's upstream switch one command
+// per entry. With the verify gate each entry's flip is checked first
+// (gateEntry); without it the entry flips to its configured backup, and an
+// entry already on it is the agent's no-op. Runs inside the consensus
+// commit callback when replicating, so gate checks are serialized by the
+// log.
 func (f *Fleet) react(ls *linkState, evidence []fancy.Event) {
 	a := f.agents[ls.dl.From]
 	app, ok := a.apps[ls.port]
 	if !ok {
 		return // nothing protected there
 	}
-	if f.verifier != nil {
-		f.gatedReact(ls, app, evidence)
-		return
-	}
+	var entries []netsim.EntryID
 	for _, ev := range evidence {
-		f.command(ls.dl.From, rerouteCmd{Port: ls.port, Ev: ev})
+		entries = append(entries, app.Targets(ev)...)
 	}
+	slices.Sort(entries)
+	for _, e := range slices.Compact(entries) {
+		if f.verifier != nil {
+			f.gateEntry(ls, app, e)
+			continue
+		}
+		route, _ := app.Route(e)
+		f.command(ls.dl.From, repairCmd{Port: ls.port, Entry: e, Backup: route.Backup})
+	}
+	// A fresh commit may have changed the state a held flip was parked on.
+	f.retryHeld(false)
 }
 
 // corroboration reports multi-vantage context for a localization: other
@@ -553,7 +568,7 @@ func (f *Fleet) refreshRestarts(sw string, done func()) {
 // where queue build-up can coincide with (and explain away) loss that an
 // operator would otherwise blame on the link.
 func (f *Fleet) congestedDuring(ls *linkState, from, to sim.Time) bool {
-	if ls.guard != nil && ls.guard.Congested(ls.port, from, to) {
+	if ls.guard != nil && ls.guard.congested(from, to) {
 		return true
 	}
 	for _, nb := range f.Net.Neighbors(ls.dl.To) {
@@ -561,7 +576,7 @@ func (f *Fleet) congestedDuring(ls *linkState, from, to sim.Time) bool {
 			continue
 		}
 		if down, ok := f.links[ls.dl.To+"->"+nb]; ok && down.guard != nil &&
-			down.guard.Congested(down.port, from, to) {
+			down.guard.congested(from, to) {
 			return true
 		}
 	}
@@ -594,7 +609,7 @@ func (f *Fleet) healthOf(ls *linkState, now sim.Time) Health {
 		return HealthFlapping
 	case ls.localized:
 		return HealthGray
-	case ls.guard != nil && ls.guard.Congested(ls.port, now-sweepInterval, now):
+	case ls.guard != nil && ls.guard.congested(now-sweepInterval, now):
 		return HealthCongested
 	case det.SessionsCompleted(ls.port) > 0:
 		return HealthHealthy

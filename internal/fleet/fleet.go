@@ -182,7 +182,7 @@ type linkState struct {
 	dl    topo.DirectedLink
 	key   string // "from->to"
 	port  int    // monitored egress port at dl.From
-	guard *fancy.QueueWatch
+	guard *queueWatch
 
 	verdictTimer sim.Timer // fires a verdictDue
 
@@ -329,10 +329,10 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 	if cfg.CongestionBytes >= 0 {
 		// One sampler for every direction, queued after the monitors'
 		// first sessions (DESIGN.md §11).
-		g := fancy.NewQueueGuard(s, cfg.CongestionBytes, guardInterval)
+		g := newQueueGuard(s, cfg.CongestionBytes, guardInterval)
 		for _, key := range f.order {
 			ls := f.links[key]
-			ls.guard = g.Watch(net.Direction(ls.dl.From, ls.dl.To))
+			ls.guard = g.watch(net.Direction(ls.dl.From, ls.dl.To))
 		}
 	}
 	f.corrState.alloc()

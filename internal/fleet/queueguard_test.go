@@ -1,4 +1,4 @@
-package fancy
+package fleet
 
 import (
 	"fmt"
@@ -9,6 +9,40 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 )
+
+// TestQueueGuardWindows: a burst into a slow link taints the windows around
+// its backlog and no others.
+func TestQueueGuardWindows(t *testing.T) {
+	s := sim.New(1)
+	a := netsim.NewHost(s, "a")
+	b := netsim.NewHost(s, "b")
+	// Slow link with a deep queue: bursts congest it.
+	link := netsim.Connect(s, a, 0, b, 0, netsim.LinkConfig{Delay: 0, RateBps: 1e6, QueueBytes: 1 << 20})
+	b.Default = netsim.PacketHandlerFunc(func(*netsim.Packet) {})
+
+	g := newQueueGuard(s, 10_000, 5*sim.Millisecond).watch(link.AB)
+
+	// Burst at t=1s: 100 KB into a 1 Mbps link ≈ 800 ms of backlog.
+	s.After(sim.Second, func() {
+		for i := 0; i < 100; i++ {
+			a.Send(&netsim.Packet{Size: 1000, Proto: netsim.ProtoUDP})
+		}
+	})
+	s.Run(3 * sim.Second)
+
+	if len(g.windows) == 0 {
+		t.Fatal("burst did not register any congested window")
+	}
+	if !g.congested(1100*sim.Millisecond, 1200*sim.Millisecond) {
+		t.Error("window during the burst not reported congested")
+	}
+	if g.congested(0, 500*sim.Millisecond) {
+		t.Error("pre-burst window reported congested")
+	}
+	if g.congested(2500*sim.Millisecond, 2600*sim.Millisecond) {
+		t.Error("post-drain window reported congested")
+	}
+}
 
 // refGuard is the guard the fleet used to build once per directed link,
 // kept as the reference: it watches one direction and re-arms its own
@@ -50,7 +84,7 @@ func (g *refGuard) sample() {
 	g.s.After(g.interval, g.sampleFn)
 }
 
-func (g *refGuard) Congested(_ int, from, to sim.Time) bool {
+func (g *refGuard) congested(from, to sim.Time) bool {
 	for i := len(g.windows) - 1; i >= 0; i-- {
 		w := g.windows[i]
 		if w.to < from {
@@ -65,7 +99,7 @@ func (g *refGuard) Congested(_ int, from, to sim.Time) bool {
 
 // guardRun is what one run of guardWorkload leaves to compare.
 type guardRun struct {
-	guards   []CongestionGuard // one per watched direction, in watch order
+	guards   []interface{ congested(from, to sim.Time) bool } // one per watched direction, in watch order
 	windows  [][]guardWindow
 	executed uint64
 	created  sim.Time // when the guards were built
@@ -75,7 +109,7 @@ type guardRun struct {
 	ref []*refGuard // the reference run's guards
 }
 
-// guardWorkload runs one random workload with either one QueueGuard over
+// guardWorkload runs one random workload with either one queueGuard over
 // every watched direction or one refGuard per direction. The network is a
 // set of fan-in stars: 1–4 hosts feed a switch whose one egress link, at a
 // tenth to a hundredth of the hosts' rate, leads to a sink. The first 1–60
@@ -92,7 +126,7 @@ type guardRun struct {
 // direction by direction, each may first queue a self-re-arming burst on
 // its own direction for one interval later (a monitor's first session);
 // the reference builds each direction's guard right after that, the
-// QueueGuard is built after the loop.
+// queueGuard is built after the loop.
 func guardWorkload(seed int64, reference bool) guardRun {
 	const us = sim.Microsecond
 	rng := rand.New(rand.NewSource(seed))
@@ -208,9 +242,9 @@ func guardWorkload(seed int64, reference bool) guardRun {
 			}
 		}
 		if !reference {
-			g := NewQueueGuard(s, threshold, run.interval)
+			g := newQueueGuard(s, threshold, run.interval)
 			for _, end := range dirs {
-				run.guards = append(run.guards, g.Watch(end))
+				run.guards = append(run.guards, g.watch(end))
 			}
 		}
 		// Bursts at sample instants, queued after the guards.
@@ -225,14 +259,14 @@ func guardWorkload(seed int64, reference bool) guardRun {
 		switch g := g.(type) {
 		case *refGuard:
 			run.windows = append(run.windows, g.windows)
-		case *QueueWatch:
+		case *queueWatch:
 			run.windows = append(run.windows, g.windows)
 		}
 	}
 	return run
 }
 
-// TestQueueGuardMatchesPerDirectionReference: one QueueGuard sampling every
+// TestQueueGuardMatchesPerDirectionReference: one queueGuard sampling every
 // watched direction in one event per interval records, direction for
 // direction, exactly the windows that one self-re-arming guard per
 // direction records, answers every Congested query the same, and runs
@@ -268,8 +302,8 @@ func TestQueueGuardMatchesPerDirectionReference(t *testing.T) {
 			step := want.interval / 3
 			for from := -want.interval; from <= want.horizon+want.interval; from += step {
 				for _, span := range []sim.Time{0, 1, want.interval / 2, 3 * want.interval} {
-					if g, w := got.guards[k].Congested(0, from, from+span), ref.Congested(0, from, from+span); g != w {
-						t.Fatalf("seed %d, direction %d: Congested(%v, %v) = %v, reference %v", seed, k, from, from+span, g, w)
+					if g, w := got.guards[k].congested(from, from+span), ref.congested(from, from+span); g != w {
+						t.Fatalf("seed %d, direction %d: congested(%v, %v) = %v, reference %v", seed, k, from, from+span, g, w)
 					}
 				}
 			}
@@ -300,10 +334,10 @@ func TestNewQueueGuardPanics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewQueueGuard(threshold %d, interval %v) did not panic", tc.threshold, tc.interval)
+					t.Fatalf("newQueueGuard(threshold %d, interval %v) did not panic", tc.threshold, tc.interval)
 				}
 			}()
-			NewQueueGuard(sim.New(1), tc.threshold, tc.interval)
+			newQueueGuard(sim.New(1), tc.threshold, tc.interval)
 		})
 	}
 }

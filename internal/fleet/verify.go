@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fancy/internal/fancy"
 	"fancy/internal/netsim"
 	"fancy/internal/reroute"
 	"fancy/internal/sim"
@@ -103,30 +102,9 @@ func (f *Fleet) entryDelta(ls *linkState, entry netsim.EntryID, port int) *verif
 	return verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(ls.dl.From, entry, port)})
 }
 
-// gatedReact is react with the verifier in the loop: the evidence is
-// resolved to its target entries centrally (reroute.App.Targets), each
-// entry's flip is checked, and only safe (or repaired) flips are issued as
-// per-entry commands. Runs inside the consensus commit callback when
-// replicating, so gate checks are serialized by the log.
-func (f *Fleet) gatedReact(ls *linkState, app *reroute.App, evidence []fancy.Event) {
-	dedup := make(map[netsim.EntryID]bool)
-	var entries []netsim.EntryID
-	for _, ev := range evidence {
-		for _, e := range app.Targets(ev) {
-			if !dedup[e] {
-				dedup[e] = true
-				entries = append(entries, e)
-			}
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
-	for _, e := range entries {
-		f.gateEntry(ls, app, e)
-	}
-	// A fresh commit may have changed the state a held flip was parked on.
-	f.retryHeld(false)
-}
-
+// gateEntry is react's step for one target entry with the verifier in the
+// loop: the entry's flip is checked, and only a safe (or repaired) flip is
+// issued as its command.
 func (f *Fleet) gateEntry(ls *linkState, app *reroute.App, entry netsim.EntryID) {
 	route, ok := app.Route(entry)
 	if !ok || route.UseBackup || route.Backup < 0 {

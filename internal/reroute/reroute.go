@@ -63,12 +63,16 @@ func (a *App) names(ev fancy.Event, entry netsim.EntryID) bool {
 func (a *App) HandleEvent(ev fancy.Event) {
 	for _, e := range a.order {
 		if a.names(ev, e) {
-			a.reroute(e)
+			a.Divert(e)
 		}
 	}
 }
 
-func (a *App) reroute(entry netsim.EntryID) {
+// Divert flips one protected entry to its backup next hop: the correlator's
+// per-entry command, and HandleEvent's step for each entry it names. An
+// unprotected entry, one with no backup and one already diverted stay as
+// they are.
+func (a *App) Divert(entry netsim.EntryID) {
 	route, ok := a.entries[entry]
 	if !ok || route.UseBackup || route.Backup < 0 {
 		return
@@ -81,8 +85,8 @@ func (a *App) reroute(entry netsim.EntryID) {
 }
 
 // Targets lists the protected entries ev would divert, ascending — the
-// same dispatch as HandleEvent without the side effect, so a
-// correlator-side commit gate can verify each flip before issuing it.
+// same dispatch as HandleEvent without the side effect, so the fleet's
+// correlator can issue (and, gated, verify) each flip as its own command.
 func (a *App) Targets(ev fancy.Event) []netsim.EntryID {
 	var out []netsim.EntryID
 	for _, e := range a.order {
@@ -97,13 +101,6 @@ func (a *App) Targets(ev fancy.Event) []netsim.EntryID {
 func (a *App) Route(entry netsim.EntryID) (*netsim.Route, bool) {
 	r, ok := a.entries[entry]
 	return r, ok
-}
-
-// Divert flips one protected entry to its backup next hop: the verified
-// per-entry commit command. HandleEvent's whole-event dispatch is the
-// unverified path.
-func (a *App) Divert(entry netsim.EntryID) {
-	a.reroute(entry)
 }
 
 // SetBackup rewrites an entry's backup next hop — the correlator's repair

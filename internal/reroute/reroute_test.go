@@ -184,7 +184,7 @@ func TestUnprotectedEntryIgnored(t *testing.T) {
 	}
 }
 
-// The correlator-side commit gate drives the app through Targets / Route /
+// The fleet's correlator drives the app through Targets / Route /
 // SetBackup / Divert instead of HandleEvent: Targets is HandleEvent's
 // dispatch without the side effect, Divert is the per-entry commit.
 func TestGateCommands(t *testing.T) {

@@ -213,7 +213,7 @@ type handle interface {
 	Active() bool
 }
 
-// Queue's actor picks Slot.QueueActor over Slot.Queue on Sim.
+// Queue's actor picks a pointer Actor over a wrapped closure on Sim.
 type slot interface {
 	Queue(fn func(), actor bool)
 	Passed() bool
@@ -279,7 +279,7 @@ func (sl simSlot) Queue(fn func(), actor bool) {
 	if actor {
 		sl.QueueActor(&fireFn{fn})
 	} else {
-		sl.Slot.Queue(fn)
+		sl.QueueActor(funcActor(fn))
 	}
 }
 

@@ -9,9 +9,9 @@
 // for its software evaluation: an event runs a target at a virtual
 // timestamp, and the simulation runs until the queue drains or a configured
 // horizon is reached. The target is an Actor, a value with a Fire method;
-// After, At, ScheduleTimer, ScheduleAt and Slot.Queue take a closure and
-// wrap it as one, and AfterActor, AtActor, ScheduleTimerActor and
-// Slot.QueueActor take the Actor itself. A type that re-arms a timer
+// After, At, ScheduleTimer and ScheduleAt take a closure and wrap it as
+// one, and AfterActor, AtActor, ScheduleTimerActor and Slot.QueueActor take
+// the Actor itself. A type that re-arms a timer
 // fires through a named conversion of itself,
 //
 //	type rtoFire Sender
@@ -115,7 +115,7 @@ type event struct {
 // file links ev into its bucket: at the tail, so each bucket keeps the
 // order its events arrived in, or in bucket 0 at its place in sequence
 // order, scanning from the tail because a reserved sequence number
-// (Sequence, Slot.Queue) can be lower than one already queued there.
+// (Sequence, Slot.QueueActor) can be lower than one already queued there.
 func (s *Sim) file(ev *event) {
 	b := bits.Len64(uint64(ev.at ^ s.last))
 	p := s.buckets[b].prev
@@ -364,7 +364,7 @@ func (s *Sim) AtActor(at Time, a Actor) {
 
 // push queues a under the key (at, seq); it is the one insertion path. The
 // scheduling entry points pass s.seq, the next fresh number, which push then
-// advances; Sequence and Slot.Queue pass a number reserved earlier, which
+// advances; Sequence and Slot.QueueActor pass a number reserved earlier, which
 // is below s.seq already. Taking the bump inside push keeps each entry
 // point at a single call, and so ScheduleAt within the inlining budget: a
 // caller that drops its handle keeps the handle on its own stack.
@@ -446,12 +446,9 @@ func (s *Sim) Reserve(at Time) Slot {
 	return sl
 }
 
-// Queue runs fn at the slot: exactly where the At call made at
-// reservation time would have run it. A slot takes one fn; queueing a
+// QueueActor fires a at the slot: exactly where the AtActor call made at
+// reservation time would have fired it. A slot takes one Actor; queueing a
 // slot that has passed panics.
-func (sl Slot) Queue(fn func()) { sl.QueueActor(funcActor(fn)) }
-
-// QueueActor fires a at the slot: Queue with an Actor for the closure.
 func (sl Slot) QueueActor(a Actor) {
 	if sl.Passed() {
 		panic(fmt.Sprintf("sim: queue on a passed slot: at=%v", sl.at))

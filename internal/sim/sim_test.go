@@ -267,9 +267,9 @@ func TestSlotPanics(t *testing.T) {
 	early, same := s.Reserve(Second/2), s.Reserve(Second)
 	s.Run(0)
 	mustPanic("reserve in the past", "in the past", func() { s.Reserve(Second - 1) })
-	mustPanic("queue after the slot's instant", "passed slot", func() { early.Queue(func() {}) })
-	mustPanic("queue at the slot's instant", "passed slot", func() { same.Queue(func() {}) })
-	mustPanic("queue the zero slot", "passed slot", func() { Slot{}.Queue(func() {}) })
+	mustPanic("queue after the slot's instant", "passed slot", func() { early.QueueActor(funcActor(func() {})) })
+	mustPanic("queue at the slot's instant", "passed slot", func() { same.QueueActor(funcActor(func() {})) })
+	mustPanic("queue the zero slot", "passed slot", func() { Slot{}.QueueActor(funcActor(func() {})) })
 	if s.Pending() != 0 || s.Executed != 1 {
 		t.Errorf("Pending() = %d, Executed = %d after the refused calls, want 0 and 1", s.Pending(), s.Executed)
 	}

@@ -168,6 +168,11 @@ type portMonitor struct {
 	// unresponsive; EventLinkDown fires on the 0→1 transition only, so a
 	// port raises one alarm however many of its units time out.
 	downUnits int
+
+	// demoted holds each dynamic slot's session number at its last Demote,
+	// where its next Promote continues (DESIGN.md §9). Last, so the fields
+	// every packet reads keep their offsets.
+	demoted []uint32
 }
 
 // portListener is the receiver side for one ingress port. FSMs are created
@@ -279,7 +284,8 @@ func (d *Detector) MonitorPort(port int) *Outputs {
 			Flags: NewFlagArray(total),
 			Bloom: NewPathBloom(DefaultBloomCells),
 		},
-		free: make([]int, 0, d.cfg.DynamicSlots),
+		free:    make([]int, 0, d.cfg.DynamicSlots),
+		demoted: make([]uint32, d.cfg.DynamicSlots),
 	}
 	m.dedicated = make([]*senderFSM, total)
 	d.startMonitor(m, port)

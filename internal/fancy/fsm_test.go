@@ -114,11 +114,11 @@ func TestFSMRetransmitsAndReportsLinkDown(t *testing.T) {
 	h := newFSMHarness(t)
 	var events []Event
 	h.det.OnEvent = func(ev Event) { events = append(events, ev) }
-	sent := h.fsm.CtlSent
+	sent, rtx := h.det.CtlMsgsSent, h.det.Stats().Retransmits
 	// No ACK ever arrives: the FSM retransmits every Trtx and reports a
 	// link failure after MaxAttempts.
 	h.s.Run(h.s.Now() + sim.Time(testCfgAttempts()+2)*DefaultTrtx)
-	if h.fsm.CtlSent <= sent {
+	if h.det.CtlMsgsSent <= sent || h.det.Stats().Retransmits <= rtx {
 		t.Fatal("no retransmissions")
 	}
 	down := 0

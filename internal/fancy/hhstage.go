@@ -46,7 +46,8 @@ func (d *Detector) hhTick(m *portMonitor, port int) {
 // Promote assigns entry a dynamic dedicated-counter slot on the monitored
 // port and starts its counting FSM. The receiver side needs no
 // coordination: the first Start for the slot's unit number instantiates a
-// fresh receiver FSM there, exactly as for a static entry.
+// fresh receiver FSM there, exactly as for a static entry. A slot promoted
+// again continues its session numbers: the downstream keeps its receiver.
 func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 	m := d.monitor(port)
 	if m == nil {
@@ -65,6 +66,7 @@ func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 	m.free = m.free[1:]
 	m.slots[entry] = slot
 	m.dedicated[slot] = d.startDedicated(new(senderUnit), port, slot, entry, 0)
+	m.dedicated[slot].session = m.demoted[slot-len(d.cfg.HighPriority)]
 	d.stats.Promotions++
 	return slot, nil
 }
@@ -72,8 +74,9 @@ func (d *Detector) Promote(port int, entry netsim.EntryID) (int, error) {
 // Demote releases entry's dynamic slot on the port: the counting FSM is
 // killed, the flag bit cleared, and the slot returned to the free list.
 // The entry's traffic falls back to the hash-based tree. Stale control
-// messages for the dead session are ignored (a free slot has no unit) and a
-// later reuse of the slot resynchronizes the receiver on its first Start.
+// messages for the dead session are ignored (a free slot has no unit). The
+// slot's session number is kept: its next Promote opens the session after
+// it, which the receiver, still holding the old one, takes as new.
 func (d *Detector) Demote(port int, entry netsim.EntryID) error {
 	m := d.monitor(port)
 	if m == nil {
@@ -85,6 +88,7 @@ func (d *Detector) Demote(port int, entry netsim.EntryID) error {
 	}
 	fsm := m.dedicated[slot]
 	fsm.kill()
+	m.demoted[slot-len(d.cfg.HighPriority)] = fsm.session
 	if fsm.linkDown {
 		d.reportLinkUp(port)
 	}

@@ -148,6 +148,51 @@ func TestPromoteDetectGrayDemote(t *testing.T) {
 	}
 }
 
+// TestRepromotedSlotContinuesSessions: a slot demoted while its first
+// session waits for the Report, then promoted again, must open its next
+// session under a new number. The downstream keeps the slot's receiver,
+// which still holds session 1: a new session 1 reads as a retransmitted
+// Start, is only re-ACKed and counts nothing, and its Stop makes the
+// receiver resend the old Report, which the sender compares with its new
+// count. With no loss configured that was a false dedicated-mismatch
+// (entry=7 diff=20 at 310.1 ms).
+func TestRepromotedSlotContinuesSessions(t *testing.T) {
+	tb := newTestbed(t, hhTestConfig(), 2)
+	tb.udp(7, 4e6, 160*sim.Millisecond, sim.Second)
+	tb.s.ScheduleAt(100*sim.Millisecond, func() {
+		if _, err := tb.det.Promote(1, 7); err != nil {
+			t.Errorf("Promote: %v", err)
+		}
+	})
+	tb.s.ScheduleAt(170100*sim.Microsecond, func() {
+		fsm := tb.det.monitors[1].dedicated[0]
+		if fsm.state != sWaitReport || fsm.session != 1 {
+			t.Errorf("slot state %d in session %d, want session 1 waiting for its Report", fsm.state, fsm.session)
+		}
+		if err := tb.det.Demote(1, 7); err != nil {
+			t.Error(err)
+		}
+	})
+	tb.s.ScheduleAt(220100*sim.Microsecond, func() {
+		if _, err := tb.det.Promote(1, 7); err != nil {
+			t.Errorf("re-Promote: %v", err)
+		}
+	})
+	tb.s.ScheduleAt(221*sim.Millisecond, func() {
+		if s := tb.det.monitors[1].dedicated[0].session; s != 2 {
+			t.Errorf("re-promoted slot opened session %d, want 2", s)
+		}
+	})
+	tb.s.Run(sim.Second)
+
+	for _, ev := range tb.events {
+		t.Errorf("event with no loss configured: %v", ev)
+	}
+	if n := tb.det.monitors[1].dedicated[0].SessionsCompleted; n == 0 {
+		t.Fatal("the re-promoted slot completed no session")
+	}
+}
+
 // TestPromoteErrors: static entries, duplicates and exhaustion are all
 // rejected without corrupting state.
 func TestPromoteErrors(t *testing.T) {

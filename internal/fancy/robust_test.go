@@ -89,7 +89,9 @@ func TestProbeBackoffAndRecovery(t *testing.T) {
 	var events []Event
 	h.det.OnEvent = func(ev Event) { events = append(events, ev) }
 	// Nothing ever answers: the unit reports link-down, then degrades to
-	// backed-off probing instead of hammering Trtx retransmissions.
+	// backed-off probing instead of hammering Trtx retransmissions. So do
+	// the harness's other units, which share the detector's message count.
+	units, sent := uint64(len(h.det.monitors[1].dedicated)+1), h.det.CtlMsgsSent
 	h.s.Run(h.s.Now() + 4*sim.Second)
 	if !h.fsm.linkDown || h.fsm.state != sWaitStartACK {
 		t.Fatalf("not probing: linkDown=%v state=%d", h.fsm.linkDown, h.fsm.state)
@@ -100,8 +102,8 @@ func TestProbeBackoffAndRecovery(t *testing.T) {
 	// Rough bound: after the first 250 ms the probe intervals are
 	// 100+200+400+400+… ms, so ~4 s of silence fits well under 20 sends;
 	// plain Trtx retransmission would have sent ~80.
-	if h.fsm.CtlSent > 20 {
-		t.Errorf("probe state sent %d control messages in 4s, want backed off (≤20)", h.fsm.CtlSent)
+	if sent := h.det.CtlMsgsSent - sent; sent > 20*units {
+		t.Errorf("probe state sent %d control messages in 4s over %d units, want backed off (≤20 each)", sent, units)
 	}
 	st := h.det.Stats()
 	if st.Retransmits == 0 || st.LinkDownEvents != 1 || st.LinkUpEvents != 0 {
@@ -251,16 +253,20 @@ func TestReceiverRestartResync(t *testing.T) {
 // instant. That event must fire on the killed record, never open a second
 // session on the new unit — which it would if the record were reused.
 func TestStaleIncarnationOpensNoSession(t *testing.T) {
-	// fresh checks that every new unit opened exactly one session and sent
-	// one Start, and that no killed unit opened any.
-	fresh := func(t *testing.T, killed, live []*senderFSM) {
+	// fresh checks that every new unit opened exactly one session, that
+	// the detector sent want control messages since its count read sent
+	// (one Start per new unit), and that no killed unit opened any.
+	fresh := func(t *testing.T, det *Detector, sent, want uint64, killed, live []*senderFSM) {
 		t.Helper()
+		if got := det.CtlMsgsSent - sent; got != want {
+			t.Errorf("%d control messages sent, want %d", got, want)
+		}
 		for i, f := range live {
 			if f == killed[i] {
 				t.Errorf("unit %d: the rebuilt unit reuses its killed record", f.unit)
 			}
-			if f.session != 1 || f.CtlSent != 1 {
-				t.Errorf("unit %d: session %d after %d control messages, want 1 and 1", f.unit, f.session, f.CtlSent)
+			if f.session != 1 {
+				t.Errorf("unit %d: session %d, want 1", f.unit, f.session)
 			}
 			if killed[i].session != 0 {
 				t.Errorf("unit %d: the killed record opened session %d", f.unit, killed[i].session)
@@ -274,6 +280,7 @@ func TestStaleIncarnationOpensNoSession(t *testing.T) {
 		// Nothing has run: every static unit's sessionOpen is queued, at
 		// 0, 1/3 and 2/3 of the exchange interval.
 		killed := append([]*senderFSM(nil), m.dedicated...)
+		sent := tb.det.CtlMsgsSent
 		tb.det.Restart()
 		tb.downDet.Restart()
 		if l := tb.downDet.listeners[0]; l.block != nil {
@@ -281,7 +288,7 @@ func TestStaleIncarnationOpensNoSession(t *testing.T) {
 		}
 		// Every start has fired; the first session closes at about 90 ms.
 		tb.s.Run(DefaultExchangeInterval * 4 / 5)
-		fresh(t, killed, m.dedicated)
+		fresh(t, tb.det, sent, uint64(len(m.dedicated)+1), killed, m.dedicated) // and the tree's Start
 	})
 
 	t.Run("demote-promote", func(t *testing.T) {
@@ -294,6 +301,7 @@ func TestStaleIncarnationOpensNoSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		killed := []*senderFSM{tb.det.monitors[1].dedicated[slot]}
+		sent := tb.det.CtlMsgsSent
 		if err := tb.det.Demote(1, 500); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +310,7 @@ func TestStaleIncarnationOpensNoSession(t *testing.T) {
 		}
 		// Both sessionOpens fire now; the Start ACK is 20 ms away.
 		tb.s.Run(tb.s.Now() + sim.Millisecond)
-		fresh(t, killed, tb.det.monitors[1].dedicated[slot:slot+1])
+		fresh(t, tb.det, sent, 1, killed, tb.det.monitors[1].dedicated[slot:slot+1])
 	})
 }
 

@@ -71,8 +71,6 @@ type senderFSM struct {
 
 	// SessionsCompleted counts fully closed sessions, for tests.
 	SessionsCompleted uint64
-	// CtlSent counts control messages (overhead accounting, §5.3).
-	CtlSent uint64
 }
 
 // sessionOpen, rtxFire and countingEnd are the senderFSM as the sim.Actor
@@ -113,21 +111,16 @@ func (f *senderFSM) kill() {
 }
 
 func (f *senderFSM) sendStart() {
-	f.sendCtl(&wire.Message{
+	f.det.sendControl(f.port, &wire.Message{
 		Header:  wire.Header{Type: wire.MsgStart, Kind: f.kind, Epoch: f.det.epoch, Session: f.session, Link: uint16(f.port), Unit: f.unit},
 		Targets: f.lastTargets,
 	})
 }
 
 func (f *senderFSM) sendStop() {
-	f.sendCtl(&wire.Message{
+	f.det.sendControl(f.port, &wire.Message{
 		Header: wire.Header{Type: wire.MsgStop, Kind: f.kind, Epoch: f.det.epoch, Session: f.session, Link: uint16(f.port), Unit: f.unit},
 	})
-}
-
-func (f *senderFSM) sendCtl(m *wire.Message) {
-	f.CtlSent++
-	f.det.sendControl(f.port, m)
 }
 
 func (f *senderFSM) armRtx() {

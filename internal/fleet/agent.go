@@ -28,11 +28,14 @@ type eventReport struct {
 	Ev    fancy.Event
 }
 
-// rerouteReport tells the correlator an entry flipped to its backup next
-// hop, either under correlator gating or autonomously in degraded mode.
+// rerouteReport tells the correlator an entry protected on Port flipped to
+// egress port Egress, either under correlator gating or autonomously in
+// degraded mode. It is how the correlator learns of a flip: it never reads
+// the switch's route table.
 type rerouteReport struct {
 	Port     int
 	Entry    netsim.EntryID
+	Egress   int
 	At       sim.Time
 	Degraded bool
 }
@@ -173,7 +176,8 @@ func (a *switchAgent) onLocalReroute(port int, entry netsim.EntryID, at sim.Time
 	if a.degraded {
 		a.localReroutes++
 	}
-	a.send(rerouteReport{Port: port, Entry: entry, At: at, Degraded: a.degraded})
+	route, _ := a.apps[port].Route(entry)
+	a.send(rerouteReport{Port: port, Entry: entry, Egress: route.Egress(), At: at, Degraded: a.degraded})
 }
 
 // command delivers a correlator command (repairCmd or restoreCmd) to this

@@ -88,8 +88,9 @@ func (f *Fleet) resumeDuty() {
 // restoreState replaces the correlator's durable state with the one frame
 // decodes to (nil restores from scratch) and re-arms everything that hangs
 // off it: evidence windows that were pending re-open with a fresh full
-// window, the verifier model is reloaded and the decision log replayed, and
-// the management server resumes accepting with the frame's sequence state.
+// window, the verifier model is put back on the protection plan and the
+// decision log replayed, and the management server resumes accepting with
+// the frame's sequence state.
 // Restart and takeover are both this; confirmed verdicts and the
 // alarm/reroute dedup maps come back verbatim because they are in the frame.
 // Returns a human-readable restore summary.
@@ -131,14 +132,13 @@ func (f *Fleet) restoreState(frame []byte) string {
 	f.aliveSeen = make(map[string]bool)
 
 	if f.verifier != nil {
-		// The trial's one model, reloaded from the live tables, with the
-		// decision log replayed on top: flips already applied at the agents
-		// are in the tables (replay is then idempotent), and flips whose
-		// command was lost in flight stay committed in the model, exactly as
-		// the deposed incarnation decided them. A rejection has no frame
-		// unless it rolled a degraded flip back, and then its frame is that
-		// rollback.
-		f.verifier.Reload(f.Net)
+		// The trial's one model, put back on the plan (as it was built)
+		// with the decision log replayed on top: it holds the flips this
+		// correlator decided or was told of, whether or not their command
+		// arrived, and none a switch made unreported. A rejection has no
+		// frame unless it rolled a degraded flip back, and then its frame
+		// is that rollback.
+		f.replan()
 		f.verifySeen = make(map[string]uint8)
 		for _, d := range f.verifyLog {
 			f.verifySeen[d.Key] = d.Outcome
@@ -163,6 +163,25 @@ func (f *Fleet) restoreState(frame []byte) string {
 		return "from scratch (no checkpoint)"
 	}
 	return fmt.Sprintf("checkpoint at %v, %d pending window(s) re-opened", f.savedAt, restored)
+}
+
+// replan puts every planned entry back on its primary in one delta, or flip
+// by flip if the model never knew a prefix (the model-error fallback).
+func (f *Fleet) replan() {
+	var flips []verify.Flip
+	for _, key := range f.order {
+		ls := f.links[key]
+		for _, p := range ls.plan {
+			flips = append(flips, verify.EntryFlip(ls.dl.From, p.entry, ls.port))
+		}
+	}
+	d := verify.NewDelta("plan", flips)
+	if f.verifier.Commit(d) == nil {
+		return
+	}
+	for _, fl := range d.Flips {
+		f.verifier.Commit(verify.NewDelta("plan", []verify.Flip{fl}))
+	}
 }
 
 // Crashed reports whether the correlator is currently down: whether the

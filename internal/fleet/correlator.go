@@ -6,6 +6,7 @@ import (
 
 	"fancy/internal/fancy"
 	"fancy/internal/netsim"
+	"fancy/internal/reroute"
 	"fancy/internal/sim"
 )
 
@@ -252,27 +253,30 @@ func (f *Fleet) purgeEpoch(sw string) {
 	f.persist()
 }
 
+// seenKey is rerouteSeen's key for entry, protected on ls.
+func seenKey(ls *linkState, entry netsim.EntryID) string {
+	return fmt.Sprintf("%s|%d|%d", ls.dl.From, ls.port, entry)
+}
+
 // onRerouteReport records a reroute performed at a switch (gated or
-// degraded-local), deduplicating replays after crashes or partitions.
+// degraded-local), deduplicating replays after crashes or partitions. Agents
+// report only protected entries, so the report's port is a link's.
 func (f *Fleet) onRerouteReport(sw string, r rerouteReport) {
-	key := fmt.Sprintf("%s|%d|%d", sw, r.Port, r.Entry)
+	ls := f.portLink[sw][r.Port]
+	key := seenKey(ls, r.Entry)
 	if f.rerouteSeen[key] {
 		return
 	}
 	f.rerouteSeen[key] = true
 	f.Reroutes++
-	linkKey := sw
-	if ls, ok := f.portLink[sw][r.Port]; ok {
-		linkKey = ls.key
-	}
 	detail := ""
 	if r.Degraded {
 		detail = "degraded-local"
 	}
-	f.emit(Event{Time: f.S.Now(), Kind: EventRerouted, Link: linkKey, Entry: r.Entry, Detail: detail})
+	f.emit(Event{Time: f.S.Now(), Kind: EventRerouted, Link: ls.key, Entry: r.Entry, Detail: detail})
 	f.persist()
 	if r.Degraded && f.verifier != nil {
-		f.syncDegradedReroute(sw, r, key)
+		f.syncDegradedReroute(ls, r, key)
 	}
 }
 
@@ -475,31 +479,28 @@ func (f *Fleet) recordEvidence(ls *linkState, ev fancy.Event) {
 }
 
 // react is the only code that turns confirmed evidence into commands: it
-// resolves the evidence to its target entries once (reroute.App.Targets,
-// deduplicated, ascending) and sends the link's upstream switch one command
-// per entry. With the verify gate each entry's flip is checked first
-// (gateEntry); without it the entry flips to its configured backup, and an
-// entry already on it is the agent's no-op. Runs inside the consensus
-// commit callback when replicating, so gate checks are serialized by the
-// log.
+// sends the link's upstream switch one command per entry of the link's
+// protection plan that the evidence names (reroute.Names, the rule the
+// agent's own degraded-mode protection applies), in ascending entry order.
+// With the verify gate each entry's flip is checked first (gateEntry);
+// without it the entry flips to its configured backup, and an entry already
+// on it is the agent's no-op. Runs inside the consensus commit callback when
+// replicating, so gate checks are serialized by the log.
 func (f *Fleet) react(ls *linkState, evidence []fancy.Event) {
-	a := f.agents[ls.dl.From]
-	app, ok := a.apps[ls.port]
-	if !ok {
+	if len(ls.plan) == 0 {
 		return // nothing protected there
 	}
-	var entries []netsim.EntryID
-	for _, ev := range evidence {
-		entries = append(entries, app.Targets(ev)...)
-	}
-	slices.Sort(entries)
-	for _, e := range slices.Compact(entries) {
-		if f.verifier != nil {
-			f.gateEntry(ls, app, e)
+	det := f.Detectors[ls.dl.From]
+	for _, p := range ls.plan {
+		names := func(ev fancy.Event) bool { return reroute.Names(det, ls.port, ev, p.entry) }
+		if !slices.ContainsFunc(evidence, names) {
 			continue
 		}
-		route, _ := app.Route(e)
-		f.command(ls.dl.From, repairCmd{Port: ls.port, Entry: e, Backup: route.Backup})
+		if f.verifier != nil {
+			f.gateEntry(ls, p)
+			continue
+		}
+		f.command(ls.dl.From, repairCmd{Port: ls.port, Entry: p.entry, Backup: p.backup})
 	}
 	// A fresh commit may have changed the state a held flip was parked on.
 	f.retryHeld(false)

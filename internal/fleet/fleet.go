@@ -42,7 +42,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fancy/internal/fancy"
@@ -184,10 +186,22 @@ type linkState struct {
 	port  int    // monitored egress port at dl.From
 	guard *queueWatch
 
+	// plan is the link's protection plan: the entries Protect registered on
+	// it, ascending, each with its configured backup (its primary is port).
+	plan []planned
+
 	verdictTimer sim.Timer // fires a verdictDue
 
 	linkRecord // the durable part (state.go)
 }
+
+// planned is one protected entry of a link's protection plan.
+type planned struct {
+	entry  netsim.EntryID
+	backup int
+}
+
+func byEntry(p planned, e netsim.EntryID) int { return cmp.Compare(p.entry, e) }
 
 // CorrelatorStats are the correlator's management-plane robustness counters.
 type CorrelatorStats struct {
@@ -417,13 +431,15 @@ func (f *Fleet) AffectedEntries(key string) []netsim.EntryID {
 // straight into a detector, reaction waits for the correlator's verdict —
 // alarms explained by congestion, flapping or a peer restart divert nothing
 // — except in degraded mode, when the agent cannot reach the correlator and
-// the per-link application protects autonomously.
+// the per-link application protects autonomously. The entry and its backup
+// enter the link's protection plan, all the correlator knows of the route.
 func (f *Fleet) Protect(sw string, entry netsim.EntryID, route *netsim.Route) error {
 	a, ok := f.agents[sw]
 	if !ok {
 		return fmt.Errorf("fleet: unknown switch %q", sw)
 	}
-	if _, ok := f.portLink[sw][route.Port]; !ok {
+	ls, ok := f.portLink[sw][route.Port]
+	if !ok {
 		return fmt.Errorf("fleet: switch %q port %d is not a monitored inter-switch port", sw, route.Port)
 	}
 	app, ok := a.apps[route.Port]
@@ -436,6 +452,11 @@ func (f *Fleet) Protect(sw string, entry netsim.EntryID, route *netsim.Route) er
 		a.apps[route.Port] = app
 	}
 	app.Protect(entry, route)
+	i, found := slices.BinarySearchFunc(ls.plan, entry, byEntry)
+	if !found {
+		ls.plan = slices.Insert(ls.plan, i, planned{entry: entry})
+	}
+	ls.plan[i].backup = route.Backup
 	return nil
 }
 

@@ -10,6 +10,11 @@ package fleet
 // re-checks after every later commit, restore or model sync (a conflicting
 // reroute being rolled back is exactly what unblocks a held flip).
 //
+// The gate reads no route table: a flip's ports come from the link's
+// protection plan, whether an entry is already diverted from the flips
+// agents reported (rerouteSeen), and a restore rebuilds the model from the
+// plan plus the decision log.
+//
 // Graceful degradation is the design anchor — verification must never make
 // recovery strictly worse than not having it:
 //
@@ -28,10 +33,10 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fancy/internal/netsim"
-	"fancy/internal/reroute"
 	"fancy/internal/sim"
 	"fancy/internal/verify"
 )
@@ -102,15 +107,14 @@ func (f *Fleet) entryDelta(ls *linkState, entry netsim.EntryID, port int) *verif
 	return verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(ls.dl.From, entry, port)})
 }
 
-// gateEntry is react's step for one target entry with the verifier in the
+// gateEntry is react's step for one planned entry with the verifier in the
 // loop: the entry's flip is checked, and only a safe (or repaired) flip is
 // issued as its command.
-func (f *Fleet) gateEntry(ls *linkState, app *reroute.App, entry netsim.EntryID) {
-	route, ok := app.Route(entry)
-	if !ok || route.UseBackup || route.Backup < 0 {
+func (f *Fleet) gateEntry(ls *linkState, p planned) {
+	if p.backup < 0 || f.rerouteSeen[seenKey(ls, p.entry)] {
 		return // nothing to divert (or already diverted: idempotent)
 	}
-	key := verifyKey(ls, entry)
+	key := verifyKey(ls, p.entry)
 	for _, h := range f.verifyHeld {
 		if h.key == key {
 			return // already parked; the retry loop owns it now
@@ -128,24 +132,23 @@ func (f *Fleet) gateEntry(ls *linkState, app *reroute.App, entry netsim.EntryID)
 		}
 		return
 	}
-	f.tryCommit(ls, app, entry, key, true)
+	f.tryCommit(ls, p, key, true)
 }
 
 // tryCommit checks the entry's requested backup flip against the model and,
 // when unsafe, walks the repair alternates. announce is false on
 // hold-and-retry passes: no rejection event, no new hold record. Reports
 // whether a flip committed (or there was nothing left to do).
-func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID, key string, announce bool) bool {
-	route, ok := app.Route(entry)
-	if !ok || route.UseBackup || route.Backup < 0 {
+func (f *Fleet) tryCommit(ls *linkState, p planned, key string, announce bool) bool {
+	if p.backup < 0 || f.rerouteSeen[seenKey(ls, p.entry)] {
 		return true
 	}
-	sw := ls.dl.From
-	d := f.entryDelta(ls, entry, route.Backup)
+	sw, entry := ls.dl.From, p.entry
+	d := f.entryDelta(ls, entry, p.backup)
 	v, err := f.verifier.Check(d)
 	if err != nil {
 		f.Verify.Errors++
-		f.fallbackCommit(ls, entry, route.Backup, key, "verifier error: "+err.Error())
+		f.fallbackCommit(ls, entry, p.backup, key, "verifier error: "+err.Error())
 		return true
 	}
 	f.Verify.Checked++
@@ -154,7 +157,7 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 		f.verifier.Commit(d)
 		f.Verify.Committed++
 		f.record(VerifyDecision{Key: key, Outcome: verifyCommitted, Frame: verify.EncodeDelta(d)})
-		f.command(sw, repairCmd{Port: ls.port, Entry: entry, Backup: route.Backup})
+		f.command(sw, repairCmd{Port: ls.port, Entry: entry, Backup: p.backup})
 		return true
 	}
 	if announce {
@@ -162,7 +165,7 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: ls.key, Entry: entry,
 			Detail: v.String()})
 	}
-	for _, port := range f.repairCandidates(ls, route) {
+	for _, port := range f.repairCandidates(ls, p.backup) {
 		d := f.entryDelta(ls, entry, port)
 		v, err := f.verifier.Check(d)
 		if err != nil {
@@ -178,7 +181,7 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 		f.Verify.Repaired++
 		f.record(VerifyDecision{Key: key, Outcome: verifyRepaired, Frame: verify.EncodeDelta(d)})
 		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRepaired, Link: ls.key, Entry: entry,
-			Detail: fmt.Sprintf("backup port %d unsafe, diverted via port %d", route.Backup, port)})
+			Detail: fmt.Sprintf("backup port %d unsafe, diverted via port %d", p.backup, port)})
 		f.command(sw, repairCmd{Port: ls.port, Entry: entry, Backup: port})
 		return true
 	}
@@ -196,11 +199,11 @@ func (f *Fleet) tryCommit(ls *linkState, app *reroute.App, entry netsim.EntryID,
 // repairCandidates lists the upstream switch's other inter-switch egress
 // ports — the alternate backup next hops — in neighbor-name order,
 // excluding the primary egress and the already-rejected configured backup.
-func (f *Fleet) repairCandidates(ls *linkState, route *netsim.Route) []int {
+func (f *Fleet) repairCandidates(ls *linkState, backup int) []int {
 	var out []int
 	for _, nb := range f.Net.Neighbors(ls.dl.From) {
 		p := f.Net.PortOf[ls.dl.From][nb]
-		if p == route.Port || p == route.Backup {
+		if p == ls.port || p == backup {
 			continue
 		}
 		out = append(out, p)
@@ -262,7 +265,7 @@ func (f *Fleet) retryHeld(tick bool) {
 			continue // decided while parked (restore replay or fallback)
 		}
 		ls := f.links[h.link]
-		app, ok := f.agents[ls.dl.From].apps[ls.port]
+		i, ok := slices.BinarySearchFunc(ls.plan, h.entry, byEntry)
 		if !ok {
 			continue
 		}
@@ -270,7 +273,7 @@ func (f *Fleet) retryHeld(tick bool) {
 			h.retries++
 			f.Verify.Retries++
 		}
-		if f.tryCommit(ls, app, h.entry, h.key, false) {
+		if f.tryCommit(ls, ls.plan[i], h.key, false) {
 			continue
 		}
 		if h.retries >= f.cfg.Verify.MaxRetries {
@@ -303,31 +306,20 @@ func (f *Fleet) verifyRetryTick() {
 // syncDegradedReroute settles an agent's autonomous reroute at handback.
 // Degraded-mode local protection bypasses the gate by design — the agent
 // cannot reach the correlator, and protection must not wait — so the flip is
-// checked when its report arrives. A safe flip is an unverified fallback,
-// adopted into the model as made. An unsafe one is refused like a
-// gate rejection: logged as rejected, so a takeover meets the refusal again,
-// and the agent is commanded back to its primary next hop. seen is the
-// report's rerouteSeen key.
-func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport, seen string) {
+// checked when its report arrives (until then the model does not hold it).
+// A safe flip is an unverified fallback, adopted into the model as made. An
+// unsafe one is refused like a gate rejection: logged as rejected, so a
+// takeover meets the refusal again, and the agent is commanded back to its
+// primary next hop. seen is the report's rerouteSeen key.
+func (f *Fleet) syncDegradedReroute(ls *linkState, r rerouteReport, seen string) {
 	key := "degraded|" + seen
 	out, decided := f.verifySeen[key]
 	if decided && out != verifyRejected {
 		return
 	}
-	app, ok := f.agents[sw].apps[r.Port]
-	if !ok {
-		return
-	}
-	route, ok := app.Route(r.Entry)
-	if !ok {
-		return
-	}
-	linkKey := sw
-	if ls, ok := f.portLink[sw][r.Port]; ok {
-		linkKey = ls.key
-	}
+	sw := ls.dl.From
 	if !decided {
-		d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, r.Entry, route.Egress())})
+		d := verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(sw, r.Entry, r.Egress)})
 		v, err := f.verifier.Check(d)
 		if err != nil {
 			f.Verify.Errors++
@@ -336,21 +328,21 @@ func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport, seen string) {
 		if v.Safe() {
 			f.verifier.Commit(d)
 			f.Verify.Fallbacks++
-			f.emit(Event{Time: f.S.Now(), Kind: EventVerifyFallback, Link: linkKey, Entry: r.Entry,
+			f.emit(Event{Time: f.S.Now(), Kind: EventVerifyFallback, Link: ls.key, Entry: r.Entry,
 				Detail: "degraded-local reroute adopted unverified"})
 			f.record(VerifyDecision{Key: key, Outcome: verifyFallback, Frame: verify.EncodeDelta(d)})
 			f.retryHeld(false)
 			return
 		}
 		f.Verify.Rejected++
-		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: linkKey, Entry: r.Entry,
+		f.emit(Event{Time: f.S.Now(), Kind: EventRerouteRejected, Link: ls.key, Entry: r.Entry,
 			Detail: "degraded-local reroute: " + v.String()})
 	}
 	// Refused now or before (the agent repeated the flip in a later degraded
-	// spell). The model goes back to the primary too: a takeover during the
-	// spell snapshotted the flip from the live tables, and replays this frame
-	// over it. Back on its primary, the entry's next flip is a new reroute.
-	d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, r.Entry, route.Port)})
+	// spell). The model goes back to the primary too, in case it holds a
+	// gated flip the agent's own flip overtook. Back on its primary, the
+	// entry's next flip is a new reroute.
+	d := verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(sw, r.Entry, ls.port)})
 	f.verifier.Commit(d)
 	delete(f.rerouteSeen, seen)
 	f.record(VerifyDecision{Key: key, Outcome: verifyRejected, Frame: verify.EncodeDelta(d)})
@@ -358,40 +350,36 @@ func (f *Fleet) syncDegradedReroute(sw string, r rerouteReport, seen string) {
 }
 
 // RestoreEntry reverts a protected entry to its primary next hop at sw —
-// the operator action after the underlying failure is repaired. With the
-// gate enabled the model reverts too (as a logged decision, so a restored
-// correlator replays it), the entry's old gate decision is revoked — the
-// rollback reopens gating, and a stale accepted decision must not be
-// re-issued against the rolled-back state — and held commits re-check
-// immediately: a conflicting reroute being rolled back is exactly what
-// unblocks a held flip.
+// the operator action after the underlying failure is repaired. It acts on
+// the switch, and tells the correlator: the entry is no longer reported
+// diverted, so its next flip is a new reroute. With the gate enabled the
+// model reverts too (as a logged decision, so a restored correlator replays
+// it), the entry's old gate decision is revoked — the rollback reopens
+// gating, and a stale accepted decision must not be re-issued against the
+// rolled-back state — and held commits re-check immediately: a conflicting
+// reroute being rolled back is exactly what unblocks a held flip.
 func (f *Fleet) RestoreEntry(sw string, entry netsim.EntryID) {
 	a, ok := f.agents[sw]
 	if !ok {
 		return
 	}
 	var ports []int
-	for port := range a.apps {
-		ports = append(ports, port)
+	for port, app := range a.apps {
+		if app.Rerouted(entry) {
+			ports = append(ports, port)
+		}
 	}
 	sort.Ints(ports)
 	for _, port := range ports {
-		app := a.apps[port]
-		route, ok := app.Route(entry)
-		if !ok || !route.UseBackup {
-			continue
-		}
-		app.Restore(entry)
+		a.apps[port].Restore(entry)
+		ls := f.portLink[sw][port]
+		delete(f.rerouteSeen, seenKey(ls, entry))
+		f.persist()
 		if f.verifier == nil {
 			continue
 		}
-		linkKey := sw
-		ls, onLink := f.portLink[sw][port]
-		if onLink {
-			linkKey = ls.key
-		}
-		d := verify.NewDelta(linkKey, []verify.Flip{verify.EntryFlip(sw, entry, route.Port)})
-		if _, err := f.verifier.Commit(d); err != nil {
+		d := verify.NewDelta(ls.key, []verify.Flip{verify.EntryFlip(sw, entry, ls.port)})
+		if err := f.verifier.Commit(d); err != nil {
 			f.Verify.Errors++
 			continue
 		}
@@ -401,14 +389,12 @@ func (f *Fleet) RestoreEntry(sw string, entry netsim.EntryID) {
 		// re-issue would diverge model and network. The frames stay: replay
 		// applies the old flip, then this tombstone's revert, landing on
 		// the true state.
-		if onLink {
-			k := verifyKey(ls, entry)
-			if _, done := f.verifySeen[k]; done {
-				f.verifySeen[k] = verifyRevoked
-				for i := range f.verifyLog {
-					if f.verifyLog[i].Key == k {
-						f.verifyLog[i].Outcome = verifyRevoked
-					}
+		k := verifyKey(ls, entry)
+		if _, done := f.verifySeen[k]; done {
+			f.verifySeen[k] = verifyRevoked
+			for i := range f.verifyLog {
+				if f.verifyLog[i].Key == k {
+					f.verifyLog[i].Outcome = verifyRevoked
 				}
 			}
 		}

@@ -7,11 +7,14 @@ package fleet
 // and a flip the model cannot evaluate falls back to the unverified behavior.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
+	"fancy/internal/verify"
 )
 
 // verifiedCfg is fleetCfg plus the verified-commit gate.
@@ -361,5 +364,147 @@ func TestDegradedHandbackDoesNotAdoptLoop(t *testing.T) {
 				t.Fatalf("seed %d: post-run audit unsafe: %s", seed, audit)
 			}
 		}
+	}
+}
+
+// TestRestoredEntryFlipsAgain: an operator restore also clears the
+// correlator's record of the entry's flip. When the failure persists and the
+// acknowledged link re-localizes, the entry's second flip is a new reroute:
+// two EventRerouted, Reroutes 2 and the entry on its backup at the end.
+// Before the restore cleared the record, the second flip went unrecorded.
+func TestRestoredEntryFlipsAgain(t *testing.T) {
+	r := start(t, grayTrial(42, seattleSunnyvale, fleetCfg(entry), 2*sim.Second, 12*sim.Second))
+	f := r.Fleet
+	r.Sim.ScheduleAt(5*sim.Second, func() {
+		f.RestoreEntry("seattle", entry)
+		f.Acknowledge("seattle->sunnyvale")
+	})
+	r.Finish()
+
+	var got []string
+	for _, ev := range f.Events {
+		if ev.Kind == EventRerouted {
+			got = append(got, ev.String())
+		}
+	}
+	want := []string{
+		"[2.180000624s] seattle->sunnyvale rerouted entry=10",
+		"[5.140001512s] seattle->sunnyvale rerouted entry=10",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rerouted events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if f.Reroutes != 2 || !f.Rerouted("seattle", entry) {
+		t.Fatalf("Reroutes=%d rerouted=%v, want 2 and the entry on its backup", f.Reroutes, f.Rerouted("seattle", entry))
+	}
+}
+
+// TestRestoreHoldsNoUnreportedFlip: a partitioned switch flips an entry in
+// degraded mode, and the correlator crashes and restarts before the heal.
+// The restored model holds only what the correlator decided or was told, so
+// it does not hold that flip: sunnyvale's flip to seattle, a loop only with
+// seattle's unreported flip to sunnyvale, checks safe. After the heal the
+// report arrives, and the handback adopts the flip as an unverified
+// fallback.
+func TestRestoreHoldsNoUnreportedFlip(t *testing.T) {
+	cfg := verifiedCfg(entry)
+	cfg.Mgmt = &mgmt.Config{}
+	r := start(t, Trial{
+		Seed: 42, Config: cfg, Duration: 8 * sim.Second,
+		Spec:   abileneSpec("denver", "seattle"),
+		Routes: map[netsim.EntryID]string{entry: "h-denver"},
+		Protect: []Protection{
+			{Switch: "seattle", Entry: entry, PrimaryTo: "denver", BackupTo: "sunnyvale"},
+		},
+		Flows: []Flow{{From: "h-seattle", Entry: entry, RateBps: 2e6}},
+		Faults: []Fault{
+			{At: 1500 * sim.Millisecond, Kind: FaultPartition, Switch: "seattle"},
+			grayAt(2*sim.Second, "seattle", "denver", entry),
+			{At: 3 * sim.Second, Kind: FaultKillLeader},
+			{At: 3500 * sim.Millisecond, Kind: FaultRestartKilled},
+			{At: 4 * sim.Second, Kind: FaultHeal, Switch: "seattle"},
+		},
+	})
+	f, n := r.Fleet, r.Net
+	loop := verify.NewDelta("probe", []verify.Flip{
+		verify.EntryFlip("sunnyvale", entry, n.PortOf["sunnyvale"]["seattle"])})
+	checked := false
+	r.Sim.ScheduleAt(3600*sim.Millisecond, func() {
+		checked = true
+		if !f.Rerouted("seattle", entry) || f.Reroutes != 0 || f.Crashed() {
+			t.Fatalf("rerouted=%v Reroutes=%d crashed=%v: want an unreported degraded flip and a restored correlator",
+				f.Rerouted("seattle", entry), f.Reroutes, f.Crashed())
+		}
+		v, err := f.Verifier().Check(loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Safe() {
+			t.Fatalf("restored model holds the unreported flip: %s", v)
+		}
+	})
+	r.Finish()
+
+	if !checked {
+		t.Fatal("the mid-partition check did not run")
+	}
+	if !hasEvent(f, EventRerouted, "degraded-local") || f.Reroutes != 1 {
+		t.Fatalf("Reroutes=%d: the degraded flip was not reported once at handback", f.Reroutes)
+	}
+	if !hasEvent(f, EventVerifyFallback, "degraded-local reroute adopted") || hasEvent(f, EventRerouteRejected, "") {
+		t.Fatalf("gate stats %+v: the handback did not adopt the safe degraded flip", f.Verify)
+	}
+	if v, err := f.Verifier().Check(loop); err != nil || v.Safe() {
+		t.Fatalf("after the handback the model must hold the adopted flip: %v, %v", v, err)
+	}
+}
+
+// TestGateCannotSeeUnreportedFlip pins the answer to the question a gate
+// that reads no switch memory must face: it can accept a flip that conflicts
+// with a degraded flip it has not heard of yet. Atlanta, partitioned, diverts
+// via houston on its own; houston's link then fails under the diverted
+// traffic, and the gate, whose model does not hold atlanta's flip, commits
+// houston's flip via atlanta: a loop in the data plane until the heal. Only
+// atlanta's report can close that gap: at the handback the gate checks the
+// flip against houston's, refuses it, and sends atlanta back to its primary.
+func TestGateCannotSeeUnreportedFlip(t *testing.T) {
+	cfg := verifiedCfg(entry)
+	cfg.Mgmt = &mgmt.Config{}
+	r := start(t, Trial{
+		Seed: 42, Config: cfg, Duration: 8 * sim.Second,
+		Spec:   abileneSpec("kansascity", "washington"),
+		Routes: map[netsim.EntryID]string{entry: "h-kansascity"},
+		Protect: []Protection{
+			{Switch: "atlanta", Entry: entry, PrimaryTo: "indianapolis", BackupTo: "houston"},
+			{Switch: "houston", Entry: entry, PrimaryTo: "kansascity", BackupTo: "atlanta"},
+		},
+		Flows: []Flow{{From: "h-washington", Entry: entry, RateBps: 2e6}},
+		Faults: []Fault{
+			{At: 1500 * sim.Millisecond, Kind: FaultPartition, Switch: "atlanta"},
+			grayAt(2*sim.Second, "atlanta", "indianapolis", entry),
+			grayAt(2*sim.Second, "houston", "kansascity", entry),
+			{At: 5 * sim.Second, Kind: FaultHeal, Switch: "atlanta"},
+		},
+	})
+	f := r.Fleet
+	looped := false
+	r.Sim.ScheduleAt(4*sim.Second, func() {
+		looped = f.Rerouted("atlanta", entry) && f.Rerouted("houston", entry) &&
+			f.Verify.Committed == 1 && countEvents(f, EventRerouted, "atlanta->indianapolis") == 0
+	})
+	r.Finish()
+
+	if !looped {
+		t.Fatal("at 4 s the gate had not committed houston's flip over atlanta's unreported one")
+	}
+	if f.Rerouted("atlanta", entry) || !f.Rerouted("houston", entry) {
+		t.Fatalf("atlanta rerouted=%v houston rerouted=%v: the handback must refuse atlanta's flip",
+			f.Rerouted("atlanta", entry), f.Rerouted("houston", entry))
+	}
+	if !hasEvent(f, EventRerouteRejected, "degraded-local reroute: unsafe") {
+		t.Fatal("atlanta's degraded flip was not refused at the handback")
+	}
+	if audit := f.Verifier().Audit(); !audit.Safe() {
+		t.Fatalf("post-run audit unsafe: %s", audit)
 	}
 }

@@ -50,7 +50,6 @@ var emissionMethods = map[string]bool{
 	"AtActor":            true,
 	"Sequence":           true,
 	"Reserve":            true,
-	"Queue":              true,
 	"QueueActor":         true,
 }
 

@@ -75,10 +75,8 @@ func Launch(s launcher, m map[string][]int64) {
 	}
 }
 
-// slot stands in for sim.Slot: queueing one fixes an event's position.
-type slot interface {
-	Queue(fn func())
-}
+// slot stands in for sim.Slot.
+type slot struct{}
 
 // reserver stands in for sim.Sim's Reserve entry point.
 type reserver interface {
@@ -94,17 +92,6 @@ func ReserveAll(s reserver, m map[string]int64) map[string]slot {
 		slots[k] = s.Reserve(at)
 	}
 	return slots
-}
-
-// QueueAll hands the callbacks out to the slots in iteration order, so
-// which callback runs at which slot changes from run to run (true
-// positive).
-func QueueAll(slots map[string]slot, fns []func()) {
-	i := 0
-	for _, sl := range slots {
-		sl.Queue(fns[i])
-		i++
-	}
 }
 
 // actor stands in for sim.Actor.

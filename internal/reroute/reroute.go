@@ -48,21 +48,22 @@ func (a *App) Protect(entry netsim.EntryID, route *netsim.Route) {
 	a.entries[entry] = route
 }
 
-// names reports whether ev diverts entry: the detector's reading of the
-// event on this app's port, where a link-down also compromises the whole
-// link — the selective equivalent of a BFD-triggered reroute.
-func (a *App) names(ev fancy.Event, entry netsim.EntryID) bool {
-	return ev.Port == a.port && (ev.Kind == fancy.EventLinkDown || a.det.Implicates(ev, entry))
+// Names reports whether ev diverts entry, protected on port of det's switch:
+// the detector's reading of the event on that port, where a link-down also
+// compromises the whole link — the selective equivalent of a BFD-triggered
+// reroute. HandleEvent and the fleet's correlator both dispatch with it.
+func Names(det *fancy.Detector, port int, ev fancy.Event, entry netsim.EntryID) bool {
+	return ev.Port == port && (ev.Kind == fancy.EventLinkDown || det.Implicates(ev, entry))
 }
 
-// HandleEvent reacts to a detector event, diverting the entries Targets
-// lists in the same ascending order. Wire it into the detector's OnEvent
+// HandleEvent reacts to a detector event, diverting every protected entry
+// it names, in ascending order. Wire it into the detector's OnEvent
 // callback (possibly alongside other consumers):
 //
 //	det.OnEvent = func(ev fancy.Event) { app.HandleEvent(ev); ... }
 func (a *App) HandleEvent(ev fancy.Event) {
 	for _, e := range a.order {
-		if a.names(ev, e) {
+		if Names(a.det, a.port, ev, e) {
 			a.Divert(e)
 		}
 	}
@@ -82,19 +83,6 @@ func (a *App) Divert(entry netsim.EntryID) {
 	if a.OnReroute != nil {
 		a.OnReroute(entry, a.s.Now())
 	}
-}
-
-// Targets lists the protected entries ev would divert, ascending — the
-// same dispatch as HandleEvent without the side effect, so the fleet's
-// correlator can issue (and, gated, verify) each flip as its own command.
-func (a *App) Targets(ev fancy.Event) []netsim.EntryID {
-	var out []netsim.EntryID
-	for _, e := range a.order {
-		if a.names(ev, e) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Route returns the live route handle of a protected entry.

@@ -1,6 +1,7 @@
 package reroute
 
 import (
+	"slices"
 	"testing"
 
 	"fancy/internal/fancy"
@@ -184,9 +185,9 @@ func TestUnprotectedEntryIgnored(t *testing.T) {
 	}
 }
 
-// The fleet's correlator drives the app through Targets / Route /
-// SetBackup / Divert instead of HandleEvent: Targets is HandleEvent's
-// dispatch without the side effect, Divert is the per-entry commit.
+// The fleet's correlator drives the app through Names / SetBackup / Divert
+// instead of HandleEvent: Names is HandleEvent's dispatch without the side
+// effect, Divert is the per-entry commit.
 func TestGateCommands(t *testing.T) {
 	b := newFig10(t, cfg)
 	b.protect(10) // dedicated
@@ -208,18 +209,18 @@ func TestGateCommands(t *testing.T) {
 		{"link down", fancy.Event{Kind: fancy.EventLinkDown, Port: 1}, []netsim.EntryID{10, 77, 78}},
 		{"other port", fancy.Event{Kind: fancy.EventUniform, Port: 2}, nil},
 	} {
-		got := b.app.Targets(tc.ev)
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s: Targets = %v, want %v", tc.name, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("%s: Targets = %v, want %v", tc.name, got, tc.want)
+		var got []netsim.EntryID
+		for _, e := range []netsim.EntryID{10, 77, 78} {
+			if Names(b.det, 1, tc.ev, e) {
+				got = append(got, e)
 			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: named %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	if diverted != 0 || b.app.Rerouted(10) || b.app.Rerouted(77) {
-		t.Fatal("Targets diverted an entry; it must be side-effect free")
+		t.Fatal("Names diverted an entry; it must be side-effect free")
 	}
 
 	route, ok := b.app.Route(77)

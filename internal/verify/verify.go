@@ -10,9 +10,9 @@
 // fast-reroute commit on the localization path (ISSUE 8 / ROADMAP
 // "verify reroutes before committing them, in real time").
 //
-// The model is a snapshot: NewModel (or Reload, which re-reads into the
-// storage a model already owns) reads the live route tables, and from then
-// on Commit is the only mutation path. Callers that bypass the verifier
+// The model is a snapshot: NewModel reads the live route tables once, and
+// from then on Commit is the only mutation path — the model learns of a
+// change only when it is told. Callers that bypass the verifier
 // (degraded-mode local protection, verify-unavailable fallback) must sync
 // the model with an unchecked Commit so later checks see the true state.
 package verify
@@ -48,8 +48,7 @@ type pfx struct {
 
 func byKey(a, b pfx) int { return cmp.Compare(a.key, b.key) }
 
-// Model is the atom-indexed forwarding state of one network. Every slice and
-// map is storage Reload refills in place.
+// Model is the atom-indexed forwarding state of one network.
 type Model struct {
 	switches []string
 	swIdx    map[string]int
@@ -83,40 +82,22 @@ func span(addr uint32, plen int) (uint32, uint32) {
 // and deltas touching them fail Check with an error (the fleet treats that
 // as verifier-unavailable and falls back to unverified commits).
 func NewModel(net *topo.Network) *Model {
-	m := &Model{}
-	m.Reload(net)
-	return m
-}
-
-// Reload re-reads the network's installed forwarding state, dropping every
-// commit made since the last read: afterwards the model is the one
-// NewModel(net) builds. It refills the storage the model already owns, so
-// re-reading tables no larger than last time allocates only the route
-// visitor.
-func (m *Model) Reload(net *topo.Network) {
-	m.switches = m.switches[:0]
+	m := &Model{swIdx: make(map[string]int, len(net.Switches))}
 	for sw := range net.Switches {
 		m.switches = append(m.switches, sw)
 	}
 	slices.Sort(m.switches)
 	nsw := len(m.switches)
-	if m.swIdx == nil {
-		m.swIdx = make(map[string]int, nsw)
-	}
-	clear(m.swIdx)
 	for i, sw := range m.switches {
 		m.swIdx[sw] = i
 	}
 
 	// Port map: host-facing ports deliver, inter-switch ports forward to the
 	// peer switch, anything else drops.
-	m.portPeer = slices.Grow(m.portPeer[:0], nsw)[:nsw]
+	m.portPeer = make([]map[int]int32, nsw)
 	for i, sw := range m.switches {
-		if m.portPeer[i] == nil {
-			m.portPeer[i] = make(map[int]int32)
-		}
-		pp := m.portPeer[i]
-		clear(pp)
+		pp := make(map[int]int32)
+		m.portPeer[i] = pp
 		for nb, port := range net.PortOf[sw] {
 			if net.HostAt(nb) == sw {
 				pp[port] = nhDeliver
@@ -135,9 +116,8 @@ func (m *Model) Reload(net *topo.Network) {
 		total += net.Switches[sw].Routes.Len()
 	}
 	visit := m.addPrefix
-	m.pfxs = slices.Grow(m.pfxs[:0], total)
-	m.pfxAt = append(m.pfxAt[:0], 0)
-	m.bounds = m.bounds[:0]
+	m.pfxs = make([]pfx, 0, total)
+	m.pfxAt = append(m.pfxAt, 0)
 	for _, sw := range m.switches {
 		start := len(m.pfxs)
 		net.Switches[sw].Routes.Walk(visit)
@@ -156,8 +136,8 @@ func (m *Model) Reload(net *topo.Network) {
 	// it, so a cell's last paint is its longest match; a prefix's ends are
 	// bounds, so it covers a run of whole intervals.
 	nint := max(len(m.bounds)-1, 0)
-	m.nextSlab = slices.Grow(m.nextSlab[:0], nint*nsw)[:nint*nsw]
-	m.winSlab = slices.Grow(m.winSlab[:0], nint*nsw)[:nint*nsw]
+	m.nextSlab = make([]int32, nint*nsw)
+	m.winSlab = make([]int8, nint*nsw)
 	for c := range m.nextSlab {
 		m.nextSlab[c], m.winSlab[c] = nhDrop, -1
 	}
@@ -175,7 +155,6 @@ func (m *Model) Reload(net *topo.Network) {
 	// Materialize the covered intervals as atoms, moving their rows down
 	// the slabs. Uncovered intervals (no switch has a route) are dropped:
 	// they can never become reachable through a reroute flip.
-	m.atoms, m.next, m.win = m.atoms[:0], m.next[:0], m.win[:0]
 	for k := range nint {
 		row := m.winSlab[k*nsw : (k+1)*nsw]
 		if slices.Max(row) < 0 {
@@ -188,9 +167,10 @@ func (m *Model) Reload(net *topo.Network) {
 		m.next = append(m.next, m.nextSlab[j*nsw:(j+1)*nsw])
 		m.win = append(m.win, m.winSlab[j*nsw:(j+1)*nsw])
 	}
+	return m
 }
 
-// addPrefix is Reload's route-table visitor.
+// addPrefix is NewModel's route-table visitor.
 func (m *Model) addPrefix(addr uint32, plen int, r *netsim.Route) {
 	m.pfxs = append(m.pfxs, pfx{key: pfxKey(addr, plen), port: r.Egress()})
 }
@@ -266,13 +246,12 @@ func (m *Model) Check(d *Delta) (*Verdict, error) {
 	return m.walkAtoms(dirty, ov), nil
 }
 
-// Commit applies d to the model unconditionally — callers gate on Check —
-// and returns the post-state verdict over the touched atoms (useful for
-// auditing unverified fallback commits).
-func (m *Model) Commit(d *Delta) (*Verdict, error) {
+// Commit applies d to the model unconditionally — callers gate on Check,
+// and Audit walks the committed state.
+func (m *Model) Commit(d *Delta) error {
 	ov, dirty, err := m.overlay(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, k := range dirty {
 		for si := range m.switches {
@@ -281,7 +260,7 @@ func (m *Model) Commit(d *Delta) (*Verdict, error) {
 			}
 		}
 	}
-	return m.walkAtoms(dirty, nil), nil
+	return nil
 }
 
 // Audit re-walks every atom of the committed state from scratch — the

@@ -68,137 +68,6 @@ func grid(t *testing.T, side int) *topo.Network {
 	return n
 }
 
-// sameModel fails unless got and want agree on everything a caller sees:
-// atom count, switches, the audit, and the verdict (or error) of every flip
-// the live tables admit — each installed prefix at each switch, to each of
-// its ports and to a dead one.
-func sameModel(t *testing.T, n *topo.Network, got, want *Model) {
-	t.Helper()
-	if got.Atoms() != want.Atoms() || !slices.Equal(got.switches, want.switches) {
-		t.Fatalf("%d atoms over %d switches, want %d over %d",
-			got.Atoms(), len(got.switches), want.Atoms(), len(want.switches))
-	}
-	if g, w := got.Audit().String(), want.Audit().String(); g != w {
-		t.Fatalf("audit %q, want %q", g, w)
-	}
-	verdict := func(m *Model, d *Delta) string {
-		v, err := m.Check(d)
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		return v.String()
-	}
-	flips := 0
-	for _, sw := range want.switches {
-		ports := []int{999}
-		for _, p := range n.PortOf[sw] {
-			ports = append(ports, p)
-		}
-		n.Switches[sw].Routes.Walk(func(addr uint32, plen int, _ *netsim.Route) {
-			for _, port := range ports {
-				d := NewDelta("x", []Flip{{Switch: sw, Addr: addr, Plen: plen, Port: port}})
-				if g, w := verdict(got, d), verdict(want, d); g != w {
-					t.Fatalf("%s %s/%d -> port %d: %q, want %q", sw, ipStr(addr), plen, port, g, w)
-				}
-				flips++
-			}
-		})
-	}
-	if flips == 0 {
-		t.Fatal("no flip compared")
-	}
-}
-
-// TestReloadEqualsNewModel: a model reloaded after it has drifted from the
-// tables it read is the model NewModel builds from the live tables — after
-// commits, after routes were added to the tables, and after a live egress
-// changed.
-func TestReloadEqualsNewModel(t *testing.T) {
-	for name, build := range map[string]func(*testing.T) *topo.Network{
-		"abilene": abilene,
-		"grid12":  func(t *testing.T) *topo.Network { return grid(t, 12) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			n := build(t)
-			m := NewModel(n)
-			sws := slices.Clone(m.switches)
-			var e netsim.EntryID = entry
-			if name != "abilene" {
-				e = 1
-			}
-
-			// Commits move the model away from the tables.
-			for i, sw := range sws {
-				if i%3 != 0 {
-					continue
-				}
-				nb := n.Neighbors(sw)[0]
-				if _, err := m.Commit(NewDelta("c", []Flip{EntryFlip(sw, e, n.PortOf[sw][nb])})); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.Reload(n)
-			sameModel(t, n, m, NewModel(n))
-
-			// Routes the model never saw: a default, a covering /16 and a
-			// /32 inside an entry's /24, at switches spread over the network.
-			for i, sw := range sws {
-				port := n.PortOf[sw][n.Neighbors(sw)[0]]
-				var err error
-				switch i % 4 {
-				case 0:
-					_, err = n.Switches[sw].Routes.Insert(0, 0, netsim.Route{Port: port, Backup: -1})
-				case 1:
-					_, err = n.Switches[sw].Routes.Insert(0, 16, netsim.Route{Port: port, Backup: -1})
-				case 2:
-					_, err = n.Switches[sw].Routes.Insert(netsim.EntryAddr(e, 7), 32, netsim.Route{Port: port, Backup: -1})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.Reload(n)
-			sameModel(t, n, m, NewModel(n))
-
-			// A live egress change: every switch's route for e takes its
-			// last neighbor as the backup and uses it.
-			for _, sw := range sws {
-				nbs := n.Neighbors(sw)
-				r := n.Switches[sw].Routes.Lookup(netsim.EntryAddr(e, 0))
-				r.Backup, r.UseBackup = n.PortOf[sw][nbs[len(nbs)-1]], true
-			}
-			m.Reload(n)
-			sameModel(t, n, m, NewModel(n))
-		})
-	}
-}
-
-// TestReloadDoesNotAllocate pins Reload's reuse: re-reading unchanged
-// tables into a model that has since committed allocates at most the route
-// visitor handed to Walk.
-func TestReloadDoesNotAllocate(t *testing.T) {
-	n := grid(t, 12)
-	m := NewModel(n)
-	atoms := m.Atoms()
-	sw := m.switches[0]
-	flip := NewDelta("c", []Flip{EntryFlip(sw, 1, n.PortOf[sw][n.Neighbors(sw)[0]])})
-	if got := testing.AllocsPerRun(20, func() {
-		m.Reload(n)
-	}); got > 1 {
-		t.Errorf("Reload allocates %.0f objects, want at most 1", got)
-	}
-	if _, err := m.Commit(flip); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(1, func() { m.Reload(n) }); got > 1 {
-		t.Errorf("Reload after a commit allocates %.0f objects, want at most 1", got)
-	}
-	if m.Atoms() != atoms {
-		t.Fatalf("%d atoms after reloads, want %d", m.Atoms(), atoms)
-	}
-	sameModel(t, n, m, NewModel(n))
-}
-
 func TestModelCleanStateIsSafe(t *testing.T) {
 	n := abilene(t)
 	m := NewModel(n)
@@ -234,7 +103,7 @@ func TestComposedFlipsFormLoop(t *testing.T) {
 	if v.Atoms == 0 || v.Atoms >= m.Atoms() {
 		t.Fatalf("incremental check walked %d of %d atoms", v.Atoms, m.Atoms())
 	}
-	if _, err := m.Commit(first); err != nil {
+	if err := m.Commit(first); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,7 +165,7 @@ func TestAlternateRepairIsSafe(t *testing.T) {
 	if v, err := m.Check(first); err != nil || !v.Safe() {
 		t.Fatalf("atlanta->houston flip should be safe: %v %s", err, v)
 	}
-	if _, err := m.Commit(first); err != nil {
+	if err := m.Commit(first); err != nil {
 		t.Fatal(err)
 	}
 
@@ -316,7 +185,7 @@ func TestAlternateRepairIsSafe(t *testing.T) {
 	if err != nil || !v.Safe() {
 		t.Fatalf("repair via losangeles should be safe: %v %s", err, v)
 	}
-	if _, err := m.Commit(repair); err != nil {
+	if err := m.Commit(repair); err != nil {
 		t.Fatal(err)
 	}
 	if a := m.Audit(); !a.Safe() {
@@ -443,7 +312,7 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 		}
 		// Occasionally commit to evolve the state the next trials verify.
 		if rng.Intn(3) == 0 {
-			if _, err := m.Commit(d); err != nil {
+			if err := m.Commit(d); err != nil {
 				t.Fatal(err)
 			}
 		}

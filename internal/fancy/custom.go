@@ -79,9 +79,9 @@ func (d *Detector) ListenCustom(port int, cr CustomReceiver) {
 // interface the FSM drives.
 type customSenderAdapter struct{ cs CustomSender }
 
-func (a *customSenderAdapter) resetSession() []wire.ZoomTarget {
+func (a *customSenderAdapter) resetSession(dst []wire.ZoomTarget) []wire.ZoomTarget {
 	a.cs.ResetSession()
-	return nil
+	return dst
 }
 
 func (a *customSenderAdapter) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {

@@ -34,9 +34,9 @@ type dedicatedSender struct {
 	count uint64
 }
 
-func (d *dedicatedSender) resetSession() []wire.ZoomTarget {
+func (d *dedicatedSender) resetSession(dst []wire.ZoomTarget) []wire.ZoomTarget {
 	d.count = 0
-	return nil
+	return dst
 }
 
 func (d *dedicatedSender) tagPacket(*netsim.Packet) (wire.Tag, bool) {

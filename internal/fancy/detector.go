@@ -63,6 +63,10 @@ type Detector struct {
 	// (see OnIngress); its slice capacity is recycled across messages.
 	ctlScratch wire.Message
 
+	// zoom is the tree senders' report scratch (treesession.go): report
+	// handling is synchronous too, so every port's tree shares it.
+	zoom zoomScratch
+
 	// ctlPkts issues the control packets this detector sends; netsim brings
 	// each one back, Ctl buffer included, when the peer has consumed it.
 	// ctlMax is the largest message marshalled so far: the capacity a new

@@ -32,9 +32,10 @@ const (
 // senderCounters abstracts a unit's counting machinery on the sender side: a
 // dedicated counter, a pipelined or staged tree, or a custom unit.
 type senderCounters interface {
-	// resetSession zeroes the counters for a new session and returns the
-	// zoom targets to advertise in the Start message (nil for dedicated).
-	resetSession() []wire.ZoomTarget
+	// resetSession zeroes the counters for a new session and appends to
+	// dst the zoom targets to advertise in the Start message (none for
+	// dedicated). A target's path stays valid until the next report.
+	resetSession(dst []wire.ZoomTarget) []wire.ZoomTarget
 	// tagPacket counts a packet offered to this unit and returns its
 	// wire tag. ok=false means the packet is not counted this session
 	// (a staged tree's zoom stages only count matching packets; a custom
@@ -95,7 +96,7 @@ func (f *senderFSM) startSession() {
 	}
 	f.session++
 	f.attempts = 0
-	f.lastTargets = f.counters.resetSession()
+	f.lastTargets = f.counters.resetSession(f.lastTargets[:0])
 	f.state = sWaitStartACK
 	f.sendStart()
 	f.armRtx()
@@ -145,7 +146,7 @@ func (f *senderFSM) onRtx() {
 			// both recover without operator action.
 			f.backoff = DefaultTrtx
 			f.session++
-			f.lastTargets = f.counters.resetSession()
+			f.lastTargets = f.counters.resetSession(f.lastTargets[:0])
 			f.state = sWaitStartACK
 		}
 		f.backoff *= 2

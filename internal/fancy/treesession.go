@@ -10,10 +10,16 @@ package fancy
 // match the current partial path. Every tree sender of a detector hashes
 // with the detector's one tree.Hasher; the receivers learn indices from
 // the tags.
+//
+// A report allocates nothing but a flagged leaf's Event.Path: mismatch
+// lists and the waves being built live in the detector's zoomScratch, a
+// pipelined sender swaps its zoom nodes with that scratch rather than
+// building new ones, a Start's target list is appended into the FSM's, and
+// a receiver reuses its node counters.
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"fancy/internal/fancy/tree"
 	"fancy/internal/netsim"
@@ -37,6 +43,25 @@ func (d *Detector) newTreeSender(port int) senderCounters {
 		pathBuf:      make([]uint16, 0, p.Depth),
 		localized:    make(map[uint16]bool),
 	}
+}
+
+// zoomScratch is the working memory of a tree sender's report: handling a
+// report is synchronous, so one set on the detector serves every port.
+type zoomScratch struct {
+	mis  []mismatch // the root's mismatches, then one node's after them
+	next []zoomNode // a pipelined sender's next waves, then its old ones
+}
+
+// extend returns s one element longer and that element, which keeps
+// whatever the array held there: nodes reuse the memory of earlier ones.
+func extend[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
 }
 
 // newTreeReceiver builds the receiver counters of a tree unit in the
@@ -128,20 +153,23 @@ type mismatch struct {
 	diff uint64
 }
 
-func diffs(local, remote []uint64) []mismatch {
-	var out []mismatch
+// diffs appends to dst the counters with more local than remote packets,
+// largest difference first and ties by index: a total order, so any sort
+// gives the same list.
+func diffs(dst []mismatch, local, remote []uint64) []mismatch {
+	n := len(dst)
 	for i := range local {
 		if i < len(remote) && local[i] > remote[i] {
-			out = append(out, mismatch{uint16(i), local[i] - remote[i]})
+			dst = append(dst, mismatch{uint16(i), local[i] - remote[i]})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].diff != out[b].diff {
-			return out[a].diff > out[b].diff
+	slices.SortFunc(dst[n:], func(a, b mismatch) int {
+		if c := cmp.Compare(b.diff, a.diff); c != 0 {
+			return c
 		}
-		return out[a].idx < out[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
-	return out
+	return dst
 }
 
 // zoomNode is one active exploration: a partial hash path and the counter
@@ -149,6 +177,8 @@ func diffs(local, remote []uint64) []mismatch {
 // like a wave (the pipelining of §4.2): a zoom at level L either advances
 // into up to k children at level L+1 or retires, so its node slot frees
 // every session and the root can start k new explorations per session.
+// A node keeps its path's and counters' memory when it retires, for the
+// next node built in its place.
 type zoomNode struct {
 	path     []uint16
 	counters []uint64
@@ -166,7 +196,7 @@ type pipelinedSender struct {
 	treeReporter
 
 	root    []uint64
-	zooms   []*zoomNode
+	zooms   []zoomNode
 	pathBuf []uint16
 
 	// localized marks root counters whose exploration already reached a
@@ -177,23 +207,23 @@ type pipelinedSender struct {
 	localized map[uint16]bool
 }
 
-func (t *pipelinedSender) resetSession() []wire.ZoomTarget {
+func (t *pipelinedSender) resetSession(dst []wire.ZoomTarget) []wire.ZoomTarget {
 	clear(t.root)
-	targets := make([]wire.ZoomTarget, len(t.zooms))
-	for i, z := range t.zooms {
+	for i := range t.zooms {
+		z := &t.zooms[i]
 		clear(z.counters)
 		z.nodeID = uint8(i + 1)
-		targets[i] = wire.ZoomTarget{Path: z.path}
+		dst = append(dst, wire.ZoomTarget{Path: z.path})
 	}
-	return targets
+	return dst
 }
 
 func (t *pipelinedSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
 	t.pathBuf = t.hasher.Path(uint64(pkt.Entry), t.pathBuf[:0])
 	path := t.pathBuf
 	t.root[path[0]]++
-	for _, z := range t.zooms {
-		if isPrefix(z.path, path) {
+	for i := range t.zooms {
+		if z := &t.zooms[i]; isPrefix(z.path, path) {
 			c := path[len(z.path)]
 			z.counters[c]++
 			return wire.Tag{Node: z.nodeID, Counter: uint8(c)}, true
@@ -212,9 +242,11 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 	if len(counters) < w {
 		return // malformed
 	}
-	rootMis := diffs(t.root, counters[:w])
+	sc := &t.det.zoom
+	sc.mis = diffs(sc.mis[:0], t.root, counters[:w])
+	rootMis := sc.mis
 	if t.uniform(rootMis, w) {
-		t.zooms = nil // per-entry localization is meaningless here
+		t.zooms = t.zooms[:0] // per-entry localization is meaningless here
 		return
 	}
 	if p.Depth == 1 {
@@ -224,18 +256,22 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 
 	hadZooms := len(t.zooms) > 0
 	k := p.Split
-	var next []*zoomNode
+	next := sc.next[:0]
 
 	// Advance the waves: each zoom either reports (leaf level), splits
 	// into up to k children one level deeper, or retires as a dead end.
 	// Its own node slot frees either way — that is what lets the pipeline
 	// explore k^(d-1) paths across d sessions (§4.2).
-	for i, z := range t.zooms {
+	for i := range t.zooms {
+		z := &t.zooms[i]
 		lo := w * (i + 1)
 		if lo+w > len(counters) {
 			continue // malformed report; drop this wave
 		}
-		mis := t.reorder(diffs(z.counters, counters[lo:lo+w]))
+		// This node's mismatches go after rootMis; an append that
+		// reallocates leaves rootMis on the old array, which nothing writes.
+		sc.mis = diffs(sc.mis[:len(rootMis)], z.counters, counters[lo:lo+w])
+		mis := t.reorder(sc.mis[len(rootMis):])
 		if len(mis) == 0 {
 			continue // transient or collision dead end
 		}
@@ -245,30 +281,31 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 			continue
 		}
 		for _, m := range mis[:min(k, len(mis))] {
-			c := make([]uint16, len(z.path)+1)
-			copy(c, z.path)
-			c[len(z.path)] = m.idx
-			next = append(next, &zoomNode{path: c, counters: make([]uint64, w)})
+			var c *zoomNode
+			next, c = t.extendZooms(next)
+			c.path = append(append(c.path, z.path...), m.idx)
+		}
+	}
+
+	// Healed counters leave the localized set so they can be re-explored
+	// if they fail again later. marked is per root counter; Params.Validate
+	// bounds the width at 256.
+	var marked [256]bool
+	for _, m := range rootMis {
+		marked[m.idx] = true
+	}
+	for idx := range t.localized {
+		if !marked[idx] {
+			delete(t.localized, idx)
 		}
 	}
 
 	// The root starts up to k new waves per session, skipping counters
 	// already under exploration ("since it is already zooming in c1, it
 	// starts zooming in c2 this time").
-	heads := make(map[uint16]bool)
+	marked = [256]bool{}
 	for _, z := range next {
-		heads[z.path[0]] = true
-	}
-	// Healed counters leave the localized set so they can be re-explored
-	// if they fail again later.
-	misSet := make(map[uint16]bool, len(rootMis))
-	for _, m := range rootMis {
-		misSet[m.idx] = true
-	}
-	for idx := range t.localized {
-		if !misSet[idx] {
-			delete(t.localized, idx)
-		}
+		marked[z.path[0]] = true
 	}
 	started := 0
 	rootMis = t.reorder(rootMis)
@@ -280,12 +317,14 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 			if started >= k {
 				break
 			}
-			if heads[m.idx] || t.localized[m.idx] == fresh {
+			if marked[m.idx] || t.localized[m.idx] == fresh {
 				continue
 			}
-			heads[m.idx] = true
+			marked[m.idx] = true
 			started++
-			next = append(next, &zoomNode{path: []uint16{m.idx}, counters: make([]uint64, w)})
+			var c *zoomNode
+			next, c = t.extendZooms(next)
+			c.path = append(c.path, m.idx)
 		}
 	}
 
@@ -293,11 +332,23 @@ func (t *pipelinedSender) handleReport(counters []uint64) {
 		// Tag node IDs are one byte; unreachable with sane split/depth.
 		next = next[:maxZoomTargets]
 	}
-	t.zooms = next
+	t.zooms, sc.next = next, t.zooms[:0]
 
 	if !hadZooms && len(t.zooms) > 0 {
 		t.det.emit(Event{Time: t.det.s.Now(), Port: t.port, Kind: EventTreeZoomStart})
 	}
+}
+
+// extendZooms returns zs one zoom longer and that zoom, with an empty
+// path and counters of the tree's width (zeroed by resetSession).
+func (t *pipelinedSender) extendZooms(zs []zoomNode) ([]zoomNode, *zoomNode) {
+	zs, z := extend(zs)
+	if z.counters == nil {
+		p := t.det.cfg.Tree
+		z.path, z.counters = make([]uint16, 0, p.Depth-1), make([]uint64, p.Width)
+	}
+	z.path = z.path[:0]
+	return zs, z
 }
 
 // maxZoomTargets bounds a pipelined tree's zooms: tag node IDs are one
@@ -315,12 +366,14 @@ type stagedSender struct {
 	node  []uint64
 }
 
-func (t *stagedSender) resetSession() []wire.ZoomTarget {
+// resetSession's target path is maxes itself: its first stage indices
+// change only at the next report, and a Start is marshalled when sent.
+func (t *stagedSender) resetSession(dst []wire.ZoomTarget) []wire.ZoomTarget {
 	clear(t.node)
 	if t.stage == 0 {
-		return nil
+		return dst
 	}
-	return []wire.ZoomTarget{{Path: append([]uint16(nil), t.maxes[:t.stage]...)}}
+	return append(dst, wire.ZoomTarget{Path: t.maxes[:t.stage]})
 }
 
 func (t *stagedSender) tagPacket(pkt *netsim.Packet) (wire.Tag, bool) {
@@ -342,7 +395,9 @@ func (t *stagedSender) handleReport(counters []uint64) {
 	if len(counters) < w {
 		return
 	}
-	mis := diffs(t.node, counters[:w])
+	sc := &t.det.zoom
+	sc.mis = diffs(sc.mis[:0], t.node, counters[:w])
+	mis := sc.mis
 	if t.stage == 0 && t.uniform(mis, w) {
 		return
 	}
@@ -374,12 +429,18 @@ func (r *pipelinedReceiver) resetSession(targets []wire.ZoomTarget) {
 	// The zoom configuration outlives this call (tag decoding reads it all
 	// session), while targets is borrowed from the control-message parse
 	// scratch: only each target's head is copied out, so no slice of it is
-	// kept. Healthy ports carry no zooms, so this allocates only while a
-	// failure is being chased.
-	r.nodes = make([][]uint64, len(targets))
-	r.heads = r.heads[:0]
-	for i, tg := range targets {
-		r.nodes[i] = make([]uint64, len(r.root))
+	// kept. A node's counters are those of an earlier session's node in its
+	// place, zeroed, so this allocates only when a session has more zooms
+	// than any before.
+	r.nodes, r.heads = r.nodes[:0], r.heads[:0]
+	for _, tg := range targets {
+		var n *[]uint64
+		r.nodes, n = extend(r.nodes)
+		if *n == nil {
+			*n = make([]uint64, len(r.root))
+		} else {
+			clear(*n)
+		}
 		r.heads = append(r.heads, tg.Path[0])
 	}
 }

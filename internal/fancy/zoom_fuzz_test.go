@@ -76,7 +76,7 @@ var zoomFuzzEntries = []netsim.EntryID{
 
 // checkZoomTargets fails unless the zooms' paths are distinct and pairwise
 // non-prefix and every two sharing a head have the same length.
-func checkZoomTargets(t *testing.T, session int, zooms []*zoomNode) {
+func checkZoomTargets(t *testing.T, session int, zooms []zoomNode) {
 	t.Helper()
 	for i, a := range zooms {
 		for _, b := range zooms[i+1:] {
@@ -96,7 +96,7 @@ func checkZoomTargets(t *testing.T, session int, zooms []*zoomNode) {
 // The harness resets the sender again before its next session.
 func checkReceiverMirrors(t *testing.T, session int, h *zoomHarness, rng *rand.Rand) {
 	t.Helper()
-	targets := h.snd.resetSession()
+	targets := h.snd.resetSession(nil)
 	rcv := h.det.newTreeReceiver()
 	rcv.resetSession(targets)
 	for i := 0; i < 256; i++ {

@@ -34,6 +34,8 @@ type zoomHarness struct {
 	snd    senderCounters
 	rcv    receiverCounters
 	events *[]Event
+
+	targets []wire.ZoomTarget // the last Start's targets, reused as the FSM reuses its own
 }
 
 func newZoomHarness(t *testing.T, params tree.Params, seed int64) *zoomHarness {
@@ -68,8 +70,8 @@ func (h *zoomHarness) path(entry netsim.EntryID) []uint16 { return h.det.EntryPa
 // session runs one counting session: sent maps entries to packets offered;
 // delivered maps entries to how many of those reach the receiver.
 func (h *zoomHarness) session(sent, delivered map[netsim.EntryID]int) {
-	targets := h.snd.resetSession()
-	h.rcv.resetSession(targets)
+	h.targets = h.snd.resetSession(h.targets[:0])
+	h.rcv.resetSession(h.targets)
 	for e, n := range sent {
 		got := delivered[e]
 		pkt := &netsim.Packet{Entry: e}
@@ -426,7 +428,7 @@ func TestZoomOneLevelTreeFlagsRoot(t *testing.T) {
 		if len(leaves) != 1 || !slices.Equal(leaves[0].Path, h.path(victim)) || leaves[0].Diff != 5 || !h.det.Flagged(1, victim) {
 			t.Errorf("pipelined=%v: leaf events %+v, want one for %v with diff 5", pipelined, leaves, h.path(victim))
 		}
-		if targets := h.snd.resetSession(); len(targets) != 0 {
+		if targets := h.snd.resetSession(nil); len(targets) != 0 {
 			t.Errorf("pipelined=%v: a one-level tree advertises zoom targets %v", pipelined, targets)
 		}
 	}
@@ -489,5 +491,65 @@ func TestControlScratchNotRetained(t *testing.T) {
 	}
 	if !slices.Equal(overwritten, plain) {
 		t.Errorf("counters after the scratch was overwritten = %v, want %v: the receiver aliases the decode scratch", overwritten, plain)
+	}
+}
+
+// TestZoomWaveCycleDoesNotAllocate pins a tree unit's report path once its
+// waves are warm, in both variants: a cycle of the sender's reset (its
+// Start's targets appended into a reused list), the receiver's reset, a
+// lossy session's tags and the sender's report handling allocates nothing
+// but each flagged leaf's Event.Path.
+func TestZoomWaveCycleDoesNotAllocate(t *testing.T) {
+	for _, pipelined := range []bool{true, false} {
+		params := zoomParams
+		params.Pipelined = pipelined
+		h := newZoomHarness(t, params, 11)
+		leaves := 0
+		h.det.OnEvent = func(ev Event) {
+			if ev.Kind == EventTreeLeaf {
+				leaves++
+			}
+		}
+		// Three lossy entries under distinct root counters, ten packets
+		// each; every other packet reaches the receiver.
+		var pkts []netsim.Packet
+		roots := map[uint16]bool{}
+		for e := netsim.EntryID(100); len(roots) < 3; e++ {
+			if r := h.path(e)[0]; !roots[r] {
+				roots[r] = true
+				for range 10 {
+					pkts = append(pkts, netsim.Packet{Entry: e})
+				}
+			}
+		}
+		report := make([]uint64, 0, 64*params.Width)
+		cycle := func() {
+			h.targets = h.snd.resetSession(h.targets[:0])
+			h.rcv.resetSession(h.targets)
+			for i := range pkts {
+				if tag, ok := h.snd.tagPacket(&pkts[i]); ok && i%2 == 0 {
+					h.rcv.countTag(tag)
+				}
+			}
+			report = h.rcv.appendSnapshot(report[:0])
+			h.snd.handleReport(report)
+		}
+		// AllocsPerRun calls its function once to warm up, then once more
+		// measured: flagged is the measured call's leaves.
+		const cycles = 100
+		flagged := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			leaves = 0
+			for range cycles {
+				cycle()
+			}
+			flagged = leaves
+		})
+		if flagged == 0 {
+			t.Fatalf("pipelined=%v: %d cycles flagged no leaf", pipelined, cycles)
+		}
+		if int(allocs) != flagged {
+			t.Errorf("pipelined=%v: %d cycles allocate %.0f objects for %d flagged leaves, want one per leaf", pipelined, cycles, allocs, flagged)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"fancy/internal/codec"
@@ -95,7 +96,12 @@ func (f *Fleet) resumeDuty() {
 // alarm/reroute dedup maps come back verbatim because they are in the frame.
 // Returns a human-readable restore summary.
 func (f *Fleet) restoreState(frame []byte) string {
-	st := &corrState{}
+	// The live link objects stay (timers, guards and closures point at
+	// them); each takes over its record from the frame, decoded in place.
+	st := &corrState{links: f.links}
+	for _, ls := range f.links {
+		ls.linkRecord, ls.verdictTimer = linkRecord{}, sim.Timer{}
+	}
 	if frame != nil {
 		if err := decodeState(frame, st); err != nil {
 			// Only frames this process encoded, or a replica validated on
@@ -103,18 +109,15 @@ func (f *Fleet) restoreState(frame []byte) string {
 			panic("fleet: restoring a frame that does not decode: " + err.Error())
 		}
 	}
-	// The live link objects stay (timers, guards and closures point at
-	// them); each takes over its decoded record. Re-opened verdict windows
-	// are scheduled here, so the links must be visited in a fixed order to
-	// keep event sequence numbers (and therefore same-tick execution order)
-	// reproducible.
+	// Records of links this topology does not have end here: the decoder
+	// made a link of no fleet for each. Holds on them go with them below.
+	maps.DeleteFunc(f.links, func(_ string, ls *linkState) bool { return ls.f == nil })
+	// Re-opened verdict windows are scheduled here, so the links must be
+	// visited in a fixed order to keep event sequence numbers (and
+	// therefore same-tick execution order) reproducible.
 	restored := 0
 	for _, key := range f.order {
 		ls := f.links[key]
-		ls.linkRecord, ls.verdictTimer = linkRecord{}, sim.Timer{}
-		if d, ok := st.links[key]; ok {
-			ls.linkRecord = d.linkRecord
-		}
 		if ls.verdictPending {
 			// Re-open the window in full: the crashed incarnation's
 			// partial wait cannot be trusted, and a fresh window gives
@@ -123,9 +126,7 @@ func (f *Fleet) restoreState(frame []byte) string {
 			restored++
 		}
 	}
-	// Records of links this topology does not have end here, and holds on
-	// them with them: every live hold names a live link.
-	st.links = f.links
+	// Every live hold names a live link.
 	st.verifyHeld = slices.DeleteFunc(st.verifyHeld, func(h *heldReroute) bool { return f.links[h.link] == nil })
 	f.corrState = *st
 	f.corrState.alloc()

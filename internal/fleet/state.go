@@ -280,7 +280,10 @@ func (l *linkRecord) encode(w *codec.Writer, keys *[]string) {
 
 // decodeState walks a state frame, rejecting anything malformed,
 // non-canonical or followed by trailing bytes. Into a non-nil s it builds the
-// state; with s nil it makes the same reads and checks and builds nothing, so
+// state: a link's record is decoded into s.links's zero record of its key, or
+// into a new linkState made for a key s.links lacks (restoreState hands it the
+// live links, so a restore builds no link of the topology). With s nil it
+// makes the same reads and checks and builds nothing, so
 // validating a frame allocates only what verify.DecodeDelta does for a
 // decision-log frame. Byte strings in a built state (decision-log frames)
 // alias the input, which is immutable by convention.
@@ -295,12 +298,10 @@ func decodeState(frame []byte, s *corrState) error {
 	s.Localizations = int(w.Varint())
 	s.Reroutes = int(w.Varint())
 
-	// One slab holds every built link record; a checked one is read into rec.
+	// A checked link record is read into rec.
 	n := w.Count()
-	var slab []linkState
-	if w.build && n > 0 {
+	if w.build && n > 0 && s.links == nil {
 		s.links = make(map[string]*linkState, n)
-		slab = make([]linkState, n)
 	}
 	var rec linkRecord
 	var k []byte
@@ -310,8 +311,12 @@ func decodeState(frame []byte, s *corrState) error {
 			rec.decode(w)
 			continue
 		}
-		slab[i].decode(w)
-		s.links[string(k)] = &slab[i]
+		ls := s.links[string(k)]
+		if ls == nil {
+			ls = new(linkState)
+			s.links[string(k)] = ls
+		}
+		ls.linkRecord.decode(w)
 	}
 	decodeMap(w, &s.restartsSeen, func() int { return int(w.Varint()) })
 	decodeMap(w, &s.restartObserved, func() sim.Time { return rtime(w.Reader) })

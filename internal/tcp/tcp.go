@@ -125,12 +125,38 @@ func (c *conn) open(s *sim.Sim, srcHost, dstHost *netsim.Host, flow netsim.FlowI
 // allocation, in the order they are opened, so flows opened close together
 // in time sit together in memory. Its receivers share the reorder buffers
 // they have drained: a receiver takes one at a gap and hands it back once
-// the gap fills, so a block allocates a buffer only when more of its flows
-// are out of order at once than ever before.
+// the gap fills. A buffer the spares cannot supply is cut from a chunk of
+// reorderChunk slots, so a block allocates once per reorderChunk flows out
+// of order at once, not once per flow.
 type Block struct {
 	flows int     // records the block holds
 	conns []conn  // nil until the first flow opens; len: records opened so far
 	spare [][]seg // drained reorder buffers, each empty
+	chunk []seg   // the unused slots of the latest chunk
+}
+
+// A reorder buffer starts in a slot of reorderSlot segments; a chunk holds
+// reorderChunk slots, or one per flow of a smaller block.
+const (
+	reorderSlot  = 8
+	reorderChunk = 256
+)
+
+// buffer returns an empty reorder buffer: a spare one, or the next slot of
+// the chunk. A slot's capacity ends where the next begins, so a buffer that
+// outgrows it reallocates on its own and never writes into a neighbour.
+func (b *Block) buffer() []seg {
+	if n := len(b.spare); n > 0 {
+		s := b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		return s
+	}
+	if len(b.chunk) == 0 {
+		b.chunk = make([]seg, reorderSlot*min(reorderChunk, max(b.flows, 1)))
+	}
+	s := b.chunk[:0:reorderSlot]
+	b.chunk = b.chunk[reorderSlot:]
+	return s
 }
 
 // NewBlock makes a block for n flows. Their records are allocated together
@@ -374,11 +400,10 @@ func (r *receiver) HandlePacket(pkt *netsim.Packet) {
 // buffered at seq takes the new length.
 func (r *receiver) buffer(seq int64, n int) {
 	if r.segs == nil {
-		if b := r.blk; b != nil && len(b.spare) > 0 {
-			r.segs = b.spare[len(b.spare)-1]
-			b.spare = b.spare[:len(b.spare)-1]
+		if r.blk != nil {
+			r.segs = r.blk.buffer()
 		} else {
-			r.segs = make([]seg, 0, 8)
+			r.segs = make([]seg, 0, reorderSlot)
 		}
 	}
 	i, found := slices.BinarySearchFunc(r.segs, seq, func(s seg, seq int64) int { return cmp.Compare(s.seq, seq) })

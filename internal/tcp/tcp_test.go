@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -518,6 +519,98 @@ func TestBlockSecondGapDoesNotAllocate(t *testing.T) {
 	steady := func() { episode(&rcv[i%2]); i++ }
 	if avg := testing.AllocsPerRun(runs, steady); avg != 0 {
 		t.Errorf("a warmed block's gaps allocate %.2f objects, want 0", avg)
+	}
+}
+
+// TestBlockGapsAllocateByChunk pins the block's chunked reorder buffers:
+// n receivers of one block, each holding a gap at the same moment, allocate
+// one object per reorderChunk of them, not one each.
+func TestBlockGapsAllocateByChunk(t *testing.T) {
+	const mss, runs, n = 1460, 20, 2*reorderChunk + 3
+	s := sim.New(1)
+	_, b, _ := pair(s, 10e9, sim.Millisecond)
+	gap := netsim.Packet{Seq: mss, Len: mss}
+	// Each step starts a new block of n receivers in the same memory and
+	// opens a gap in every one of them.
+	var blk Block
+	rcv := make([]receiver, n)
+	gaps := func() {
+		blk = Block{flows: n}
+		for i := range rcv {
+			rcv[i] = receiver{host: b, flow: netsim.FlowID(i), src: 2, dst: 1, blk: &blk}
+			rcv[i].HandlePacket(&gap)
+		}
+		s.Run(0) // deliver the ACKs, so they return to b's pool
+	}
+	gaps() // warm b's packet pool and the event pool
+	want := float64((n + reorderChunk - 1) / reorderChunk)
+	if avg := testing.AllocsPerRun(runs, gaps); avg != want {
+		t.Errorf("%d gaps open at once allocate %.2f objects, want %.0f (one per %d-slot chunk)", n, avg, want, reorderChunk)
+	}
+}
+
+// TestBlockFlowsMatchStandaloneAcrossChunks holds flows opened on one Block
+// to the same flows opened by NewSender, where the block cuts buffers from
+// more than one chunk and some flows outgrow their slot: every ACK (time,
+// flow, value) and every sender's Stats are the same. A slot cut without
+// its capacity bound lets an outgrown buffer write into its neighbour's,
+// and fails here.
+func TestBlockFlowsMatchStandaloneAcrossChunks(t *testing.T) {
+	const flows = 600
+	run := func(block bool) (acks []string, stats []Stats, blk *Block) {
+		s := sim.New(3)
+		// A queue deep enough for every flow's first window.
+		a, b := netsim.NewHost(s, "a"), netsim.NewHost(s, "b")
+		l := netsim.Connect(s, a, 0, b, 0, netsim.LinkConfig{Delay: sim.Millisecond, RateBps: 1e9, QueueBytes: 1 << 24})
+		l.AB.SetFailure(netsim.FailUniform(5, 0, 0.1))
+		chaos := netsim.NewChaos(s, "ab")
+		chaos.Reorder, chaos.JitterMax = 0.2, 500*sim.Microsecond
+		l.AB.SetChaos(chaos)
+		l.BA.SetCapture(func(ev netsim.CaptureEvent) {
+			if ev.Kind == netsim.CaptureSend {
+				acks = append(acks, fmt.Sprintf("%v %d %d", ev.Time, ev.Pkt.Flow, ev.Pkt.Ack))
+			}
+		})
+		open := NewSender
+		if block {
+			blk = NewBlock(flows)
+			open = blk.NewSender
+		}
+		snds := make([]*Sender, flows)
+		for i := range snds {
+			snds[i] = open(s, a, b, netsim.FlowID(i), netsim.EntryID(i), 1, 2, int64(20_000+500*(i%7)), Config{MSS: 1000})
+			snds[i].Start()
+		}
+		s.Run(30 * sim.Second)
+		for _, snd := range snds {
+			if !snd.Done() {
+				t.Fatalf("flow %d did not complete", snd.flow)
+			}
+			stats = append(stats, snd.Stats)
+		}
+		return acks, stats, blk
+	}
+	acks, stats, blk := run(true)
+	wantAcks, wantStats, _ := run(false)
+	// Every buffer the block made is back among its spares: more than one
+	// chunk's worth means more gaps were open at once than a chunk holds.
+	outgrown := 0
+	for _, b := range blk.spare {
+		if cap(b) > reorderSlot {
+			outgrown++
+		}
+	}
+	t.Logf("%d gaps open at once, %d buffers outgrew their slot", len(blk.spare), outgrown)
+	if len(blk.spare) <= reorderChunk || outgrown == 0 {
+		t.Fatalf("%d gaps open at once, %d buffers outgrew their slot: want > %d and ≥ 1", len(blk.spare), outgrown, reorderChunk)
+	}
+	if !slices.Equal(stats, wantStats) {
+		t.Errorf("block flows' Stats differ from standalone flows'")
+	}
+	for i := range max(len(acks), len(wantAcks)) {
+		if i >= len(acks) || i >= len(wantAcks) || acks[i] != wantAcks[i] {
+			t.Fatalf("block flows send %d ACKs, standalone flows %d; ACK %d differs", len(acks), len(wantAcks), i)
+		}
 	}
 }
 
